@@ -9,6 +9,12 @@
 // hot loop, buffers are recycled through a size-classed free list that
 // persists across Reset calls — the CPU analogue of the arena reuse that
 // made the paper's TorQ simulator fit an 87³ collocation grid in GPU memory.
+//
+// # Invariants
+//
+// The GEMM kernels behind MatMul and its backward (matmul.go) reduce every
+// element of their output in one order fixed by the shape alone, so values
+// and gradients are bit-identical for any par worker count.
 package ad
 
 import "fmt"
