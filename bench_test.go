@@ -106,48 +106,28 @@ func torqEpoch(b *testing.B, ansatz qsim.AnsatzKind, engine qsim.EngineKind) {
 }
 
 // BenchmarkTable2TorQEpoch times the batched adjoint simulator (TorQ
-// analogue) on the default fused engine — the winning column of Table 2.
+// analogue) on the default sharded engine — the winning column of Table 2.
 func BenchmarkTable2TorQEpoch(b *testing.B) {
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineFused)
-}
-
-// BenchmarkTorqEpochFused / Sharded / FusedV2 / FusedV1 / Legacy are the
-// engine A/B set: identical workload on the v3 compiler (three-qubit
-// super-ops, commutation-aware diagonals, grouped triples), the sharded
-// work-stealing executor over the same level-3 program, the PR-2 compiler
-// (4×4 blocks and consecutive diagonal runs), the PR-1 compiler
-// (single-qubit fusion only), and the original one-parallel-sweep-per-gate
-// execution. The recorded ratios live in BENCH_engine.json.
-func BenchmarkTorqEpochFused(b *testing.B) {
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineFused)
-}
-func BenchmarkTorqEpochSharded(b *testing.B) {
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
 }
-func BenchmarkTorqEpochFusedV2(b *testing.B) {
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineFusedV2)
-}
-func BenchmarkTorqEpochFusedV1(b *testing.B) {
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineFusedV1)
+
+// BenchmarkTorqEpochSharded / Legacy are the engine A/B pair: identical
+// workload on the sharded executor over the compiled program (three-qubit
+// super-ops, commutation-aware diagonals, grouped triples) and on the
+// original one-parallel-sweep-per-gate execution. The recorded ratios live
+// in BENCH_engine.json.
+func BenchmarkTorqEpochSharded(b *testing.B) {
+	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
 }
 func BenchmarkTorqEpochLegacy(b *testing.B) {
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineLegacy)
 }
 
 // BenchmarkTorqEpochCrossMesh* run the same A/B on the entangler-heavy
-// Cross-Mesh ansatz (42 CRZs per layer), where the v2 compiler collapses
-// each layer's diagonal mesh into one full-register super-op.
-func BenchmarkTorqEpochCrossMeshFused(b *testing.B) {
-	torqEpoch(b, qsim.CrossMesh, qsim.EngineFused)
-}
+// Cross-Mesh ansatz (42 CRZs per layer), where the compiler collapses each
+// layer's diagonal mesh into one full-register super-op.
 func BenchmarkTorqEpochCrossMeshSharded(b *testing.B) {
 	torqEpoch(b, qsim.CrossMesh, qsim.EngineSharded)
-}
-func BenchmarkTorqEpochCrossMeshFusedV2(b *testing.B) {
-	torqEpoch(b, qsim.CrossMesh, qsim.EngineFusedV2)
-}
-func BenchmarkTorqEpochCrossMeshFusedV1(b *testing.B) {
-	torqEpoch(b, qsim.CrossMesh, qsim.EngineFusedV1)
 }
 func BenchmarkTorqEpochCrossMeshLegacy(b *testing.B) {
 	torqEpoch(b, qsim.CrossMesh, qsim.EngineLegacy)
@@ -251,23 +231,17 @@ func BenchmarkTorqEpochCrossMeshCNOTDist(b *testing.B) {
 }
 
 // BenchmarkTorqEpochCrossMeshCNOT* run the A/B on the all-pairs CNOT mesh
-// (42 CNOTs per layer), the stream the v3 compiler targets with CNOT-only
+// (42 CNOTs per layer), the stream the compiler targets with CNOT-only
 // three-qubit blocks: consecutive CNOTs sharing a control collapse into
 // compile-time basis permutations (169 → 105 instructions).
-func BenchmarkTorqEpochCrossMeshCNOTFused(b *testing.B) {
-	torqEpoch(b, qsim.CrossMeshCNOT, qsim.EngineFused)
-}
 func BenchmarkTorqEpochCrossMeshCNOTSharded(b *testing.B) {
 	torqEpoch(b, qsim.CrossMeshCNOT, qsim.EngineSharded)
-}
-func BenchmarkTorqEpochCrossMeshCNOTFusedV2(b *testing.B) {
-	torqEpoch(b, qsim.CrossMeshCNOT, qsim.EngineFusedV2)
 }
 func BenchmarkTorqEpochCrossMeshCNOTLegacy(b *testing.B) {
 	torqEpoch(b, qsim.CrossMeshCNOT, qsim.EngineLegacy)
 }
 
-// BenchmarkTorqForwardFused / Legacy isolate the forward+tangent pass
+// BenchmarkTorqForwardSharded / Legacy isolate the forward+tangent pass
 // (inference-shaped work, no adjoint).
 func torqForward(b *testing.B, engine qsim.EngineKind) {
 	circ := qsim.StronglyEntangling.Build(7, 4)
@@ -294,35 +268,16 @@ func torqForward(b *testing.B, engine qsim.EngineKind) {
 	b.ReportMetric(float64(n), "points/op")
 }
 
-func BenchmarkTorqForwardFused(b *testing.B)   { torqForward(b, qsim.EngineFused) }
 func BenchmarkTorqForwardSharded(b *testing.B) { torqForward(b, qsim.EngineSharded) }
-func BenchmarkTorqForwardFusedV2(b *testing.B) { torqForward(b, qsim.EngineFusedV2) }
-func BenchmarkTorqForwardFusedV1(b *testing.B) { torqForward(b, qsim.EngineFusedV1) }
 func BenchmarkTorqForwardLegacy(b *testing.B)  { torqForward(b, qsim.EngineLegacy) }
 
-// BenchmarkTorqEpochShardedMultiWorker vs BenchmarkTorqEpochFusedSingleWorker
-// is the acceptance pair for the sharded executor: the multi-worker sharded
-// epoch (worker bound left at GOMAXPROCS) against the fused engine pinned to
-// one worker. On a multi-core host the sharded unit must win; on a
-// single-core runner the pair degenerates to parity (both effectively run
-// one worker) and only the multi-core numbers are meaningful.
+// BenchmarkTorqEpochShardedMultiWorker is the sharded unit with the worker
+// bound explicitly at GOMAXPROCS. On a multi-core host it should beat
+// TorqEpochSharded run under GOMAXPROCS=1; on a single-core runner the two
+// read as parity.
 func BenchmarkTorqEpochShardedMultiWorker(b *testing.B) {
 	defer par.SetMaxWorkers(0)
 	par.SetMaxWorkers(0) // explicit: full GOMAXPROCS worker bound
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
-}
-func BenchmarkTorqEpochFusedSingleWorker(b *testing.B) {
-	defer par.SetMaxWorkers(0)
-	par.SetMaxWorkers(1)
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineFused)
-}
-
-// BenchmarkTorqEpochShardedStaticSched is the scheduler A/B half: the same
-// sharded unit with the PR-1 static split selected instead of work stealing,
-// so the stealing win on irregular shards is measurable in isolation.
-func BenchmarkTorqEpochShardedStaticSched(b *testing.B) {
-	defer par.SetScheduler(par.SchedSteal)
-	par.SetScheduler(par.SchedStatic)
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
 }
 
@@ -405,7 +360,7 @@ func BenchmarkFig5PadeStep(b *testing.B) {
 // BenchmarkFig6VacuumQPINNEpoch times one full QPINN training epoch of the
 // vacuum ablation (the unit from which Fig. 6's runtime scales).
 func BenchmarkFig6VacuumQPINNEpoch(b *testing.B) {
-	r := newEpochRunner(maxwell.VacuumCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAcos, true, 8, qsim.EngineFused)
+	r := newEpochRunner(maxwell.VacuumCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAcos, true, 8, qsim.EngineSharded)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.epoch()
@@ -414,7 +369,7 @@ func BenchmarkFig6VacuumQPINNEpoch(b *testing.B) {
 
 // BenchmarkFig6VacuumClassicalEpoch times the classical baseline epoch.
 func BenchmarkFig6VacuumClassicalEpoch(b *testing.B) {
-	r := newEpochRunner(maxwell.VacuumCase, core.ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone, false, 8, qsim.EngineFused)
+	r := newEpochRunner(maxwell.VacuumCase, core.ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone, false, 8, qsim.EngineSharded)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.epoch()
@@ -431,16 +386,13 @@ func qpinnEpochEngine(b *testing.B, engine qsim.EngineKind) {
 	}
 }
 
-func BenchmarkEpochQPINNFused(b *testing.B)   { qpinnEpochEngine(b, qsim.EngineFused) }
 func BenchmarkEpochQPINNSharded(b *testing.B) { qpinnEpochEngine(b, qsim.EngineSharded) }
-func BenchmarkEpochQPINNFusedV2(b *testing.B) { qpinnEpochEngine(b, qsim.EngineFusedV2) }
-func BenchmarkEpochQPINNFusedV1(b *testing.B) { qpinnEpochEngine(b, qsim.EngineFusedV1) }
 func BenchmarkEpochQPINNLegacy(b *testing.B)  { qpinnEpochEngine(b, qsim.EngineLegacy) }
 
 // BenchmarkFig8DielectricQPINNEpoch times the dielectric (region-weighted
 // loss) epoch of Fig. 8.
 func BenchmarkFig8DielectricQPINNEpoch(b *testing.B) {
-	r := newEpochRunner(maxwell.DielectricCase, core.QPINN, qsim.NoEntanglement, qsim.ScaleAsin, false, 8, qsim.EngineFused)
+	r := newEpochRunner(maxwell.DielectricCase, core.QPINN, qsim.NoEntanglement, qsim.ScaleAsin, false, 8, qsim.EngineSharded)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.epoch()
@@ -498,7 +450,7 @@ func BenchmarkFig12InitDistribution(b *testing.B) {
 // BenchmarkFig14AsymmetricEpoch times the appendix-case training epoch
 // (no symmetry loss ⇒ two fewer forward passes than the vacuum case).
 func BenchmarkFig14AsymmetricEpoch(b *testing.B) {
-	r := newEpochRunner(maxwell.AsymmetricCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAcos, true, 8, qsim.EngineFused)
+	r := newEpochRunner(maxwell.AsymmetricCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAcos, true, 8, qsim.EngineSharded)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.epoch()
@@ -508,7 +460,7 @@ func BenchmarkFig14AsymmetricEpoch(b *testing.B) {
 // BenchmarkSec51IntuitiveLossEpoch times the §5.1 variant (eq. 37 pointwise
 // 1/ε weighting) against which the region-weighted loss is compared.
 func BenchmarkSec51IntuitiveLossEpoch(b *testing.B) {
-	r := newEpochRunner(maxwell.DielectricCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAsin, true, 8, qsim.EngineFused)
+	r := newEpochRunner(maxwell.DielectricCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAsin, true, 8, qsim.EngineSharded)
 	r.cfg.UseIntuitive = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

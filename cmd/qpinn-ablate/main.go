@@ -27,7 +27,7 @@ func main() {
 		preset    = flag.String("preset", "smoke", "smoke | paper")
 		seeds     = flag.Int("seeds", 0, "replicate count (0 = preset default)")
 		epochs    = flag.Int("epochs", 0, "training epochs (0 = preset default)")
-		engine    = flag.String("engine", "fused", "circuit-execution engine: "+qsim.EngineNames())
+		engine    = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
 	)
 	flag.Parse()
 

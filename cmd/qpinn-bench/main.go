@@ -29,7 +29,7 @@ func main() {
 		figdir = flag.String("figdir", "", "directory for PGM/CSV artifacts")
 		ansatz = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze (basic|strongly|crossmesh|crossmesh2|crossmeshcnot|noent)")
 		scale  = flag.String("scale", "", "restrict sweep to comma-separated scalings (none|pi|bias|asin|acos)")
-		engine = flag.String("engine", "fused", "circuit-execution engine: "+qsim.EngineNames())
+		engine = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
 	)
 	flag.Parse()
 

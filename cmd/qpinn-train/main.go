@@ -29,7 +29,7 @@ func main() {
 		archName   = flag.String("arch", "qpinn", "qpinn | regular | reduced | extra")
 		ansatz     = flag.String("ansatz", "strongly", "basic|strongly|crossmesh|crossmesh2|crossmeshcnot|noent")
 		scale      = flag.String("scale", "acos", "none|pi|bias|asin|acos")
-		engine     = flag.String("engine", "fused", "circuit-execution engine: "+qsim.EngineNames())
+		engine     = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
 		energy     = flag.Bool("energy", true, "include the energy-conservation loss")
 		symmetry   = flag.Bool("symmetry", true, "include the symmetry loss (ignored for the asymmetric case)")
 		epochs     = flag.Int("epochs", 300, "training epochs")

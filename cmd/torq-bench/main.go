@@ -2,7 +2,7 @@
 // adjoint simulator (the TorQ analogue) against the naive per-sample and
 // full-unitary baselines that stand in for PennyLane's default.qubit and
 // operator-composition pipelines. The -engine flag selects the execution
-// engine for the batched rows, enabling fused-vs-legacy A/B runs.
+// engine for the batched rows, enabling sharded-vs-legacy A/B runs.
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	preset := flag.String("preset", "smoke", "smoke | paper")
-	engine := flag.String("engine", "fused", "circuit-execution engine for the batched simulator ("+qsim.EngineNames()+"): fused runs the v3 compiler in process, sharded runs it as work-stealing sample shards with worker-count-independent gradients, dist ships the same shards to worker processes, fused2/fused1 are the PR-2/PR-1 compilers, legacy sweeps per gate, naive is the dense per-sample baseline")
+	engine := flag.String("engine", "sharded", "circuit-execution engine for the batched simulator ("+qsim.EngineNames()+"): sharded runs the compiled program in process as work-stealing sample shards with worker-count-independent gradients, dist ships the same shards to worker processes, legacy sweeps per gate, naive is the dense per-sample baseline")
 	distWorkers := flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
 	ftdcDump := flag.String("ftdc-dump", "", "record flight-data telemetry and write the capture here at exit (and on SIGUSR1)")
 	ftdcEvery := flag.Duration("ftdc-interval", 0, "telemetry sampling period (0 = 100ms)")

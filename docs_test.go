@@ -32,7 +32,7 @@ func TestReadmeEngineTableMatchesRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows look like: | `EngineFused` | `fused` | ... |
+	// Rows look like: | `EngineSharded` | `sharded` | ... |
 	rowRE := regexp.MustCompile("(?m)^\\| `(Engine[A-Za-z0-9]+)` \\| `([a-z0-9]+)` \\|")
 	var gotNames, gotFlags []string
 	for _, m := range rowRE.FindAllStringSubmatch(string(readme), -1) {

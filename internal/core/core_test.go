@@ -454,3 +454,63 @@ func TestReferenceCoordsLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultTrainerWorkerCountIndependent pins what the default engine
+// buys the trainer: a zero-value ModelConfig.Engine (sharded) reduces every
+// gradient per shard in shard order, so the whole training trajectory — the
+// per-epoch history and the final weights — is bit-identical for any worker
+// bound, not merely close.
+func TestDefaultTrainerWorkerCountIndependent(t *testing.T) {
+	defer par.SetMaxWorkers(0)
+	p := maxwell.NewSmokeProblem(maxwell.VacuumCase)
+	mcfg := SmokeModel(QPINN, qsim.CrossMesh, qsim.ScaleAcos)
+	mcfg.Seed = 5
+	if mcfg.Engine != qsim.EngineSharded {
+		t.Fatalf("test premise broken: smoke model engine %v, want the zero value (sharded)", mcfg.Engine)
+	}
+	tcfg := SmokeTrain(4, maxwell.PaperConfig(true, true))
+	tcfg.Grid = 6
+
+	type run struct {
+		hist    []uint64
+		weights []uint64
+	}
+	train := func(workers int) run {
+		par.SetMaxWorkers(workers)
+		res := TrainModel(NewModel(mcfg), p, tcfg, nil)
+		var r run
+		for _, h := range res.History {
+			r.hist = append(r.hist, uint64(h.Epoch))
+			for _, v := range []float64{h.Total, h.Phys, h.IC, h.Sym, h.Energy, h.GradNorm, h.GradVar, h.L2, h.IBH, h.MW} {
+				r.hist = append(r.hist, math.Float64bits(v))
+			}
+		}
+		for _, prm := range res.Model.Reg.Params {
+			for _, w := range prm.W {
+				r.weights = append(r.weights, math.Float64bits(w))
+			}
+		}
+		return r
+	}
+	ref := train(1)
+	if len(ref.hist) == 0 || len(ref.weights) == 0 {
+		t.Fatal("training produced no history or weights")
+	}
+	for _, workers := range []int{2, 4} {
+		got := train(workers)
+		if len(got.hist) != len(ref.hist) || len(got.weights) != len(ref.weights) {
+			t.Fatalf("workers=%d: history/weights shape differs from 1 worker", workers)
+		}
+		for i := range ref.hist {
+			if got.hist[i] != ref.hist[i] {
+				t.Fatalf("workers=%d: history word %d differs from 1 worker", workers, i)
+			}
+		}
+		for i := range ref.weights {
+			if got.weights[i] != ref.weights[i] {
+				t.Fatalf("workers=%d: final weight %d differs from 1 worker: %v vs %v",
+					workers, i, math.Float64frombits(got.weights[i]), math.Float64frombits(ref.weights[i]))
+			}
+		}
+	}
+}

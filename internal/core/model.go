@@ -56,7 +56,7 @@ type ModelConfig struct {
 	Ansatz      qsim.AnsatzKind
 	Scaling     qsim.ScalingKind
 	Init        qsim.InitStrategy
-	Engine      qsim.EngineKind // circuit-execution engine (zero value: fused)
+	Engine      qsim.EngineKind // circuit-execution engine (zero value: sharded)
 	Reupload    bool            // §6.2(c): repeat the angle embedding before every ansatz layer
 	TimePeriod  float64         // initial learned period
 	Seed        int64

@@ -517,3 +517,81 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatalf("worker session ended with error: %v", err)
 	}
 }
+
+// TestMalformedHelloRejected drives a worker session in memory with
+// handshakes whose circuits would index outside the compiler's tables. The
+// listener accepts unauthenticated TCP, so each must be refused with an
+// error frame instead of panicking the worker, and a valid handshake must
+// still succeed on the same session afterwards.
+func TestMalformedHelloRejected(t *testing.T) {
+	circ := qsim.StronglyEntangling.Build(3, 2)
+	prog := qsim.CompileProgram(circ)
+	valid := helloMsg{
+		Version: ProtoVersion, Name: circ.Name, NumQubits: circ.NumQubits,
+		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
+		LayerStarts: circ.LayerStarts(), Digest: prog.Digest(),
+	}
+	cnot := -1
+	for i, g := range circ.Gates {
+		if g.Kind == qsim.CNOT {
+			cnot = i
+			break
+		}
+	}
+	if cnot < 0 {
+		t.Fatal("test premise broken: circuit has no CNOT")
+	}
+	cases := []struct {
+		name   string
+		mutate func(hm *helloMsg)
+	}{
+		{"reupload without layer starts", func(hm *helloMsg) {
+			hm.Reupload, hm.Layers, hm.LayerStarts = true, 3, nil
+		}},
+		{"negative CNOT control", func(hm *helloMsg) { hm.Gates[cnot].C = -3 }},
+		{"negative parameter count", func(hm *helloMsg) { hm.NumParams = -5 }},
+		{"unknown gate kind", func(hm *helloMsg) { hm.Gates[0].Kind = 200 }},
+	}
+
+	toWorkerR, toWorkerW := io.Pipe()
+	fromWorkerR, fromWorkerW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeConn(toWorkerR, fromWorkerW)
+	}()
+	for _, c := range cases {
+		hm := valid
+		hm.Gates = append([]qsim.Gate(nil), valid.Gates...)
+		c.mutate(&hm)
+		if err := writeFrame(toWorkerW, fHello, encodeHello(hm)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		typ, body, err := readFrame(fromWorkerR)
+		if err != nil {
+			t.Fatalf("%s: worker stream broke: %v", c.name, err)
+		}
+		if typ != fError {
+			t.Fatalf("%s: worker replied frame type %d, want fError", c.name, typ)
+		}
+		if em, err := decodeError(body); err != nil || !strings.Contains(em.Msg, "refusing") {
+			t.Fatalf("%s: error frame %q (decode err %v) does not name the refusal", c.name, em.Msg, err)
+		}
+	}
+	if err := writeFrame(toWorkerW, fHello, encodeHello(valid)); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := readFrame(fromWorkerR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != fHelloAck {
+		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
+	}
+	if ack, err := decodeHelloAck(body); err != nil || ack.Digest != prog.Digest() {
+		t.Fatalf("bad ack %+v (err %v)", ack, err)
+	}
+	toWorkerW.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("worker session ended with error: %v", err)
+	}
+}

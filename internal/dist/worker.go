@@ -136,7 +136,62 @@ func (s *session) handle(typ byte, body []byte) error {
 const (
 	maxWorkerQubits = 24
 	maxWorkerGates  = 1 << 20
+	maxWorkerParams = maxWorkerGates
 )
+
+// checkCircuit refuses a handshake circuit the compiler or the kernels
+// cannot execute: every index it carries is used to slice a table, so an
+// unchecked value from a hostile peer would panic the worker process.
+func checkCircuit(hm *helloMsg) error {
+	nq := hm.NumQubits
+	if nq < 1 || nq > maxWorkerQubits {
+		return fmt.Errorf("refusing circuit with %d qubits (worker bound: %d)", nq, maxWorkerQubits)
+	}
+	if len(hm.Gates) > maxWorkerGates {
+		return fmt.Errorf("refusing circuit with %d gates (worker bound: %d)", len(hm.Gates), maxWorkerGates)
+	}
+	if hm.NumParams < 0 || hm.NumParams > maxWorkerParams {
+		return fmt.Errorf("refusing circuit with %d parameters (worker bound: %d)", hm.NumParams, maxWorkerParams)
+	}
+	for _, g := range hm.Gates {
+		var twoQubit, param bool
+		switch g.Kind {
+		case qsim.RX, qsim.RY, qsim.RZ:
+			param = true
+		case qsim.CRZ:
+			twoQubit, param = true, true
+		case qsim.CNOT:
+			twoQubit = true
+		default:
+			return fmt.Errorf("refusing gate %+v of unknown kind", g)
+		}
+		ok := g.Q >= 0 && g.Q < nq
+		if twoQubit {
+			ok = ok && g.C >= 0 && g.C < nq && g.C != g.Q
+		}
+		if param {
+			ok = ok && g.P >= 0 && g.P < hm.NumParams
+		} else {
+			ok = ok && g.P == -1
+		}
+		if !ok {
+			return fmt.Errorf("refusing gate %+v outside circuit bounds (nq=%d, params=%d)", g, nq, hm.NumParams)
+		}
+	}
+	if hm.Reupload {
+		if len(hm.LayerStarts) != hm.Layers {
+			return fmt.Errorf("refusing re-uploading circuit with %d layers but %d layer starts", hm.Layers, len(hm.LayerStarts))
+		}
+		prev := 0
+		for _, st := range hm.LayerStarts {
+			if st < prev || st > len(hm.Gates) {
+				return fmt.Errorf("refusing layer starts %v: not ascending within [0, %d]", hm.LayerStarts, len(hm.Gates))
+			}
+			prev = st
+		}
+	}
+	return nil
+}
 
 func (s *session) hello(body []byte) error {
 	hm, err := decodeHello(body)
@@ -146,16 +201,8 @@ func (s *session) hello(body []byte) error {
 	if hm.Version != ProtoVersion {
 		return fmt.Errorf("protocol version mismatch: worker speaks %d, coordinator sent %d", ProtoVersion, hm.Version)
 	}
-	if hm.NumQubits < 1 || hm.NumQubits > maxWorkerQubits {
-		return fmt.Errorf("refusing circuit with %d qubits (worker bound: %d)", hm.NumQubits, maxWorkerQubits)
-	}
-	if len(hm.Gates) > maxWorkerGates {
-		return fmt.Errorf("refusing circuit with %d gates (worker bound: %d)", len(hm.Gates), maxWorkerGates)
-	}
-	for _, g := range hm.Gates {
-		if g.Q < 0 || g.Q >= hm.NumQubits || g.C >= hm.NumQubits || g.P >= hm.NumParams {
-			return fmt.Errorf("refusing gate %+v outside circuit bounds (nq=%d, params=%d)", g, hm.NumQubits, hm.NumParams)
-		}
+	if err := checkCircuit(&hm); err != nil {
+		return err
 	}
 	circ := qsim.NewCircuitFromSpec(hm.Name, hm.NumQubits, hm.Layers, hm.Gates, hm.NumParams, hm.Reupload, hm.LayerStarts)
 	runner := qsim.NewShardRunner(circ)

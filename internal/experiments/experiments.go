@@ -30,7 +30,7 @@ type Options struct {
 	Epochs int // training epochs override (0 = preset default)
 	// Engine selects the circuit-execution engine for the batched-simulator
 	// rows of Table 2 and for every trained quantum model (zero value: the
-	// fused compiled engine).
+	// sharded compiled engine).
 	Engine qsim.EngineKind
 	Out    io.Writer
 	// FigDir, when set, receives PGM/CSV artifacts for field figures.

@@ -220,8 +220,8 @@ func weightedMSESubset(tp *ad.Tape, res ad.Value, idx []int, w []float64) ad.Val
 // accumulation runs as a par.RunChunk region — one fork/join for all
 // residual vectors — with per-CHUNK bin partials merged in chunk order.
 // Because the chunk partition depends only on (N, chunk), the result is
-// bit-identical for every worker bound and scheduler mode, so the
-// curriculum weights (and with EngineSharded, the whole training loop) stay
+// bit-identical for every worker bound, so the curriculum weights (and with
+// the default EngineSharded, the whole training loop) stay
 // worker-count-independent.
 //
 //torq:ordered-merge

@@ -57,7 +57,7 @@ func buildHybrid(t *testing.T, scaling qsim.ScalingKind, engine qsim.EngineKind)
 // layers and the quantum circuit layer must match finite differences.
 func TestHybridQuantumGradients(t *testing.T) {
 	for _, scaling := range []qsim.ScalingKind{qsim.ScaleNone, qsim.ScalePi, qsim.ScaleAsin, qsim.ScaleAcos, qsim.ScaleBias} {
-		reg, layers, coords, n := buildHybrid(t, scaling, qsim.EngineFused)
+		reg, layers, coords, n := buildHybrid(t, scaling, qsim.EngineSharded)
 
 		tp := ad.NewTape()
 		loss := hybridForward(tp, reg, layers, coords, n, true)
@@ -96,7 +96,7 @@ func TestHybridQuantumGradients(t *testing.T) {
 // TestQuantumLayerInferenceMatchesTraining: the no-grad path must produce
 // identical outputs to the training path.
 func TestQuantumLayerInferenceMatchesTraining(t *testing.T) {
-	reg, layers, coords, n := buildHybrid(t, qsim.ScaleAsin, qsim.EngineFused)
+	reg, layers, coords, n := buildHybrid(t, qsim.ScaleAsin, qsim.EngineSharded)
 	tp := ad.NewTape()
 	lossTrain := hybridForward(tp, reg, layers, coords, n, true)
 	tp2 := ad.NewTape()
@@ -126,7 +126,7 @@ func TestQuantumLayerEngineParity(t *testing.T) {
 		return result{loss.Scalar(), grads}
 	}
 	ref := run(qsim.EngineLegacy)
-	for _, engine := range []qsim.EngineKind{qsim.EngineFused, qsim.EngineNaive} {
+	for _, engine := range []qsim.EngineKind{qsim.EngineSharded, qsim.EngineNaive} {
 		got := run(engine)
 		if math.Abs(got.loss-ref.loss) > 1e-10 {
 			t.Errorf("engine %v: loss %v ≠ legacy %v", engine, got.loss, ref.loss)
@@ -250,7 +250,7 @@ func TestQuantumWorkspaceRecycledWithoutBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	reg := &Registry{}
 	circ := qsim.StronglyEntangling.Build(3, 2)
-	q := NewQuantum(reg, rng, circ, qsim.ScaleNone, qsim.InitRegular, qsim.EngineFused)
+	q := NewQuantum(reg, rng, circ, qsim.ScaleNone, qsim.InitRegular, qsim.EngineSharded)
 
 	n := 4
 	coords := make([]float64, n*3)

@@ -19,7 +19,7 @@ import (
 // adjoint-differentiated batched simulator, and exposes the per-qubit
 // Pauli-Z expectations (and their input tangents) as tape values. Each
 // qubit acts as one neuron of the following layer. The circuit-execution
-// strategy is pluggable (qsim.Engine); training defaults to the fused
+// strategy is pluggable (qsim.Engine); training defaults to the sharded
 // compiled engine.
 type Quantum struct {
 	Circ    *qsim.Circuit
@@ -32,7 +32,8 @@ type Quantum struct {
 
 // NewQuantum builds the layer with the given ansatz parameters initialized
 // by strategy (InitRegular draws from rng) and circuits executed by the
-// given engine (qsim.EngineFused unless a comparator is being measured).
+// given engine (qsim.EngineSharded, the zero value, unless a comparator is
+// being measured).
 func NewQuantum(r *Registry, rng *rand.Rand, circ *qsim.Circuit, scaling qsim.ScalingKind, init qsim.InitStrategy, engine qsim.EngineKind) *Quantum {
 	q := &Quantum{Circ: circ, Scaling: scaling, free: make(map[int][]*qsim.Workspace)}
 	q.pqc = qsim.PQC{Circ: circ, Eng: engine}

@@ -5,30 +5,30 @@
 //
 // All entry points dispatch onto a persistent worker pool, so a parallel
 // region costs one synchronization rather than one goroutine spawn per
-// block. For/ForGrain are the per-kernel loops; Run and RunChunk are the
-// region APIs used by the fused and sharded circuit-execution engines to pay
-// a single fork/join for an entire compiled program instead of one per gate.
+// block. For/ForGrain are the per-kernel loops; RunChunk is the region API
+// the sharded circuit-execution engine uses to pay a single fork/join for an
+// entire compiled program instead of one per gate.
 //
-// Regions are scheduled by a chunked work-stealing scheduler: the range is
-// split into chunks, each worker owns a deque seeded with a contiguous span
-// of them, and a worker whose deque runs dry steals the top half of a
-// victim's remaining span. Uniform workloads execute exactly as the old
-// static split did (every chunk is consumed by its seeded owner); irregular
-// workloads — noise trajectories, mixed fused/legacy comparators — no longer
-// idle the pool behind the slowest block. SetScheduler(SchedStatic) restores
-// the fixed PR-1 split for A/B measurements.
+// RunChunk regions are scheduled by a chunked work-stealing scheduler: the
+// range is split into chunks, each worker owns a deque seeded with a
+// contiguous span of them, and a worker whose deque runs dry steals the top
+// half of a victim's remaining span. Uniform workloads execute exactly as a
+// static split would (every chunk is consumed by its seeded owner);
+// irregular workloads — noise trajectories, uneven shards — no longer idle
+// the pool behind the slowest block. The elementwise For/ForGrain loops keep
+// the fixed contiguous split.
 //
 // # Invariants
 //
 // RunChunk's partition of [0, n) depends only on (n, chunk): fn is invoked
 // exactly once per chunk, every chunk starts at a multiple of chunk, and
-// neither the worker bound, the scheduler, nor the chunk-group multiplier
-// (SetChunkGroup) changes which [lo, hi) ranges fn sees. Grouping and
-// stealing only move whole chunks between workers; they never split, merge,
-// or reorder the per-chunk accumulator slots callers key off lo/chunk. This
-// is the foundation the sharded engine's bit-identical merge order is built
-// on: any floating-point reduction keyed per chunk is invariant across
-// worker counts, scheduler choice, and any runtime re-tuning.
+// neither the worker bound nor the chunk-group multiplier (SetChunkGroup)
+// changes which [lo, hi) ranges fn sees. Grouping and stealing only move
+// whole chunks between workers; they never split, merge, or reorder the
+// per-chunk accumulator slots callers key off lo/chunk. This is the
+// foundation the sharded engine's bit-identical merge order is built on:
+// any floating-point reduction keyed per chunk is invariant across worker
+// counts and any runtime re-tuning.
 //
 // Scheduler telemetry (Stats) is exported through plain atomic counters so
 // the ftdc recorder can snapshot it off the hot path; counter increments are
@@ -45,11 +45,6 @@ import (
 // grain is the minimum number of items a goroutine must receive before the
 // loop is worth splitting. Below this, scheduling overhead dominates.
 const grain = 2048
-
-// stealSpread is how many chunks per worker Run carves a region into when
-// the caller does not pick a chunk size: enough slack for stealing to
-// rebalance, coarse enough that deque traffic stays negligible.
-const stealSpread = 8
 
 // maxWorkers bounds concurrency to the number of usable CPUs. It is read on
 // every loop entry — possibly from inside pool workers while a benchmark
@@ -72,24 +67,6 @@ func SetMaxWorkers(n int) {
 //torq:nolock
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
-// Scheduler selects how region APIs distribute chunks across workers.
-type Scheduler uint8
-
-const (
-	// SchedSteal is the default: per-worker deques with chunked stealing.
-	SchedSteal Scheduler = iota
-	// SchedStatic is the PR-1 fixed contiguous split, kept selectable as the
-	// A/B baseline for the stealing scheduler.
-	SchedStatic
-)
-
-func (s Scheduler) String() string {
-	if s == SchedStatic {
-		return "static"
-	}
-	return "steal"
-}
-
 // SchedStats is a snapshot of the region scheduler's cumulative telemetry:
 // how many regions ran, how many chunks they executed, how many scheduling
 // units (chunk groups) those chunks were bound into, and how many steals
@@ -100,7 +77,7 @@ func (s Scheduler) String() string {
 // rebalancing constantly off an irregular load — refine the grouping so
 // thieves can grab closer-to-even shares.
 type SchedStats struct {
-	Regions uint64 // region entries (Run/RunChunk/For families, serial fast paths included)
+	Regions uint64 // region entries (RunChunk/For families, serial fast paths included)
 	Chunks  uint64 // chunk executions (a serial fast-path region counts as one chunk)
 	Groups  uint64 // scheduling units: chunks/ChunkGroup per region, the deques' currency
 	Steals  uint64 // successful steal operations (each moves ≥1 unit)
@@ -166,16 +143,6 @@ func SetChunkGroup(m int) {
 //
 //torq:nolock
 func ChunkGroup() int { return int(chunkGroup.Load()) }
-
-// schedMode holds the current Scheduler. Like maxWorkers it may be toggled
-// by a benchmark goroutine while regions are in flight, so access is atomic.
-var schedMode atomic.Int64
-
-// SetScheduler selects the region scheduling strategy.
-func SetScheduler(s Scheduler) { schedMode.Store(int64(s)) }
-
-// CurrentScheduler reports the active region scheduling strategy.
-func CurrentScheduler() Scheduler { return Scheduler(schedMode.Load()) }
 
 // pool is the persistent worker set. The job channel is unbuffered: a send
 // succeeds only when a worker is parked and ready to run the job now, so a
@@ -384,8 +351,7 @@ func region(n, chunk, workers int, steal bool, fn func(worker, lo, hi int)) {
 }
 
 // forBlocks splits [0,n) into `workers` contiguous blocks, one fn call per
-// worker — the static split used by the elementwise loops and by
-// SchedStatic regions.
+// worker — the static split used by the elementwise loops.
 func forBlocks(n, workers int, fn func(worker, lo, hi int)) {
 	region(n, (n+workers-1)/workers, workers, false, fn)
 }
@@ -422,70 +388,23 @@ func ForGrain(n, itemCost int, fn func(start, end int)) {
 	forBlocks(n, workers, func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// Run is the region API: it executes fn(worker, lo, hi) over [0,n) on the
-// persistent pool with a single fork/join for the whole region, and no grain
-// heuristic — callers use it for regions whose per-item work is substantial
-// (e.g. streaming a whole compiled circuit program over a sample range).
-// Worker indices are dense, unique per concurrent goroutine, and always in
-// [0, MaxWorkers()), so fn may accumulate into MaxWorkers()-sized per-worker
-// slots without atomics. Under the default stealing scheduler the region is
-// carved into several chunks per worker and fn may be invoked multiple times
-// per worker (contiguous [lo, hi) each time); under SchedStatic each worker
-// receives exactly one contiguous block, as in PR 1. Callers needing
-// worker-count-independent reduction order should use RunChunk and
-// accumulate per chunk instead of per worker.
-func Run(n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		statRegions.Add(1)
-		statChunks.Add(1)
-		statGroups.Add(1)
-		fn(0, 0, n)
-		return
-	}
-	if CurrentScheduler() == SchedStatic {
-		forBlocks(n, workers, fn)
-		return
-	}
-	chunk := (n + workers*stealSpread - 1) / (workers * stealSpread)
-	region(n, chunk, workers, true, fn)
-}
-
-// RunChunk is Run with a caller-chosen chunk size and a hard guarantee the
-// sharded engine's determinism is built on: fn is invoked exactly once per
-// chunk, every chunk starts at a multiple of `chunk`, and the partition
-// depends only on (n, chunk) — never on the worker bound or the scheduler.
-// lo/chunk therefore indexes a stable per-chunk accumulator slot. The chunk
-// size is also the unit of stealing, so callers pick it to match their
-// cache-blocked inner loops.
+// RunChunk is the region API: it executes fn(worker, lo, hi) over [0,n) on
+// the persistent pool with a single fork/join for the whole region, and no
+// grain heuristic — callers use it for regions whose per-item work is
+// substantial (e.g. streaming a whole compiled circuit program over a sample
+// range). It carries a hard guarantee the sharded engine's determinism is
+// built on: fn is invoked exactly once per chunk, every chunk starts at a
+// multiple of `chunk`, and the partition depends only on (n, chunk) — never
+// on the worker bound. lo/chunk therefore indexes a stable per-chunk
+// accumulator slot. Worker indices are dense and unique per concurrent
+// goroutine. The chunk size is also the unit of stealing, so callers pick it
+// to match their cache-blocked inner loops.
 func RunChunk(n, chunk int, fn func(worker, lo, hi int)) {
-	RunChunkBounded(n, chunk, MaxWorkers(), fn)
-}
-
-// RunChunkBounded is RunChunk with an explicit cap on the worker count in
-// addition to the live bound. Callers that size per-worker accumulator slots
-// from their own MaxWorkers() read pass that same value here: the region
-// otherwise re-reads the bound at entry, and a concurrent SetMaxWorkers
-// increase between the two reads could hand fn a worker id past their slots.
-func RunChunkBounded(n, chunk, bound int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
-	workers := MaxWorkers()
-	if bound < workers {
-		workers = bound
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	region(n, chunk, workers, CurrentScheduler() != SchedStatic, fn)
+	region(n, chunk, MaxWorkers(), true, fn)
 }

@@ -62,50 +62,32 @@ func TestBlocksAreContiguousAndOrderedWithinBlock(t *testing.T) {
 	}
 }
 
-// TestRunCoversRangeWithDenseWorkerIDs: under both schedulers Run partitions
-// [0,n) exactly and hands out worker indices usable as per-worker accumulator
-// slots. Under the stealing scheduler a worker may receive several contiguous
-// ranges; under the static one each worker is called exactly once.
+// TestRunCoversRangeWithDenseWorkerIDs: RunChunk partitions [0,n) exactly
+// and hands out worker indices usable as per-worker accumulator slots. A
+// worker may receive several contiguous chunks within one region.
 func TestRunCoversRangeWithDenseWorkerIDs(t *testing.T) {
-	defer SetScheduler(SchedSteal)
-	for _, sched := range []Scheduler{SchedSteal, SchedStatic} {
-		SetScheduler(sched)
-		for _, n := range []int{0, 1, 3, 100, 100000} {
-			visits := make([]int32, n)
-			partials := make([]int64, MaxWorkers())
-			var mu sync.Mutex
-			calls := map[int]int{}
-			Run(n, func(worker, lo, hi int) {
-				if worker < 0 || worker >= MaxWorkers() {
-					t.Errorf("worker %d out of range [0, %d)", worker, MaxWorkers())
-				}
-				mu.Lock()
-				calls[worker]++
-				mu.Unlock()
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&visits[i], 1)
-				}
-				partials[worker] += int64(hi - lo)
-			})
-			if sched == SchedStatic {
-				//torq:allow maprange -- independent per-worker assertions
-				for w, c := range calls {
-					if c > 1 {
-						t.Errorf("static: worker id %d called %d times within one region", w, c)
-					}
-				}
+	for _, n := range []int{0, 1, 3, 100, 100000} {
+		visits := make([]int32, n)
+		partials := make([]int64, MaxWorkers())
+		RunChunk(n, n/16+1, func(worker, lo, hi int) {
+			if worker < 0 || worker >= MaxWorkers() {
+				t.Errorf("worker %d out of range [0, %d)", worker, MaxWorkers())
 			}
-			var total int64
-			for _, p := range partials {
-				total += p
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&visits[i], 1)
 			}
-			if total != int64(n) {
-				t.Fatalf("%v n=%d: per-worker partials sum to %d", sched, n, total)
-			}
-			for i, v := range visits {
-				if v != 1 {
-					t.Fatalf("%v n=%d: index %d visited %d times", sched, n, i, v)
-				}
+			partials[worker] += int64(hi - lo)
+		})
+		var total int64
+		for _, p := range partials {
+			total += p
+		}
+		if total != int64(n) {
+			t.Fatalf("n=%d: per-worker partials sum to %d", n, total)
+		}
+		for i, v := range visits {
+			if v != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, v)
 			}
 		}
 	}
@@ -114,10 +96,9 @@ func TestRunCoversRangeWithDenseWorkerIDs(t *testing.T) {
 // TestRunChunkPartitionStable pins the contract the sharded engine's
 // determinism rests on: RunChunk invokes fn exactly once per chunk, chunk
 // boundaries depend only on (n, chunk), and the partition is identical for
-// every worker bound and scheduler.
+// every worker bound.
 func TestRunChunkPartitionStable(t *testing.T) {
 	defer SetMaxWorkers(0)
-	defer SetScheduler(SchedSteal)
 	cases := []struct{ n, chunk int }{{1, 1}, {7, 3}, {64, 8}, {100, 7}, {512, 5}}
 	for _, c := range cases {
 		want := map[int]int{} // lo → hi from the serial run
@@ -129,27 +110,24 @@ func TestRunChunkPartitionStable(t *testing.T) {
 			want[lo] = hi
 		})
 		for _, workers := range []int{3, 8} {
-			for _, sched := range []Scheduler{SchedSteal, SchedStatic} {
-				SetScheduler(sched)
-				SetMaxWorkers(workers)
-				var mu sync.Mutex
-				got := map[int]int{}
-				RunChunk(c.n, c.chunk, func(_, lo, hi int) {
-					mu.Lock()
-					if _, dup := got[lo]; dup {
-						t.Errorf("n=%d chunk=%d workers=%d: chunk at %d visited twice", c.n, c.chunk, workers, lo)
-					}
-					got[lo] = hi
-					mu.Unlock()
-				})
-				if len(got) != len(want) {
-					t.Fatalf("n=%d chunk=%d workers=%d %v: %d chunks, want %d", c.n, c.chunk, workers, sched, len(got), len(want))
+			SetMaxWorkers(workers)
+			var mu sync.Mutex
+			got := map[int]int{}
+			RunChunk(c.n, c.chunk, func(_, lo, hi int) {
+				mu.Lock()
+				if _, dup := got[lo]; dup {
+					t.Errorf("n=%d chunk=%d workers=%d: chunk at %d visited twice", c.n, c.chunk, workers, lo)
 				}
-				//torq:allow maprange -- independent per-chunk assertions
-				for lo, hi := range want {
-					if got[lo] != hi {
-						t.Fatalf("n=%d chunk=%d workers=%d %v: chunk [%d,%d) became [%d,%d)", c.n, c.chunk, workers, sched, lo, hi, lo, got[lo])
-					}
+				got[lo] = hi
+				mu.Unlock()
+			})
+			if len(got) != len(want) {
+				t.Fatalf("n=%d chunk=%d workers=%d: %d chunks, want %d", c.n, c.chunk, workers, len(got), len(want))
+			}
+			//torq:allow maprange -- independent per-chunk assertions
+			for lo, hi := range want {
+				if got[lo] != hi {
+					t.Fatalf("n=%d chunk=%d workers=%d: chunk [%d,%d) became [%d,%d)", c.n, c.chunk, workers, lo, hi, lo, got[lo])
 				}
 			}
 		}
@@ -167,7 +145,7 @@ func TestRunStealUnevenCosts(t *testing.T) {
 	n := 256
 	visits := make([]int32, n)
 	sink := make([]float64, 8)
-	Run(n, func(worker, lo, hi int) {
+	RunChunk(n, 4, func(worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&visits[i], 1)
 			// The first chunks carry ~1000× the work of the tail.
@@ -189,47 +167,14 @@ func TestRunStealUnevenCosts(t *testing.T) {
 	}
 }
 
-// TestSchedulerToggleConcurrent toggles the scheduler kind while regions are
-// in flight (mirroring A/B benchmarks switching modes between measurements);
-// coverage must hold for whichever mode each region observes, and under
-// -race the mode word must be clean.
-func TestSchedulerToggleConcurrent(t *testing.T) {
-	defer SetScheduler(SchedSteal)
-	defer SetMaxWorkers(0)
-	SetMaxWorkers(4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			SetScheduler(Scheduler(i % 2))
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		var total int64
-		Run(64, func(_, lo, hi int) {
-			atomic.AddInt64(&total, int64(hi-lo))
-		})
-		if total != 64 {
-			t.Fatalf("iteration %d: Run coverage %d", i, total)
-		}
-		total = 0
-		RunChunk(100, 7, func(_, lo, hi int) {
-			atomic.AddInt64(&total, int64(hi-lo))
-		})
-		if total != 100 {
-			t.Fatalf("iteration %d: RunChunk coverage %d", i, total)
-		}
-	}
-	<-done
-}
-
-// TestRunNested: a Run region launched from inside a pool worker must not
-// deadlock (submission falls back to fresh goroutines when the pool is busy).
+// TestRunNested: a RunChunk region launched from inside a pool worker must
+// not deadlock (submission falls back to fresh goroutines when the pool is
+// busy).
 func TestRunNested(t *testing.T) {
 	var total int64
-	Run(64, func(_, lo, hi int) {
+	RunChunk(64, 2, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			Run(8, func(_, l, h int) {
+			RunChunk(8, 1, func(_, l, h int) {
 				atomic.AddInt64(&total, int64(h-l))
 			})
 		}
@@ -256,7 +201,7 @@ func TestSetMaxWorkersConcurrent(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		var total int64
-		Run(64, func(_, lo, hi int) {
+		RunChunk(64, 2, func(_, lo, hi int) {
 			atomic.AddInt64(&total, int64(hi-lo))
 		})
 		if total != 64 {

@@ -68,7 +68,7 @@ func (c *Circuit) LayerStarts() []int {
 
 // NewCircuitFromSpec reconstructs a circuit from its serialized fields (see
 // LayerStarts). The result compiles to the identical program as the
-// original: CompileProgramLevel depends only on the fields restored here.
+// original: CompileProgram depends only on the fields restored here.
 func NewCircuitFromSpec(name string, numQubits, layers int, gates []Gate, numParams int, reupload bool, layerStarts []int) *Circuit {
 	return &Circuit{
 		Name:        name,

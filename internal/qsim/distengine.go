@@ -140,7 +140,7 @@ func (distEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][
 
 //torq:ordered-merge
 func (distEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
-	prog := p.Program() // always level 3, like the sharded engine
+	prog := p.Program()
 	spec := &PassSpec{
 		Circ: p.Circ, Prog: prog, Backward: true,
 		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws),
@@ -441,7 +441,6 @@ func (r *ShardRunner) BackwardShard(n int, active [MaxTangents]bool, angles []fl
 //torq:hotpath
 func (r *ShardRunner) runAdjoint(s *shardState, prog *Program, n int, active [MaxTangents]bool, theta, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64) {
 	ws := s.ws
-	ws.ensureScratch()
 	r.ensureCoeffs(ws, theta, true)
 	gzt := s.tanSlices(active, gztans)
 	prepBackward(ws, gz, gzt)
@@ -463,7 +462,7 @@ func (r *ShardRunner) runAdjoint(s *shardState, prog *Program, n int, active [Ma
 	clear(dTheta)
 	diagT = s.diagT
 	clear(diagT)
-	bwdBlockV2(ws, prog, 0, n, gz, gzt, dAngles, dat, bwdScratch{dth: dTheta, diagT: diagT})
+	bwdBlock(ws, prog, 0, n, gz, gzt, dAngles, dat, bwdScratch{dth: dTheta, diagT: diagT})
 	return dAngles, dAngleTans, dTheta, diagT
 }
 

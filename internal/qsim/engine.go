@@ -3,44 +3,23 @@ package qsim
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/par"
 )
 
 // EngineKind selects the circuit-execution strategy behind PQC.
 type EngineKind uint8
 
 const (
-	// EngineFused compiles the circuit into a fused instruction stream with
-	// the full level-3 fusion (three-qubit super-ops, commutation-aware
-	// diagonal absorption, grouped single-qubit triples) and executes it
-	// sample-block by sample-block inside a single parallel region per pass
-	// — the default and fastest engine.
-	EngineFused EngineKind = iota
-	// EngineLegacy executes one batchwide parallel sweep per gate
-	// application — the original execution model, kept as a comparator.
-	EngineLegacy
-	// EngineNaive runs the identical adjoint algorithm but applies every
-	// gate as a dense 2^nq×2^nq matrix per sample (the default.qubit-style
-	// losing architecture of Table 2).
-	EngineNaive
-	// EngineFusedV1 is the fused executor running the PR-1 compiler (pass-1
-	// fusion only: single-qubit runs and same-pair diagonal merges, per-gate
-	// backward walk) — the oldest A/B comparator.
-	EngineFusedV1
-	// EngineFusedV2 is the fused executor running the PR-2 compiler
-	// (consecutive diagonal runs, 4×4 entangler blocks) — the A/B comparator
-	// for the v3 three-qubit fusion.
-	EngineFusedV2
-	// EngineSharded executes the level-3 compiled program as independent
-	// sample shards on the work-stealing scheduler: each shard streams the
-	// whole instruction stream through one cache-resident block and owns a
-	// private gradient accumulator, and shard partials merge in shard order
-	// after the adjoint pass — so gradients are bit-identical for every
-	// worker count, and uneven per-shard costs rebalance across the pool.
-	// This is the single-process form of the ROADMAP's multi-node sharding:
-	// a shard is exactly the unit a remote executor would ship.
-	EngineSharded
+	// EngineSharded executes the level-3 compiled program (three-qubit
+	// super-ops, commutation-aware diagonal absorption, grouped single-qubit
+	// triples) as independent sample shards on the work-stealing scheduler:
+	// each shard streams the whole instruction stream through one
+	// cache-resident block and owns a private gradient accumulator, and
+	// shard partials merge in shard order after the adjoint pass — so
+	// gradients are bit-identical for every worker count, and uneven
+	// per-shard costs rebalance across the pool. The zero value: the one
+	// production in-process engine. A shard is exactly the unit EngineDist
+	// ships to a remote executor.
+	EngineSharded EngineKind = iota
 	// EngineDist executes the same fixed cache-block shards as EngineSharded
 	// but ships them to worker *processes* (local subprocesses or remote
 	// torq-worker instances) over a framed binary protocol, merging results
@@ -50,24 +29,25 @@ const (
 	// through RegisterDistBackend; selecting "dist" in a binary that does
 	// not link that package panics with instructions.
 	EngineDist
+	// EngineLegacy executes one batchwide parallel sweep per gate
+	// application — the original execution model, kept as a comparator.
+	EngineLegacy
+	// EngineNaive runs the identical adjoint algorithm but applies every
+	// gate as a dense 2^nq×2^nq matrix per sample (the default.qubit-style
+	// losing architecture of Table 2).
+	EngineNaive
 )
 
 func (k EngineKind) String() string {
 	switch k {
-	case EngineFused:
-		return "fused"
-	case EngineLegacy:
-		return "legacy"
-	case EngineNaive:
-		return "naive"
-	case EngineFusedV1:
-		return "fused1"
-	case EngineFusedV2:
-		return "fused2"
 	case EngineSharded:
 		return "sharded"
 	case EngineDist:
 		return "dist"
+	case EngineLegacy:
+		return "legacy"
+	case EngineNaive:
+		return "naive"
 	}
 	return "unknown"
 }
@@ -77,10 +57,7 @@ func (k EngineKind) String() string {
 // name round-trip test, so a newly landed engine cannot be omitted from any
 // of them.
 func EngineKinds() []EngineKind {
-	return []EngineKind{
-		EngineFused, EngineSharded, EngineDist,
-		EngineFusedV2, EngineFusedV1, EngineLegacy, EngineNaive,
-	}
+	return []EngineKind{EngineSharded, EngineDist, EngineLegacy, EngineNaive}
 }
 
 // EngineNames returns the canonical flag names of every registered engine,
@@ -94,16 +71,11 @@ func EngineNames() string {
 	return strings.Join(names, "|")
 }
 
-// ParseEngine maps a flag value to an EngineKind.
+// ParseEngine maps a flag value to an EngineKind; the empty string selects
+// the default, EngineSharded.
 func ParseEngine(s string) (EngineKind, error) {
 	switch s {
-	case "fused", "":
-		return EngineFused, nil
-	case "fused2", "fused-v2":
-		return EngineFusedV2, nil
-	case "fused1", "fused-v1":
-		return EngineFusedV1, nil
-	case "sharded":
+	case "sharded", "":
 		return EngineSharded, nil
 	case "dist":
 		return EngineDist, nil
@@ -112,7 +84,7 @@ func ParseEngine(s string) (EngineKind, error) {
 	case "naive":
 		return EngineNaive, nil
 	}
-	return EngineFused, fmt.Errorf("qsim: unknown engine %q (want %s)", s, EngineNames())
+	return EngineSharded, fmt.Errorf("qsim: unknown engine %q (want %s)", s, EngineNames())
 }
 
 // Engine is the pluggable execution strategy for a PQC pass: it owns how
@@ -126,7 +98,6 @@ type Engine interface {
 }
 
 var (
-	engineFused   Engine = fusedEngine{}
 	engineSharded Engine = shardedEngine{}
 	engineDist    Engine = distEngine{}
 	engineLegacy  Engine = &legacyEngine{kind: EngineLegacy, hooks: fastHooks}
@@ -135,8 +106,6 @@ var (
 
 func (k EngineKind) engine() Engine {
 	switch k {
-	case EngineSharded:
-		return engineSharded
 	case EngineDist:
 		return engineDist
 	case EngineLegacy:
@@ -144,7 +113,7 @@ func (k EngineKind) engine() Engine {
 	case EngineNaive:
 		return engineNaive
 	}
-	return engineFused // the fused kinds differ only in compile level
+	return engineSharded
 }
 
 // blockSamples picks how many samples one worker streams through the whole
@@ -162,27 +131,6 @@ func blockSamples(dim, channels int) int {
 		return 64
 	}
 	return b
-}
-
-// fusedEngine executes a compiled Program sample-block by sample-block: the
-// outer parallel region splits the batch once per pass (par.RunChunk,
-// chunked on the cache-block size), and each worker streams every
-// instruction through one small block of samples while those samples'
-// amplitudes stay cache-resident. A forward+backward pass costs two
-// fork/joins total, against two per gate application for the legacy engine.
-type fusedEngine struct{}
-
-func (fusedEngine) Kind() EngineKind { return EngineFused }
-
-func (fusedEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64) {
-	prog, coeff, z, ztans, blk := prepForward(p, ws, angles, angleTans, theta)
-	// Chunk on the cache-block size so scheduler ranges never split a block:
-	// an arbitrary chunk would re-walk the instruction stream over partial
-	// blocks at every chunk tail.
-	par.RunChunk(ws.n, blk, func(_, lo, hi int) {
-		fwdBlock(ws, prog, coeff, lo, hi, z, ztans)
-	})
-	return z, ztans
 }
 
 // prepForward performs the per-pass setup every program-streaming engine
@@ -242,8 +190,6 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 	}
 	for _, in := range prog.ins {
 		switch in.op {
-		case opEmbed:
-			embedRange(ws, in.q, lo, hi)
 		case opEmbedAll:
 			embedAllRange(ws, lo, hi)
 		case opU4:
@@ -353,120 +299,7 @@ func embedAllRange(ws *Workspace, lo, hi int) {
 	}
 }
 
-// embedRange applies the RX(angle_q) embedding on qubit q for samples
-// [lo, hi), coupling tangent channels through t' = U·t + φ̇·(dU/dφ)·v.
-func embedRange(ws *Workspace, q, lo, hi int) {
-	ws.loadHalfAnglesRange(q, lo, hi)
-	if ws.anyTan() {
-		ws.scr1.copyRange(ws.val, lo, hi)
-		ws.scr1.applyIXPerSampleRange(lo, hi, q, ws.dA, ws.dB) // D·v_pre
-	}
-	for k := 0; k < MaxTangents; k++ {
-		if !ws.active[k] {
-			continue
-		}
-		ws.tan[k].applyIXPerSampleRange(lo, hi, q, ws.cbuf, ws.sbuf)
-		ws.gatherTanRange(k, q, lo, hi)
-		axpyRange(ws.tan[k], ws.scr1, ws.tmpN, lo, hi)
-	}
-	ws.val.applyIXPerSampleRange(lo, hi, q, ws.cbuf, ws.sbuf)
-}
-
-func (fusedEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
-	prog := p.Program()
-	n := ws.n
-	theta := ws.theta
-	ws.ensureScratch()
-
-	np := p.Circ.NumParams
-	var gch []float64
-	if prog.level < 2 {
-		// Per-parameter half-angle table for the level-1 per-gate walk:
-		// trigonometry once per pass, not once per block. Parameter indices
-		// are unique per gate across all ansätze.
-		if cap(ws.gch) < 2*np {
-			ws.gch = make([]float64, 2*np)
-		}
-		gch = ws.gch[:2*np]
-		for _, g := range p.Circ.Gates {
-			if g.P >= 0 {
-				gch[2*g.P] = cosHalf(theta[g.P])
-				gch[2*g.P+1] = sinHalf(theta[g.P])
-			}
-		}
-	} else {
-		refreshCoeffs(ws, prog, theta)
-	}
-
-	blk := prepBackward(ws, gz, gztans)
-
-	// Per-worker dTheta partials (and level-2 fused-block gradient scratch):
-	// reduced in worker order after the region. Under SchedStatic this is
-	// deterministic for a fixed worker bound; under the default stealing
-	// scheduler the set of blocks each worker executes varies run to run, so
-	// gradients are reproducible only to FP-reassociation level (~1e-15) —
-	// callers needing bit-exact, worker-count-independent gradients use
-	// EngineSharded, whose partials are per-shard instead of per-worker.
-	nw := par.MaxWorkers() //torq:allow nondet -- sizes per-worker scratch only; reassociation caveat documented above
-	if len(ws.dthW) < nw {
-		ws.dthW = make([][]float64, nw)
-	}
-	for w := 0; w < nw; w++ {
-		if cap(ws.dthW[w]) < np {
-			ws.dthW[w] = make([]float64, np)
-		}
-		ws.dthW[w] = ws.dthW[w][:np]
-		for i := range ws.dthW[w] {
-			ws.dthW[w][i] = 0
-		}
-	}
-	if prog.level >= 2 {
-		if len(ws.diagTW) < nw {
-			ws.diagTW = make([][]float64, nw)
-		}
-		nt := prog.ndiag * ws.val.Dim
-		for w := 0; w < nw; w++ {
-			if cap(ws.diagTW[w]) < nt {
-				ws.diagTW[w] = make([]float64, nt)
-			}
-			ws.diagTW[w] = ws.diagTW[w][:nt]
-			for i := range ws.diagTW[w] {
-				ws.diagTW[w][i] = 0
-			}
-		}
-	}
-
-	// The chunk is the cache block, so each callback covers exactly one
-	// block; the worker cap is the same nw the accumulator slots were sized
-	// from, so a concurrent SetMaxWorkers increase cannot hand out a worker
-	// id past them.
-	par.RunChunkBounded(n, blk, nw, func(w, lo, hi int) {
-		if prog.level >= 2 {
-			sc := bwdScratch{dth: ws.dthW[w], diagT: ws.diagTW[w]}
-			bwdBlockV2(ws, prog, lo, hi, gz, gztans, dAngles, dAngleTans, sc)
-			return
-		}
-		bwdBlock(ws, prog, gch, lo, hi, gz, gztans, dAngles, dAngleTans, ws.dthW[w])
-	})
-	for w := 0; w < nw; w++ {
-		if prog.level >= 2 {
-			// Fused-diagonal gradients are linear in the per-basis adjoint
-			// products, so each worker accumulates them across every range it
-			// executed and the contraction against the sign tables runs once
-			// per worker per pass — here, after the join, NOT inside the
-			// region callback: the stealing scheduler may invoke the callback
-			// several times for one worker, and contracting the cumulative
-			// accumulator each time double-counts earlier ranges.
-			reduceDiagNGrads(prog, ws.diagTW[w], ws.dthW[w], ws.val.Dim)
-		}
-		for i, v := range ws.dthW[w] {
-			dTheta[i] += v
-		}
-	}
-}
-
-// refreshCoeffs prepares a level ≥ 2 backward walk of the fused instruction
-// stream: refresh the forward coefficients (don't rely on ws.coeff surviving
+// refreshCoeffs prepares a backward walk of the compiled instruction stream: refresh the forward coefficients (don't rely on ws.coeff surviving
 // from Forward — the program may have been recompiled if the engine changed
 // between passes) and the dU/dθ matrices of fused unitaries, once per pass.
 func refreshCoeffs(ws *Workspace, prog *Program, theta []float64) {
@@ -515,8 +348,8 @@ func backwardBlock(ws *Workspace) int {
 	return blockSamples(ws.val.Dim, channels)
 }
 
-// bwdScratch bundles one worker's (or, for the sharded engine, one shard's)
-// private accumulation buffers for the level-2 backward walk.
+// bwdScratch bundles one shard's private accumulation buffers for the
+// backward walk.
 type bwdScratch struct {
 	dth   []float64 // per-parameter gradient partials
 	diagT []float64 // per-(opDiagN, basis) adjoint-product accumulators
@@ -565,32 +398,14 @@ func (ws *Workspace) forChannelPairs(f func(psi, lam *State)) {
 	}
 }
 
-// bwdBlock runs the complete level-1 adjoint pass — readout seeding, reverse
-// gate walk with per-parameter gradient accumulation, and reverse embedding —
-// over samples [lo, hi).
-func bwdBlock(ws *Workspace, prog *Program, gch []float64, lo, hi int, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dth []float64) {
-	seedAdjointsRange(ws, lo, hi, gz, gztans)
-
-	// Walk the program segments in reverse at per-gate granularity: the
-	// level-1 adjoint needs each parametrized gate's individual derivative
-	// and pre-gate state, so fused instructions don't apply here.
-	for si := len(prog.segs) - 1; si >= 0; si-- {
-		seg := prog.segs[si]
-		if seg.embed {
-			reverseEmbedRange(ws, lo, hi, dAngles, dAngleTans)
-		} else {
-			reverseGatesRange(ws, seg.gates, gch, lo, hi, dth)
-		}
-	}
-}
-
-// bwdBlockV2 runs the level-2 adjoint pass over samples [lo, hi): it walks
-// the fused instruction stream itself in reverse, so every fused block pays
-// one inverse+gradient traversal instead of one per source gate, and the
-// embedding un-applies as a single fused instruction.
+// bwdBlock runs the adjoint pass over samples [lo, hi): seeding from the
+// readout, then a reverse walk of the compiled instruction stream itself,
+// so every fused block pays one inverse+gradient traversal instead of one
+// per source gate, and the embedding un-applies as a single fused
+// instruction.
 //
 //torq:hotpath
-func bwdBlockV2(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, sc bwdScratch) {
+func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, sc bwdScratch) {
 	seedAdjointsRange(ws, lo, hi, gz, gztans)
 	coeff := ws.coeff[:prog.ncoef]
 	for i := len(prog.ins) - 1; i >= 0; i-- {
@@ -749,139 +564,13 @@ func reverseStepRange(g Gate, c, s float64, psi, lam *State, lo, hi int) float64
 				}
 			}
 		}
-	case CRZ:
-		// RZ step on the control-set subspace; the derivative is zero on the
-		// control-unset subspace, so it contributes no gradient.
-		strideT := 1 << g.Q
-		stepT := strideT << 1
-		cMask := 1 << g.C
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += stepT {
-				for j := blk; j < blk+strideT; j++ {
-					if j&cMask == 0 {
-						continue
-					}
-					a, b := off+j, off+j+strideT
-					r0, i0 := pr[a], pim[a]
-					pr[a] = c*r0 - s*i0
-					pim[a] = c*i0 + s*r0
-					r1, i1 := pr[b], pim[b]
-					pr[b] = c*r1 + s*i1
-					pim[b] = c*i1 - s*r1
-					r0, i0 = lr[a], lim[a]
-					lr[a] = c*r0 - s*i0
-					lim[a] = c*i0 + s*r0
-					r1, i1 = lr[b], lim[b]
-					lr[b] = c*r1 + s*i1
-					lim[b] = c*i1 - s*r1
-					sum += 0.5 * (lr[a]*pim[a] - lim[a]*pr[a] - lr[b]*pim[b] + lim[b]*pr[b])
-				}
-			}
-		}
 	}
 	return sum
 }
 
-// reverseGatesRange is the blocked analogue of legacyEngine.reverseGates:
-// one fused inverse+gradient traversal per channel pair per gate.
-func reverseGatesRange(ws *Workspace, gates []Gate, gch []float64, lo, hi int, dth []float64) {
-	for gi := len(gates) - 1; gi >= 0; gi-- {
-		g := gates[gi]
-		var c, s float64
-		if g.P >= 0 {
-			c, s = gch[2*g.P], gch[2*g.P+1]
-		}
-		grad := reverseStepRange(g, c, s, ws.val, ws.lamV, lo, hi)
-		for k := 0; k < MaxTangents; k++ {
-			if ws.active[k] {
-				grad += reverseStepRange(g, c, s, ws.tan[k], ws.lamT[k], lo, hi)
-			}
-		}
-		if g.P >= 0 {
-			dth[g.P] += grad
-		}
-	}
-}
-
-// reverseEmbedRange is the blocked analogue of legacyEngine.reverseEmbedding;
-// see that method for the derivation of terms (a)–(c).
-func reverseEmbedRange(ws *Workspace, lo, hi int, dAngles []float64, dAngleTans [][]float64) {
-	nq := ws.nq
-	for q := nq - 1; q >= 0; q-- {
-		ws.loadHalfAnglesRange(q, lo, hi)
-
-		// (c) second-derivative coupling on the post-gate value state.
-		for k := 0; k < MaxTangents; k++ {
-			if !ws.active[k] {
-				continue
-			}
-			innerReRange(ws.lamT[k], ws.val, ws.tmpN, lo, hi)
-			for i := lo; i < hi; i++ {
-				dAngles[i*nq+q] -= 0.25 * ws.angleTans[k][i*nq+q] * ws.tmpN[i]
-			}
-		}
-
-		// Recover v_pre and D·v_pre.
-		negS := ws.negSinRange(lo, hi)
-		ws.val.applyIXPerSampleRange(lo, hi, q, ws.cbuf, negS) // U†: RX(−φ)
-		ws.scr1.copyRange(ws.val, lo, hi)
-		ws.scr1.applyIXPerSampleRange(lo, hi, q, ws.dA, ws.dB) // D·v_pre
-
-		// (a) dφ += Re⟨λv, D v_pre⟩ ; dφ̇ₖ += Re⟨λtₖ, D v_pre⟩.
-		innerReRange(ws.lamV, ws.scr1, ws.tmpN, lo, hi)
-		for i := lo; i < hi; i++ {
-			dAngles[i*nq+q] += ws.tmpN[i]
-		}
-		for k := 0; k < MaxTangents; k++ {
-			if !ws.active[k] {
-				continue
-			}
-			innerReRange(ws.lamT[k], ws.scr1, ws.tmpN, lo, hi)
-			if dAngleTans != nil && k < len(dAngleTans) && dAngleTans[k] != nil {
-				for i := lo; i < hi; i++ {
-					dAngleTans[k][i*nq+q] += ws.tmpN[i]
-				}
-			}
-		}
-
-		// Recover tₖ_pre = U†(tₖ_post − φ̇ₖ·D v_pre), then
-		// (b) dφ += Re⟨λtₖ, D tₖ_pre⟩.
-		for k := 0; k < MaxTangents; k++ {
-			if !ws.active[k] {
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				ws.tmpN[i] = -ws.angleTans[k][i*nq+q]
-			}
-			axpyRange(ws.tan[k], ws.scr1, ws.tmpN, lo, hi)
-			ws.tan[k].applyIXPerSampleRange(lo, hi, q, ws.cbuf, negS)
-			ws.scr2.copyRange(ws.tan[k], lo, hi)
-			ws.scr2.applyIXPerSampleRange(lo, hi, q, ws.dA, ws.dB)
-			innerReRange(ws.lamT[k], ws.scr2, ws.tmpN, lo, hi)
-			for i := lo; i < hi; i++ {
-				dAngles[i*nq+q] += ws.tmpN[i]
-			}
-		}
-
-		// Propagate adjoints: λv ← U†λv + Σₖ φ̇ₖ·D†λtₖ ; λtₖ ← U†λtₖ.
-		ws.lamV.applyIXPerSampleRange(lo, hi, q, ws.cbuf, negS)
-		for k := 0; k < MaxTangents; k++ {
-			if !ws.active[k] {
-				continue
-			}
-			ws.scr2.copyRange(ws.lamT[k], lo, hi)
-			ws.scr2.applyIXPerSampleRange(lo, hi, q, ws.dA, ws.negDBRange(lo, hi)) // D†
-			ws.gatherTanRange(k, q, lo, hi)
-			axpyRange(ws.lamV, ws.scr2, ws.tmpN, lo, hi)
-			ws.lamT[k].applyIXPerSampleRange(lo, hi, q, ws.cbuf, negS)
-		}
-	}
-}
-
 // reverseEmbedAllRange is the fused embedding adjoint: the sample-major
-// analogue of reverseEmbedRange, un-applying the whole embedding block for
-// one sample — qubits in reverse order — before moving to the next, so the
+// analogue of legacyEngine.reverseEmbedding, un-applying the whole embedding
+// block for one sample — qubits in reverse order — before moving to the next, so the
 // sample's value, tangent, and adjoint amplitudes stay cache-hot across the
 // entire per-qubit sequence and the per-qubit scratch copies shrink to one
 // sample. See legacyEngine.reverseEmbedding for the derivation of the
@@ -2058,7 +1747,7 @@ func revDiagNRange(ws *Workspace, in *instr, coeff []float64, lo, hi int, sc bwd
 	})
 }
 
-// reduceDiagNGrads contracts one worker's fused-diagonal accumulators
+// reduceDiagNGrads contracts merged fused-diagonal accumulators
 // against the compile-time sign tables: dθ_p += ½·Σ_j s_pj·T_j.
 func reduceDiagNGrads(prog *Program, diagT, dth []float64, dim int) {
 	if prog.ndiag == 0 {

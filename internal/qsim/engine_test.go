@@ -52,9 +52,9 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestEngineParity is the decisive cross-engine check: on randomized seeded
 // circuits across every ansatz (with and without data re-uploading), the
-// fused and naive engines must reproduce the legacy per-gate engine's
+// sharded and naive engines must reproduce the legacy per-gate engine's
 // expectations, tangents, and adjoint gradients to tight tolerance. The
-// engines share no kernel code on the fused side (compiled instruction
+// engines share no kernel code on the sharded side (compiled instruction
 // stream with gate fusion vs per-gate sweeps vs dense matrices), so
 // agreement pins the whole compile/execute stack.
 func TestEngineParity(t *testing.T) {
@@ -76,7 +76,7 @@ func TestEngineParity(t *testing.T) {
 			gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
 			ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-			for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1, EngineNaive} {
+			for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 				got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 				check := func(name string, want, have []float64) {
 					if d := maxAbsDiff(want, have); d > tol {
@@ -119,7 +119,7 @@ func TestEngineParityNoTangents(t *testing.T) {
 		return z, dA, dTheta
 	}
 	zL, daL, dtL := run(EngineLegacy)
-	for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1, EngineNaive} {
+	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 		z, da, dt := run(kind)
 		//torq:allow maprange -- independent per-series assertions
 		for name, pair := range map[string][2][]float64{
@@ -133,7 +133,7 @@ func TestEngineParityNoTangents(t *testing.T) {
 }
 
 // TestEngineParityRandomShapes: property-style sweep over random batch
-// sizes, qubit counts and depths, fused vs legacy only (naive is covered
+// sizes, qubit counts and depths, sharded vs legacy only (naive is covered
 // above and is O(4^nq) per gate).
 func TestEngineParityRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
@@ -159,27 +159,26 @@ func TestEngineParityRandomShapes(t *testing.T) {
 		gz := randAngles(rng, n, nq)
 
 		ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-		for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1} {
-			got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
-			if d := maxAbsDiff(ref.z, got.z); d > 1e-10 {
-				t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): z diverges by %v", trial, a, nq, layers, n, kind, d)
+		kind := EngineSharded
+		got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
+		if d := maxAbsDiff(ref.z, got.z); d > 1e-10 {
+			t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): z diverges by %v", trial, a, nq, layers, n, kind, d)
+		}
+		if d := maxAbsDiff(ref.dAngles, got.dAngles); d > 1e-10 {
+			t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): dAngles diverges by %v", trial, a, nq, layers, n, kind, d)
+		}
+		if d := maxAbsDiff(ref.dTheta, got.dTheta); d > 1e-10 {
+			t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): dTheta diverges by %v", trial, a, nq, layers, n, kind, d)
+		}
+		for k := 0; k < MaxTangents; k++ {
+			if tans[k] == nil {
+				continue
 			}
-			if d := maxAbsDiff(ref.dAngles, got.dAngles); d > 1e-10 {
-				t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): dAngles diverges by %v", trial, a, nq, layers, n, kind, d)
+			if d := maxAbsDiff(ref.ztans[k], got.ztans[k]); d > 1e-10 {
+				t.Fatalf("trial %d %v: ztans[%d] diverges by %v", trial, kind, k, d)
 			}
-			if d := maxAbsDiff(ref.dTheta, got.dTheta); d > 1e-10 {
-				t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): dTheta diverges by %v", trial, a, nq, layers, n, kind, d)
-			}
-			for k := 0; k < MaxTangents; k++ {
-				if tans[k] == nil {
-					continue
-				}
-				if d := maxAbsDiff(ref.ztans[k], got.ztans[k]); d > 1e-10 {
-					t.Fatalf("trial %d %v: ztans[%d] diverges by %v", trial, kind, k, d)
-				}
-				if d := maxAbsDiff(ref.dTans[k], got.dTans[k]); d > 1e-10 {
-					t.Fatalf("trial %d %v: dTans[%d] diverges by %v", trial, kind, k, d)
-				}
+			if d := maxAbsDiff(ref.dTans[k], got.dTans[k]); d > 1e-10 {
+				t.Fatalf("trial %d %v: dTans[%d] diverges by %v", trial, kind, k, d)
 			}
 		}
 	}
@@ -197,7 +196,7 @@ func TestEngineParityNilValueGradient(t *testing.T) {
 	gztans := [][]float64{randAngles(rng, n, nq), nil, nil}
 
 	ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, nil, gztans)
-	for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1, EngineNaive} {
+	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 		got := runEngine(kind, circ, n, angles, tans, theta, nil, gztans)
 		if d := maxAbsDiff(ref.dAngles, got.dAngles); d > 1e-10 {
 			t.Errorf("engine=%v: dAngles diverges by %v", kind, d)
@@ -208,18 +207,18 @@ func TestEngineParityNilValueGradient(t *testing.T) {
 	}
 }
 
-// TestEngineParityForcedParallel forces a multi-chunk par.Run region even
-// on single-core hosts, exercising the fused engine's claim that workers on
-// disjoint sample ranges share one workspace race-free (per-worker dTheta
-// partials, per-sample scratch). Run under -race this is the engine's
-// concurrency check.
+// TestEngineParityForcedParallel forces a multi-chunk par.RunChunk region
+// even on single-core hosts, exercising the sharded engine's claim that
+// workers on disjoint sample ranges share one workspace race-free
+// (per-shard dTheta partials, per-sample scratch). Run under -race this is
+// the engine's concurrency check.
 func TestEngineParityForcedParallel(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(31337))
 	// Cross-Mesh matters here beyond Strongly-Entangling: its CRZ meshes
-	// compile to fused diagonals whose gradients contract once per worker
-	// per pass — the exact epilogue a multi-call-per-worker scheduler can
-	// double-count (caught live when the stealing scheduler landed).
+	// compile to fused diagonals whose gradients contract once per pass
+	// after the shard merge — the epilogue a scheduler that runs several
+	// shards per worker could double-count.
 	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh} {
 		circ := a.Build(4, 3).WithReupload()
 		n, nq := 37, 4 // odd batch: uneven chunks and partial tail blocks
@@ -229,28 +228,27 @@ func TestEngineParityForcedParallel(t *testing.T) {
 		gz := randAngles(rng, n, nq)
 		gztans := [][]float64{randAngles(rng, n, nq), randAngles(rng, n, nq), randAngles(rng, n, nq)}
 
-		for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1} {
-			par.SetMaxWorkers(1)
-			serial := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
-			for _, workers := range []int{3, 8} {
-				par.SetMaxWorkers(workers)
-				got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
-				//torq:allow maprange -- independent per-series assertions
-				for name, pair := range map[string][2][]float64{
-					"z": {serial.z, got.z}, "dAngles": {serial.dAngles, got.dAngles},
-					"dTheta": {serial.dTheta, got.dTheta},
-				} {
-					if d := maxAbsDiff(pair[0], pair[1]); d > 1e-12 {
-						t.Errorf("%v %v workers=%d: %s diverges from serial by %v", a, kind, workers, name, d)
-					}
+		kind := EngineSharded
+		par.SetMaxWorkers(1)
+		serial := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
+		for _, workers := range []int{3, 8} {
+			par.SetMaxWorkers(workers)
+			got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
+			//torq:allow maprange -- independent per-series assertions
+			for name, pair := range map[string][2][]float64{
+				"z": {serial.z, got.z}, "dAngles": {serial.dAngles, got.dAngles},
+				"dTheta": {serial.dTheta, got.dTheta},
+			} {
+				if d := maxAbsDiff(pair[0], pair[1]); d > 1e-12 {
+					t.Errorf("%v %v workers=%d: %s diverges from serial by %v", a, kind, workers, name, d)
 				}
-				for k := 0; k < MaxTangents; k++ {
-					if d := maxAbsDiff(serial.ztans[k], got.ztans[k]); d > 1e-12 {
-						t.Errorf("%v %v workers=%d: ztans[%d] diverges by %v", a, kind, workers, k, d)
-					}
-					if d := maxAbsDiff(serial.dTans[k], got.dTans[k]); d > 1e-12 {
-						t.Errorf("%v %v workers=%d: dTans[%d] diverges by %v", a, kind, workers, k, d)
-					}
+			}
+			for k := 0; k < MaxTangents; k++ {
+				if d := maxAbsDiff(serial.ztans[k], got.ztans[k]); d > 1e-12 {
+					t.Errorf("%v %v workers=%d: ztans[%d] diverges by %v", a, kind, workers, k, d)
+				}
+				if d := maxAbsDiff(serial.dTans[k], got.dTans[k]); d > 1e-12 {
+					t.Errorf("%v %v workers=%d: dTans[%d] diverges by %v", a, kind, workers, k, d)
 				}
 			}
 		}
@@ -261,12 +259,10 @@ func TestEngineParityForcedParallel(t *testing.T) {
 // distinguishing guarantee: because gradient partials accumulate per shard
 // (a partition fixed by the batch shape alone) and merge in shard order,
 // outputs and gradients are BIT-identical — not merely within tolerance —
-// for every worker bound and both scheduler modes. The fused engine cannot
-// promise this: its per-worker partials make the reduction order follow the
-// worker count.
+// for every worker bound. Per-worker partials could not promise this: their
+// reduction order would follow the worker count.
 func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer par.SetMaxWorkers(0)
-	defer par.SetScheduler(par.SchedSteal)
 	rng := rand.New(rand.NewSource(90210))
 	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh, CrossMeshCNOT} {
 		circ := a.Build(5, 3)
@@ -280,29 +276,26 @@ func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 		par.SetMaxWorkers(1)
 		ref := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
 		for _, workers := range []int{2, 5, 16} {
-			for _, sched := range []par.Scheduler{par.SchedSteal, par.SchedStatic} {
-				par.SetScheduler(sched)
-				par.SetMaxWorkers(workers)
-				got := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
-				//torq:allow maprange -- independent per-series assertions
-				for name, pair := range map[string][2][]float64{
-					"z": {ref.z, got.z}, "dAngles": {ref.dAngles, got.dAngles},
-					"dTheta": {ref.dTheta, got.dTheta},
-				} {
-					if d := maxAbsDiff(pair[0], pair[1]); d != 0 {
-						t.Errorf("%v workers=%d sched=%v: %s not bit-identical to serial (diff %v)", a, workers, sched, name, d)
-					}
+			par.SetMaxWorkers(workers)
+			got := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
+			//torq:allow maprange -- independent per-series assertions
+			for name, pair := range map[string][2][]float64{
+				"z": {ref.z, got.z}, "dAngles": {ref.dAngles, got.dAngles},
+				"dTheta": {ref.dTheta, got.dTheta},
+			} {
+				if d := maxAbsDiff(pair[0], pair[1]); d != 0 {
+					t.Errorf("%v workers=%d: %s not bit-identical to serial (diff %v)", a, workers, name, d)
 				}
-				for k := 0; k < MaxTangents; k++ {
-					if ref.ztans[k] == nil {
-						continue
-					}
-					if d := maxAbsDiff(ref.ztans[k], got.ztans[k]); d != 0 {
-						t.Errorf("%v workers=%d sched=%v: ztans[%d] not bit-identical (diff %v)", a, workers, sched, k, d)
-					}
-					if d := maxAbsDiff(ref.dTans[k], got.dTans[k]); d != 0 {
-						t.Errorf("%v workers=%d sched=%v: dTans[%d] not bit-identical (diff %v)", a, workers, sched, k, d)
-					}
+			}
+			for k := 0; k < MaxTangents; k++ {
+				if ref.ztans[k] == nil {
+					continue
+				}
+				if d := maxAbsDiff(ref.ztans[k], got.ztans[k]); d != 0 {
+					t.Errorf("%v workers=%d: ztans[%d] not bit-identical (diff %v)", a, workers, k, d)
+				}
+				if d := maxAbsDiff(ref.dTans[k], got.dTans[k]); d != 0 {
+					t.Errorf("%v workers=%d: dTans[%d] not bit-identical (diff %v)", a, workers, k, d)
 				}
 			}
 		}
@@ -310,85 +303,49 @@ func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestProgramFusionShrinksStream pins the pass-1 (level-1) fusion wins: the
-// Rot-based ansätze collapse each RZ·RY·RZ triple into one U2 instruction,
-// and Cross-Mesh-2-Rotations fuses its RX·RZ pairs.
+// TestProgramFusionShrinksStream pins that fusion shrinks every ansatz's
+// instruction stream below one instruction per source gate plus one per
+// embedding block, and that fusion never crosses an embedding boundary
+// under re-uploading: each layer keeps its own embedding instruction, and
+// every instruction between two embeddings was fused only from that
+// layer's gates.
 func TestProgramFusionShrinksStream(t *testing.T) {
-	cases := []struct {
-		ansatz AnsatzKind
-		nq, l  int
-		want   int // embed ops + fused gate ops
-	}{
-		// 7 embeds + per layer (7 fused Rot + 7 CNOT) = 7 + 4*14
-		{StronglyEntangling, 7, 4, 7 + 4*14},
-		{BasicEntangling, 7, 4, 7 + 4*14},
-		// 7 embeds + per layer (7 fused RX·RZ + 42 CRZ) = 7 + 4*49
-		{CrossMesh2Rot, 7, 4, 7 + 4*49},
-		// No fusion opportunities: 7 embeds + per layer (7 RX + 42 CRZ)
-		{CrossMesh, 7, 4, 7 + 4*49},
-		// 7 embeds + per layer 7 fused Rots
-		{NoEntanglement, 7, 4, 7 + 4*7},
-	}
-	for _, c := range cases {
-		prog := CompileProgramV1(c.ansatz.Build(c.nq, c.l))
-		if got := prog.NumInstructions(); got != c.want {
-			t.Errorf("%v: %d instructions, want %d", c.ansatz, got, c.want)
+	for _, a := range AllAnsatze {
+		circ := a.Build(7, 4)
+		if got, bound := CompileProgram(circ).NumInstructions(), 1+len(circ.Gates); got >= bound {
+			t.Errorf("%v: %d instructions, want fewer than %d", a, got, bound)
 		}
 	}
-	// Fusion must not cross embedding boundaries under re-uploading.
-	reup := CompileProgramV1(StronglyEntangling.Build(7, 4).WithReupload())
-	if got, want := reup.NumInstructions(), 4*(7+14); got != want {
-		t.Errorf("reupload: %d instructions, want %d", got, want)
+	reup := StronglyEntangling.Build(7, 4).WithReupload()
+	prog := CompileProgram(reup)
+	layer := -1
+	for _, in := range prog.ins {
+		if in.op == opEmbedAll {
+			layer++
+			continue
+		}
+		own := reup.LayerSlice(layer)
+		for _, g := range in.gates {
+			found := false
+			for _, h := range own {
+				if g == h {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Fatalf("reupload: instruction op=%d after embedding %d fused gate %+v from another layer", in.op, layer, g)
+			}
+		}
 	}
-}
-
-// TestProgramV2GoldenCounts pins the level-2 entangler-fusion wins per
-// ansatz so a fusion regression fails loudly. The hand-derived structure at
-// 7 qubits, 4 layers:
-//   - CrossMesh / CrossMesh2Rot: each layer's 42-CRZ mesh collapses into ONE
-//     full-register diagonal: 1 embed + 4·(7 rotations + 1 diagonal) = 33.
-//   - BasicEntangling: each CNOT chain absorbs the neighbouring rotations
-//     into 4×4 blocks: 1 + 4·(6 U4 + 1 lone CNOT) = 29.
-//   - StronglyEntangling: as above, but the growing control-target gap lets
-//     trailing lone CNOTs absorb the next layer's leading rotations
-//     (cross-layer fusion), landing at 26.
-//   - CrossMeshCNOT: the all-pairs CNOT mesh only pair-fuses its first
-//     sweep: 1 + 4·(6 U4 + 36 CNOT) = 169.
-//   - NoEntanglement: only the embedding fuses: 1 + 4·7 = 29.
-//   - Re-uploading StronglyEntangling: embedding barriers stop cross-layer
-//     fusion: 4·(1 embed + 7 blocks) = 32.
-func TestProgramV2GoldenCounts(t *testing.T) {
-	cases := []struct {
-		ansatz AnsatzKind
-		reup   bool
-		want   int
-	}{
-		{CrossMesh, false, 33},
-		{CrossMesh2Rot, false, 33},
-		{CrossMeshCNOT, false, 169},
-		{NoEntanglement, false, 29},
-		{BasicEntangling, false, 29},
-		{StronglyEntangling, false, 26},
-		{StronglyEntangling, true, 32},
-		{CrossMesh, true, 36},
-	}
-	for _, c := range cases {
-		circ := c.ansatz.Build(7, 4)
-		if c.reup {
-			circ = circ.WithReupload()
-		}
-		prog := CompileProgramV2(circ)
-		if got := prog.NumInstructions(); got != c.want {
-			t.Errorf("%v reupload=%v: %d instructions, want %d", c.ansatz, c.reup, got, c.want)
-		}
-		if prog.Level() != 2 {
-			t.Errorf("%v: CompileProgramV2 level = %d, want 2", c.ansatz, prog.Level())
-		}
+	if layer+1 != reup.Layers {
+		t.Errorf("reupload: %d embedding instructions, want %d", layer+1, reup.Layers)
 	}
 }
 
 // TestProgramV3GoldenCounts pins the level-3 fusion wins at 7 qubits,
-// 4 layers. Relative to the level-2 stream:
+// 4 layers. Relative to pair-only fusion (4×4 blocks, consecutive diagonal
+// runs):
 //   - CrossMesh / CrossMesh2Rot: each layer's 7-rotation wall in front of
 //     the fused diagonal mesh groups into two U2x3 triples + one U2:
 //     1 + 4·(3 + 1 diagonal) = 17 (the ROADMAP target was ≤ 20).
@@ -462,8 +419,22 @@ func TestEngineKindRoundTrip(t *testing.T) {
 			t.Errorf("ParseEngine error %q omits engine %q", err, k)
 		}
 	}
-	if k, err := ParseEngine(""); err != nil || k != EngineFused {
-		t.Error("empty engine string should default to fused")
+	if k, err := ParseEngine(""); err != nil || k != EngineSharded {
+		t.Error("empty engine string should default to sharded")
+	}
+	var zero EngineKind
+	if zero != EngineSharded {
+		t.Errorf("zero-value EngineKind is %v, want sharded", zero)
+	}
+	// Retired engine names are errors, not aliases, and the error lists
+	// the valid names.
+	for _, old := range []string{"fused", "fused1", "fused2"} {
+		_, err := ParseEngine(old)
+		if err == nil {
+			t.Errorf("ParseEngine(%q) accepted a retired engine", old)
+		} else if !strings.Contains(err.Error(), EngineNames()) {
+			t.Errorf("ParseEngine(%q) error %q omits the valid names %q", old, err, EngineNames())
+		}
 	}
 }
 
@@ -492,7 +463,7 @@ func TestU2LogDerivFastPath(t *testing.T) {
 	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
 	run := func(logDeriv bool) engineResult {
-		pqc := &PQC{Circ: circ, Eng: EngineFused}
+		pqc := &PQC{Circ: circ, Eng: EngineSharded}
 		prog := pqc.Program()
 		flagged := 0
 		for i := range prog.ins {
@@ -585,7 +556,7 @@ func TestU4LogDerivFastPath(t *testing.T) {
 	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
 	run := func(logDeriv bool) engineResult {
-		pqc := &PQC{Circ: circ, Eng: EngineFused}
+		pqc := &PQC{Circ: circ, Eng: EngineSharded}
 		prog := pqc.Program()
 		flagged := 0
 		for i := range prog.ins {

@@ -20,7 +20,7 @@ import (
 // tangents); only the embedding RX couples channels, contributing the
 // closed-form second derivative d²RX/dφ² = −RX/4.
 //
-// Execution strategy is pluggable via Eng (see Engine): the default fused
+// Execution strategy is pluggable via Eng (see Engine): the default sharded
 // engine compiles the circuit once and streams it sample-block by
 // sample-block; the legacy and naive engines are per-gate comparators.
 type PQC struct {
@@ -53,22 +53,12 @@ func (p *PQC) Backward(ws *Workspace, gz []float64, gztans [][]float64, dAngles 
 	p.Eng.engine().Backward(p, ws, gz, gztans, dAngles, dAngleTans, dTheta)
 }
 
-// Program returns the compiled instruction stream for the current circuit
-// and engine, compiling on first use. EngineFusedV1 compiles at fusion
-// level 1 (the PR-1 compiler) and EngineFusedV2 at level 2 (the PR-2
-// compiler); every other engine gets the full level-3 fusion. Not safe for
-// concurrent first calls.
+// Program returns the compiled level-3 instruction stream for the current
+// circuit, compiling on first use. Not safe for concurrent first calls.
 func (p *PQC) Program() *Program {
-	level := 3
-	switch p.Eng {
-	case EngineFusedV1:
-		level = 1
-	case EngineFusedV2:
-		level = 2
-	}
-	if p.prog == nil || p.prog.circ != p.Circ || p.prog.level != level {
+	if p.prog == nil || p.prog.circ != p.Circ {
 		sp := trace.Begin(trace.KCompile, trace.CurrentPass())
-		p.prog = CompileProgramLevel(p.Circ, level)
+		p.prog = CompileProgram(p.Circ)
 		sp.End()
 	}
 	return p.prog
@@ -102,15 +92,10 @@ type Workspace struct {
 	wNegS, wNegB             []float64
 	wbuf                     [1 + MaxTangents][]float64
 
-	// Fused-engine scratch: program coefficient slots, the per-parameter
-	// cos/sin table for the level-1 backward walk, the fused-block
-	// derivative slots for the level-2 walk, and per-worker partials
-	// (dTheta, fused-block gradient sums, fused-diagonal accumulators).
-	coeff  []float64
-	gch    []float64
-	dcoef  []float64
-	dthW   [][]float64
-	diagTW [][]float64
+	// Program scratch: forward coefficient slots and the fused-block
+	// derivative slots of the backward walk.
+	coeff []float64
+	dcoef []float64
 
 	// Sharded-engine scratch: per-shard dTheta partials (stride NumParams)
 	// and fused-diagonal accumulators (stride ndiag·dim), merged in shard
@@ -215,8 +200,8 @@ func (ws *Workspace) negDBRange(lo, hi int) []float64 {
 	return negB
 }
 
-// ensureScratch sizes the lazily allocated per-sample scratch so parallel
-// workers never allocate concurrently.
+// ensureScratch sizes the lazily allocated per-sample scratch of the legacy
+// engine's embedding adjoint.
 func (ws *Workspace) ensureScratch() {
 	if cap(ws.wNegS) < ws.n {
 		ws.wNegS = make([]float64, ws.n)

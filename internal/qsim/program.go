@@ -8,38 +8,31 @@ import (
 
 // This file is the compile stage of the compile/execute split: it lowers a
 // Circuit plus its RX angle embedding into a flat instruction stream the
-// fused engine can stream sample-block by sample-block.
+// sharded engine streams sample-block by sample-block.
 //
-// Lowering runs up to three fusion passes:
+// Lowering first emits one instruction per run of source gates: runs of
+// adjacent single-qubit gates on the same qubit become a single 2×2 unitary
+// (all-diagonal RZ chains one phase pair), consecutive CRZ gates sharing a
+// control/target pair merge, and each embedding block is one fused
+// instruction (opEmbedAll), so forward and adjoint passes stream one
+// instruction sequence end-to-end. Three fusion passes follow.
 //
-// Pass 1 (level ≥ 1) fuses runs of adjacent single-qubit gates on the same
-// qubit into a single 2×2 unitary, collapses all-diagonal runs (RZ chains)
-// into one phase pair, and merges consecutive CRZ gates sharing a
-// control/target pair.
-//
-// Pass 2 (level ≥ 2) fuses entangler blocks. Consecutive runs of diagonal
-// instructions — CRZ meshes, whatever their control/target pairs — collapse
-// into one full-register diagonal super-op (opDiagN) whose per-basis phases
-// and per-parameter derivative signs are laid out at compile time. Remaining
-// two-qubit gates (CNOT-conjugated diagonals and adjacent two-qubit runs)
-// greedily absorb the neighbouring single-qubit runs on their qubit pair
-// into fused 4×4 super-ops (opU4). The per-qubit embedding walk is replaced
-// by a single fused embedding instruction (opEmbedAll) so forward and
-// adjoint passes stream one instruction sequence end-to-end.
-//
-// Pass 3 (level ≥ 3) widens both ideas. Diagonal absorption becomes
-// commutation-aware: a fused diagonal group may absorb non-adjacent diagonal
-// instructions by commuting them past intervening blocks with disjoint
-// support (all diagonal operators commute with each other, so only the
-// non-diagonal instructions in between constrain the move). Block fusion
-// grows from qubit pairs to qubit triples: a two-qubit instruction sharing a
-// qubit with an open pair block extends it to a dense 8×8 three-qubit
-// super-op (opU8), collapsing the all-pairs CNOT sweeps that pair fusion
-// leaves as bare instructions. Finally, leftover runs of single-qubit
-// instructions on distinct qubits are grouped three at a time into a
-// Kronecker-structured triple (opU2x3) that applies all three 2×2 factors in
-// one pass over each 8-amplitude group — same arithmetic as three separate
-// applications, one third of the memory passes and dispatches.
+// Diagonal absorption is commutation-aware: a fused diagonal group may
+// absorb non-adjacent diagonal instructions by commuting them past
+// intervening blocks with disjoint support (all diagonal operators commute
+// with each other, so only the non-diagonal instructions in between
+// constrain the move); groups collapse into one full-register diagonal
+// super-op (opDiagN) whose per-basis phases and per-parameter derivative
+// signs are laid out at compile time. Block fusion then greedily absorbs
+// neighbouring single-qubit runs into two-qubit instructions (4×4 opU4) and
+// grows blocks to qubit triples: a two-qubit instruction sharing a qubit
+// with an open pair block extends it to a dense 8×8 three-qubit super-op
+// (opU8), collapsing the all-pairs CNOT sweeps pair fusion alone leaves as
+// bare instructions. Finally, leftover runs of single-qubit instructions on
+// distinct qubits are grouped three at a time into a Kronecker-structured
+// triple (opU2x3) that applies all three 2×2 factors in one pass over each
+// 8-amplitude group — same arithmetic as three separate applications, one
+// third of the memory passes and dispatches.
 //
 // Instruction operands live in coefficient slots that are refreshed from
 // theta once per pass — per-gate trigonometry is paid once per program
@@ -50,18 +43,19 @@ import (
 // opcode enumerates fused-program instructions.
 type opcode uint8
 
+// Opcode values are hashed into ProgramDigest, so they stay fixed: 0 was
+// the per-qubit embedding of an earlier compiler and is never emitted.
 const (
-	opEmbed    opcode = iota // per-sample RX embedding on qubit Q (level-1)
-	opEmbedAll               // fused whole-register embedding block (level-2)
-	opU2                     // 2×2 unitary on Q; 8 coefficient floats
-	opDiag                   // diag(p0, p1) on Q; 4 coefficient floats
-	opCNOT                   // CNOT control C, target Q; no coefficients
-	opCtrlDiag               // diag(p0, p1) on Q over control-set C; 4 floats
-	opU4                     // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
-	opDiagN                  // full-register diagonal; 2·dim floats
-	opU8                     // 8×8 unitary on triple (Q<C<Q2); 128 floats (level-3)
-	opU2x3                   // three independent 2×2 factors on (Q, C, Q2); 24 floats
-	opPerm8                  // compile-time basis permutation on (Q, C, Q2); no floats
+	opEmbedAll opcode = iota + 1 // fused whole-register embedding block
+	opU2                         // 2×2 unitary on Q; 8 coefficient floats
+	opDiag                       // diag(p0, p1) on Q; 4 coefficient floats
+	opCNOT                       // CNOT control C, target Q; no coefficients
+	opCtrlDiag                   // diag(p0, p1) on Q over control-set C; 4 floats
+	opU4                         // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
+	opDiagN                      // full-register diagonal; 2·dim floats
+	opU8                         // 8×8 unitary on triple (Q<C<Q2); 128 floats
+	opU2x3                       // three independent 2×2 factors on (Q, C, Q2); 24 floats
+	opPerm8                      // compile-time basis permutation on (Q, C, Q2); no floats
 )
 
 // instr is one fused instruction. slot indexes the program's forward
@@ -89,49 +83,28 @@ type instr struct {
 	logDeriv bool
 }
 
-// segment mirrors the forward phase structure at per-gate granularity for
-// the level-1 adjoint backward walk, which runs per source gate. Level-2
-// programs drive the backward from the fused instruction stream instead and
-// carry no segments.
-type segment struct {
-	embed bool
-	gates []Gate // nil for embedding segments
-}
-
 // Program is a compiled circuit: the fused instruction stream (driving both
-// the forward and — at level 2 — the adjoint backward), the level-1 per-gate
-// segment list, and the coefficient-slot layout. Compilation depends only on
-// circuit structure; coefficients are filled per pass by FillCoeffs and
-// FillDerivCoeffs.
+// the forward and the adjoint backward) and the coefficient-slot layout.
+// Compilation depends only on circuit structure; coefficients are filled
+// per pass by FillCoeffs and FillDerivCoeffs.
 type Program struct {
 	circ   *Circuit
-	level  int
 	ins    []instr
-	segs   []segment // level-1 backward walk only
-	ncoef  int       // forward coefficient floats
-	nderiv int       // backward derivative floats
-	ndiag  int       // number of opDiagN instructions (gradient accumulators)
+	ncoef  int // forward coefficient floats
+	nderiv int // backward derivative floats
+	ndiag  int // number of opDiagN instructions (gradient accumulators)
 }
 
+// compileLevel is the fusion level CompileProgram implements. It travels in
+// ProgramDigest and the dist handshake, whose frame layout fixes it at 3.
+const compileLevel = 3
+
 // CompileProgram lowers circ (and its embedding placement, honouring data
-// re-uploading) into a fused program with full (level-3) fusion:
-// commutation-aware diagonal absorption, three-qubit entangler super-ops,
-// and grouped single-qubit triples.
-func CompileProgram(circ *Circuit) *Program { return CompileProgramLevel(circ, 3) }
-
-// CompileProgramV2 compiles with the pass-1 and pass-2 fusions only
-// (consecutive diagonal runs, 4×4 entangler blocks) — the PR-2 compiler,
-// kept as an A/B comparator behind EngineFusedV2.
-func CompileProgramV2(circ *Circuit) *Program { return CompileProgramLevel(circ, 2) }
-
-// CompileProgramV1 compiles with only the first fusion pass (single-qubit
-// runs and same-pair diagonal merges) — the PR-1 compiler, kept as an A/B
-// comparator behind EngineFusedV1.
-func CompileProgramV1(circ *Circuit) *Program { return CompileProgramLevel(circ, 1) }
-
-// CompileProgramLevel compiles circ at the given fusion level (1, 2 or 3).
-func CompileProgramLevel(circ *Circuit, level int) *Program {
-	p := &Program{circ: circ, level: level}
+// re-uploading) into a fused program: commutation-aware diagonal
+// absorption, three-qubit entangler super-ops, and grouped single-qubit
+// triples.
+func CompileProgram(circ *Circuit) *Program {
+	p := &Program{circ: circ}
 	if circ.Reupload && circ.Layers > 0 {
 		for l := 0; l < circ.Layers; l++ {
 			p.addEmbed()
@@ -141,19 +114,11 @@ func CompileProgramLevel(circ *Circuit, level int) *Program {
 		p.addEmbed()
 		p.addGates(circ.Gates)
 	}
-	switch {
-	case level >= 3:
-		p.fuseDiagGroups()
-		p.fuseBlocks(3)
-		p.fuseSingleTriples()
-	case level == 2:
-		p.fuseDiagRuns()
-		p.fuseBlocks(2)
-	}
-	if level >= 2 {
-		p.markU2LogDeriv()
-		p.markU4LogDeriv()
-	}
+	p.fuseDiagGroups()
+	p.fuseBlocks()
+	p.fuseSingleTriples()
+	p.markU2LogDeriv()
+	p.markU4LogDeriv()
 	p.layout()
 	return p
 }
@@ -161,8 +126,7 @@ func CompileProgramLevel(circ *Circuit, level int) *Program {
 // markU2LogDeriv flags the opU2 blocks whose source is a single parametrized
 // rotation: their adjoint reads the gradient off the recovered states via
 // the rotation's logarithmic derivative instead of accumulating a 2×2
-// adjoint outer product (see revU2LogDerivRange). Only instruction-driven
-// (level ≥ 2) backward walks consult the flag. The derivative slots stay
+// adjoint outer product (see revU2LogDerivRange). The derivative slots stay
 // allocated so the dense outer-product path remains selectable as the
 // parity oracle for the fast path.
 func (p *Program) markU2LogDeriv() {
@@ -244,8 +208,8 @@ func commutesWithGenerator(b, g Gate) bool {
 	return false
 }
 
-// Level reports the fusion level the program was compiled at.
-func (p *Program) Level() int { return p.level }
+// Level reports the fusion level the program was compiled at: always 3.
+func (p *Program) Level() int { return compileLevel }
 
 // NumInstructions reports the fused instruction stream length (embedding ops
 // included) — the quantity gate fusion shrinks.
@@ -260,10 +224,10 @@ func (p *Program) NumCoeffs() int { return p.ncoef }
 func (p *Program) NumDiagAccums() int { return p.ndiag }
 
 // ProgramDigest summarizes a compiled program. Compilation is a pure
-// function of (circuit, level), so two processes that compiled the same
-// circuit at the same level and agree on the digest are executing the same
-// instruction stream — the dist handshake exchanges it to pin coordinator
-// and worker to identical programs before any shard is shipped. Beyond the
+// function of the circuit, so two processes that compiled the same circuit
+// and agree on the digest are executing the same instruction stream — the
+// dist handshake exchanges it to pin coordinator and worker to identical
+// programs before any shard is shipped. Beyond the
 // shape counts, Hash fingerprints the instruction stream's content AND a
 // coefficient probe (FillCoeffs/FillDerivCoeffs evaluated at a fixed theta),
 // so a version-skewed worker whose compiler fuses differently or whose
@@ -282,7 +246,7 @@ type ProgramDigest struct {
 // Digest returns the program's summary for cross-process validation.
 func (p *Program) Digest() ProgramDigest {
 	return ProgramDigest{
-		Level:        p.level,
+		Level:        compileLevel,
 		Instructions: len(p.ins),
 		Coeffs:       p.ncoef,
 		DerivCoeffs:  p.nderiv,
@@ -296,7 +260,7 @@ func (p *Program) Digest() ProgramDigest {
 // cycles) followed by a numerical probe: the forward and derivative
 // coefficient slots evaluated at a fixed, structure-independent theta, as
 // raw IEEE bits. Everything hashed is a deterministic pure function of
-// (circuit, level) — no map iteration, no addresses — so equal programs
+// the circuit — no map iteration, no addresses — so equal programs
 // hash equal across processes and binaries.
 func (p *Program) contentHash() uint64 {
 	const (
@@ -313,7 +277,7 @@ func (p *Program) contentHash() uint64 {
 		}
 	}
 	num := func(v int) { word(uint64(int64(v))) }
-	num(p.level)
+	num(compileLevel)
 	num(p.circ.NumQubits)
 	num(len(p.ins))
 	for i := range p.ins {
@@ -378,14 +342,7 @@ func (p *Program) contentHash() uint64 {
 }
 
 func (p *Program) addEmbed() {
-	if p.level >= 2 {
-		p.ins = append(p.ins, instr{op: opEmbedAll, q: -1, c: -1})
-		return
-	}
-	p.segs = append(p.segs, segment{embed: true})
-	for q := 0; q < p.circ.NumQubits; q++ {
-		p.ins = append(p.ins, instr{op: opEmbed, q: q, c: -1})
-	}
+	p.ins = append(p.ins, instr{op: opEmbedAll, q: -1, c: -1})
 }
 
 func isSingleQubit(g Gate) bool {
@@ -393,12 +350,6 @@ func isSingleQubit(g Gate) bool {
 }
 
 func (p *Program) addGates(gates []Gate) {
-	if len(gates) == 0 {
-		return
-	}
-	if p.level < 2 {
-		p.segs = append(p.segs, segment{gates: gates})
-	}
 	for i := 0; i < len(gates); {
 		g := gates[i]
 		switch {
@@ -435,37 +386,9 @@ func (p *Program) addGates(gates []Gate) {
 	}
 }
 
-// fuseDiagRuns collapses every run of ≥2 consecutive diagonal instructions
-// (RZ chains, CRZ meshes — regardless of control/target pairs, since all
-// diagonal operators commute) into one full-register diagonal super-op.
-func (p *Program) fuseDiagRuns() {
-	isDiag := func(op opcode) bool { return op == opDiag || op == opCtrlDiag }
-	out := p.ins[:0:0]
-	for i := 0; i < len(p.ins); {
-		if !isDiag(p.ins[i].op) {
-			out = append(out, p.ins[i])
-			i++
-			continue
-		}
-		j := i
-		var gates []Gate
-		for j < len(p.ins) && isDiag(p.ins[j].op) {
-			gates = append(gates, p.ins[j].gates...)
-			j++
-		}
-		if j-i >= 2 {
-			out = append(out, instr{op: opDiagN, q: -1, c: -1, gates: gates})
-		} else {
-			out = append(out, p.ins[i])
-		}
-		i = j
-	}
-	p.ins = out
-}
-
-// fuseDiagGroups is the commutation-aware generalization of fuseDiagRuns
-// (level ≥ 3): a group of diagonal instructions may absorb NON-adjacent
-// members by commuting them backward past intervening blocks whose support
+// fuseDiagGroups collapses groups of diagonal instructions (RZ chains, CRZ
+// meshes) into full-register diagonal super-ops. A group may absorb
+// NON-adjacent members by commuting them backward past intervening blocks whose support
 // is disjoint from the member being moved. Diagonal operators all commute
 // with each other, so a diagonal instruction joins a group exactly when its
 // support avoids the union of the supports of every non-diagonal instruction
@@ -505,7 +428,7 @@ func (p *Program) fuseDiagGroups() {
 				open = append(open, g)
 				groups = append(groups, g)
 			}
-		case opEmbed, opEmbedAll: // embedding barriers close every group
+		case opEmbedAll: // embedding barriers close every group
 			open = open[:0]
 		default:
 			s := support(in)
@@ -561,18 +484,18 @@ func instrCost(op opcode) int {
 // u8FuseCost is the minimum summed instrCost a mixed three-qubit block must
 // replace before it is densified into an opU8. Below it, the dense 8×8
 // forward (8 units/amp) and its K-outer-product adjoint would cost more
-// than the instructions it absorbs, so the pass leaves the level-2 pair
-// fusion in place instead. Pure-CNOT blocks are exempt: they compile to a
+// than the instructions it absorbs, so the pass leaves the pair fusion in
+// place instead. Pure-CNOT blocks are exempt: they compile to a
 // zero-arithmetic basis permutation (opPerm8), which is cheaper than the
 // swap passes it replaces at any size.
 const u8FuseCost = 10
 
 // fuseBlocks greedily fuses each two-qubit instruction with the neighbouring
 // single-qubit runs on its qubits — and with adjacent two-qubit instructions
-// sharing its qubits — into one super-op over at most maxQ qubits. With
-// maxQ = 2 this is exactly the level-2 pair fusion (opU4). With maxQ = 3 a
-// two-qubit instruction that shares one qubit with an open pair block may
-// extend the block to a qubit triple, which is what collapses all-pairs
+// sharing its qubits — into one super-op over at most three qubits: a pair
+// block (opU4), and a two-qubit instruction that shares one qubit with an
+// open pair block may extend the block to a qubit triple, which is what
+// collapses all-pairs
 // CNOT meshes: consecutive CNOTs sharing a control land in one three-qubit
 // block. Growth is gated by a cost model: CNOT-only blocks always grow
 // (they emit as a compile-time basis permutation, opPerm8, one pass and no
@@ -590,7 +513,7 @@ const u8FuseCost = 10
 // close it, and pending single-qubit instructions are absorbed or discarded
 // the moment anything else touches their qubit — so each member commutes
 // past the instructions it skips.
-func (p *Program) fuseBlocks(maxQ int) {
+func (p *Program) fuseBlocks() {
 	nq := p.circ.NumQubits
 	type block struct {
 		mask     int // qubit set; local bit order follows ascending qubit index
@@ -675,12 +598,12 @@ func (p *Program) fuseBlocks(maxQ int) {
 				ba, bb = nil, nil
 			}
 			// Grow an open block by the unowned endpoint when the result
-			// still fits in maxQ qubits (a no-op for maxQ = 2) AND the grown
-			// block is worth emitting: as a zero-arithmetic permutation
-			// (everything involved is a bare CNOT) or as a dense 8×8 block
-			// replacing at least u8FuseCost of standalone work.
+			// still fits in three qubits AND the grown block is worth
+			// emitting: as a zero-arithmetic permutation (everything
+			// involved is a bare CNOT) or as a dense 8×8 block replacing at
+			// least u8FuseCost of standalone work.
 			grow := func(blk *block, other int) bool {
-				if blk == nil || bits.OnesCount(uint(blk.mask))+1 > maxQ {
+				if blk == nil || bits.OnesCount(uint(blk.mask))+1 > 3 {
 					return false
 				}
 				if blk.cnotOnly && in.op == opCNOT && len(pend[other]) == 0 {
@@ -707,7 +630,7 @@ func (p *Program) fuseBlocks(maxQ int) {
 			nb.cost += instrCost(in.op)
 			memberOf[idx] = nb
 			blocks = append(blocks, nb)
-		default: // opEmbed, opEmbedAll, opDiagN: full-width barriers
+		default: // opEmbedAll, opDiagN: full-width barriers
 			for q := 0; q < nq; q++ {
 				closeBlk(owner[q])
 				pend[q] = pend[q][:0]
@@ -715,11 +638,11 @@ func (p *Program) fuseBlocks(maxQ int) {
 		}
 	}
 	// Blocks that absorbed nothing stay in their original single-instr form,
-	// as do CNOT-only pair blocks at level 3: a dense 4×4 costs more than
-	// the swap passes it would replace, and the permutation path needs a
-	// third qubit to pay off.
+	// as do CNOT-only pair blocks: a dense 4×4 costs more than the swap
+	// passes it would replace, and the permutation path needs a third qubit
+	// to pay off.
 	for _, b := range blocks {
-		if len(b.members) < 2 || (maxQ > 2 && b.cnotOnly && !triple(b)) {
+		if len(b.members) < 2 || (b.cnotOnly && !triple(b)) {
 			for _, m := range b.members {
 				memberOf[m] = nil
 			}

@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -13,7 +14,7 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 	dim := 1 << p.circ.NumQubits
 	u := eye(dim)
 	for _, in := range p.ins {
-		if in.op == opEmbed || in.op == opEmbedAll {
+		if in.op == opEmbedAll {
 			continue
 		}
 		u = p.instrMatrix(in, coeff).mul(u)
@@ -21,99 +22,208 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 	return u
 }
 
-// TestProgramNetUnitaryOracle is the compiler-level parity oracle: at every
-// fusion level, the composed dense matrix of the compiled instruction
-// stream must equal the gate-by-gate dense product of the source circuit.
-// This pins every fusion pass — single-qubit runs, diagonal merges, 4×4/8×8
-// entangler blocks, grouped triples, full-register diagonals — independently
-// of the execution kernels.
+// specCircuit builds a circuit from a per-layer gate list, numbering every
+// parametrized gate's P in order (the gates' own P fields are ignored).
+func specCircuit(name string, nq int, reupload bool, layers ...[]Gate) *Circuit {
+	var gates []Gate
+	var starts []int
+	np := 0
+	for _, layer := range layers {
+		starts = append(starts, len(gates))
+		for _, g := range layer {
+			g.P = -1
+			if g.Kind != CNOT {
+				g.P = np
+				np++
+			}
+			gates = append(gates, g)
+		}
+	}
+	return NewCircuitFromSpec(name, nq, len(layers), gates, np, reupload, starts)
+}
+
+// randomCircuit draws a layered circuit over nq qubits from RX/RY/RZ/CNOT/CRZ.
+// Gate kinds and qubits come only from rng, so a seed names a circuit.
+func randomCircuit(rng *rand.Rand, nq int, reupload bool) *Circuit {
+	layers := make([][]Gate, 1+rng.Intn(3))
+	for l := range layers {
+		for i := 2 + rng.Intn(10); i > 0; i-- {
+			kind := GateKind(rng.Intn(5))
+			g := Gate{Kind: kind, Q: rng.Intn(nq), C: -1}
+			if kind == CNOT || kind == CRZ {
+				g.C = (g.Q + 1 + rng.Intn(nq-1)) % nq
+			}
+			layers[l] = append(layers[l], g)
+		}
+	}
+	return specCircuit(fmt.Sprintf("random-%dq", nq), nq, reupload, layers...)
+}
+
+// compilerCorpus is the differential-testing corpus for the compiler: the
+// hand-picked circuits first — each one shaped to reach an instruction form
+// the built-in ansätze never emit (lone diagonals, a lone controlled
+// diagonal, a dense 8×8 block, log-derivative and dense 4×4 blocks) — then
+// a seeded random fill over 3–5 qubits, with and without re-uploading.
+func compilerCorpus() []*Circuit {
+	rx := func(q int) Gate { return Gate{RX, q, -1, 0} }
+	ry := func(q int) Gate { return Gate{RY, q, -1, 0} }
+	rz := func(q int) Gate { return Gate{RZ, q, -1, 0} }
+	cnot := func(c, q int) Gate { return Gate{CNOT, q, c, -1} }
+	crz := func(c, q int) Gate { return Gate{CRZ, q, c, 0} }
+	corpus := []*Circuit{
+		// A lone RZ beside a lone CNOT: opDiag and opCNOT survive fusion.
+		specCircuit("lone-rz", 3, false, []Gate{rz(0), cnot(1, 2)}),
+		// A CRZ block closed by a CNOT it cannot grow into (opCtrlDiag),
+		// then an RZ on the CNOT's control, which commutes with it: a
+		// log-derivative opU4.
+		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rz(0)}),
+		// Two parametrized gates in one pair block: a dense-path opU4.
+		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
+		// Single- and multi-gate single-qubit runs: both opU2 paths.
+		specCircuit("u2-runs", 4, false, []Gate{rx(0), rx(1), ry(1), cnot(2, 3)}),
+		// Three single rotations (log-derivative opU2x3), and a triple with
+		// a two-gate factor (dense-path opU2x3).
+		specCircuit("triples", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
+		// CNOTs sharing a control: a basis permutation (opPerm8).
+		specCircuit("perm8", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
+		// CRZs on different pairs with nothing between: one opDiagN.
+		specCircuit("diagN", 4, true, []Gate{crz(0, 1), crz(1, 2), crz(3, 0)}, []Gate{crz(2, 3), rz(1)}),
+		// Rotation-dense three-qubit block: one dense opU8.
+		denseTripleCircuit(),
+	}
+	rng := rand.New(rand.NewSource(517))
+	for len(corpus) < 48 {
+		corpus = append(corpus, randomCircuit(rng, 3+rng.Intn(3), rng.Intn(2) == 1))
+	}
+	return corpus
+}
+
+// TestProgramNetUnitaryOracle is the compiler-level parity oracle: on every
+// circuit of the compiler corpus, the composed dense matrix of the compiled
+// instruction stream must equal the gate-by-gate dense product of the
+// source circuit, and the sharded engine executing the program must match
+// the legacy per-gate engine to 1e-10. This pins every fusion pass —
+// single-qubit runs, diagonal merges, 4×4/8×8 entangler blocks,
+// permutations, grouped triples, full-register diagonals — and the kernels
+// behind each instruction form. Across the corpus every opcode and both
+// log-derivative variants of opU2/opU4/opU2x3 must be emitted, so a kernel
+// the compiler can no longer reach fails here instead of rotting.
 func TestProgramNetUnitaryOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, a := range AllAnsatze {
-		circ := a.Build(4, 2)
+	type form struct {
+		op       opcode
+		logDeriv bool
+	}
+	seen := map[form]bool{}
+	for _, circ := range compilerCorpus() {
 		theta := randTheta(rng, circ.NumParams)
 		dim := 1 << circ.NumQubits
 		ref := eye(dim)
 		for _, g := range circ.Gates {
 			ref = expand(g, theta, circ.NumQubits).mul(ref)
 		}
-		for _, level := range []int{1, 2, 3} {
-			prog := CompileProgramLevel(circ, level)
-			coeff := make([]float64, prog.NumCoeffs())
-			prog.FillCoeffs(theta, coeff)
-			got := progNetMatrix(prog, coeff)
-			var maxd float64
-			for i := range ref.data {
-				if d := cmplx.Abs(got.data[i] - ref.data[i]); d > maxd {
-					maxd = d
-				}
+		prog := CompileProgram(circ)
+		for _, in := range prog.ins {
+			seen[form{in.op, in.logDeriv}] = true
+		}
+		coeff := make([]float64, prog.NumCoeffs())
+		prog.FillCoeffs(theta, coeff)
+		got := progNetMatrix(prog, coeff)
+		var maxd float64
+		for i := range ref.data {
+			if d := cmplx.Abs(got.data[i] - ref.data[i]); d > maxd {
+				maxd = d
 			}
-			if maxd > 1e-12 {
-				t.Errorf("%v level=%d: net unitary diverges from gate product by %v", a, level, maxd)
+		}
+		if maxd > 1e-12 {
+			t.Errorf("%s %v: net unitary diverges from gate product by %v", circ.Name, circ.Gates, maxd)
+		}
+
+		n, nq := 5, circ.NumQubits
+		angles := randAngles(rng, n, nq)
+		tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
+		gz := randAngles(rng, n, nq)
+		gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
+		want := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
+		have := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
+		//torq:allow maprange -- independent per-series assertions
+		for name, pair := range map[string][2][]float64{
+			"z": {want.z, have.z}, "dAngles": {want.dAngles, have.dAngles},
+			"dTheta": {want.dTheta, have.dTheta},
+			"ztans":  {want.ztans[0], have.ztans[0]}, "dTans": {want.dTans[2], have.dTans[2]},
+		} {
+			if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
+				t.Errorf("%s %v: sharded %s diverges from legacy by %v", circ.Name, circ.Gates, name, d)
 			}
+		}
+	}
+	want := []form{
+		{opEmbedAll, false}, {opCNOT, false}, {opDiag, false}, {opCtrlDiag, false},
+		{opDiagN, false}, {opPerm8, false}, {opU8, false},
+		{opU2, false}, {opU2, true}, {opU4, false}, {opU4, true}, {opU2x3, false}, {opU2x3, true},
+	}
+	for _, f := range want {
+		if !seen[f] {
+			t.Errorf("no corpus circuit compiles to op=%d logDeriv=%v", f.op, f.logDeriv)
 		}
 	}
 }
 
 // TestProgramDerivCoeffsOracle checks the fused-block derivative matrices
-// against central finite differences of the forward coefficients: for every
-// fused unitary instruction, dU/dθ_p from FillDerivCoeffs must match
-// (U(θ+ε) − U(θ−ε)) / 2ε. For the Kronecker-structured triples only the
-// parameter's own 2×2 factor moves, so the comparison targets that factor's
-// slot window. Runs at both fused compile levels so the 4×4-only and the
-// 8×8/triple instruction mixes are each exercised.
+// against central finite differences of the forward coefficients on every
+// circuit of the compiler corpus: for every fused unitary instruction,
+// dU/dθ_p from FillDerivCoeffs must match (U(θ+ε) − U(θ−ε)) / 2ε. For the
+// Kronecker-structured triples only the parameter's own 2×2 factor moves,
+// so the comparison targets that factor's slot window.
 func TestProgramDerivCoeffsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const eps = 1e-6
-	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh2Rot, CrossMeshCNOT} {
-		for _, level := range []int{2, 3} {
-			circ := a.Build(4, 2)
-			theta := randTheta(rng, circ.NumParams)
-			prog := CompileProgramLevel(circ, level)
-			deriv := make([]float64, prog.nderiv)
-			plus := make([]float64, prog.ncoef)
-			minus := make([]float64, prog.ncoef)
-			prog.FillDerivCoeffs(theta, deriv)
-			tweak := append([]float64(nil), theta...)
-			for _, in := range prog.ins {
-				if in.op == opU2x3 && in.logDeriv {
-					continue // no derivative slots: the adjoint reads the states
-				}
-				var width int
-				switch in.op {
-				case opU2, opU2x3:
-					width = 8
-				case opU4:
-					width = 32
-				case opU8:
-					width = 128
-				default:
-					continue
-				}
-				// Factor slot offset per parameter: zero except for triples,
-				// where each parameter differentiates its own factor.
-				offs := make([]int, len(in.params))
-				if in.op == opU2x3 {
-					pi := 0
-					for _, g := range in.gates {
-						if g.P >= 0 {
-							offs[pi] = 8 * localBit3(g.Q, in.q, in.c, in.q2)
-							pi++
-						}
+	for _, circ := range compilerCorpus() {
+		theta := randTheta(rng, circ.NumParams)
+		prog := CompileProgram(circ)
+		deriv := make([]float64, prog.nderiv)
+		plus := make([]float64, prog.ncoef)
+		minus := make([]float64, prog.ncoef)
+		prog.FillDerivCoeffs(theta, deriv)
+		tweak := append([]float64(nil), theta...)
+		for _, in := range prog.ins {
+			if in.logDeriv {
+				continue // the adjoint reads the states, not these slots
+			}
+			var width int
+			switch in.op {
+			case opU2, opU2x3:
+				width = 8
+			case opU4:
+				width = 32
+			case opU8:
+				width = 128
+			default:
+				continue
+			}
+			// Factor slot offset per parameter: zero except for triples,
+			// where each parameter differentiates its own factor.
+			offs := make([]int, len(in.params))
+			if in.op == opU2x3 {
+				pi := 0
+				for _, g := range in.gates {
+					if g.P >= 0 {
+						offs[pi] = 8 * localBit3(g.Q, in.q, in.c, in.q2)
+						pi++
 					}
 				}
-				for pi, p := range in.params {
-					tweak[p] = theta[p] + eps
-					prog.FillCoeffs(tweak, plus)
-					tweak[p] = theta[p] - eps
-					prog.FillCoeffs(tweak, minus)
-					tweak[p] = theta[p]
-					for i := 0; i < width; i++ {
-						fd := (plus[in.slot+offs[pi]+i] - minus[in.slot+offs[pi]+i]) / (2 * eps)
-						an := deriv[in.dslot+width*pi+i]
-						if math.Abs(fd-an) > 1e-8 {
-							t.Fatalf("%v level=%d op=%d param %d coeff %d: analytic %v vs finite-diff %v", a, level, in.op, p, i, an, fd)
-						}
+			}
+			for pi, p := range in.params {
+				tweak[p] = theta[p] + eps
+				prog.FillCoeffs(tweak, plus)
+				tweak[p] = theta[p] - eps
+				prog.FillCoeffs(tweak, minus)
+				tweak[p] = theta[p]
+				for i := 0; i < width; i++ {
+					fd := (plus[in.slot+offs[pi]+i] - minus[in.slot+offs[pi]+i]) / (2 * eps)
+					an := deriv[in.dslot+width*pi+i]
+					if math.Abs(fd-an) > 1e-8 {
+						t.Fatalf("%s op=%d param %d coeff %d: analytic %v vs finite-diff %v", circ.Name, in.op, p, i, an, fd)
 					}
 				}
 			}
@@ -123,8 +233,8 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 
 // TestProgramDiagCommutationAbsorb pins the level-3 commutation-aware
 // diagonal absorption: diagonal instructions separated by blocks with
-// disjoint support merge into one full-register diagonal (the level-2 pass
-// only fuses consecutive runs), while a blocker touching the diagonal's
+// disjoint support merge into one full-register diagonal (not only
+// consecutive runs), while a blocker touching the diagonal's
 // support keeps it out of the group. Both the instruction shapes and full
 // numerical parity against the legacy engine are checked.
 func TestProgramDiagCommutationAbsorb(t *testing.T) {
@@ -154,9 +264,6 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 	}
 	if dn == nil || len(dn.params) != 3 {
 		t.Fatalf("expected one fused diagonal absorbing all 3 parameters, got %+v", dn)
-	}
-	if v2 := CompileProgramV2(circ).NumInstructions(); v2 != 4 {
-		t.Fatalf("level-2 baseline: %d instructions, want 4 (no non-adjacent fusion)", v2)
 	}
 
 	// RZ(0), CNOT(0→1), RZ(0): the CNOT touches qubit 0, so the diagonals
@@ -189,7 +296,7 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		gz := randAngles(rng, n, nq)
 		gztans := [][]float64{randAngles(rng, n, nq), nil, nil}
 		ref := runEngine(EngineLegacy, c, n, angles, tans, theta, gz, gztans)
-		for _, kind := range []EngineKind{EngineFused, EngineFusedV2, EngineNaive} {
+		for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 			got := runEngine(kind, c, n, angles, tans, theta, gz, gztans)
 			//torq:allow maprange -- independent per-series assertions
 			for name, pair := range map[string][2][]float64{
@@ -298,7 +405,7 @@ func TestProgramDenseTripleBlock(t *testing.T) {
 	gz := randAngles(rng, n, nq)
 	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 	refRes := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-	for _, kind := range []EngineKind{EngineFused, EngineFusedV2, EngineNaive} {
+	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 		gotRes := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 		//torq:allow maprange -- independent per-series assertions
 		for name, pair := range map[string][2][]float64{

@@ -3,18 +3,18 @@ package qsim
 import "repro/internal/par"
 
 // shardedEngine executes the level-3 compiled program as independent sample
-// shards behind the same Engine seam as the fused executor. The batch is
-// partitioned into fixed cache-resident shards — the partition depends only
-// on the batch size and channel count, never on the worker bound — and each
-// shard streams the whole instruction stream on the work-stealing scheduler
-// (par.RunChunk), so shards with uneven cost rebalance across the pool
-// instead of idling it. Every shard owns a private gradient accumulator;
-// after the adjoint pass the shard partials merge in shard-index order, so
-// dTheta is bit-identical for 1 and N workers and for both scheduler modes.
+// shards. The batch is partitioned into fixed cache-resident shards — the
+// partition depends only on the batch size and channel count, never on the
+// worker bound — and each shard streams the whole instruction stream on the
+// work-stealing scheduler (par.RunChunk), so shards with uneven cost
+// rebalance across the pool instead of idling it, and a forward+backward
+// pass costs two fork/joins total. Every shard owns a private gradient
+// accumulator; after the adjoint pass the shard partials merge in
+// shard-index order, so dTheta is bit-identical for 1 and N workers.
 //
-// The shard is also the distribution unit the ROADMAP's multi-process /
-// remote executor will ship: its inputs are (coefficients, sample range) and
-// its outputs are (z rows, per-shard gradient partials), with the same
+// The shard is also the distribution unit the multi-process executor
+// (EngineDist) ships: its inputs are (coefficients, sample range) and its
+// outputs are (z rows, per-shard gradient partials), with the same
 // deterministic shard-order merge on the coordinator.
 type shardedEngine struct{}
 
@@ -26,6 +26,9 @@ func shardCount(n, blk int) int { return (n + blk - 1) / blk }
 
 func (shardedEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64) {
 	prog, coeff, z, ztans, blk := prepForward(p, ws, angles, angleTans, theta)
+	// Chunk on the cache-block size so scheduler ranges never split a block:
+	// an arbitrary chunk would re-walk the instruction stream over partial
+	// blocks at every chunk tail.
 	par.RunChunk(ws.n, blk, func(_, lo, hi int) {
 		fwdBlock(ws, prog, coeff, lo, hi, z, ztans)
 	})
@@ -34,19 +37,18 @@ func (shardedEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans 
 
 //torq:ordered-merge
 func (shardedEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
-	prog := p.Program() // always level 3 for the sharded engine
+	prog := p.Program()
 	n := ws.n
 	np := p.Circ.NumParams
-	ws.ensureScratch()
 	refreshCoeffs(ws, prog, ws.theta)
 
 	blk := prepBackward(ws, gz, gztans)
 	ns := shardCount(n, blk)
 
-	// Per-shard accumulators, flat with fixed strides. Unlike the fused
-	// engine's per-worker slots these are indexed by shard, so the
-	// accumulation sites — and therefore the floating-point reduction order —
-	// are pinned by the shard partition alone.
+	// Per-shard accumulators, flat with fixed strides. They are indexed by
+	// shard, not by worker, so the accumulation sites — and therefore the
+	// floating-point reduction order — are pinned by the shard partition
+	// alone.
 	if cap(ws.dthS) < ns*np {
 		ws.dthS = make([]float64, ns*np)
 	}
@@ -65,11 +67,11 @@ func (shardedEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]fl
 		if nt > 0 {
 			sc.diagT = ws.diagS[s*nt : (s+1)*nt]
 		}
-		bwdBlockV2(ws, prog, lo, hi, gz, gztans, dAngles, dAngleTans, sc)
+		bwdBlock(ws, prog, lo, hi, gz, gztans, dAngles, dAngleTans, sc)
 	})
 
-	// Deterministic merge: shard order, independent of worker count and
-	// scheduler. Fused-diagonal accumulators merge the same way and contract
+	// Deterministic merge: shard order, independent of worker count.
+	// Fused-diagonal accumulators merge the same way and contract
 	// against the sign tables once per pass.
 	for s := 0; s < ns; s++ {
 		part := ws.dthS[s*np : (s+1)*np]

@@ -10,38 +10,34 @@
 //
 // Execution is split into a compile and an execute stage. CompileProgram
 // lowers a Circuit plus its RX angle embedding into a flat instruction
-// stream, fusing runs of adjacent single-qubit gates on the same qubit into
-// one 2×2 unitary and merging consecutive diagonal gates into one phase
-// pair. Programs run behind the Engine interface: the default fused engine
-// streams the whole program — forward, tangent channels, and the adjoint
-// backward — through one sample block at a time inside a single parallel
-// region, so a batch pays one fork/join per pass and each sample's 2^nq
-// amplitudes stay cache-resident across every instruction. The legacy
+// stream, fusing single-qubit runs, diagonal groups, and two- and
+// three-qubit entangler blocks into super-ops. Programs run behind the
+// Engine interface: the default sharded engine streams the whole program —
+// forward, tangent channels, and the adjoint backward — through one sample
+// shard at a time inside a single parallel region, so a batch pays one
+// fork/join per pass and each sample's 2^nq amplitudes stay cache-resident
+// across every instruction. The legacy
 // engine preserves the original one-parallel-sweep-per-gate execution and
 // the naive engine applies dense 2^nq×2^nq matrices per gate; both serve as
 // comparators and parity references.
 //
 // The batchwide Apply* methods on State are thin wrappers that parallelize
-// the per-sample-range kernels the fused executor calls directly.
+// the per-sample-range kernels the sharded executor calls directly.
 //
 // # Invariants
 //
 // Every engine agrees with every other to 1e-10 relative tolerance on z,
 // tangents, and all gradients (pinned by the engine-parity tests); the
-// fused/sharded/dist family agrees bit-for-bit among itself. The sharded
-// and dist engines partition a batch into fixed cache-block shards keyed by
-// lo/blockSamples, accumulate gradients per shard, and merge in ascending
-// shard order — so their results are bit-identical for any worker count,
-// scheduler, chunk-group setting, or process placement. These guarantees
-// rest on par.RunChunk's partition determinism (see the par package doc)
-// and must survive any scheduler or transport change.
+// sharded and dist engines agree bit-for-bit with each other. They
+// partition a batch into fixed cache-block shards keyed by lo/blockSamples,
+// accumulate gradients per shard, and merge in ascending shard order — so
+// their results are bit-identical for any worker count, chunk-group
+// setting, or process placement. These guarantees rest on par.RunChunk's
+// partition determinism (see the par package doc) and must survive any
+// scheduler or transport change.
 package qsim
 
-import (
-	"math"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // State is a batch of pure statevectors: n samples over nq qubits, stored
 // row-major as separate real and imaginary planes of length n·2^nq.
@@ -93,13 +89,6 @@ func (s *State) resetRange(lo, hi int, zero bool) {
 func (s *State) CopyFrom(src *State) {
 	copy(s.Re, src.Re)
 	copy(s.Im, src.Im)
-}
-
-// copyRange copies samples [lo, hi) of src into s.
-func (s *State) copyRange(src *State, lo, hi int) {
-	dim := s.Dim
-	copy(s.Re[lo*dim:hi*dim], src.Re[lo*dim:hi*dim])
-	copy(s.Im[lo*dim:hi*dim], src.Im[lo*dim:hi*dim])
 }
 
 // Norm2 returns the squared norm of each sample's statevector.
@@ -800,13 +789,5 @@ func axpySample(dst, src *State, c float64, smp int) {
 	for j := smp * dim; j < (smp+1)*dim; j++ {
 		dst.Re[j] += c * src.Re[j]
 		dst.Im[j] += c * src.Im[j]
-	}
-}
-
-// halfAngles fills c, s with cos(θ/2), sin(θ/2) per sample.
-func halfAngles(theta, c, s []float64) {
-	for i, t := range theta {
-		c[i] = math.Cos(t / 2)
-		s[i] = math.Sin(t / 2)
 	}
 }
