@@ -87,8 +87,8 @@ func comparePass(t *testing.T, ctx string, want, got passResult) {
 
 // distTransportConfigs are the transport variants every parity matrix runs
 // under: the default pipelined/batched/affinity transport, and the knobs
-// forced to the serial single-shard stateless protocol — bit-identity must
-// hold for both, which proves batching, pipelining, and forward-state
+// forced to one shard per batch frame, one batch in flight and no
+// affinity — bit-identity must hold for both, which proves batching, pipelining, and forward-state
 // affinity are pure transport concerns that never touch the numerics.
 var distTransportConfigs = []struct {
 	name string

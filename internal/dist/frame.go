@@ -21,7 +21,7 @@ import (
 // A session opens with a versioned handshake (fHello/fHelloAck) that carries
 // the ansatz circuit and the compiled-program digest once; each pass then
 // broadcasts the coefficient vector (fPass) and streams shard assignments
-// (fShardBatch, or single-shard fShard) against it. Every frame type is
+// (fShardBatch) against it. Every frame type is
 // self-describing — optional arrays carry presence bytes — so the codec
 // round-trips without session state.
 //
@@ -42,13 +42,12 @@ const ProtoVersion uint16 = 3
 // maxFrame bounds a frame's wire size; anything larger is a corrupt stream.
 const maxFrame = 1 << 30
 
-// Frame types.
+// Frame types. 4 and 5 are reserved: the retired single-shard request and
+// reply, which a worker now answers with fError.
 const (
 	fHello       byte = 1 // coordinator → worker: version, circuit, program digest
 	fHelloAck    byte = 2 // worker → coordinator: version + digest echo
 	fPass        byte = 3 // coordinator → worker: per-pass broadcast (theta, channels)
-	fShard       byte = 4 // coordinator → worker: one shard's input rows
-	fResult      byte = 5 // worker → coordinator: one shard's outputs
 	fError       byte = 6 // worker → coordinator: fatal session error text
 	fShardBatch  byte = 7 // coordinator → worker: several shards' input rows
 	fResultBatch byte = 8 // worker → coordinator: the matching outputs, in order
@@ -485,34 +484,6 @@ type shardMsg struct {
 	GZTans    [qsim.MaxTangents][]float64
 }
 
-func encodeShard(m shardMsg) []byte {
-	var e enc
-	e.u64(m.Pass)
-	e.u32(m.Shard)
-	e.f64s(m.Angles)
-	for k := 0; k < qsim.MaxTangents; k++ {
-		e.optF64s(m.AngleTans[k])
-	}
-	e.optF64s(m.GZ)
-	for k := 0; k < qsim.MaxTangents; k++ {
-		e.optF64s(m.GZTans[k])
-	}
-	return e.b
-}
-
-func decodeShard(b []byte) (shardMsg, error) {
-	d := dec{b: b}
-	m := shardMsg{Pass: d.u64(), Shard: d.u32(), Angles: d.f64s()}
-	for k := 0; k < qsim.MaxTangents; k++ {
-		m.AngleTans[k] = d.optF64s()
-	}
-	m.GZ = d.optF64s()
-	for k := 0; k < qsim.MaxTangents; k++ {
-		m.GZTans[k] = d.optF64s()
-	}
-	return m, d.done()
-}
-
 // resultMsg returns one shard's outputs (see qsim.ShardResult).
 type resultMsg struct {
 	Pass       uint64
@@ -526,46 +497,12 @@ type resultMsg struct {
 	DiagT      []float64
 }
 
-func encodeResult(m resultMsg) []byte {
-	var e enc
-	e.u64(m.Pass)
-	e.u32(m.Shard)
-	e.bool(m.Backward)
-	e.optF64s(m.Z)
-	for k := 0; k < qsim.MaxTangents; k++ {
-		e.optF64s(m.ZTans[k])
-	}
-	e.optF64s(m.DAngles)
-	for k := 0; k < qsim.MaxTangents; k++ {
-		e.optF64s(m.DAngleTans[k])
-	}
-	e.optF64s(m.DTheta)
-	e.optF64s(m.DiagT)
-	return e.b
-}
-
-func decodeResult(b []byte) (resultMsg, error) {
-	d := dec{b: b}
-	m := resultMsg{Pass: d.u64(), Shard: d.u32(), Backward: d.bool(), Z: d.optF64s()}
-	for k := 0; k < qsim.MaxTangents; k++ {
-		m.ZTans[k] = d.optF64s()
-	}
-	m.DAngles = d.optF64s()
-	for k := 0; k < qsim.MaxTangents; k++ {
-		m.DAngleTans[k] = d.optF64s()
-	}
-	m.DTheta = d.optF64s()
-	m.DiagT = d.optF64s()
-	return m, d.done()
-}
-
 // Batch frames carry several shard assignments (and their results) per
-// round trip. Entries repeat the shardMsg/resultMsg layout minus the
-// per-message header — the batch header states the pass (and, for results,
-// the direction) once; decode stamps it back into every entry so batch
-// entries flow through the exact same per-shard code as single frames. The
-// *Into codecs append into caller-owned backing and borrow arena memory, so
-// the steady-state batch path allocates nothing.
+// round trip. The batch header states the pass (and, for results, the
+// direction) once; decode stamps it back into every entry, so each entry is
+// a complete shardMsg/resultMsg. The *Into codecs append into caller-owned
+// backing and borrow arena memory, so the steady-state batch path allocates
+// nothing.
 //
 // Unlike the payload-only codecs above, the batch encoders emit a complete
 // frame — header included — built in the same caller-owned buffer, so a

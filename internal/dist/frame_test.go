@@ -127,8 +127,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			sm.GZ = randFloats(rng, rows)
 		}
-		gotS, err := decodeShard(encodeShard(sm))
-		if err != nil || !reflect.DeepEqual(gotS, sm) {
+		gotS, _, err := decodeShardBatchInto(frameBody(encodeShardBatchFrame(nil, sm.Pass, 0, []shardMsg{sm})), nil, nil)
+		if err != nil || !reflect.DeepEqual(gotS, []shardMsg{sm}) {
 			t.Fatalf("shard round trip: err %v\n got %+v\nwant %+v", err, gotS, sm)
 		}
 
@@ -138,8 +138,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			DAngles: randFloats(rng, rows), DAngleTans: randOptTans(rng, rows),
 			DTheta: randFloats(rng, rng.Intn(20)), DiagT: randFloats(rng, rng.Intn(64)),
 		}
-		gotR, err := decodeResult(encodeResult(rm))
-		if err != nil || !reflect.DeepEqual(gotR, rm) {
+		gotR, _, err := decodeResultBatchInto(frameBody(encodeResultBatchFrame(nil, rm.Pass, rm.Backward, []resultMsg{rm}, nil)), nil, nil, nil)
+		if err != nil || !reflect.DeepEqual(gotR, []resultMsg{rm}) {
 			t.Fatalf("result round trip: err %v\n got %+v\nwant %+v", err, gotR, rm)
 		}
 
@@ -222,26 +222,6 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 					t.Fatalf("span %d round trip: got %+v want %+v", i, gotSpans[i], spans[i])
 				}
 			}
-		}
-	}
-
-	// Truncation must fail cleanly at every cut.
-	full := frameBody(encodeShardBatchFrame(nil, 9, 0, []shardMsg{
-		{Pass: 9, Shard: 1, Angles: []float64{1, 2}},
-		{Pass: 9, Shard: 2, Angles: []float64{3}},
-	}))
-	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := decodeShardBatchInto(full[:cut], nil, nil); err == nil {
-			t.Fatalf("batch truncation at %d of %d accepted", cut, len(full))
-		}
-	}
-	// The result batch's trailing span section must truncate cleanly too.
-	fullR := frameBody(encodeResultBatchFrame(nil, 9, true,
-		[]resultMsg{{Pass: 9, Shard: 1, Backward: true, DAngles: []float64{1}}},
-		[]trace.SpanRec{{ID: 3, Parent: 2, Kind: trace.KShard, Shard: 1, Start: 10, End: 20}}))
-	for cut := 0; cut < len(fullR); cut++ {
-		if _, _, err := decodeResultBatchInto(fullR[:cut], nil, nil, nil); err == nil {
-			t.Fatalf("result batch truncation at %d of %d accepted", cut, len(fullR))
 		}
 	}
 }
@@ -382,18 +362,33 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestCodecTruncationRejected checks the decoders fail cleanly (no panics,
-// no silent zero values) on truncated and oversized payloads.
+// TestCodecTruncationRejected checks the batch decoders fail cleanly (no
+// panics, no silent zero values) on truncated and oversized payloads.
 func TestCodecTruncationRejected(t *testing.T) {
-	full := encodeShard(shardMsg{Pass: 7, Shard: 3, Angles: []float64{1, 2, 3}})
+	full := frameBody(encodeShardBatchFrame(nil, 9, 0, []shardMsg{
+		{Pass: 9, Shard: 1, Angles: []float64{1, 2}},
+		{Pass: 9, Shard: 2, Angles: []float64{3}},
+	}))
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeShard(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d of %d accepted", cut, len(full))
+		if _, _, err := decodeShardBatchInto(full[:cut], nil, nil); err == nil {
+			t.Fatalf("batch truncation at %d of %d accepted", cut, len(full))
 		}
 	}
 	// Trailing garbage must be rejected too: a frame is exactly one message.
-	if _, err := decodeShard(append(append([]byte{}, full...), 0)); err == nil {
+	if _, _, err := decodeShardBatchInto(append(append([]byte{}, full...), 0), nil, nil); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	// The result batch's trailing span section must truncate cleanly too.
+	fullR := frameBody(encodeResultBatchFrame(nil, 9, true,
+		[]resultMsg{{Pass: 9, Shard: 1, Backward: true, DAngles: []float64{1}}},
+		[]trace.SpanRec{{ID: 3, Parent: 2, Kind: trace.KShard, Shard: 1, Start: 10, End: 20}}))
+	for cut := 0; cut < len(fullR); cut++ {
+		if _, _, err := decodeResultBatchInto(fullR[:cut], nil, nil, nil); err == nil {
+			t.Fatalf("result batch truncation at %d of %d accepted", cut, len(fullR))
+		}
+	}
+	if _, _, err := decodeResultBatchInto(append(append([]byte{}, fullR...), 0), nil, nil, nil); err == nil {
+		t.Fatal("result batch trailing bytes accepted")
 	}
 }
 
@@ -411,15 +406,6 @@ func TestCodecGoldenBytes(t *testing.T) {
 		Active:   [qsim.MaxTangents]bool{true, false, true},
 		Theta:    []float64{1, -0.5},
 	}
-	shard := shardMsg{
-		Pass:   2,
-		Shard:  1,
-		Angles: []float64{0.25, 0.75},
-		AngleTans: [qsim.MaxTangents][]float64{
-			{1.5}, nil, {},
-		},
-		GZ: []float64{-2},
-	}
 	batch := encodeShardBatchFrame(nil, 2, 0x4142434445464748, []shardMsg{
 		{Pass: 2, Shard: 1, Angles: []float64{0.25}},
 		{Pass: 2, Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
@@ -435,8 +421,6 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}{
 		{"pass", encodePass(pass),
 			"080706050403020118171615141312112827262524232221383736353433323101010502000000000000000000f03f000000000000e0bf"},
-		{"shard", encodeShard(shard),
-			"02000000000000000100000002000000000000000000d03f000000000000e83f0101000000000000000000f83f000100000000010100000000000000000000c0000000"},
 		// The batch encoder emits a complete frame: u32 length (type byte +
 		// 78-byte payload = 0x4f) and the fShardBatch type lead the bytes; the
 		// batch-span id sits between the pass id and the entry count.
@@ -511,6 +495,55 @@ func TestVersionMismatchRejected(t *testing.T) {
 	ack, err := decodeHelloAck(body)
 	if err != nil || ack.Digest != prog.Digest() {
 		t.Fatalf("bad ack %+v (err %v)", ack, err)
+	}
+	toWorkerW.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("worker session ended with error: %v", err)
+	}
+}
+
+// TestReservedFrameTypesRejected: frame types 4 and 5, the retired
+// single-shard request and reply, must draw an "unexpected frame type"
+// error frame from a handshaken worker, and the session must keep serving.
+func TestReservedFrameTypesRejected(t *testing.T) {
+	circ := qsim.NoEntanglement.Build(2, 1)
+	prog := qsim.CompileProgram(circ)
+	toWorkerR, toWorkerW := io.Pipe()
+	fromWorkerR, fromWorkerW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeConn(toWorkerR, fromWorkerW)
+	}()
+	hm := helloMsg{
+		Version: ProtoVersion, Name: circ.Name, NumQubits: circ.NumQubits,
+		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
+		LayerStarts: circ.LayerStarts(), Digest: prog.Digest(),
+	}
+	exchange := func(typ byte, payload []byte) (byte, []byte) {
+		if err := writeFrame(toWorkerW, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rt, body, err := readFrame(fromWorkerR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, body
+	}
+	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
+		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
+	}
+	for _, reserved := range []byte{4, 5} {
+		typ, body := exchange(reserved, []byte{1, 2, 3})
+		if typ != fError {
+			t.Fatalf("worker replied frame type %d to reserved type %d, want fError", typ, reserved)
+		}
+		em, err := decodeError(body)
+		if err != nil || !strings.Contains(em.Msg, "unexpected frame type") {
+			t.Fatalf("reserved type %d: error %q (decode err %v), want an unexpected-frame-type error", reserved, em.Msg, err)
+		}
+	}
+	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
+		t.Fatalf("session stopped serving after reserved frames: reply type %d", typ)
 	}
 	toWorkerW.Close()
 	if err := <-done; err != nil {

@@ -118,8 +118,6 @@ func (s *session) handle(typ byte, body []byte) error {
 			}
 		}
 		return nil
-	case fShard:
-		return s.shard(body)
 	case fShardBatch:
 		return s.shardBatch(body)
 	case fError:
@@ -213,23 +211,11 @@ func (s *session) hello(body []byte) error {
 	return s.send(fHelloAck, encodeHelloAck(helloAckMsg{Version: ProtoVersion, Digest: hm.Digest}))
 }
 
-func (s *session) shard(body []byte) error {
-	sm, err := decodeShard(body)
-	if err != nil {
-		return err
-	}
-	var rm resultMsg
-	if err := s.runShard(&sm, &rm); err != nil {
-		return err
-	}
-	return s.send(fResult, encodeResult(rm))
-}
-
 // shardBatch serves one fShardBatch frame: decode into session scratch, run
-// every shard through the same core as the single-shard path, answer with
-// one fResultBatch. The whole exchange reuses session buffers and the arena
-// (previous batch's decoded arrays are dead once its reply flushed), so the
-// steady-state data path allocates nothing. An error on any shard fails the
+// every shard through runShard, answer with one fResultBatch. The whole
+// exchange reuses session buffers and the arena (previous batch's decoded
+// arrays are dead once its reply flushed), so the steady-state data path
+// allocates nothing. An error on any shard fails the
 // whole batch — the coordinator re-dispatches it as a unit.
 func (s *session) shardBatch(body []byte) error {
 	s.arena.reset()

@@ -91,6 +91,21 @@ func (c *Circuit) LayerSlice(l int) []Gate {
 	return c.Gates[start:end]
 }
 
+// segments splits the ansatz gates at the points where the angle embedding
+// runs: one segment per layer under data re-uploading, otherwise the whole
+// sequence behind a single embedding. Every execution path walks the
+// circuit segment by segment, embedding before each.
+func (c *Circuit) segments() [][]Gate {
+	if !c.Reupload || c.Layers <= 0 {
+		return [][]Gate{c.Gates}
+	}
+	segs := make([][]Gate, c.Layers)
+	for l := range segs {
+		segs[l] = c.LayerSlice(l)
+	}
+	return segs
+}
+
 // WithReupload returns a copy of the circuit with data re-uploading enabled.
 func (c *Circuit) WithReupload() *Circuit {
 	cp := *c

@@ -10,7 +10,7 @@ type EngineKind uint8
 
 const (
 	// EngineSharded executes the level-3 compiled program (three-qubit
-	// super-ops, commutation-aware diagonal absorption, grouped single-qubit
+	// CNOT permutations, commutation-aware diagonal absorption, grouped single-qubit
 	// triples) as independent sample shards on the work-stealing scheduler:
 	// each shard streams the whole instruction stream through one
 	// cache-resident block and owns a private gradient accumulator, and
@@ -198,14 +198,6 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 			for k := 0; k < MaxTangents; k++ {
 				if ws.active[k] {
 					ws.tan[k].applyU4Range(lo, hi, in.q, in.c, u)
-				}
-			}
-		case opU8:
-			u := (*[128]float64)(coeff[in.slot : in.slot+128])
-			ws.val.applyU8Range(lo, hi, in.q, in.c, in.q2, u)
-			for k := 0; k < MaxTangents; k++ {
-				if ws.active[k] {
-					ws.tan[k].applyU8Range(lo, hi, in.q, in.c, in.q2, u)
 				}
 			}
 		case opU2x3:
@@ -426,13 +418,7 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 				revU2Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 			}
 		case opU4:
-			if in.logDeriv {
-				revU4LogDerivRange(ws, in, coeff, lo, hi, sc)
-			} else {
-				revU4Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
-			}
-		case opU8:
-			revU8Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
+			revU4Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 		case opU2x3:
 			if in.logDeriv {
 				revU2x3LogDerivRange(ws, in, coeff, lo, hi, sc)
@@ -809,200 +795,6 @@ func revU4Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 		d := dcoef[in.dslot+32*t : in.dslot+32*t+32]
 		var g float64
 		for i := 0; i < 32; i += 2 {
-			g += d[i]*K[i] - d[i+1]*K[i+1]
-		}
-		sc.dth[p] += g
-	}
-}
-
-// revU4LogDerivRange is the adjoint fast path for opU4 entangler blocks
-// whose single parametrized source gate is a single-qubit rotation commuting
-// with everything fused before it (markU4LogDeriv). With U = A·G(θ)·B and
-// [B, dlogG] = 0, Re⟨λ_post, dU·ψ_pre⟩ = Re⟨λ_pre, dlogG·ψ_pre⟩, so after
-// the same U† traversal revU4Range pays anyway — recovering ψ_pre and
-// λ_pre — the gradient is a per-group scalar read along the rotation's own
-// qubit axis instead of a 32-slot adjoint outer product plus derivative
-// contraction.
-func revU4LogDerivRange(ws *Workspace, in *instr, coeff []float64, lo, hi int, sc bwdScratch) {
-	u := coeff[in.slot : in.slot+32]
-	var ud [32]float64 // U†
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			ud[(r*4+c)*2] = u[(c*4+r)*2]
-			ud[(r*4+c)*2+1] = -u[(c*4+r)*2+1]
-		}
-	}
-	g := in.gates[0]
-	for _, cand := range in.gates {
-		if cand.P >= 0 {
-			g = cand
-		}
-	}
-	// The rotation lives on one of the block's two qubits: its axis pairs
-	// the four local amplitudes as (0,1),(2,3) when it sits on in.q (stride
-	// sa) and (0,2),(1,3) when on in.c (stride sb).
-	onLow := g.Q == in.q
-	kind := g.Kind
-	var grad float64
-	sa, sb := 1<<in.q, 1<<in.c
-	dim := ws.val.Dim
-	ws.forChannelPairs(func(psi, lam *State) {
-		pr, pim := psi.Re, psi.Im
-		lr, lim := lam.Re, lam.Im
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for b1 := 0; b1 < dim; b1 += sb << 1 {
-				for b2 := b1; b2 < b1+sb; b2 += sa << 1 {
-					for j := b2; j < b2+sa; j++ {
-						i0 := off + j
-						i1, i2, i3 := i0+sa, i0+sb, i0+sa+sb
-						x0r, x0i := pr[i0], pim[i0]
-						x1r, x1i := pr[i1], pim[i1]
-						x2r, x2i := pr[i2], pim[i2]
-						x3r, x3i := pr[i3], pim[i3]
-						l0r, l0i := lr[i0], lim[i0]
-						l1r, l1i := lr[i1], lim[i1]
-						l2r, l2i := lr[i2], lim[i2]
-						l3r, l3i := lr[i3], lim[i3]
-						// ψ_pre = U†·ψ_post
-						p0r := ud[0]*x0r - ud[1]*x0i + ud[2]*x1r - ud[3]*x1i + ud[4]*x2r - ud[5]*x2i + ud[6]*x3r - ud[7]*x3i
-						p0i := ud[0]*x0i + ud[1]*x0r + ud[2]*x1i + ud[3]*x1r + ud[4]*x2i + ud[5]*x2r + ud[6]*x3i + ud[7]*x3r
-						p1r := ud[8]*x0r - ud[9]*x0i + ud[10]*x1r - ud[11]*x1i + ud[12]*x2r - ud[13]*x2i + ud[14]*x3r - ud[15]*x3i
-						p1i := ud[8]*x0i + ud[9]*x0r + ud[10]*x1i + ud[11]*x1r + ud[12]*x2i + ud[13]*x2r + ud[14]*x3i + ud[15]*x3r
-						p2r := ud[16]*x0r - ud[17]*x0i + ud[18]*x1r - ud[19]*x1i + ud[20]*x2r - ud[21]*x2i + ud[22]*x3r - ud[23]*x3i
-						p2i := ud[16]*x0i + ud[17]*x0r + ud[18]*x1i + ud[19]*x1r + ud[20]*x2i + ud[21]*x2r + ud[22]*x3i + ud[23]*x3r
-						p3r := ud[24]*x0r - ud[25]*x0i + ud[26]*x1r - ud[27]*x1i + ud[28]*x2r - ud[29]*x2i + ud[30]*x3r - ud[31]*x3i
-						p3i := ud[24]*x0i + ud[25]*x0r + ud[26]*x1i + ud[27]*x1r + ud[28]*x2i + ud[29]*x2r + ud[30]*x3i + ud[31]*x3r
-						// λ_pre = U†·λ_post
-						q0r := ud[0]*l0r - ud[1]*l0i + ud[2]*l1r - ud[3]*l1i + ud[4]*l2r - ud[5]*l2i + ud[6]*l3r - ud[7]*l3i
-						q0i := ud[0]*l0i + ud[1]*l0r + ud[2]*l1i + ud[3]*l1r + ud[4]*l2i + ud[5]*l2r + ud[6]*l3i + ud[7]*l3r
-						q1r := ud[8]*l0r - ud[9]*l0i + ud[10]*l1r - ud[11]*l1i + ud[12]*l2r - ud[13]*l2i + ud[14]*l3r - ud[15]*l3i
-						q1i := ud[8]*l0i + ud[9]*l0r + ud[10]*l1i + ud[11]*l1r + ud[12]*l2i + ud[13]*l2r + ud[14]*l3i + ud[15]*l3r
-						q2r := ud[16]*l0r - ud[17]*l0i + ud[18]*l1r - ud[19]*l1i + ud[20]*l2r - ud[21]*l2i + ud[22]*l3r - ud[23]*l3i
-						q2i := ud[16]*l0i + ud[17]*l0r + ud[18]*l1i + ud[19]*l1r + ud[20]*l2i + ud[21]*l2r + ud[22]*l3i + ud[23]*l3r
-						q3r := ud[24]*l0r - ud[25]*l0i + ud[26]*l1r - ud[27]*l1i + ud[28]*l2r - ud[29]*l2i + ud[30]*l3r - ud[31]*l3i
-						q3i := ud[24]*l0i + ud[25]*l0r + ud[26]*l1i + ud[27]*l1r + ud[28]*l2i + ud[29]*l2r + ud[30]*l3i + ud[31]*l3r
-						lr[i0], lim[i0] = q0r, q0i
-						lr[i1], lim[i1] = q1r, q1i
-						lr[i2], lim[i2] = q2r, q2i
-						lr[i3], lim[i3] = q3r, q3i
-						pr[i0], pim[i0] = p0r, p0i
-						pr[i1], pim[i1] = p1r, p1i
-						pr[i2], pim[i2] = p2r, p2i
-						pr[i3], pim[i3] = p3r, p3i
-						// Re⟨λ_pre, dlogG·ψ_pre⟩ over the two axis pairs.
-						aJr, aJi, aKr, aKi := p0r, p0i, p1r, p1i
-						bJr, bJi, bKr, bKi := p2r, p2i, p3r, p3i
-						lJr, lJi, lKr, lKi := q0r, q0i, q1r, q1i
-						mJr, mJi, mKr, mKi := q2r, q2i, q3r, q3i
-						if !onLow {
-							aKr, aKi, bJr, bJi = p2r, p2i, p1r, p1i
-							lKr, lKi, mJr, mJi = q2r, q2i, q1r, q1i
-						}
-						switch kind {
-						case RX:
-							grad += 0.5 * (lJr*aKi - lJi*aKr + lKr*aJi - lKi*aJr)
-							grad += 0.5 * (mJr*bKi - mJi*bKr + mKr*bJi - mKi*bJr)
-						case RY:
-							grad += 0.5 * (lKr*aJr + lKi*aJi - lJr*aKr - lJi*aKi)
-							grad += 0.5 * (mKr*bJr + mKi*bJi - mJr*bKr - mJi*bKi)
-						case RZ:
-							grad += 0.5 * (lJr*aJi - lJi*aJr - lKr*aKi + lKi*aKr)
-							grad += 0.5 * (mJr*bJi - mJi*bJr - mKr*bKi + mKi*bKr)
-						}
-					}
-				}
-			}
-		}
-	})
-	sc.dth[g.P] += grad
-}
-
-// revU8Range is the fused adjoint step for one opU8 three-qubit block: the
-// 8×8 analogue of revU4Range, with the same adjoint outer-product trick —
-// one traversal per channel pair recovers ψ_pre = U†ψ, propagates λ ← U†λ,
-// and accumulates K[r,c] = Σ ψ_pre_c·conj(λ_post_r), from which every fused
-// parameter's gradient is one 8×8 contraction against its dU/dθ slot.
-func revU8Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc bwdScratch) {
-	u := coeff[in.slot : in.slot+128]
-	var ud [128]float64 // U†
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			ud[(r*8+c)*2] = u[(c*8+r)*2]
-			ud[(r*8+c)*2+1] = -u[(c*8+r)*2+1]
-		}
-	}
-	var K [128]float64
-	za, zb, zc := 1<<in.q, 1<<in.c, 1<<in.q2
-	dim := ws.val.Dim
-	ws.forChannelPairs(func(psi, lam *State) {
-		pr, pim := psi.Re, psi.Im
-		lr, lim := lam.Re, lam.Im
-		var idx [8]int
-		var xr, xi, yr, yi, gr, gi [8]float64
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for b1 := 0; b1 < dim; b1 += zc << 1 {
-				for b2 := b1; b2 < b1+zc; b2 += zb << 1 {
-					for b3 := b2; b3 < b2+zb; b3 += za << 1 {
-						for j := b3; j < b3+za; j++ {
-							i0 := off + j
-							idx[0] = i0
-							idx[1] = i0 + za
-							idx[2] = i0 + zb
-							idx[3] = i0 + za + zb
-							idx[4] = i0 + zc
-							idx[5] = i0 + za + zc
-							idx[6] = i0 + zb + zc
-							idx[7] = i0 + za + zb + zc
-							for t := 0; t < 8; t++ {
-								xr[t], xi[t] = pr[idx[t]], pim[idx[t]]
-								gr[t], gi[t] = lr[idx[t]], lim[idx[t]]
-							}
-							// ψ_pre = U†·ψ_post
-							for r := 0; r < 8; r++ {
-								var sumR, sumI float64
-								row := ud[r*16 : r*16+16]
-								for k := 0; k < 8; k++ {
-									ar, ai := row[2*k], row[2*k+1]
-									sumR += ar*xr[k] - ai*xi[k]
-									sumI += ar*xi[k] + ai*xr[k]
-								}
-								yr[r], yi[r] = sumR, sumI
-							}
-							// K[r,c] += ψ_pre_c·conj(λ_post_r)
-							for r := 0; r < 8; r++ {
-								l0r, l0i := gr[r], gi[r]
-								krow := K[r*16 : r*16+16]
-								for c := 0; c < 8; c++ {
-									krow[2*c] += yr[c]*l0r + yi[c]*l0i
-									krow[2*c+1] += yi[c]*l0r - yr[c]*l0i
-								}
-							}
-							// λ_pre = U†·λ_post
-							for r := 0; r < 8; r++ {
-								var sumR, sumI float64
-								row := ud[r*16 : r*16+16]
-								for k := 0; k < 8; k++ {
-									ar, ai := row[2*k], row[2*k+1]
-									sumR += ar*gr[k] - ai*gi[k]
-									sumI += ar*gi[k] + ai*gr[k]
-								}
-								lr[idx[r]], lim[idx[r]] = sumR, sumI
-							}
-							for t := 0; t < 8; t++ {
-								pr[idx[t]], pim[idx[t]] = yr[t], yi[t]
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-	for t, p := range in.params {
-		d := dcoef[in.dslot+128*t : in.dslot+128*t+128]
-		var g float64
-		for i := 0; i < 128; i += 2 {
 			g += d[i]*K[i] - d[i+1]*K[i+1]
 		}
 		sc.dth[p] += g

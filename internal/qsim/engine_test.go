@@ -343,53 +343,76 @@ func TestProgramFusionShrinksStream(t *testing.T) {
 	}
 }
 
-// TestProgramV3GoldenCounts pins the level-3 fusion wins at 7 qubits,
-// 4 layers. Relative to pair-only fusion (4×4 blocks, consecutive diagonal
-// runs):
+// TestProgramV3GoldenCounts pins every shipped ansatz's compiled program at
+// the benchmark shapes (4 qubits / 2 layers and the paper's 7 qubits /
+// 4 layers, with and without data re-uploading) by instruction count and
+// ProgramDigest hash, so a compiler change that alters any shipped program
+// fails here. The 7q/4L counts are the level-3 fusion wins relative to
+// pair-only fusion (4×4 blocks, consecutive diagonal runs):
 //   - CrossMesh / CrossMesh2Rot: each layer's 7-rotation wall in front of
 //     the fused diagonal mesh groups into two U2x3 triples + one U2:
 //     1 + 4·(3 + 1 diagonal) = 17 (the ROADMAP target was ≤ 20).
 //   - CrossMeshCNOT: the all-pairs CNOT mesh collapses 169 → 105 — the 147
 //     surviving bare CNOTs become 64 zero-arithmetic basis permutations
 //     (consecutive CNOTs sharing a control, two per opPerm8) plus 16 lone
-//     CNOTs, while the rotation-bearing sweeps stay as 4×4 blocks (the cost
-//     gate keeps them out of dense 8×8 form, which would cost more than the
-//     instructions it absorbs).
+//     CNOTs, while the rotation-bearing sweeps stay as 4×4 blocks (only
+//     CNOT-only blocks grow to a triple).
 //   - NoEntanglement: the 28 fused rotations group into 9 triples + 1: 11.
 //   - BasicEntangling / StronglyEntangling: cyclic CNOT chains offer only
-//     the occasional cost-justified triple: 29 → 27, 26 → 25.
+//     the occasional pure-CNOT triple (opPerm8): 29 → 27, 26 → 25.
 //   - Re-uploading variants keep their embedding barriers; Cross-Mesh still
 //     drops 36 → 20.
 func TestProgramV3GoldenCounts(t *testing.T) {
 	cases := []struct {
-		ansatz AnsatzKind
-		reup   bool
-		want   int
+		ansatz    AnsatzKind
+		nq, layer int
+		reup      bool
+		want      int
+		hash      uint64
 	}{
-		{CrossMesh, false, 17},
-		{CrossMesh2Rot, false, 17},
-		{CrossMeshCNOT, false, 105},
-		{NoEntanglement, false, 11},
-		{BasicEntangling, false, 27},
-		{StronglyEntangling, false, 25},
-		{StronglyEntangling, true, 32},
-		{CrossMesh, true, 20},
+		{CrossMesh, 4, 2, false, 7, 0x4f4a14393dfe2095},
+		{CrossMesh, 4, 2, true, 8, 0x30e2a6e1951571db},
+		{CrossMesh2Rot, 4, 2, false, 7, 0xa5f6f6b2630cd7fb},
+		{CrossMesh2Rot, 4, 2, true, 8, 0x391e1eaded9098e5},
+		{CrossMeshCNOT, 4, 2, false, 18, 0xbb63ded4381b7d2b},
+		{CrossMeshCNOT, 4, 2, true, 20, 0x976d66b3e80887ac},
+		{NoEntanglement, 4, 2, false, 5, 0x5b88f52e5bceb734},
+		{NoEntanglement, 4, 2, true, 6, 0x83e1b5bd040fb8d0},
+		{BasicEntangling, 4, 2, false, 8, 0x7836004d8ce534ff},
+		{BasicEntangling, 4, 2, true, 10, 0x495d951f3f0c3c72},
+		{StronglyEntangling, 4, 2, false, 7, 0xfc65d0ad2e64434a},
+		{StronglyEntangling, 4, 2, true, 8, 0xd01faa698a634960},
+		{CrossMesh, 7, 4, false, 17, 0x669eafa74a26e8e4},
+		{CrossMesh, 7, 4, true, 20, 0xa5021083dc63c9e8},
+		{CrossMesh2Rot, 7, 4, false, 17, 0x93ceda0db9e320e8},
+		{CrossMesh2Rot, 7, 4, true, 20, 0x2e0514d4af3a3ff8},
+		{CrossMeshCNOT, 7, 4, false, 105, 0xdda35ce0cdd9bc1},
+		{CrossMeshCNOT, 7, 4, true, 108, 0xdc9cad6e8b12ff61},
+		{NoEntanglement, 7, 4, false, 11, 0xab2521063be8abd4},
+		{NoEntanglement, 7, 4, true, 16, 0x4c34a86d69aa365e},
+		{BasicEntangling, 7, 4, false, 27, 0x8fb2e9f17d2908ef},
+		{BasicEntangling, 7, 4, true, 32, 0x688d54908504e15d},
+		{StronglyEntangling, 7, 4, false, 25, 0x42617a12c83251c2},
+		{StronglyEntangling, 7, 4, true, 32, 0xcaa623b13f2d5a01},
 	}
 	for _, c := range cases {
-		circ := c.ansatz.Build(7, 4)
+		circ := c.ansatz.Build(c.nq, c.layer)
 		if c.reup {
 			circ = circ.WithReupload()
 		}
 		prog := CompileProgram(circ)
 		if got := prog.NumInstructions(); got != c.want {
-			t.Errorf("%v reupload=%v: %d instructions, want %d", c.ansatz, c.reup, got, c.want)
+			t.Errorf("%v %dq/%dL reupload=%v: %d instructions, want %d", c.ansatz, c.nq, c.layer, c.reup, got, c.want)
+		}
+		if got := prog.Digest().Hash; got != c.hash {
+			t.Errorf("%v %dq/%dL reupload=%v: digest hash %#x, want %#x", c.ansatz, c.nq, c.layer, c.reup, got, c.hash)
 		}
 		if prog.Level() != 3 {
 			t.Errorf("%v: CompileProgram level = %d, want 3", c.ansatz, prog.Level())
 		}
 	}
-	// The acceptance bar this PR was cut against: Cross-Mesh at 7q/4L must
-	// compile to at most 20 instructions under level 3.
+	// The acceptance bar level 3 was cut against: Cross-Mesh at 7q/4L must
+	// compile to at most 20 instructions.
 	if got := CompileProgram(CrossMesh.Build(7, 4)).NumInstructions(); got > 20 {
 		t.Errorf("CrossMesh level-3 instruction count %d exceeds the ≤20 target", got)
 	}
@@ -524,132 +547,6 @@ func TestU2LogDerivCoversAnsatzLeftovers(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("Cross-Mesh 7q leftover rotations did not take the opU2 log-derivative fast path")
-	}
-}
-
-// TestU4LogDerivFastPath pins the opU4 log-derivative adjoint fast path
-// (entangler blocks with one parametrized rotation commuting with everything
-// fused before it read their gradient off the recovered states) against the
-// dense 4×4 adjoint outer-product path at 1e-10, with the legacy per-gate
-// engine as the independent anchor. The two blocks cover both axis layouts:
-// an RX on the block's high qubit behind a CNOT targeting it, and an RZ on
-// the low qubit behind a CNOT controlled by it.
-func TestU4LogDerivFastPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(271828))
-	const tol = 1e-10
-	// Disjoint qubit pairs keep the two blocks from merging into one opU8
-	// (union would span four qubits), so each compiles to a two-gate opU4
-	// with exactly one parameter.
-	circ := &Circuit{
-		Name: "entangled-rotations", NumQubits: 4, Layers: 1,
-		Gates: []Gate{
-			{CNOT, 1, 0, -1}, {RX, 1, -1, 0},
-			{CNOT, 3, 2, -1}, {RZ, 2, -1, 1},
-		},
-		NumParams: 2,
-	}
-	n, nq := 9, 4
-	angles := randAngles(rng, n, nq)
-	theta := randTheta(rng, circ.NumParams)
-	tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-	gz := randAngles(rng, n, nq)
-	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-
-	run := func(logDeriv bool) engineResult {
-		pqc := &PQC{Circ: circ, Eng: EngineSharded}
-		prog := pqc.Program()
-		flagged := 0
-		for i := range prog.ins {
-			if prog.ins[i].op == opU4 && prog.ins[i].logDeriv {
-				if !logDeriv {
-					prog.ins[i].logDeriv = false
-				}
-				flagged++
-			}
-		}
-		if flagged != 2 {
-			t.Fatalf("expected 2 log-derivative opU4 blocks, compiler produced %d", flagged)
-		}
-		ws := NewWorkspace(n, nq)
-		z, ztans := pqc.Forward(ws, angles, tans, theta)
-		res := engineResult{
-			z: z, ztans: ztans,
-			dAngles: make([]float64, n*nq),
-			dTheta:  make([]float64, circ.NumParams),
-			dTans:   [][]float64{make([]float64, n*nq), nil, make([]float64, n*nq)},
-		}
-		pqc.Backward(ws, gz, gztans, res.dAngles, res.dTans, res.dTheta)
-		return res
-	}
-
-	fast := run(true)
-	dense := run(false)
-	check := func(name string, want, have []float64) {
-		if d := maxAbsDiff(want, have); d > tol {
-			t.Errorf("fast-vs-dense %s diverges by %v", name, d)
-		}
-	}
-	check("z", dense.z, fast.z)
-	check("dAngles", dense.dAngles, fast.dAngles)
-	check("dTheta", dense.dTheta, fast.dTheta)
-	for _, k := range []int{0, 2} {
-		check("ztans", dense.ztans[k], fast.ztans[k])
-		check("dTans", dense.dTans[k], fast.dTans[k])
-	}
-
-	ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-	check("dTheta vs legacy", ref.dTheta, fast.dTheta)
-	check("dAngles vs legacy", ref.dAngles, fast.dAngles)
-}
-
-// TestU4LogDerivMarking pins the eligibility rule: the fast path requires a
-// single parametrized single-qubit rotation whose generator commutes with
-// every gate fused before it — never after it.
-func TestU4LogDerivMarking(t *testing.T) {
-	countFlagged := func(c *Circuit) (u4, flagged int) {
-		prog := CompileProgram(c)
-		for i := range prog.ins {
-			if prog.ins[i].op == opU4 {
-				u4++
-				if prog.ins[i].logDeriv {
-					flagged++
-				}
-			}
-		}
-		return
-	}
-
-	// RY behind a CNOT targeting its qubit anticommutes with the X branch,
-	// so the block must stay on the dense oracle path.
-	ry := &Circuit{
-		Name: "ry-after-cnot", NumQubits: 2, Layers: 1,
-		Gates:     []Gate{{CNOT, 1, 0, -1}, {RY, 1, -1, 0}},
-		NumParams: 1,
-	}
-	if u4, flagged := countFlagged(ry); u4 != 1 || flagged != 0 {
-		t.Errorf("RY behind CNOT: %d opU4 blocks, %d flagged; want 1 and 0", u4, flagged)
-	}
-
-	// The same rotation leading the block has nothing before it to commute
-	// with, so it qualifies unconditionally.
-	ryFirst := &Circuit{
-		Name: "ry-before-cnot", NumQubits: 2, Layers: 1,
-		Gates:     []Gate{{RY, 1, -1, 0}, {CNOT, 1, 0, -1}},
-		NumParams: 1,
-	}
-	if u4, flagged := countFlagged(ryFirst); u4 != 1 || flagged != 1 {
-		t.Errorf("RY before CNOT: %d opU4 blocks, %d flagged; want 1 and 1", u4, flagged)
-	}
-
-	// Two parametrized rotations in one block exceed the single-parameter
-	// shape the scalar accumulator supports.
-	multi := &Circuit{
-		Name: "two-params", NumQubits: 2, Layers: 1,
-		Gates:     []Gate{{RX, 1, -1, 0}, {CNOT, 1, 0, -1}, {RX, 0, -1, 1}},
-		NumParams: 2,
-	}
-	if u4, flagged := countFlagged(multi); u4 != 1 || flagged != 0 {
-		t.Errorf("two-parameter block: %d opU4 blocks, %d flagged; want 1 and 0", u4, flagged)
 	}
 }
 

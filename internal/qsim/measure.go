@@ -10,21 +10,8 @@ import (
 // per-qubit ⟨Z⟩ for a batch of n samples. Used by the parameter-shift rule,
 // diagnostics, and the Fig. 12 initialization study.
 func EvalZ(circ *Circuit, angles, theta []float64, n int) []float64 {
-	st := NewState(n, circ.NumQubits)
-	nq := circ.NumQubits
-	c := make([]float64, n)
-	s := make([]float64, n)
-	for q := 0; q < nq; q++ {
-		for i := 0; i < n; i++ {
-			c[i] = math.Cos(angles[i*nq+q] / 2)
-			s[i] = math.Sin(angles[i*nq+q] / 2)
-		}
-		st.ApplyIXPerSample(q, c, s)
-	}
-	for _, g := range circ.Gates {
-		g.apply(st, theta)
-	}
-	out := make([]float64, n*nq)
+	st := runPlain(circ, angles, theta, n, nil)
+	out := make([]float64, n*circ.NumQubits)
 	st.ExpZ(out)
 	return out
 }
@@ -32,19 +19,36 @@ func EvalZ(circ *Circuit, angles, theta []float64, n int) []float64 {
 // FinalState runs the circuit and returns the batch statevector (for
 // entanglement diagnostics).
 func FinalState(circ *Circuit, angles, theta []float64, n int) *State {
-	st := NewState(n, circ.NumQubits)
+	return runPlain(circ, angles, theta, n, nil)
+}
+
+// runPlain runs circ gate by gate on a fresh batch state, the way every
+// engine does: the RX angle embedding, then the ansatz gates, re-embedding
+// before every layer under data re-uploading. noise, when non-nil, runs
+// after every embedding rotation (c = −1) and every gate, on the qubits it
+// touched.
+func runPlain(circ *Circuit, angles, theta []float64, n int, noise func(st *State, q, c int)) *State {
 	nq := circ.NumQubits
+	st := NewState(n, nq)
 	c := make([]float64, n)
 	s := make([]float64, n)
-	for q := 0; q < nq; q++ {
-		for i := 0; i < n; i++ {
-			c[i] = math.Cos(angles[i*nq+q] / 2)
-			s[i] = math.Sin(angles[i*nq+q] / 2)
+	for _, seg := range circ.segments() {
+		for q := 0; q < nq; q++ {
+			for i := 0; i < n; i++ {
+				c[i] = cosHalf(angles[i*nq+q])
+				s[i] = sinHalf(angles[i*nq+q])
+			}
+			st.ApplyIXPerSample(q, c, s)
+			if noise != nil {
+				noise(st, q, -1)
+			}
 		}
-		st.ApplyIXPerSample(q, c, s)
-	}
-	for _, g := range circ.Gates {
-		g.apply(st, theta)
+		for _, g := range seg {
+			g.apply(st, theta)
+			if noise != nil {
+				noise(st, g.Q, g.C)
+			}
+		}
 	}
 	return st
 }

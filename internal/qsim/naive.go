@@ -356,17 +356,6 @@ func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 				m.data[row*dim+col] = complex(u[(lr*4+lc)*2], u[(lr*4+lc)*2+1])
 			}
 		}
-	case opU8:
-		u := coeff[in.slot : in.slot+128]
-		qa, qb, qc := in.q, in.c, in.q2
-		for col := 0; col < dim; col++ {
-			lc := (col>>qa)&1 | ((col>>qb)&1)<<1 | ((col>>qc)&1)<<2
-			base := col &^ (1<<qa | 1<<qb | 1<<qc)
-			for lr := 0; lr < 8; lr++ {
-				row := base | (lr&1)<<qa | ((lr>>1)&1)<<qb | (lr>>2)<<qc
-				m.data[row*dim+col] = complex(u[(lr*8+lc)*2], u[(lr*8+lc)*2+1])
-			}
-		}
 	case opPerm8:
 		qa, qb, qc := in.q, in.c, in.q2
 		for col := 0; col < dim; col++ {

@@ -60,34 +60,22 @@ func NoisyEvalZ(circ *Circuit, angles, theta []float64, n int, nm NoiseModel, rn
 	if nm.P <= 0 || nm.Trajectories <= 0 {
 		return EvalZ(circ, angles, theta, n)
 	}
-	nq := circ.NumQubits
-	acc := make([]float64, n*nq)
-	z := make([]float64, n*nq)
-	c := make([]float64, n)
-	s := make([]float64, n)
-	for traj := 0; traj < nm.Trajectories; traj++ {
-		st := NewState(n, nq)
-		for q := 0; q < nq; q++ {
-			for i := 0; i < n; i++ {
-				c[i] = cosHalf(angles[i*nq+q])
-				s[i] = sinHalf(angles[i*nq+q])
-			}
-			st.ApplyIXPerSample(q, c, s)
-			if rng.Float64() < nm.P {
+	// One draw after every embedding rotation and every gate, in circuit
+	// order; a two-qubit gate's error covers both of its qubits.
+	noise := func(st *State, q, c int) {
+		if rng.Float64() < nm.P {
+			if c >= 0 {
+				applyRandomPauli2(st, c, q, rng)
+			} else {
 				applyRandomPauli(st, q, rng)
 			}
 		}
-		for _, g := range circ.Gates {
-			g.apply(st, theta)
-			if rng.Float64() < nm.P {
-				if g.C >= 0 {
-					applyRandomPauli2(st, g.C, g.Q, rng)
-				} else {
-					applyRandomPauli(st, g.Q, rng)
-				}
-			}
-		}
-		st.ExpZ(z)
+	}
+	nq := circ.NumQubits
+	acc := make([]float64, n*nq)
+	z := make([]float64, n*nq)
+	for traj := 0; traj < nm.Trajectories; traj++ {
+		runPlain(circ, angles, theta, n, noise).ExpZ(z)
 		for i := range acc {
 			acc[i] += z[i]
 		}

@@ -292,14 +292,9 @@ func (e *legacyEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTan
 
 	// Data re-uploading (§6.2(c) extension): the embedding block repeats
 	// before every ansatz layer; otherwise it runs once as a prefix.
-	if p.Circ.Reupload && p.Circ.Layers > 0 {
-		for l := 0; l < p.Circ.Layers; l++ {
-			e.forwardEmbedding(ws)
-			e.forwardGates(ws, p.Circ.LayerSlice(l), theta)
-		}
-	} else {
+	for _, seg := range p.Circ.segments() {
 		e.forwardEmbedding(ws)
-		e.forwardGates(ws, p.Circ.Gates, theta)
+		e.forwardGates(ws, seg, theta)
 	}
 
 	z = make([]float64, n*nq)
@@ -395,13 +390,9 @@ func (e *legacyEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]
 	}
 
 	// Walk the circuit in reverse, mirroring the forward structure.
-	if p.Circ.Reupload && p.Circ.Layers > 0 {
-		for l := p.Circ.Layers - 1; l >= 0; l-- {
-			e.reverseGates(ws, p.Circ.LayerSlice(l), theta, dTheta)
-			e.reverseEmbedding(ws, dAngles, dAngleTans)
-		}
-	} else {
-		e.reverseGates(ws, p.Circ.Gates, theta, dTheta)
+	segs := p.Circ.segments()
+	for l := len(segs) - 1; l >= 0; l-- {
+		e.reverseGates(ws, segs[l], theta, dTheta)
 		e.reverseEmbedding(ws, dAngles, dAngleTans)
 	}
 }

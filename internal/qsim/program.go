@@ -25,10 +25,10 @@ import (
 // super-op (opDiagN) whose per-basis phases and per-parameter derivative
 // signs are laid out at compile time. Block fusion then greedily absorbs
 // neighbouring single-qubit runs into two-qubit instructions (4×4 opU4) and
-// grows blocks to qubit triples: a two-qubit instruction sharing a qubit
-// with an open pair block extends it to a dense 8×8 three-qubit super-op
-// (opU8), collapsing the all-pairs CNOT sweeps pair fusion alone leaves as
-// bare instructions. Finally, leftover runs of single-qubit instructions on
+// grows CNOT-only blocks to qubit triples: a CNOT sharing a qubit with an
+// open CNOT-only pair block extends it to a compile-time basis permutation
+// (opPerm8), collapsing the all-pairs CNOT sweeps pair fusion alone leaves
+// as bare instructions. Finally, leftover runs of single-qubit instructions on
 // distinct qubits are grouped three at a time into a Kronecker-structured
 // triple (opU2x3) that applies all three 2×2 factors in one pass over each
 // 8-amplitude group — same arithmetic as three separate applications, one
@@ -43,8 +43,9 @@ import (
 // opcode enumerates fused-program instructions.
 type opcode uint8
 
-// Opcode values are hashed into ProgramDigest, so they stay fixed: 0 was
-// the per-qubit embedding of an earlier compiler and is never emitted.
+// Opcode values are hashed into ProgramDigest, so they stay fixed: 0 (the
+// per-qubit embedding) and 8 (a dense 8×8 three-qubit block) belonged to
+// earlier compilers and are never emitted.
 const (
 	opEmbedAll opcode = iota + 1 // fused whole-register embedding block
 	opU2                         // 2×2 unitary on Q; 8 coefficient floats
@@ -53,7 +54,7 @@ const (
 	opCtrlDiag                   // diag(p0, p1) on Q over control-set C; 4 floats
 	opU4                         // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
 	opDiagN                      // full-register diagonal; 2·dim floats
-	opU8                         // 8×8 unitary on triple (Q<C<Q2); 128 floats
+	_                            // 8: reserved
 	opU2x3                       // three independent 2×2 factors on (Q, C, Q2); 24 floats
 	opPerm8                      // compile-time basis permutation on (Q, C, Q2); no floats
 )
@@ -101,24 +102,18 @@ const compileLevel = 3
 
 // CompileProgram lowers circ (and its embedding placement, honouring data
 // re-uploading) into a fused program: commutation-aware diagonal
-// absorption, three-qubit entangler super-ops, and grouped single-qubit
-// triples.
+// absorption, pair blocks, three-qubit CNOT permutations, and grouped
+// single-qubit triples.
 func CompileProgram(circ *Circuit) *Program {
 	p := &Program{circ: circ}
-	if circ.Reupload && circ.Layers > 0 {
-		for l := 0; l < circ.Layers; l++ {
-			p.addEmbed()
-			p.addGates(circ.LayerSlice(l))
-		}
-	} else {
+	for _, seg := range circ.segments() {
 		p.addEmbed()
-		p.addGates(circ.Gates)
+		p.addGates(seg)
 	}
 	p.fuseDiagGroups()
 	p.fuseBlocks()
 	p.fuseSingleTriples()
 	p.markU2LogDeriv()
-	p.markU4LogDeriv()
 	p.layout()
 	return p
 }
@@ -136,76 +131,6 @@ func (p *Program) markU2LogDeriv() {
 			in.logDeriv = true
 		}
 	}
-}
-
-// markU4LogDeriv flags the opU4 entangler blocks whose single parametrized
-// source gate is a single-qubit rotation that commutes with everything fused
-// before it. Writing the block U = A·G(θ)·B with [B, dlogG] = 0 gives
-// dU/dθ = A·G·dlogG·B = U·(B†·dlogG·B), so
-// Re⟨λ_post, dU·ψ_pre⟩ = Re⟨λ_pre, dlogG·ψ_pre⟩ — the gradient reads off
-// the states the one U† traversal recovers anyway, with no 4×4 adjoint
-// outer product and no derivative-slot contraction (see revU4LogDerivRange).
-// The commutation condition only involves gates fused *before* G; blocks
-// where the rotation leads (the common wall-then-entangle layering) qualify
-// unconditionally. Like opU2 — and unlike opU2x3 — the derivative slots stay
-// allocated so tests can clear the flag and replay the dense outer-product
-// oracle on the same program.
-func (p *Program) markU4LogDeriv() {
-	for i := range p.ins {
-		in := &p.ins[i]
-		if in.op != opU4 {
-			continue
-		}
-		pi := -1
-		for gi, g := range in.gates {
-			if g.P >= 0 {
-				if pi >= 0 {
-					pi = -1
-					break
-				}
-				pi = gi
-			}
-		}
-		if pi < 0 || !isSingleQubit(in.gates[pi]) {
-			continue
-		}
-		ok := true
-		for _, b := range in.gates[:pi] {
-			if !commutesWithGenerator(b, in.gates[pi]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			in.logDeriv = true
-		}
-	}
-}
-
-// commutesWithGenerator reports whether gate b commutes with the Pauli
-// generator of the single-qubit rotation g (σ ∈ {X, Y, Z} on qubit g.Q).
-// Conservative: false only means the fast path is skipped, never a wrong
-// gradient.
-func commutesWithGenerator(b, g Gate) bool {
-	switch b.Kind {
-	case RX, RY, RZ:
-		// Disjoint supports always commute; same-qubit rotations share a
-		// generator only on the same axis.
-		return b.Q != g.Q || b.Kind == g.Kind
-	case CNOT:
-		if b.Q != g.Q && b.C != g.Q {
-			return true
-		}
-		// CNOT = |0⟩⟨0|_c⊗I + |1⟩⟨1|_c⊗X_t commutes with X on its target
-		// and Z on its control; every other Pauli on its qubits anticommutes
-		// with one of the two projector branches.
-		return (b.Q == g.Q && g.Kind == RX) || (b.C == g.Q && g.Kind == RZ)
-	case CRZ:
-		// Diagonal: commutes with Z generators anywhere, and with anything
-		// off its own support.
-		return g.Kind == RZ || (b.Q != g.Q && b.C != g.Q)
-	}
-	return false
 }
 
 // Level reports the fusion level the program was compiled at: always 3.
@@ -466,42 +391,14 @@ func (p *Program) fuseDiagGroups() {
 	p.ins = out
 }
 
-// instrCost is a rough per-amplitude execution-cost model (complex-multiply
-// units) used to decide whether collapsing a three-qubit block into a dense
-// 8×8 super-op pays: the dense forward costs 8 units per amplitude, so a
-// block is only worth densifying when the instructions it replaces cost at
-// least as much. CNOTs count 1 (a pure memory pass), diagonals 1, generic
-// 2×2 unitaries 2.
-func instrCost(op opcode) int {
-	switch op {
-	case opU2:
-		return 2
-	default: // opDiag, opCtrlDiag, opCNOT
-		return 1
-	}
-}
-
-// u8FuseCost is the minimum summed instrCost a mixed three-qubit block must
-// replace before it is densified into an opU8. Below it, the dense 8×8
-// forward (8 units/amp) and its K-outer-product adjoint would cost more
-// than the instructions it absorbs, so the pass leaves the pair fusion in
-// place instead. Pure-CNOT blocks are exempt: they compile to a
-// zero-arithmetic basis permutation (opPerm8), which is cheaper than the
-// swap passes it replaces at any size.
-const u8FuseCost = 10
-
 // fuseBlocks greedily fuses each two-qubit instruction with the neighbouring
 // single-qubit runs on its qubits — and with adjacent two-qubit instructions
-// sharing its qubits — into one super-op over at most three qubits: a pair
-// block (opU4), and a two-qubit instruction that shares one qubit with an
-// open pair block may extend the block to a qubit triple, which is what
-// collapses all-pairs
-// CNOT meshes: consecutive CNOTs sharing a control land in one three-qubit
-// block. Growth is gated by a cost model: CNOT-only blocks always grow
-// (they emit as a compile-time basis permutation, opPerm8, one pass and no
-// arithmetic), while mixed blocks grow only when the instructions they
-// absorb cost at least as much as the dense 8×8 super-op (opU8) that
-// replaces them.
+// sharing its qubits — into one pair block (opU4). A CNOT that shares one
+// qubit with an open CNOT-only pair block extends the block to a qubit
+// triple, which is what collapses all-pairs CNOT meshes: consecutive CNOTs
+// sharing a control land in one three-qubit block, emitted as a
+// compile-time basis permutation (opPerm8, one pass and no arithmetic).
+// Mixed blocks never grow past a pair.
 //
 // A fused block stays open while the stream touches none of its qubits; any
 // instruction touching some but not all of the qubits it needs closes it.
@@ -518,7 +415,6 @@ func (p *Program) fuseBlocks() {
 	type block struct {
 		mask     int // qubit set; local bit order follows ascending qubit index
 		members  []int
-		cost     int  // summed instrCost of the members
 		cnotOnly bool // every member is a bare CNOT
 		open     bool
 	}
@@ -543,7 +439,6 @@ func (p *Program) fuseBlocks() {
 		b.mask |= 1 << q
 		for _, m := range pend[q] {
 			b.members = append(b.members, m)
-			b.cost += instrCost(p.ins[m].op)
 			b.cnotOnly = false
 			memberOf[m] = b
 		}
@@ -552,18 +447,10 @@ func (p *Program) fuseBlocks() {
 	}
 	addMember := func(b *block, idx int, op opcode) {
 		b.members = append(b.members, idx)
-		b.cost += instrCost(op)
 		if op != opCNOT {
 			b.cnotOnly = false
 		}
 		memberOf[idx] = b
-	}
-	pendCost := func(q int) int {
-		c := 0
-		for _, m := range pend[q] {
-			c += instrCost(p.ins[m].op)
-		}
-		return c
 	}
 	triple := func(b *block) bool { return b != nil && bits.OnesCount(uint(b.mask)) >= 3 }
 	for idx := range p.ins {
@@ -572,9 +459,8 @@ func (p *Program) fuseBlocks() {
 		case opU2, opDiag:
 			q := in.q
 			b := owner[q]
-			// A single-qubit instruction would turn a pure-CNOT triple into
-			// a dense 8×8 block; close the cheap permutation instead.
-			if b != nil && b.cnotOnly && triple(b) {
+			// Only CNOTs may join a triple; close the permutation instead.
+			if triple(b) {
 				closeBlk(b)
 				b = nil
 			}
@@ -587,29 +473,20 @@ func (p *Program) fuseBlocks() {
 			a, b := in.q, in.c
 			ba, bb := owner[a], owner[b]
 			if ba != nil && ba == bb {
-				// Keep pure-CNOT triples pure: a controlled diagonal joining
-				// one would force densification, so it closes the block and
-				// starts a fresh pair instead.
-				if !(ba.cnotOnly && triple(ba) && in.op != opCNOT) {
+				// Keep triples pure: a controlled diagonal closes the
+				// permutation and starts a fresh pair instead.
+				if !(triple(ba) && in.op != opCNOT) {
 					addMember(ba, idx, in.op)
 					continue
 				}
 				closeBlk(ba)
 				ba, bb = nil, nil
 			}
-			// Grow an open block by the unowned endpoint when the result
-			// still fits in three qubits AND the grown block is worth
-			// emitting: as a zero-arithmetic permutation (everything
-			// involved is a bare CNOT) or as a dense 8×8 block replacing at
-			// least u8FuseCost of standalone work.
+			// Grow an open pair block by the unowned endpoint only when
+			// everything involved is a bare CNOT, so the triple emits as a
+			// zero-arithmetic permutation.
 			grow := func(blk *block, other int) bool {
-				if blk == nil || bits.OnesCount(uint(blk.mask))+1 > 3 {
-					return false
-				}
-				if blk.cnotOnly && in.op == opCNOT && len(pend[other]) == 0 {
-					return true
-				}
-				return blk.cost+pendCost(other)+instrCost(in.op) >= u8FuseCost
+				return blk != nil && !triple(blk) && blk.cnotOnly && in.op == opCNOT && len(pend[other]) == 0
 			}
 			if bb == nil && grow(ba, b) {
 				absorb(ba, b)
@@ -623,12 +500,10 @@ func (p *Program) fuseBlocks() {
 			}
 			closeBlk(ba)
 			closeBlk(bb)
-			nb := &block{open: true, cnotOnly: in.op == opCNOT}
+			nb := &block{open: true, cnotOnly: true}
 			absorb(nb, a)
 			absorb(nb, b)
-			nb.members = append(nb.members, idx)
-			nb.cost += instrCost(in.op)
-			memberOf[idx] = nb
+			addMember(nb, idx, in.op)
 			blocks = append(blocks, nb)
 		default: // opEmbedAll, opDiagN: full-width barriers
 			for q := 0; q < nq; q++ {
@@ -665,19 +540,16 @@ func (p *Program) fuseBlocks() {
 			gates = append(gates, p.ins[m].gates...)
 		}
 		qs := maskQubits(b.mask)
-		switch {
-		case len(qs) == 2:
+		if len(qs) == 2 {
 			out = append(out, instr{op: opU4, q: qs[0], c: qs[1], gates: gates})
-		case b.cnotOnly:
-			in := instr{
-				op: opPerm8, q: qs[0], c: qs[1], q2: qs[2], gates: gates,
-				perm: cnotPerm8(gates, qs[0], qs[1], qs[2]),
-			}
-			in.cycles, in.invCycles = permCycles(in.perm)
-			out = append(out, in)
-		default:
-			out = append(out, instr{op: opU8, q: qs[0], c: qs[1], q2: qs[2], gates: gates})
+			continue
 		}
+		in := instr{
+			op: opPerm8, q: qs[0], c: qs[1], q2: qs[2], gates: gates,
+			perm: cnotPerm8(gates, qs[0], qs[1], qs[2]),
+		}
+		in.cycles, in.invCycles = permCycles(in.perm)
+		out = append(out, in)
 	}
 	p.ins = out
 }
@@ -817,11 +689,6 @@ func (p *Program) layout() {
 			p.ncoef += 32
 			in.dslot = p.nderiv
 			p.nderiv += 32 * len(in.params)
-		case opU8:
-			in.slot = p.ncoef
-			p.ncoef += 128
-			in.dslot = p.nderiv
-			p.nderiv += 128 * len(in.params)
 		case opU2x3:
 			// Three 2×2 factors in ascending-qubit order; each parameter's
 			// derivative is the 2×2 derivative of its own factor. The
@@ -976,54 +843,6 @@ func localBit(q, qa, qb int) int {
 	panic("qsim: gate qubit outside fused pair")
 }
 
-// mat8 is an 8×8 complex matrix as interleaved re/im pairs, row-major; the
-// local basis index has the triple's lowest qubit as bit 0.
-type mat8 [128]float64
-
-var ident8 = func() mat8 {
-	var m mat8
-	for i := 0; i < 8; i++ {
-		m[(i*8+i)*2] = 1
-	}
-	return m
-}()
-
-// mul8 returns a·b.
-func mul8(a, b mat8) mat8 {
-	var out mat8
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			var re, im float64
-			for k := 0; k < 8; k++ {
-				ar, ai := a[(r*8+k)*2], a[(r*8+k)*2+1]
-				br, bi := b[(k*8+c)*2], b[(k*8+c)*2+1]
-				re += ar*br - ai*bi
-				im += ar*bi + ai*br
-			}
-			out[(r*8+c)*2], out[(r*8+c)*2+1] = re, im
-		}
-	}
-	return out
-}
-
-// embed2in8 lifts a 2×2 matrix acting on local bit pos (0, 1 or 2) into the
-// 8-dim triple subspace.
-func embed2in8(u mat2, pos int) mat8 {
-	var out mat8
-	mask := 1 << pos
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			if r&^mask != c&^mask {
-				continue
-			}
-			rb, cb := (r>>pos)&1, (c>>pos)&1
-			out[(r*8+c)*2] = u[rb*4+cb*2]
-			out[(r*8+c)*2+1] = u[rb*4+cb*2+1]
-		}
-	}
-	return out
-}
-
 // localBit3 returns the local bit position of qubit q within the triple
 // (qa, qb, qc), qa < qb < qc.
 func localBit3(q, qa, qb, qc int) int {
@@ -1036,62 +855,6 @@ func localBit3(q, qa, qb, qc int) int {
 		return 2
 	}
 	panic("qsim: gate qubit outside fused triple")
-}
-
-// gateMat8 returns the 8×8 matrix of gate g within the triple (qa, qb, qc).
-func gateMat8(g Gate, theta []float64, qa, qb, qc int) mat8 {
-	switch g.Kind {
-	case RX, RY, RZ:
-		return embed2in8(gateMat2(g, theta), localBit3(g.Q, qa, qb, qc))
-	case CNOT:
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		var m mat8
-		for col := 0; col < 8; col++ {
-			row := col
-			if col&(1<<pc) != 0 {
-				row = col ^ (1 << pt)
-			}
-			m[(row*8+col)*2] = 1
-		}
-		return m
-	case CRZ:
-		c, s := cosHalf(theta[g.P]), sinHalf(theta[g.P])
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		var m mat8
-		for j := 0; j < 8; j++ {
-			switch {
-			case j&(1<<pc) == 0:
-				m[(j*8+j)*2] = 1
-			case j&(1<<pt) == 0:
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = c, -s
-			default:
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = c, s
-			}
-		}
-		return m
-	}
-	panic("qsim: gateMat8 on unsupported gate")
-}
-
-// dgateMat8 returns dU/dθ of gate g within the triple (qa, qb, qc).
-func dgateMat8(g Gate, theta []float64, qa, qb, qc int) mat8 {
-	if g.Kind == CRZ {
-		c, s := cosHalf(theta[g.P]), sinHalf(theta[g.P])
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		var m mat8
-		for j := 0; j < 8; j++ {
-			if j&(1<<pc) == 0 {
-				continue
-			}
-			if j&(1<<pt) == 0 {
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = -s/2, -c/2
-			} else {
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = -s/2, c/2
-			}
-		}
-		return m
-	}
-	return embed2in8(dgateMat2(g, theta), localBit3(g.Q, qa, qb, qc))
 }
 
 // gateMat4 returns the 4×4 matrix of gate g within the pair (qa, qb).
@@ -1181,12 +944,6 @@ func (p *Program) FillCoeffs(theta, dst []float64) {
 				u = mul4(gateMat4(g, theta, in.q, in.c), u)
 			}
 			copy(dst[in.slot:in.slot+32], u[:])
-		case opU8:
-			u := gateMat8(in.gates[0], theta, in.q, in.c, in.q2)
-			for _, g := range in.gates[1:] {
-				u = mul8(gateMat8(g, theta, in.q, in.c, in.q2), u)
-			}
-			copy(dst[in.slot:in.slot+128], u[:])
 		case opU2x3:
 			// Three independent factors: each is the product of the fused
 			// run's gates on its own qubit (the factors commute, so splitting
@@ -1259,9 +1016,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 				pre = mul2(mats[i], pre)
 			}
 		case opU4:
-			if in.logDeriv {
-				continue // the adjoint fast path never reads these slots
-			}
 			k := len(in.gates)
 			mats := make([]mat4, k)
 			for i, g := range in.gates {
@@ -1281,27 +1035,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 					di++
 				}
 				pre = mul4(mats[i], pre)
-			}
-		case opU8:
-			k := len(in.gates)
-			mats := make([]mat8, k)
-			for i, g := range in.gates {
-				mats[i] = gateMat8(g, theta, in.q, in.c, in.q2)
-			}
-			suf := make([]mat8, k)
-			suf[k-1] = ident8
-			for i := k - 2; i >= 0; i-- {
-				suf[i] = mul8(suf[i+1], mats[i+1])
-			}
-			pre := ident8
-			di := 0
-			for i, g := range in.gates {
-				if g.P >= 0 {
-					d := mul8(suf[i], mul8(dgateMat8(g, theta, in.q, in.c, in.q2), pre))
-					copy(dst[in.dslot+128*di:in.dslot+128*di+128], d[:])
-					di++
-				}
-				pre = mul8(mats[i], pre)
 			}
 		case opU2x3:
 			if in.logDeriv {

@@ -62,8 +62,9 @@ func randomCircuit(rng *rand.Rand, nq int, reupload bool) *Circuit {
 // compilerCorpus is the differential-testing corpus for the compiler: the
 // hand-picked circuits first — each one shaped to reach an instruction form
 // the built-in ansätze never emit (lone diagonals, a lone controlled
-// diagonal, a dense 8×8 block, log-derivative and dense 4×4 blocks) — then
-// a seeded random fill over 3–5 qubits, with and without re-uploading.
+// diagonal, single-parameter and dense 4×4 blocks, a rotation-dense triple)
+// — then a seeded random fill over 3–5 qubits, with and without
+// re-uploading.
 func compilerCorpus() []*Circuit {
 	rx := func(q int) Gate { return Gate{RX, q, -1, 0} }
 	ry := func(q int) Gate { return Gate{RY, q, -1, 0} }
@@ -74,8 +75,7 @@ func compilerCorpus() []*Circuit {
 		// A lone RZ beside a lone CNOT: opDiag and opCNOT survive fusion.
 		specCircuit("lone-rz", 3, false, []Gate{rz(0), cnot(1, 2)}),
 		// A CRZ block closed by a CNOT it cannot grow into (opCtrlDiag),
-		// then an RZ on the CNOT's control, which commutes with it: a
-		// log-derivative opU4.
+		// then an RZ joining the CNOT's pair: a single-parameter opU4.
 		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rz(0)}),
 		// Two parametrized gates in one pair block: a dense-path opU4.
 		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
@@ -88,8 +88,12 @@ func compilerCorpus() []*Circuit {
 		specCircuit("perm8", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
 		// CRZs on different pairs with nothing between: one opDiagN.
 		specCircuit("diagN", 4, true, []Gate{crz(0, 1), crz(1, 2), crz(3, 0)}, []Gate{crz(2, 3), rz(1)}),
-		// Rotation-dense three-qubit block: one dense opU8.
+		// A rotation-dense three-qubit block: pair blocks and lone
+		// instructions, since only CNOT-only blocks grow to a triple.
 		denseTripleCircuit(),
+		// One parametrized rotation behind a CNOT in each of two disjoint
+		// pair blocks, on the target (RX) and on the control (RZ).
+		specCircuit("entangled-rotations", 4, false, []Gate{cnot(0, 1), rx(1), cnot(2, 3), rz(2)}),
 	}
 	rng := rand.New(rand.NewSource(517))
 	for len(corpus) < 48 {
@@ -103,11 +107,14 @@ func compilerCorpus() []*Circuit {
 // instruction stream must equal the gate-by-gate dense product of the
 // source circuit, and the sharded engine executing the program must match
 // the legacy per-gate engine to 1e-10. This pins every fusion pass —
-// single-qubit runs, diagonal merges, 4×4/8×8 entangler blocks,
-// permutations, grouped triples, full-register diagonals — and the kernels
-// behind each instruction form. Across the corpus every opcode and both
-// log-derivative variants of opU2/opU4/opU2x3 must be emitted, so a kernel
-// the compiler can no longer reach fails here instead of rotting.
+// single-qubit runs, diagonal merges, 4×4 entangler blocks, permutations,
+// grouped triples, full-register diagonals — and the kernels behind each
+// instruction form. The sharded adjoint's dTheta must also equal the
+// parameter-shift gradient contracted with the upstream weights to 1e-9,
+// an oracle that shares no code with either engine. Across the corpus every
+// opcode and both log-derivative variants of opU2/opU2x3 must be emitted,
+// so a kernel the compiler can no longer reach fails here instead of
+// rotting.
 func TestProgramNetUnitaryOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	type form struct {
@@ -156,11 +163,25 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 				t.Errorf("%s %v: sharded %s diverges from legacy by %v", circ.Name, circ.Gates, name, d)
 			}
 		}
+
+		// Parameter-shift oracle (four-term rule for CRZ) on the value
+		// readout alone: dTheta_p = Σ_i gz[i]·∂z_i/∂θ_p.
+		plain := runEngine(EngineSharded, circ, n, angles, nil, theta, gz, nil)
+		shift := ParameterShiftGrad(circ, angles, theta, n)
+		for p := range shift {
+			var want float64
+			for i, g := range shift[p] {
+				want += gz[i] * g
+			}
+			if d := math.Abs(plain.dTheta[p] - want); d > 1e-9 {
+				t.Errorf("%s %v: param %d adjoint %v vs parameter shift %v", circ.Name, circ.Gates, p, plain.dTheta[p], want)
+			}
+		}
 	}
 	want := []form{
 		{opEmbedAll, false}, {opCNOT, false}, {opDiag, false}, {opCtrlDiag, false},
-		{opDiagN, false}, {opPerm8, false}, {opU8, false},
-		{opU2, false}, {opU2, true}, {opU4, false}, {opU4, true}, {opU2x3, false}, {opU2x3, true},
+		{opDiagN, false}, {opPerm8, false},
+		{opU2, false}, {opU2, true}, {opU4, false}, {opU2x3, false}, {opU2x3, true},
 	}
 	for _, f := range want {
 		if !seen[f] {
@@ -196,8 +217,6 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 				width = 8
 			case opU4:
 				width = 32
-			case opU8:
-				width = 128
 			default:
 				continue
 			}
@@ -311,11 +330,10 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 	}
 }
 
-// denseTripleCircuit builds a rotation-dense three-qubit block: two full
-// rotation walls around a CNOT make the couple-then-grow step pass the
-// u8FuseCost gate, so the whole sequence collapses into one dense 8×8
-// super-op. Used to pin the opU8 path now that the cost model keeps the
-// standard ansätze on cheaper forms (pair blocks, permutations, triples).
+// denseTripleCircuit builds a rotation-dense three-qubit block: rotation
+// walls around CNOTs chaining qubits 0–1–2 and a closing CRZ. Block fusion
+// grows only CNOT-only blocks to a triple, so this shape pins the pair-block
+// fallback for mixed three-qubit sequences.
 func denseTripleCircuit() *Circuit {
 	var gates []Gate
 	p := 0
@@ -334,89 +352,6 @@ func denseTripleCircuit() *Circuit {
 	gates = append(gates, Gate{CRZ, 2, 0, p})
 	p++
 	return &Circuit{Name: "dense-triple", NumQubits: 3, Gates: gates, NumParams: p}
-}
-
-// TestProgramDenseTripleBlock pins the dense 8×8 super-op: the
-// rotation-dense probe circuit must compile into a single opU8 whose
-// net unitary matches the gate product, whose derivative slots match
-// finite differences, and whose execution agrees with every other engine.
-func TestProgramDenseTripleBlock(t *testing.T) {
-	circ := denseTripleCircuit()
-	prog := CompileProgram(circ)
-	nU8 := 0
-	for i := range prog.ins {
-		if prog.ins[i].op == opU8 {
-			nU8++
-		}
-	}
-	if nU8 != 1 || prog.NumInstructions() != 2 { // embed + one dense block
-		t.Fatalf("dense triple: %d instructions, %d opU8 (want 2, 1)", prog.NumInstructions(), nU8)
-	}
-
-	rng := rand.New(rand.NewSource(77))
-	theta := randTheta(rng, circ.NumParams)
-
-	// Net-unitary oracle.
-	dim := 1 << circ.NumQubits
-	ref := eye(dim)
-	for _, g := range circ.Gates {
-		ref = expand(g, theta, circ.NumQubits).mul(ref)
-	}
-	coeff := make([]float64, prog.NumCoeffs())
-	prog.FillCoeffs(theta, coeff)
-	got := progNetMatrix(prog, coeff)
-	for i := range ref.data {
-		if cmplx.Abs(got.data[i]-ref.data[i]) > 1e-12 {
-			t.Fatalf("dense triple net unitary diverges at %d", i)
-		}
-	}
-
-	// Derivative-slot oracle against central finite differences.
-	const eps = 1e-6
-	deriv := make([]float64, prog.nderiv)
-	prog.FillDerivCoeffs(theta, deriv)
-	plus := make([]float64, prog.ncoef)
-	minus := make([]float64, prog.ncoef)
-	tweak := append([]float64(nil), theta...)
-	for _, in := range prog.ins {
-		if in.op != opU8 {
-			continue
-		}
-		for pi, p := range in.params {
-			tweak[p] = theta[p] + eps
-			prog.FillCoeffs(tweak, plus)
-			tweak[p] = theta[p] - eps
-			prog.FillCoeffs(tweak, minus)
-			tweak[p] = theta[p]
-			for i := 0; i < 128; i++ {
-				fd := (plus[in.slot+i] - minus[in.slot+i]) / (2 * eps)
-				if math.Abs(fd-deriv[in.dslot+128*pi+i]) > 1e-8 {
-					t.Fatalf("opU8 param %d coeff %d: analytic %v vs finite-diff %v",
-						p, i, deriv[in.dslot+128*pi+i], fd)
-				}
-			}
-		}
-	}
-
-	// Full engine parity (forward, tangents, adjoint gradients).
-	n, nq := 4, 3
-	angles := randAngles(rng, n, nq)
-	tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-	gz := randAngles(rng, n, nq)
-	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-	refRes := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
-		gotRes := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
-		//torq:allow maprange -- independent per-series assertions
-		for name, pair := range map[string][2][]float64{
-			"z": {refRes.z, gotRes.z}, "dAngles": {refRes.dAngles, gotRes.dAngles},
-			"dTheta": {refRes.dTheta, gotRes.dTheta},
-		} {
-			if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
-				t.Errorf("engine=%v: %s diverges by %v", kind, name, d)
-			}
-		}
-	}
 }
 
 // TestProgramDiagNSigns pins the structure of the full-register diagonal

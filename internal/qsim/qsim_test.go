@@ -578,20 +578,38 @@ func reuploadRef(circ *Circuit, angles, theta []float64, n int) []float64 {
 }
 
 // TestReuploadForwardMatchesReference: the PQC runner with Reupload set
-// reproduces the obvious (embedding, layer)* composition.
+// reproduces the obvious (embedding, layer)* composition, and so do the
+// plain execution paths EvalZ and FinalState, on every ansatz and on every
+// re-uploading circuit of the compiler corpus.
 func TestReuploadForwardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh, NoEntanglement} {
-		circ := a.Build(3, 3).WithReupload()
-		n := 4
-		angles := randAngles(rng, n, 3)
+	var circs []*Circuit
+	for _, a := range AllAnsatze {
+		circs = append(circs, a.Build(3, 3).WithReupload())
+	}
+	for _, c := range compilerCorpus() {
+		if c.Reupload {
+			circs = append(circs, c)
+		}
+	}
+	for _, circ := range circs {
+		n, nq := 4, circ.NumQubits
+		angles := randAngles(rng, n, nq)
 		theta := randTheta(rng, circ.NumParams)
-		ws := NewWorkspace(n, 3)
+		ws := NewWorkspace(n, nq)
 		z, _ := (&PQC{Circ: circ}).Forward(ws, angles, nil, theta)
-		ref := reuploadRef(circ, angles, theta, n)
-		for i := range z {
-			if math.Abs(z[i]-ref[i]) > 1e-12 {
-				t.Fatalf("%v: reupload forward %v vs ref %v at %d", a, z[i], ref[i], i)
+		fromState := make([]float64, n*nq)
+		FinalState(circ, angles, theta, n).ExpZ(fromState)
+		for _, c := range []struct {
+			name string
+			got  []float64
+		}{
+			{"reference", reuploadRef(circ, angles, theta, n)},
+			{"EvalZ", EvalZ(circ, angles, theta, n)},
+			{"FinalState", fromState},
+		} {
+			if d := maxAbsDiff(z, c.got); d > 1e-12 {
+				t.Errorf("%s: sharded Forward vs %s differ by %v", circ.Name, c.name, d)
 			}
 		}
 	}

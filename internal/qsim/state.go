@@ -272,53 +272,6 @@ func (s *State) applyU4Range(lo, hi, qa, qb int, u *[32]float64) {
 	}
 }
 
-// applyU8Range applies an arbitrary 8×8 unitary on the qubit triple
-// (qa, qb, qc), qa < qb < qc, given row-major as interleaved re/im pairs
-// with qa as bit 0 of the local basis index — the kernel behind fused
-// three-qubit entangler blocks.
-//
-//torq:hotpath
-func (s *State) applyU8Range(lo, hi, qa, qb, qc int, u *[128]float64) {
-	sa, sb, sc := 1<<qa, 1<<qb, 1<<qc
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	var idx [8]int
-	var xr, xi [8]float64
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for b1 := 0; b1 < dim; b1 += sc << 1 {
-			for b2 := b1; b2 < b1+sc; b2 += sb << 1 {
-				for b3 := b2; b3 < b2+sb; b3 += sa << 1 {
-					for j := b3; j < b3+sa; j++ {
-						i0 := off + j
-						idx[0] = i0
-						idx[1] = i0 + sa
-						idx[2] = i0 + sb
-						idx[3] = i0 + sa + sb
-						idx[4] = i0 + sc
-						idx[5] = i0 + sa + sc
-						idx[6] = i0 + sb + sc
-						idx[7] = i0 + sa + sb + sc
-						for t := 0; t < 8; t++ {
-							xr[t], xi[t] = re[idx[t]], im[idx[t]]
-						}
-						for r := 0; r < 8; r++ {
-							var sumR, sumI float64
-							row := u[r*16 : r*16+16]
-							for k := 0; k < 8; k++ {
-								ur, ui := row[2*k], row[2*k+1]
-								sumR += ur*xr[k] - ui*xi[k]
-								sumI += ur*xi[k] + ui*xr[k]
-							}
-							re[idx[r]], im[idx[r]] = sumR, sumI
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // applyU2x3Range applies three independent 2×2 unitaries on the distinct
 // qubits (qa, qb, qc), qa < qb < qc, in one pass over each 8-amplitude
 // group: u holds the factors as three interleaved-re/im 2×2 blocks in
