@@ -135,7 +135,7 @@ func (t *Tape) backprop(n *node) {
 		na, nb := &t.nodes[n.a], &t.nodes[n.b]
 		rows, k, m := int(na.rows), int(na.cols), int(nb.cols)
 		if da := t.gradOf(n.a); da != nil {
-			mmNTAcc(da, g, nb.val, rows, m, k)
+			mmNTAcc(da, g, nb.val, &t.panel, rows, m, k)
 		}
 		if db := t.gradOf(n.b); db != nil {
 			mmTNAcc(db, na.val, g, rows, k, m)
@@ -143,7 +143,7 @@ func (t *Tape) backprop(n *node) {
 	case OpMatMulC:
 		na := &t.nodes[n.a]
 		if da := t.gradOf(n.a); da != nil {
-			mmNTAcc(da, g, n.cm, int(na.rows), int(n.cmCols), int(na.cols))
+			mmNTAcc(da, g, n.cm, &t.panel, int(na.rows), int(n.cmCols), int(na.cols))
 		}
 	case OpAddBias:
 		if da := t.gradOf(n.a); da != nil {

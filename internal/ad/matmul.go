@@ -6,15 +6,26 @@ import (
 	"repro/internal/par"
 )
 
-// The three GEMM kernels below are register-tiled: each computes a 2×4
-// block of C in eight scalar accumulators with the reduction loop innermost,
-// and handles the remainder rows and columns with narrower tiles of the
-// same loop. Every element of C still accumulates its terms in one fixed
-// order that depends on the shape alone — reduction index ascending, mmAcc
-// and mmTNAcc starting from C's existing value, mmNTAcc summing into a zero
-// local that is then added to C — so the result is the same for any tiling
-// and any par chunking, and equals a plain triple loop bit for bit on finite
-// inputs (up to the sign of a -0 in C that receives only zero terms).
+// The three GEMM kernels below compute every element of C in one order
+// fixed by the shape alone: reduction index ascending, mmAcc and mmTNAcc
+// starting from C's existing value, mmNTAcc summing into a zero local that is
+// then added to C. Each term is one rounded multiply followed by one rounded
+// add, never a fused multiply-add. So the result is the same for any tiling,
+// any par chunking and either kernel family below, and equals a plain triple
+// loop bit for bit on finite inputs (up to the sign of a -0 in C that
+// receives only zero terms).
+//
+// There are two kernel families. The pure-Go range functions compute 2×4
+// tiles of C in eight scalar accumulators with the reduction loop innermost
+// and narrower tiles for the remainder rows and columns. On amd64 with AVX2,
+// an assembly micro-kernel (matmul_amd64.s) computes 4×8 tiles instead: its
+// lanes run across C's columns, each holding one element's accumulator, and
+// every reduction step is a broadcast, a per-lane VMULPD and a per-lane
+// VADDPD. A lane therefore performs exactly the scalar code's operations in
+// the scalar code's order. The assembly covers the full tiles of a range;
+// the remainder rows and columns, narrow layers (fewer than 8 output
+// columns) and every other architecture take the pure-Go path, which is
+// also the oracle the assembly is tested against.
 //
 // Every product is accumulated, zeros included: a NaN or ±Inf in either
 // operand reaches C even where the other operand is exactly zero
@@ -23,6 +34,10 @@ import (
 //
 // Each kernel is a thin par.ForGrain wrapper around a serial range function
 // that owns a disjoint block of C's rows.
+
+// useSIMD selects the assembly micro-kernels for full 4×8 tiles. It is set
+// once from the CPU's features; tests clear it to run the pure-Go path.
+var useSIMD = hasAVX2
 
 // mmAcc computes C += A(n×k)·B(k×m) in row-major order, parallel over rows
 // of A.
@@ -34,13 +49,26 @@ func mmAcc(c, a, b []float64, n, k, m int) {
 //
 //torq:hotpath
 func mmAccRange(c, a, b []float64, k, m, s, e int) {
+	if useSIMD && m >= 8 && e-s >= 4 && k > 0 {
+		r, w := s+(e-s)&^3, m&^7
+		simdTiles(c[s*m:], a[s*k:], b, r-s, w, k, m, k, 1, false)
+		mmAccGo(c, a, b, k, m, s, r, w)
+		s = r
+	}
+	mmAccGo(c, a, b, k, m, s, e, 0)
+}
+
+// mmAccGo is the pure-Go mmAcc over rows [s, e) and columns [j0, m) of C.
+//
+//torq:hotpath
+func mmAccGo(c, a, b []float64, k, m, s, e, j0 int) {
 	i := s
 	for ; i+2 <= e; i += 2 {
 		a0 := a[i*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k][:len(a0)]
 		c0 := c[i*m : (i+1)*m]
 		c1 := c[(i+1)*m : (i+2)*m][:len(c0)]
-		j := 0
+		j := j0
 		for ; j+4 <= m; j += 4 {
 			c00, c01, c02, c03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
 			c10, c11, c12, c13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
@@ -76,7 +104,7 @@ func mmAccRange(c, a, b []float64, k, m, s, e int) {
 	if i < e {
 		a0 := a[i*k : (i+1)*k]
 		c0 := c[i*m : (i+1)*m]
-		for j := range c0 {
+		for j := j0; j < m; j++ {
 			cj := c0[j]
 			o := j
 			for _, x0 := range a0 {
@@ -90,22 +118,61 @@ func mmAccRange(c, a, b []float64, k, m, s, e int) {
 
 // mmNTAcc computes C += A(n×m)·Bᵀ where B is k×m, giving C of shape n×k.
 // This is the dA = dC·Wᵀ step of the MatMul backward, in dot-product form,
-// parallel over rows of A.
-func mmNTAcc(c, a, b []float64, n, m, k int) {
-	par.ForGrain(n, k*m, func(s, e int) { mmNTAccRange(c, a, b, m, k, s, e) })
+// parallel over rows of A. panel is the caller's reusable buffer for the
+// packed Bᵀ the SIMD kernel reads.
+func mmNTAcc(c, a, b []float64, panel *[]float64, n, m, k int) {
+	bt := ntPanel(panel, b, n, m, k)
+	par.ForGrain(n, k*m, func(s, e int) { mmNTAccRange(c, a, b, bt, m, k, s, e) })
 }
 
-// mmNTAccRange is mmNTAcc over rows [s, e) of A and C.
+// ntPanel packs Bᵀ (m×k) of the k×m matrix b into *buf, growing it only when
+// it is too small, so the SIMD kernel can read B's columns as contiguous
+// rows. The copy moves values without arithmetic, so it cannot change any
+// sum. ntPanel returns nil, selecting the pure-Go path, when the SIMD path
+// does not apply: no AVX2, fewer than 8 output columns or 4 rows, or no
+// terms to sum.
+func ntPanel(buf *[]float64, b []float64, n, m, k int) []float64 {
+	if !useSIMD || k < 8 || n < 4 || m == 0 {
+		return nil
+	}
+	if cap(*buf) < k*m {
+		*buf = make([]float64, k*m)
+	}
+	bt := (*buf)[:k*m]
+	for j := 0; j < k; j++ {
+		for l, v := range b[j*m : (j+1)*m] {
+			bt[l*k+j] = v
+		}
+	}
+	return bt
+}
+
+// mmNTAccRange is mmNTAcc over rows [s, e) of A and C. bt is ntPanel's
+// packed Bᵀ, or nil for the pure-Go path.
 //
 //torq:hotpath
-func mmNTAccRange(c, a, b []float64, m, k, s, e int) {
+func mmNTAccRange(c, a, b, bt []float64, m, k, s, e int) {
+	if bt != nil && e-s >= 4 {
+		r, w := s+(e-s)&^3, k&^7
+		simdTiles(c[s*k:], a[s*m:], bt, r-s, w, m, k, m, 1, true)
+		mmNTAccGo(c, a, b, m, k, s, r, w)
+		s = r
+	}
+	mmNTAccGo(c, a, b, m, k, s, e, 0)
+}
+
+// mmNTAccGo is the pure-Go mmNTAcc over rows [s, e) and columns [j0, k) of
+// C.
+//
+//torq:hotpath
+func mmNTAccGo(c, a, b []float64, m, k, s, e, j0 int) {
 	i := s
 	for ; i+2 <= e; i += 2 {
 		a0 := a[i*m : (i+1)*m]
 		a1 := a[(i+1)*m : (i+2)*m][:len(a0)]
 		c0 := c[i*k : (i+1)*k]
 		c1 := c[(i+1)*k : (i+2)*k][:len(c0)]
-		j := 0
+		j := j0
 		for ; j+4 <= k; j += 4 {
 			b0 := b[j*m : (j+1)*m][:len(a0)]
 			b1 := b[(j+1)*m : (j+2)*m][:len(a0)]
@@ -147,7 +214,7 @@ func mmNTAccRange(c, a, b []float64, m, k, s, e int) {
 	if i < e {
 		a0 := a[i*m : (i+1)*m]
 		c0 := c[i*k : (i+1)*k]
-		for j := range c0 {
+		for j := j0; j < k; j++ {
 			bj := b[j*m : (j+1)*m][:len(a0)]
 			var s0 float64
 			for l, x0 := range a0 {
@@ -170,11 +237,25 @@ func mmTNAcc(c, a, b []float64, n, k, m int) {
 //
 //torq:hotpath
 func mmTNAccRange(c, a, b []float64, n, k, m, s, e int) {
+	if useSIMD && m >= 8 && e-s >= 4 && n > 0 {
+		r, w := s+(e-s)&^3, m&^7
+		simdTiles(c[s*m:], a[s:], b, r-s, w, n, m, 1, k, false)
+		mmTNAccGo(c, a, b, n, k, m, s, r, w)
+		s = r
+	}
+	mmTNAccGo(c, a, b, n, k, m, s, e, 0)
+}
+
+// mmTNAccGo is the pure-Go mmTNAcc over rows [s, e) and columns [j0, m) of
+// C.
+//
+//torq:hotpath
+func mmTNAccGo(c, a, b []float64, n, k, m, s, e, j0 int) {
 	l := s
 	for ; l+2 <= e; l += 2 {
 		c0 := c[l*m : (l+1)*m]
 		c1 := c[(l+1)*m : (l+2)*m][:len(c0)]
-		j := 0
+		j := j0
 		for ; j+4 <= m; j += 4 {
 			c00, c01, c02, c03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
 			c10, c11, c12, c13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
@@ -213,7 +294,7 @@ func mmTNAccRange(c, a, b []float64, n, k, m, s, e int) {
 	}
 	if l < e {
 		c0 := c[l*m : (l+1)*m]
-		for j := range c0 {
+		for j := j0; j < m; j++ {
 			cj := c0[j]
 			ao, bo := l, j
 			for i := 0; i < n; i++ {
@@ -223,6 +304,24 @@ func mmTNAccRange(c, a, b []float64, n, k, m, s, e int) {
 			}
 			c0[j] = cj
 		}
+	}
+}
+
+// simdTiles runs the assembly micro-kernel over a rows×cols block of C with
+// row stride ldc, rows a multiple of 4 and cols a multiple of 8, summing red
+// ≥ 1 terms per element. Term l of row r of A is a[r*aRow+l*aRed]; term l of
+// B is b's row l, stride ldc. fresh sums each tile into zeroed accumulators
+// that are then added to C, mmNTAcc's order; otherwise the accumulators
+// start from C. The reslicing below is the assembly's bounds check: it
+// panics unless every element the kernel touches is in range.
+//
+//torq:hotpath
+func simdTiles(c, a, b []float64, rows, cols, red, ldc, aRow, aRed int, fresh bool) {
+	c = c[:(rows-1)*ldc+cols]
+	a = a[:(rows-1)*aRow+(red-1)*aRed+1]
+	b = b[:(red-1)*ldc+cols]
+	for i := 0; i < rows; i += 4 {
+		gemm4x8(c[i*ldc:], a[i*aRow:], b, cols, red, ldc, aRow, aRed, fresh)
 	}
 }
 

@@ -1,0 +1,140 @@
+#include "textflag.h"
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)
+//
+// Registers: CX C tile, DI B tile, R13 B row, AX A rows, SI A term, BX terms
+// left, DX tiles left; R8/R9 = 1×/3× A's row stride, R10 = A's term stride,
+// R11/R12 = 1×/3× ldc, all in bytes. Y0–Y7 accumulate rows 0–3, columns
+// 0–3 and 4–7; Y8/Y9 hold B's row, Y10/Y13 the broadcast A term, Y11/Y12/
+// Y14/Y15 the products.
+TEXT ·gemm4x8(SB), NOSPLIT, $0-113
+	MOVQ c_base+0(FP), CX
+	MOVQ a_base+24(FP), AX
+	MOVQ b_base+48(FP), DI
+	MOVQ cols+72(FP), DX
+	MOVQ ldc+88(FP), R11
+	MOVQ aRow+96(FP), R8
+	MOVQ aRed+104(FP), R10
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R12
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	SHLQ $3, R10
+	SHRQ $3, DX
+	JZ   done
+
+tile:
+	MOVQ AX, SI
+	MOVQ DI, R13
+	MOVQ red+80(FP), BX
+	CMPB fresh+112(FP), $0
+	JNE  zero
+	VMOVUPD (CX), Y0
+	VMOVUPD 32(CX), Y1
+	VMOVUPD (CX)(R11*1), Y2
+	VMOVUPD 32(CX)(R11*1), Y3
+	VMOVUPD (CX)(R11*2), Y4
+	VMOVUPD 32(CX)(R11*2), Y5
+	VMOVUPD (CX)(R12*1), Y6
+	VMOVUPD 32(CX)(R12*1), Y7
+	JMP  term
+
+zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	// Start the loop on a cache line: its body then spans two lines, and
+	// its closing jump crosses no 32-byte boundary, which the Skylake
+	// JCC-erratum microcode would send to the slow legacy decoders.
+	PCALIGN $64
+
+term:
+	VMOVUPD      (R13), Y8
+	VMOVUPD      32(R13), Y9
+	VBROADCASTSD (SI), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y1, Y1
+	VBROADCASTSD (SI)(R8*1), Y13
+	VMULPD       Y8, Y13, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y15, Y3, Y3
+	VBROADCASTSD (SI)(R8*2), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y4, Y4
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y5, Y5
+	VBROADCASTSD (SI)(R9*1), Y13
+	VMULPD       Y8, Y13, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y15, Y7, Y7
+	ADDQ         R10, SI
+	ADDQ         R11, R13
+	DECQ         BX
+	JNZ          term
+
+	CMPB fresh+112(FP), $0
+	JEQ  store
+	// C += sum, with C as the first operand like the scalar c += s.
+	VMOVUPD (CX), Y8
+	VADDPD  Y0, Y8, Y0
+	VMOVUPD 32(CX), Y9
+	VADDPD  Y1, Y9, Y1
+	VMOVUPD (CX)(R11*1), Y10
+	VADDPD  Y2, Y10, Y2
+	VMOVUPD 32(CX)(R11*1), Y11
+	VADDPD  Y3, Y11, Y3
+	VMOVUPD (CX)(R11*2), Y12
+	VADDPD  Y4, Y12, Y4
+	VMOVUPD 32(CX)(R11*2), Y13
+	VADDPD  Y5, Y13, Y5
+	VMOVUPD (CX)(R12*1), Y14
+	VADDPD  Y6, Y14, Y6
+	VMOVUPD 32(CX)(R12*1), Y15
+	VADDPD  Y7, Y15, Y7
+
+store:
+	VMOVUPD Y0, (CX)
+	VMOVUPD Y1, 32(CX)
+	VMOVUPD Y2, (CX)(R11*1)
+	VMOVUPD Y3, 32(CX)(R11*1)
+	VMOVUPD Y4, (CX)(R11*2)
+	VMOVUPD Y5, 32(CX)(R11*2)
+	VMOVUPD Y6, (CX)(R12*1)
+	VMOVUPD Y7, 32(CX)(R12*1)
+	ADDQ    $64, CX
+	ADDQ    $64, DI
+	DECQ    DX
+	JNZ     tile
+
+done:
+	VZEROUPPER
+	RET

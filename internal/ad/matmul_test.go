@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -75,6 +80,9 @@ type gemmCase struct {
 	ref        func(c, x, y []float64, n, k, m int)
 }
 
+// testPanel is the NT cases' packed-Bᵀ buffer, reused like Tape.panel.
+var testPanel []float64
+
 var gemmCases = []gemmCase{
 	{
 		name: "NN", // C(n×m) += X·W, the forward
@@ -97,10 +105,10 @@ var gemmCases = []gemmCase{
 		c:    func(n, k, m int) int { return n * k },
 		rows: func(n, k, m int) int { return n },
 		kernel: func(c, x, y []float64, n, k, m int) {
-			mmNTAcc(c, x, y, n, m, k)
+			mmNTAcc(c, x, y, &testPanel, n, m, k)
 		},
 		kernelRows: func(c, x, y []float64, n, k, m, s, e int) {
-			mmNTAccRange(c, x, y, m, k, s, e)
+			mmNTAccRange(c, x, y, ntPanel(&testPanel, y, n, m, k), m, k, s, e)
 		},
 		ref: func(c, x, y []float64, n, k, m int) { refMMNTAcc(c, x, y, n, m, k) },
 	},
@@ -136,6 +144,29 @@ func gemmFill(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	return s
 }
 
+// onBothPaths runs f as subtest "simd", with the assembly micro-kernels
+// taking every full 4×8 tile, and as subtest "go", with the pure-Go kernels
+// alone. The simd run is skipped on CPUs without AVX2.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	defer func(v bool) { useSIMD = v }(useSIMD)
+	for _, simd := range []bool{true, false} {
+		t.Run(pathName(simd), func(t *testing.T) {
+			if simd && !hasAVX2 {
+				t.Skip("no AVX2 on this CPU")
+			}
+			useSIMD = simd
+			f(t)
+		})
+	}
+}
+
+func pathName(simd bool) string {
+	if simd {
+		return "simd"
+	}
+	return "go"
+}
+
 func sameBits(a, b []float64) (int, bool) {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -145,19 +176,34 @@ func sameBits(a, b []float64) (int, bool) {
 	return -1, true
 }
 
-// TestGEMMMatchesOracle pins the tiled kernels to the triple-loop oracle bit
-// for bit: hand-picked shapes covering full tiles, every row and column
-// remainder and the vacuum workload's layers, then seeded random shapes;
-// operands with 25% exact zeros and C non-zero on entry; under 1, 2 and 3
-// workers, and through the range functions over uneven row splits. Together
-// these pin that each element's accumulation order is a function of the
-// shape alone.
+// TestGEMMMatchesOracle pins both kernel families to the triple-loop oracle
+// bit for bit: hand-picked shapes covering full tiles, every 2×4 and 4×8
+// tile edge in each dimension, an empty reduction, the vacuum and
+// paper-infer workloads' layers, then seeded random shapes; operands with
+// 25% exact zeros and C non-zero on entry; under 1, 2 and 3 workers, and
+// through the range functions over uneven row splits whose bounds are
+// mostly not multiples of 4. Together these pin that each element's
+// accumulation order is a function of the shape alone.
 func TestGEMMMatchesOracle(t *testing.T) {
+	onBothPaths(t, testGEMMMatchesOracle)
+}
+
+func testGEMMMatchesOracle(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	shapes := [][3]int{
 		{1, 1, 1}, {2, 4, 4}, {3, 3, 3}, {4, 4, 4}, {5, 2, 7}, {7, 5, 9},
 		{24, 24, 24}, {3, 24, 5}, {513, 33, 31},
+		{4, 0, 8}, {9, 0, 17}, {0, 8, 8},
 		{1000, 48, 32}, {1000, 32, 32}, {1000, 32, 4}, {1000, 32, 3}, {1000, 4, 3},
+		{2304, 256, 128}, {2304, 128, 128},
+	}
+	edges := []int{3, 4, 5, 7, 8, 9, 16, 17}
+	for _, n := range edges {
+		for _, k := range edges {
+			for _, m := range edges {
+				shapes = append(shapes, [3]int{n, k, m})
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(517))
 	for i := 0; i < 24; i++ {
@@ -186,7 +232,7 @@ func TestGEMMMatchesOracle(t *testing.T) {
 			rows := g.rows(n, k, m)
 			got := append([]float64(nil), c0...)
 			for s := 0; s < rows; {
-				e := min(rows, s+1+rng.Intn(7))
+				e := min(rows, s+1+rng.Intn(13))
 				g.kernelRows(got, x, y, n, k, m, s, e)
 				s = e
 			}
@@ -199,8 +245,13 @@ func TestGEMMMatchesOracle(t *testing.T) {
 // or Inf in one operand reaches C even where the matching entry of the other
 // operand is exactly zero (0·Inf = NaN), so a blown-up weight or gradient is
 // visible on the step it appears instead of being masked by a zero input.
+// The shape gives every layout a full 4×8 tile at C[0].
 func TestGEMMPropagatesNonFinite(t *testing.T) {
-	const n, k, m = 5, 3, 6
+	onBothPaths(t, testGEMMPropagatesNonFinite)
+}
+
+func testGEMMPropagatesNonFinite(t *testing.T) {
+	const n, k, m = 9, 8, 10
 	for _, g := range gemmCases {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			for side := 0; side < 2; side++ {
@@ -245,9 +296,14 @@ func TestMMTNAccSplitsNarrowLayers(t *testing.T) {
 }
 
 // TestGEMMRangeZeroAllocs backs the //torq:hotpath annotation on the serial
-// range functions with a dynamic check.
+// range functions with a dynamic check, at a shape with full 4×8 tiles and
+// remainders in every dimension.
 func TestGEMMRangeZeroAllocs(t *testing.T) {
-	const n, k, m = 9, 7, 6
+	onBothPaths(t, testGEMMRangeZeroAllocs)
+}
+
+func testGEMMRangeZeroAllocs(t *testing.T) {
+	const n, k, m = 9, 10, 11
 	for _, g := range gemmCases {
 		x := make([]float64, g.x(n, k, m))
 		y := make([]float64, g.y(n, k, m))
@@ -259,31 +315,89 @@ func TestGEMMRangeZeroAllocs(t *testing.T) {
 	}
 }
 
-// gemmBenchShapes are the vacuum workload's layer GEMMs at its 1000-point
-// grid, n×k×m: RFF→hidden, hidden→hidden, hidden→adapter, hidden→output.
-var gemmBenchShapes = [][3]int{{1000, 48, 32}, {1000, 32, 32}, {1000, 32, 4}, {1000, 32, 3}}
+// TestGEMMDispatch pins the run-time kernel choice on linux/amd64: a CPU
+// whose /proc/cpuinfo flags list avx2 must select the assembly kernels, so a
+// broken CPUID/XGETBV check cannot silently fall back to the pure-Go path.
+func TestGEMMDispatch(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("the dispatch check reads linux/amd64 CPU flags")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		name, flags, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		if slices.Contains(strings.Fields(flags), "avx2") && !(hasAVX2 && useSIMD) {
+			t.Fatalf("cpuinfo lists avx2 but hasAVX2=%v useSIMD=%v", hasAVX2, useSIMD)
+		}
+		return
+	}
+	t.Skip("no flags line in /proc/cpuinfo")
+}
 
+// TestGEMMAssemblyHasNoFMA pins the rounding contract of the assembly
+// kernels: every term is a separately rounded multiply and add, as in the
+// scalar Go code, so a fused multiply-add anywhere in matmul_amd64.s would
+// break bit-identity with the pure-Go path and across architectures.
+func TestGEMMAssemblyHasNoFMA(t *testing.T) {
+	src, err := os.ReadFile("matmul_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fma := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)\w*`).FindAll(src, -1); len(fma) > 0 {
+		t.Errorf("matmul_amd64.s uses fused multiply-add: %s", fma)
+	}
+	for _, op := range []string{"VMULPD", "VADDPD"} {
+		if !strings.Contains(string(src), op) {
+			t.Errorf("matmul_amd64.s has no %s: is this still the GEMM kernel?", op)
+		}
+	}
+}
+
+// gemmBenchShapes are the vacuum workload's layer GEMMs at its 1000-point
+// grid, n×k×m: RFF→hidden, hidden→hidden, hidden→adapter, hidden→output;
+// then the paper-infer workload's 2304-point snapshot through its 256→128
+// and 128→128 layers.
+var gemmBenchShapes = [][3]int{
+	{1000, 48, 32}, {1000, 32, 32}, {1000, 32, 4}, {1000, 32, 3},
+	{2304, 256, 128}, {2304, 128, 128},
+}
+
+// benchGEMM times g at every shape on the assembly ("simd") and pure-Go
+// ("go") paths side by side, so the kernel ratio is a same-session number.
 func benchGEMM(b *testing.B, g gemmCase) {
+	defer func(v bool) { useSIMD = v }(useSIMD)
 	for _, s := range gemmBenchShapes {
 		n, k, m := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", n, k, m), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(517))
-			x := randSlice(rng, g.x(n, k, m), -1, 1)
-			y := randSlice(rng, g.y(n, k, m), -1, 1)
-			c := make([]float64, g.c(n, k, m))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.kernel(c, x, y, n, k, m)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*k*m), "ns/MAC")
-		})
+		for _, simd := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", n, k, m, pathName(simd)), func(b *testing.B) {
+				if simd && !hasAVX2 {
+					b.Skip("no AVX2 on this CPU")
+				}
+				useSIMD = simd
+				rng := rand.New(rand.NewSource(517))
+				x := randSlice(rng, g.x(n, k, m), -1, 1)
+				y := randSlice(rng, g.y(n, k, m), -1, 1)
+				c := make([]float64, g.c(n, k, m))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.kernel(c, x, y, n, k, m)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*k*m), "ns/MAC")
+			})
+		}
 	}
 }
 
 // BenchmarkGEMMNN times the forward C += X·W (mmAcc).
 func BenchmarkGEMMNN(b *testing.B) { benchGEMM(b, gemmCases[0]) }
 
-// BenchmarkGEMMNT times the input gradient dX += dC·Wᵀ (mmNTAcc).
+// BenchmarkGEMMNT times the input gradient dX += dC·Wᵀ (mmNTAcc), including
+// the packing of Wᵀ on the simd path.
 func BenchmarkGEMMNT(b *testing.B) { benchGEMM(b, gemmCases[1]) }
 
 // BenchmarkGEMMTN times the weight gradient dW += Xᵀ·dC (mmTNAcc).

@@ -13,8 +13,10 @@
 // # Invariants
 //
 // The GEMM kernels behind MatMul and its backward (matmul.go) reduce every
-// element of their output in one order fixed by the shape alone, so values
-// and gradients are bit-identical for any par worker count.
+// element of their output in one order fixed by the shape alone, with a
+// separately rounded multiply and add per term. So values and gradients are
+// bit-identical for any par worker count, and whether the AVX2 assembly or
+// the pure-Go kernels ran.
 package ad
 
 import "fmt"
@@ -113,6 +115,7 @@ type Tape struct {
 	nodes   []node
 	pool    pool
 	onReset []func()
+	panel   []float64 // MatMul backward's packed Wᵀ (mmNTAcc), reused
 }
 
 // OnReset registers fn to run at the start of the next Reset, after which it

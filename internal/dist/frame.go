@@ -77,6 +77,12 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // per-session read path holds exactly one frame at a time, so one buffer per
 // session makes the steady-state read allocation-free.
 //
+// The header's length is the peer's claim, not data: on a -listen worker the
+// first frame is unauthenticated. So the buffer grows only once it is full
+// of bytes that actually arrived, and each step at most doubles it. A short
+// stream behind a header claiming maxFrame costs memory in proportion to
+// what was sent, not to what was claimed.
+//
 //torq:hotpath
 func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
 	if cap(*buf) < 8 {
@@ -87,22 +93,29 @@ func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err erro
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n < 1 || n > maxFrame {
 		//torq:allow hotalloc -- malformed-frame error path; the connection is torn down
 		return 0, nil, fmt.Errorf("dist: bad frame length %d", n)
 	}
-	if uint32(cap(*buf)) < n {
-		//torq:allow hotalloc -- buffer growth to the session's max frame size, amortized
-		*buf = make([]byte, n)
-	}
 	b := (*buf)[:cap(*buf)]
-	*buf = b
-	b = b[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return 0, nil, err
+	for got := 0; ; {
+		end := min(n, len(b))
+		if _, err := io.ReadFull(r, b[got:end]); err != nil {
+			*buf = b
+			return 0, nil, err
+		}
+		if end == n {
+			break
+		}
+		got = end
+		//torq:allow hotalloc -- buffer growth to the session's max frame size, amortized
+		grown := make([]byte, min(n, 2*len(b)))
+		copy(grown, b)
+		b = grown
 	}
-	return b[0], b[1:], nil
+	*buf = b
+	return b[0], b[1:n], nil
 }
 
 // enc builds a payload.
@@ -270,11 +283,7 @@ func (d *dec) str() string {
 
 //torq:hotpath
 func (d *dec) f64s() []float64 {
-	n := int(d.u32())
-	if n > maxFrame/8 {
-		d.fail("array length %d exceeds frame bound", n)
-		return nil
-	}
+	n := d.count(8, "array")
 	s := d.take(8 * n)
 	if s == nil {
 		return nil
@@ -298,6 +307,20 @@ func (d *dec) optF64s() []float64 {
 		return nil
 	}
 	return d.f64s()
+}
+
+// count reads an element count and checks it against the unread payload,
+// in which each element takes at least minSize bytes. A count the remaining
+// bytes cannot hold fails the decode before anything is sized from it.
+//
+//torq:hotpath
+func (d *dec) count(minSize int, what string) int {
+	n := int(d.u32())
+	if rest := len(d.b) - d.off; d.err == nil && n > rest/minSize {
+		d.fail("%s count %d exceeds the %d bytes left in the payload", what, n, rest)
+		return 0
+	}
+	return n
 }
 
 // done checks the payload was consumed exactly.
@@ -368,6 +391,9 @@ func encodeHello(m helloMsg) []byte {
 	return e.b
 }
 
+// helloGateSize is one gate's wire size: the kind byte, then Q, C and P.
+const helloGateSize = 1 + 3*8
+
 func decodeHello(b []byte) (helloMsg, error) {
 	d := dec{b: b}
 	m := helloMsg{
@@ -378,19 +404,13 @@ func decodeHello(b []byte) (helloMsg, error) {
 		Reupload:  d.bool(),
 		NumParams: d.int(),
 	}
-	ng := int(d.u32())
-	if ng > maxFrame/8 {
-		d.fail("gate count %d exceeds frame bound", ng)
-	}
+	ng := d.count(helloGateSize, "gate")
 	for i := 0; i < ng && d.err == nil; i++ {
 		m.Gates = append(m.Gates, qsim.Gate{
 			Kind: qsim.GateKind(d.u8()), Q: d.int(), C: d.int(), P: d.int(),
 		})
 	}
-	nl := int(d.u32())
-	if nl > maxFrame/8 {
-		d.fail("layer count %d exceeds frame bound", nl)
-	}
+	nl := d.count(8, "layer")
 	for i := 0; i < nl && d.err == nil; i++ {
 		m.LayerStarts = append(m.LayerStarts, d.int())
 	}
@@ -556,15 +576,20 @@ func encodeShardBatchFrame(buf []byte, pass, span uint64, shards []shardMsg) []b
 	return finishFrame(e.b, fShardBatch)
 }
 
+// minShardSize and minResultSize are the wire sizes of a batch entry whose
+// arrays are all empty or absent: the shard id, then one length or presence
+// field per array.
+const (
+	minShardSize  = 4 + 4 + 1 + 2*qsim.MaxTangents
+	minResultSize = 4 + 4 + 2*qsim.MaxTangents
+)
+
 //torq:hotpath
 func decodeShardBatchInto(b []byte, a *f64Arena, dst []shardMsg) ([]shardMsg, uint64, error) {
 	d := dec{b: b, arena: a}
 	pass := d.u64()
 	span := d.u64()
-	n := int(d.u32())
-	if n > maxFrame/16 {
-		d.fail("batch size %d exceeds frame bound", n)
-	}
+	n := d.count(minShardSize, "shard")
 	dst = dst[:0]
 	for i := 0; i < n && d.err == nil; i++ {
 		m := shardMsg{Pass: pass, Shard: d.u32(), Angles: d.f64s()}
@@ -592,6 +617,9 @@ func encodeSpan(e *enc, r *trace.SpanRec) {
 	e.int(int(r.Start))
 	e.int(int(r.End))
 }
+
+// spanSize is one span record's wire size.
+const spanSize = 8 + 8 + 1 + 4 + 8 + 8
 
 func decodeSpan(d *dec, r *trace.SpanRec) {
 	r.ID = d.u64()
@@ -660,10 +688,7 @@ func decodeResultBatchInto(b []byte, a *f64Arena, dst []resultMsg, sdst []trace.
 	d := dec{b: b, arena: a}
 	pass := d.u64()
 	backward := d.bool()
-	n := int(d.u32())
-	if n > maxFrame/16 {
-		d.fail("batch size %d exceeds frame bound", n)
-	}
+	n := d.count(minResultSize, "result")
 	dst = dst[:0]
 	for i := 0; i < n && d.err == nil; i++ {
 		m := resultMsg{Pass: pass, Backward: backward, Shard: d.u32(), Z: d.optF64s()}
@@ -678,10 +703,7 @@ func decodeResultBatchInto(b []byte, a *f64Arena, dst []resultMsg, sdst []trace.
 		m.DiagT = d.optF64s()
 		dst = append(dst, m)
 	}
-	ns := int(d.u32())
-	if ns > maxFrame/32 {
-		d.fail("span count %d exceeds frame bound", ns)
-	}
+	ns := d.count(spanSize, "span")
 	sdst = sdst[:0]
 	for i := 0; i < ns && d.err == nil; i++ {
 		var r trace.SpanRec

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -389,6 +391,105 @@ func TestCodecTruncationRejected(t *testing.T) {
 	}
 	if _, _, err := decodeResultBatchInto(append(append([]byte{}, fullR...), 0), nil, nil, nil); err == nil {
 		t.Fatal("result batch trailing bytes accepted")
+	}
+}
+
+// TestOversizedClaimsRejectedCheaply pins that a length or count a peer
+// claims costs no memory until the bytes behind it arrive. A -listen worker
+// reads its first frame before any handshake, so a 4-byte header must not
+// buy a 1 GiB buffer. A header claiming maxFrame followed by 16 bytes, and
+// every decoded count far beyond its payload, must fail with an error after
+// allocating under 1 MiB.
+func TestOversizedClaimsRejectedCheaply(t *testing.T) {
+	const limit = 1 << 20
+	allocated := func(f func() error) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	stream = append(stream, make([]byte, 16)...)
+	n, err := allocated(func() error {
+		var buf []byte
+		_, _, err := readFrameInto(bytes.NewReader(stream), &buf)
+		return err
+	})
+	if err == nil || n >= limit {
+		t.Errorf("header claiming %d bytes, then 16: err %v after allocating %d bytes", maxFrame, err, n)
+	}
+
+	const huge = 1 << 28
+	var hello enc
+	hello.u16(ProtoVersion)
+	hello.str("x")
+	hello.int(1)
+	hello.int(1)
+	hello.bool(false)
+	hello.int(0)
+	noGates := append([]byte(nil), hello.b...)
+	var shard enc
+	shard.u64(1)
+	shard.u64(0)
+	shard.u32(1)
+	shard.u32(7)
+	cases := []struct {
+		name string
+		body []byte
+		dec  func([]byte) error
+	}{
+		{"hello gates", binary.LittleEndian.AppendUint32(hello.b, huge), func(b []byte) error {
+			_, err := decodeHello(b)
+			return err
+		}},
+		{"hello layer starts", binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(noGates, 0), huge), func(b []byte) error {
+			_, err := decodeHello(b)
+			return err
+		}},
+		{"shard batch", binary.LittleEndian.AppendUint32(make([]byte, 16), huge), func(b []byte) error {
+			_, _, err := decodeShardBatchInto(b, nil, nil)
+			return err
+		}},
+		{"shard array", binary.LittleEndian.AppendUint32(shard.b, huge), func(b []byte) error {
+			_, _, err := decodeShardBatchInto(b, &f64Arena{}, nil)
+			return err
+		}},
+		{"result batch", binary.LittleEndian.AppendUint32(make([]byte, 9), huge), func(b []byte) error {
+			_, _, err := decodeResultBatchInto(b, nil, nil, nil)
+			return err
+		}},
+		{"result spans", binary.LittleEndian.AppendUint32(make([]byte, 13), huge), func(b []byte) error {
+			_, _, err := decodeResultBatchInto(b, nil, nil, nil)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		n, err := allocated(func() error { return c.dec(c.body) })
+		if err == nil || !strings.Contains(err.Error(), "count") || n >= limit {
+			t.Errorf("%s claiming %d entries: err %v after allocating %d bytes", c.name, huge, err, n)
+		}
+	}
+}
+
+// TestCodecMinimumEntrySizes pins the per-entry minimum sizes the decoders
+// check counts against to the encoders' output for entries whose arrays are
+// all empty or absent. A minimum larger than that would reject valid frames.
+func TestCodecMinimumEntrySizes(t *testing.T) {
+	shards := len(frameBody(encodeShardBatchFrame(nil, 1, 0, []shardMsg{{Shard: 1}, {Shard: 2}})))
+	if want := 8 + 8 + 4 + 2*minShardSize; shards != want {
+		t.Errorf("two empty shard entries: body %d bytes, minShardSize implies %d", shards, want)
+	}
+	results := len(frameBody(encodeResultBatchFrame(nil, 1, false, []resultMsg{{Shard: 1}},
+		[]trace.SpanRec{{ID: 1}})))
+	if want := 8 + 1 + 4 + minResultSize + 4 + spanSize; results != want {
+		t.Errorf("one empty result and one span: body %d bytes, minResultSize/spanSize imply %d", results, want)
+	}
+	h := helloMsg{Version: ProtoVersion, LayerStarts: []int{0}}
+	h0 := len(encodeHello(h))
+	h.Gates = []qsim.Gate{{}}
+	if d := len(encodeHello(h)) - h0; d != helloGateSize {
+		t.Errorf("one hello gate adds %d bytes, helloGateSize is %d", d, helloGateSize)
 	}
 }
 
