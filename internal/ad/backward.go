@@ -22,10 +22,15 @@ func (t *Tape) Backward(loss Value) {
 	ln.grad[0] = 1
 	for i := int32(len(t.nodes)) - 1; i >= 0; i-- {
 		n := &t.nodes[i]
-		if n.grad == nil || n.op == OpLeaf || n.op == OpConst {
-			continue
+		switch {
+		case n.grad == nil || n.op == OpLeaf || n.op == OpConst:
+		case n.op == OpDual:
+			if g := &t.groups[n.b]; g.runner == i {
+				dualBackward(g)
+			}
+		default:
+			t.backprop(n)
 		}
-		t.backprop(n)
 	}
 }
 

@@ -11,6 +11,9 @@ package ad
 // composition of tape primitives without materializing every intermediate
 // statevector.
 func (t *Tape) Custom(rows, cols int, out []float64, needsGrad bool, backward func(outGrad []float64)) Value {
+	if len(out) != rows*cols {
+		panic("ad: Custom buffer size mismatch")
+	}
 	v, n := t.newNode(OpCustom, -1, -1, rows, cols, needsGrad)
 	copy(n.val, out)
 	if needsGrad && backward != nil {

@@ -1,0 +1,404 @@
+package ad
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/par"
+)
+
+// DualFn names the elementwise function of a fused dual group.
+type DualFn uint8
+
+const (
+	DualTanh DualFn = iota // tanh; f′ = 1 − tanh²
+	DualSin                // sin; f′ = cos
+	DualCos                // cos; f′ = −sin
+	DualAsin               // arcsin of the input clamped to [−1, 1]; f′ = 1/√(1−c²)
+	DualAcos               // arccos likewise; f′ = −1/√(1−c²)
+)
+
+// dualClamp bounds c, the input of the arcsine/arccosine tangent factor
+// 1/√(1−c²), away from ±1 where the factor is infinite.
+const dualClamp = 1 - 1e-9
+
+// dualGroup is one fused dual op. Its nodes are contiguous on the tape: a
+// member's value node, then one node per valid tangent; a SinCos pair has
+// two members. The group's backward runs once, at runner, the last of its
+// nodes that has a gradient, which the reverse sweep reaches first.
+type dualGroup struct {
+	fn       DualFn // a single member's function; unused for a pair
+	pair     bool   // sin and cos of the same input
+	cosFirst bool   // the pair replays cos-then-sin instead of sin-then-cos
+	runner   int32
+	x, dx    []float64  // input a and its gradient (nil: a needs none)
+	y, dy    []float64  // a single member's value, or the pair's sin; its gradient
+	y2, dy2  []float64  // the pair's cos and its gradient
+	d        []float64  // a single member's f′(a), pooled; nil for a pair
+	lanes    []dualLane // a single member's tangents; a pair's sin then cos tangents
+}
+
+// dualLane is one tangent channel of a group member: the input tangent aₖ,
+// the output f′(a)⊙aₖ, and their gradients (nil where there is none).
+type dualLane struct {
+	x, dx []float64
+	y, g  []float64
+}
+
+// Dual applies fn to a as one fused tape group. It returns fn(a) and sets
+// out[k] to the tangent fn′(a)⊙tan[k] for every valid tan[k], leaving out[k]
+// invalid where tan[k] is. The values and every gradient equal those of the
+// composed chain dual.Tanh/Sin/Cos/Asin/Acos used to build — fn(a), f′(a) as
+// its own nodes, one Mul per tangent — bit for bit (see the package doc).
+// With no valid tangent it is the plain elementwise op.
+func (t *Tape) Dual(fn DualFn, a Value, tan, out []Value) Value {
+	if fn > DualAcos {
+		panic(fmt.Sprintf("ad: unknown DualFn %d", fn))
+	}
+	if !anyValid(tan) {
+		switch fn {
+		case DualTanh:
+			return t.Tanh(a)
+		case DualSin:
+			return t.Sin(a)
+		case DualCos:
+			return t.Cos(a)
+		case DualAsin:
+			return t.Asin(a)
+		default:
+			return t.Acos(a)
+		}
+	}
+	gi := t.openGroup(a)
+	g := &t.groups[gi]
+	g.fn = fn
+	v := t.groupNode(a.i, gi)
+	g.y, g.dy = v.Data(), v.Grad()
+	g.d = t.pool.get(len(g.x))
+	first := len(t.lanes)
+	t.groupLanes(gi, a, tan, out)
+	g.lanes = t.lanes[first:]
+	g.runner = t.lastWithGrad(v.i)
+	par.For(len(g.x), func(s, e int) { dualFwdRange(g, s, e) })
+	return v
+}
+
+// SinCos returns sin(a) and cos(a) as one fused group, with the tangents
+// cos(a)⊙tan[k] in sinOut[k] and −sin(a)⊙tan[k] in cosOut[k] for every valid
+// tan[k]. Each output is the other's derivative, so the forward evaluates
+// each function once and the backward evaluates none. The values and every
+// gradient equal those of Dual(DualSin, …) followed by Dual(DualCos, …) on
+// the same input bit for bit, or of DualCos then DualSin when cosFirst is
+// set: the order decides in which order terms reach a's gradients.
+func (t *Tape) SinCos(a Value, tan, sinOut, cosOut []Value, cosFirst bool) (sin, cos Value) {
+	gi := t.openGroup(a)
+	g := &t.groups[gi]
+	g.pair, g.cosFirst = true, cosFirst
+	sin = t.groupNode(a.i, gi)
+	g.y, g.dy = sin.Data(), sin.Grad()
+	first := len(t.lanes)
+	t.groupLanes(gi, a, tan, sinOut)
+	cos = t.groupNode(a.i, gi)
+	g.y2, g.dy2 = cos.Data(), cos.Grad()
+	t.groupLanes(gi, a, tan, cosOut)
+	g.lanes = t.lanes[first:]
+	g.runner = t.lastWithGrad(sin.i)
+	par.For(len(g.x), func(s, e int) { sinCosFwdRange(g, s, e) })
+	return sin, cos
+}
+
+func anyValid(vs []Value) bool {
+	for _, v := range vs {
+		if v.Valid() {
+			return true
+		}
+	}
+	return false
+}
+
+// openGroup appends a group over input a and returns its index.
+func (t *Tape) openGroup(a Value) int32 {
+	na := &t.nodes[a.i]
+	t.groups = append(t.groups, dualGroup{x: na.val, dx: na.grad})
+	return int32(len(t.groups) - 1)
+}
+
+// groupNode appends a group member's value node, shaped like a; it needs a
+// gradient exactly when a does.
+func (t *Tape) groupNode(a, gi int32) Value {
+	na := &t.nodes[a]
+	v, _ := t.newNode(OpDual, a, gi, int(na.rows), int(na.cols), na.grad != nil)
+	return v
+}
+
+// groupLanes appends one node and one lane per valid tangent of a group
+// member and sets out[k] to the node. A tangent node needs a gradient when
+// a or its input tangent does, as the chain's Mul did.
+func (t *Tape) groupLanes(gi int32, a Value, tan, out []Value) {
+	if len(out) != len(tan) {
+		panic(fmt.Sprintf("ad: %d tangent outputs for %d tangents", len(out), len(tan)))
+	}
+	for k, tk := range tan {
+		if !tk.Valid() {
+			continue
+		}
+		na, nk := &t.nodes[a.i], &t.nodes[tk.i]
+		if !sameShape(na, nk) {
+			panic(fmt.Sprintf("ad: tangent %d×%d of a %d×%d value", nk.rows, nk.cols, na.rows, na.cols))
+		}
+		o, on := t.newNode(OpDual, tk.i, gi, int(na.rows), int(na.cols), na.grad != nil || nk.grad != nil)
+		t.lanes = append(t.lanes, dualLane{x: nk.val, dx: nk.grad, y: on.val, g: on.grad})
+		out[k] = o
+	}
+}
+
+// lastWithGrad returns the index of the last node from first on that has a
+// gradient, or -1.
+func (t *Tape) lastWithGrad(first int32) int32 {
+	for i := int32(len(t.nodes)) - 1; i >= first; i-- {
+		if t.nodes[i].grad != nil {
+			return i
+		}
+	}
+	return -1
+}
+
+// dualBackward runs a group's whole backward.
+func dualBackward(g *dualGroup) {
+	bwd := dualBwdRange
+	if g.pair {
+		bwd = sinCosBwdRange
+	}
+	par.For(len(g.x), func(s, e int) { bwd(g, s, e) })
+}
+
+// dualFwdRange writes a single member's value, f′ and tangents over
+// elements [s, e).
+//
+//torq:hotpath
+func dualFwdRange(g *dualGroup, s, e int) {
+	x, y, d := g.x[s:e], g.y[s:e], g.d[s:e]
+	y, d = y[:len(x)], d[:len(x)]
+	switch g.fn {
+	case DualTanh:
+		for i, xi := range x {
+			v := math.Tanh(xi)
+			y[i] = v
+			d[i] = -(v * v) + 1
+		}
+	case DualSin:
+		for i, xi := range x {
+			y[i], d[i] = sincos(xi)
+		}
+	case DualCos:
+		for i, xi := range x {
+			sin, cos := sincos(xi)
+			y[i], d[i] = cos, -sin
+		}
+	case DualAsin:
+		for i, xi := range x {
+			y[i] = math.Asin(clamp1(xi))
+			d[i] = 1 / asinDen(xi)
+		}
+	case DualAcos:
+		for i, xi := range x {
+			y[i] = math.Acos(clamp1(xi))
+			d[i] = -(1 / asinDen(xi))
+		}
+	}
+	for l := range g.lanes {
+		ln := &g.lanes[l]
+		mulInto(ln.y[s:e], d, ln.x[s:e])
+	}
+}
+
+// sinCosFwdRange writes the pair's sin, cos and tangents over elements
+// [s, e).
+//
+//torq:hotpath
+func sinCosFwdRange(g *dualGroup, s, e int) {
+	x, sv, cv := g.x[s:e], g.y[s:e], g.y2[s:e]
+	sv, cv = sv[:len(x)], cv[:len(x)]
+	for i, xi := range x {
+		sv[i], cv[i] = sincos(xi)
+	}
+	nt := len(g.lanes) / 2
+	for l := range g.lanes[:nt] {
+		ln := &g.lanes[l]
+		mulInto(ln.y[s:e], cv, ln.x[s:e])
+	}
+	for l := range g.lanes[nt:] {
+		ln := &g.lanes[nt+l]
+		negMulInto(ln.y[s:e], sv, ln.x[s:e])
+	}
+}
+
+// negMulInto writes out[i] = −d[i]·x[i], the chain's Mul(Neg(sin), aₖ).
+//
+//torq:hotpath
+func negMulInto(out, d, x []float64) {
+	d, x = d[:len(out)], x[:len(out)]
+	for i := range out {
+		out[i] = -d[i] * x[i]
+	}
+}
+
+// sincos returns math.Sin(x) and math.Cos(x) bit for bit at about two
+// thirds of their cost. math.Sincos runs the same argument reduction and
+// polynomials as the two functions and shares them; it differs only in
+// returning a canonical NaN for a NaN x, where math.Sin returns x itself.
+func sincos(x float64) (sin, cos float64) {
+	sin, cos = math.Sincos(x)
+	if x != x {
+		sin = x
+	}
+	return sin, cos
+}
+
+// mulInto writes out[i] = d[i]·x[i], the chain's Mul(f′, aₖ).
+//
+//torq:hotpath
+func mulInto(out, d, x []float64) {
+	d, x = d[:len(out)], x[:len(out)]
+	for i := range out {
+		out[i] = d[i] * x[i]
+	}
+}
+
+// asinDen is the chain's √(1 − c²) for c = x clamped to ±dualClamp, with the
+// square negated and then shifted by one, as Square, Neg and Shift did.
+func asinDen(x float64) float64 {
+	c := clampTo(x, dualClamp)
+	return math.Sqrt(-(c * c) + 1)
+}
+
+func clampTo(x, c float64) float64 {
+	if x > c {
+		return c
+	}
+	if x < -c {
+		return -c
+	}
+	return x
+}
+
+// lanesBack replays, for element i, the backward of a member's tangent
+// products f′⊙aₖ, last tangent first as the reverse sweep met them: each
+// output gradient gₖ adds gₖ·f′ to aₖ's gradient, and the returned sum of
+// gₖ·aₖ, accumulated from +0 in the same order, is the gradient of f′.
+//
+//torq:hotpath
+func lanesBack(lanes []dualLane, d float64, i int) float64 {
+	var gd float64
+	for l := len(lanes) - 1; l >= 0; l-- {
+		ln := &lanes[l]
+		if ln.g == nil {
+			continue
+		}
+		gk := ln.g[i]
+		gd += gk * ln.x[i]
+		if ln.dx != nil {
+			ln.dx[i] += gk * d
+		}
+	}
+	return gd
+}
+
+// dualBwdRange is a single member's backward over elements [s, e). After
+// the tangent lanes it replays the chain that built f′ from a, one rounded
+// operation per former node: a constant shift is 0+x and a negation 0−x on
+// a gradient that started at zero. Then the value node's own term lands in
+// a's gradient.
+//
+//torq:hotpath
+func dualBwdRange(g *dualGroup, s, e int) {
+	x, y, dy, d, dx, lanes := g.x, g.y, g.dy, g.d, g.dx, g.lanes
+	if dx == nil {
+		for i := s; i < e; i++ {
+			lanesBack(lanes, d[i], i)
+		}
+		return
+	}
+	switch g.fn {
+	case DualTanh:
+		for i := s; i < e; i++ {
+			gd := lanesBack(lanes, d[i], i)
+			yi := y[i]
+			// f′ = Shift(Neg(Square(y)), 1): Square's term joins y's gradient
+			// before the tanh factor applies it to a.
+			gy := dy[i] + (0-(0+gd))*(2*yi)
+			dy[i] = gy
+			dx[i] += gy * (1 - yi*yi)
+		}
+	case DualSin:
+		for i := s; i < e; i++ {
+			gd := lanesBack(lanes, d[i], i)
+			dx[i] += gd * -y[i]
+			dx[i] += dy[i] * d[i]
+		}
+	case DualCos:
+		for i := s; i < e; i++ {
+			gd := lanesBack(lanes, d[i], i)
+			dx[i] += (0 - gd) * y[i]
+			dx[i] += dy[i] * d[i]
+		}
+	case DualAsin, DualAcos:
+		for i := s; i < e; i++ {
+			gd := lanesBack(lanes, d[i], i)
+			xi := x[i]
+			var dv float64
+			if g.fn == DualAcos {
+				gd = 0 - gd // f′ = Neg(Div(1, den))
+				dv = -1 / math.Sqrt(math.Max(1-xi*xi, asinEps))
+			} else {
+				dv = 1 / math.Sqrt(math.Max(1-xi*xi, asinEps))
+			}
+			// den = Sqrt(Shift(Neg(Square(Clamp(a))), 1)); f′ = Div(1, den).
+			c := clampTo(xi, dualClamp)
+			den := math.Sqrt(-(c * c) + 1)
+			gden := 0 - gd/(den*den)
+			gsq := 0 - (0 + (0 + gden*(0.5/den)))
+			gc := 0 + gsq*(2*c)
+			if xi > -dualClamp && xi < dualClamp {
+				dx[i] += gc
+			}
+			dx[i] += dy[i] * dv
+		}
+	}
+}
+
+// sinCosBwdRange is the pair's backward over elements [s, e): each member
+// as dualBwdRange would run it, the member built last first. A member with
+// tangents had a derivative node in the chain, and only then does its term
+// reach a's gradient.
+//
+//torq:hotpath
+func sinCosBwdRange(g *dualGroup, s, e int) {
+	nt := len(g.lanes) / 2
+	sinL, cosL := g.lanes[:nt], g.lanes[nt:]
+	sv, cv, ds, dc, dx, cosFirst := g.y, g.y2, g.dy, g.dy2, g.dx, g.cosFirst
+	for i := s; i < e; i++ {
+		si, ci := sv[i], cv[i]
+		for m := 0; m < 2; m++ {
+			if (m == 0) == cosFirst {
+				// sin: f′ = Cos(a), whose own backward factor is −sin.
+				gd := lanesBack(sinL, ci, i)
+				if dx != nil {
+					if nt > 0 {
+						dx[i] += gd * -si
+					}
+					dx[i] += ds[i] * ci
+				}
+			} else {
+				// cos: f′ = Neg(Sin(a)), whose Sin's backward factor is cos.
+				gd := lanesBack(cosL, -si, i)
+				if dx != nil {
+					if nt > 0 {
+						dx[i] += (0 - gd) * ci
+					}
+					dx[i] += dc[i] * -si
+				}
+			}
+		}
+	}
+}

@@ -333,7 +333,7 @@ func (t *Tape) MatMul(a, b Value) Value {
 		panic(fmt.Sprintf("ad: MatMul %d×%d · %d×%d", na.rows, na.cols, nb.rows, nb.cols))
 	}
 	ng := t.needsGrad(a.i) || t.needsGrad(b.i)
-	v, n := t.newNode(OpMatMul, a.i, b.i, int(na.rows), int(nb.cols), ng)
+	v, n := t.newAccNode(OpMatMul, a.i, b.i, int(na.rows), int(nb.cols), ng)
 	mmAcc(n.val, na.val, nb.val, int(na.rows), int(na.cols), int(nb.cols))
 	return v
 }
@@ -346,7 +346,7 @@ func (t *Tape) MatMulC(a Value, m []float64, mCols int) Value {
 	if len(m) != k*mCols {
 		panic(fmt.Sprintf("ad: MatMulC const %d ≠ %d×%d", len(m), k, mCols))
 	}
-	v, n := t.newNode(OpMatMulC, a.i, -1, int(na.rows), mCols, t.needsGrad(a.i))
+	v, n := t.newAccNode(OpMatMulC, a.i, -1, int(na.rows), mCols, t.needsGrad(a.i))
 	n.cm = m
 	n.cmCols = int32(mCols)
 	mmAcc(n.val, na.val, m, int(na.rows), k, mCols)

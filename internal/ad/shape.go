@@ -49,7 +49,7 @@ func (t *Tape) PlaceCols(a Value, idx []int, c int) Value {
 		}
 		seen[j] = true
 	}
-	v, n := t.newNode(OpPlaceCols, a.i, -1, int(na.rows), c, t.needsGrad(a.i))
+	v, n := t.newAccNode(OpPlaceCols, a.i, -1, int(na.rows), c, t.needsGrad(a.i))
 	n.idx = idx
 	av, out := na.val, n.val
 	w := len(idx)

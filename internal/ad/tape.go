@@ -17,6 +17,23 @@
 // separately rounded multiply and add per term. So values and gradients are
 // bit-identical for any par worker count, and whether the AVX2 assembly or
 // the pure-Go kernels ran.
+//
+// A fused dual group (Dual, SinCos in fused.go) replaces the chain of
+// elementwise nodes that forward-mode tangents used to need — f(a), f′(a)
+// and one product f′(a)⊙aₖ per tangent — with one value node and one node
+// per tangent. Its single backward replays, element by element, the exact
+// rounded operations the chain's reverse sweep performed, in the same
+// order: f′'s gradient sums gₖ·aₖ from +0 for the last tangent first, a
+// constant shift adds as 0+x and a negation as 0−x, and every term lands in
+// a's gradient in the order the chain's nodes would have added it. So a
+// group's values and gradients equal the chain's bit for bit, up to which
+// NaN results where two NaNs meet, a choice Go leaves to the compiler.
+//
+// Buffers come from the pool in two kinds. Gradient buffers, and value
+// buffers a kernel accumulates into (MatMul's C, PlaceCols' zero fill), are
+// zeroed. Every other value buffer is returned as is, holding whatever an
+// earlier step left, because its kernel writes every element before
+// anything reads it.
 package ad
 
 import "fmt"
@@ -58,6 +75,7 @@ const (
 	OpMeanAll
 	OpSumSq // Σ x² → [1×1]
 	OpCustom
+	OpDual // member of a fused dual group; b indexes Tape.groups
 )
 
 // node is one tape entry. Buffers val and grad are len rows*cols; grad is nil
@@ -115,7 +133,9 @@ type Tape struct {
 	nodes   []node
 	pool    pool
 	onReset []func()
-	panel   []float64 // MatMul backward's packed Wᵀ (mmNTAcc), reused
+	panel   []float64   // MatMul backward's packed Wᵀ (mmNTAcc), reused
+	groups  []dualGroup // fused dual groups, indexed by their nodes' b
+	lanes   []dualLane  // the groups' tangent channels, reused
 }
 
 // OnReset registers fn to run at the start of the next Reset, after which it
@@ -151,22 +171,38 @@ func (t *Tape) Reset() {
 		n.val, n.grad, n.idx, n.cm, n.backward = nil, nil, nil, nil, nil
 	}
 	t.nodes = t.nodes[:0]
+	for i := range t.groups {
+		t.pool.put(t.groups[i].d)
+	}
+	clear(t.groups)
+	t.groups = t.groups[:0]
+	clear(t.lanes)
+	t.lanes = t.lanes[:0]
 }
 
 // alloc returns a zeroed buffer of length n from the pool.
-func (t *Tape) alloc(n int) []float64 { return t.pool.get(n) }
+func (t *Tape) alloc(n int) []float64 { return t.pool.getZeroed(n) }
 
 // newNode appends a node, allocating its value buffer (len rows*cols) and,
-// when needsGrad is set, a zeroed gradient buffer.
+// when needsGrad is set, a zeroed gradient buffer. The value buffer is not
+// zeroed: the caller's kernel must write every element of it.
 func (t *Tape) newNode(op Op, a, b int32, rows, cols int, needsGrad bool) (Value, *node) {
 	t.nodes = append(t.nodes, node{op: op, a: a, b: b, rows: int32(rows), cols: int32(cols)})
 	i := int32(len(t.nodes) - 1)
 	n := &t.nodes[i]
-	n.val = t.alloc(rows * cols)
+	n.val = t.pool.get(rows * cols)
 	if needsGrad {
 		n.grad = t.alloc(rows * cols)
 	}
 	return Value{t, i}, n
+}
+
+// newAccNode is newNode with a zeroed value buffer, for kernels that
+// accumulate into their output or write only part of it.
+func (t *Tape) newAccNode(op Op, a, b int32, rows, cols int, needsGrad bool) (Value, *node) {
+	v, n := t.newNode(op, a, b, rows, cols, needsGrad)
+	clear(n.val)
+	return v, n
 }
 
 func (t *Tape) needsGrad(idx int32) bool {
@@ -212,21 +248,25 @@ type pool struct {
 	byLen map[int][][]float64
 }
 
+// get returns a buffer of length n whose contents are undefined: a recycled
+// buffer keeps the values of its last use.
 func (p *pool) get(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
-	if p.byLen != nil {
-		if bufs := p.byLen[n]; len(bufs) > 0 {
-			buf := bufs[len(bufs)-1]
-			p.byLen[n] = bufs[:len(bufs)-1]
-			for i := range buf {
-				buf[i] = 0
-			}
-			return buf
-		}
+	if bufs := p.byLen[n]; len(bufs) > 0 {
+		buf := bufs[len(bufs)-1]
+		p.byLen[n] = bufs[:len(bufs)-1]
+		return buf
 	}
 	return make([]float64, n)
+}
+
+// getZeroed returns a zeroed buffer of length n.
+func (p *pool) getZeroed(n int) []float64 {
+	buf := p.get(n)
+	clear(buf)
+	return buf
 }
 
 func (p *pool) put(buf []float64) {

@@ -69,7 +69,8 @@ func (m *Model) SaveFile(path string) error {
 }
 
 // Load reconstructs a model from a checkpoint: the architecture is rebuilt
-// from the stored configuration, parameters are restored by name, and a
+// from the stored configuration once ModelConfig.Validate accepts it,
+// parameters are restored by name, and a
 // version-2 checkpoint's training state is reattached so TrainModel resumes
 // the optimizer rather than cold-starting it. Version-1 checkpoints load
 // with TrainState nil.
@@ -83,6 +84,9 @@ func Load(r io.Reader) (*Model, error) {
 		// not know about; loading it "successfully" would silently cold-start
 		// the optimizer — the exact state loss version 2 exists to prevent.
 		return nil, fmt.Errorf("core: checkpoint version %d is newer than supported version %d", ck.Version, checkpointVersion)
+	}
+	if err := ck.Cfg.Validate(); err != nil {
+		return nil, err
 	}
 	m := NewModel(ck.Cfg)
 	for _, p := range m.Reg.Params {

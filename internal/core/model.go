@@ -7,7 +7,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ad"
 	"repro/internal/dual"
@@ -60,6 +62,55 @@ type ModelConfig struct {
 	Reupload    bool            // §6.2(c): repeat the angle embedding before every ansatz layer
 	TimePeriod  float64         // initial learned period
 	Seed        int64
+}
+
+// Bounds ModelConfig.Validate enforces. maxWidth is 8× the paper's 128, and
+// keeps the largest weight matrix (2·RFFFeatures × Hidden) at 2M parameters.
+// maxQubits is the dist worker's bound: a 2^24-amplitude state per sample is
+// already far past any batch this trainer runs.
+const (
+	maxWidth   = 1024
+	maxQubits  = 24
+	maxQLayers = 64
+)
+
+// Validate reports the first field of c that NewModel cannot build a usable
+// network from: an unknown architecture, ansatz, scaling, initialization or
+// engine; a width outside [1, maxWidth]; a non-finite RFF scale or time
+// period, or a non-positive period; or, for the architectures with a
+// quantum (or trig control) layer, a qubit count outside [1, maxQubits] and,
+// for the QPINN, a layer count outside [1, maxQLayers]. Configurations come
+// from checkpoints as well as code, so Load checks one before building.
+func (c ModelConfig) Validate() error {
+	switch {
+	case c.Arch < ClassicalRegular || c.Arch > ClassicalTrig:
+		return fmt.Errorf("core: model config: unknown architecture %d", int(c.Arch))
+	case !slices.Contains(qsim.AllAnsatze, c.Ansatz):
+		return fmt.Errorf("core: model config: unknown ansatz %d", int(c.Ansatz))
+	case !slices.Contains(qsim.AllScalings, c.Scaling):
+		return fmt.Errorf("core: model config: unknown scaling %d", int(c.Scaling))
+	case c.Init < qsim.InitRegular || c.Init > qsim.InitHalfPi:
+		return fmt.Errorf("core: model config: unknown initialization %d", int(c.Init))
+	case !slices.Contains(qsim.EngineKinds(), c.Engine):
+		return fmt.Errorf("core: model config: unknown engine %d", int(c.Engine))
+	case c.Hidden < 1 || c.Hidden > maxWidth:
+		return fmt.Errorf("core: model config: hidden width %d outside [1, %d]", c.Hidden, maxWidth)
+	case c.RFFFeatures < 1 || c.RFFFeatures > maxWidth:
+		return fmt.Errorf("core: model config: %d RFF features outside [1, %d]", c.RFFFeatures, maxWidth)
+	case math.IsNaN(c.RFFSigma) || math.IsInf(c.RFFSigma, 0):
+		return fmt.Errorf("core: model config: RFF scale %v is not finite", c.RFFSigma)
+	case !(c.TimePeriod > 0) || math.IsInf(c.TimePeriod, 0):
+		return fmt.Errorf("core: model config: time period %v is not positive and finite", c.TimePeriod)
+	}
+	if c.Arch == QPINN || c.Arch == ClassicalTrig {
+		if c.NumQubits < 1 || c.NumQubits > maxQubits {
+			return fmt.Errorf("core: model config: %d qubits outside [1, %d]", c.NumQubits, maxQubits)
+		}
+	}
+	if c.Arch == QPINN && (c.QLayers < 1 || c.QLayers > maxQLayers) {
+		return fmt.Errorf("core: model config: %d circuit layers outside [1, %d]", c.QLayers, maxQLayers)
+	}
+	return nil
 }
 
 // PaperModel returns the paper-scale configuration.

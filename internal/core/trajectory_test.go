@@ -1,0 +1,79 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/maxwell"
+	"repro/internal/qsim"
+)
+
+// trajectoryHash trains mcfg on p for the given epochs and returns an FNV-1a
+// hash over every epoch's loss terms and gradient statistics, then every bit
+// of the final parameters and of the optimizer's moment estimates.
+func trajectoryHash(p maxwell.Problem, mcfg ModelConfig, epochs int) uint64 {
+	tcfg := SmokeTrain(epochs, maxwell.PaperConfig(true, true))
+	tcfg.Grid = 6
+	res := TrainModel(NewModel(mcfg), p, tcfg, nil)
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, st := range res.History {
+		for _, v := range []float64{st.Total, st.Phys, st.IC, st.Sym, st.Energy, st.GradNorm, st.GradVar} {
+			put(v)
+		}
+	}
+	for _, prm := range res.Model.Reg.Params {
+		for _, w := range prm.W {
+			put(w)
+		}
+	}
+	// Adam's moments hold every step's gradient at full precision, where a
+	// parameter rounds away an update's last bits.
+	for _, moments := range [][][]float64{res.Model.TrainState.Opt.M, res.Model.TrainState.Opt.V} {
+		for _, buf := range moments {
+			for _, v := range buf {
+				put(v)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestTrainingTrajectoryPinned pins whole smoke trainings bit for bit: the
+// loss of every epoch and every final parameter of four models that between
+// them run every dual activation (tanh, sin/cos embeddings, arcsin and
+// arccosine angle scaling, the cosine trig control) through the tape's
+// forward and backward. A kernel or tape change that alters any rounding
+// anywhere in a step changes a hash. The constants are only valid where the
+// compiler emits no fused multiply-add, so the test runs on amd64 alone
+// (ROADMAP, "Portable bit-identity").
+func TestTrainingTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip(`trajectory hashes are recorded for amd64 rounding; see ROADMAP, "Portable bit-identity"`)
+	}
+	vac := maxwell.NewSmokeProblem(maxwell.VacuumCase)
+	diel := maxwell.NewSmokeProblem(maxwell.DielectricCase)
+	cases := []struct {
+		name string
+		p    maxwell.Problem
+		cfg  ModelConfig
+		want uint64
+	}{
+		{"classical-vacuum", vac, SmokeModel(ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone), 0xe0debac65e7624b9},
+		{"qpinn-acos-vacuum", vac, SmokeModel(QPINN, qsim.CrossMesh, qsim.ScaleAcos), 0x1cfe1c2fe8d47d52},
+		{"qpinn-asin-dielectric", diel, SmokeModel(QPINN, qsim.BasicEntangling, qsim.ScaleAsin), 0x9b9852bb6aa72e64},
+		{"trig-asin-vacuum", vac, SmokeModel(ClassicalTrig, qsim.BasicEntangling, qsim.ScaleAsin), 0x6dbbbe8a997a859},
+	}
+	for _, c := range cases {
+		if got := trajectoryHash(c.p, c.cfg, 12); got != c.want {
+			t.Errorf("%s: trajectory hash %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}

@@ -110,77 +110,43 @@ func Shift(tp *ad.Tape, a D, c float64) D {
 // Neg returns −a.
 func Neg(tp *ad.Tape, a D) D { return Scale(tp, a, -1) }
 
-// unaryChain applies y = f(a) with tangents yₖ = f'(a) ⊙ aₖ, given the
-// already-computed derivative node df.
-func unaryChain(tp *ad.Tape, a D, v ad.Value, df func() ad.Value) D {
-	out := D{V: v}
-	if !a.HasTangents() {
-		return out
-	}
-	d := df()
-	for k := 0; k < K; k++ {
-		if a.T[k].Valid() {
-			out.T[k] = tp.Mul(d, a.T[k])
-		}
-	}
+// Sin returns sin(a) with cos(a)-scaled tangents, as one fused tape group.
+func Sin(tp *ad.Tape, a D) D { return fused(tp, ad.DualSin, a) }
+
+// Cos returns cos(a) with −sin(a)-scaled tangents, as one fused tape group.
+func Cos(tp *ad.Tape, a D) D { return fused(tp, ad.DualCos, a) }
+
+// Tanh returns tanh(a) with (1−tanh²)-scaled tangents, as one fused tape
+// group.
+func Tanh(tp *ad.Tape, a D) D { return fused(tp, ad.DualTanh, a) }
+
+// Asin returns arcsin(a) with tangent factor 1/√(1−a²), a clamped to
+// ±(1−1e-9) in the factor, as one fused tape group.
+func Asin(tp *ad.Tape, a D) D { return fused(tp, ad.DualAsin, a) }
+
+// Acos returns arccos(a) with tangent factor −1/√(1−a²), a clamped to
+// ±(1−1e-9) in the factor, as one fused tape group.
+func Acos(tp *ad.Tape, a D) D { return fused(tp, ad.DualAcos, a) }
+
+func fused(tp *ad.Tape, fn ad.DualFn, a D) D {
+	var out D
+	out.V = tp.Dual(fn, a.V, a.T[:], out.T[:])
 	return out
 }
 
-// Sin returns sin(a) with cos(a)-scaled tangents.
-func Sin(tp *ad.Tape, a D) D {
-	return unaryChain(tp, a, tp.Sin(a.V), func() ad.Value { return tp.Cos(a.V) })
+// SinCos returns sin(a) and cos(a) as one fused tape group: each is the
+// other's derivative, so every trigonometric value is computed once, in the
+// forward. It equals Sin then Cos bit for bit, gradients included.
+func SinCos(tp *ad.Tape, a D) (sin, cos D) {
+	sin.V, cos.V = tp.SinCos(a.V, a.T[:], sin.T[:], cos.T[:], false)
+	return sin, cos
 }
 
-// Cos returns cos(a) with −sin(a)-scaled tangents.
-func Cos(tp *ad.Tape, a D) D {
-	return unaryChain(tp, a, tp.Cos(a.V), func() ad.Value { return tp.Neg(tp.Sin(a.V)) })
-}
-
-// Tanh returns tanh(a) with (1−tanh²)-scaled tangents.
-func Tanh(tp *ad.Tape, a D) D {
-	v := tp.Tanh(a.V)
-	return unaryChain(tp, a, v, func() ad.Value {
-		return tp.Shift(tp.Neg(tp.Square(v)), 1)
-	})
-}
-
-// Square returns a² with 2a-scaled tangents.
-func Square(tp *ad.Tape, a D) D {
-	return unaryChain(tp, a, tp.Square(a.V), func() ad.Value { return tp.Scale(a.V, 2) })
-}
-
-// Exp returns exp(a) with exp(a)-scaled tangents.
-func Exp(tp *ad.Tape, a D) D {
-	v := tp.Exp(a.V)
-	return unaryChain(tp, a, v, func() ad.Value { return v })
-}
-
-// Asin returns arcsin(a); tangent factor 1/√(1−a²).
-func Asin(tp *ad.Tape, a D) D {
-	v := tp.Asin(a.V)
-	return unaryChain(tp, a, v, func() ad.Value {
-		den := tp.Sqrt(tp.Shift(tp.Neg(tp.Square(tp.Clamp(a.V, 1-1e-9))), 1))
-		one := onesLike(tp, den)
-		return tp.Div(one, den)
-	})
-}
-
-// Acos returns arccos(a); tangent factor −1/√(1−a²).
-func Acos(tp *ad.Tape, a D) D {
-	v := tp.Acos(a.V)
-	return unaryChain(tp, a, v, func() ad.Value {
-		den := tp.Sqrt(tp.Shift(tp.Neg(tp.Square(tp.Clamp(a.V, 1-1e-9))), 1))
-		one := onesLike(tp, den)
-		return tp.Neg(tp.Div(one, den))
-	})
-}
-
-func onesLike(tp *ad.Tape, v ad.Value) ad.Value {
-	data := make([]float64, v.Rows()*v.Cols())
-	for i := range data {
-		data[i] = 1
-	}
-	return tp.Const(v.Rows(), v.Cols(), data)
+// CosSin is SinCos whose gradients equal Cos then Sin bit for bit: the two
+// orders add their terms to a's gradients in opposite order.
+func CosSin(tp *ad.Tape, a D) (cos, sin D) {
+	sin.V, cos.V = tp.SinCos(a.V, a.T[:], sin.T[:], cos.T[:], true)
+	return cos, sin
 }
 
 // Linear applies the affine layer y = a·W + bias. W and bias carry no input

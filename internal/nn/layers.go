@@ -59,7 +59,8 @@ func NewRFF(rng *rand.Rand, in, features int, sigma float64) *RFF {
 // Forward maps x ↦ [cos(xΩ), sin(xΩ)].
 func (f *RFF) Forward(tp *ad.Tape, x dual.D) dual.D {
 	z := dual.MatMulC(tp, x, f.Omega, f.Features)
-	return dual.ConcatCols(tp, dual.Cos(tp, z), dual.Sin(tp, z))
+	cos, sin := dual.CosSin(tp, z)
+	return dual.ConcatCols(tp, cos, sin)
 }
 
 // Periodic implements the input embedding of §2.2: x and y are mapped to
@@ -87,8 +88,14 @@ func (p *Periodic) Forward(tp *ad.Tape, x dual.D) dual.D {
 	one := tp.ConstScalar(2 * math.Pi)
 	omega := tp.Div(one, p.TPeriod.Leaf())
 	ts := dual.ScaleVar(tp, dual.Col(tp, x, 2), omega)
-	xf := dual.ConcatCols(tp, dual.Sin(tp, xs), dual.Cos(tp, xs))
-	yf := dual.ConcatCols(tp, dual.Sin(tp, ys), dual.Cos(tp, ys))
-	tf := dual.ConcatCols(tp, dual.Sin(tp, ts), dual.Cos(tp, ts))
+	xf := sinCosCols(tp, xs)
+	yf := sinCosCols(tp, ys)
+	tf := sinCosCols(tp, ts)
 	return dual.ConcatCols(tp, dual.ConcatCols(tp, xf, yf), tf)
+}
+
+// sinCosCols returns [sin a | cos a], the two computed as one fused pair.
+func sinCosCols(tp *ad.Tape, a dual.D) dual.D {
+	sin, cos := dual.SinCos(tp, a)
+	return dual.ConcatCols(tp, sin, cos)
 }
