@@ -3,6 +3,7 @@ package ad
 import (
 	"fmt"
 
+	"repro/internal/cpufeat"
 	"repro/internal/par"
 )
 
@@ -34,6 +35,10 @@ import (
 //
 // Each kernel is a thin par.ForGrain wrapper around a serial range function
 // that owns a disjoint block of C's rows.
+
+// hasAVX2 reports whether the CPU can run the assembly micro-kernel; it is
+// false off amd64.
+var hasAVX2 = cpufeat.AVX2
 
 // useSIMD selects the assembly micro-kernels for full 4×8 tiles. It is set
 // once from the CPU's features; tests clear it to run the pure-Go path.

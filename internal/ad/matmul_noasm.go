@@ -2,9 +2,6 @@
 
 package ad
 
-// hasAVX2 is false off amd64: every GEMM takes the pure-Go kernels.
-const hasAVX2 = false
-
 // gemm4x8 has no implementation off amd64; useSIMD is never set there.
 func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool) {
 	panic("ad: no SIMD GEMM kernel on this architecture")

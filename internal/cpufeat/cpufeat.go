@@ -1,0 +1,15 @@
+// Package cpufeat probes, once at start-up, the CPU features that the
+// repository's hand-written assembly kernels need. It holds the only CPUID
+// and XGETBV code in the module; the packages with assembly kernels (ad's
+// GEMM tiles, qsim's opU4 entangler kernels) read AVX2 to pick between their
+// assembly and pure-Go paths.
+//
+// The probe is read-only and deterministic for a given machine: it selects
+// which kernel family runs, never what it computes, because every assembly
+// kernel reproduces its pure-Go oracle bit for bit.
+package cpufeat
+
+// AVX2 reports whether the CPU implements AVX2 and the operating system
+// saves the YMM registers across context switches, the two conditions the
+// AVX2 kernels need. It is always false off amd64.
+var AVX2 = detectAVX2()

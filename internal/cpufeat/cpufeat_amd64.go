@@ -1,0 +1,26 @@
+package cpufeat
+
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	// XCR0 bits 1 and 2: the OS enables SSE and AVX (YMM) state.
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx2 = 1 << 5
+	return ebx7&avx2 != 0
+}
+
+// cpuid executes CPUID for the given leaf and sub-leaf.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns extended control register XCR0.
+func xgetbv() (eax, edx uint32)

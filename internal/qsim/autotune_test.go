@@ -17,6 +17,10 @@ import (
 // and backward halves (exactly what the runtime controller does
 // mid-training).
 func TestShardedBitIdenticalAcrossChunkGroups(t *testing.T) {
+	onBothPaths(t, testShardedBitIdenticalAcrossChunkGroups)
+}
+
+func testShardedBitIdenticalAcrossChunkGroups(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	defer par.SetChunkGroup(1)
 	rng := rand.New(rand.NewSource(777))

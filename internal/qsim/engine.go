@@ -711,85 +711,8 @@ func revU4Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 		}
 	}
 	var K [32]float64
-	sa, sb := 1<<in.q, 1<<in.c
-	dim := ws.val.Dim
 	ws.forChannelPairs(func(psi, lam *State) {
-		pr, pim := psi.Re, psi.Im
-		lr, lim := lam.Re, lam.Im
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for b1 := 0; b1 < dim; b1 += sb << 1 {
-				for b2 := b1; b2 < b1+sb; b2 += sa << 1 {
-					for j := b2; j < b2+sa; j++ {
-						i0 := off + j
-						i1, i2, i3 := i0+sa, i0+sb, i0+sa+sb
-						x0r, x0i := pr[i0], pim[i0]
-						x1r, x1i := pr[i1], pim[i1]
-						x2r, x2i := pr[i2], pim[i2]
-						x3r, x3i := pr[i3], pim[i3]
-						l0r, l0i := lr[i0], lim[i0]
-						l1r, l1i := lr[i1], lim[i1]
-						l2r, l2i := lr[i2], lim[i2]
-						l3r, l3i := lr[i3], lim[i3]
-						// ψ_pre = U†·ψ_post
-						p0r := ud[0]*x0r - ud[1]*x0i + ud[2]*x1r - ud[3]*x1i + ud[4]*x2r - ud[5]*x2i + ud[6]*x3r - ud[7]*x3i
-						p0i := ud[0]*x0i + ud[1]*x0r + ud[2]*x1i + ud[3]*x1r + ud[4]*x2i + ud[5]*x2r + ud[6]*x3i + ud[7]*x3r
-						p1r := ud[8]*x0r - ud[9]*x0i + ud[10]*x1r - ud[11]*x1i + ud[12]*x2r - ud[13]*x2i + ud[14]*x3r - ud[15]*x3i
-						p1i := ud[8]*x0i + ud[9]*x0r + ud[10]*x1i + ud[11]*x1r + ud[12]*x2i + ud[13]*x2r + ud[14]*x3i + ud[15]*x3r
-						p2r := ud[16]*x0r - ud[17]*x0i + ud[18]*x1r - ud[19]*x1i + ud[20]*x2r - ud[21]*x2i + ud[22]*x3r - ud[23]*x3i
-						p2i := ud[16]*x0i + ud[17]*x0r + ud[18]*x1i + ud[19]*x1r + ud[20]*x2i + ud[21]*x2r + ud[22]*x3i + ud[23]*x3r
-						p3r := ud[24]*x0r - ud[25]*x0i + ud[26]*x1r - ud[27]*x1i + ud[28]*x2r - ud[29]*x2i + ud[30]*x3r - ud[31]*x3i
-						p3i := ud[24]*x0i + ud[25]*x0r + ud[26]*x1i + ud[27]*x1r + ud[28]*x2i + ud[29]*x2r + ud[30]*x3i + ud[31]*x3r
-						// K[r,c] += ψ_pre_c·conj(λ_post_r)
-						K[0] += p0r*l0r + p0i*l0i
-						K[1] += p0i*l0r - p0r*l0i
-						K[2] += p1r*l0r + p1i*l0i
-						K[3] += p1i*l0r - p1r*l0i
-						K[4] += p2r*l0r + p2i*l0i
-						K[5] += p2i*l0r - p2r*l0i
-						K[6] += p3r*l0r + p3i*l0i
-						K[7] += p3i*l0r - p3r*l0i
-						K[8] += p0r*l1r + p0i*l1i
-						K[9] += p0i*l1r - p0r*l1i
-						K[10] += p1r*l1r + p1i*l1i
-						K[11] += p1i*l1r - p1r*l1i
-						K[12] += p2r*l1r + p2i*l1i
-						K[13] += p2i*l1r - p2r*l1i
-						K[14] += p3r*l1r + p3i*l1i
-						K[15] += p3i*l1r - p3r*l1i
-						K[16] += p0r*l2r + p0i*l2i
-						K[17] += p0i*l2r - p0r*l2i
-						K[18] += p1r*l2r + p1i*l2i
-						K[19] += p1i*l2r - p1r*l2i
-						K[20] += p2r*l2r + p2i*l2i
-						K[21] += p2i*l2r - p2r*l2i
-						K[22] += p3r*l2r + p3i*l2i
-						K[23] += p3i*l2r - p3r*l2i
-						K[24] += p0r*l3r + p0i*l3i
-						K[25] += p0i*l3r - p0r*l3i
-						K[26] += p1r*l3r + p1i*l3i
-						K[27] += p1i*l3r - p1r*l3i
-						K[28] += p2r*l3r + p2i*l3i
-						K[29] += p2i*l3r - p2r*l3i
-						K[30] += p3r*l3r + p3i*l3i
-						K[31] += p3i*l3r - p3r*l3i
-						// λ_pre = U†·λ_post
-						lr[i0] = ud[0]*l0r - ud[1]*l0i + ud[2]*l1r - ud[3]*l1i + ud[4]*l2r - ud[5]*l2i + ud[6]*l3r - ud[7]*l3i
-						lim[i0] = ud[0]*l0i + ud[1]*l0r + ud[2]*l1i + ud[3]*l1r + ud[4]*l2i + ud[5]*l2r + ud[6]*l3i + ud[7]*l3r
-						lr[i1] = ud[8]*l0r - ud[9]*l0i + ud[10]*l1r - ud[11]*l1i + ud[12]*l2r - ud[13]*l2i + ud[14]*l3r - ud[15]*l3i
-						lim[i1] = ud[8]*l0i + ud[9]*l0r + ud[10]*l1i + ud[11]*l1r + ud[12]*l2i + ud[13]*l2r + ud[14]*l3i + ud[15]*l3r
-						lr[i2] = ud[16]*l0r - ud[17]*l0i + ud[18]*l1r - ud[19]*l1i + ud[20]*l2r - ud[21]*l2i + ud[22]*l3r - ud[23]*l3i
-						lim[i2] = ud[16]*l0i + ud[17]*l0r + ud[18]*l1i + ud[19]*l1r + ud[20]*l2i + ud[21]*l2r + ud[22]*l3i + ud[23]*l3r
-						lr[i3] = ud[24]*l0r - ud[25]*l0i + ud[26]*l1r - ud[27]*l1i + ud[28]*l2r - ud[29]*l2i + ud[30]*l3r - ud[31]*l3i
-						lim[i3] = ud[24]*l0i + ud[25]*l0r + ud[26]*l1i + ud[27]*l1r + ud[28]*l2i + ud[29]*l2r + ud[30]*l3i + ud[31]*l3r
-						pr[i0], pim[i0] = p0r, p0i
-						pr[i1], pim[i1] = p1r, p1i
-						pr[i2], pim[i2] = p2r, p2i
-						pr[i3], pim[i3] = p3r, p3i
-					}
-				}
-			}
-		}
+		revU4PairRange(psi, lam, lo, hi, in.q, in.c, &ud, &K)
 	})
 	for t, p := range in.params {
 		d := dcoef[in.dslot+32*t : in.dslot+32*t+32]

@@ -57,7 +57,9 @@ func maxAbsDiff(a, b []float64) float64 {
 // engines share no kernel code on the sharded side (compiled instruction
 // stream with gate fusion vs per-gate sweeps vs dense matrices), so
 // agreement pins the whole compile/execute stack.
-func TestEngineParity(t *testing.T) {
+func TestEngineParity(t *testing.T) { onBothPaths(t, testEngineParity) }
+
+func testEngineParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	const tol = 1e-10
 	for _, a := range AllAnsatze {
@@ -101,7 +103,9 @@ func TestEngineParity(t *testing.T) {
 
 // TestEngineParityNoTangents covers the pure value path (no tangent
 // channels, nil gradient buffers) the barren-plateau probe uses.
-func TestEngineParityNoTangents(t *testing.T) {
+func TestEngineParityNoTangents(t *testing.T) { onBothPaths(t, testEngineParityNoTangents) }
+
+func testEngineParityNoTangents(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	circ := StronglyEntangling.Build(5, 3)
 	n, nq := 7, 5
@@ -135,7 +139,9 @@ func TestEngineParityNoTangents(t *testing.T) {
 // TestEngineParityRandomShapes: property-style sweep over random batch
 // sizes, qubit counts and depths, sharded vs legacy only (naive is covered
 // above and is O(4^nq) per gate).
-func TestEngineParityRandomShapes(t *testing.T) {
+func TestEngineParityRandomShapes(t *testing.T) { onBothPaths(t, testEngineParityRandomShapes) }
+
+func testEngineParityRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
 	for trial := 0; trial < 25; trial++ {
 		a := AllAnsatze[rng.Intn(len(AllAnsatze))]
@@ -186,7 +192,9 @@ func TestEngineParityRandomShapes(t *testing.T) {
 
 // TestEngineParityNilValueGradient: gradient flowing only through the
 // tangent readouts (gz == nil) is a supported call shape on every engine.
-func TestEngineParityNilValueGradient(t *testing.T) {
+func TestEngineParityNilValueGradient(t *testing.T) { onBothPaths(t, testEngineParityNilValueGradient) }
+
+func testEngineParityNilValueGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	circ := BasicEntangling.Build(3, 2)
 	n, nq := 4, 3
@@ -212,7 +220,9 @@ func TestEngineParityNilValueGradient(t *testing.T) {
 // workers on disjoint sample ranges share one workspace race-free
 // (per-shard dTheta partials, per-sample scratch). Run under -race this is
 // the engine's concurrency check.
-func TestEngineParityForcedParallel(t *testing.T) {
+func TestEngineParityForcedParallel(t *testing.T) { onBothPaths(t, testEngineParityForcedParallel) }
+
+func testEngineParityForcedParallel(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(31337))
 	// Cross-Mesh matters here beyond Strongly-Entangling: its CRZ meshes
@@ -262,6 +272,10 @@ func TestEngineParityForcedParallel(t *testing.T) {
 // for every worker bound. Per-worker partials could not promise this: their
 // reduction order would follow the worker count.
 func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
+	onBothPaths(t, testShardedDeterministicAcrossWorkerCounts)
+}
+
+func testShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(90210))
 	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh, CrossMeshCNOT} {

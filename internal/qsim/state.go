@@ -21,8 +21,22 @@
 // the naive engine applies dense 2^nq×2^nq matrices per gate; both serve as
 // comparators and parity references.
 //
-// The batchwide Apply* methods on State are thin wrappers that parallelize
-// the per-sample-range kernels the sharded executor calls directly.
+// The batchwide Apply* methods on State apply one source gate to the whole
+// batch by parallelizing a per-sample-range kernel; the legacy engine and
+// the reference paths (EvalZ, the noise channels) use them. The fused
+// super-ops the compiler emits (opU2, opU4, opU2x3, opDiagN, opPerm8) have
+// range kernels only, which the sharded executor calls directly.
+//
+// The opU4 entangler block, a dense 4×4 unitary on a qubit pair and most of
+// a Strongly-Entangling step, has AVX2 assembly kernels on amd64 for its
+// forward apply and its fused adjoint (u4_amd64.s), chosen at start-up from
+// CPUID (internal/cpufeat). Their YMM lanes run across the four output rows
+// of U or U†: each input amplitude is broadcast and multiplied by a column
+// of a column-packed copy of the matrix, and every sum is a VMULPD followed
+// by a VADDPD or VSUBPD in the scalar expression's order, never a fused
+// multiply-add. The adjoint keeps the 32 entries of its outer product K in
+// eight YMM registers for a whole call. The pure-Go kernels run everywhere
+// else and are the oracle.
 //
 // # Invariants
 //
@@ -34,7 +48,10 @@
 // their results are bit-identical for any worker count, chunk-group
 // setting, or process placement. These guarantees rest on par.RunChunk's
 // partition determinism (see the par package doc) and must survive any
-// scheduler or transport change.
+// scheduler or transport change. The opU4 assembly kernels reproduce their
+// pure-Go oracles bit for bit (same terms, same order, no fused
+// multiply-add), so whether a CPU has AVX2 moves no output, gradient,
+// digest or training trajectory.
 package qsim
 
 import "repro/internal/par"
@@ -200,15 +217,11 @@ func (s *State) applyYRange(lo, hi, q int, a, b float64) {
 	}
 }
 
-// ApplyU2 applies an arbitrary 2×2 unitary on qubit q, given row-major as
-// interleaved re/im pairs u = [u00r, u00i, u01r, u01i, u10r, u10i, u11r,
-// u11i] — the kernel behind fused runs of single-qubit gates.
-func (s *State) ApplyU2(q int, u *[8]float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyU2Range(lo, hi, q, u)
-	})
-}
-
+// applyU2Range applies an arbitrary 2×2 unitary on qubit q to samples
+// [lo, hi), given row-major as interleaved re/im pairs u = [u00r, u00i,
+// u01r, u01i, u10r, u10i, u11r, u11i] — the kernel behind fused runs of
+// single-qubit gates.
+//
 //torq:hotpath
 func (s *State) applyU2Range(lo, hi, q int, u *[8]float64) {
 	stride := 1 << q
@@ -228,45 +241,6 @@ func (s *State) applyU2Range(lo, hi, q int, u *[8]float64) {
 				im[j] = ar*i0 + ai*r0 + br*i1 + bi*r1
 				re[k] = cr*r0 - ci*i0 + dr*r1 - di*i1
 				im[k] = cr*i0 + ci*r0 + dr*i1 + di*r1
-			}
-		}
-	}
-}
-
-// ApplyU4 applies an arbitrary 4×4 unitary on the qubit pair (qa, qb),
-// qa < qb, given row-major as interleaved re/im pairs with qa as bit 0 of
-// the local basis index — the kernel behind fused entangler blocks.
-func (s *State) ApplyU4(qa, qb int, u *[32]float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyU4Range(lo, hi, qa, qb, u)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyU4Range(lo, hi, qa, qb int, u *[32]float64) {
-	sa, sb := 1<<qa, 1<<qb
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for b1 := 0; b1 < dim; b1 += sb << 1 {
-			for b2 := b1; b2 < b1+sb; b2 += sa << 1 {
-				for j := b2; j < b2+sa; j++ {
-					i0 := off + j
-					i1, i2, i3 := i0+sa, i0+sb, i0+sa+sb
-					x0r, x0i := re[i0], im[i0]
-					x1r, x1i := re[i1], im[i1]
-					x2r, x2i := re[i2], im[i2]
-					x3r, x3i := re[i3], im[i3]
-					re[i0] = u[0]*x0r - u[1]*x0i + u[2]*x1r - u[3]*x1i + u[4]*x2r - u[5]*x2i + u[6]*x3r - u[7]*x3i
-					im[i0] = u[0]*x0i + u[1]*x0r + u[2]*x1i + u[3]*x1r + u[4]*x2i + u[5]*x2r + u[6]*x3i + u[7]*x3r
-					re[i1] = u[8]*x0r - u[9]*x0i + u[10]*x1r - u[11]*x1i + u[12]*x2r - u[13]*x2i + u[14]*x3r - u[15]*x3i
-					im[i1] = u[8]*x0i + u[9]*x0r + u[10]*x1i + u[11]*x1r + u[12]*x2i + u[13]*x2r + u[14]*x3i + u[15]*x3r
-					re[i2] = u[16]*x0r - u[17]*x0i + u[18]*x1r - u[19]*x1i + u[20]*x2r - u[21]*x2i + u[22]*x3r - u[23]*x3i
-					im[i2] = u[16]*x0i + u[17]*x0r + u[18]*x1i + u[19]*x1r + u[20]*x2i + u[21]*x2r + u[22]*x3i + u[23]*x3r
-					re[i3] = u[24]*x0r - u[25]*x0i + u[26]*x1r - u[27]*x1i + u[28]*x2r - u[29]*x2i + u[30]*x3r - u[31]*x3i
-					im[i3] = u[24]*x0i + u[25]*x0r + u[26]*x1i + u[27]*x1r + u[28]*x2i + u[29]*x2r + u[30]*x3i + u[31]*x3r
-				}
 			}
 		}
 	}
@@ -442,15 +416,10 @@ func (s *State) applyPerm8Range(lo, hi, qa, qb, qc int, cycles [][]uint8) {
 	}
 }
 
-// ApplyDiagN applies a full-register diagonal with per-basis complex phases
-// ph (interleaved re/im, length 2·Dim) — the kernel behind fused diagonal
-// chains (CRZ meshes).
-func (s *State) ApplyDiagN(ph []float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyDiagNRange(lo, hi, ph)
-	})
-}
-
+// applyDiagNRange applies a full-register diagonal with per-basis complex
+// phases ph (interleaved re/im, length 2·Dim) to samples [lo, hi) — the
+// kernel behind fused diagonal chains (CRZ meshes).
+//
 //torq:hotpath
 func (s *State) applyDiagNRange(lo, hi int, ph []float64) {
 	dim := s.Dim
