@@ -165,18 +165,6 @@ func BenchmarkTorqEpochDistSerial(b *testing.B) {
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineDist)
 }
 
-// BenchmarkTorqEpochDistUnbatched is DistSerial with the transport knobs
-// forced to the pre-batching protocol — one shard per frame, one frame in
-// flight, no forward-state affinity. The DistSerial/DistUnbatched ratio is
-// the measured value of shard batching + pipelining + affinity, and keeps
-// the serial protocol's cost visible so a regression hiding inside one of
-// the knobs can be bisected from the bench table alone.
-func BenchmarkTorqEpochDistUnbatched(b *testing.B) {
-	dist.Configure(dist.Options{Workers: 1, BatchShards: 1, Pipeline: 1, Affinity: -1})
-	defer dist.Shutdown()
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineDist)
-}
-
 // BenchmarkTorqEpochShardedFTDC / DistSerialFTDC are the recorder-overhead
 // pair: the identical Sharded / DistSerial units with the flight-data
 // recorder live at its default cadence, sampling the par, qsim, and dist

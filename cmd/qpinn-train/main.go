@@ -45,18 +45,14 @@ func main() {
 		loadPath   = flag.String("load", "", "warm-start from a checkpoint (overrides architecture flags)")
 		ftdcDump   = flag.String("ftdc-dump", "", "record flight-data telemetry and write the capture here at exit (and on SIGUSR1)")
 		ftdcEvery  = flag.Duration("ftdc-interval", 0, "telemetry sampling period (0 = 100ms)")
-		autotune   = flag.Bool("autotune", os.Getenv("TORQ_AUTOTUNE") != "", "let the recorder re-size par chunk grouping from observed steal ratios (also TORQ_AUTOTUNE=1); gradients stay bit-identical for every setting")
 		debugAddr  = flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address and enable span tracing; results stay bit-identical")
 	)
 	flag.Parse()
 
 	var rec *ftdc.Recorder
-	if *ftdcDump != "" || *autotune || *debugAddr != "" {
+	if *ftdcDump != "" || *debugAddr != "" {
 		rec = ftdc.New(ftdc.Options{Interval: *ftdcEvery})
 		ftdc.StandardSources(rec)
-		if *autotune {
-			rec.EnableAutoTune()
-		}
 		rec.Start()
 		if *ftdcDump != "" {
 			rec.DumpOnSignal(*ftdcDump)

@@ -24,7 +24,6 @@ func main() {
 	distWorkers := flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
 	ftdcDump := flag.String("ftdc-dump", "", "record flight-data telemetry and write the capture here at exit (and on SIGUSR1)")
 	ftdcEvery := flag.Duration("ftdc-interval", 0, "telemetry sampling period (0 = 100ms)")
-	autotune := flag.Bool("autotune", os.Getenv("TORQ_AUTOTUNE") != "", "let the recorder re-size par chunk grouping from observed steal ratios (also TORQ_AUTOTUNE=1); gradients stay bit-identical for every setting")
 	debugAddr := flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address and enable span tracing; results stay bit-identical")
 	flag.Parse()
 	o := experiments.Options{Preset: experiments.Smoke, Out: os.Stdout}
@@ -42,12 +41,9 @@ func main() {
 		defer dist.Shutdown()
 	}
 	var rec *ftdc.Recorder
-	if *ftdcDump != "" || *autotune || *debugAddr != "" {
+	if *ftdcDump != "" || *debugAddr != "" {
 		rec = ftdc.New(ftdc.Options{Interval: *ftdcEvery})
 		ftdc.StandardSources(rec)
-		if *autotune {
-			rec.EnableAutoTune()
-		}
 		rec.Start()
 		if *ftdcDump != "" {
 			rec.DumpOnSignal(*ftdcDump)

@@ -23,11 +23,10 @@ import (
 // falls back to its environment default — TORQ_DIST_WORKERS subprocess
 // workers (2 when unset and no remote addresses are given),
 // TORQ_DIST_WORKER_BIN as the worker binary (self-exec when unset),
-// TORQ_DIST_ADDRS remote workers, TORQ_DIST_SHARD_TIMEOUT per-shard timeout,
-// TORQ_DIST_BATCH_SHARDS / TORQ_DIST_PIPELINE / TORQ_DIST_AFFINITY for the
-// transport's batching, pipelining, and forward-state affinity knobs
-// — so e.g. `torq-bench -dist-workers 4` composes with a TORQ_DIST_ADDRS /
-// TORQ_DIST_WORKER_BIN environment instead of silently discarding it.
+// TORQ_DIST_ADDRS remote workers, TORQ_DIST_SHARD_TIMEOUT per-shard
+// timeout — so e.g. `torq-bench -dist-workers 4` composes with a
+// TORQ_DIST_ADDRS / TORQ_DIST_WORKER_BIN environment instead of silently
+// discarding it.
 type Options struct {
 	// Workers is the number of local subprocess workers to spawn.
 	Workers int
@@ -44,26 +43,17 @@ type Options struct {
 	// worker that blows its (scaled) timeout is declared dead and its
 	// outstanding shards re-dispatched. Zero means 60s per shard.
 	ShardTimeout time.Duration
-	// BatchShards caps how many shards ride one assignment frame. The
-	// scheduler only reaches the cap while plenty of work remains — batches
-	// shrink toward single shards near a pass's tail, so late rebalancing
-	// and dead-worker re-dispatch keep single-shard granularity. Zero means
-	// 16; 1 disables batching.
-	BatchShards int
-	// Pipeline is how many batches beyond the one in service stay queued to
-	// each worker, hiding frame-transport latency under shard compute. Zero
-	// means 2; 1 approximates the unpipelined round-trip protocol.
-	Pipeline int
-	// Affinity controls forward-state affinity: workers retain each forward
-	// shard's end states and the coordinator routes the matching backward
-	// shard back to the worker that holds them, skipping the backward
-	// pass's forward recompute. Zero or positive enables (the default);
-	// negative disables. Recovery semantics do not depend on this knob —
-	// workers validate cached states against the backward shard's exact
-	// inputs and silently fall back to the stateless recompute, which is
-	// bit-identical by construction.
-	Affinity int
 }
+
+// maxShardsPerBatch caps how many shards ride one assignment frame. The
+// scheduler only reaches the cap while plenty of work remains — batches
+// shrink toward single shards near a pass's tail, so late rebalancing and
+// dead-worker re-dispatch keep single-shard granularity.
+const maxShardsPerBatch = 16
+
+// pipelineDepth is how many batches beyond the one in service stay queued
+// to each worker, hiding frame-transport latency under shard compute.
+const pipelineDepth = 2
 
 func (o Options) timeout() time.Duration {
 	if o.ShardTimeout > 0 {
@@ -71,22 +61,6 @@ func (o Options) timeout() time.Duration {
 	}
 	return 60 * time.Second
 }
-
-func (o Options) batchShards() int {
-	if o.BatchShards > 0 {
-		return o.BatchShards
-	}
-	return 16
-}
-
-func (o Options) pipelineDepth() int {
-	if o.Pipeline > 0 {
-		return o.Pipeline
-	}
-	return 2
-}
-
-func (o Options) affinity() bool { return o.Affinity >= 0 }
 
 func envOptions() Options {
 	var o Options
@@ -103,19 +77,6 @@ func envOptions() Options {
 	}
 	if v, err := time.ParseDuration(os.Getenv("TORQ_DIST_SHARD_TIMEOUT")); err == nil && v > 0 {
 		o.ShardTimeout = v
-	}
-	if v, err := strconv.Atoi(os.Getenv("TORQ_DIST_BATCH_SHARDS")); err == nil && v > 0 {
-		o.BatchShards = v
-	}
-	if v, err := strconv.Atoi(os.Getenv("TORQ_DIST_PIPELINE")); err == nil && v > 0 {
-		o.Pipeline = v
-	}
-	switch strings.ToLower(os.Getenv("TORQ_DIST_AFFINITY")) {
-	case "":
-	case "0", "off", "false", "no":
-		o.Affinity = -1
-	default:
-		o.Affinity = 1
 	}
 	return o
 }
@@ -257,15 +218,6 @@ func Configure(o Options) {
 	}
 	if o.ShardTimeout > 0 {
 		base.ShardTimeout = o.ShardTimeout
-	}
-	if o.BatchShards != 0 {
-		base.BatchShards = o.BatchShards
-	}
-	if o.Pipeline != 0 {
-		base.Pipeline = o.Pipeline
-	}
-	if o.Affinity != 0 {
-		base.Affinity = o.Affinity
 	}
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
@@ -472,7 +424,6 @@ type passSched struct {
 	global     []int         // unowned shards, popped from the end
 	unassigned int
 	remaining  int
-	batchCap   int
 	workers    int
 	paired     bool // pass carries affinity routing (owner map was supplied)
 }
@@ -481,12 +432,11 @@ type passSched struct {
 // the pass's live set, and to the global pool otherwise (owner may be nil —
 // no affinity pairing). Lists are built in descending shard order so the
 // pop-from-the-end grab path dispatches ascending.
-func newPassSched(ns, batchCap int, live []*worker, owner []int32) *passSched {
+func newPassSched(ns int, live []*worker, owner []int32) *passSched {
 	s := &passSched{
 		prefer:     make(map[int][]int, len(live)),
 		unassigned: ns,
 		remaining:  ns,
-		batchCap:   batchCap,
 		workers:    len(live),
 		paired:     owner != nil,
 	}
@@ -522,8 +472,8 @@ func (s *passSched) grab(w *worker) []int {
 		s.cond.Wait()
 	}
 	chunk := s.unassigned / (2 * s.workers)
-	if chunk > s.batchCap {
-		chunk = s.batchCap
+	if chunk > maxShardsPerBatch {
+		chunk = maxShardsPerBatch
 	}
 	if chunk < 1 {
 		chunk = 1
@@ -617,7 +567,6 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	if err := c.ensureWorkersLocked(); err != nil {
 		return nil, err
 	}
-	o := c.options()
 	c.passID++
 	pass := c.passID
 	xstats.passes.Add(1)
@@ -672,14 +621,14 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	var fwdPass uint64
 	var owner []int32
 	if spec.Backward {
-		if lf := c.lastFwd; o.affinity() && lf != nil && lf.circ == spec.Circ &&
+		if lf := c.lastFwd; lf != nil && lf.circ == spec.Circ &&
 			lf.n == spec.N && lf.block == spec.Block && lf.active == spec.Active &&
 			len(lf.owner) == ns {
 			fwdPass, owner = lf.pass, lf.owner
 		}
 		c.lastFwd = nil
 	}
-	retain := o.affinity() && !spec.Backward
+	retain := !spec.Backward
 	var fwd *fwdPassInfo
 	if retain {
 		fwd = &fwdPassInfo{
@@ -719,7 +668,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		w.inflight.Store(0)
 	}
 
-	sched := newPassSched(ns, o.batchShards(), live, owner)
+	sched := newPassSched(ns, live, owner)
 	// Trace context rides the broadcast: the engine's pass-root span (opened
 	// by qsim around this RunPass) parents the transport spans here, and its
 	// id crosses the wire so worker-side shard spans stitch under the same
@@ -740,7 +689,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			c.workerRun(w, o, spec, pass, passSpan, pm, sched, results, fwd)
+			c.workerRun(w, spec, pass, passSpan, pm, sched, results, fwd)
 		}(w)
 	}
 	wg.Wait()
@@ -759,7 +708,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 // blocks writing reply k would wedge; here the receiver keeps draining. The
 // flights channel carries each in-flight batch from sender to receiver and
 // its capacity bounds the pipeline depth.
-func (c *coordinator) workerRun(w *worker, o Options, spec *qsim.PassSpec, pass, passSpan uint64, pm []byte, sched *passSched, results []qsim.ShardResult, fwd *fwdPassInfo) {
+func (c *coordinator) workerRun(w *worker, spec *qsim.PassSpec, pass, passSpan uint64, pm []byte, sched *passSched, results []qsim.ShardResult, fwd *fwdPassInfo) {
 	bcast := trace.Begin(trace.KBroadcast, passSpan)
 	bcast.Worker = int32(w.id)
 	stop := c.guard(w)
@@ -781,7 +730,7 @@ func (c *coordinator) workerRun(w *worker, o Options, spec *qsim.PassSpec, pass,
 		sent   time.Time
 		span   trace.Span
 	}
-	flights := make(chan flight, o.pipelineDepth())
+	flights := make(chan flight, pipelineDepth)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

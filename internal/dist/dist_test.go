@@ -36,10 +36,20 @@ func randRows(rng *rand.Rand, n int) []float64 {
 // runPass executes one forward+backward pass of circ on the given engine.
 func runPass(kind qsim.EngineKind, circ *qsim.Circuit, n int, angles []float64, tans [][]float64,
 	theta, gz []float64, gztans [][]float64) passResult {
+	return runSplitPass(kind, circ, n, angles, tans, theta, gz, gztans, nil)
+}
+
+// runSplitPass is runPass with between (when non-nil) run after the forward
+// and before the backward.
+func runSplitPass(kind qsim.EngineKind, circ *qsim.Circuit, n int, angles []float64, tans [][]float64,
+	theta, gz []float64, gztans [][]float64, between func()) passResult {
 	nq := circ.NumQubits
 	pqc := &qsim.PQC{Circ: circ, Eng: kind}
 	ws := qsim.NewWorkspace(n, nq)
 	z, ztans := pqc.Forward(ws, angles, tans, theta)
+	if between != nil {
+		between()
+	}
 	res := passResult{
 		z:       z,
 		ztans:   ztans,
@@ -85,26 +95,31 @@ func comparePass(t *testing.T, ctx string, want, got passResult) {
 	}
 }
 
-// distTransportConfigs are the transport variants every parity matrix runs
-// under: the default pipelined/batched/affinity transport, and the knobs
-// forced to one shard per batch frame, one batch in flight and no
-// affinity — bit-identity must hold for both, which proves batching, pipelining, and forward-state
-// affinity are pure transport concerns that never touch the numerics.
-var distTransportConfigs = []struct {
-	name string
-	opts dist.Options
-}{
-	{"batched", dist.Options{}},
-	{"unbatched", dist.Options{BatchShards: 1, Pipeline: 1, Affinity: -1}},
+// affinityShards reads the coordinator's affinity accounting: how many
+// backward shards it routed to, or away from, their forward's owner. Only
+// a backward paired with its forward counts here.
+func affinityShards() int64 {
+	var sum int64
+	dist.Collect(func(name string, v int64) {
+		if name == "dist.aff_routed" || name == "dist.aff_missed" {
+			sum += v
+		}
+	})
+	return sum
 }
 
 // TestDistBitIdenticalToSharded is the acceptance check: EngineDist with 1,
 // 2, and 4 subprocess workers must produce bit-identical z rows and
 // gradients to the in-process EngineSharded on every ansatz, with and
-// without data re-uploading, with shard batching and forward-state affinity
-// both enabled and disabled. The batch is sized to split into several
+// without data re-uploading. The batch is sized to split into several
 // shards so multi-worker runs genuinely interleave and re-order shard
 // completion — bit-identity then proves the shard-order merge.
+//
+// Each workload runs twice: once with the backward paired to its forward,
+// so workers replay their retained forward states, and once unpaired. In
+// the unpaired run a forward of a different batch size lands between the
+// forward and the backward, so the coordinator sends fwd_pass=0 and every
+// worker recomputes the forward statelessly.
 func TestDistBitIdenticalToSharded(t *testing.T) {
 	defer dist.Shutdown()
 	rng := rand.New(rand.NewSource(4242))
@@ -140,16 +155,37 @@ func TestDistBitIdenticalToSharded(t *testing.T) {
 		}
 	}
 
-	for _, cfg := range distTransportConfigs {
-		for _, workers := range []int{1, 2, 4} {
-			opts := cfg.opts
-			opts.Workers = workers
-			dist.Configure(opts)
-			for _, w := range loads {
-				got := runPass(qsim.EngineDist, w.circ, n, w.in[0], w.tans, w.in[1], w.in[2], w.gzt)
-				comparePass(t, fmt.Sprintf("%s/%s/workers=%d", w.ctx, cfg.name, workers), w.want, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		dist.Configure(dist.Options{Workers: workers})
+		for _, w := range loads {
+			ctx := fmt.Sprintf("%s/workers=%d", w.ctx, workers)
+			checkPairedAndUnpaired(t, ctx, w.circ, n, w.in[0], w.tans, w.in[1], w.in[2], w.gzt, w.want)
 		}
+	}
+}
+
+// checkPairedAndUnpaired runs one pass on EngineDist twice and compares
+// both with want. The first backward pairs with its forward, so it must
+// move the affinity accounting. Before the second backward, a forward of
+// half the batch runs, so the coordinator sends fwd_pass=0, every worker
+// recomputes statelessly, and the accounting must not move.
+func checkPairedAndUnpaired(t *testing.T, ctx string, circ *qsim.Circuit, n int, angles []float64, tans [][]float64,
+	theta, gz []float64, gztans [][]float64, want passResult) {
+	t.Helper()
+	aff := affinityShards()
+	comparePass(t, ctx+"/paired", want, runPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans))
+	if affinityShards() == aff {
+		t.Fatalf("%s/paired: backward did not pair with its forward", ctx)
+	}
+	m, nq := n/2, circ.NumQubits
+	other := func() {
+		pqc := &qsim.PQC{Circ: circ, Eng: qsim.EngineDist}
+		pqc.Forward(qsim.NewWorkspace(m, nq), angles[:m*nq], nil, theta)
+	}
+	aff = affinityShards()
+	comparePass(t, ctx+"/unpaired", want, runSplitPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans, other))
+	if affinityShards() != aff {
+		t.Fatalf("%s/unpaired: backward paired across a forward of another batch size", ctx)
 	}
 }
 
@@ -169,13 +205,9 @@ func TestDistBitIdenticalLargeBatch(t *testing.T) {
 	gztans := [][]float64{randRows(rng, n*nq), randRows(rng, n*nq), randRows(rng, n*nq)}
 	want := runPass(qsim.EngineSharded, circ, n, angles, tans, theta, gz, gztans)
 
-	for _, cfg := range distTransportConfigs {
-		opts := cfg.opts
-		opts.Workers = 2
-		dist.Configure(opts)
-		got := runPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans)
-		comparePass(t, "crossmesh-7q/"+cfg.name, want, got)
-	}
+	dist.Configure(dist.Options{Workers: 2})
+	got := runPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans)
+	comparePass(t, "crossmesh-7q", want, got)
 }
 
 // TestDistNoTangentsNilGrad covers the pure value path (no tangent channels,

@@ -132,27 +132,13 @@ func TestDistAffinityInvalidationOnWorkerDeath(t *testing.T) {
 	// splitPass runs forward, kills `kills` live workers while they hold
 	// the forward states, then runs the paired backward.
 	splitPass := func(kills int) passResult {
-		pqc := &qsim.PQC{Circ: circ, Eng: qsim.EngineDist}
-		ws := qsim.NewWorkspace(n, nq)
-		z, ztans := pqc.Forward(ws, angles, tans, theta)
-		for i := 0; i < kills; i++ {
-			if !dist.KillOneWorkerForTest() {
-				t.Fatal("no live worker to kill")
+		return runSplitPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans, func() {
+			for i := 0; i < kills; i++ {
+				if !dist.KillOneWorkerForTest() {
+					t.Fatal("no live worker to kill")
+				}
 			}
-		}
-		res := passResult{
-			z: z, ztans: ztans,
-			dAngles: make([]float64, n*nq),
-			dTheta:  make([]float64, circ.NumParams),
-			dTans:   make([][]float64, qsim.MaxTangents),
-		}
-		for k := range tans {
-			if tans[k] != nil {
-				res.dTans[k] = make([]float64, n*nq)
-			}
-		}
-		pqc.Backward(ws, gz, gztans, res.dAngles, res.dTans, res.dTheta)
-		return res
+		})
 	}
 
 	dist.Configure(dist.Options{Workers: 2})

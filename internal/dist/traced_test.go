@@ -58,15 +58,11 @@ func TestDistTracedBitIdentical(t *testing.T) {
 
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
-	for _, cfg := range distTransportConfigs {
-		for _, workers := range []int{1, 2, 4} {
-			opts := cfg.opts
-			opts.Workers = workers
-			dist.Configure(opts)
-			for _, w := range loads {
-				got := runPass(qsim.EngineDist, w.circ, n, w.in[0], w.tans, w.in[1], w.in[2], w.gzt)
-				comparePass(t, fmt.Sprintf("traced/%s/%s/workers=%d", w.ctx, cfg.name, workers), w.want, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		dist.Configure(dist.Options{Workers: workers})
+		for _, w := range loads {
+			ctx := fmt.Sprintf("traced/%s/workers=%d", w.ctx, workers)
+			checkPairedAndUnpaired(t, ctx, w.circ, n, w.in[0], w.tans, w.in[1], w.in[2], w.gzt, w.want)
 		}
 	}
 }

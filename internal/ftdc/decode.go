@@ -57,6 +57,10 @@ func Decode(data []byte) ([]Sample, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Each name needs at least its 1-byte length prefix.
+			if cnt > uint64(len(data)) {
+				return nil, fmt.Errorf("ftdc: schema claims %d names in %d bytes", cnt, len(data))
+			}
 			names := make([]string, 0, cnt)
 			for i := uint64(0); i < cnt; i++ {
 				l, err := uvar()
@@ -89,6 +93,10 @@ func Decode(data []byte) ([]Sample, error) {
 			names, ok := schemas[gen]
 			if !ok {
 				return nil, fmt.Errorf("ftdc: chunk references unknown schema generation %d", gen)
+			}
+			// Each sample needs at least one byte for dt and one per value.
+			if cnt > blen/(1+uint64(len(names))) {
+				return nil, fmt.Errorf("ftdc: chunk claims %d samples in %d bytes", cnt, blen)
 			}
 			body := data[:blen]
 			data = data[blen:]

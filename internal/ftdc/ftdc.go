@@ -19,11 +19,12 @@
 //
 // Recording observes and must never perturb results: collectors read
 // atomics and take no locks shared with compute hot paths, sampling runs on
-// its own goroutine, and the one control loop that feeds back into
-// execution — the opt-in AutoTuner re-sizing par's chunk grouping — only
-// moves whole chunks between workers, which par.RunChunk's partition
-// determinism and the sharded engines' fixed merge order make bit-invisible
-// in every gradient (see the par and qsim package docs).
+// its own goroutine, and nothing the recorder does feeds back into
+// execution.
+//
+// Decode treats a capture as hostile input: every count it reads is bounded
+// by the bytes left before anything is allocated for it, so a corrupt or
+// crafted dump yields an error, never a panic or an unbounded allocation.
 package ftdc
 
 import (
@@ -92,7 +93,6 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	sources []Collector
-	tickers []func()
 	schema  []string // current metric names, sorted
 	gen     uint64   // current schema generation (0 = none yet)
 	schemas []schemaRec
@@ -121,15 +121,6 @@ func New(o Options) *Recorder {
 func (r *Recorder) AddSource(c Collector) {
 	r.mu.Lock()
 	r.sources = append(r.sources, c)
-	r.mu.Unlock()
-}
-
-// AddTicker registers a function run on the sampling goroutine after every
-// sample — the hook the auto-tuner uses to piggyback its control step on
-// the capture cadence without its own timer.
-func (r *Recorder) AddTicker(f func()) {
-	r.mu.Lock()
-	r.tickers = append(r.tickers, f)
 	r.mu.Unlock()
 }
 
@@ -241,13 +232,7 @@ func (r *Recorder) sampleAt(now time.Time) {
 	if r.cur.count >= chunkSamples {
 		r.closeChunkLocked()
 	}
-	tickers := r.tickers
 	r.mu.Unlock()
-	// Control hooks run outside the recorder lock: they may call back into
-	// par/dist/qsim, and nothing they touch needs r's state.
-	for _, f := range tickers {
-		f()
-	}
 }
 
 // emitScratch is the bound method handed to collectors, hoisted so the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -232,59 +234,101 @@ func TestSummarizeFlagsStraggler(t *testing.T) {
 	}
 }
 
-// TestAutoTunerPolicy pins the control mapping on synthetic counter deltas:
-// steals ≪ units coarsens, steals ≈ units refines, the dead band and the
-// evidence threshold hold, and the group never leaves [1, tuneMaxGroup].
-func TestAutoTunerPolicy(t *testing.T) {
-	defer par.SetChunkGroup(1)
-	par.SetChunkGroup(1)
-	tuner := &AutoTuner{}
-	s := par.SchedStats{}
+// hostileDumps are hand-picked captures whose counts claim far more than
+// their bytes can hold: before Decode bounded counts by the bytes left, the
+// first panicked in makeslice, the second turned into a negative int and
+// panicked in decodeChunk, and the last two died with a fatal out-of-memory.
+func hostileDumps() []struct {
+	name string
+	data []byte
+} {
+	dump := func(fields ...any) []byte {
+		b := []byte(magic)
+		for _, f := range fields {
+			switch f := f.(type) {
+			case byte:
+				b = append(b, f)
+			case uint64:
+				b = binary.AppendUvarint(b, f)
+			case string:
+				b = append(b, f...)
+			}
+		}
+		return b
+	}
+	// Schema generation 1 with the one name "a".
+	schema := []any{byte('S'), uint64(1), uint64(1), uint64(1), "a"}
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"schema count 2^62", dump(byte('S'), uint64(0), uint64(1)<<62)},
+		{"chunk count 2^63", dump(append(schema, byte('C'), uint64(1), uint64(1)<<63, uint64(2), "\x00\x00")...)},
+		{"schema count 2^40, no names", dump(byte('S'), uint64(0), uint64(1)<<40)},
+		{"chunk count 2^40, empty body", dump(append(schema, byte('C'), uint64(1), uint64(1)<<40, uint64(0))...)},
+	}
+}
 
-	// Uniform load: thousands of units, no steals → coarsen (double).
-	s.Groups += 1000
-	tuner.observe(s)
-	if g := par.ChunkGroup(); g != 2 {
-		t.Fatalf("steal-free window: group %d, want 2", g)
+// TestDecodeRejectsHostileCounts pins that counts a capture cannot back
+// with bytes are an error, not a panic or an unbounded allocation.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	for _, h := range hostileDumps() {
+		if _, err := Decode(h.data); err == nil {
+			t.Errorf("%s: decoded without error", h.name)
+		}
 	}
-	// Dead band: modest stealing holds the setting.
-	s.Groups += 1000
-	s.Steals += 100 // ratio 0.1
-	tuner.observe(s)
-	if g := par.ChunkGroup(); g != 2 {
-		t.Fatalf("dead-band window moved the group to %d", g)
+}
+
+// FuzzDecode feeds Decode arbitrary bytes, seeded with a real capture, the
+// hostile counts above, and byte-flipped copies of the capture: it must
+// return samples or an error, never panic, and every sample it returns
+// needs at least one byte of input.
+func FuzzDecode(f *testing.F) {
+	r := New(Options{})
+	src := &fixedSource{names: []string{"b.chunks", "a.steals"}, vals: []int64{100, 0}}
+	r.AddSource(src.collect)
+	for i := 0; i < 3; i++ {
+		r.sampleAt(at(i))
+		src.vals[0] += 7
+		src.vals[1] += 300
 	}
-	// Heavy stealing: refine (halve).
-	s.Groups += 1000
-	s.Steals += 500 // ratio 0.5
-	tuner.observe(s)
-	if g := par.ChunkGroup(); g != 1 {
-		t.Fatalf("steal-heavy window: group %d, want 1", g)
+	var buf bytes.Buffer
+	if _, err := r.WriteTo(&buf); err != nil {
+		f.Fatal(err)
 	}
-	// Refinement saturates at 1.
-	s.Groups += 1000
-	s.Steals += 500
-	tuner.observe(s)
-	if g := par.ChunkGroup(); g != 1 {
-		t.Fatalf("refine at floor: group %d, want 1", g)
+	capture := buf.Bytes()
+	seeds := [][]byte{capture}
+	for _, h := range hostileDumps() {
+		seeds = append(seeds, h.data)
 	}
-	// Coarsening saturates at tuneMaxGroup.
-	for i := 0; i < 20; i++ {
-		s.Groups += 1000
-		tuner.observe(s)
+	rng := rand.New(rand.NewSource(517))
+	for len(seeds) < 16 {
+		seeds = append(seeds, flipByte(rng, capture))
 	}
-	if g := par.ChunkGroup(); g != tuneMaxGroup {
-		t.Fatalf("coarsen ceiling: group %d, want %d", g, tuneMaxGroup)
+	for _, s := range seeds {
+		f.Add(s)
 	}
-	// Below the evidence threshold nothing moves, even at extreme ratios.
-	par.SetChunkGroup(4)
-	prev := tuner.prev
-	s.Groups += tuneMinUnits - 1
-	s.Steals += 1000
-	tuner.observe(s)
-	if g := par.ChunkGroup(); g != 4 || tuner.prev != prev {
-		t.Fatalf("sub-threshold window acted: group %d, prev advanced %v", g, tuner.prev != prev)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		samples, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if len(samples) > len(data) {
+			t.Fatalf("%d samples from %d bytes", len(samples), len(data))
+		}
+		for _, s := range samples {
+			if len(s.Vals) != len(s.Names) {
+				t.Fatalf("sample has %d values for %d names", len(s.Vals), len(s.Names))
+			}
+		}
+	})
+}
+
+// flipByte returns a copy of b with one byte past the magic replaced.
+func flipByte(rng *rand.Rand, b []byte) []byte {
+	c := slices.Clone(b)
+	c[len(magic)+rng.Intn(len(c)-len(magic))] = byte(rng.Intn(256))
+	return c
 }
 
 // TestCaptureUnderLoad runs the full standard-source recorder at a tight

@@ -17,22 +17,13 @@ func StandardSources(r *Recorder) {
 }
 
 // CollectPar emits the work-stealing scheduler's counters plus the live
-// chunk-group setting (so a capture shows the auto-tuner acting).
+// worker bound.
 //
 //torq:nolock
 func CollectPar(emit func(name string, value int64)) {
 	s := par.Stats()
 	emit("par.regions", int64(s.Regions))
 	emit("par.chunks", int64(s.Chunks))
-	emit("par.groups", int64(s.Groups))
 	emit("par.steals", int64(s.Steals))
-	emit("par.chunk_group", int64(par.ChunkGroup()))
 	emit("par.max_workers", int64(par.MaxWorkers()))
-}
-
-// EnableAutoTune arms the steal-driven chunk-group controller on the
-// recorder's sampling cadence. Opt-in: callers gate it behind their
-// -autotune flag / TORQ_AUTOTUNE env knob.
-func (r *Recorder) EnableAutoTune() {
-	r.AddTicker(NewAutoTuner().Step)
 }

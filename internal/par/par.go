@@ -22,13 +22,12 @@
 //
 // RunChunk's partition of [0, n) depends only on (n, chunk): fn is invoked
 // exactly once per chunk, every chunk starts at a multiple of chunk, and
-// neither the worker bound nor the chunk-group multiplier (SetChunkGroup)
-// changes which [lo, hi) ranges fn sees. Grouping and stealing only move
-// whole chunks between workers; they never split, merge, or reorder the
-// per-chunk accumulator slots callers key off lo/chunk. This is the
-// foundation the sharded engine's bit-identical merge order is built on:
-// any floating-point reduction keyed per chunk is invariant across worker
-// counts and any runtime re-tuning.
+// the worker bound does not change which [lo, hi) ranges fn sees. Stealing
+// only moves whole chunks between workers; it never splits, merges, or
+// reorders the per-chunk accumulator slots callers key off lo/chunk. This
+// is the foundation the sharded engine's bit-identical merge order is built
+// on: any floating-point reduction keyed per chunk is invariant across
+// worker counts.
 //
 // Scheduler telemetry (Stats) is exported through plain atomic counters so
 // the ftdc recorder can snapshot it off the hot path; counter increments are
@@ -68,22 +67,17 @@ func SetMaxWorkers(n int) {
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
 // SchedStats is a snapshot of the region scheduler's cumulative telemetry:
-// how many regions ran, how many chunks they executed, how many scheduling
-// units (chunk groups) those chunks were bound into, and how many steals
-// rebalanced units between workers. The steals/units ratio is the signal the
-// auto-tuner sizes granularity from: steals far below the unit count mean
-// the load is uniform and the fine units are pure scheduling overhead —
-// coarsen the grouping; steals rivaling the unit count mean the pool is
-// rebalancing constantly off an irregular load — refine the grouping so
-// thieves can grab closer-to-even shares.
+// how many regions ran, how many chunks they executed, and how many steals
+// rebalanced chunks between workers. Steals far below the chunk count mean
+// the load is uniform; steals rivaling it mean the pool is rebalancing
+// constantly off an irregular load.
 type SchedStats struct {
 	Regions uint64 // region entries (RunChunk/For families, serial fast paths included)
 	Chunks  uint64 // chunk executions (a serial fast-path region counts as one chunk)
-	Groups  uint64 // scheduling units: chunks/ChunkGroup per region, the deques' currency
-	Steals  uint64 // successful steal operations (each moves ≥1 unit)
+	Steals  uint64 // successful steal operations (each moves ≥1 chunk)
 }
 
-var statRegions, statChunks, statGroups, statSteals atomic.Uint64
+var statRegions, statChunks, statSteals atomic.Uint64
 
 // Stats returns the cumulative scheduler telemetry since process start or
 // the last ResetStats. The counters are updated atomically but read
@@ -95,7 +89,6 @@ func Stats() SchedStats {
 	return SchedStats{
 		Regions: statRegions.Load(),
 		Chunks:  statChunks.Load(),
-		Groups:  statGroups.Load(),
 		Steals:  statSteals.Load(),
 	}
 }
@@ -106,43 +99,8 @@ func Stats() SchedStats {
 func ResetStats() {
 	statRegions.Store(0)
 	statChunks.Store(0)
-	statGroups.Store(0)
 	statSteals.Store(0)
 }
-
-// maxChunkGroup bounds the group multiplier: beyond this, grouping has long
-// since flattened deque traffic and only erodes parallelism (a region with
-// fewer groups than workers caps its own worker count).
-const maxChunkGroup = 64
-
-// chunkGroup is the number of consecutive chunks a stealing region binds
-// into one scheduling unit. It tunes only how much work moves per deque
-// operation: within a unit the chunks still execute one fn call each, in
-// ascending order, against the same lo/chunk-keyed accumulator slots, so
-// every setting produces bit-identical results (see the package invariants).
-// Written by the ftdc auto-tuner between samples, read at region entry.
-var chunkGroup atomic.Int64
-
-func init() { chunkGroup.Store(1) }
-
-// SetChunkGroup sets how many consecutive chunks stealing regions schedule
-// as one unit. m ≤ 1 restores per-chunk scheduling; values above the
-// internal cap are clamped. Safe to call while regions are in flight — a
-// region reads the multiplier once at entry.
-func SetChunkGroup(m int) {
-	if m < 1 {
-		m = 1
-	}
-	if m > maxChunkGroup {
-		m = maxChunkGroup
-	}
-	chunkGroup.Store(int64(m))
-}
-
-// ChunkGroup reports the current chunk-group multiplier.
-//
-//torq:nolock
-func ChunkGroup() int { return int(chunkGroup.Load()) }
 
 // pool is the persistent worker set. The job channel is unbuffered: a send
 // succeeds only when a worker is parked and ready to run the job now, so a
@@ -180,13 +138,12 @@ func dispatch(f func()) {
 }
 
 // chunkDeque is one worker's share of a region: a contiguous range of
-// scheduling-unit indices [lo, hi). The owner pops single units from the
-// bottom; thieves remove the top half of the remaining range in one
-// operation (chunked stealing), so a steal costs one lock acquisition
-// regardless of how much work it transfers. A plain mutex suffices at this
-// granularity — each unit is one or more whole sample blocks streamed
-// through a compiled program, so deque operations are orders of magnitude
-// rarer than amplitude updates.
+// chunk indices [lo, hi). The owner pops single chunks from the bottom;
+// thieves remove the top half of the remaining range in one operation
+// (chunked stealing), so a steal costs one lock acquisition regardless of
+// how much work it transfers. A plain mutex suffices at this granularity —
+// each chunk is a whole sample block streamed through a compiled program,
+// so deque operations are orders of magnitude rarer than amplitude updates.
 type chunkDeque struct {
 	mu     sync.Mutex
 	lo, hi int
@@ -258,18 +215,16 @@ func (d *chunkDeque) refill(lo, hi int) {
 }
 
 // region executes fn once per chunk of [0, n) on `workers` goroutines with
-// dense worker ids. Chunk c covers [c*chunk, min((c+1)*chunk, n)). When
-// steal is set, consecutive chunks are bound into groups of ChunkGroup() and
-// the groups become the scheduling unit: deques are seeded with contiguous
-// group spans split as evenly as possible, and a worker that drains its own
-// deque takes half of a victim's remaining span and continues. Executing a
-// group calls fn once per member chunk in ascending order, so grouping is
-// invisible to callers beyond which worker runs which chunk. Work is never
-// orphaned: groups live in exactly one deque until popped, a thief
-// immediately republishes what it stole into its own (empty) deque, and a
-// worker only exits with an empty deque after a full scan finds every other
-// deque empty — any groups that appear after that scan belong to a
-// still-live worker that drains its own deque before exiting.
+// dense worker ids. Chunk c covers [c*chunk, min((c+1)*chunk, n)). Deques
+// are seeded with contiguous chunk spans split as evenly as possible; when
+// steal is set, a worker that drains its own deque takes half of a victim's
+// remaining span and continues, which is invisible to callers beyond which
+// worker runs which chunk. Work is never orphaned: chunks live in exactly
+// one deque until popped, a thief immediately republishes what it stole
+// into its own (empty) deque, and a worker only exits with an empty deque
+// after a full scan finds every other deque empty — any chunks that appear
+// after that scan belong to a still-live worker that drains its own deque
+// before exiting.
 //
 // Deque seeding doubles as the NUMA placement policy: worker w's seeded span
 // is the same contiguous range of chunks every time a region of the same
@@ -279,18 +234,10 @@ func (d *chunkDeque) refill(lo, hi int) {
 // actually imbalanced.
 func region(n, chunk, workers int, steal bool, fn func(worker, lo, hi int)) {
 	nch := (n + chunk - 1) / chunk
-	group := 1
-	if steal {
-		if g := int(chunkGroup.Load()); g > 1 {
-			group = g
-		}
-	}
-	ngr := (nch + group - 1) / group
 	statRegions.Add(1)
 	statChunks.Add(uint64(nch))
-	statGroups.Add(uint64(ngr))
-	if workers > ngr {
-		workers = ngr
+	if workers > nch {
+		workers = nch
 	}
 	if workers <= 1 {
 		for lo := 0; lo < n; lo += chunk {
@@ -299,7 +246,7 @@ func region(n, chunk, workers int, steal bool, fn func(worker, lo, hi int)) {
 		return
 	}
 	deques := getDeques(workers)
-	per, extra := ngr/workers, ngr%workers
+	per, extra := nch/workers, nch%workers
 	start := 0
 	for w := 0; w < workers; w++ {
 		cnt := per
@@ -312,11 +259,8 @@ func region(n, chunk, workers int, steal bool, fn func(worker, lo, hi int)) {
 	body := func(w int) {
 		self := &deques[w].chunkDeque
 		for {
-			if g, ok := self.pop(); ok {
-				last := min((g+1)*group, nch)
-				for c := g * group; c < last; c++ {
-					fn(w, c*chunk, min((c+1)*chunk, n))
-				}
+			if c, ok := self.pop(); ok {
+				fn(w, c*chunk, min((c+1)*chunk, n))
 				continue
 			}
 			if !steal {
@@ -381,7 +325,6 @@ func ForGrain(n, itemCost int, fn func(start, end int)) {
 	if workers <= 1 {
 		statRegions.Add(1)
 		statChunks.Add(1)
-		statGroups.Add(1)
 		fn(0, n)
 		return
 	}

@@ -277,8 +277,16 @@ func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func testShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer par.SetMaxWorkers(0)
-	rng := rand.New(rand.NewSource(90210))
-	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh, CrossMeshCNOT} {
+	shared := rand.New(rand.NewSource(90210))
+	cases := []struct {
+		a   AnsatzKind
+		rng *rand.Rand
+	}{
+		{StronglyEntangling, shared}, {CrossMesh, shared}, {CrossMeshCNOT, shared},
+		{CrossMesh, rand.New(rand.NewSource(777))},
+	}
+	for _, c := range cases {
+		a, rng := c.a, c.rng
 		circ := a.Build(5, 3)
 		n, nq := 41, 5 // odd batch: a partial tail shard
 		angles := randAngles(rng, n, nq)
@@ -289,7 +297,7 @@ func testShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 
 		par.SetMaxWorkers(1)
 		ref := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
-		for _, workers := range []int{2, 5, 16} {
+		for _, workers := range []int{2, 4, 5, 16} {
 			par.SetMaxWorkers(workers)
 			got := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
 			//torq:allow maprange -- independent per-series assertions

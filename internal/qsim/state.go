@@ -45,8 +45,8 @@
 // sharded and dist engines agree bit-for-bit with each other. They
 // partition a batch into fixed cache-block shards keyed by lo/blockSamples,
 // accumulate gradients per shard, and merge in ascending shard order — so
-// their results are bit-identical for any worker count, chunk-group
-// setting, or process placement. These guarantees rest on par.RunChunk's
+// their results are bit-identical for any worker count or process
+// placement. These guarantees rest on par.RunChunk's
 // partition determinism (see the par package doc) and must survive any
 // scheduler or transport change. The opU4 assembly kernels reproduce their
 // pure-Go oracles bit for bit (same terms, same order, no fused
