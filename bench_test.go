@@ -172,16 +172,14 @@ func BenchmarkTorqEpochDistSerial(b *testing.B) {
 // of always-on telemetry, and the bench gate holds it inside the noise
 // band — the recorder's contract is that it is unmeasurable.
 func BenchmarkTorqEpochShardedFTDC(b *testing.B) {
-	rec := ftdc.New(ftdc.Options{})
-	ftdc.StandardSources(rec)
+	rec := ftdc.New(ftdc.Options{}, ftdc.Standard()...)
 	rec.Start()
 	defer rec.Stop()
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
 }
 
 func BenchmarkTorqEpochDistSerialFTDC(b *testing.B) {
-	rec := ftdc.New(ftdc.Options{})
-	ftdc.StandardSources(rec)
+	rec := ftdc.New(ftdc.Options{}, ftdc.Standard()...)
 	rec.Start()
 	defer rec.Stop()
 	dist.Configure(dist.Options{Workers: 1})

@@ -16,11 +16,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ftdc"
 	"repro/internal/maxwell"
 	"repro/internal/obs"
 	"repro/internal/qsim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -43,37 +41,16 @@ func main() {
 		paperPulse = flag.Bool("paperpulse", false, "use the paper's narrow pulse instead of the smoke-scale widened one")
 		savePath   = flag.String("save", "", "write a model checkpoint here after training")
 		loadPath   = flag.String("load", "", "warm-start from a checkpoint (overrides architecture flags)")
-		ftdcDump   = flag.String("ftdc-dump", "", "record flight-data telemetry and write the capture here at exit (and on SIGUSR1)")
-		ftdcEvery  = flag.Duration("ftdc-interval", 0, "telemetry sampling period (0 = 100ms)")
-		debugAddr  = flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address and enable span tracing; results stay bit-identical")
+		obsFlags   = obs.RegisterFlags("qpinn-train")
 	)
 	flag.Parse()
 
-	var rec *ftdc.Recorder
-	if *ftdcDump != "" || *debugAddr != "" {
-		rec = ftdc.New(ftdc.Options{Interval: *ftdcEvery})
-		ftdc.StandardSources(rec)
-		rec.Start()
-		if *ftdcDump != "" {
-			rec.DumpOnSignal(*ftdcDump)
-			defer func() {
-				rec.Stop()
-				if err := rec.DumpFile(*ftdcDump); err != nil {
-					fmt.Fprintf(os.Stderr, "ftdc: %v\n", err)
-				}
-			}()
-		}
+	stopObs, err := obsFlags.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *debugAddr != "" {
-		trace.SetEnabled(true)
-		srv, err := obs.Start(*debugAddr, obs.Options{Recorder: rec})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "qpinn-train: observability plane on http://%s\n", srv.Addr)
-	}
+	defer stopObs()
 
 	var c maxwell.Case
 	switch *caseName {
@@ -130,7 +107,6 @@ func main() {
 
 	var model *core.Model
 	if *loadPath != "" {
-		var err error
 		model, err = core.LoadFile(*loadPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load checkpoint: %v\n", err)

@@ -12,19 +12,15 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/experiments"
-	"repro/internal/ftdc"
 	"repro/internal/obs"
 	"repro/internal/qsim"
-	"repro/internal/trace"
 )
 
 func main() {
 	preset := flag.String("preset", "smoke", "smoke | paper")
 	engine := flag.String("engine", "sharded", "circuit-execution engine for the batched simulator ("+qsim.EngineNames()+"): sharded runs the compiled program in process as work-stealing sample shards with worker-count-independent gradients, dist ships the same shards to worker processes, legacy sweeps per gate, naive is the dense per-sample baseline")
 	distWorkers := flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
-	ftdcDump := flag.String("ftdc-dump", "", "record flight-data telemetry and write the capture here at exit (and on SIGUSR1)")
-	ftdcEvery := flag.Duration("ftdc-interval", 0, "telemetry sampling period (0 = 100ms)")
-	debugAddr := flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address and enable span tracing; results stay bit-identical")
+	obsFlags := obs.RegisterFlags("torq-bench")
 	flag.Parse()
 	o := experiments.Options{Preset: experiments.Smoke, Out: os.Stdout}
 	if *preset == "paper" {
@@ -40,31 +36,12 @@ func main() {
 		dist.Configure(dist.Options{Workers: *distWorkers})
 		defer dist.Shutdown()
 	}
-	var rec *ftdc.Recorder
-	if *ftdcDump != "" || *debugAddr != "" {
-		rec = ftdc.New(ftdc.Options{Interval: *ftdcEvery})
-		ftdc.StandardSources(rec)
-		rec.Start()
-		if *ftdcDump != "" {
-			rec.DumpOnSignal(*ftdcDump)
-			defer func() {
-				rec.Stop()
-				if err := rec.DumpFile(*ftdcDump); err != nil {
-					fmt.Fprintf(os.Stderr, "ftdc: %v\n", err)
-				}
-			}()
-		}
+	stopObs, err := obsFlags.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *debugAddr != "" {
-		trace.SetEnabled(true)
-		srv, err := obs.Start(*debugAddr, obs.Options{Recorder: rec})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "torq-bench: observability plane on http://%s\n", srv.Addr)
-	}
+	defer stopObs()
 	if err := experiments.Table2(o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -22,7 +21,7 @@ import (
 
 func main() {
 	csvOut := flag.Bool("csv", false, "print every sample as CSV (time in unix ns, one column per series)")
-	summary := flag.Bool("summary", false, "print the capture digest (default when no mode is given)")
+	flag.Bool("summary", false, "print the capture digest (default when no mode is given)")
 	jsonOut := flag.Bool("json", false, "print the capture digest as JSON (sorted series, stable field order)")
 	series := flag.String("series", "", "restrict CSV columns to series whose name has this prefix")
 	flag.Usage = func() {
@@ -39,66 +38,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "torq-ftdc: %v\n", err)
 		os.Exit(1)
 	}
+	sum := ftdc.Summarize(samples)
 	if *csvOut {
-		printCSV(samples, *series)
+		printCSV(samples, sum, *series)
 		return
 	}
 	if *jsonOut {
-		printJSON(samples)
+		printJSON(sum)
 		return
 	}
-	_ = summary
-	printSummary(samples)
+	printSummary(sum)
 }
 
-// The JSON shapes mirror torq-lint's -json conventions: stable field order,
-// sorted entries, non-nil empty arrays, two-space indentation.
-type jsonMetric struct {
-	Name  string `json:"name"`
-	First int64  `json:"first"`
-	Last  int64  `json:"last"`
-	Min   int64  `json:"min"`
-	Max   int64  `json:"max"`
-	Delta int64  `json:"delta"`
-}
-
-type jsonWorker struct {
-	ID             int   `json:"id"`
-	Shards         int64 `json:"shards"`
-	Batches        int64 `json:"batches"`
-	MeanShardLatNS int64 `json:"mean_shard_lat_ns"`
-	Straggler      bool  `json:"straggler"`
-}
-
+// The JSON shape mirrors torq-lint's -json conventions: stable field
+// order, sorted entries, non-nil empty arrays, two-space indentation.
 type jsonSummary struct {
-	Samples     int          `json:"samples"`
-	StartUnixNS int64        `json:"start_unix_ns"`
-	EndUnixNS   int64        `json:"end_unix_ns"`
-	Metrics     []jsonMetric `json:"metrics"`
-	Workers     []jsonWorker `json:"workers"`
+	Samples     int                  `json:"samples"`
+	StartUnixNS int64                `json:"start_unix_ns"`
+	EndUnixNS   int64                `json:"end_unix_ns"`
+	Metrics     []ftdc.MetricSummary `json:"metrics"`
+	Workers     []ftdc.WorkerSummary `json:"workers"`
 }
 
-func printJSON(samples []ftdc.Sample) {
-	sum := ftdc.Summarize(samples)
-	out := jsonSummary{
-		Samples: sum.Samples,
-		Metrics: []jsonMetric{},
-		Workers: []jsonWorker{},
-	}
+func printJSON(sum *ftdc.Summary) {
+	out := jsonSummary{Samples: sum.Samples, Metrics: sum.Metrics, Workers: sum.Workers}
 	if sum.Samples > 0 {
 		out.StartUnixNS = sum.Start.UnixNano()
 		out.EndUnixNS = sum.End.UnixNano()
-	}
-	for _, m := range sum.Metrics { // already sorted by name
-		out.Metrics = append(out.Metrics, jsonMetric{
-			Name: m.Name, First: m.First, Last: m.Last, Min: m.Min, Max: m.Max, Delta: m.Delta(),
-		})
-	}
-	for _, w := range sum.Workers { // already sorted by id
-		out.Workers = append(out.Workers, jsonWorker{
-			ID: w.ID, Shards: w.Shards, Batches: w.Batches,
-			MeanShardLatNS: w.MeanShardLat.Nanoseconds(), Straggler: w.Straggler,
-		})
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -108,20 +74,13 @@ func printJSON(samples []ftdc.Sample) {
 	os.Stdout.Write(append(b, '\n'))
 }
 
-func printCSV(samples []ftdc.Sample, prefix string) {
-	cols := map[string]bool{}
-	for _, s := range samples {
-		for _, n := range s.Names {
-			if strings.HasPrefix(n, prefix) {
-				cols[n] = true
-			}
+func printCSV(samples []ftdc.Sample, sum *ftdc.Summary, prefix string) {
+	var names []string
+	for _, m := range sum.Metrics { // every series, sorted by name
+		if strings.HasPrefix(m.Name, prefix) {
+			names = append(names, m.Name)
 		}
 	}
-	names := make([]string, 0, len(cols))
-	for n := range cols {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Println("time_ns," + strings.Join(names, ","))
 	row := make([]string, len(names)+1)
 	for _, s := range samples {
@@ -137,8 +96,7 @@ func printCSV(samples []ftdc.Sample, prefix string) {
 	}
 }
 
-func printSummary(samples []ftdc.Sample) {
-	sum := ftdc.Summarize(samples)
+func printSummary(sum *ftdc.Summary) {
 	if sum.Samples == 0 {
 		fmt.Println("empty capture")
 		return
@@ -148,37 +106,37 @@ func printSummary(samples []ftdc.Sample) {
 		sum.Start.Format("15:04:05.000"), sum.End.Format("15:04:05.000"),
 		sum.End.Sub(sum.Start).Round(1e6))
 	fmt.Printf("%-28s %14s %14s %14s\n", "series", "first", "last", "delta")
-	var hist []string
 	for _, m := range sum.Metrics {
 		// Histogram buckets and per-worker series are folded into their own
 		// sections below.
-		if b, ok := strings.CutPrefix(m.Name, "dist.lat_b"); ok {
-			if m.Last > 0 {
-				k, _ := strconv.Atoi(b)
-				lo := 0
-				if k > 0 {
-					lo = 1 << (k - 1)
-				}
-				hist = append(hist, fmt.Sprintf("[%dµs,%dµs): %d", lo, 1<<k, m.Last))
+		if m.Kind == ftdc.Plain || m.Kind == ftdc.LatencySum {
+			fmt.Printf("%-28s %14d %14d %14d\n", m.Name, m.First, m.Last, m.Delta)
+		}
+	}
+	var hist []string
+	if h := sum.Latency; h != nil {
+		for k, n := range h.Counts {
+			if n == 0 {
+				continue
 			}
-			continue
+			if lo, hi := ftdc.BucketBounds(k); hi == 0 {
+				hist = append(hist, fmt.Sprintf("≥%dµs: %d", lo, n))
+			} else {
+				hist = append(hist, fmt.Sprintf("[%dµs,%dµs): %d", lo, hi, n))
+			}
 		}
-		if strings.HasPrefix(m.Name, "dist.w") && !strings.HasPrefix(m.Name, "dist.worker_") {
-			continue
-		}
-		fmt.Printf("%-28s %14d %14d %14d\n", m.Name, m.First, m.Last, m.Delta())
 	}
 	if len(hist) > 0 {
 		fmt.Printf("\nper-shard latency histogram: %s\n", strings.Join(hist, "  "))
 	}
 	if len(sum.Workers) > 0 {
-		fmt.Printf("\n%-8s %10s %10s %16s %s\n", "worker", "shards", "batches", "mean shard lat", "")
+		fmt.Printf("\n%-8s %6s %10s %10s %16s %s\n", "worker", "alive", "shards", "batches", "mean shard lat", "")
 		for _, w := range sum.Workers {
 			flag := ""
 			if w.Straggler {
 				flag = "  ⚠ STRAGGLER (latency outlier vs fleet median)"
 			}
-			fmt.Printf("w%-7d %10d %10d %16s%s\n", w.ID, w.Shards, w.Batches, w.MeanShardLat.Round(1e3), flag)
+			fmt.Printf("w%-7d %6t %10d %10d %16s%s\n", w.ID, w.Alive, w.Shards, w.Batches, w.MeanShardLat.Round(1e3), flag)
 		}
 	}
 }

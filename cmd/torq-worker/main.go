@@ -19,30 +19,21 @@ import (
 	"os"
 
 	"repro/internal/dist"
-	"repro/internal/ftdc"
 	"repro/internal/obs"
 )
 
 func main() {
 	listen := flag.String("listen", "", "TCP address to serve remote coordinators on (empty: serve one session on stdio)")
-	debugAddr := flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address; span recording itself is switched by the coordinator's trace context, not locally")
+	obsFlags := obs.RegisterWorkerFlags("torq-worker")
 	flag.Parse()
 
-	if *debugAddr != "" {
-		rec := ftdc.New(ftdc.Options{})
-		ftdc.StandardSources(rec)
-		rec.Start()
-		defer rec.Stop()
-		srv, err := obs.Start(*debugAddr, obs.Options{Recorder: rec})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "torq-worker:", err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "torq-worker: observability plane on http://%s\n", srv.Addr)
+	stopObs, err := obsFlags.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "torq-worker:", err)
+		os.Exit(2)
 	}
+	defer stopObs()
 
-	var err error
 	if *listen != "" {
 		err = dist.Listen(*listen)
 	} else {

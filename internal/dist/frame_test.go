@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -470,6 +471,26 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 			t.Errorf("%s claiming %d entries: err %v after allocating %d bytes", c.name, huge, err, n)
 		}
 	}
+
+	// A session's claims: a small handshake whose full-register diagonals
+	// would need 288 MB of tables, and a shard of more samples than the
+	// coordinator's block, whose workspace would take 256 MB.
+	s := &session{w: bufio.NewWriter(io.Discard)}
+	n, err = allocated(func() error { return s.handle(fHello, diagHeavyHello()) })
+	if err == nil || !strings.Contains(err.Error(), "refusing") || n >= limit {
+		t.Errorf("diagonal-heavy hello: err %v after allocating %d bytes", err, n)
+	}
+	wideHello, widePass, wideBatch := wideShard()
+	if err := s.handle(fHello, wideHello); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.handle(fPass, widePass); err != nil {
+		t.Fatal(err)
+	}
+	n, err = allocated(func() error { return s.handle(fShardBatch, frameBody(wideBatch)) })
+	if err == nil || !strings.Contains(err.Error(), "block") || n >= limit {
+		t.Errorf("64-sample shard at 16 qubits: err %v after allocating %d bytes", err, n)
+	}
 }
 
 // TestCodecMinimumEntrySizes pins the per-entry minimum sizes the decoders
@@ -606,6 +627,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 // TestReservedFrameTypesRejected: frame types 4 and 5, the retired
 // single-shard request and reply, must draw an "unexpected frame type"
 // error frame from a handshaken worker, and the session must keep serving.
+// So must a shard under a pass whose theta does not match the circuit.
 func TestReservedFrameTypesRejected(t *testing.T) {
 	circ := qsim.NoEntanglement.Build(2, 1)
 	prog := qsim.CompileProgram(circ)
@@ -646,6 +668,22 @@ func TestReservedFrameTypesRejected(t *testing.T) {
 	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
 		t.Fatalf("session stopped serving after reserved frames: reply type %d", typ)
 	}
+	if err := writeFrame(toWorkerW, fPass, encodePass(passMsg{Pass: 1, Theta: []float64{0.5}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := toWorkerW.Write(encodeShardBatchFrame(nil, 1, 0, []shardMsg{{Pass: 1, Angles: make([]float64, circ.NumQubits)}})); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := readFrame(fromWorkerR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em, _ := decodeError(body); typ != fError || !strings.Contains(em.Msg, "theta") {
+		t.Fatalf("shard under a 1-value theta (circuit has %d parameters): reply type %d %q, want a theta error", circ.NumParams, typ, em.Msg)
+	}
+	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
+		t.Fatalf("session stopped serving after a bad theta: reply type %d", typ)
+	}
 	toWorkerW.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("worker session ended with error: %v", err)
@@ -656,7 +694,8 @@ func TestReservedFrameTypesRejected(t *testing.T) {
 // handshakes whose circuits would index outside the compiler's tables. The
 // listener accepts unauthenticated TCP, so each must be refused with an
 // error frame instead of panicking the worker, and a valid handshake must
-// still succeed on the same session afterwards.
+// still succeed on the same session afterwards, as must every shipped
+// ansatz at paper scale.
 func TestMalformedHelloRejected(t *testing.T) {
 	circ := qsim.StronglyEntangling.Build(3, 2)
 	prog := qsim.CompileProgram(circ)
@@ -723,6 +762,24 @@ func TestMalformedHelloRejected(t *testing.T) {
 	}
 	if ack, err := decodeHelloAck(body); err != nil || ack.Digest != prog.Digest() {
 		t.Fatalf("bad ack %+v (err %v)", ack, err)
+	}
+	// The table bound leaves room for every shipped ansatz at paper scale
+	// (7 qubits, 4 layers), with and without data re-uploading.
+	for a := qsim.BasicEntangling; a <= qsim.NoEntanglement; a++ {
+		for _, c := range []*qsim.Circuit{a.Build(7, 4), a.Build(7, 4).WithReupload()} {
+			hm := helloMsg{
+				Version: ProtoVersion, Name: c.Name, NumQubits: c.NumQubits,
+				Layers: c.Layers, NumParams: c.NumParams, Gates: c.Gates,
+				Reupload: c.Reupload, LayerStarts: c.LayerStarts(), Digest: qsim.CompileProgram(c).Digest(),
+			}
+			if err := writeFrame(toWorkerW, fHello, encodeHello(hm)); err != nil {
+				t.Fatal(err)
+			}
+			if typ, body, err := readFrame(fromWorkerR); err != nil || typ != fHelloAck {
+				em, _ := decodeError(body)
+				t.Fatalf("%s (reupload %v) at paper scale: reply type %d %q (err %v), want fHelloAck", c.Name, c.Reupload, typ, em.Msg, err)
+			}
+		}
 	}
 	toWorkerW.Close()
 	if err := <-done; err != nil {

@@ -9,13 +9,16 @@ package dist_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/ftdc"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/qsim"
 )
@@ -32,8 +35,7 @@ func TestFTDCCapturesDistTrainingEpoch(t *testing.T) {
 	par.ResetStats()
 	qsim.ResetEngineStats()
 
-	rec := ftdc.New(ftdc.Options{Interval: 2 * time.Millisecond})
-	ftdc.StandardSources(rec)
+	rec := ftdc.New(ftdc.Options{Interval: 2 * time.Millisecond}, ftdc.Standard()...)
 	rec.Start()
 
 	dist.Configure(dist.Options{Workers: 2})
@@ -116,9 +118,9 @@ func TestFTDCCapturesDistTrainingEpoch(t *testing.T) {
 }
 
 // TestDistStragglerFlaggedInDump arms one of two workers with a 200ms
-// per-shard stall and checks the capture's summary flags exactly that
-// worker as the latency outlier — while the results stay bit-identical to
-// an undisturbed run (a straggler is slow, not wrong).
+// per-shard stall and checks the capture's summary, and the live /healthz,
+// flag exactly that worker as the latency outlier — while the results stay
+// bit-identical to an undisturbed run (a straggler is slow, not wrong).
 func TestDistStragglerFlaggedInDump(t *testing.T) {
 	defer dist.Shutdown()
 	dist.ResetTelemetry()
@@ -167,5 +169,27 @@ func TestDistStragglerFlaggedInDump(t *testing.T) {
 	}
 	if fast.Straggler {
 		t.Errorf("healthy worker %d (mean %v) wrongly flagged", fast.ID, fast.MeanShardLat)
+	}
+
+	// The live /healthz reads the same series through the same rule, so it
+	// must flag the same worker while both are still alive.
+	rr := httptest.NewRecorder()
+	obs.Handler(obs.Options{Sources: []ftdc.Collector{dist.Collect}}).ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+	var health struct {
+		Workers []ftdc.WorkerSummary `json:"workers"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &health); err != nil {
+		t.Fatalf("/healthz: %v\n%s", err, rr.Body)
+	}
+	if len(health.Workers) != 2 {
+		t.Fatalf("/healthz shows %d workers, want 2\n%s", len(health.Workers), rr.Body)
+	}
+	for _, w := range health.Workers {
+		if !w.Alive {
+			t.Errorf("/healthz reports worker %d dead\n%s", w.ID, rr.Body)
+		}
+		if want := w.ID == slow.ID; w.Straggler != want {
+			t.Errorf("/healthz worker %d straggler=%v, the capture says %v\n%s", w.ID, w.Straggler, want, rr.Body)
+		}
 	}
 }

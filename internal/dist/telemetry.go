@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -16,12 +15,14 @@ import (
 // claim: observeBatch, Collect, and ResetTelemetry are //torq:nolock, so
 // anything needing a lock, a map, or an allocation (series-name formatting
 // included) must happen at worker registration instead.
+// Only ftdc.Summarize reads the series names back; the debug plane and
+// torq-ftdc render from its summary.
 
-// latBuckets is the size of the log2 per-shard latency histogram: bucket k
-// counts shards whose per-shard latency fell in [2^(k-1), 2^k) microseconds
-// (bucket 0: under 1µs), covering up to ~2^26 µs ≈ 67s — past the default
-// shard timeout.
-const latBuckets = 28
+// LatencyBuckets is the size of the log2 per-shard latency histogram: bucket
+// k counts shards whose per-shard latency fell in [2^(k-1), 2^k)
+// microseconds (bucket 0: under 1µs). The top bucket is open: it counts
+// every shard at or above 2^26 µs ≈ 67s, past the default shard timeout.
+const LatencyBuckets = 28
 
 var xstats struct {
 	passes, fwdPasses, bwdPasses atomic.Int64
@@ -31,12 +32,12 @@ var xstats struct {
 	queueDepth                   atomic.Int64 // gauge: shards sent, not yet answered
 	bytesOut, bytesIn            atomic.Int64
 	handshakes, workerKills      atomic.Int64
-	lat                          [latBuckets]atomic.Int64
+	lat                          [LatencyBuckets]atomic.Int64
 	latSumNS                     atomic.Int64 // total per-shard latency, the histogram's exact sum
 }
 
 // latNames precomputes the histogram series names so Collect never formats.
-var latNames = func() (a [latBuckets]string) {
+var latNames = func() (a [LatencyBuckets]string) {
 	for b := range a {
 		a[b] = fmt.Sprintf("dist.lat_b%02d", b)
 	}
@@ -52,9 +53,9 @@ type workerStats struct {
 	shards  atomic.Int64
 	latNS   atomic.Int64
 	batches atomic.Int64
-	dead    atomic.Bool
+	alive   atomic.Int64 // 1 from registration until the transport is torn down
 
-	nameShards, nameLatNS, nameBatches string
+	nameShards, nameLatNS, nameBatches, nameAlive string
 }
 
 // maxWorkerSlots bounds the per-worker slot array. Worker ids are monotonic
@@ -80,7 +81,9 @@ func registerWorkerStats(id int) {
 		nameShards:  fmt.Sprintf("dist.w%d.shards", id),
 		nameLatNS:   fmt.Sprintf("dist.w%d.lat_ns", id),
 		nameBatches: fmt.Sprintf("dist.w%d.batches", id),
+		nameAlive:   fmt.Sprintf("dist.w%d.alive", id),
 	}
+	ws.alive.Store(1)
 	wslots.slots[id].CompareAndSwap(nil, ws)
 	for {
 		cur := wslots.maxID.Load()
@@ -102,8 +105,8 @@ func observeBatch(id, n int, latNS int64) {
 	xstats.batches.Add(1)
 	perShard := latNS / int64(n)
 	b := bits.Len64(uint64(perShard / 1000)) // log2 bucket in µs
-	if b >= latBuckets {
-		b = latBuckets - 1
+	if b >= LatencyBuckets {
+		b = LatencyBuckets - 1
 	}
 	xstats.lat[b].Add(int64(n))
 	xstats.latSumNS.Add(latNS)
@@ -118,8 +121,8 @@ func observeBatch(id, n int, latNS int64) {
 }
 
 // markWorkerDead flags a worker's telemetry slot when the coordinator tears
-// its transport down — the liveness bit behind WorkersHealth. Worker ids are
-// never reused, so a respawned worker opens a fresh, live slot.
+// its transport down. Worker ids are never reused, so a respawned worker
+// opens a fresh, live slot.
 //
 //torq:nolock
 func markWorkerDead(id int) {
@@ -127,66 +130,8 @@ func markWorkerDead(id int) {
 		return
 	}
 	if ws := wslots.slots[id].Load(); ws != nil {
-		ws.dead.Store(true)
+		ws.alive.Store(0)
 	}
-}
-
-// WorkerHealth is one worker's liveness/service snapshot, the unit of the
-// debug plane's /healthz exposition.
-type WorkerHealth struct {
-	ID             int   `json:"id"`
-	Alive          bool  `json:"alive"`
-	Shards         int64 `json:"shards"`
-	Batches        int64 `json:"batches"`
-	MeanShardLatNS int64 `json:"mean_shard_lat_ns"`
-	Straggler      bool  `json:"straggler"`
-}
-
-// Straggler flagging mirrors the ftdc capture summary's rule: a worker is
-// flagged when its mean per-shard latency exceeds three times the pool's
-// lower-median mean, with a floor that keeps microsecond-scale noise from
-// flagging anything. Kept numerically identical so the live /healthz view
-// and the post-mortem dump summary never disagree about the same run.
-const (
-	healthStragglerFactor  = 3
-	healthStragglerFloorNS = 2_000_000 // 2ms
-)
-
-// WorkersHealth snapshots every registered worker in id order. Cold path —
-// it allocates and sorts; the debug HTTP plane calls it, never the sampling
-// goroutine.
-func WorkersHealth() []WorkerHealth {
-	max := wslots.maxID.Load()
-	out := make([]WorkerHealth, 0, max)
-	var lats []int64
-	for id := int64(1); id <= max && id < maxWorkerSlots; id++ {
-		ws := wslots.slots[id].Load()
-		if ws == nil {
-			continue
-		}
-		h := WorkerHealth{
-			ID:      int(id),
-			Alive:   !ws.dead.Load(),
-			Shards:  ws.shards.Load(),
-			Batches: ws.batches.Load(),
-		}
-		if h.Shards > 0 {
-			h.MeanShardLatNS = ws.latNS.Load() / h.Shards
-			lats = append(lats, h.MeanShardLatNS)
-		}
-		out = append(out, h)
-	}
-	if len(lats) >= 2 {
-		sorted := append([]int64(nil), lats...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		median := sorted[(len(sorted)-1)/2]
-		for i := range out {
-			m := out[i].MeanShardLatNS
-			out[i].Straggler = out[i].Shards > 0 &&
-				m > healthStragglerFactor*median && m > healthStragglerFloorNS
-		}
-	}
-	return out
 }
 
 // Collect emits the transport counters in the flat name → int64 form the
@@ -211,7 +156,7 @@ func Collect(emit func(name string, value int64)) {
 	emit("dist.handshakes", xstats.handshakes.Load())
 	emit("dist.worker_kills", xstats.workerKills.Load())
 	emit("dist.lat_sum_ns", xstats.latSumNS.Load())
-	for b := 0; b < latBuckets; b++ {
+	for b := 0; b < LatencyBuckets; b++ {
 		emit(latNames[b], xstats.lat[b].Load())
 	}
 	max := wslots.maxID.Load()
@@ -223,6 +168,7 @@ func Collect(emit func(name string, value int64)) {
 		emit(ws.nameShards, ws.shards.Load())
 		emit(ws.nameLatNS, ws.latNS.Load())
 		emit(ws.nameBatches, ws.batches.Load())
+		emit(ws.nameAlive, ws.alive.Load())
 	}
 }
 

@@ -131,10 +131,13 @@ func (s *session) handle(typ byte, body []byte) error {
 // compilation allocates 2^nq-sized tables, so an absurd circuit from a
 // confused (or hostile — the TCP listener is unauthenticated) peer must be
 // refused with an error frame rather than OOM-killing the worker.
+// Paper-scale circuits need a few KiB of the tables maxWorkerTableBytes
+// bounds.
 const (
-	maxWorkerQubits = 24
-	maxWorkerGates  = 1 << 20
-	maxWorkerParams = maxWorkerGates
+	maxWorkerQubits     = 24
+	maxWorkerGates      = 1 << 20
+	maxWorkerParams     = maxWorkerGates
+	maxWorkerTableBytes = 64 << 20
 )
 
 // checkCircuit refuses a handshake circuit the compiler or the kernels
@@ -203,7 +206,10 @@ func (s *session) hello(body []byte) error {
 		return err
 	}
 	circ := qsim.NewCircuitFromSpec(hm.Name, hm.NumQubits, hm.Layers, hm.Gates, hm.NumParams, hm.Reupload, hm.LayerStarts)
-	runner := qsim.NewShardRunner(circ)
+	runner, err := qsim.NewShardRunner(circ, maxWorkerTableBytes)
+	if err != nil {
+		return fmt.Errorf("refusing circuit: %w", err)
+	}
 	if got := runner.Digest(); got != hm.Digest {
 		return fmt.Errorf("compiled program digest mismatch: worker %+v, coordinator %+v", got, hm.Digest)
 	}
@@ -285,10 +291,16 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 	s.served++
 
 	nq := s.runner.Circuit().NumQubits
+	if np := s.runner.Circuit().NumParams; len(s.pass.Theta) != np {
+		return fmt.Errorf("pass theta has %d values, circuit has %d parameters", len(s.pass.Theta), np)
+	}
 	if nq <= 0 || len(sm.Angles)%nq != 0 || len(sm.Angles) == 0 {
 		return fmt.Errorf("shard angles length %d not a multiple of nq=%d", len(sm.Angles), nq)
 	}
 	n := len(sm.Angles) / nq
+	if max := s.runner.MaxShard(s.pass.Active); n > max {
+		return fmt.Errorf("shard of %d samples exceeds the %d-sample block", n, max)
+	}
 	// Every optional row array must match the shard's sample count (and the
 	// active-channel mask), else the kernels would index out of range; a
 	// mismatched coordinator gets an error frame, not a worker panic.

@@ -15,6 +15,10 @@
 // to a byte or two per series. Each chunk restarts from an absolute sample,
 // so a ring that has evicted old chunks still decodes exactly.
 //
+// Summarize is the one reader of dist's series names and holds the
+// straggler rule; torq-ftdc renders a capture from it, the debug plane a
+// live Scrape.
+//
 // # Invariants
 //
 // Recording observes and must never perturb results: collectors read
@@ -110,10 +114,10 @@ type Recorder struct {
 	done    chan struct{}
 }
 
-// New creates a Recorder with no collectors attached; see AddSource and
-// StandardSources.
-func New(o Options) *Recorder {
-	return &Recorder{opts: o, scratch: make(map[string]int64)}
+// New creates a Recorder sampling sources (see Standard); AddSource
+// attaches more.
+func New(o Options, sources ...Collector) *Recorder {
+	return &Recorder{opts: o, sources: sources, scratch: make(map[string]int64)}
 }
 
 // AddSource registers a collector. Adding a source while the recorder runs

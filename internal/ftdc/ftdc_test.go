@@ -234,6 +234,50 @@ func TestSummarizeFlagsStraggler(t *testing.T) {
 	}
 }
 
+// TestSummarizeReadsSeriesShapes pins how Summarize reads dist's name
+// shapes: a worker is listed once any of its series exists, one without
+// shards is neither compared nor flagged, liveness comes from its alive
+// series, the histogram takes the last sample's buckets and exact sum, and
+// lookalike names stay plain.
+func TestSummarizeReadsSeriesShapes(t *testing.T) {
+	names := []string{
+		"dist.lat_b00", "dist.lat_b27", "dist.lat_sum_ns",
+		"dist.w1.alive", "dist.w1.lat_ns", "dist.w1.shards",
+		"dist.w2.alive", "dist.w2.lat_ns", "dist.w2.shards",
+		"dist.w3.alive", "dist.w3.shards",
+		"dist.worker_kills", "dist.wx.shards",
+	}
+	sum := Summarize([]Sample{{T: at(0), Names: names, Vals: []int64{
+		4, 1, 9e10,
+		1, 100e6, 100,
+		1, 3000e6, 100,
+		0, 0,
+		1, 5,
+	}}})
+	want := []WorkerSummary{
+		{ID: 1, Alive: true, Shards: 100, MeanShardLat: time.Millisecond},
+		{ID: 2, Alive: true, Shards: 100, MeanShardLat: 30 * time.Millisecond, Straggler: true},
+		{ID: 3},
+	}
+	if !slices.Equal(sum.Workers, want) {
+		t.Errorf("workers %+v, want %+v", sum.Workers, want)
+	}
+	if h := sum.Latency; h == nil || h.Counts[0] != 4 || h.Counts[27] != 1 || h.SumNS != 9e10 {
+		t.Errorf("latency histogram %+v", sum.Latency)
+	}
+	for _, m := range sum.Metrics {
+		if (m.Name == "dist.worker_kills" || m.Name == "dist.wx.shards") && m.Kind != Plain {
+			t.Errorf("%s read as %+v, want a plain series", m.Name, m.Series)
+		}
+	}
+	if lo, hi := BucketBounds(27); lo != 1<<26 || hi != 0 {
+		t.Errorf("top bucket bounds [%d, %d), want [2^26, open)", lo, hi)
+	}
+	if lo, hi := BucketBounds(3); lo != 4 || hi != 8 {
+		t.Errorf("bucket 3 bounds [%d, %d), want [4, 8)", lo, hi)
+	}
+}
+
 // hostileDumps are hand-picked captures whose counts claim far more than
 // their bytes can hold: before Decode bounded counts by the bytes left, the
 // first panicked in makeslice, the second turned into a negative int and
@@ -338,8 +382,7 @@ func flipByte(rng *rand.Rand, b []byte) []byte {
 func TestCaptureUnderLoad(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	par.SetMaxWorkers(4)
-	r := New(Options{Interval: time.Millisecond})
-	StandardSources(r)
+	r := New(Options{Interval: time.Millisecond}, Standard()...)
 	r.Start()
 
 	circ := qsim.StronglyEntangling.Build(4, 2)

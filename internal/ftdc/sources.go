@@ -6,14 +6,12 @@ import (
 	"repro/internal/qsim"
 )
 
-// StandardSources attaches the repository's built-in collectors: the par
-// scheduler, the qsim engine pass/epoch timers, and the dist transport.
-// ftdc depends on those packages and not vice versa — subsystems export
-// plain counter snapshots and stay ignorant of the recorder.
-func StandardSources(r *Recorder) {
-	r.AddSource(CollectPar)
-	r.AddSource(qsim.CollectTelemetry)
-	r.AddSource(dist.Collect)
+// Standard returns the repository's built-in collectors: the par scheduler,
+// the qsim engine pass/epoch timers, and the dist transport. ftdc depends on
+// those packages and not vice versa — subsystems export plain counter
+// snapshots and stay ignorant of the recorder.
+func Standard() []Collector {
+	return []Collector{CollectPar, qsim.CollectTelemetry, dist.Collect}
 }
 
 // CollectPar emits the work-stealing scheduler's counters plus the live

@@ -1,40 +1,105 @@
 package ftdc
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/dist"
 )
 
-// MetricSummary condenses one metric's trajectory across a capture. Most
-// series are monotonic counters, so Last−First is the activity the capture
-// window saw.
-type MetricSummary struct {
-	Name                  string
-	First, Last, Min, Max int64
+// SeriesKind is the shape of a series name. Beside Plain counters,
+// dist.Collect writes WorkerField series (dist.w<id>.<field>), the
+// LatencyBucket histogram (dist.lat_bNN) and its exact LatencySum
+// (dist.lat_sum_ns). parseSeries is the one place that reads these names.
+type SeriesKind uint8
+
+const (
+	Plain SeriesKind = iota
+	WorkerField
+	LatencyBucket
+	LatencySum
+)
+
+// Series is a series name read by its shape.
+type Series struct {
+	Kind  SeriesKind
+	Index int    // worker id (WorkerField) or bucket number (LatencyBucket)
+	Field string // WorkerField: the part after "dist.w<id>."
 }
 
-// Delta is the metric's net change over the capture.
-func (m MetricSummary) Delta() int64 { return m.Last - m.First }
+func parseSeries(name string) Series {
+	if name == "dist.lat_sum_ns" {
+		return Series{Kind: LatencySum}
+	}
+	if rest, ok := strings.CutPrefix(name, "dist.lat_b"); ok {
+		if b, err := strconv.Atoi(rest); err == nil && b >= 0 && b < dist.LatencyBuckets {
+			return Series{Kind: LatencyBucket, Index: b}
+		}
+	}
+	if rest, ok := strings.CutPrefix(name, "dist.w"); ok {
+		if id, field, ok := strings.Cut(rest, "."); ok && field != "" {
+			if n, err := strconv.Atoi(id); err == nil && n > 0 {
+				return Series{Kind: WorkerField, Index: n, Field: field}
+			}
+		}
+	}
+	return Series{}
+}
+
+// MetricSummary condenses one metric's trajectory across a capture. Most
+// series are monotonic counters, so Delta = Last−First is the activity the
+// capture window saw. torq-ftdc -json marshals it as is.
+type MetricSummary struct {
+	Name   string `json:"name"`
+	Series `json:"-"`
+	First  int64 `json:"first"`
+	Last   int64 `json:"last"`
+	Min    int64 `json:"min"`
+	Max    int64 `json:"max"`
+	Delta  int64 `json:"delta"`
+}
 
 // WorkerSummary condenses one dist worker's service record, derived from
-// its dist.w<id>.* series.
+// its dist.w<id>.* series. /healthz and torq-ftdc -json marshal it as is.
 type WorkerSummary struct {
-	ID           int
-	Shards       int64
-	Batches      int64
-	MeanShardLat time.Duration // batch round-trip time attributed per shard
-	Straggler    bool
+	ID           int           `json:"id"`
+	Alive        bool          `json:"alive"`
+	Shards       int64         `json:"shards"`
+	Batches      int64         `json:"batches"`
+	MeanShardLat time.Duration `json:"mean_shard_lat_ns"` // batch round-trip time attributed per shard
+	Straggler    bool          `json:"straggler"`
 }
 
-// Summary is the digest cmd/torq-ftdc prints and the straggler tests assert
-// against.
+// Histogram is dist's per-shard latency histogram at the last sample.
+type Histogram struct {
+	Counts [dist.LatencyBuckets]int64
+	SumNS  int64
+}
+
+// BucketBounds returns bucket k's latency range [lo, hi) in microseconds.
+// The top bucket has no upper bound; hi is 0 for it.
+func BucketBounds(k int) (lo, hi int64) {
+	if k > 0 {
+		lo = 1 << (k - 1)
+	}
+	if k < dist.LatencyBuckets-1 {
+		hi = 1 << k
+	}
+	return lo, hi
+}
+
+// Summary is the digest cmd/torq-ftdc prints, the debug plane renders, and
+// the straggler tests assert against.
 type Summary struct {
 	Start, End time.Time
 	Samples    int
-	Metrics    []MetricSummary // sorted by name
-	Workers    []WorkerSummary // sorted by id
+	Metrics    []MetricSummary // every series, sorted by name; never nil
+	Workers    []WorkerSummary // sorted by id; never nil
+	Latency    *Histogram      // nil when no bucket series was sampled
 }
 
 // stragglerFactor flags a worker whose mean per-shard latency exceeds this
@@ -45,13 +110,14 @@ const (
 	stragglerFloor  = 2 * time.Millisecond
 )
 
-// Summarize digests decoded samples: per-metric first/last/min/max plus the
-// per-worker service summary with latency-outlier straggler flags. Workers
-// are compared on mean per-shard latency against the fleet's lower median —
-// the lower median keeps a 2-worker fleet's slow half from hiding behind an
-// average it dominates.
+// Summarize digests decoded samples: per-metric first/last/min/max, the
+// per-worker service summary with latency-outlier straggler flags, and the
+// latency histogram. A worker is listed once any of its series exists.
+// Workers that served shards are compared on mean per-shard latency
+// against their lower median — the lower median keeps a 2-worker fleet's
+// slow half from hiding behind an average it dominates.
 func Summarize(samples []Sample) *Summary {
-	s := &Summary{Samples: len(samples)}
+	s := &Summary{Samples: len(samples), Metrics: []MetricSummary{}, Workers: []WorkerSummary{}}
 	if len(samples) == 0 {
 		return s
 	}
@@ -62,10 +128,11 @@ func Summarize(samples []Sample) *Summary {
 			v := sm.Vals[i]
 			m := byName[n]
 			if m == nil {
-				m = &MetricSummary{Name: n, First: v, Min: v, Max: v}
+				m = &MetricSummary{Name: n, Series: parseSeries(n), First: v, Min: v, Max: v}
 				byName[n] = m
 			}
 			m.Last = v
+			m.Delta = m.Last - m.First
 			if v < m.Min {
 				m.Min = v
 			}
@@ -79,56 +146,64 @@ func Summarize(samples []Sample) *Summary {
 		s.Metrics = append(s.Metrics, *m)
 	}
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
-	s.Workers = workerSummaries(byName)
+
+	var hist Histogram
+	for _, m := range s.Metrics {
+		switch m.Kind {
+		case LatencyBucket:
+			hist.Counts[m.Index] = m.Last
+			s.Latency = &hist
+		case LatencySum:
+			hist.SumNS = m.Last
+		case WorkerField:
+			// Sorted by name, one worker's series are adjacent.
+			if n := len(s.Workers); n == 0 || s.Workers[n-1].ID != m.Index {
+				s.Workers = append(s.Workers, WorkerSummary{ID: m.Index})
+			}
+			w := &s.Workers[len(s.Workers)-1]
+			switch m.Field {
+			case "shards":
+				w.Shards = m.Last
+			case "batches":
+				w.Batches = m.Last
+			case "alive":
+				w.Alive = m.Last != 0
+			case "lat_ns":
+				w.MeanShardLat = time.Duration(m.Last) // the total until divided below
+			}
+		}
+	}
+	sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].ID < s.Workers[j].ID })
+	var lats []time.Duration
+	for i := range s.Workers {
+		if w := &s.Workers[i]; w.Shards > 0 {
+			w.MeanShardLat /= time.Duration(w.Shards)
+			lats = append(lats, w.MeanShardLat)
+		} else {
+			w.MeanShardLat = 0
+		}
+	}
+	if len(lats) >= 2 {
+		slices.Sort(lats)
+		median := lats[(len(lats)-1)/2]
+		for i := range s.Workers {
+			l := s.Workers[i].MeanShardLat
+			s.Workers[i].Straggler = s.Workers[i].Shards > 0 && l > stragglerFloor && l > stragglerFactor*median
+		}
+	}
 	return s
 }
 
-func workerSummaries(byName map[string]*MetricSummary) []WorkerSummary {
-	var out []WorkerSummary
-	//torq:allow maprange -- one summary per worker id, sorted by id below
-	for name, m := range byName {
-		id, ok := workerMetricID(name, ".shards")
-		if !ok || m.Last == 0 {
-			continue
-		}
-		w := WorkerSummary{ID: id, Shards: m.Last}
-		if lat := byName["dist.w"+strconv.Itoa(id)+".lat_ns"]; lat != nil {
-			w.MeanShardLat = time.Duration(lat.Last / m.Last)
-		}
-		if b := byName["dist.w"+strconv.Itoa(id)+".batches"]; b != nil {
-			w.Batches = b.Last
-		}
-		out = append(out, w)
+// Scrape runs sources once, as a recorder tick does, and summarizes that
+// one sample: the live view /metrics and /healthz render.
+func Scrape(sources []Collector) *Summary {
+	vals := map[string]int64{}
+	for _, c := range sources {
+		c(func(name string, v int64) { vals[name] = v })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	if len(out) >= 2 {
-		lats := make([]time.Duration, len(out))
-		for i, w := range out {
-			lats[i] = w.MeanShardLat
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		median := lats[(len(lats)-1)/2]
-		for i := range out {
-			l := out[i].MeanShardLat
-			out[i].Straggler = l > stragglerFloor && l > stragglerFactor*median
-		}
+	sm := Sample{T: time.Now(), Names: slices.Sorted(maps.Keys(vals))}
+	for _, n := range sm.Names {
+		sm.Vals = append(sm.Vals, vals[n])
 	}
-	return out
-}
-
-// workerMetricID parses "dist.w<id><suffix>" names.
-func workerMetricID(name, suffix string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, "dist.w")
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutSuffix(rest, suffix)
-	if !ok {
-		return 0, false
-	}
-	id, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, false
-	}
-	return id, true
+	return Summarize([]Sample{sm})
 }

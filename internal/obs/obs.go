@@ -12,6 +12,13 @@
 //   - /healthz  — per-worker liveness and straggler flags as JSON
 //   - /debug/pprof/* — the standard Go profiler endpoints
 //
+// /metrics and /healthz render one live scrape through ftdc.Scrape, so they
+// read the dist series names, the latency histogram and the straggler rule
+// exactly as torq-ftdc reads a capture. RegisterFlags and Flags.Start hold
+// the start-up the commands share: the -ftdc-dump, -ftdc-interval and
+// -debug-addr flags, the recorder, the dump on SIGUSR1 and at exit, and
+// this server.
+//
 // Everything here is a cold read path: handlers snapshot lock-free counters
 // and the span ring, never touching coordinator or engine state, so scraping
 // a live training run cannot perturb it. The package registers nothing on
@@ -30,9 +37,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/ftdc"
-	"repro/internal/qsim"
 	"repro/internal/trace"
 )
 
@@ -41,17 +46,9 @@ type Options struct {
 	// Recorder backs /ftdc (live capture download) when non-nil; /ftdc
 	// answers 503 otherwise.
 	Recorder *ftdc.Recorder
-	// Sources are the collectors /metrics scrapes. Nil means the standard
-	// set (par scheduler, qsim engine timers, dist transport) — the same
-	// collectors ftdc.StandardSources attaches.
+	// Sources are the collectors /metrics and /healthz scrape. Nil means
+	// ftdc.Standard, the collectors a recorder samples.
 	Sources []ftdc.Collector
-}
-
-func (o Options) sources() []ftdc.Collector {
-	if o.Sources != nil {
-		return o.Sources
-	}
-	return []ftdc.Collector{ftdc.CollectPar, qsim.CollectTelemetry, dist.Collect}
 }
 
 // Server is a running debug HTTP server.
@@ -79,10 +76,13 @@ func (s *Server) Close() error { return s.ln.Close() }
 // Handler builds the debug mux — exposed separately so tests (or an embedder
 // with its own server) can mount the plane without a listener.
 func Handler(o Options) http.Handler {
+	if o.Sources == nil {
+		o.Sources = ftdc.Standard()
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, o.sources())
+		writeMetrics(w, ftdc.Scrape(o.Sources))
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -106,7 +106,7 @@ func Handler(o Options) http.Handler {
 		writeJSON(w, healthReply{
 			Tracing:      trace.Enabled(),
 			FTDCSamples:  samples,
-			Workers:      dist.WorkersHealth(),
+			Workers:      ftdc.Scrape(o.Sources).Workers,
 			GeneratedUTC: time.Now().UTC().Format(time.RFC3339Nano),
 		})
 	})
@@ -119,10 +119,10 @@ func Handler(o Options) http.Handler {
 }
 
 type healthReply struct {
-	Tracing      bool                `json:"tracing"`
-	FTDCSamples  uint64              `json:"ftdc_samples"`
-	Workers      []dist.WorkerHealth `json:"workers"`
-	GeneratedUTC string              `json:"generated_utc"`
+	Tracing      bool                 `json:"tracing"`
+	FTDCSamples  uint64               `json:"ftdc_samples"`
+	Workers      []ftdc.WorkerSummary `json:"workers"`
+	GeneratedUTC string               `json:"generated_utc"`
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -131,75 +131,40 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v) //nolint:errcheck
 }
 
-// metricLine is one converted sample: a Prometheus family name, optional
-// label pairs (already formatted), and the value.
-type metricLine struct {
-	family string
-	labels string
-	value  int64
-}
-
-// writeMetrics scrapes the collectors live and converts the flat
-// name → int64 series to Prometheus text exposition:
+// writeMetrics renders one live scrape's summary as Prometheus text
+// exposition:
 //
 //   - dots become underscores under a torq_ prefix
 //     (dist.shards_done → torq_dist_shards_done)
-//   - per-worker series fold into one family with a worker label
-//     (dist.w3.shards → torq_dist_worker_shards{worker="3"})
-//   - the dist.lat_bNN log2 buckets re-shape into a cumulative
-//     torq_dist_shard_latency_seconds histogram with le bounds of 2^N µs,
-//     with dist.lat_sum_ns providing the exact _sum
+//   - per-worker series fold into one family per field with a worker
+//     label (worker 3's shards → torq_dist_worker_shards{worker="3"})
+//   - the latency histogram becomes torq_dist_shard_latency_seconds
 //
-// Families are emitted sorted so lines of one family stay grouped, as the
+// Sorting the rendered lines keeps each family's lines together, as the
 // exposition format requires.
-func writeMetrics(w http.ResponseWriter, sources []ftdc.Collector) {
-	var lines []metricLine
-	var latBuckets [64]int64
-	latSeen := false
-	var latSumNS int64
-	emit := func(name string, v int64) {
-		if b, ok := bucketIndex(name); ok && b < len(latBuckets) {
-			latBuckets[b] += v
-			latSeen = true
-			return
+func writeMetrics(w http.ResponseWriter, sum *ftdc.Summary) {
+	var lines []string
+	for _, m := range sum.Metrics {
+		switch m.Kind {
+		case ftdc.Plain:
+			lines = append(lines, fmt.Sprintf("torq_%s %d\n", flatten(m.Name), m.Last))
+		case ftdc.WorkerField:
+			lines = append(lines, fmt.Sprintf("torq_dist_worker_%s{worker=\"%d\"} %d\n", flatten(m.Field), m.Index, m.Last))
 		}
-		if name == "dist.lat_sum_ns" {
-			latSumNS = v
-			return
-		}
-		if id, suffix, ok := workerSeries(name); ok {
-			lines = append(lines, metricLine{
-				family: "torq_dist_worker_" + flatten(suffix),
-				labels: `{worker="` + strconv.Itoa(id) + `"}`,
-				value:  v,
-			})
-			return
-		}
-		lines = append(lines, metricLine{family: "torq_" + flatten(name), value: v})
 	}
-	for _, c := range sources {
-		c(emit)
-	}
-	sort.SliceStable(lines, func(i, j int) bool {
-		if lines[i].family != lines[j].family {
-			return lines[i].family < lines[j].family
-		}
-		return lines[i].labels < lines[j].labels
-	})
-	for _, l := range lines {
-		fmt.Fprintf(w, "%s%s %d\n", l.family, l.labels, l.value)
-	}
-	if latSeen {
-		writeLatencyHistogram(w, &latBuckets, latSumNS)
+	sort.Strings(lines)
+	fmt.Fprint(w, strings.Join(lines, ""))
+	if sum.Latency != nil {
+		writeLatencyHistogram(w, sum.Latency)
 	}
 }
 
-// writeLatencyHistogram converts the log2 per-shard latency buckets (bucket
-// k counts shards in [2^(k-1), 2^k) µs) into the cumulative form Prometheus
-// expects: bucket k's upper bound is 2^k µs, expressed in seconds.
-func writeLatencyHistogram(w http.ResponseWriter, buckets *[64]int64, sumNS int64) {
+// writeLatencyHistogram converts the log2 per-shard latency buckets into the
+// cumulative form Prometheus expects: bucket k's upper bound is 2^k µs,
+// expressed in seconds. The open top bucket counts only toward +Inf.
+func writeLatencyHistogram(w http.ResponseWriter, h *ftdc.Histogram) {
 	max := 0
-	for b, v := range buckets {
+	for b, v := range h.Counts {
 		if v != 0 {
 			max = b
 		}
@@ -207,47 +172,19 @@ func writeLatencyHistogram(w http.ResponseWriter, buckets *[64]int64, sumNS int6
 	fmt.Fprintf(w, "# TYPE torq_dist_shard_latency_seconds histogram\n")
 	var cum int64
 	for b := 0; b <= max; b++ {
-		cum += buckets[b]
-		le := strconv.FormatFloat(float64(uint64(1)<<uint(b))/1e6, 'g', -1, 64)
-		fmt.Fprintf(w, "torq_dist_shard_latency_seconds_bucket{le=%q} %d\n", le, cum)
+		cum += h.Counts[b]
+		if _, hi := ftdc.BucketBounds(b); hi > 0 {
+			le := strconv.FormatFloat(float64(hi)/1e6, 'g', -1, 64)
+			fmt.Fprintf(w, "torq_dist_shard_latency_seconds_bucket{le=%q} %d\n", le, cum)
+		}
 	}
 	fmt.Fprintf(w, "torq_dist_shard_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
 	fmt.Fprintf(w, "torq_dist_shard_latency_seconds_sum %s\n",
-		strconv.FormatFloat(float64(sumNS)/1e9, 'g', -1, 64))
+		strconv.FormatFloat(float64(h.SumNS)/1e9, 'g', -1, 64))
 	fmt.Fprintf(w, "torq_dist_shard_latency_seconds_count %d\n", cum)
 }
 
 func flatten(name string) string { return strings.ReplaceAll(name, ".", "_") }
-
-// bucketIndex parses the "dist.lat_bNN" histogram series names.
-func bucketIndex(name string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, "dist.lat_b")
-	if !ok {
-		return 0, false
-	}
-	b, err := strconv.Atoi(rest)
-	if err != nil || b < 0 {
-		return 0, false
-	}
-	return b, true
-}
-
-// workerSeries parses "dist.w<id>.<suffix>" per-worker series names.
-func workerSeries(name string) (id int, suffix string, ok bool) {
-	rest, ok := strings.CutPrefix(name, "dist.w")
-	if !ok {
-		return 0, "", false
-	}
-	dot := strings.IndexByte(rest, '.')
-	if dot <= 0 {
-		return 0, "", false
-	}
-	id, err := strconv.Atoi(rest[:dot])
-	if err != nil {
-		return 0, "", false
-	}
-	return id, rest[dot+1:], true
-}
 
 // chromeEvent is one Chrome trace-event record ("X" complete events for
 // spans, "M" metadata events naming the process rows).

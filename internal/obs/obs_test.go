@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,8 +21,12 @@ func fakeSource(emit func(name string, value int64)) {
 	emit("dist.w2.shards", 7)
 	emit("dist.w1.shards", 9)
 	emit("dist.w1.lat_ns", 1_000_000)
+	emit("dist.w1.batches", 3)
+	// Worker 2 has no liveness series, so it reads as not alive.
+	emit("dist.w1.alive", 1)
 	emit("dist.lat_b00", 3) // < 1µs
 	emit("dist.lat_b03", 5) // [4µs, 8µs)
+	emit("dist.lat_b27", 2) // ≥ 2^26µs: the open top bucket
 	emit("dist.lat_sum_ns", 45_000)
 }
 
@@ -47,9 +52,11 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE torq_dist_shard_latency_seconds histogram\n",
 		`torq_dist_shard_latency_seconds_bucket{le="1e-06"} 3` + "\n",
 		`torq_dist_shard_latency_seconds_bucket{le="8e-06"} 8` + "\n",
-		`torq_dist_shard_latency_seconds_bucket{le="+Inf"} 8` + "\n",
+		`torq_dist_shard_latency_seconds_bucket{le="+Inf"} 10` + "\n",
 		"torq_dist_shard_latency_seconds_sum 4.5e-05\n",
-		"torq_dist_shard_latency_seconds_count 8\n",
+		"torq_dist_shard_latency_seconds_count 10\n",
+		`torq_dist_worker_alive{worker="1"} 1` + "\n",
+		`torq_dist_shard_latency_seconds_bucket{le="67.108864"} 8` + "\n",
 	}
 	for _, want := range wants {
 		if !strings.Contains(body, want) {
@@ -59,6 +66,10 @@ func TestMetricsExposition(t *testing.T) {
 	// Worker series of one family must be grouped and sorted by label.
 	if i, j := strings.Index(body, `worker="1"} 9`), strings.Index(body, `worker="2"}`); i < 0 || j < 0 || i > j {
 		t.Errorf("worker series unsorted or missing (positions %d, %d)\n%s", i, j, body)
+	}
+	// The top bucket has no finite upper bound: it counts only toward +Inf.
+	if strings.Contains(body, `le="134.217728"`) {
+		t.Errorf("open top bucket labelled with a finite bound\n%s", body)
 	}
 	// Raw bucket/sum series must not leak beside the histogram.
 	for _, leak := range []string{"torq_dist_lat_b", "torq_dist_lat_sum_ns"} {
@@ -180,7 +191,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	rec := ftdc.New(ftdc.Options{})
 	rec.AddSource(fakeSource)
 	rec.SampleNow()
-	code, body := get(t, Handler(Options{Recorder: rec}), "/healthz")
+	code, body := get(t, Handler(Options{Recorder: rec, Sources: []ftdc.Collector{fakeSource}}), "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("/healthz status %d", code)
 	}
@@ -197,6 +208,22 @@ func TestHealthzEndpoint(t *testing.T) {
 	}
 	if h.FTDCSamples != 1 {
 		t.Errorf("healthz reports %d ftdc samples, want 1", h.FTDCSamples)
+	}
+	var workers []ftdc.WorkerSummary
+	if err := json.Unmarshal(h.Workers, &workers); err != nil {
+		t.Fatalf("/healthz workers: %v\n%s", err, h.Workers)
+	}
+	want := []ftdc.WorkerSummary{
+		{ID: 1, Alive: true, Shards: 9, Batches: 3, MeanShardLat: 1_000_000 / 9},
+		{ID: 2, Shards: 7},
+	}
+	if !slices.Equal(workers, want) {
+		t.Errorf("/healthz workers %+v, want %+v", workers, want)
+	}
+	for _, field := range []string{`"id"`, `"alive"`, `"shards"`, `"batches"`, `"mean_shard_lat_ns"`, `"straggler"`} {
+		if !strings.Contains(string(h.Workers), field) {
+			t.Errorf("/healthz workers lack %s\n%s", field, h.Workers)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/trace"
@@ -114,7 +115,7 @@ func (distEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][
 	// worker holding that exact shard's cached forward states.
 	spec := &PassSpec{
 		Circ: p.Circ, Prog: prog,
-		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws),
+		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws.val.Dim, ws.active),
 		Active: ws.active, Theta: ws.theta, Angles: ws.angles,
 	}
 	for k := 0; k < MaxTangents; k++ {
@@ -143,7 +144,7 @@ func (distEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float
 	prog := p.Program()
 	spec := &PassSpec{
 		Circ: p.Circ, Prog: prog, Backward: true,
-		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws),
+		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws.val.Dim, ws.active),
 		Active: ws.active, Theta: ws.theta, Angles: ws.angles,
 		GZ: gz,
 	}
@@ -273,15 +274,25 @@ type shardState struct {
 }
 
 // NewShardRunner compiles circ at level 3 and prepares a per-shard-size
-// state cache.
-func NewShardRunner(circ *Circuit) *ShardRunner {
-	r := &ShardRunner{
-		pqc:      PQC{Circ: circ, Eng: EngineDist},
+// state cache. Before any table is allocated, it refuses a circuit whose
+// full-register diagonal tables would exceed maxTableBytes.
+func NewShardRunner(circ *Circuit, maxTableBytes int) (*ShardRunner, error) {
+	prog := fuseProgram(circ)
+	if n := prog.diagTableBytes(); n > maxTableBytes {
+		return nil, fmt.Errorf("qsim: circuit needs %d bytes of diagonal tables (bound %d)", n, maxTableBytes)
+	}
+	prog.layout()
+	return &ShardRunner{
+		pqc:      PQC{Circ: circ, Eng: EngineDist, prog: prog},
 		free:     make(map[int]*shardState),
 		fwdSnaps: make(map[uint32]*fwdSnapshot),
-	}
-	r.pqc.Program()
-	return r
+	}, nil
+}
+
+// MaxShard is the block a coordinator partitions passes with these active
+// channels by (PassSpec.Block): no shard it sends holds more samples.
+func (r *ShardRunner) MaxShard(active [MaxTangents]bool) int {
+	return backwardBlock(1<<r.pqc.Circ.NumQubits, active)
 }
 
 // SetForwardPass pins the forward pass the affinity cache serves. Any pass

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+func mustShardRunner(t *testing.T, circ *Circuit) *ShardRunner {
+	t.Helper()
+	r, err := NewShardRunner(circ, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestShardRunnerForwardStateCache pins the affinity cache's contract: a
 // cached backward replay is bit-identical to the stateless recompute, the
 // cache validates the backward shard's inputs before use (any mismatch
@@ -14,7 +23,7 @@ import (
 func TestShardRunnerForwardStateCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(60606))
 	circ := StronglyEntangling.Build(4, 2)
-	r := NewShardRunner(circ)
+	r := mustShardRunner(t, circ)
 	const n, nq = 5, 4
 	active := [MaxTangents]bool{true, false, true}
 	rows := func() []float64 { return randAngles(rng, n, nq) }
@@ -101,7 +110,7 @@ func TestShardRunnerForwardStateCache(t *testing.T) {
 func TestShardRunnerSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(70707))
 	circ := StronglyEntangling.Build(4, 2)
-	r := NewShardRunner(circ)
+	r := mustShardRunner(t, circ)
 	const n, nq = 5, 4
 	active := [MaxTangents]bool{true, false, true}
 	rows := func() []float64 { return randAngles(rng, n, nq) }

@@ -322,7 +322,7 @@ func prepBackward(ws *Workspace, gz []float64, gztans [][]float64) (blk int) {
 			ws.ensureW(1+k, g)
 		}
 	}
-	return backwardBlock(ws)
+	return backwardBlock(ws.val.Dim, ws.active)
 }
 
 // backwardBlock sizes the cache-resident sample block for the backward
@@ -330,14 +330,14 @@ func prepBackward(ws *Workspace, gz []float64, gztans [][]float64) (blk int) {
 // and the two scratch states. It is the shard size of the sharded engine's
 // backward partition, shared with the dist coordinator so both produce the
 // identical shard-order reduction.
-func backwardBlock(ws *Workspace) int {
+func backwardBlock(dim int, active [MaxTangents]bool) int {
 	channels := 4 // val + λv + scr1 + scr2
 	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] {
+		if active[k] {
 			channels += 2
 		}
 	}
-	return blockSamples(ws.val.Dim, channels)
+	return blockSamples(dim, channels)
 }
 
 // bwdScratch bundles one shard's private accumulation buffers for the

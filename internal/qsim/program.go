@@ -105,6 +105,14 @@ const compileLevel = 3
 // absorption, pair blocks, three-qubit CNOT permutations, and grouped
 // single-qubit triples.
 func CompileProgram(circ *Circuit) *Program {
+	p := fuseProgram(circ)
+	p.layout()
+	return p
+}
+
+// fuseProgram builds the fused instruction stream and each instruction's
+// parameter list; layout then sizes and fills the tables.
+func fuseProgram(circ *Circuit) *Program {
 	p := &Program{circ: circ}
 	for _, seg := range circ.segments() {
 		p.addEmbed()
@@ -114,8 +122,28 @@ func CompileProgram(circ *Circuit) *Program {
 	p.fuseBlocks()
 	p.fuseSingleTriples()
 	p.markU2LogDeriv()
-	p.layout()
+	for i := range p.ins {
+		for _, g := range p.ins[i].gates {
+			if g.P >= 0 {
+				p.ins[i].params = append(p.ins[i].params, g.P)
+			}
+		}
+	}
 	return p
+}
+
+// diagTableBytes is what layout and a shard run allocate for the
+// full-register diagonals, the only tables that grow with 2^nq per
+// instruction: per opDiagN, 2·dim coefficient floats, a dim-float gradient
+// accumulator, and a sign byte per (parameter, basis state).
+func (p *Program) diagTableBytes() int {
+	n := 0
+	for _, in := range p.ins {
+		if in.op == opDiagN {
+			n += (3*8 + len(in.params)) << p.circ.NumQubits
+		}
+	}
+	return n
 }
 
 // markU2LogDeriv flags the opU2 blocks whose source is a single parametrized
@@ -664,17 +692,12 @@ func (p *Program) fuseSingleTriples() {
 	p.ins = out
 }
 
-// layout assigns coefficient slots, derivative slots, parameter lists and —
-// for full-register diagonals — the compile-time derivative sign tables.
+// layout assigns coefficient slots, derivative slots and — for
+// full-register diagonals — the compile-time derivative sign tables.
 func (p *Program) layout() {
 	dim := 1 << p.circ.NumQubits
 	for i := range p.ins {
 		in := &p.ins[i]
-		for _, g := range in.gates {
-			if g.P >= 0 {
-				in.params = append(in.params, g.P)
-			}
-		}
 		switch in.op {
 		case opU2:
 			in.slot = p.ncoef
