@@ -67,7 +67,7 @@ func TestTrainingTrajectoryPinned(t *testing.T) {
 		want uint64
 	}{
 		{"classical-vacuum", vac, SmokeModel(ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone), 0xe0debac65e7624b9},
-		{"qpinn-acos-vacuum", vac, SmokeModel(QPINN, qsim.CrossMesh, qsim.ScaleAcos), 0x1cfe1c2fe8d47d52},
+		{"qpinn-acos-vacuum", vac, SmokeModel(QPINN, qsim.CrossMesh, qsim.ScaleAcos), 0x7b91caed6eb426cb},
 		{"qpinn-asin-dielectric", diel, SmokeModel(QPINN, qsim.BasicEntangling, qsim.ScaleAsin), 0x9b9852bb6aa72e64},
 		{"trig-asin-vacuum", vac, SmokeModel(ClassicalTrig, qsim.BasicEntangling, qsim.ScaleAsin), 0x6dbbbe8a997a859},
 	}

@@ -550,9 +550,9 @@ func (r *ShardRunner) BackwardShardCached(shard uint32, n int, active [MaxTangen
 	}
 	s := r.state(n)
 	ws := s.ws
-	// Restore the saved inputs the adjoint reads from the workspace (angles
-	// for the reverse embedding, theta for the log-derivative fast paths) and
-	// the evolved states themselves.
+	// Restore the saved inputs the adjoint reads from the workspace (the
+	// angles and angle tangents of the reverse embedding) and the evolved
+	// states themselves.
 	ws.saveInputs(&r.pqc, angles, s.tanSlices(active, angleTans), theta)
 	copy(ws.val.Re, snap.valRe)
 	copy(ws.val.Im, snap.valIm)

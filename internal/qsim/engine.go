@@ -406,25 +406,18 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 		case opEmbedAll:
 			reverseEmbedAllRange(ws, lo, hi, dAngles, dAngleTans)
 		case opCNOT:
-			g := in.gates[0]
+			// CNOT is its own inverse and carries no parameter.
 			//torq:allow hotalloc -- forChannelPairs and this literal fully inline (-m shows no escape)
 			ws.forChannelPairs(func(psi, lam *State) {
-				reverseStepRange(g, 0, 0, psi, lam, lo, hi)
+				psi.applyCNOTRange(lo, hi, in.c, in.q)
+				lam.applyCNOTRange(lo, hi, in.c, in.q)
 			})
 		case opU2:
-			if in.logDeriv {
-				revU2LogDerivRange(ws, in, lo, hi, sc)
-			} else {
-				revU2Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
-			}
+			revU2Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 		case opU4:
 			revU4Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 		case opU2x3:
-			if in.logDeriv {
-				revU2x3LogDerivRange(ws, in, coeff, lo, hi, sc)
-			} else {
-				revU2x3Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
-			}
+			revU2x3Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 		case opPerm8:
 			// Un-apply the compile-time permutation on both states; a
 			// CNOT-only block carries no parameters, so there is no gradient.
@@ -441,117 +434,6 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 			revDiagNRange(ws, in, coeff, lo, hi, sc)
 		}
 	}
-}
-
-// reverseStepRange performs one adjoint step for one (ψ, λ) channel pair in
-// a single traversal: ψ ← U†ψ, λ ← U†λ, and — for parametrized gates — the
-// returned gradient contribution Σ Re⟨λ_pre, (d log U/dθ)·ψ_pre⟩. The
-// logarithmic-derivative form (dU/dθ = U·dlogU with dlogU = −i/2·{X, Y, Z})
-// lets the gradient read the freshly recovered pre-gate states, so the
-// legacy engine's three full-state passes per gate per channel (inverse,
-// derivative scratch copy, inner product) collapse into one.
-func reverseStepRange(g Gate, c, s float64, psi, lam *State, lo, hi int) float64 {
-	dim := psi.Dim
-	pr, pim := psi.Re, psi.Im
-	lr, lim := lam.Re, lam.Im
-	var sum float64
-	switch g.Kind {
-	case RX:
-		// U† = c·I + i·s·X ; dlogU = −i/2·X.
-		stride := 1 << g.Q
-		step := stride << 1
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += step {
-				base := off + blk
-				for j := base; j < base+stride; j++ {
-					k := j + stride
-					r0, i0, r1, i1 := pr[j], pim[j], pr[k], pim[k]
-					pr[j] = c*r0 - s*i1
-					pim[j] = c*i0 + s*r1
-					pr[k] = -s*i0 + c*r1
-					pim[k] = s*r0 + c*i1
-					r0, i0, r1, i1 = lr[j], lim[j], lr[k], lim[k]
-					lr[j] = c*r0 - s*i1
-					lim[j] = c*i0 + s*r1
-					lr[k] = -s*i0 + c*r1
-					lim[k] = s*r0 + c*i1
-					sum += 0.5 * (lr[j]*pim[k] - lim[j]*pr[k] + lr[k]*pim[j] - lim[k]*pr[j])
-				}
-			}
-		}
-	case RY:
-		// U† = [[c, s], [−s, c]] ; dlogU = [[0, −1/2], [1/2, 0]].
-		stride := 1 << g.Q
-		step := stride << 1
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += step {
-				base := off + blk
-				for j := base; j < base+stride; j++ {
-					k := j + stride
-					r0, i0, r1, i1 := pr[j], pim[j], pr[k], pim[k]
-					pr[j] = c*r0 + s*r1
-					pim[j] = c*i0 + s*i1
-					pr[k] = -s*r0 + c*r1
-					pim[k] = -s*i0 + c*i1
-					r0, i0, r1, i1 = lr[j], lim[j], lr[k], lim[k]
-					lr[j] = c*r0 + s*r1
-					lim[j] = c*i0 + s*i1
-					lr[k] = -s*r0 + c*r1
-					lim[k] = -s*i0 + c*i1
-					sum += 0.5 * (lr[k]*pr[j] + lim[k]*pim[j] - lr[j]*pr[k] - lim[j]*pim[k])
-				}
-			}
-		}
-	case RZ:
-		// U† = diag(e^{+iθ/2}, e^{−iθ/2}) ; dlogU = diag(−i/2, +i/2).
-		stride := 1 << g.Q
-		step := stride << 1
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += step {
-				base := off + blk
-				for j := base; j < base+stride; j++ {
-					k := j + stride
-					r0, i0 := pr[j], pim[j]
-					pr[j] = c*r0 - s*i0
-					pim[j] = c*i0 + s*r0
-					r1, i1 := pr[k], pim[k]
-					pr[k] = c*r1 + s*i1
-					pim[k] = c*i1 - s*r1
-					r0, i0 = lr[j], lim[j]
-					lr[j] = c*r0 - s*i0
-					lim[j] = c*i0 + s*r0
-					r1, i1 = lr[k], lim[k]
-					lr[k] = c*r1 + s*i1
-					lim[k] = c*i1 - s*r1
-					sum += 0.5 * (lr[j]*pim[j] - lim[j]*pr[j] - lr[k]*pim[k] + lim[k]*pr[k])
-				}
-			}
-		}
-	case CNOT:
-		// Self-inverse swap on both states; no gradient.
-		strideT := 1 << g.Q
-		stepT := strideT << 1
-		cMask := 1 << g.C
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += stepT {
-				for j := blk; j < blk+strideT; j++ {
-					if j&cMask == 0 {
-						continue
-					}
-					a, b := off+j, off+j+strideT
-					pr[a], pr[b] = pr[b], pr[a]
-					pim[a], pim[b] = pim[b], pim[a]
-					lr[a], lr[b] = lr[b], lr[a]
-					lim[a], lim[b] = lim[b], lim[a]
-				}
-			}
-		}
-	}
-	return sum
 }
 
 // reverseEmbedAllRange is the fused embedding adjoint: the sample-major
@@ -678,25 +560,6 @@ func revU2Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 	}
 }
 
-// revU2LogDerivRange is the adjoint fast path for opU2 blocks whose source
-// is a single parametrized rotation — the opU2 analogue of the opU2x3
-// log-derivative path. The rotation's inverse recovers ψ_pre and λ_pre in
-// one structured traversal, and the gradient reads directly off the
-// recovered pair through the logarithmic derivative
-// (Re⟨λ_post, dU·ψ_pre⟩ = Re⟨λ_pre, dlogU·ψ_pre⟩ with dlogU = −i/2·{X,Y,Z}),
-// so the hot loop carries one scalar accumulator instead of a 2×2 adjoint
-// outer product and the derivative coefficient slots are never contracted.
-// reverseStepRange is exactly that fused inverse+gradient kernel.
-func revU2LogDerivRange(ws *Workspace, in *instr, lo, hi int, sc bwdScratch) {
-	g := in.gates[0]
-	c, s := cosHalf(ws.theta[g.P]), sinHalf(ws.theta[g.P])
-	var grad float64
-	ws.forChannelPairs(func(psi, lam *State) {
-		grad += reverseStepRange(g, c, s, psi, lam, lo, hi)
-	})
-	sc.dth[g.P] += grad
-}
-
 // revU4Range is the fused adjoint step for one opU4 entangler block: the
 // 4×4 analogue of revU2Range over the block's qubit pair, with the same
 // outer-product trick so per-group cost is independent of how many
@@ -722,279 +585,6 @@ func revU4Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 		}
 		sc.dth[p] += g
 	}
-}
-
-// revU2x3LogDerivRange is the adjoint fast path for triples whose three
-// factors are each a single parametrized rotation — the shape every
-// data-parallel rotation wall compiles to. After inverting factor f on both
-// the state and the adjoint, the factor's gradient is read directly off the
-// recovered pair through its logarithmic derivative
-// (Re⟨λ, dU·ψ_pre⟩ = Re⟨U†λ, dlogU·U†ψ⟩ with dlogU = −i/2·{X, Y, Z}),
-// so the traversal carries one scalar accumulator per factor instead of a
-// 2×2 adjoint outer product, and the derivative coefficient slots are never
-// touched.
-func revU2x3LogDerivRange(ws *Workspace, in *instr, coeff []float64, lo, hi int, sc2 bwdScratch) {
-	u := coeff[in.slot : in.slot+24]
-	// Per-factor U† (conjugate transpose of each 2×2 block).
-	var ud [24]float64
-	for f := 0; f < 3; f++ {
-		ud[f*8+0], ud[f*8+1] = u[f*8+0], -u[f*8+1]
-		ud[f*8+2], ud[f*8+3] = u[f*8+4], -u[f*8+5]
-		ud[f*8+4], ud[f*8+5] = u[f*8+2], -u[f*8+3]
-		ud[f*8+6], ud[f*8+7] = u[f*8+6], -u[f*8+7]
-	}
-	aar, aai := ud[0], ud[0+1]
-	abr, abi := ud[0+2], ud[0+3]
-	acr, aci := ud[0+4], ud[0+5]
-	adr, adi := ud[0+6], ud[0+7]
-	bar, bai := ud[8], ud[8+1]
-	bbr, bbi := ud[8+2], ud[8+3]
-	bcr, bci := ud[8+4], ud[8+5]
-	bdr, bdi := ud[8+6], ud[8+7]
-	car, cai := ud[16], ud[16+1]
-	cbr, cbi := ud[16+2], ud[16+3]
-	ccr, cci := ud[16+4], ud[16+5]
-	cdr, cdi := ud[16+6], ud[16+7]
-	var kinds [3]GateKind
-	var prm [3]int
-	for _, g := range in.gates {
-		f := localBit3(g.Q, in.q, in.c, in.q2)
-		kinds[f], prm[f] = g.Kind, g.P
-	}
-	k0, k1, k2 := kinds[0], kinds[1], kinds[2]
-	var gA, gB, gC float64
-	sa, sb, sc := 1<<in.q, 1<<in.c, 1<<in.q2
-	dim := ws.val.Dim
-	ws.forChannelPairs(func(psi, lam *State) {
-		pr, pim := psi.Re, psi.Im
-		lr, lim := lam.Re, lam.Im
-		var t0r, t0i, t1r, t1i float64
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for b1 := 0; b1 < dim; b1 += sc << 1 {
-				for b2 := b1; b2 < b1+sc; b2 += sb << 1 {
-					for b3 := b2; b3 < b2+sb; b3 += sa << 1 {
-						for j := b3; j < b3+sa; j++ {
-							i0 := off + j
-							i1 := i0 + sa
-							i2 := i0 + sb
-							i3 := i2 + sa
-							i4 := i0 + sc
-							i5 := i4 + sa
-							i6 := i4 + sb
-							i7 := i6 + sa
-							x0r, x0i := pr[i0], pim[i0]
-							x1r, x1i := pr[i1], pim[i1]
-							x2r, x2i := pr[i2], pim[i2]
-							x3r, x3i := pr[i3], pim[i3]
-							x4r, x4i := pr[i4], pim[i4]
-							x5r, x5i := pr[i5], pim[i5]
-							x6r, x6i := pr[i6], pim[i6]
-							x7r, x7i := pr[i7], pim[i7]
-							g0r, g0i := lr[i0], lim[i0]
-							g1r, g1i := lr[i1], lim[i1]
-							g2r, g2i := lr[i2], lim[i2]
-							g3r, g3i := lr[i3], lim[i3]
-							g4r, g4i := lr[i4], lim[i4]
-							g5r, g5i := lr[i5], lim[i5]
-							g6r, g6i := lr[i6], lim[i6]
-							g7r, g7i := lr[i7], lim[i7]
-							t0r = aar*x0r - aai*x0i + abr*x1r - abi*x1i
-							t0i = aar*x0i + aai*x0r + abr*x1i + abi*x1r
-							t1r = acr*x0r - aci*x0i + adr*x1r - adi*x1i
-							t1i = acr*x0i + aci*x0r + adr*x1i + adi*x1r
-							x0r, x0i, x1r, x1i = t0r, t0i, t1r, t1i
-							t0r = aar*x2r - aai*x2i + abr*x3r - abi*x3i
-							t0i = aar*x2i + aai*x2r + abr*x3i + abi*x3r
-							t1r = acr*x2r - aci*x2i + adr*x3r - adi*x3i
-							t1i = acr*x2i + aci*x2r + adr*x3i + adi*x3r
-							x2r, x2i, x3r, x3i = t0r, t0i, t1r, t1i
-							t0r = aar*x4r - aai*x4i + abr*x5r - abi*x5i
-							t0i = aar*x4i + aai*x4r + abr*x5i + abi*x5r
-							t1r = acr*x4r - aci*x4i + adr*x5r - adi*x5i
-							t1i = acr*x4i + aci*x4r + adr*x5i + adi*x5r
-							x4r, x4i, x5r, x5i = t0r, t0i, t1r, t1i
-							t0r = aar*x6r - aai*x6i + abr*x7r - abi*x7i
-							t0i = aar*x6i + aai*x6r + abr*x7i + abi*x7r
-							t1r = acr*x6r - aci*x6i + adr*x7r - adi*x7i
-							t1i = acr*x6i + aci*x6r + adr*x7i + adi*x7r
-							x6r, x6i, x7r, x7i = t0r, t0i, t1r, t1i
-							t0r = aar*g0r - aai*g0i + abr*g1r - abi*g1i
-							t0i = aar*g0i + aai*g0r + abr*g1i + abi*g1r
-							t1r = acr*g0r - aci*g0i + adr*g1r - adi*g1i
-							t1i = acr*g0i + aci*g0r + adr*g1i + adi*g1r
-							g0r, g0i, g1r, g1i = t0r, t0i, t1r, t1i
-							t0r = aar*g2r - aai*g2i + abr*g3r - abi*g3i
-							t0i = aar*g2i + aai*g2r + abr*g3i + abi*g3r
-							t1r = acr*g2r - aci*g2i + adr*g3r - adi*g3i
-							t1i = acr*g2i + aci*g2r + adr*g3i + adi*g3r
-							g2r, g2i, g3r, g3i = t0r, t0i, t1r, t1i
-							t0r = aar*g4r - aai*g4i + abr*g5r - abi*g5i
-							t0i = aar*g4i + aai*g4r + abr*g5i + abi*g5r
-							t1r = acr*g4r - aci*g4i + adr*g5r - adi*g5i
-							t1i = acr*g4i + aci*g4r + adr*g5i + adi*g5r
-							g4r, g4i, g5r, g5i = t0r, t0i, t1r, t1i
-							t0r = aar*g6r - aai*g6i + abr*g7r - abi*g7i
-							t0i = aar*g6i + aai*g6r + abr*g7i + abi*g7r
-							t1r = acr*g6r - aci*g6i + adr*g7r - adi*g7i
-							t1i = acr*g6i + aci*g6r + adr*g7i + adi*g7r
-							g6r, g6i, g7r, g7i = t0r, t0i, t1r, t1i
-							switch k0 {
-							case RX:
-								gA += g0r*x1i - g0i*x1r + g1r*x0i - g1i*x0r
-								gA += g2r*x3i - g2i*x3r + g3r*x2i - g3i*x2r
-								gA += g4r*x5i - g4i*x5r + g5r*x4i - g5i*x4r
-								gA += g6r*x7i - g6i*x7r + g7r*x6i - g7i*x6r
-							case RY:
-								gA += g1r*x0r + g1i*x0i - g0r*x1r - g0i*x1i
-								gA += g3r*x2r + g3i*x2i - g2r*x3r - g2i*x3i
-								gA += g5r*x4r + g5i*x4i - g4r*x5r - g4i*x5i
-								gA += g7r*x6r + g7i*x6i - g6r*x7r - g6i*x7i
-							default: // RZ
-								gA += g0r*x0i - g0i*x0r - g1r*x1i + g1i*x1r
-								gA += g2r*x2i - g2i*x2r - g3r*x3i + g3i*x3r
-								gA += g4r*x4i - g4i*x4r - g5r*x5i + g5i*x5r
-								gA += g6r*x6i - g6i*x6r - g7r*x7i + g7i*x7r
-							}
-							t0r = bar*x0r - bai*x0i + bbr*x2r - bbi*x2i
-							t0i = bar*x0i + bai*x0r + bbr*x2i + bbi*x2r
-							t1r = bcr*x0r - bci*x0i + bdr*x2r - bdi*x2i
-							t1i = bcr*x0i + bci*x0r + bdr*x2i + bdi*x2r
-							x0r, x0i, x2r, x2i = t0r, t0i, t1r, t1i
-							t0r = bar*x1r - bai*x1i + bbr*x3r - bbi*x3i
-							t0i = bar*x1i + bai*x1r + bbr*x3i + bbi*x3r
-							t1r = bcr*x1r - bci*x1i + bdr*x3r - bdi*x3i
-							t1i = bcr*x1i + bci*x1r + bdr*x3i + bdi*x3r
-							x1r, x1i, x3r, x3i = t0r, t0i, t1r, t1i
-							t0r = bar*x4r - bai*x4i + bbr*x6r - bbi*x6i
-							t0i = bar*x4i + bai*x4r + bbr*x6i + bbi*x6r
-							t1r = bcr*x4r - bci*x4i + bdr*x6r - bdi*x6i
-							t1i = bcr*x4i + bci*x4r + bdr*x6i + bdi*x6r
-							x4r, x4i, x6r, x6i = t0r, t0i, t1r, t1i
-							t0r = bar*x5r - bai*x5i + bbr*x7r - bbi*x7i
-							t0i = bar*x5i + bai*x5r + bbr*x7i + bbi*x7r
-							t1r = bcr*x5r - bci*x5i + bdr*x7r - bdi*x7i
-							t1i = bcr*x5i + bci*x5r + bdr*x7i + bdi*x7r
-							x5r, x5i, x7r, x7i = t0r, t0i, t1r, t1i
-							t0r = bar*g0r - bai*g0i + bbr*g2r - bbi*g2i
-							t0i = bar*g0i + bai*g0r + bbr*g2i + bbi*g2r
-							t1r = bcr*g0r - bci*g0i + bdr*g2r - bdi*g2i
-							t1i = bcr*g0i + bci*g0r + bdr*g2i + bdi*g2r
-							g0r, g0i, g2r, g2i = t0r, t0i, t1r, t1i
-							t0r = bar*g1r - bai*g1i + bbr*g3r - bbi*g3i
-							t0i = bar*g1i + bai*g1r + bbr*g3i + bbi*g3r
-							t1r = bcr*g1r - bci*g1i + bdr*g3r - bdi*g3i
-							t1i = bcr*g1i + bci*g1r + bdr*g3i + bdi*g3r
-							g1r, g1i, g3r, g3i = t0r, t0i, t1r, t1i
-							t0r = bar*g4r - bai*g4i + bbr*g6r - bbi*g6i
-							t0i = bar*g4i + bai*g4r + bbr*g6i + bbi*g6r
-							t1r = bcr*g4r - bci*g4i + bdr*g6r - bdi*g6i
-							t1i = bcr*g4i + bci*g4r + bdr*g6i + bdi*g6r
-							g4r, g4i, g6r, g6i = t0r, t0i, t1r, t1i
-							t0r = bar*g5r - bai*g5i + bbr*g7r - bbi*g7i
-							t0i = bar*g5i + bai*g5r + bbr*g7i + bbi*g7r
-							t1r = bcr*g5r - bci*g5i + bdr*g7r - bdi*g7i
-							t1i = bcr*g5i + bci*g5r + bdr*g7i + bdi*g7r
-							g5r, g5i, g7r, g7i = t0r, t0i, t1r, t1i
-							switch k1 {
-							case RX:
-								gB += g0r*x2i - g0i*x2r + g2r*x0i - g2i*x0r
-								gB += g1r*x3i - g1i*x3r + g3r*x1i - g3i*x1r
-								gB += g4r*x6i - g4i*x6r + g6r*x4i - g6i*x4r
-								gB += g5r*x7i - g5i*x7r + g7r*x5i - g7i*x5r
-							case RY:
-								gB += g2r*x0r + g2i*x0i - g0r*x2r - g0i*x2i
-								gB += g3r*x1r + g3i*x1i - g1r*x3r - g1i*x3i
-								gB += g6r*x4r + g6i*x4i - g4r*x6r - g4i*x6i
-								gB += g7r*x5r + g7i*x5i - g5r*x7r - g5i*x7i
-							default: // RZ
-								gB += g0r*x0i - g0i*x0r - g2r*x2i + g2i*x2r
-								gB += g1r*x1i - g1i*x1r - g3r*x3i + g3i*x3r
-								gB += g4r*x4i - g4i*x4r - g6r*x6i + g6i*x6r
-								gB += g5r*x5i - g5i*x5r - g7r*x7i + g7i*x7r
-							}
-							t0r = car*x0r - cai*x0i + cbr*x4r - cbi*x4i
-							t0i = car*x0i + cai*x0r + cbr*x4i + cbi*x4r
-							t1r = ccr*x0r - cci*x0i + cdr*x4r - cdi*x4i
-							t1i = ccr*x0i + cci*x0r + cdr*x4i + cdi*x4r
-							x0r, x0i, x4r, x4i = t0r, t0i, t1r, t1i
-							t0r = car*x1r - cai*x1i + cbr*x5r - cbi*x5i
-							t0i = car*x1i + cai*x1r + cbr*x5i + cbi*x5r
-							t1r = ccr*x1r - cci*x1i + cdr*x5r - cdi*x5i
-							t1i = ccr*x1i + cci*x1r + cdr*x5i + cdi*x5r
-							x1r, x1i, x5r, x5i = t0r, t0i, t1r, t1i
-							t0r = car*x2r - cai*x2i + cbr*x6r - cbi*x6i
-							t0i = car*x2i + cai*x2r + cbr*x6i + cbi*x6r
-							t1r = ccr*x2r - cci*x2i + cdr*x6r - cdi*x6i
-							t1i = ccr*x2i + cci*x2r + cdr*x6i + cdi*x6r
-							x2r, x2i, x6r, x6i = t0r, t0i, t1r, t1i
-							t0r = car*x3r - cai*x3i + cbr*x7r - cbi*x7i
-							t0i = car*x3i + cai*x3r + cbr*x7i + cbi*x7r
-							t1r = ccr*x3r - cci*x3i + cdr*x7r - cdi*x7i
-							t1i = ccr*x3i + cci*x3r + cdr*x7i + cdi*x7r
-							x3r, x3i, x7r, x7i = t0r, t0i, t1r, t1i
-							t0r = car*g0r - cai*g0i + cbr*g4r - cbi*g4i
-							t0i = car*g0i + cai*g0r + cbr*g4i + cbi*g4r
-							t1r = ccr*g0r - cci*g0i + cdr*g4r - cdi*g4i
-							t1i = ccr*g0i + cci*g0r + cdr*g4i + cdi*g4r
-							g0r, g0i, g4r, g4i = t0r, t0i, t1r, t1i
-							t0r = car*g1r - cai*g1i + cbr*g5r - cbi*g5i
-							t0i = car*g1i + cai*g1r + cbr*g5i + cbi*g5r
-							t1r = ccr*g1r - cci*g1i + cdr*g5r - cdi*g5i
-							t1i = ccr*g1i + cci*g1r + cdr*g5i + cdi*g5r
-							g1r, g1i, g5r, g5i = t0r, t0i, t1r, t1i
-							t0r = car*g2r - cai*g2i + cbr*g6r - cbi*g6i
-							t0i = car*g2i + cai*g2r + cbr*g6i + cbi*g6r
-							t1r = ccr*g2r - cci*g2i + cdr*g6r - cdi*g6i
-							t1i = ccr*g2i + cci*g2r + cdr*g6i + cdi*g6r
-							g2r, g2i, g6r, g6i = t0r, t0i, t1r, t1i
-							t0r = car*g3r - cai*g3i + cbr*g7r - cbi*g7i
-							t0i = car*g3i + cai*g3r + cbr*g7i + cbi*g7r
-							t1r = ccr*g3r - cci*g3i + cdr*g7r - cdi*g7i
-							t1i = ccr*g3i + cci*g3r + cdr*g7i + cdi*g7r
-							g3r, g3i, g7r, g7i = t0r, t0i, t1r, t1i
-							switch k2 {
-							case RX:
-								gC += g0r*x4i - g0i*x4r + g4r*x0i - g4i*x0r
-								gC += g1r*x5i - g1i*x5r + g5r*x1i - g5i*x1r
-								gC += g2r*x6i - g2i*x6r + g6r*x2i - g6i*x2r
-								gC += g3r*x7i - g3i*x7r + g7r*x3i - g7i*x3r
-							case RY:
-								gC += g4r*x0r + g4i*x0i - g0r*x4r - g0i*x4i
-								gC += g5r*x1r + g5i*x1i - g1r*x5r - g1i*x5i
-								gC += g6r*x2r + g6i*x2i - g2r*x6r - g2i*x6i
-								gC += g7r*x3r + g7i*x3i - g3r*x7r - g3i*x7i
-							default: // RZ
-								gC += g0r*x0i - g0i*x0r - g4r*x4i + g4i*x4r
-								gC += g1r*x1i - g1i*x1r - g5r*x5i + g5i*x5r
-								gC += g2r*x2i - g2i*x2r - g6r*x6i + g6i*x6r
-								gC += g3r*x3i - g3i*x3r - g7r*x7i + g7i*x7r
-							}
-							pr[i0], pim[i0] = x0r, x0i
-							pr[i1], pim[i1] = x1r, x1i
-							pr[i2], pim[i2] = x2r, x2i
-							pr[i3], pim[i3] = x3r, x3i
-							pr[i4], pim[i4] = x4r, x4i
-							pr[i5], pim[i5] = x5r, x5i
-							pr[i6], pim[i6] = x6r, x6i
-							pr[i7], pim[i7] = x7r, x7i
-							lr[i0], lim[i0] = g0r, g0i
-							lr[i1], lim[i1] = g1r, g1i
-							lr[i2], lim[i2] = g2r, g2i
-							lr[i3], lim[i3] = g3r, g3i
-							lr[i4], lim[i4] = g4r, g4i
-							lr[i5], lim[i5] = g5r, g5i
-							lr[i6], lim[i6] = g6r, g6i
-							lr[i7], lim[i7] = g7r, g7i
-						}
-					}
-				}
-			}
-		}
-	})
-	sc2.dth[prm[0]] += 0.5 * gA
-	sc2.dth[prm[1]] += 0.5 * gB
-	sc2.dth[prm[2]] += 0.5 * gC
 }
 
 // revU2x3Range is the fused adjoint step for a Kronecker-structured triple:

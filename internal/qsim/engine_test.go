@@ -392,8 +392,8 @@ func TestProgramV3GoldenCounts(t *testing.T) {
 		want      int
 		hash      uint64
 	}{
-		{CrossMesh, 4, 2, false, 7, 0x4f4a14393dfe2095},
-		{CrossMesh, 4, 2, true, 8, 0x30e2a6e1951571db},
+		{CrossMesh, 4, 2, false, 7, 0x772edb2e6d2d5125},
+		{CrossMesh, 4, 2, true, 8, 0x8b0e3ed0d786d587},
 		{CrossMesh2Rot, 4, 2, false, 7, 0xa5f6f6b2630cd7fb},
 		{CrossMesh2Rot, 4, 2, true, 8, 0x391e1eaded9098e5},
 		{CrossMeshCNOT, 4, 2, false, 18, 0xbb63ded4381b7d2b},
@@ -404,8 +404,8 @@ func TestProgramV3GoldenCounts(t *testing.T) {
 		{BasicEntangling, 4, 2, true, 10, 0x495d951f3f0c3c72},
 		{StronglyEntangling, 4, 2, false, 7, 0xfc65d0ad2e64434a},
 		{StronglyEntangling, 4, 2, true, 8, 0xd01faa698a634960},
-		{CrossMesh, 7, 4, false, 17, 0x669eafa74a26e8e4},
-		{CrossMesh, 7, 4, true, 20, 0xa5021083dc63c9e8},
+		{CrossMesh, 7, 4, false, 17, 0x1cd1c8a911328fb4},
+		{CrossMesh, 7, 4, true, 20, 0x1b89f2dc0c405320},
 		{CrossMesh2Rot, 7, 4, false, 17, 0x93ceda0db9e320e8},
 		{CrossMesh2Rot, 7, 4, true, 20, 0x2e0514d4af3a3ff8},
 		{CrossMeshCNOT, 7, 4, false, 105, 0xdda35ce0cdd9bc1},
@@ -480,95 +480,6 @@ func TestEngineKindRoundTrip(t *testing.T) {
 		} else if !strings.Contains(err.Error(), EngineNames()) {
 			t.Errorf("ParseEngine(%q) error %q omits the valid names %q", old, err, EngineNames())
 		}
-	}
-}
-
-// TestU2LogDerivFastPath pins the opU2 log-derivative adjoint fast path
-// (single-parametrized-rotation blocks read their gradient off the recovered
-// states) against the dense 2×2 adjoint outer-product path at 1e-10: the
-// same program runs backward once with the compile-time logDeriv flags and
-// once with them cleared, which re-routes those blocks through revU2Range
-// and its derivative-slot contraction.
-func TestU2LogDerivFastPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(31337))
-	const tol = 1e-10
-	// Two isolated single-rotation gates on distinct qubits: too few qubits
-	// for triple grouping and no two-qubit gates to absorb them, so both
-	// compile to single-gate opU2 blocks eligible for the fast path.
-	circ := &Circuit{
-		Name: "isolated-rotations", NumQubits: 2, Layers: 1,
-		Gates:     []Gate{{RX, 0, -1, 0}, {RY, 1, -1, 1}},
-		NumParams: 2,
-	}
-	n, nq := 9, 2
-	angles := randAngles(rng, n, nq)
-	theta := randTheta(rng, circ.NumParams)
-	tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-	gz := randAngles(rng, n, nq)
-	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-
-	run := func(logDeriv bool) engineResult {
-		pqc := &PQC{Circ: circ, Eng: EngineSharded}
-		prog := pqc.Program()
-		flagged := 0
-		for i := range prog.ins {
-			if prog.ins[i].op == opU2 && prog.ins[i].logDeriv {
-				if !logDeriv {
-					prog.ins[i].logDeriv = false
-				}
-				flagged++
-			}
-		}
-		if flagged != 2 {
-			t.Fatalf("expected 2 log-derivative opU2 blocks, compiler produced %d", flagged)
-		}
-		ws := NewWorkspace(n, nq)
-		z, ztans := pqc.Forward(ws, angles, tans, theta)
-		res := engineResult{
-			z: z, ztans: ztans,
-			dAngles: make([]float64, n*nq),
-			dTheta:  make([]float64, circ.NumParams),
-			dTans:   [][]float64{make([]float64, n*nq), nil, make([]float64, n*nq)},
-		}
-		pqc.Backward(ws, gz, gztans, res.dAngles, res.dTans, res.dTheta)
-		return res
-	}
-
-	fast := run(true)
-	dense := run(false)
-	check := func(name string, want, have []float64) {
-		if d := maxAbsDiff(want, have); d > tol {
-			t.Errorf("fast-vs-dense %s diverges by %v", name, d)
-		}
-	}
-	check("z", dense.z, fast.z)
-	check("dAngles", dense.dAngles, fast.dAngles)
-	check("dTheta", dense.dTheta, fast.dTheta)
-	for _, k := range []int{0, 2} {
-		check("ztans", dense.ztans[k], fast.ztans[k])
-		check("dTans", dense.dTans[k], fast.dTans[k])
-	}
-
-	// The legacy per-gate engine anchors both paths to the reference
-	// adjoint, so the pair cannot agree on a mutually wrong answer.
-	ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-	check("dTheta vs legacy", ref.dTheta, fast.dTheta)
-	check("dAngles vs legacy", ref.dAngles, fast.dAngles)
-}
-
-// TestU2LogDerivCoversAnsatzLeftovers asserts the fast path engages on real
-// ansätze: Cross-Mesh at 7 qubits leaves one single-RX run per layer after
-// triple grouping (7 mod 3), which must compile to a log-derivative opU2.
-func TestU2LogDerivCoversAnsatzLeftovers(t *testing.T) {
-	prog := CompileProgram(CrossMesh.Build(7, 2))
-	got := 0
-	for i := range prog.ins {
-		if prog.ins[i].op == opU2 && prog.ins[i].logDeriv {
-			got++
-		}
-	}
-	if got == 0 {
-		t.Fatal("Cross-Mesh 7q leftover rotations did not take the opU2 log-derivative fast path")
 	}
 }
 

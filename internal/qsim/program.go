@@ -77,11 +77,6 @@ type instr struct {
 	// opPerm8: the permutation's non-trivial cycles and their inverses, so
 	// the kernels rotate only the amplitudes that actually move.
 	cycles, invCycles [][]uint8
-	// opU2x3: every factor is a single parametrized rotation, so the
-	// adjoint can read each gradient off the recovered states through the
-	// factor's logarithmic derivative (dU/dθ = U·dlogU) instead of
-	// accumulating 2×2 adjoint outer products.
-	logDeriv bool
 }
 
 // Program is a compiled circuit: the fused instruction stream (driving both
@@ -121,7 +116,6 @@ func fuseProgram(circ *Circuit) *Program {
 	p.fuseDiagGroups()
 	p.fuseBlocks()
 	p.fuseSingleTriples()
-	p.markU2LogDeriv()
 	for i := range p.ins {
 		for _, g := range p.ins[i].gates {
 			if g.P >= 0 {
@@ -144,21 +138,6 @@ func (p *Program) diagTableBytes() int {
 		}
 	}
 	return n
-}
-
-// markU2LogDeriv flags the opU2 blocks whose source is a single parametrized
-// rotation: their adjoint reads the gradient off the recovered states via
-// the rotation's logarithmic derivative instead of accumulating a 2×2
-// adjoint outer product (see revU2LogDerivRange). The derivative slots stay
-// allocated so the dense outer-product path remains selectable as the
-// parity oracle for the fast path.
-func (p *Program) markU2LogDeriv() {
-	for i := range p.ins {
-		in := &p.ins[i]
-		if in.op == opU2 && len(in.gates) == 1 && in.gates[0].P >= 0 && isSingleQubit(in.gates[0]) {
-			in.logDeriv = true
-		}
-	}
 }
 
 // Level reports the fusion level the program was compiled at: always 3.
@@ -242,11 +221,7 @@ func (p *Program) contentHash() uint64 {
 		num(in.slot)
 		num(in.dslot)
 		num(in.tslot)
-		if in.logDeriv {
-			byte1(1)
-		} else {
-			byte1(0)
-		}
+		byte1(0) // once a per-instruction adjoint flag; kept so digests stay comparable
 		num(len(in.gates))
 		for _, g := range in.gates {
 			byte1(byte(g.Kind))
@@ -658,16 +633,10 @@ func (p *Program) fuseSingleTriples() {
 		qs := []int{p.ins[run[0]].q, p.ins[run[1]].q, p.ins[run[2]].q}
 		sort.Ints(qs)
 		var gates []Gate
-		logDeriv := true
 		for _, m := range run {
 			gates = append(gates, p.ins[m].gates...)
-			if g := p.ins[m].gates; len(g) != 1 || g[0].P < 0 || !isSingleQubit(g[0]) {
-				logDeriv = false
-			}
 		}
-		out = append(out, instr{
-			op: opU2x3, q: qs[0], c: qs[1], q2: qs[2], gates: gates, logDeriv: logDeriv,
-		})
+		out = append(out, instr{op: opU2x3, q: qs[0], c: qs[1], q2: qs[2], gates: gates})
 		run = run[:0]
 	}
 	for idx := range p.ins {
@@ -714,15 +683,11 @@ func (p *Program) layout() {
 			p.nderiv += 32 * len(in.params)
 		case opU2x3:
 			// Three 2×2 factors in ascending-qubit order; each parameter's
-			// derivative is the 2×2 derivative of its own factor. The
-			// log-derivative adjoint reads gradients off the recovered
-			// states instead, so those triples need no derivative slots.
+			// derivative is the 2×2 derivative of its own factor.
 			in.slot = p.ncoef
 			p.ncoef += 24
-			if !in.logDeriv {
-				in.dslot = p.nderiv
-				p.nderiv += 8 * len(in.params)
-			}
+			in.dslot = p.nderiv
+			p.nderiv += 8 * len(in.params)
 		case opDiagN:
 			in.slot = p.ncoef
 			p.ncoef += 2 * dim
@@ -1015,9 +980,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 		}
 		switch in.op {
 		case opU2:
-			if in.logDeriv {
-				continue // the adjoint fast path never reads these slots
-			}
 			k := len(in.gates)
 			mats := make([]mat2, k)
 			for i, g := range in.gates {
@@ -1060,9 +1022,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 				pre = mul4(mats[i], pre)
 			}
 		case opU2x3:
-			if in.logDeriv {
-				continue // the adjoint fast path never reads these slots
-			}
 			// Each parameter's derivative slot holds the 2×2 derivative of
 			// its own factor, in the instruction's global parameter order
 			// (the gate walk below matches how layout() collected params).

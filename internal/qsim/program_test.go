@@ -79,10 +79,10 @@ func compilerCorpus() []*Circuit {
 		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rz(0)}),
 		// Two parametrized gates in one pair block: a dense-path opU4.
 		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
-		// Single- and multi-gate single-qubit runs: both opU2 paths.
+		// Single- and multi-gate single-qubit runs (opU2).
 		specCircuit("u2-runs", 4, false, []Gate{rx(0), rx(1), ry(1), cnot(2, 3)}),
-		// Three single rotations (log-derivative opU2x3), and a triple with
-		// a two-gate factor (dense-path opU2x3).
+		// Three single rotations in one triple, and a triple with a
+		// two-gate factor.
 		specCircuit("triples", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
 		// CNOTs sharing a control: a basis permutation (opPerm8).
 		specCircuit("perm8", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
@@ -112,16 +112,11 @@ func compilerCorpus() []*Circuit {
 // instruction form. The sharded adjoint's dTheta must also equal the
 // parameter-shift gradient contracted with the upstream weights to 1e-9,
 // an oracle that shares no code with either engine. Across the corpus every
-// opcode and both log-derivative variants of opU2/opU2x3 must be emitted,
-// so a kernel the compiler can no longer reach fails here instead of
-// rotting.
+// opcode must be emitted, so a kernel the compiler can no longer reach fails
+// here instead of rotting.
 func TestProgramNetUnitaryOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	type form struct {
-		op       opcode
-		logDeriv bool
-	}
-	seen := map[form]bool{}
+	seen := map[opcode]bool{}
 	for _, circ := range compilerCorpus() {
 		theta := randTheta(rng, circ.NumParams)
 		dim := 1 << circ.NumQubits
@@ -131,7 +126,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 		}
 		prog := CompileProgram(circ)
 		for _, in := range prog.ins {
-			seen[form{in.op, in.logDeriv}] = true
+			seen[in.op] = true
 		}
 		coeff := make([]float64, prog.NumCoeffs())
 		prog.FillCoeffs(theta, coeff)
@@ -178,14 +173,9 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 			}
 		}
 	}
-	want := []form{
-		{opEmbedAll, false}, {opCNOT, false}, {opDiag, false}, {opCtrlDiag, false},
-		{opDiagN, false}, {opPerm8, false},
-		{opU2, false}, {opU2, true}, {opU4, false}, {opU2x3, false}, {opU2x3, true},
-	}
-	for _, f := range want {
-		if !seen[f] {
-			t.Errorf("no corpus circuit compiles to op=%d logDeriv=%v", f.op, f.logDeriv)
+	for _, op := range []opcode{opEmbedAll, opCNOT, opDiag, opCtrlDiag, opDiagN, opPerm8, opU2, opU4, opU2x3} {
+		if !seen[op] {
+			t.Errorf("no corpus circuit compiles to op=%d", op)
 		}
 	}
 }
@@ -208,9 +198,6 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 		prog.FillDerivCoeffs(theta, deriv)
 		tweak := append([]float64(nil), theta...)
 		for _, in := range prog.ins {
-			if in.logDeriv {
-				continue // the adjoint reads the states, not these slots
-			}
 			var width int
 			switch in.op {
 			case opU2, opU2x3:
