@@ -1,7 +1,7 @@
 // Package cpufeat probes, once at start-up, the CPU features that the
 // repository's hand-written assembly kernels need. It holds the only CPUID
 // and XGETBV code in the module; the packages with assembly kernels (ad's
-// GEMM tiles, qsim's opU4 entangler kernels) read AVX2 to pick between their
+// GEMM tiles, qsim's opU4 entangler and embedding kernels) read AVX2 to pick between their
 // assembly and pure-Go paths.
 //
 // The probe is read-only and deterministic for a given machine: it selects

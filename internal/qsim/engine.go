@@ -169,27 +169,24 @@ func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, th
 			channels++
 		}
 	}
-	if ws.anyTan() {
-		channels++ // scr1 holds D·v during the embedding
+	if ws.anyTan() && prog.reembeds() {
+		channels++ // scr1 holds D·v during a re-upload embedding
 	}
 	blk = blockSamples(ws.val.Dim, channels)
 	return prog, coeff, blk
 }
 
-// fwdBlock streams the whole program through samples [lo, hi): state init,
-// every instruction, then the ⟨Z⟩ and tangent readouts while the block is
-// still hot.
+// fwdBlock streams the whole program through samples [lo, hi): every
+// instruction, then the ⟨Z⟩ and tangent readouts while the block is still
+// hot. Every program starts with opEmbedProd, which writes the value and
+// every active tangent state outright, so no reset precedes it.
 //
 //torq:hotpath
 func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []float64, ztans [][]float64) {
-	ws.val.resetRange(lo, hi, false)
-	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] {
-			ws.tan[k].resetRange(lo, hi, true)
-		}
-	}
 	for _, in := range prog.ins {
 		switch in.op {
+		case opEmbedProd:
+			embedProdRange(ws, lo, hi)
 		case opEmbedAll:
 			embedAllRange(ws, lo, hi)
 		case opU4:
@@ -264,7 +261,7 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 	}
 }
 
-// embedAllRange is the fused embedding instruction: it applies the whole
+// embedAllRange is the re-upload embedding instruction: it applies the whole
 // RX(angle_q) embedding block sample-major — every qubit of one sample
 // before moving to the next — so the sample's amplitudes and its per-qubit
 // trigonometry stay hot across the entire block. Tangent channels couple
@@ -403,6 +400,8 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 	for i := len(prog.ins) - 1; i >= 0; i-- {
 		in := &prog.ins[i]
 		switch in.op {
+		case opEmbedProd:
+			reverseEmbedProdRange(ws, lo, hi, dAngles, dAngleTans)
 		case opEmbedAll:
 			reverseEmbedAllRange(ws, lo, hi, dAngles, dAngleTans)
 		case opCNOT:

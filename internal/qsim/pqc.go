@@ -2,6 +2,7 @@ package qsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/trace"
@@ -515,7 +516,10 @@ func (e *legacyEngine) gateThetaGrad(ws *Workspace, g Gate, lam, psi *State) flo
 	return sum
 }
 
-// cosSin returns cos(x), sin(x).
+// cosSin returns cos(x), sin(x). math.Sincos shares one argument
+// reduction between the two and returns the same bits as math.Cos and
+// math.Sin.
 func cosSin(x float64) (float64, float64) {
-	return cosHalf(2 * x), sinHalf(2 * x)
+	s, c := math.Sincos(x)
+	return c, s
 }

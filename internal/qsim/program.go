@@ -14,8 +14,10 @@ import (
 // adjacent single-qubit gates on the same qubit become a single 2×2 unitary
 // (all-diagonal RZ chains one phase pair), consecutive CRZ gates sharing a
 // control/target pair merge, and each embedding block is one fused
-// instruction (opEmbedAll), so forward and adjoint passes stream one
-// instruction sequence end-to-end. Three fusion passes follow.
+// instruction, so forward and adjoint passes stream one instruction sequence
+// end-to-end. The first embedding acts on |0…0⟩ and is built as a product
+// state (opEmbedProd, see embed.go); re-upload blocks act on an entangled
+// state and apply RX qubit by qubit (opEmbedAll). Three fusion passes follow.
 //
 // Diagonal absorption is commutation-aware: a fused diagonal group may
 // absorb non-adjacent diagonal instructions by commuting them past
@@ -47,16 +49,17 @@ type opcode uint8
 // per-qubit embedding) and 8 (a dense 8×8 three-qubit block) belonged to
 // earlier compilers and are never emitted.
 const (
-	opEmbedAll opcode = iota + 1 // fused whole-register embedding block
-	opU2                         // 2×2 unitary on Q; 8 coefficient floats
-	opDiag                       // diag(p0, p1) on Q; 4 coefficient floats
-	opCNOT                       // CNOT control C, target Q; no coefficients
-	opCtrlDiag                   // diag(p0, p1) on Q over control-set C; 4 floats
-	opU4                         // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
-	opDiagN                      // full-register diagonal; 2·dim floats
-	_                            // 8: reserved
-	opU2x3                       // three independent 2×2 factors on (Q, C, Q2); 24 floats
-	opPerm8                      // compile-time basis permutation on (Q, C, Q2); no floats
+	opEmbedAll  opcode = iota + 1 // re-upload embedding block: RX on each qubit in turn
+	opU2                          // 2×2 unitary on Q; 8 coefficient floats
+	opDiag                        // diag(p0, p1) on Q; 4 coefficient floats
+	opCNOT                        // CNOT control C, target Q; no coefficients
+	opCtrlDiag                    // diag(p0, p1) on Q over control-set C; 4 floats
+	opU4                          // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
+	opDiagN                       // full-register diagonal; 2·dim floats
+	_                             // 8: reserved
+	opU2x3                        // three independent 2×2 factors on (Q, C, Q2); 24 floats
+	opPerm8                       // compile-time basis permutation on (Q, C, Q2); no floats
+	opEmbedProd                   // first embedding block, built as a product state on |0…0⟩
 )
 
 // instr is one fused instruction. slot indexes the program's forward
@@ -269,8 +272,26 @@ func (p *Program) contentHash() uint64 {
 	return h
 }
 
+// addEmbed emits an embedding block: the first one starts the program on
+// |0…0⟩, so it is built as a product state; later (re-upload) blocks
+// rotate an entangled state.
 func (p *Program) addEmbed() {
-	p.ins = append(p.ins, instr{op: opEmbedAll, q: -1, c: -1})
+	op := opEmbedAll
+	if len(p.ins) == 0 {
+		op = opEmbedProd
+	}
+	p.ins = append(p.ins, instr{op: op, q: -1, c: -1})
+}
+
+// reembeds reports whether the program holds an opEmbedAll (a re-upload
+// block), the one instruction whose forward needs the scr1 channel.
+func (p *Program) reembeds() bool {
+	for i := range p.ins {
+		if p.ins[i].op == opEmbedAll {
+			return true
+		}
+	}
+	return false
 }
 
 func isSingleQubit(g Gate) bool {
@@ -356,7 +377,7 @@ func (p *Program) fuseDiagGroups() {
 				open = append(open, g)
 				groups = append(groups, g)
 			}
-		case opEmbedAll: // embedding barriers close every group
+		case opEmbedProd, opEmbedAll: // embedding barriers close every group
 			open = open[:0]
 		default:
 			s := support(in)
@@ -508,7 +529,7 @@ func (p *Program) fuseBlocks() {
 			absorb(nb, b)
 			addMember(nb, idx, in.op)
 			blocks = append(blocks, nb)
-		default: // opEmbedAll, opDiagN: full-width barriers
+		default: // opEmbedProd, opEmbedAll, opDiagN: full-width barriers
 			for q := 0; q < nq; q++ {
 				closeBlk(owner[q])
 				pend[q] = pend[q][:0]

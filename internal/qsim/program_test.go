@@ -14,7 +14,7 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 	dim := 1 << p.circ.NumQubits
 	u := eye(dim)
 	for _, in := range p.ins {
-		if in.op == opEmbedAll {
+		if in.op == opEmbedProd || in.op == opEmbedAll {
 			continue
 		}
 		u = p.instrMatrix(in, coeff).mul(u)
@@ -173,7 +173,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []opcode{opEmbedAll, opCNOT, opDiag, opCtrlDiag, opDiagN, opPerm8, opU2, opU4, opU2x3} {
+	for _, op := range []opcode{opEmbedProd, opEmbedAll, opCNOT, opDiag, opCtrlDiag, opDiagN, opPerm8, opU2, opU4, opU2x3} {
 		if !seen[op] {
 			t.Errorf("no corpus circuit compiles to op=%d", op)
 		}

@@ -35,8 +35,10 @@
 // of a column-packed copy of the matrix, and every sum is a VMULPD followed
 // by a VADDPD or VSUBPD in the scalar expression's order, never a fused
 // multiply-add. The adjoint keeps the 32 entries of its outer product K in
-// eight YMM registers for a whole call. The pure-Go kernels run everywhere
-// else and are the oracle.
+// eight YMM registers for a whole call. The product-state first embedding
+// (opEmbedProd) has AVX2 step kernels too (embed_amd64.s), one amplitude per
+// lane, with level sums kept in four lanes in both implementations. The
+// pure-Go kernels run everywhere else and are the oracle.
 //
 // # Invariants
 //

@@ -12,8 +12,9 @@ import "repro/internal/cpufeat"
 // end. The assembly has no bounds checks, so the Go wrappers validate the
 // qubit pair and the slice lengths once per call.
 
-// useSIMD selects the assembly opU4 kernels. It is set once from the CPU's
-// features; tests clear it to run the pure-Go path.
+// useSIMD selects the assembly kernels: opU4's and the opEmbedProd step
+// kernels (embed.go). It is set once from the CPU's features; tests clear it
+// to run the pure-Go path.
 var useSIMD = cpufeat.AVX2
 
 // checkU4 panics unless 0 ≤ qa < qb < nq, dim = 2^nq, 0 ≤ lo ≤ hi, and re

@@ -2,7 +2,8 @@
 
 package qsim
 
-// The opU4 kernels have no assembly off amd64; useSIMD is never set there.
+// The opU4 and embedding kernels have no assembly off amd64; useSIMD is
+// never set there.
 
 func applyU4AVX2(re, im []float64, pk *[32]float64, sa, sb int) {
 	panic("qsim: no SIMD opU4 kernel on this architecture")
@@ -10,4 +11,20 @@ func applyU4AVX2(re, im []float64, pk *[32]float64, sa, sb int) {
 
 func revU4AVX2(pr, pim, lr, lim []float64, pk, k *[32]float64, sa, sb int) {
 	panic("qsim: no SIMD opU4 kernel on this architecture")
+}
+
+func embedValAVX2(yr, yi, p0r, p0i, p1r, p1i []float64, k *[3]float64) {
+	panic("qsim: no SIMD embedding kernel on this architecture")
+}
+
+func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, k *[5]float64) {
+	panic("qsim: no SIMD embedding kernel on this architecture")
+}
+
+func embedRevValAVX2(m0r, m0i, m1r, m1i, yr, yi []float64, k *[2]float64, g *[8]float64) {
+	panic("qsim: no SIMD embedding kernel on this architecture")
+}
+
+func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, k *[4]float64, g *[16]float64) {
+	panic("qsim: no SIMD embedding kernel on this architecture")
 }

@@ -167,7 +167,8 @@ func checkU4Paths(t *testing.T, ctx string, psi, lam *State, lo, hi, qa, qb int,
 // sharded engine on both kernel paths — every ansatz, nq 2–8, one to three
 // layers, 37 samples and three non-zero tangents — and requires z, the
 // tangents, dAngles, dAngleTans and dθ to agree bit for bit. This covers
-// the per-parameter contraction of K and every opU4 the compiler emits.
+// the per-parameter contraction of K and every opU4 the compiler emits, and
+// the opEmbedProd step kernels every program starts with.
 func TestU4PathsMatchEndToEnd(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 on this CPU")
