@@ -26,14 +26,6 @@ func edgeAngles(rng *rand.Rand, n, nq int) []float64 {
 	return a
 }
 
-// randState fills every amplitude of s with uniform values in [−1, 1].
-func randState(rng *rand.Rand, s *State) {
-	for i := range s.Re {
-		s.Re[i] = 2*rng.Float64() - 1
-		s.Im[i] = 2*rng.Float64() - 1
-	}
-}
-
 // embedWorkspace builds a workspace holding the given angles and the
 // tangent channels named by the bits of mask, with seeded angle tangents.
 func embedWorkspace(rng *rand.Rand, n, nq int, angles []float64, mask int) *Workspace {
@@ -121,13 +113,11 @@ func testEmbedProdMatchesEmbedAll(t *testing.T) {
 		angles := edgeAngles(rng, n, nq)
 		for mask := 0; mask < 1<<MaxTangents; mask++ {
 			ws := embedWorkspace(rng, n, nq, angles, mask)
-			lamV := NewZeroState(n, nq)
-			randState(rng, lamV)
+			lamV := u4State(rng, n, nq, 0)
 			var lamT, zeroT [MaxTangents]*State
 			for k := 0; k < MaxTangents; k++ {
 				if ws.active[k] {
-					lamT[k] = NewZeroState(n, nq)
-					randState(rng, lamT[k])
+					lamT[k] = u4State(rng, n, nq, 0)
 					zeroT[k] = NewZeroState(n, nq)
 				}
 			}
@@ -432,8 +422,7 @@ func benchEmbed(b *testing.B, prod bool) {
 			ws := embedWorkspace(rng, n, nq, edgeAngles(rng, n, nq), 1<<MaxTangents-1)
 			seeds := make([]*State, 1+MaxTangents)
 			for i := range seeds {
-				seeds[i] = NewZeroState(n, nq)
-				randState(rng, seeds[i])
+				seeds[i] = u4State(rng, n, nq, 0)
 			}
 			dAngles := make([]float64, n*nq)
 			dat := make([][]float64, MaxTangents)
