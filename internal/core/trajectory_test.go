@@ -47,11 +47,14 @@ func trajectoryHash(p maxwell.Problem, mcfg ModelConfig, epochs int) uint64 {
 }
 
 // TestTrainingTrajectoryPinned pins whole smoke trainings bit for bit: the
-// loss of every epoch and every final parameter of four models that between
+// loss of every epoch and every final parameter of five models that between
 // them run every dual activation (tanh, sin/cos embeddings, arcsin and
 // arccosine angle scaling, the cosine trig control) through the tape's
-// forward and backward. A kernel or tape change that alters any rounding
-// anywhere in a step changes a hash. The constants are only valid where the
+// forward and backward. qpinn7-asin-dielectric is the bench's 7-qubit,
+// 4-layer Strongly-Entangling model, whose program ends in CNOTs the
+// compiler folds into the readout; it trains for fewer epochs to keep the
+// test short. A kernel or tape change that alters any rounding anywhere in
+// a step changes a hash. The constants are only valid where the
 // compiler emits no fused multiply-add, so the test runs on amd64 alone
 // (ROADMAP, "Portable bit-identity").
 func TestTrainingTrajectoryPinned(t *testing.T) {
@@ -60,19 +63,23 @@ func TestTrainingTrajectoryPinned(t *testing.T) {
 	}
 	vac := maxwell.NewSmokeProblem(maxwell.VacuumCase)
 	diel := maxwell.NewSmokeProblem(maxwell.DielectricCase)
+	qpinn7 := SmokeModel(QPINN, qsim.StronglyEntangling, qsim.ScaleAsin)
+	qpinn7.NumQubits, qpinn7.QLayers = 7, 4
 	cases := []struct {
-		name string
-		p    maxwell.Problem
-		cfg  ModelConfig
-		want uint64
+		name   string
+		p      maxwell.Problem
+		cfg    ModelConfig
+		epochs int
+		want   uint64
 	}{
-		{"classical-vacuum", vac, SmokeModel(ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone), 0xe0debac65e7624b9},
-		{"qpinn-acos-vacuum", vac, SmokeModel(QPINN, qsim.CrossMesh, qsim.ScaleAcos), 0x4879f5a29f54f5c5},
-		{"qpinn-asin-dielectric", diel, SmokeModel(QPINN, qsim.BasicEntangling, qsim.ScaleAsin), 0x6aa9be268e6a4078},
-		{"trig-asin-vacuum", vac, SmokeModel(ClassicalTrig, qsim.BasicEntangling, qsim.ScaleAsin), 0x6dbbbe8a997a859},
+		{"classical-vacuum", vac, SmokeModel(ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone), 12, 0xe0debac65e7624b9},
+		{"qpinn-acos-vacuum", vac, SmokeModel(QPINN, qsim.CrossMesh, qsim.ScaleAcos), 12, 0x4879f5a29f54f5c5},
+		{"qpinn-asin-dielectric", diel, SmokeModel(QPINN, qsim.BasicEntangling, qsim.ScaleAsin), 12, 0x6aa9be268e6a4078},
+		{"trig-asin-vacuum", vac, SmokeModel(ClassicalTrig, qsim.BasicEntangling, qsim.ScaleAsin), 12, 0x6dbbbe8a997a859},
+		{"qpinn7-asin-dielectric", diel, qpinn7, 4, 0x795d17ef3ca2f1ed},
 	}
 	for _, c := range cases {
-		if got := trajectoryHash(c.p, c.cfg, 12); got != c.want {
+		if got := trajectoryHash(c.p, c.cfg, c.epochs); got != c.want {
 			t.Errorf("%s: trajectory hash %#x, want %#x", c.name, got, c.want)
 		}
 	}
