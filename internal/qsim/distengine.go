@@ -454,8 +454,6 @@ func (r *ShardRunner) runAdjoint(s *shardState, prog *Program, n int, active [Ma
 	ws := s.ws
 	r.ensureCoeffs(ws, theta, true)
 	gzt := s.tanSlices(active, gztans)
-	prepBackward(ws, gz, gzt)
-
 	// The adjoint walk accumulates (+=) into every gradient buffer, so the
 	// reused ones must start zeroed.
 	dAngles = s.dAngles

@@ -177,9 +177,10 @@ func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, th
 }
 
 // fwdBlock streams the whole program through samples [lo, hi): every
-// instruction, then the ⟨Z⟩ and tangent readouts while the block is still
-// hot. Every program starts with opEmbedProd, which writes the value and
-// every active tangent state outright, so no reset precedes it.
+// instruction, then the ⟨Z⟩ and tangent readouts through the program's
+// readout map while the block is still hot. Every program starts with
+// opEmbedProd, which writes the value and every active tangent state
+// outright, so no reset precedes it.
 //
 //torq:hotpath
 func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []float64, ztans [][]float64) {
@@ -253,10 +254,10 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 			}
 		}
 	}
-	ws.val.expZRange(lo, hi, z)
+	readoutRange(ws.val, nil, z, lo, hi, &prog.readout)
 	for k := 0; k < MaxTangents; k++ {
 		if ws.active[k] {
-			crossZRange(ws.val, ws.tan[k], ztans[k], lo, hi)
+			readoutRange(ws.val, ws.tan[k], ztans[k], lo, hi, &prog.readout)
 		}
 	}
 }
@@ -305,23 +306,6 @@ func refreshCoeffs(ws *Workspace, prog *Program, theta []float64) {
 	}
 }
 
-// prepBackward sizes the upstream-weight buffers before the backward region
-// (workers only fill their own sample ranges) and returns the cache-resident
-// sample block for the live backward channel count.
-func prepBackward(ws *Workspace, gz []float64, gztans [][]float64) (blk int) {
-	ws.ensureW(0, gz)
-	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] {
-			var g []float64
-			if k < len(gztans) {
-				g = gztans[k]
-			}
-			ws.ensureW(1+k, g)
-		}
-	}
-	return backwardBlock(ws.val.Dim, ws.active)
-}
-
 // backwardBlock sizes the cache-resident sample block for the backward
 // channel count — val + λv, one (tangent, adjoint) pair per active channel,
 // and the two scratch states. It is the shard size of the sharded engine's
@@ -344,39 +328,6 @@ type bwdScratch struct {
 	diagT []float64 // per-(opDiagN, basis) adjoint-product accumulators
 }
 
-// seedAdjointsRange seeds the adjoint states from the quadratic readout for
-// samples [lo, hi) (see legacyEngine.Backward for the derivation).
-func seedAdjointsRange(ws *Workspace, lo, hi int, gz []float64, gztans [][]float64) {
-	dim := ws.val.Dim
-	if ws.wbuf[0] != nil {
-		ws.buildWRange(0, gz, lo, hi)
-	}
-	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] && ws.wbuf[1+k] != nil {
-			ws.buildWRange(1+k, gztans[k], lo, hi)
-		}
-	}
-	ws.lamV.resetRange(lo, hi, true)
-	seed := func(lam *State, w []float64, src *State) {
-		if w == nil {
-			return
-		}
-		for i := lo * dim; i < hi*dim; i++ {
-			lam.Re[i] += 2 * w[i] * src.Re[i]
-			lam.Im[i] += 2 * w[i] * src.Im[i]
-		}
-	}
-	seed(ws.lamV, ws.wbuf[0], ws.val)
-	for k := 0; k < MaxTangents; k++ {
-		if !ws.active[k] {
-			continue
-		}
-		ws.lamT[k].resetRange(lo, hi, true)
-		seed(ws.lamV, ws.wbuf[1+k], ws.tan[k])
-		seed(ws.lamT[k], ws.wbuf[1+k], ws.val)
-	}
-}
-
 // forChannelPairs runs f over every live (state, adjoint) channel pair.
 func (ws *Workspace) forChannelPairs(f func(psi, lam *State)) {
 	f(ws.val, ws.lamV)
@@ -395,7 +346,7 @@ func (ws *Workspace) forChannelPairs(f func(psi, lam *State)) {
 //
 //torq:hotpath
 func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, sc bwdScratch) {
-	seedAdjointsRange(ws, lo, hi, gz, gztans)
+	seedAdjointsRange(ws, &prog.readout, lo, hi, gz, gztans)
 	coeff := ws.coeff[:prog.ncoef]
 	for i := len(prog.ins) - 1; i >= 0; i-- {
 		in := &prog.ins[i]

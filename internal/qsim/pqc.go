@@ -91,7 +91,6 @@ type Workspace struct {
 	// Per-sample scratch.
 	cbuf, sbuf, dA, dB, tmpN []float64
 	wNegS, wNegB             []float64
-	wbuf                     [1 + MaxTangents][]float64
 
 	// Program scratch: forward coefficient slots and the fused-block
 	// derivative slots of the backward walk.
@@ -214,44 +213,6 @@ func (ws *Workspace) ensureScratch() {
 	ws.wNegB = ws.wNegB[:ws.n]
 }
 
-// ensureW sizes (or clears) the per-basis-state weight buffer for one
-// upstream-gradient slot without filling it.
-func (ws *Workspace) ensureW(slot int, g []float64) {
-	if g == nil {
-		ws.wbuf[slot] = nil
-		return
-	}
-	dim := 1 << ws.nq
-	if cap(ws.wbuf[slot]) < ws.n*dim {
-		ws.wbuf[slot] = make([]float64, ws.n*dim)
-	}
-	ws.wbuf[slot] = ws.wbuf[slot][:ws.n*dim]
-}
-
-// buildWRange expands per-qubit upstream gradients (n×nq) into per-basis-
-// state weights w[i,j] = Σ_q sign_q(j)·g[i,q] for samples [lo, hi). The
-// slot must have been sized by ensureW.
-func (ws *Workspace) buildWRange(slot int, g []float64, lo, hi int) {
-	nq := ws.nq
-	dim := 1 << nq
-	w := ws.wbuf[slot]
-	for i := lo; i < hi; i++ {
-		row := g[i*nq : (i+1)*nq]
-		dst := w[i*dim : (i+1)*dim]
-		for j := 0; j < dim; j++ {
-			var sum float64
-			for q := 0; q < nq; q++ {
-				if j&(1<<q) == 0 {
-					sum += row[q]
-				} else {
-					sum -= row[q]
-				}
-			}
-			dst[j] = sum
-		}
-	}
-}
-
 // legacyEngine is the original execution strategy: every gate application is
 // its own batchwide parallel sweep. Its gate primitives are pluggable so the
 // naive engine can reuse the identical adjoint algorithm with dense
@@ -350,45 +311,8 @@ func (e *legacyEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]
 	theta := ws.theta
 	ws.ensureScratch()
 
-	// Seed adjoints from the quadratic readout.
-	// z_q = Σ_j sign·|v_j|²            → λv += 2·w_v ⊙ v
-	// żₖ_q = 2Σ_j sign·Re(v_j* tₖ_j)   → λv += 2·w_tk ⊙ tₖ ; λtₖ += 2·w_tk ⊙ v
-	ws.ensureW(0, gz)
-	if gz != nil {
-		ws.buildWRange(0, gz, 0, n)
-	}
-	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] {
-			var g []float64
-			if k < len(gztans) {
-				g = gztans[k]
-			}
-			ws.ensureW(1+k, g)
-			if g != nil {
-				ws.buildWRange(1+k, g, 0, n)
-			}
-		}
-	}
-	dim := ws.val.Dim
-	ws.lamV.Reset(true)
-	seed := func(lam *State, w []float64, src *State, factor float64) {
-		if w == nil {
-			return
-		}
-		for i := 0; i < n*dim; i++ {
-			lam.Re[i] += factor * w[i] * src.Re[i]
-			lam.Im[i] += factor * w[i] * src.Im[i]
-		}
-	}
-	seed(ws.lamV, ws.wbuf[0], ws.val, 2)
-	for k := 0; k < MaxTangents; k++ {
-		if !ws.active[k] {
-			continue
-		}
-		ws.lamT[k].Reset(true)
-		seed(ws.lamV, ws.wbuf[1+k], ws.tan[k], 2)
-		seed(ws.lamT[k], ws.wbuf[1+k], ws.val, 2)
-	}
+	// Seed adjoints from the quadratic readout (see seedAdjointsRange).
+	seedAdjointsRange(ws, &identityReadout, 0, n, gz, gztans)
 
 	// Walk the circuit in reverse, mirroring the forward structure.
 	segs := p.Circ.segments()

@@ -34,7 +34,10 @@ import (
 // distinct qubits are grouped three at a time into a Kronecker-structured
 // triple (opU2x3) that applies all three 2×2 factors in one pass over each
 // 8-amplitude group — same arithmetic as three separate applications, one
-// third of the memory passes and dispatches.
+// third of the memory passes and dispatches. Last, the permutation
+// instructions (opCNOT, opPerm8) that end the stream fold into the
+// program's readout map, which the readout and the adjoint seed read the
+// final state through (readout.go), so neither pass runs them.
 //
 // Instruction operands live in coefficient slots that are refreshed from
 // theta once per pass — per-gate trigonometry is paid once per program
@@ -92,6 +95,12 @@ type Program struct {
 	ncoef  int // forward coefficient floats
 	nderiv int // backward derivative floats
 	ndiag  int // number of opDiagN instructions (gradient accumulators)
+
+	// folded holds the permutation instructions that ended the fused
+	// stream, which readout applies instead (foldTrailingPerms); they run
+	// in neither pass and are kept for the digest.
+	folded  []instr
+	readout readoutMap
 }
 
 // compileLevel is the fusion level CompileProgram implements. It travels in
@@ -119,6 +128,7 @@ func fuseProgram(circ *Circuit) *Program {
 	p.fuseDiagGroups()
 	p.fuseBlocks()
 	p.fuseSingleTriples()
+	p.foldTrailingPerms()
 	for i := range p.ins {
 		for _, g := range p.ins[i].gates {
 			if g.P >= 0 {
@@ -146,8 +156,9 @@ func (p *Program) diagTableBytes() int {
 // Level reports the fusion level the program was compiled at: always 3.
 func (p *Program) Level() int { return compileLevel }
 
-// NumInstructions reports the fused instruction stream length (embedding ops
-// included) — the quantity gate fusion shrinks.
+// NumInstructions reports the executed instruction stream length (embedding
+// ops included, permutations folded into the readout not) — the quantity
+// gate fusion shrinks.
 func (p *Program) NumInstructions() int { return len(p.ins) }
 
 // NumCoeffs reports the forward coefficient-slot floats a pass must provide.
@@ -214,9 +225,7 @@ func (p *Program) contentHash() uint64 {
 	num := func(v int) { word(uint64(int64(v))) }
 	num(compileLevel)
 	num(p.circ.NumQubits)
-	num(len(p.ins))
-	for i := range p.ins {
-		in := &p.ins[i]
+	instrHash := func(in *instr) {
 		byte1(byte(in.op))
 		num(in.q)
 		num(in.c)
@@ -249,6 +258,18 @@ func (p *Program) contentHash() uint64 {
 			for _, b := range cyc {
 				byte1(b)
 			}
+		}
+	}
+	num(len(p.ins))
+	for i := range p.ins {
+		instrHash(&p.ins[i])
+	}
+	// Only a program that folded permutations into its readout hashes
+	// them, so every other digest reads as before the fold existed.
+	if len(p.folded) > 0 {
+		num(len(p.folded))
+		for i := range p.folded {
+			instrHash(&p.folded[i])
 		}
 	}
 	// Coefficient probe at theta_i = sin(i+1): exercises every rotation's
@@ -680,6 +701,26 @@ func (p *Program) fuseSingleTriples() {
 	}
 	flush()
 	p.ins = out
+}
+
+// foldTrailingPerms strips the CNOT and opPerm8 instructions that end the
+// stream and folds them into the program's readout map: the readout reads
+// the final state through the permutation and the adjoint seed writes
+// through it, so the permutation passes vanish from both the forward and
+// the backward walk. A permutation moves amplitudes without arithmetic, so
+// every output and gradient keeps its bits; only the digest changes.
+func (p *Program) foldTrailingPerms() {
+	k := len(p.ins)
+	for k > 0 && (p.ins[k-1].op == opCNOT || p.ins[k-1].op == opPerm8) {
+		k--
+	}
+	p.folded = append(p.folded, p.ins[k:]...)
+	p.ins = p.ins[:k]
+	var cnots []Gate
+	for _, in := range p.folded {
+		cnots = append(cnots, in.gates...)
+	}
+	p.readout = newReadoutMap(cnots)
 }
 
 // layout assigns coefficient slots, derivative slots and — for

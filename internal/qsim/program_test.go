@@ -9,7 +9,8 @@ import (
 )
 
 // progNetMatrix composes the dense net unitary of a compiled program's
-// non-embedding instructions via the naive-oracle instrMatrix expansion.
+// non-embedding instructions via the naive-oracle instrMatrix expansion,
+// then the permutation its readout map reads the final state through.
 func progNetMatrix(p *Program, coeff []float64) cmat {
 	dim := 1 << p.circ.NumQubits
 	u := eye(dim)
@@ -19,7 +20,12 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 		}
 		u = p.instrMatrix(in, coeff).mul(u)
 	}
-	return u
+	perm := newCmat(dim)
+	for j, src := 0, 0; j < dim; j++ {
+		perm.set(j, src, 1)
+		src = p.readout.next(src, j)
+	}
+	return perm.mul(u)
 }
 
 // specCircuit builds a circuit from a per-layer gate list, numbering every
@@ -259,8 +265,9 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		NumParams: 3,
 	}
 	prog := CompileProgram(circ)
-	if got := prog.NumInstructions(); got != 3 { // embed + diagN + CNOT
-		t.Fatalf("commuting diagonals: %d instructions, want 3", got)
+	// embed + diagN; the trailing CNOT folds into the readout.
+	if got := prog.NumInstructions(); got != 2 || len(prog.folded) != 1 {
+		t.Fatalf("commuting diagonals: %d instructions and %d folded, want 2 and 1", got, len(prog.folded))
 	}
 	var dn *instr
 	for i := range prog.ins {

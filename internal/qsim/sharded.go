@@ -42,7 +42,7 @@ func (shardedEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]fl
 	np := p.Circ.NumParams
 	refreshCoeffs(ws, prog, ws.theta)
 
-	blk := prepBackward(ws, gz, gztans)
+	blk := backwardBlock(ws.val.Dim, ws.active)
 	ns := shardCount(n, blk)
 
 	// Per-shard accumulators, flat with fixed strides. They are indexed by

@@ -559,68 +559,6 @@ func (s *State) zeroOutDerivCtrlRange(lo, hi, c int) {
 	}
 }
 
-// ExpZ writes per-qubit Pauli-Z expectations into out (n×nq, row-major):
-// ⟨Z_q⟩ = Σ_j sign_q(j)·|ψ_j|², sign −1 when bit q of j is set.
-func (s *State) ExpZ(out []float64) {
-	par.ForGrain(s.N, s.Dim*s.NQ, func(lo, hi int) {
-		s.expZRange(lo, hi, out)
-	})
-}
-
-//torq:hotpath
-func (s *State) expZRange(lo, hi int, out []float64) {
-	dim, nq := s.Dim, s.NQ
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		zrow := out[smp*nq : (smp+1)*nq]
-		for q := range zrow {
-			zrow[q] = 0
-		}
-		for j := 0; j < dim; j++ {
-			p := re[off+j]*re[off+j] + im[off+j]*im[off+j]
-			for q := 0; q < nq; q++ {
-				if j&(1<<q) == 0 {
-					zrow[q] += p
-				} else {
-					zrow[q] -= p
-				}
-			}
-		}
-	}
-}
-
-// CrossZ writes the per-qubit cross terms 2·Σ_j sign_q(j)·Re(v_j*·w_j) into
-// out (n×nq): the directional derivative of ⟨Z_q⟩ when the state moves from
-// v in direction w (tangent-channel readout).
-func CrossZ(v, w *State, out []float64) {
-	par.ForGrain(v.N, v.Dim*v.NQ, func(lo, hi int) {
-		crossZRange(v, w, out, lo, hi)
-	})
-}
-
-//torq:hotpath
-func crossZRange(v, w *State, out []float64, lo, hi int) {
-	dim, nq := v.Dim, v.NQ
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		zrow := out[smp*nq : (smp+1)*nq]
-		for q := range zrow {
-			zrow[q] = 0
-		}
-		for j := 0; j < dim; j++ {
-			p := 2 * (v.Re[off+j]*w.Re[off+j] + v.Im[off+j]*w.Im[off+j])
-			for q := 0; q < nq; q++ {
-				if j&(1<<q) == 0 {
-					zrow[q] += p
-				} else {
-					zrow[q] -= p
-				}
-			}
-		}
-	}
-}
-
 // innerRe writes per-sample Re⟨a|b⟩ into out (length n).
 func innerRe(a, b *State, out []float64) {
 	par.ForGrain(a.N, a.Dim, func(lo, hi int) {
