@@ -112,8 +112,8 @@ func BenchmarkTable2TorQEpoch(b *testing.B) {
 }
 
 // BenchmarkTorqEpochSharded / Legacy are the engine A/B pair: identical
-// workload on the sharded executor over the compiled program (three-qubit
-// super-ops, commutation-aware diagonals, grouped triples) and on the
+// workload on the sharded executor over the compiled program (4×4 pair
+// blocks, CNOT basis permutations, the product-state embedding) and on the
 // original one-parallel-sweep-per-gate execution. The recorded ratios live
 // in BENCH_engine.json.
 func BenchmarkTorqEpochSharded(b *testing.B) {

@@ -74,6 +74,19 @@ func TestLoadRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestOneQubitModelsLoad: Validate accepts one qubit, so a one-qubit model
+// of every ansatz must build, save and load. The entangling ansätze emit no
+// CNOTs there (Strongly-Entangling's layer gap once divided by zero).
+func TestOneQubitModelsLoad(t *testing.T) {
+	for _, a := range qsim.AllAnsatze {
+		cfg := SmokeModel(QPINN, a, qsim.ScaleAcos)
+		cfg.NumQubits = 1
+		if _, err := Load(bytes.NewReader(savedCheckpoint(t, cfg, func(*ModelConfig) {}))); err != nil {
+			t.Errorf("%v: one-qubit checkpoint: %v", a, err)
+		}
+	}
+}
+
 // FuzzLoad feeds Load arbitrary bytes, seeded with a saved checkpoint of
 // the smoke QPINN topology and with invalid configurations: it must return a
 // model or an error, never panic, and a model it returns must have a valid

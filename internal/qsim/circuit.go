@@ -170,19 +170,24 @@ func (a AnsatzKind) Build(nq, layers int) *Circuit {
 			for q := 0; q < nq; q++ {
 				rot(q)
 			}
-			// Cyclic nearest-neighbour CNOT chain.
-			for q := 0; q < nq; q++ {
-				c.Gates = append(c.Gates, Gate{CNOT, (q + 1) % nq, q, -1})
+			// Cyclic nearest-neighbour CNOT chain. On one qubit there is
+			// no entangler, as in PennyLane's template on one wire.
+			if nq > 1 {
+				for q := 0; q < nq; q++ {
+					c.Gates = append(c.Gates, Gate{CNOT, (q + 1) % nq, q, -1})
+				}
 			}
 		case StronglyEntangling:
 			for q := 0; q < nq; q++ {
 				rot(q)
 			}
 			// Control-target gap grows with the layer index (PennyLane's
-			// StronglyEntanglingLayers range pattern).
-			gap := l%(nq-1) + 1
-			for q := 0; q < nq; q++ {
-				c.Gates = append(c.Gates, Gate{CNOT, (q + gap) % nq, q, -1})
+			// StronglyEntanglingLayers range pattern); none on one qubit.
+			if nq > 1 {
+				gap := l%(nq-1) + 1
+				for q := 0; q < nq; q++ {
+					c.Gates = append(c.Gates, Gate{CNOT, (q + gap) % nq, q, -1})
+				}
 			}
 		case CrossMesh:
 			for q := 0; q < nq; q++ {

@@ -364,17 +364,6 @@ func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 			row := col&^(1<<qa|1<<qb|1<<qc) | (lr&1)<<qa | ((lr>>1)&1)<<qb | (lr>>2)<<qc
 			m.data[row*dim+col] = 1
 		}
-	case opU2x3:
-		u := coeff[in.slot : in.slot+24]
-		m = eye(dim)
-		for f, q := range [3]int{in.q, in.c, in.q2} {
-			mf := newCmat(dim)
-			place1Q(mf, q, [2][2]complex128{
-				{complex(u[f*8], u[f*8+1]), complex(u[f*8+2], u[f*8+3])},
-				{complex(u[f*8+4], u[f*8+5]), complex(u[f*8+6], u[f*8+7])},
-			})
-			m = mf.mul(m)
-		}
 	case opDiagN:
 		u := coeff[in.slot : in.slot+2*dim]
 		for j := 0; j < dim; j++ {

@@ -30,14 +30,13 @@ import (
 // grows CNOT-only blocks to qubit triples: a CNOT sharing a qubit with an
 // open CNOT-only pair block extends it to a compile-time basis permutation
 // (opPerm8), collapsing the all-pairs CNOT sweeps pair fusion alone leaves
-// as bare instructions. Finally, leftover runs of single-qubit instructions on
-// distinct qubits are grouped three at a time into a Kronecker-structured
-// triple (opU2x3) that applies all three 2×2 factors in one pass over each
-// 8-amplitude group — same arithmetic as three separate applications, one
-// third of the memory passes and dispatches. Last, the permutation
-// instructions (opCNOT, opPerm8) that end the stream fold into the
-// program's readout map, which the readout and the adjoint seed read the
-// final state through (readout.go), so neither pass runs them.
+// as bare instructions. Then adjacent leftover single-qubit instructions on
+// two distinct qubits pair into one Kronecker-structured 4×4 block (opU4),
+// so the rotation walls entangler fusion cannot touch run on the vectorized
+// pair kernel: one pass over the state instead of two. Last, the
+// permutation instructions (opCNOT, opPerm8) that end the stream fold into
+// the program's readout map, which the readout and the adjoint seed read
+// the final state through (readout.go), so neither pass runs them.
 //
 // Instruction operands live in coefficient slots that are refreshed from
 // theta once per pass — per-gate trigonometry is paid once per program
@@ -49,8 +48,9 @@ import (
 type opcode uint8
 
 // Opcode values are hashed into ProgramDigest, so they stay fixed: 0 (the
-// per-qubit embedding) and 8 (a dense 8×8 three-qubit block) belonged to
-// earlier compilers and are never emitted.
+// per-qubit embedding), 8 (a dense 8×8 three-qubit block) and 9 (three
+// Kronecker-structured 2×2 factors) belonged to earlier compilers and are
+// never emitted.
 const (
 	opEmbedAll  opcode = iota + 1 // re-upload embedding block: RX on each qubit in turn
 	opU2                          // 2×2 unitary on Q; 8 coefficient floats
@@ -60,7 +60,7 @@ const (
 	opU4                          // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
 	opDiagN                       // full-register diagonal; 2·dim floats
 	_                             // 8: reserved
-	opU2x3                        // three independent 2×2 factors on (Q, C, Q2); 24 floats
+	_                             // 9: reserved
 	opPerm8                       // compile-time basis permutation on (Q, C, Q2); no floats
 	opEmbedProd                   // first embedding block, built as a product state on |0…0⟩
 )
@@ -109,8 +109,8 @@ const compileLevel = 3
 
 // CompileProgram lowers circ (and its embedding placement, honouring data
 // re-uploading) into a fused program: commutation-aware diagonal
-// absorption, pair blocks, three-qubit CNOT permutations, and grouped
-// single-qubit triples.
+// absorption, pair blocks, three-qubit CNOT permutations, and paired
+// single-qubit runs.
 func CompileProgram(circ *Circuit) *Program {
 	p := fuseProgram(circ)
 	p.layout()
@@ -127,7 +127,7 @@ func fuseProgram(circ *Circuit) *Program {
 	}
 	p.fuseDiagGroups()
 	p.fuseBlocks()
-	p.fuseSingleTriples()
+	p.pairSingles()
 	p.foldTrailingPerms()
 	for i := range p.ins {
 		for _, g := range p.ins[i].gates {
@@ -654,49 +654,36 @@ func maskQubits(mask int) []int {
 	return qs
 }
 
-// fuseSingleTriples groups consecutive surviving single-qubit instructions
-// on three distinct qubits into one Kronecker-structured triple (opU2x3):
-// the executor applies all three 2×2 factors during a single pass over each
-// 8-amplitude group, trading nothing arithmetically (the factors act on
-// disjoint qubits) for a 3× reduction in memory passes and dispatches. This
-// is what collapses rotation layers that pair/triple entangler fusion cannot
-// touch — e.g. Cross-Mesh's per-layer RX wall in front of the fused
-// diagonal mesh. Runs shorter than three stay as-is.
-func (p *Program) fuseSingleTriples() {
+// pairSingles fuses each two adjacent surviving single-qubit instructions
+// (opU2, opDiag) on distinct qubits into one pair block (opU4, q < c) whose
+// gates keep their stream order. The two factors act on different qubits,
+// so the block is their Kronecker product and the move is exact; it is what
+// collapses the rotation walls block fusion leaves, e.g. Cross-Mesh's RX
+// wall in front of its fused diagonal mesh. A second instruction on the
+// pending one's qubit emits the pending one alone and takes its place.
+func (p *Program) pairSingles() {
 	out := p.ins[:0:0]
-	var run []int // pending single-qubit instr indices on distinct qubits
+	pend := -1 // index of the unpaired single-qubit instruction, if any
 	flush := func() {
-		for _, m := range run {
-			out = append(out, p.ins[m])
+		if pend >= 0 {
+			out = append(out, p.ins[pend])
+			pend = -1
 		}
-		run = run[:0]
-	}
-	emit := func() {
-		qs := []int{p.ins[run[0]].q, p.ins[run[1]].q, p.ins[run[2]].q}
-		sort.Ints(qs)
-		var gates []Gate
-		for _, m := range run {
-			gates = append(gates, p.ins[m].gates...)
-		}
-		out = append(out, instr{op: opU2x3, q: qs[0], c: qs[1], q2: qs[2], gates: gates})
-		run = run[:0]
 	}
 	for idx := range p.ins {
 		in := &p.ins[idx]
-		if in.op != opU2 && in.op != opDiag {
+		switch {
+		case in.op != opU2 && in.op != opDiag:
 			flush()
-			out = append(out, p.ins[idx])
-			continue
-		}
-		for _, m := range run {
-			if p.ins[m].q == in.q {
-				flush() // same-qubit clash: close the run, start a new one
-				break
-			}
-		}
-		run = append(run, idx)
-		if len(run) == 3 {
-			emit()
+			out = append(out, *in)
+		case pend < 0 || p.ins[pend].q == in.q:
+			flush()
+			pend = idx
+		default:
+			a := &p.ins[pend]
+			gates := append(append([]Gate(nil), a.gates...), in.gates...)
+			out = append(out, instr{op: opU4, q: min(a.q, in.q), c: max(a.q, in.q), gates: gates})
+			pend = -1
 		}
 	}
 	flush()
@@ -743,13 +730,6 @@ func (p *Program) layout() {
 			p.ncoef += 32
 			in.dslot = p.nderiv
 			p.nderiv += 32 * len(in.params)
-		case opU2x3:
-			// Three 2×2 factors in ascending-qubit order; each parameter's
-			// derivative is the 2×2 derivative of its own factor.
-			in.slot = p.ncoef
-			p.ncoef += 24
-			in.dslot = p.nderiv
-			p.nderiv += 8 * len(in.params)
 		case opDiagN:
 			in.slot = p.ncoef
 			p.ncoef += 2 * dim
@@ -994,19 +974,6 @@ func (p *Program) FillCoeffs(theta, dst []float64) {
 				u = mul4(gateMat4(g, theta, in.q, in.c), u)
 			}
 			copy(dst[in.slot:in.slot+32], u[:])
-		case opU2x3:
-			// Three independent factors: each is the product of the fused
-			// run's gates on its own qubit (the factors commute, so splitting
-			// the stream-ordered gate list per qubit is exact).
-			for f, q := range [3]int{in.q, in.c, in.q2} {
-				u := ident2
-				for _, g := range in.gates {
-					if g.Q == q {
-						u = mul2(gateMat2(g, theta), u)
-					}
-				}
-				copy(dst[in.slot+8*f:in.slot+8*f+8], u[:])
-			}
 		case opDiagN:
 			// Per-basis half-angle accumulation via the sign table, then one
 			// cos/sin per basis state: phase_j = exp(−i·Σ s_pj·θ_p/2).
@@ -1082,47 +1049,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 					di++
 				}
 				pre = mul4(mats[i], pre)
-			}
-		case opU2x3:
-			// Each parameter's derivative slot holds the 2×2 derivative of
-			// its own factor, in the instruction's global parameter order
-			// (the gate walk below matches how layout() collected params).
-			for _, q := range [3]int{in.q, in.c, in.q2} {
-				// Per-factor run derivative: same algorithm as opU2 but over
-				// the subsequence of gates on qubit q.
-				var fgates []Gate
-				var ords []int
-				di := 0
-				for _, g := range in.gates {
-					if g.Q == q {
-						fgates = append(fgates, g)
-						ords = append(ords, di)
-					}
-					if g.P >= 0 {
-						di++
-					}
-				}
-				k := len(fgates)
-				if k == 0 {
-					continue
-				}
-				mats := make([]mat2, k)
-				for i, g := range fgates {
-					mats[i] = gateMat2(g, theta)
-				}
-				suf := make([]mat2, k)
-				suf[k-1] = ident2
-				for i := k - 2; i >= 0; i-- {
-					suf[i] = mul2(suf[i+1], mats[i+1])
-				}
-				pre := ident2
-				for i, g := range fgates {
-					if g.P >= 0 {
-						d := mul2(suf[i], mul2(dgateMat2(g, theta), pre))
-						copy(dst[in.dslot+8*ords[i]:in.dslot+8*ords[i]+8], d[:])
-					}
-					pre = mul2(mats[i], pre)
-				}
 			}
 		}
 	}

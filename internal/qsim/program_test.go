@@ -68,7 +68,8 @@ func randomCircuit(rng *rand.Rand, nq int, reupload bool) *Circuit {
 // compilerCorpus is the differential-testing corpus for the compiler: the
 // hand-picked circuits first — each one shaped to reach an instruction form
 // the built-in ansätze never emit (lone diagonals, a lone controlled
-// diagonal, single-parameter and dense 4×4 blocks, a rotation-dense triple)
+// diagonal, single-parameter and dense 4×4 blocks, paired single-qubit
+// runs, a rotation-dense triple)
 // — then a seeded random fill over 3–5 qubits, with and without
 // re-uploading.
 func compilerCorpus() []*Circuit {
@@ -87,9 +88,10 @@ func compilerCorpus() []*Circuit {
 		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
 		// Single- and multi-gate single-qubit runs (opU2).
 		specCircuit("u2-runs", 4, false, []Gate{rx(0), rx(1), ry(1), cnot(2, 3)}),
-		// Three single rotations in one triple, and a triple with a
-		// two-gate factor.
-		specCircuit("triples", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
+		// Single rotations on distinct qubits pair into Kronecker opU4
+		// blocks: an RZ on qubit 2 pairs with the two-gate run on qubit 0
+		// after it, so the block's qubits are sorted against stream order.
+		specCircuit("pairs", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
 		// CNOTs sharing a control: a basis permutation (opPerm8).
 		specCircuit("perm8", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
 		// CRZs on different pairs with nothing between: one opDiagN.
@@ -108,13 +110,27 @@ func compilerCorpus() []*Circuit {
 	return corpus
 }
 
+// checkSinglesPaired fails t if two adjacent executed single-qubit
+// instructions (opU2, opDiag) act on distinct qubits: pairSingles fuses
+// every such pair into one opU4, so a survivor means the pass was lost.
+func checkSinglesPaired(t *testing.T, name string, prog *Program) {
+	t.Helper()
+	single := func(in *instr) bool { return in.op == opU2 || in.op == opDiag }
+	for i := 1; i < len(prog.ins); i++ {
+		a, b := &prog.ins[i-1], &prog.ins[i]
+		if single(a) && single(b) && a.q != b.q {
+			t.Errorf("%s: instructions %d and %d (op=%d on q%d, op=%d on q%d) are unpaired single-qubit runs", name, i-1, i, a.op, a.q, b.op, b.q)
+		}
+	}
+}
+
 // TestProgramNetUnitaryOracle is the compiler-level parity oracle: on every
 // circuit of the compiler corpus, the composed dense matrix of the compiled
 // instruction stream must equal the gate-by-gate dense product of the
 // source circuit, and the sharded engine executing the program must match
 // the legacy per-gate engine to 1e-10. This pins every fusion pass —
 // single-qubit runs, diagonal merges, 4×4 entangler blocks, permutations,
-// grouped triples, full-register diagonals — and the kernels behind each
+// single-run pairs, full-register diagonals — and the kernels behind each
 // instruction form. The sharded adjoint's dTheta must also equal the
 // parameter-shift gradient contracted with the upstream weights to 1e-9,
 // an oracle that shares no code with either engine. Across the corpus every
@@ -134,6 +150,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 		for _, in := range prog.ins {
 			seen[in.op] = true
 		}
+		checkSinglesPaired(t, circ.Name, prog)
 		coeff := make([]float64, prog.NumCoeffs())
 		prog.FillCoeffs(theta, coeff)
 		got := progNetMatrix(prog, coeff)
@@ -179,7 +196,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []opcode{opEmbedProd, opEmbedAll, opCNOT, opDiag, opCtrlDiag, opDiagN, opPerm8, opU2, opU4, opU2x3} {
+	for _, op := range []opcode{opEmbedProd, opEmbedAll, opCNOT, opDiag, opCtrlDiag, opDiagN, opPerm8, opU2, opU4} {
 		if !seen[op] {
 			t.Errorf("no corpus circuit compiles to op=%d", op)
 		}
@@ -189,9 +206,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 // TestProgramDerivCoeffsOracle checks the fused-block derivative matrices
 // against central finite differences of the forward coefficients on every
 // circuit of the compiler corpus: for every fused unitary instruction,
-// dU/dθ_p from FillDerivCoeffs must match (U(θ+ε) − U(θ−ε)) / 2ε. For the
-// Kronecker-structured triples only the parameter's own 2×2 factor moves,
-// so the comparison targets that factor's slot window.
+// dU/dθ_p from FillDerivCoeffs must match (U(θ+ε) − U(θ−ε)) / 2ε.
 func TestProgramDerivCoeffsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const eps = 1e-6
@@ -206,24 +221,12 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 		for _, in := range prog.ins {
 			var width int
 			switch in.op {
-			case opU2, opU2x3:
+			case opU2:
 				width = 8
 			case opU4:
 				width = 32
 			default:
 				continue
-			}
-			// Factor slot offset per parameter: zero except for triples,
-			// where each parameter differentiates its own factor.
-			offs := make([]int, len(in.params))
-			if in.op == opU2x3 {
-				pi := 0
-				for _, g := range in.gates {
-					if g.P >= 0 {
-						offs[pi] = 8 * localBit3(g.Q, in.q, in.c, in.q2)
-						pi++
-					}
-				}
 			}
 			for pi, p := range in.params {
 				tweak[p] = theta[p] + eps
@@ -232,7 +235,7 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 				prog.FillCoeffs(tweak, minus)
 				tweak[p] = theta[p]
 				for i := 0; i < width; i++ {
-					fd := (plus[in.slot+offs[pi]+i] - minus[in.slot+offs[pi]+i]) / (2 * eps)
+					fd := (plus[in.slot+i] - minus[in.slot+i]) / (2 * eps)
 					an := deriv[in.dslot+width*pi+i]
 					if math.Abs(fd-an) > 1e-8 {
 						t.Fatalf("%s op=%d param %d coeff %d: analytic %v vs finite-diff %v", circ.Name, in.op, p, i, an, fd)

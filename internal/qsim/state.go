@@ -24,8 +24,8 @@
 // The batchwide Apply* methods on State apply one source gate to the whole
 // batch by parallelizing a per-sample-range kernel; the legacy engine and
 // the reference paths (EvalZ, the noise channels) use them. The fused
-// super-ops the compiler emits (opU2, opU4, opU2x3, opDiagN, opPerm8) have
-// range kernels only, which the sharded executor calls directly.
+// super-ops the compiler emits (opU2, opU4, opDiagN, opPerm8) have range
+// kernels only, which the sharded executor calls directly.
 //
 // The opU4 entangler block, a dense 4×4 unitary on a qubit pair and most of
 // a Strongly-Entangling step, has AVX2 assembly kernels on amd64 for its
@@ -243,129 +243,6 @@ func (s *State) applyU2Range(lo, hi, q int, u *[8]float64) {
 				im[j] = ar*i0 + ai*r0 + br*i1 + bi*r1
 				re[k] = cr*r0 - ci*i0 + dr*r1 - di*i1
 				im[k] = cr*i0 + ci*r0 + dr*i1 + di*r1
-			}
-		}
-	}
-}
-
-// applyU2x3Range applies three independent 2×2 unitaries on the distinct
-// qubits (qa, qb, qc), qa < qb < qc, in one pass over each 8-amplitude
-// group: u holds the factors as three interleaved-re/im 2×2 blocks in
-// ascending-qubit order. Arithmetic is identical to three separate
-// single-qubit applications; the win is one memory traversal instead of
-// three. The factor stages are unrolled over the group's pair structure so
-// the whole group lives in registers between load and store.
-//
-//torq:hotpath
-func (s *State) applyU2x3Range(lo, hi, qa, qb, qc int, u *[24]float64) {
-	sa, sb, sc := 1<<qa, 1<<qb, 1<<qc
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	aar, aai := u[0], u[0+1]
-	abr, abi := u[0+2], u[0+3]
-	acr, aci := u[0+4], u[0+5]
-	adr, adi := u[0+6], u[0+7]
-	bar, bai := u[8], u[8+1]
-	bbr, bbi := u[8+2], u[8+3]
-	bcr, bci := u[8+4], u[8+5]
-	bdr, bdi := u[8+6], u[8+7]
-	car, cai := u[16], u[16+1]
-	cbr, cbi := u[16+2], u[16+3]
-	ccr, cci := u[16+4], u[16+5]
-	cdr, cdi := u[16+6], u[16+7]
-	var t0r, t0i, t1r, t1i float64
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for b1 := 0; b1 < dim; b1 += sc << 1 {
-			for b2 := b1; b2 < b1+sc; b2 += sb << 1 {
-				for b3 := b2; b3 < b2+sb; b3 += sa << 1 {
-					for j := b3; j < b3+sa; j++ {
-						i0 := off + j
-						i1 := i0 + sa
-						i2 := i0 + sb
-						i3 := i2 + sa
-						i4 := i0 + sc
-						i5 := i4 + sa
-						i6 := i4 + sb
-						i7 := i6 + sa
-						x0r, x0i := re[i0], im[i0]
-						x1r, x1i := re[i1], im[i1]
-						x2r, x2i := re[i2], im[i2]
-						x3r, x3i := re[i3], im[i3]
-						x4r, x4i := re[i4], im[i4]
-						x5r, x5i := re[i5], im[i5]
-						x6r, x6i := re[i6], im[i6]
-						x7r, x7i := re[i7], im[i7]
-						t0r = aar*x0r - aai*x0i + abr*x1r - abi*x1i
-						t0i = aar*x0i + aai*x0r + abr*x1i + abi*x1r
-						t1r = acr*x0r - aci*x0i + adr*x1r - adi*x1i
-						t1i = acr*x0i + aci*x0r + adr*x1i + adi*x1r
-						x0r, x0i, x1r, x1i = t0r, t0i, t1r, t1i
-						t0r = aar*x2r - aai*x2i + abr*x3r - abi*x3i
-						t0i = aar*x2i + aai*x2r + abr*x3i + abi*x3r
-						t1r = acr*x2r - aci*x2i + adr*x3r - adi*x3i
-						t1i = acr*x2i + aci*x2r + adr*x3i + adi*x3r
-						x2r, x2i, x3r, x3i = t0r, t0i, t1r, t1i
-						t0r = aar*x4r - aai*x4i + abr*x5r - abi*x5i
-						t0i = aar*x4i + aai*x4r + abr*x5i + abi*x5r
-						t1r = acr*x4r - aci*x4i + adr*x5r - adi*x5i
-						t1i = acr*x4i + aci*x4r + adr*x5i + adi*x5r
-						x4r, x4i, x5r, x5i = t0r, t0i, t1r, t1i
-						t0r = aar*x6r - aai*x6i + abr*x7r - abi*x7i
-						t0i = aar*x6i + aai*x6r + abr*x7i + abi*x7r
-						t1r = acr*x6r - aci*x6i + adr*x7r - adi*x7i
-						t1i = acr*x6i + aci*x6r + adr*x7i + adi*x7r
-						x6r, x6i, x7r, x7i = t0r, t0i, t1r, t1i
-						t0r = bar*x0r - bai*x0i + bbr*x2r - bbi*x2i
-						t0i = bar*x0i + bai*x0r + bbr*x2i + bbi*x2r
-						t1r = bcr*x0r - bci*x0i + bdr*x2r - bdi*x2i
-						t1i = bcr*x0i + bci*x0r + bdr*x2i + bdi*x2r
-						x0r, x0i, x2r, x2i = t0r, t0i, t1r, t1i
-						t0r = bar*x1r - bai*x1i + bbr*x3r - bbi*x3i
-						t0i = bar*x1i + bai*x1r + bbr*x3i + bbi*x3r
-						t1r = bcr*x1r - bci*x1i + bdr*x3r - bdi*x3i
-						t1i = bcr*x1i + bci*x1r + bdr*x3i + bdi*x3r
-						x1r, x1i, x3r, x3i = t0r, t0i, t1r, t1i
-						t0r = bar*x4r - bai*x4i + bbr*x6r - bbi*x6i
-						t0i = bar*x4i + bai*x4r + bbr*x6i + bbi*x6r
-						t1r = bcr*x4r - bci*x4i + bdr*x6r - bdi*x6i
-						t1i = bcr*x4i + bci*x4r + bdr*x6i + bdi*x6r
-						x4r, x4i, x6r, x6i = t0r, t0i, t1r, t1i
-						t0r = bar*x5r - bai*x5i + bbr*x7r - bbi*x7i
-						t0i = bar*x5i + bai*x5r + bbr*x7i + bbi*x7r
-						t1r = bcr*x5r - bci*x5i + bdr*x7r - bdi*x7i
-						t1i = bcr*x5i + bci*x5r + bdr*x7i + bdi*x7r
-						x5r, x5i, x7r, x7i = t0r, t0i, t1r, t1i
-						t0r = car*x0r - cai*x0i + cbr*x4r - cbi*x4i
-						t0i = car*x0i + cai*x0r + cbr*x4i + cbi*x4r
-						t1r = ccr*x0r - cci*x0i + cdr*x4r - cdi*x4i
-						t1i = ccr*x0i + cci*x0r + cdr*x4i + cdi*x4r
-						x0r, x0i, x4r, x4i = t0r, t0i, t1r, t1i
-						t0r = car*x1r - cai*x1i + cbr*x5r - cbi*x5i
-						t0i = car*x1i + cai*x1r + cbr*x5i + cbi*x5r
-						t1r = ccr*x1r - cci*x1i + cdr*x5r - cdi*x5i
-						t1i = ccr*x1i + cci*x1r + cdr*x5i + cdi*x5r
-						x1r, x1i, x5r, x5i = t0r, t0i, t1r, t1i
-						t0r = car*x2r - cai*x2i + cbr*x6r - cbi*x6i
-						t0i = car*x2i + cai*x2r + cbr*x6i + cbi*x6r
-						t1r = ccr*x2r - cci*x2i + cdr*x6r - cdi*x6i
-						t1i = ccr*x2i + cci*x2r + cdr*x6i + cdi*x6r
-						x2r, x2i, x6r, x6i = t0r, t0i, t1r, t1i
-						t0r = car*x3r - cai*x3i + cbr*x7r - cbi*x7i
-						t0i = car*x3i + cai*x3r + cbr*x7i + cbi*x7r
-						t1r = ccr*x3r - cci*x3i + cdr*x7r - cdi*x7i
-						t1i = ccr*x3i + cci*x3r + cdr*x7i + cdi*x7r
-						x3r, x3i, x7r, x7i = t0r, t0i, t1r, t1i
-						re[i0], im[i0] = x0r, x0i
-						re[i1], im[i1] = x1r, x1i
-						re[i2], im[i2] = x2r, x2i
-						re[i3], im[i3] = x3r, x3i
-						re[i4], im[i4] = x4r, x4i
-						re[i5], im[i5] = x5r, x5i
-						re[i6], im[i6] = x6r, x6i
-						re[i7], im[i7] = x7r, x7i
-					}
-				}
 			}
 		}
 	}
