@@ -27,8 +27,8 @@ func main() {
 		seeds  = flag.Int("seeds", 0, "replicate count (0 = preset default)")
 		epochs = flag.Int("epochs", 0, "training epochs (0 = preset default)")
 		figdir = flag.String("figdir", "", "directory for PGM/CSV artifacts")
-		ansatz = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze (basic|strongly|crossmesh|crossmesh2|crossmeshcnot|noent)")
-		scale  = flag.String("scale", "", "restrict sweep to comma-separated scalings (none|pi|bias|asin|acos)")
+		ansatz = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze ("+qsim.AnsatzNames()+")")
+		scale  = flag.String("scale", "", "restrict sweep to comma-separated scalings ("+qsim.ScalingNames()+")")
 		engine = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
 	)
 	flag.Parse()
@@ -66,20 +66,20 @@ func main() {
 		o.Preset = experiments.Paper
 	}
 	for _, name := range splitList(*ansatz) {
-		if a, ok := parseAnsatz(name); ok {
-			o.Ansatze = append(o.Ansatze, a)
-		} else {
-			fmt.Fprintf(os.Stderr, "unknown ansatz %q\n", name)
+		a, err := qsim.ParseAnsatz(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		o.Ansatze = append(o.Ansatze, a)
 	}
 	for _, name := range splitList(*scale) {
-		if sc, ok := parseScale(name); ok {
-			o.Scalings = append(o.Scalings, sc)
-		} else {
-			fmt.Fprintf(os.Stderr, "unknown scale %q\n", name)
+		sc, err := qsim.ParseScaling(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		o.Scalings = append(o.Scalings, sc)
 	}
 
 	start := time.Now()
@@ -101,38 +101,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseAnsatz(s string) (qsim.AnsatzKind, bool) {
-	switch s {
-	case "basic":
-		return qsim.BasicEntangling, true
-	case "strongly":
-		return qsim.StronglyEntangling, true
-	case "crossmesh":
-		return qsim.CrossMesh, true
-	case "crossmesh2":
-		return qsim.CrossMesh2Rot, true
-	case "crossmeshcnot":
-		return qsim.CrossMeshCNOT, true
-	case "noent":
-		return qsim.NoEntanglement, true
-	}
-	return 0, false
-}
-
-func parseScale(s string) (qsim.ScalingKind, bool) {
-	switch s {
-	case "none":
-		return qsim.ScaleNone, true
-	case "pi":
-		return qsim.ScalePi, true
-	case "bias":
-		return qsim.ScaleBias, true
-	case "asin":
-		return qsim.ScaleAsin, true
-	case "acos":
-		return qsim.ScaleAcos, true
-	}
-	return 0, false
 }

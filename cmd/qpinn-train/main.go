@@ -25,8 +25,8 @@ func main() {
 	var (
 		caseName   = flag.String("case", "vacuum", "vacuum | dielectric | asymmetric")
 		archName   = flag.String("arch", "qpinn", "qpinn | regular | reduced | extra")
-		ansatz     = flag.String("ansatz", "strongly", "basic|strongly|crossmesh|crossmesh2|crossmeshcnot|noent")
-		scale      = flag.String("scale", "acos", "none|pi|bias|asin|acos")
+		ansatz     = flag.String("ansatz", "strongly", qsim.AnsatzNames())
+		scale      = flag.String("scale", "acos", qsim.ScalingNames())
 		engine     = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
 		energy     = flag.Bool("energy", true, "include the energy-conservation loss")
 		symmetry   = flag.Bool("symmetry", true, "include the symmetry loss (ignored for the asymmetric case)")
@@ -78,17 +78,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "unknown arch")
 		os.Exit(2)
 	}
-	ansatzMap := map[string]qsim.AnsatzKind{
-		"basic": qsim.BasicEntangling, "strongly": qsim.StronglyEntangling,
-		"crossmesh": qsim.CrossMesh, "crossmesh2": qsim.CrossMesh2Rot,
-		"crossmeshcnot": qsim.CrossMeshCNOT, "noent": qsim.NoEntanglement,
-	}
-	scaleMap := map[string]qsim.ScalingKind{
-		"none": qsim.ScaleNone, "pi": qsim.ScalePi, "bias": qsim.ScaleBias,
-		"asin": qsim.ScaleAsin, "acos": qsim.ScaleAcos,
-	}
-
 	eng, err := qsim.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	ans, err := qsim.ParseAnsatz(*ansatz)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	sc, err := qsim.ParseScaling(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -96,7 +96,7 @@ func main() {
 	mcfg := core.ModelConfig{
 		Arch: arch, Hidden: *hidden, RFFFeatures: *rff, RFFSigma: 1,
 		NumQubits: *qubits, QLayers: *qlayers,
-		Ansatz: ansatzMap[*ansatz], Scaling: scaleMap[*scale],
+		Ansatz: ans, Scaling: sc,
 		Init: qsim.InitRegular, TimePeriod: 4, Seed: *seed,
 		Engine: eng,
 	}
@@ -114,6 +114,10 @@ func main() {
 		}
 		fmt.Printf("warm start from %s (%v)\n", *loadPath, model.Cfg.Arch)
 	} else {
+		if err := mcfg.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		model = core.NewModel(mcfg)
 	}
 	cl, qu, tot := model.ParamCounts()

@@ -132,6 +132,12 @@ var AllAnsatze = []AnsatzKind{
 	NoEntanglement, BasicEntangling, StronglyEntangling,
 }
 
+// ansatzFlags holds each ansatz's -ansatz flag value, indexed by kind.
+var ansatzFlags = [...]string{
+	BasicEntangling: "basic", StronglyEntangling: "strongly", CrossMesh: "crossmesh",
+	CrossMesh2Rot: "crossmesh2", CrossMeshCNOT: "crossmeshcnot", NoEntanglement: "noent",
+}
+
 func (a AnsatzKind) String() string {
 	switch a {
 	case BasicEntangling:

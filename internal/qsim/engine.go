@@ -2,6 +2,7 @@ package qsim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -38,53 +39,59 @@ const (
 	EngineNaive
 )
 
+// engineFlags holds each engine's -engine flag value, indexed by kind.
+var engineFlags = [...]string{EngineSharded: "sharded", EngineDist: "dist", EngineLegacy: "legacy", EngineNaive: "naive"}
+
 func (k EngineKind) String() string {
-	switch k {
-	case EngineSharded:
-		return "sharded"
-	case EngineDist:
-		return "dist"
-	case EngineLegacy:
-		return "legacy"
-	case EngineNaive:
-		return "naive"
+	if int(k) >= len(engineFlags) {
+		return "unknown"
 	}
-	return "unknown"
+	return engineFlags[k]
 }
 
-// EngineKinds lists every registered engine in presentation order — the
-// single source of truth for flag help, ParseEngine's error text, and the
-// name round-trip test, so a newly landed engine cannot be omitted from any
-// of them.
+// EngineKinds lists every registered engine in presentation order, the
+// order of engineFlags, which feeds flag help and ParseEngine's error text.
+// Config validation and the name round-trip test iterate it, and
+// TestEngineKindsClosed checks that it holds every named engine.
 func EngineKinds() []EngineKind {
 	return []EngineKind{EngineSharded, EngineDist, EngineLegacy, EngineNaive}
 }
 
 // EngineNames returns the canonical flag names of every registered engine,
 // "|"-separated, for flag usage strings and error messages.
-func EngineNames() string {
-	kinds := EngineKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
-	}
-	return strings.Join(names, "|")
-}
+func EngineNames() string { return strings.Join(engineFlags[:], "|") }
 
 // ParseEngine maps a flag value to an EngineKind; the empty string selects
 // the default, EngineSharded.
 func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "sharded", "":
+	if s == "" {
 		return EngineSharded, nil
-	case "dist":
-		return EngineDist, nil
-	case "legacy":
-		return EngineLegacy, nil
-	case "naive":
-		return EngineNaive, nil
 	}
-	return EngineSharded, fmt.Errorf("qsim: unknown engine %q (want %s)", s, EngineNames())
+	return parseFlag[EngineKind]("engine", s, engineFlags[:])
+}
+
+// AnsatzNames and ScalingNames return the valid -ansatz and -scale flag
+// values, "|"-separated, for flag usage strings.
+func AnsatzNames() string  { return strings.Join(ansatzFlags[:], "|") }
+func ScalingNames() string { return strings.Join(scalingFlags[:], "|") }
+
+// ParseAnsatz maps an -ansatz flag value to its AnsatzKind.
+func ParseAnsatz(s string) (AnsatzKind, error) {
+	return parseFlag[AnsatzKind]("ansatz", s, ansatzFlags[:])
+}
+
+// ParseScaling maps a -scale flag value to its ScalingKind.
+func ParseScaling(s string) (ScalingKind, error) {
+	return parseFlag[ScalingKind]("scaling", s, scalingFlags[:])
+}
+
+// parseFlag returns the kind whose flag value in names (indexed by kind) is
+// s; the error lists every valid value.
+func parseFlag[K ~int | ~uint8](what, s string, names []string) (K, error) {
+	if i := slices.Index(names, s); i >= 0 {
+		return K(i), nil
+	}
+	return 0, fmt.Errorf("qsim: unknown %s %q (want %s)", what, s, strings.Join(names, "|"))
 }
 
 // Engine is the pluggable execution strategy for a PQC pass: it owns how
@@ -221,27 +228,11 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 					ws.tan[k].applyU2Range(lo, hi, in.q, u)
 				}
 			}
-		case opDiag:
-			c := coeff[in.slot:]
-			ws.val.applyDiagRange(lo, hi, in.q, c[0], c[1], c[2], c[3])
-			for k := 0; k < MaxTangents; k++ {
-				if ws.active[k] {
-					ws.tan[k].applyDiagRange(lo, hi, in.q, c[0], c[1], c[2], c[3])
-				}
-			}
 		case opCNOT:
 			ws.val.applyCNOTRange(lo, hi, in.c, in.q)
 			for k := 0; k < MaxTangents; k++ {
 				if ws.active[k] {
 					ws.tan[k].applyCNOTRange(lo, hi, in.c, in.q)
-				}
-			}
-		case opCtrlDiag:
-			c := coeff[in.slot:]
-			ws.val.applyCtrlDiagRange(lo, hi, in.c, in.q, c[0], c[1], c[2], c[3])
-			for k := 0; k < MaxTangents; k++ {
-				if ws.active[k] {
-					ws.tan[k].applyCtrlDiagRange(lo, hi, in.c, in.q, c[0], c[1], c[2], c[3])
 				}
 			}
 		}
@@ -366,10 +357,6 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 				psi.applyPerm8Range(lo, hi, in.q, in.c, in.q2, in.invCycles)
 				lam.applyPerm8Range(lo, hi, in.q, in.c, in.q2, in.invCycles)
 			})
-		case opDiag:
-			revDiagRange(ws, in, coeff, lo, hi, sc)
-		case opCtrlDiag:
-			revCtrlDiagRange(ws, in, coeff, lo, hi, sc)
 		case opDiagN:
 			revDiagNRange(ws, in, coeff, lo, hi, sc)
 		}
@@ -524,91 +511,6 @@ func revU4Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 			g += d[i]*K[i] - d[i+1]*K[i+1]
 		}
 		sc.dth[p] += g
-	}
-}
-
-// revDiagRange is the fused adjoint step for an opDiag RZ chain: all chain
-// members share the same logarithmic derivative diag(−i/2, +i/2), and the
-// per-basis adjoint product Re⟨λ, −i·ψ⟩ is invariant under the diagonal
-// inverse, so one traversal yields the common gradient T and un-applies the
-// phases for every channel pair.
-func revDiagRange(ws *Workspace, in *instr, coeff []float64, lo, hi int, sc bwdScratch) {
-	cc, ss := coeff[in.slot], coeff[in.slot+3] // p0 = c − i·s, p1 = c + i·s
-	stride := 1 << in.q
-	step := stride << 1
-	dim := ws.val.Dim
-	var T float64
-	ws.forChannelPairs(func(psi, lam *State) {
-		pr, pim := psi.Re, psi.Im
-		lr, lim := lam.Re, lam.Im
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += step {
-				base := off + blk
-				for j := base; j < base+stride; j++ {
-					k := j + stride
-					T += 0.5 * (lr[j]*pim[j] - lim[j]*pr[j] - lr[k]*pim[k] + lim[k]*pr[k])
-					// Inverse phases: conj(p0) = c + i·s, conj(p1) = c − i·s.
-					r0, i0 := pr[j], pim[j]
-					pr[j] = cc*r0 - ss*i0
-					pim[j] = cc*i0 + ss*r0
-					r1, i1 := pr[k], pim[k]
-					pr[k] = cc*r1 + ss*i1
-					pim[k] = cc*i1 - ss*r1
-					r0, i0 = lr[j], lim[j]
-					lr[j] = cc*r0 - ss*i0
-					lim[j] = cc*i0 + ss*r0
-					r1, i1 = lr[k], lim[k]
-					lr[k] = cc*r1 + ss*i1
-					lim[k] = cc*i1 - ss*r1
-				}
-			}
-		}
-	})
-	for _, p := range in.params {
-		sc.dth[p] += T
-	}
-}
-
-// revCtrlDiagRange is revDiagRange restricted to the control-set subspace
-// (fused CRZ chains sharing one control/target pair).
-func revCtrlDiagRange(ws *Workspace, in *instr, coeff []float64, lo, hi int, sc bwdScratch) {
-	cc, ss := coeff[in.slot], coeff[in.slot+3]
-	strideT := 1 << in.q
-	stepT := strideT << 1
-	cMask := 1 << in.c
-	dim := ws.val.Dim
-	var T float64
-	ws.forChannelPairs(func(psi, lam *State) {
-		pr, pim := psi.Re, psi.Im
-		lr, lim := lam.Re, lam.Im
-		for smp := lo; smp < hi; smp++ {
-			off := smp * dim
-			for blk := 0; blk < dim; blk += stepT {
-				for j := blk; j < blk+strideT; j++ {
-					if j&cMask == 0 {
-						continue
-					}
-					a, b := off+j, off+j+strideT
-					T += 0.5 * (lr[a]*pim[a] - lim[a]*pr[a] - lr[b]*pim[b] + lim[b]*pr[b])
-					r0, i0 := pr[a], pim[a]
-					pr[a] = cc*r0 - ss*i0
-					pim[a] = cc*i0 + ss*r0
-					r1, i1 := pr[b], pim[b]
-					pr[b] = cc*r1 + ss*i1
-					pim[b] = cc*i1 - ss*r1
-					r0, i0 = lr[a], lim[a]
-					lr[a] = cc*r0 - ss*i0
-					lim[a] = cc*i0 + ss*r0
-					r1, i1 = lr[b], lim[b]
-					lr[b] = cc*r1 + ss*i1
-					lim[b] = cc*i1 - ss*r1
-				}
-			}
-		}
-	})
-	for _, p := range in.params {
-		sc.dth[p] += T
 	}
 }
 

@@ -399,6 +399,8 @@ func TestProgramFusionShrinksStream(t *testing.T) {
 //
 // Every program must also leave no two adjacent single-qubit instructions
 // on distinct qubits (checkSinglesPaired): a lost pairing pass fails here.
+// And it must execute only the seven forms the executor runs
+// (checkExecutedForms).
 //
 // The counts are of executed instructions: the permutations that end a
 // program fold into its readout (foldTrailingPerms), which takes 20 off
@@ -454,6 +456,7 @@ func TestProgramV3GoldenCounts(t *testing.T) {
 			t.Errorf("%v: CompileProgram level = %d, want 3", c.ansatz, prog.Level())
 		}
 		checkSinglesPaired(t, circ.Name, prog)
+		checkExecutedForms(t, circ.Name, prog)
 	}
 }
 
@@ -496,6 +499,44 @@ func TestEngineKindRoundTrip(t *testing.T) {
 			t.Errorf("ParseEngine(%q) accepted a retired engine", old)
 		} else if !strings.Contains(err.Error(), EngineNames()) {
 			t.Errorf("ParseEngine(%q) error %q omits the valid names %q", old, err, EngineNames())
+		}
+	}
+}
+
+// TestAnsatzScalingRoundTrip covers the -ansatz and -scale flag parsing:
+// every ansatz and scaling's flag value parses back to its kind, and an
+// unknown value is an error that names every valid value.
+func TestAnsatzScalingRoundTrip(t *testing.T) {
+	for _, a := range AllAnsatze {
+		if got, err := ParseAnsatz(ansatzFlags[a]); err != nil || got != a {
+			t.Errorf("ansatz %v: ParseAnsatz(%q) = %v, %v", a, ansatzFlags[a], got, err)
+		}
+	}
+	for _, sc := range AllScalings {
+		if got, err := ParseScaling(scalingFlags[sc]); err != nil || got != sc {
+			t.Errorf("scaling %v: ParseScaling(%q) = %v, %v", sc, scalingFlags[sc], got, err)
+		}
+	}
+	for _, bad := range []string{"", "stronlgy", "Strongly Entangling Layers"} {
+		_, err := ParseAnsatz(bad)
+		if err == nil {
+			t.Fatalf("ParseAnsatz(%q) accepted an unknown ansatz", bad)
+		}
+		for _, a := range AllAnsatze {
+			if !strings.Contains(err.Error(), ansatzFlags[a]) {
+				t.Errorf("ParseAnsatz(%q) error %q omits %q", bad, err, ansatzFlags[a])
+			}
+		}
+	}
+	for _, bad := range []string{"", "acoss", "scale_acos"} {
+		_, err := ParseScaling(bad)
+		if err == nil {
+			t.Fatalf("ParseScaling(%q) accepted an unknown scaling", bad)
+		}
+		for _, sc := range AllScalings {
+			if !strings.Contains(err.Error(), scalingFlags[sc]) {
+				t.Errorf("ParseScaling(%q) error %q omits %q", bad, err, scalingFlags[sc])
+			}
 		}
 	}
 }

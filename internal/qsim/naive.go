@@ -318,29 +318,6 @@ func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 			{complex(u[0], u[1]), complex(u[2], u[3])},
 			{complex(u[4], u[5]), complex(u[6], u[7])},
 		})
-	case opDiag:
-		u := coeff[in.slot : in.slot+4]
-		tMask := 1 << in.q
-		for j := 0; j < dim; j++ {
-			if j&tMask == 0 {
-				m.data[j*dim+j] = complex(u[0], u[1])
-			} else {
-				m.data[j*dim+j] = complex(u[2], u[3])
-			}
-		}
-	case opCtrlDiag:
-		u := coeff[in.slot : in.slot+4]
-		cMask, tMask := 1<<in.c, 1<<in.q
-		for j := 0; j < dim; j++ {
-			switch {
-			case j&cMask == 0:
-				m.data[j*dim+j] = 1
-			case j&tMask == 0:
-				m.data[j*dim+j] = complex(u[0], u[1])
-			default:
-				m.data[j*dim+j] = complex(u[2], u[3])
-			}
-		}
 	case opCNOT:
 		return expandAngle(in.gates[0], 0, nq)
 	case opU4:

@@ -12,12 +12,13 @@ import (
 //
 // Lowering first emits one instruction per run of source gates: runs of
 // adjacent single-qubit gates on the same qubit become a single 2×2 unitary
-// (all-diagonal RZ chains one phase pair), consecutive CRZ gates sharing a
-// control/target pair merge, and each embedding block is one fused
-// instruction, so forward and adjoint passes stream one instruction sequence
-// end-to-end. The first embedding acts on |0…0⟩ and is built as a product
-// state (opEmbedProd, see embed.go); re-upload blocks act on an entangled
-// state and apply RX qubit by qubit (opEmbedAll). Three fusion passes follow.
+// (all-diagonal RZ chains a compile-time diagonal), consecutive CRZ gates
+// sharing a control/target pair merge into a compile-time controlled
+// diagonal, and each embedding block is one fused instruction, so forward
+// and adjoint passes stream one instruction sequence end-to-end. The first
+// embedding acts on |0…0⟩ and is built as a product state (opEmbedProd, see
+// embed.go); re-upload blocks act on an entangled state and apply RX qubit
+// by qubit (opEmbedAll). Three fusion passes follow.
 //
 // Diagonal absorption is commutation-aware: a fused diagonal group may
 // absorb non-adjacent diagonal instructions by commuting them past
@@ -33,10 +34,14 @@ import (
 // as bare instructions. Then adjacent leftover single-qubit instructions on
 // two distinct qubits pair into one Kronecker-structured 4×4 block (opU4),
 // so the rotation walls entangler fusion cannot touch run on the vectorized
-// pair kernel: one pass over the state instead of two. Last, the
-// permutation instructions (opCNOT, opPerm8) that end the stream fold into
-// the program's readout map, which the readout and the adjoint seed read
-// the final state through (readout.go), so neither pass runs them.
+// pair kernel: one pass over the state instead of two. A diagonal chain no
+// pass absorbed runs as the general form of its width: a lone RZ chain as
+// an opU2, a lone CRZ chain as an opU4 on its qubit pair, so the executor
+// knows seven instruction forms (opEmbedProd, opEmbedAll, opU2, opU4,
+// opCNOT, opPerm8, opDiagN). Last, the permutation instructions (opCNOT,
+// opPerm8) that end the stream fold into the program's readout map, which
+// the readout and the adjoint seed read the final state through
+// (readout.go), so neither pass runs them.
 //
 // Instruction operands live in coefficient slots that are refreshed from
 // theta once per pass — per-gate trigonometry is paid once per program
@@ -50,13 +55,15 @@ type opcode uint8
 // Opcode values are hashed into ProgramDigest, so they stay fixed: 0 (the
 // per-qubit embedding), 8 (a dense 8×8 three-qubit block) and 9 (three
 // Kronecker-structured 2×2 factors) belonged to earlier compilers and are
-// never emitted.
+// never emitted. opDiag and opCtrlDiag are compile-time only: the fusion
+// passes absorb them into opDiagN or a pair block, or lower a lone one onto
+// opU2 (pairSingles) or opU4 (fuseBlocks).
 const (
 	opEmbedAll  opcode = iota + 1 // re-upload embedding block: RX on each qubit in turn
 	opU2                          // 2×2 unitary on Q; 8 coefficient floats
-	opDiag                        // diag(p0, p1) on Q; 4 coefficient floats
+	opDiag                        // compile time only: an RZ chain on Q
 	opCNOT                        // CNOT control C, target Q; no coefficients
-	opCtrlDiag                    // diag(p0, p1) on Q over control-set C; 4 floats
+	opCtrlDiag                    // compile time only: a CRZ chain on target Q, control C
 	opU4                          // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
 	opDiagN                       // full-register diagonal; 2·dim floats
 	_                             // 8: reserved
@@ -557,12 +564,12 @@ func (p *Program) fuseBlocks() {
 			}
 		}
 	}
-	// Blocks that absorbed nothing stay in their original single-instr form,
-	// as do CNOT-only pair blocks: a dense 4×4 costs more than the swap
-	// passes it would replace, and the permutation path needs a third qubit
-	// to pay off.
+	// CNOT-only pair blocks stay bare CNOTs: a dense 4×4 costs more than
+	// the swap passes it would replace, and the permutation path needs a
+	// third qubit to pay off. Every other block, a lone CRZ chain included,
+	// becomes an opU4.
 	for _, b := range blocks {
-		if len(b.members) < 2 || (b.cnotOnly && !triple(b)) {
+		if b.cnotOnly && !triple(b) {
 			for _, m := range b.members {
 				memberOf[m] = nil
 			}
@@ -660,13 +667,16 @@ func maskQubits(mask int) []int {
 // so the block is their Kronecker product and the move is exact; it is what
 // collapses the rotation walls block fusion leaves, e.g. Cross-Mesh's RX
 // wall in front of its fused diagonal mesh. A second instruction on the
-// pending one's qubit emits the pending one alone and takes its place.
+// pending one's qubit emits the pending one alone and takes its place; one
+// left alone is emitted as an opU2, an RZ chain included.
 func (p *Program) pairSingles() {
 	out := p.ins[:0:0]
 	pend := -1 // index of the unpaired single-qubit instruction, if any
 	flush := func() {
 		if pend >= 0 {
-			out = append(out, p.ins[pend])
+			in := p.ins[pend]
+			in.op = opU2
+			out = append(out, in)
 			pend = -1
 		}
 	}
@@ -722,9 +732,6 @@ func (p *Program) layout() {
 			p.ncoef += 8
 			in.dslot = p.nderiv
 			p.nderiv += 8 * len(in.params)
-		case opDiag, opCtrlDiag:
-			in.slot = p.ncoef
-			p.ncoef += 4
 		case opU4:
 			in.slot = p.ncoef
 			p.ncoef += 32
@@ -957,17 +964,6 @@ func (p *Program) FillCoeffs(theta, dst []float64) {
 				u = mul2(gateMat2(g, theta), u)
 			}
 			copy(dst[in.slot:in.slot+8], u[:])
-		case opDiag, opCtrlDiag:
-			// Product of diag(e^{−iθ/2}, e^{+iθ/2}) phases: half-angles add.
-			var sum float64
-			for _, g := range in.gates {
-				sum += theta[g.P]
-			}
-			c, s := cosHalf(sum), sinHalf(sum)
-			dst[in.slot] = c
-			dst[in.slot+1] = -s
-			dst[in.slot+2] = c
-			dst[in.slot+3] = s
 		case opU4:
 			u := gateMat4(in.gates[0], theta, in.q, in.c)
 			for _, g := range in.gates[1:] {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,12 +67,11 @@ func randomCircuit(rng *rand.Rand, nq int, reupload bool) *Circuit {
 }
 
 // compilerCorpus is the differential-testing corpus for the compiler: the
-// hand-picked circuits first — each one shaped to reach an instruction form
-// the built-in ansätze never emit (lone diagonals, a lone controlled
-// diagonal, single-parameter and dense 4×4 blocks, paired single-qubit
-// runs, a rotation-dense triple)
-// — then a seeded random fill over 3–5 qubits, with and without
-// re-uploading.
+// hand-picked circuits first — each one shaped to reach a lowering the
+// built-in ansätze never take (a lone RZ chain, a lone CRZ chain,
+// single-parameter and dense 4×4 blocks, paired single-qubit runs, a
+// rotation-dense triple) — then a seeded random fill over 3–5 qubits, with
+// and without re-uploading.
 func compilerCorpus() []*Circuit {
 	rx := func(q int) Gate { return Gate{RX, q, -1, 0} }
 	ry := func(q int) Gate { return Gate{RY, q, -1, 0} }
@@ -79,10 +79,14 @@ func compilerCorpus() []*Circuit {
 	cnot := func(c, q int) Gate { return Gate{CNOT, q, c, -1} }
 	crz := func(c, q int) Gate { return Gate{CRZ, q, c, 0} }
 	corpus := []*Circuit{
-		// A lone RZ beside a lone CNOT: opDiag and opCNOT survive fusion.
+		// A lone RZ beside a lone CNOT: the RZ chain no pass absorbs runs
+		// as an opU2 (TestProgramLowersLoneDiagonals).
 		specCircuit("lone-rz", 3, false, []Gate{rz(0), cnot(1, 2)}),
-		// A CRZ block closed by a CNOT it cannot grow into (opCtrlDiag),
-		// then an RZ joining the CNOT's pair: a single-parameter opU4.
+		// A CRZ block closed by a CNOT it cannot grow into runs as a
+		// one-gate opU4 on its pair (TestProgramLowersLoneDiagonals), then
+		// an RZ joining the CNOT's pair: a single-parameter opU4.
+		// TestProgramDerivCoeffsOracle checks both blocks' derivative
+		// slots by finite differences.
 		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rz(0)}),
 		// Two parametrized gates in one pair block: a dense-path opU4.
 		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
@@ -111,15 +115,86 @@ func compilerCorpus() []*Circuit {
 }
 
 // checkSinglesPaired fails t if two adjacent executed single-qubit
-// instructions (opU2, opDiag) act on distinct qubits: pairSingles fuses
-// every such pair into one opU4, so a survivor means the pass was lost.
+// instructions (opU2) act on distinct qubits: pairSingles fuses every such
+// pair into one opU4, so a survivor means the pass was lost.
 func checkSinglesPaired(t *testing.T, name string, prog *Program) {
 	t.Helper()
-	single := func(in *instr) bool { return in.op == opU2 || in.op == opDiag }
 	for i := 1; i < len(prog.ins); i++ {
 		a, b := &prog.ins[i-1], &prog.ins[i]
-		if single(a) && single(b) && a.q != b.q {
-			t.Errorf("%s: instructions %d and %d (op=%d on q%d, op=%d on q%d) are unpaired single-qubit runs", name, i-1, i, a.op, a.q, b.op, b.q)
+		if a.op == opU2 && b.op == opU2 && a.q != b.q {
+			t.Errorf("%s: instructions %d and %d (opU2 on q%d and q%d) are unpaired single-qubit runs", name, i-1, i, a.q, b.q)
+		}
+	}
+}
+
+// executedForms is every instruction form fwdBlock and bwdBlock run. The
+// compile-time diagonals (opDiag, opCtrlDiag) are absorbed or lowered onto
+// opU2/opU4 before a program executes.
+var executedForms = []opcode{opEmbedProd, opEmbedAll, opU2, opU4, opCNOT, opPerm8, opDiagN}
+
+// checkExecutedForms fails t if an executed instruction is not one of
+// executedForms: the executor has no case for it and would skip it.
+func checkExecutedForms(t *testing.T, name string, prog *Program) {
+	t.Helper()
+	for i := range prog.ins {
+		if !slices.Contains(executedForms, prog.ins[i].op) {
+			t.Errorf("%s: instruction %d has op=%d, which the executor does not run", name, i, prog.ins[i].op)
+		}
+	}
+}
+
+// TestProgramExecutedFormsGrid compiles every ansatz at 1–10 qubits and
+// 1–6 layers, with and without re-uploading (720 programs), and requires
+// that each executes only the forms in executedForms and leaves no
+// single-qubit runs unpaired.
+func TestProgramExecutedFormsGrid(t *testing.T) {
+	for _, a := range AllAnsatze {
+		for nq := 1; nq <= 10; nq++ {
+			for layers := 1; layers <= 6; layers++ {
+				for _, reup := range []bool{false, true} {
+					circ := a.Build(nq, layers)
+					if reup {
+						circ = circ.WithReupload()
+					}
+					name := fmt.Sprintf("%v %dq/%dL reupload=%v", a, nq, layers, reup)
+					prog := CompileProgram(circ)
+					checkExecutedForms(t, name, prog)
+					checkSinglesPaired(t, name, prog)
+				}
+			}
+		}
+	}
+}
+
+// TestProgramLowersLoneDiagonals pins how the corpus's lone diagonal chains
+// compile: a lone RZ chain becomes an opU2 and a lone CRZ chain a one-gate
+// opU4 on its sorted qubit pair.
+func TestProgramLowersLoneDiagonals(t *testing.T) {
+	type form struct {
+		op    opcode
+		q, c  int
+		gates int
+	}
+	cases := []struct {
+		name string
+		want []form
+	}{
+		// The trailing CNOT(1→2) folds into the readout.
+		{"lone-rz", []form{{opEmbedProd, -1, -1, 0}, {opU2, 0, -1, 1}}},
+		{"ctrl-diag", []form{{opEmbedProd, -1, -1, 0}, {opU4, 1, 2, 1}, {opU4, 0, 1, 2}}},
+	}
+	byName := map[string]*Circuit{}
+	for _, circ := range compilerCorpus() {
+		byName[circ.Name] = circ
+	}
+	for _, c := range cases {
+		prog := CompileProgram(byName[c.name])
+		var got []form
+		for _, in := range prog.ins {
+			got = append(got, form{in.op, in.q, in.c, len(in.gates)})
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: compiled to %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -151,6 +226,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 			seen[in.op] = true
 		}
 		checkSinglesPaired(t, circ.Name, prog)
+		checkExecutedForms(t, circ.Name, prog)
 		coeff := make([]float64, prog.NumCoeffs())
 		prog.FillCoeffs(theta, coeff)
 		got := progNetMatrix(prog, coeff)
@@ -196,7 +272,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []opcode{opEmbedProd, opEmbedAll, opCNOT, opDiag, opCtrlDiag, opDiagN, opPerm8, opU2, opU4} {
+	for _, op := range executedForms {
 		if !seen[op] {
 			t.Errorf("no corpus circuit compiles to op=%d", op)
 		}

@@ -18,20 +18,14 @@ const (
 // AllScalings lists the ablation order used in Figs. 6–9.
 var AllScalings = []ScalingKind{ScaleNone, ScalePi, ScaleAsin, ScaleAcos, ScaleBias}
 
+// scalingFlags holds each scaling's -scale flag value, indexed by kind.
+var scalingFlags = [...]string{ScaleNone: "none", ScalePi: "pi", ScaleBias: "bias", ScaleAsin: "asin", ScaleAcos: "acos"}
+
 func (s ScalingKind) String() string {
-	switch s {
-	case ScaleNone:
-		return "scale_none"
-	case ScalePi:
-		return "scale_pi"
-	case ScaleBias:
-		return "scale_bias"
-	case ScaleAsin:
-		return "scale_asin"
-	case ScaleAcos:
-		return "scale_acos"
+	if s < 0 || int(s) >= len(scalingFlags) {
+		return "unknown"
 	}
-	return "unknown"
+	return "scale_" + scalingFlags[s]
 }
 
 // Apply maps one activation to an angle.

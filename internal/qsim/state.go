@@ -23,9 +23,13 @@
 //
 // The batchwide Apply* methods on State apply one source gate to the whole
 // batch by parallelizing a per-sample-range kernel; the legacy engine and
-// the reference paths (EvalZ, the noise channels) use them. The fused
-// super-ops the compiler emits (opU2, opU4, opDiagN, opPerm8) have range
-// kernels only, which the sharded executor calls directly.
+// the reference paths (EvalZ, the noise channels) use them. The sharded
+// executor runs seven instruction forms and calls their range kernels
+// directly: the two embedding blocks (opEmbedProd, opEmbedAll), opCNOT, and
+// the fused super-ops opU2, opU4, opDiagN and opPerm8, which have range
+// kernels only. A diagonal chain no fusion pass absorbed is lowered onto
+// opU2 or opU4, so the diagonal range kernels serve ApplyDiag and
+// ApplyCtrlDiag alone.
 //
 // The opU4 entangler block, a dense 4×4 unitary on a qubit pair and most of
 // a Strongly-Entangling step, has AVX2 assembly kernels on amd64 for its
