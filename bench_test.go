@@ -113,7 +113,7 @@ func BenchmarkTable2TorQEpoch(b *testing.B) {
 
 // BenchmarkTorqEpochSharded / Legacy are the engine A/B pair: identical
 // workload on the sharded executor over the compiled program (4×4 pair
-// blocks, CNOT basis permutations, the product-state embedding) and on the
+// blocks, CNOTs tracked in the basis frame, the product-state embedding) and on the
 // original one-parallel-sweep-per-gate execution. The recorded ratios live
 // in BENCH_engine.json.
 func BenchmarkTorqEpochSharded(b *testing.B) {
@@ -217,9 +217,9 @@ func BenchmarkTorqEpochCrossMeshCNOTDist(b *testing.B) {
 }
 
 // BenchmarkTorqEpochCrossMeshCNOT* run the A/B on the all-pairs CNOT mesh
-// (42 CNOTs per layer), the stream the compiler targets with CNOT-only
-// three-qubit blocks: consecutive CNOTs sharing a control collapse into
-// compile-time basis permutations (169 → 105 instructions).
+// (42 CNOTs per layer). The compiler runs none of them: it tracks them in
+// the program's basis frame, so a layer is its rotation wall, paired into
+// 4×4 blocks (169 → 17 instructions).
 func BenchmarkTorqEpochCrossMeshCNOTSharded(b *testing.B) {
 	torqEpoch(b, qsim.CrossMeshCNOT, qsim.EngineSharded)
 }

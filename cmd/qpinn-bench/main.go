@@ -23,7 +23,7 @@ func main() {
 	var (
 		exp    = flag.String("exp", "", "experiment name (see -list)")
 		list   = flag.Bool("list", false, "list experiments and exit")
-		preset = flag.String("preset", "smoke", "smoke | paper")
+		preset = flag.String("preset", "smoke", experiments.PresetNames())
 		seeds  = flag.Int("seeds", 0, "replicate count (0 = preset default)")
 		epochs = flag.Int("epochs", 0, "training epochs (0 = preset default)")
 		figdir = flag.String("figdir", "", "directory for PGM/CSV artifacts")
@@ -54,16 +54,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	pre, err := experiments.ParsePreset(*preset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	o := experiments.Options{
-		Preset: experiments.Smoke,
+		Preset: pre,
 		Seeds:  *seeds,
 		Epochs: *epochs,
 		Engine: eng,
 		Out:    os.Stdout,
 		FigDir: *figdir,
-	}
-	if *preset == "paper" {
-		o.Preset = experiments.Paper
 	}
 	for _, name := range splitList(*ansatz) {
 		a, err := qsim.ParseAnsatz(name)

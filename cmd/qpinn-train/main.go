@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -21,10 +23,26 @@ import (
 	"repro/internal/qsim"
 )
 
+// caseFlags and archFlags hold each -case and -arch value, indexed by kind:
+// parsing, its error text and the flag help all read them.
+var (
+	caseFlags = [...]string{maxwell.VacuumCase: "vacuum", maxwell.DielectricCase: "dielectric", maxwell.AsymmetricCase: "asymmetric"}
+	archFlags = [...]string{core.ClassicalRegular: "regular", core.ClassicalReduced: "reduced", core.ClassicalExtra: "extra", core.QPINN: "qpinn"}
+)
+
+// parseName returns the index of s in names; the error names s and every
+// valid value.
+func parseName(what, s string, names []string) (int, error) {
+	if i := slices.Index(names, s); i >= 0 {
+		return i, nil
+	}
+	return 0, fmt.Errorf("qpinn-train: unknown %s %q (want %s)", what, s, strings.Join(names, "|"))
+}
+
 func main() {
 	var (
-		caseName   = flag.String("case", "vacuum", "vacuum | dielectric | asymmetric")
-		archName   = flag.String("arch", "qpinn", "qpinn | regular | reduced | extra")
+		caseName   = flag.String("case", "vacuum", strings.Join(caseFlags[:], "|"))
+		archName   = flag.String("arch", "qpinn", strings.Join(archFlags[:], "|"))
 		ansatz     = flag.String("ansatz", "strongly", qsim.AnsatzNames())
 		scale      = flag.String("scale", "acos", qsim.ScalingNames())
 		engine     = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
@@ -52,32 +70,23 @@ func main() {
 	}
 	defer stopObs()
 
-	var c maxwell.Case
-	switch *caseName {
-	case "vacuum":
-		c = maxwell.VacuumCase
-	case "dielectric":
-		c = maxwell.DielectricCase
-	case "asymmetric":
-		c = maxwell.AsymmetricCase
-	default:
-		fmt.Fprintln(os.Stderr, "unknown case")
+	ci, err := parseName("case", *caseName, caseFlags[:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	c := maxwell.Case(ci)
 	p := maxwell.NewSmokeProblem(c)
 	if *paperPulse {
 		p = maxwell.NewProblem(c)
 	}
 
-	archMap := map[string]core.Arch{
-		"qpinn": core.QPINN, "regular": core.ClassicalRegular,
-		"reduced": core.ClassicalReduced, "extra": core.ClassicalExtra,
-	}
-	arch, ok := archMap[*archName]
-	if !ok {
-		fmt.Fprintln(os.Stderr, "unknown arch")
+	ai, err := parseName("arch", *archName, archFlags[:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	arch := core.Arch(ai)
 	eng, err := qsim.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -17,15 +17,17 @@ import (
 )
 
 func main() {
-	preset := flag.String("preset", "smoke", "smoke | paper")
+	preset := flag.String("preset", "smoke", experiments.PresetNames())
 	engine := flag.String("engine", "sharded", "circuit-execution engine for the batched simulator ("+qsim.EngineNames()+"): sharded runs the compiled program in process as work-stealing sample shards with worker-count-independent gradients, dist ships the same shards to worker processes, legacy sweeps per gate, naive is the dense per-sample baseline")
 	distWorkers := flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
 	obsFlags := obs.RegisterFlags("torq-bench")
 	flag.Parse()
-	o := experiments.Options{Preset: experiments.Smoke, Out: os.Stdout}
-	if *preset == "paper" {
-		o.Preset = experiments.Paper
+	pre, err := experiments.ParsePreset(*preset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	o := experiments.Options{Preset: pre, Out: os.Stdout}
 	eng, err := qsim.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

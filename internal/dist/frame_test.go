@@ -473,7 +473,7 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 	}
 
 	// A session's claims: a small handshake whose full-register diagonals
-	// would need 288 MB of tables, and a shard of more samples than the
+	// would need 436 MB of tables, and a shard of more samples than the
 	// coordinator's block, whose workspace would take 256 MB.
 	s := &session{w: bufio.NewWriter(io.Discard)}
 	n, err = allocated(func() error { return s.handle(fHello, diagHeavyHello()) })

@@ -27,19 +27,20 @@ func helloFor(circ *qsim.Circuit, digest qsim.ProgramDigest) []byte {
 }
 
 // diagHeavyHello is a 1.7 KB handshake that passes checkCircuit: 16 repeats
-// of CRZ(0→1), CRZ(2→3), CNOT(0,1), CNOT(2,3) at 20 qubits. It fuses into 16
-// full-register diagonals, 288 MB of tables, so the worker must refuse it
-// before laying any of them out.
+// of CRZ(0→1), CRZ(2→3), RX(1), RX(3) at 20 qubits. The RX gates flip bits
+// the next CRZs read, so no two repeats commute into one group, and it
+// fuses into 16 full-register diagonals, 436 MB of tables: the worker must
+// refuse it before laying any of them out.
 func diagHeavyHello() []byte {
 	var gates []qsim.Gate
 	for i := 0; i < 16; i++ {
 		gates = append(gates,
-			qsim.Gate{Kind: qsim.CRZ, Q: 1, C: 0, P: 2 * i},
-			qsim.Gate{Kind: qsim.CRZ, Q: 3, C: 2, P: 2*i + 1},
-			qsim.Gate{Kind: qsim.CNOT, Q: 1, C: 0, P: -1},
-			qsim.Gate{Kind: qsim.CNOT, Q: 3, C: 2, P: -1})
+			qsim.Gate{Kind: qsim.CRZ, Q: 1, C: 0, P: 4 * i},
+			qsim.Gate{Kind: qsim.CRZ, Q: 3, C: 2, P: 4*i + 1},
+			qsim.Gate{Kind: qsim.RX, Q: 1, C: -1, P: 4*i + 2},
+			qsim.Gate{Kind: qsim.RX, Q: 3, C: -1, P: 4*i + 3})
 	}
-	return encodeHello(helloMsg{Version: ProtoVersion, Name: "diag", NumQubits: 20, Layers: 1, NumParams: 32, Gates: gates})
+	return encodeHello(helloMsg{Version: ProtoVersion, Name: "diag", NumQubits: 20, Layers: 1, NumParams: 64, Gates: gates})
 }
 
 // wideShard is a valid 16-qubit handshake and forward pass, then one shard

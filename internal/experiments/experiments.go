@@ -7,8 +7,11 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/maxwell"
@@ -22,6 +25,22 @@ const (
 	Smoke Preset = iota
 	Paper
 )
+
+// presetFlags holds each preset's -preset flag value, indexed by preset.
+var presetFlags = [...]string{Smoke: "smoke", Paper: "paper"}
+
+// PresetNames returns the valid -preset flag values, "|"-separated, for flag
+// usage strings.
+func PresetNames() string { return strings.Join(presetFlags[:], "|") }
+
+// ParsePreset maps a -preset flag value to its Preset; the error lists
+// every valid value.
+func ParsePreset(s string) (Preset, error) {
+	if i := slices.Index(presetFlags[:], s); i >= 0 {
+		return Preset(i), nil
+	}
+	return 0, fmt.Errorf("experiments: unknown preset %q (want %s)", s, PresetNames())
+}
 
 // Options configures one experiment invocation.
 type Options struct {

@@ -135,3 +135,24 @@ func TestSmokeProblemWidensPulse(t *testing.T) {
 		t.Fatal("smoke preset must not change the time horizon")
 	}
 }
+
+// TestParsePresetRoundTrip pins the -preset flag table: every preset
+// round-trips through its name, and an unknown name (a misspelt "paper"
+// once silently ran the smoke preset) errors with every valid name listed.
+func TestParsePresetRoundTrip(t *testing.T) {
+	for _, want := range []Preset{Smoke, Paper} {
+		got, err := ParsePreset(presetFlags[want])
+		if err != nil || got != want {
+			t.Errorf("preset %d: ParsePreset(%q) = %v, %v", want, presetFlags[want], got, err)
+		}
+	}
+	_, err := ParsePreset("papr")
+	if err == nil {
+		t.Fatal(`ParsePreset accepted "papr"`)
+	}
+	for _, name := range append([]string{"papr"}, presetFlags[:]...) {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
+		}
+	}
+}

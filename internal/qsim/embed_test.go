@@ -41,6 +41,16 @@ func embedWorkspace(rng *rand.Rand, n, nq int, angles []float64, mask int) *Work
 	return ws
 }
 
+// identityWalks returns an opEmbedAll's per-qubit walks under the identity
+// frame, the first embedding's frame.
+func identityWalks(nq int) []groupWalk {
+	var w []groupWalk
+	for _, v := range identityFrame(nq) {
+		w = append(w, newGroupWalk(nq, v))
+	}
+	return w
+}
+
 // embedRun is one embedding kernel's forward states and the gradients its
 // adjoint produced from the given seeds.
 type embedRun struct {
@@ -64,7 +74,7 @@ func runEmbedKernel(ws *Workspace, prod bool, lamV *State, lamT [MaxTangents]*St
 				ws.tan[k].resetRange(0, n, true)
 			}
 		}
-		embedAllRange(ws, 0, n)
+		embedAllRange(ws, identityWalks(ws.nq), 0, n)
 	}
 	var r embedRun
 	r.val = NewZeroState(n, ws.nq)
@@ -86,7 +96,7 @@ func runEmbedKernel(ws *Workspace, prod bool, lamV *State, lamT [MaxTangents]*St
 	if prod {
 		reverseEmbedProdRange(ws, 0, n, r.dAngles, dat)
 	} else {
-		reverseEmbedAllRange(ws, 0, n, r.dAngles, dat)
+		reverseEmbedAllRange(ws, identityWalks(ws.nq), 0, n, r.dAngles, dat)
 	}
 	return r
 }
@@ -443,8 +453,8 @@ func benchEmbed(b *testing.B, prod bool) {
 					for k := 0; k < MaxTangents; k++ {
 						ws.tan[k].resetRange(0, n, true)
 					}
-					embedAllRange(ws, 0, n)
-					reverseEmbedAllRange(ws, 0, n, dAngles, dat)
+					embedAllRange(ws, identityWalks(ws.nq), 0, n)
+					reverseEmbedAllRange(ws, identityWalks(ws.nq), 0, n, dAngles, dat)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")

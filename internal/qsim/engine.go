@@ -10,8 +10,8 @@ import (
 type EngineKind uint8
 
 const (
-	// EngineSharded executes the level-3 compiled program (three-qubit
-	// CNOT permutations, commutation-aware diagonal absorption, paired
+	// EngineSharded executes the level-3 compiled program (CNOTs tracked
+	// in a basis frame, commutation-aware diagonal absorption, paired
 	// single-qubit runs) as independent sample shards on the work-stealing scheduler:
 	// each shard streams the whole instruction stream through one
 	// cache-resident block and owns a private gradient accumulator, and
@@ -191,25 +191,20 @@ func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, th
 //
 //torq:hotpath
 func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []float64, ztans [][]float64) {
-	for _, in := range prog.ins {
+	for i := range prog.ins {
+		in := &prog.ins[i]
 		switch in.op {
 		case opEmbedProd:
 			embedProdRange(ws, lo, hi)
 		case opEmbedAll:
-			embedAllRange(ws, lo, hi)
+			embedAllRange(ws, in.walks, lo, hi)
 		case opU4:
 			u := (*[32]float64)(coeff[in.slot : in.slot+32])
-			ws.val.applyU4Range(lo, hi, in.q, in.c, u)
+			w := &in.walks[0]
+			ws.val.applyU4Range(lo, hi, w, u)
 			for k := 0; k < MaxTangents; k++ {
 				if ws.active[k] {
-					ws.tan[k].applyU4Range(lo, hi, in.q, in.c, u)
-				}
-			}
-		case opPerm8:
-			ws.val.applyPerm8Range(lo, hi, in.q, in.c, in.q2, in.cycles)
-			for k := 0; k < MaxTangents; k++ {
-				if ws.active[k] {
-					ws.tan[k].applyPerm8Range(lo, hi, in.q, in.c, in.q2, in.cycles)
+					ws.tan[k].applyU4Range(lo, hi, w, u)
 				}
 			}
 		case opDiagN:
@@ -228,13 +223,6 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 					ws.tan[k].applyU2Range(lo, hi, in.q, u)
 				}
 			}
-		case opCNOT:
-			ws.val.applyCNOTRange(lo, hi, in.c, in.q)
-			for k := 0; k < MaxTangents; k++ {
-				if ws.active[k] {
-					ws.tan[k].applyCNOTRange(lo, hi, in.c, in.q)
-				}
-			}
 		}
 	}
 	readoutRange(ws.val, nil, z, lo, hi, &prog.readout)
@@ -249,25 +237,27 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 // RX(angle_q) embedding block sample-major — every qubit of one sample
 // before moving to the next — so the sample's amplitudes and its per-qubit
 // trigonometry stay hot across the entire block. Tangent channels couple
-// through t' = U·t + φ̇·(dU/dφ)·v exactly as in the per-qubit walk.
-func embedAllRange(ws *Workspace, lo, hi int) {
+// through t' = U·t + φ̇·(dU/dφ)·v exactly as in the per-qubit walk. walks[q]
+// addresses qubit q in the program's frame at the block.
+func embedAllRange(ws *Workspace, walks []groupWalk, lo, hi int) {
 	nq := ws.nq
 	anyTan := ws.anyTan()
 	for smp := lo; smp < hi; smp++ {
 		for q := 0; q < nq; q++ {
 			c, s := cosSin(ws.angles[smp*nq+q] / 2)
+			w := &walks[q]
 			if anyTan {
 				ws.scr1.copySample(ws.val, smp)
-				ws.scr1.applyIXSample(smp, q, -s/2, c/2) // D·v_pre
+				ws.scr1.applyIXSample(smp, w, -s/2, c/2) // D·v_pre
 			}
 			for k := 0; k < MaxTangents; k++ {
 				if !ws.active[k] {
 					continue
 				}
-				ws.tan[k].applyIXSample(smp, q, c, s)
+				ws.tan[k].applyIXSample(smp, w, c, s)
 				axpySample(ws.tan[k], ws.scr1, ws.angleTans[k][smp*nq+q], smp)
 			}
-			ws.val.applyIXSample(smp, q, c, s)
+			ws.val.applyIXSample(smp, w, c, s)
 		}
 	}
 }
@@ -337,26 +327,11 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 		case opEmbedProd:
 			reverseEmbedProdRange(ws, lo, hi, dAngles, dAngleTans)
 		case opEmbedAll:
-			reverseEmbedAllRange(ws, lo, hi, dAngles, dAngleTans)
-		case opCNOT:
-			// CNOT is its own inverse and carries no parameter.
-			//torq:allow hotalloc -- forChannelPairs and this literal fully inline (-m shows no escape)
-			ws.forChannelPairs(func(psi, lam *State) {
-				psi.applyCNOTRange(lo, hi, in.c, in.q)
-				lam.applyCNOTRange(lo, hi, in.c, in.q)
-			})
+			reverseEmbedAllRange(ws, in.walks, lo, hi, dAngles, dAngleTans)
 		case opU2:
 			revU2Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 		case opU4:
 			revU4Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
-		case opPerm8:
-			// Un-apply the compile-time permutation on both states; a
-			// CNOT-only block carries no parameters, so there is no gradient.
-			//torq:allow hotalloc -- forChannelPairs and this literal fully inline (-m shows no escape)
-			ws.forChannelPairs(func(psi, lam *State) {
-				psi.applyPerm8Range(lo, hi, in.q, in.c, in.q2, in.invCycles)
-				lam.applyPerm8Range(lo, hi, in.q, in.c, in.q2, in.invCycles)
-			})
 		case opDiagN:
 			revDiagNRange(ws, in, coeff, lo, hi, sc)
 		}
@@ -370,11 +345,12 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 // entire per-qubit sequence and the per-qubit scratch copies shrink to one
 // sample. See legacyEngine.reverseEmbedding for the derivation of the
 // gradient terms (a)–(c).
-func reverseEmbedAllRange(ws *Workspace, lo, hi int, dAngles []float64, dAngleTans [][]float64) {
+func reverseEmbedAllRange(ws *Workspace, walks []groupWalk, lo, hi int, dAngles []float64, dAngleTans [][]float64) {
 	nq := ws.nq
 	for smp := lo; smp < hi; smp++ {
 		for q := nq - 1; q >= 0; q-- {
 			c, s := cosSin(ws.angles[smp*nq+q] / 2)
+			w := &walks[q]
 
 			// (c) second-derivative coupling on the post-gate value state.
 			for k := 0; k < MaxTangents; k++ {
@@ -386,9 +362,9 @@ func reverseEmbedAllRange(ws *Workspace, lo, hi int, dAngles []float64, dAngleTa
 			}
 
 			// Recover v_pre and D·v_pre.
-			ws.val.applyIXSample(smp, q, c, -s) // U†: RX(−φ)
+			ws.val.applyIXSample(smp, w, c, -s) // U†: RX(−φ)
 			ws.scr1.copySample(ws.val, smp)
-			ws.scr1.applyIXSample(smp, q, -s/2, c/2) // D·v_pre
+			ws.scr1.applyIXSample(smp, w, -s/2, c/2) // D·v_pre
 
 			// (a) dφ += Re⟨λv, D v_pre⟩ ; dφ̇ₖ += Re⟨λtₖ, D v_pre⟩.
 			dAngles[smp*nq+q] += innerReSample(ws.lamV, ws.scr1, smp)
@@ -409,22 +385,22 @@ func reverseEmbedAllRange(ws *Workspace, lo, hi int, dAngles []float64, dAngleTa
 					continue
 				}
 				axpySample(ws.tan[k], ws.scr1, -ws.angleTans[k][smp*nq+q], smp)
-				ws.tan[k].applyIXSample(smp, q, c, -s)
+				ws.tan[k].applyIXSample(smp, w, c, -s)
 				ws.scr2.copySample(ws.tan[k], smp)
-				ws.scr2.applyIXSample(smp, q, -s/2, c/2)
+				ws.scr2.applyIXSample(smp, w, -s/2, c/2)
 				dAngles[smp*nq+q] += innerReSample(ws.lamT[k], ws.scr2, smp)
 			}
 
 			// Propagate adjoints: λv ← U†λv + Σₖ φ̇ₖ·D†λtₖ ; λtₖ ← U†λtₖ.
-			ws.lamV.applyIXSample(smp, q, c, -s)
+			ws.lamV.applyIXSample(smp, w, c, -s)
 			for k := 0; k < MaxTangents; k++ {
 				if !ws.active[k] {
 					continue
 				}
 				ws.scr2.copySample(ws.lamT[k], smp)
-				ws.scr2.applyIXSample(smp, q, -s/2, -c/2) // D†
+				ws.scr2.applyIXSample(smp, w, -s/2, -c/2) // D†
 				axpySample(ws.lamV, ws.scr2, ws.angleTans[k][smp*nq+q], smp)
-				ws.lamT[k].applyIXSample(smp, q, c, -s)
+				ws.lamT[k].applyIXSample(smp, w, c, -s)
 			}
 		}
 	}
@@ -502,7 +478,7 @@ func revU4Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 	}
 	var K [32]float64
 	ws.forChannelPairs(func(psi, lam *State) {
-		revU4PairRange(psi, lam, lo, hi, in.q, in.c, &ud, &K)
+		revU4PairRange(psi, lam, lo, hi, &in.walks[0], &ud, &K)
 	})
 	for t, p := range in.params {
 		d := dcoef[in.dslot+32*t : in.dslot+32*t+32]

@@ -305,8 +305,9 @@ var naiveHooks = applyHooks{
 // instrMatrix expands one compiled non-embedding instruction into its dense
 // 2^nq×2^nq matrix from the filled coefficient slots — the brute-force
 // oracle the compiler-level parity tests use to check that every fusion
-// pass (single-qubit runs, diagonal merges, entangler blocks, full-register
-// diagonals) preserves the circuit's net unitary exactly.
+// pass (single-qubit runs, diagonal merges, pair blocks under their CNOT
+// frames, full-register diagonals) preserves the circuit's net unitary
+// exactly.
 func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 	nq := p.circ.NumQubits
 	dim := 1 << nq
@@ -318,28 +319,19 @@ func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 			{complex(u[0], u[1]), complex(u[2], u[3])},
 			{complex(u[4], u[5]), complex(u[6], u[7])},
 		})
-	case opCNOT:
-		return expandAngle(in.gates[0], 0, nq)
 	case opU4:
+		// Column col's local index reads the pair's bits through its frame
+		// rows; the rows of its group are the base XOR the flip masks.
 		u := coeff[in.slot : in.slot+32]
-		qa, qb := in.q, in.c
+		va, vb := in.v[0], in.v[1]
 		for col := 0; col < dim; col++ {
-			la := (col >> qa) & 1
-			lb := (col >> qb) & 1
+			la, lb := parity(va.r&col), parity(vb.r&col)
 			lc := la | lb<<1
-			base := col &^ (1<<qa | 1<<qb)
+			base := col ^ la*va.m ^ lb*vb.m
 			for lr := 0; lr < 4; lr++ {
-				row := base | (lr&1)<<qa | (lr>>1)<<qb
+				row := base ^ (lr&1)*va.m ^ (lr>>1)*vb.m
 				m.data[row*dim+col] = complex(u[(lr*4+lc)*2], u[(lr*4+lc)*2+1])
 			}
-		}
-	case opPerm8:
-		qa, qb, qc := in.q, in.c, in.q2
-		for col := 0; col < dim; col++ {
-			lc := (col>>qa)&1 | ((col>>qb)&1)<<1 | ((col>>qc)&1)<<2
-			lr := int(in.perm[lc])
-			row := col&^(1<<qa|1<<qb|1<<qc) | (lr&1)<<qa | ((lr>>1)&1)<<qb | (lr>>2)<<qc
-			m.data[row*dim+col] = 1
 		}
 	case opDiagN:
 		u := coeff[in.slot : in.slot+2*dim]

@@ -1,14 +1,20 @@
 package qsim
 
-import (
-	"math"
-	"math/bits"
-	"sort"
-)
+import "math"
 
 // This file is the compile stage of the compile/execute split: it lowers a
 // Circuit plus its RX angle embedding into a flat instruction stream the
 // sharded engine streams sample-block by sample-block.
+//
+// No CNOT is executed. A CNOT only relabels basis states, so the compiler
+// tracks the CNOTs it has passed in a GF(2) basis frame (see frame) and
+// emits nothing for them: a gate after them acts on the same amplitudes it
+// would have touched had the CNOTs moved them, addressed through the frame.
+// Each remaining instruction carries its qubits' frame masks, the kernels
+// find their amplitude groups by walking the frame (groupWalk), and the
+// readout and the adjoint seed read the final state through the whole
+// program's frame (readout.go). Under the identity frame every walk is the
+// plain bit-insertion loop.
 //
 // Lowering first emits one instruction per run of source gates: runs of
 // adjacent single-qubit gates on the same qubit become a single 2×2 unitary
@@ -18,30 +24,22 @@ import (
 // and adjoint passes stream one instruction sequence end-to-end. The first
 // embedding acts on |0…0⟩ and is built as a product state (opEmbedProd, see
 // embed.go); re-upload blocks act on an entangled state and apply RX qubit
-// by qubit (opEmbedAll). Three fusion passes follow.
+// by qubit (opEmbedAll). Two fusion passes follow.
 //
 // Diagonal absorption is commutation-aware: a fused diagonal group may
-// absorb non-adjacent diagonal instructions by commuting them past
-// intervening blocks with disjoint support (all diagonal operators commute
-// with each other, so only the non-diagonal instructions in between
-// constrain the move); groups collapse into one full-register diagonal
-// super-op (opDiagN) whose per-basis phases and per-parameter derivative
-// signs are laid out at compile time. Block fusion then greedily absorbs
-// neighbouring single-qubit runs into two-qubit instructions (4×4 opU4) and
-// grows CNOT-only blocks to qubit triples: a CNOT sharing a qubit with an
-// open CNOT-only pair block extends it to a compile-time basis permutation
-// (opPerm8), collapsing the all-pairs CNOT sweeps pair fusion alone leaves
-// as bare instructions. Then adjacent leftover single-qubit instructions on
-// two distinct qubits pair into one Kronecker-structured 4×4 block (opU4),
-// so the rotation walls entangler fusion cannot touch run on the vectorized
-// pair kernel: one pass over the state instead of two. A diagonal chain no
-// pass absorbed runs as the general form of its width: a lone RZ chain as
-// an opU2, a lone CRZ chain as an opU4 on its qubit pair, so the executor
-// knows seven instruction forms (opEmbedProd, opEmbedAll, opU2, opU4,
-// opCNOT, opPerm8, opDiagN). Last, the permutation instructions (opCNOT,
-// opPerm8) that end the stream fold into the program's readout map, which
-// the readout and the adjoint seed read the final state through
-// (readout.go), so neither pass runs them.
+// absorb non-adjacent diagonal instructions by commuting them backward past
+// intervening single-qubit runs whose flips leave the diagonal's bits alone
+// (all diagonal operators commute with each other, so only the
+// non-diagonal instructions in between constrain the move); groups collapse
+// into one full-register diagonal super-op (opDiagN) whose per-basis phases
+// and per-parameter derivative signs are laid out at compile time. Then
+// adjacent single-qubit runs whose frame masks make them independent
+// qubits pair into one Kronecker-structured 4×4 block (opU4): one pass over
+// the state instead of two, on the vectorized pair kernel. A run with no
+// such neighbour pairs with an identity factor on another qubit of its
+// frame, and a lone CRZ chain runs as an opU4 on its qubit pair, so the
+// executor knows five instruction forms (opEmbedProd, opEmbedAll, opU4,
+// opDiagN, and opU2, which only a one-qubit program emits).
 //
 // Instruction operands live in coefficient slots that are refreshed from
 // theta once per pass — per-gate trigonometry is paid once per program
@@ -55,20 +53,21 @@ type opcode uint8
 // Opcode values are hashed into ProgramDigest, so they stay fixed: 0 (the
 // per-qubit embedding), 8 (a dense 8×8 three-qubit block) and 9 (three
 // Kronecker-structured 2×2 factors) belonged to earlier compilers and are
-// never emitted. opDiag and opCtrlDiag are compile-time only: the fusion
-// passes absorb them into opDiagN or a pair block, or lower a lone one onto
-// opU2 (pairSingles) or opU4 (fuseBlocks).
+// never emitted. opDiag, opCNOT, opCtrlDiag and opPerm8 are compile-time
+// only or gone: CNOTs become frame changes, a diagonal chain is absorbed
+// into opDiagN or lowered onto opU4 (or opU2 on one qubit), and no CNOT
+// permutation is built any more.
 const (
 	opEmbedAll  opcode = iota + 1 // re-upload embedding block: RX on each qubit in turn
-	opU2                          // 2×2 unitary on Q; 8 coefficient floats
+	opU2                          // 2×2 unitary on Q (one-qubit programs only); 8 coefficient floats
 	opDiag                        // compile time only: an RZ chain on Q
-	opCNOT                        // CNOT control C, target Q; no coefficients
+	_                             // 4: once an executed CNOT
 	opCtrlDiag                    // compile time only: a CRZ chain on target Q, control C
 	opU4                          // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
 	opDiagN                       // full-register diagonal; 2·dim floats
 	_                             // 8: reserved
 	_                             // 9: reserved
-	opPerm8                       // compile-time basis permutation on (Q, C, Q2); no floats
+	_                             // 10: once a three-qubit CNOT permutation
 	opEmbedProd                   // first embedding block, built as a product state on |0…0⟩
 )
 
@@ -78,18 +77,22 @@ const (
 // when theta changes.
 type instr struct {
 	op     opcode
-	q, c   int // primary/secondary qubit (meaning depends on op; -1 unused)
-	q2     int // third qubit of three-qubit ops (q < c < q2); 0 otherwise
+	q, c   int // primary/secondary logical qubit (meaning depends on op; -1 unused)
 	slot   int
 	dslot  int
-	tslot  int      // opDiagN: index of this instr's gradient accumulator
-	gates  []Gate   // source gates in application order
-	params []int    // theta indices of parametrized source gates, in order
-	signs  []int8   // opDiagN: per (param, basis) derivative sign in {-1,0,+1}
-	perm   [8]uint8 // opPerm8: local basis map, new[perm[j]] = old[j]
-	// opPerm8: the permutation's non-trivial cycles and their inverses, so
-	// the kernels rotate only the amplitudes that actually move.
-	cycles, invCycles [][]uint8
+	tslot  int    // opDiagN: index of this instr's gradient accumulator
+	gates  []Gate // source gates in application order
+	params []int  // theta indices of parametrized source gates, in order
+	signs  []int8 // opDiagN: per (param, physical basis) derivative sign in {-1,0,+1}
+
+	fr frame     // the frame the source gates act in (embeddings, diagonals, runs)
+	v  [2]vqubit // opU4: the vqubits of local bits 0 and 1
+	// opDiagN: per source gate, the read rows of its target and control (0
+	// for an RZ), which layout turns into the sign table.
+	rows [][2]int
+	// walks locate the amplitude groups: opU4's one pair, opEmbedAll's one
+	// per qubit.
+	walks []groupWalk
 }
 
 // Program is a compiled circuit: the fused instruction stream (driving both
@@ -103,11 +106,11 @@ type Program struct {
 	nderiv int // backward derivative floats
 	ndiag  int // number of opDiagN instructions (gradient accumulators)
 
-	// folded holds the permutation instructions that ended the fused
-	// stream, which readout applies instead (foldTrailingPerms); they run
-	// in neither pass and are kept for the digest.
-	folded  []instr
-	readout readoutMap
+	// cnots are the circuit's CNOTs in order, which no instruction runs:
+	// readout is the frame they leave, through which the readout and the
+	// adjoint seed read the final state.
+	cnots   []Gate
+	readout basisWalk
 }
 
 // compileLevel is the fusion level CompileProgram implements. It travels in
@@ -115,9 +118,8 @@ type Program struct {
 const compileLevel = 3
 
 // CompileProgram lowers circ (and its embedding placement, honouring data
-// re-uploading) into a fused program: commutation-aware diagonal
-// absorption, pair blocks, three-qubit CNOT permutations, and paired
-// single-qubit runs.
+// re-uploading) into a fused program: CNOTs tracked in the basis frame,
+// commutation-aware diagonal absorption and paired single-qubit runs.
 func CompileProgram(circ *Circuit) *Program {
 	p := fuseProgram(circ)
 	p.layout()
@@ -128,14 +130,14 @@ func CompileProgram(circ *Circuit) *Program {
 // parameter list; layout then sizes and fills the tables.
 func fuseProgram(circ *Circuit) *Program {
 	p := &Program{circ: circ}
+	fr := identityFrame(circ.NumQubits)
 	for _, seg := range circ.segments() {
-		p.addEmbed()
-		p.addGates(seg)
+		p.addEmbed(fr)
+		fr = p.addGates(seg, fr)
 	}
+	p.readout = newReadoutMap(p.cnots)
 	p.fuseDiagGroups()
-	p.fuseBlocks()
 	p.pairSingles()
-	p.foldTrailingPerms()
 	for i := range p.ins {
 		for _, g := range p.ins[i].gates {
 			if g.P >= 0 {
@@ -164,8 +166,7 @@ func (p *Program) diagTableBytes() int {
 func (p *Program) Level() int { return compileLevel }
 
 // NumInstructions reports the executed instruction stream length (embedding
-// ops included, permutations folded into the readout not) — the quantity
-// gate fusion shrinks.
+// ops included) — the quantity gate fusion shrinks.
 func (p *Program) NumInstructions() int { return len(p.ins) }
 
 // NumCoeffs reports the forward coefficient-slot floats a pass must provide.
@@ -209,12 +210,12 @@ func (p *Program) Digest() ProgramDigest {
 }
 
 // contentHash is an FNV-1a fingerprint of the compiled instruction stream
-// (opcodes, operands, slot layout, source gates, sign tables, permutation
-// cycles) followed by a numerical probe: the forward and derivative
-// coefficient slots evaluated at a fixed, structure-independent theta, as
-// raw IEEE bits. Everything hashed is a deterministic pure function of
-// the circuit — no map iteration, no addresses — so equal programs
-// hash equal across processes and binaries.
+// (opcodes, operands, slot layout, source gates, sign tables, frame masks)
+// followed by a numerical probe: the forward and derivative coefficient
+// slots evaluated at a fixed, structure-independent theta, as raw IEEE
+// bits. Everything hashed is a deterministic pure function of the circuit —
+// no map iteration, no addresses — so equal programs hash equal across
+// processes and binaries.
 func (p *Program) contentHash() uint64 {
 	const (
 		offset64 = 14695981039346844037
@@ -232,11 +233,13 @@ func (p *Program) contentHash() uint64 {
 	num := func(v int) { word(uint64(int64(v))) }
 	num(compileLevel)
 	num(p.circ.NumQubits)
-	instrHash := func(in *instr) {
+	num(len(p.ins))
+	for i := range p.ins {
+		in := &p.ins[i]
 		byte1(byte(in.op))
 		num(in.q)
 		num(in.c)
-		num(in.q2)
+		num(0) // once a third qubit
 		num(in.slot)
 		num(in.dslot)
 		num(in.tslot)
@@ -256,27 +259,28 @@ func (p *Program) contentHash() uint64 {
 		for _, s := range in.signs {
 			byte1(byte(s))
 		}
-		for _, b := range in.perm {
-			byte1(b)
+		word(0) // once a permutation table
+		num(0)  // and its cycle count
+	}
+	// Only a program with CNOTs has frames other than the identity, so only
+	// its digest covers them and every other digest reads as before frames
+	// existed.
+	if len(p.cnots) > 0 {
+		num(len(p.cnots))
+		for _, g := range p.cnots {
+			num(g.Q)
+			num(g.C)
 		}
-		num(len(in.cycles))
-		for _, cyc := range in.cycles {
-			num(len(cyc))
-			for _, b := range cyc {
-				byte1(b)
+		for i := range p.ins {
+			in := &p.ins[i]
+			for _, v := range in.v {
+				num(v.r)
+				num(v.m)
 			}
-		}
-	}
-	num(len(p.ins))
-	for i := range p.ins {
-		instrHash(&p.ins[i])
-	}
-	// Only a program that folded permutations into its readout hashes
-	// them, so every other digest reads as before the fold existed.
-	if len(p.folded) > 0 {
-		num(len(p.folded))
-		for i := range p.folded {
-			instrHash(&p.folded[i])
+			for _, v := range in.fr {
+				num(v.r)
+				num(v.m)
+			}
 		}
 	}
 	// Coefficient probe at theta_i = sin(i+1): exercises every rotation's
@@ -300,15 +304,15 @@ func (p *Program) contentHash() uint64 {
 	return h
 }
 
-// addEmbed emits an embedding block: the first one starts the program on
-// |0…0⟩, so it is built as a product state; later (re-upload) blocks
-// rotate an entangled state.
-func (p *Program) addEmbed() {
+// addEmbed emits an embedding block in frame fr: the first one starts the
+// program on |0…0⟩, so it is built as a product state; later (re-upload)
+// blocks rotate an entangled state.
+func (p *Program) addEmbed(fr frame) {
 	op := opEmbedAll
 	if len(p.ins) == 0 {
 		op = opEmbedProd
 	}
-	p.ins = append(p.ins, instr{op: op, q: -1, c: -1})
+	p.ins = append(p.ins, instr{op: op, q: -1, c: -1, fr: fr})
 }
 
 // reembeds reports whether the program holds an opEmbedAll (a re-upload
@@ -326,7 +330,9 @@ func isSingleQubit(g Gate) bool {
 	return g.Kind == RX || g.Kind == RY || g.Kind == RZ
 }
 
-func (p *Program) addGates(gates []Gate) {
+// addGates emits the instructions of one segment in frame fr and returns
+// the frame its CNOTs leave, recording each CNOT in p.cnots.
+func (p *Program) addGates(gates []Gate, fr frame) frame {
 	for i := 0; i < len(gates); {
 		g := gates[i]
 		switch {
@@ -336,65 +342,72 @@ func (p *Program) addGates(gates []Gate) {
 				j++
 			}
 			run := gates[i:j]
-			allDiag := true
+			op := opDiag
 			for _, r := range run {
 				if r.Kind != RZ {
-					allDiag = false
+					op = opU2
 					break
 				}
 			}
-			if allDiag {
-				p.ins = append(p.ins, instr{op: opDiag, q: g.Q, c: -1, gates: run})
-			} else {
-				p.ins = append(p.ins, instr{op: opU2, q: g.Q, c: -1, gates: run})
-			}
+			p.ins = append(p.ins, instr{op: op, q: g.Q, c: -1, gates: run, fr: fr})
 			i = j
 		case g.Kind == CNOT:
-			p.ins = append(p.ins, instr{op: opCNOT, q: g.Q, c: g.C, gates: gates[i : i+1]})
+			p.cnots = append(p.cnots, g)
+			fr = fr.cnot(g.C, g.Q)
 			i++
 		default: // CRZ
 			j := i + 1
 			for j < len(gates) && gates[j].Kind == CRZ && gates[j].Q == g.Q && gates[j].C == g.C {
 				j++
 			}
-			p.ins = append(p.ins, instr{op: opCtrlDiag, q: g.Q, c: g.C, gates: gates[i:j]})
+			p.ins = append(p.ins, instr{op: opCtrlDiag, q: g.Q, c: g.C, gates: gates[i:j], fr: fr})
 			i = j
 		}
 	}
+	return fr
 }
 
 // fuseDiagGroups collapses groups of diagonal instructions (RZ chains, CRZ
 // meshes) into full-register diagonal super-ops. A group may absorb
-// NON-adjacent members by commuting them backward past intervening blocks whose support
-// is disjoint from the member being moved. Diagonal operators all commute
-// with each other, so a diagonal instruction joins a group exactly when its
-// support avoids the union of the supports of every non-diagonal instruction
-// seen since the group opened (the group's blocked mask) — that guarantees
-// it commutes past each obstacle individually and the move is exact. Groups
-// of ≥ 2 members collapse into one full-register diagonal super-op emitted
-// at the first member's position; singleton groups stay in place (and remain
-// available to entangler-block fusion).
+// NON-adjacent members by commuting them backward past the single-qubit
+// runs in between. Diagonal operators all commute with each other, and a
+// diagonal commutes with a run exactly when the run's flip leaves every
+// bit the diagonal reads alone; so a diagonal instruction joins a group
+// when none of its read rows has odd parity with the flip of any run seen
+// since the group opened (the group's blocked flips), and the move is
+// exact. Under one frame that is the support test: the diagonal touches
+// none of the runs' qubits. Groups of ≥ 2 members collapse into one
+// full-register diagonal super-op emitted at the first member's position;
+// singleton groups stay in place (and are lowered by pairSingles).
 func (p *Program) fuseDiagGroups() {
 	type group struct {
 		members []int
-		blocked int // union support mask of non-diagonal instrs since open
+		blocked []int // flip masks of the runs seen since the group opened
 	}
 	var groups, open []*group
-	support := func(in *instr) int {
-		m := 1 << in.q
+	reads := func(in *instr) [2]int {
+		r := [2]int{in.fr[in.q].r, 0}
 		if in.c >= 0 {
-			m |= 1 << in.c
+			r[1] = in.fr[in.c].r
 		}
-		return m
+		return r
+	}
+	commutes := func(r [2]int, blocked []int) bool {
+		for _, m := range blocked {
+			if parity(r[0]&m) != 0 || parity(r[1]&m) != 0 {
+				return false
+			}
+		}
+		return true
 	}
 	for idx := range p.ins {
 		in := &p.ins[idx]
 		switch in.op {
 		case opDiag, opCtrlDiag:
-			s := support(in)
+			r := reads(in)
 			joined := false
 			for _, g := range open {
-				if g.blocked&s == 0 {
+				if commutes(r, g.blocked) {
 					g.members = append(g.members, idx)
 					joined = true
 					break
@@ -407,10 +420,9 @@ func (p *Program) fuseDiagGroups() {
 			}
 		case opEmbedProd, opEmbedAll: // embedding barriers close every group
 			open = open[:0]
-		default:
-			s := support(in)
+		default: // opU2: a single-qubit run
 			for _, g := range open {
-				g.blocked |= s
+				g.blocked = append(g.blocked, in.fr[in.q].m)
 			}
 		}
 	}
@@ -421,10 +433,14 @@ func (p *Program) fuseDiagGroups() {
 			continue
 		}
 		var gates []Gate
+		var rows [][2]int
 		for _, m := range g.members {
 			gates = append(gates, p.ins[m].gates...)
+			for range p.ins[m].gates {
+				rows = append(rows, reads(&p.ins[m]))
+			}
 		}
-		fused[g.members[0]] = instr{op: opDiagN, q: -1, c: -1, gates: gates}
+		fused[g.members[0]] = instr{op: opDiagN, q: -1, c: -1, gates: gates, rows: rows}
 		for _, m := range g.members[1:] {
 			drop[m] = true
 		}
@@ -443,256 +459,56 @@ func (p *Program) fuseDiagGroups() {
 	p.ins = out
 }
 
-// fuseBlocks greedily fuses each two-qubit instruction with the neighbouring
-// single-qubit runs on its qubits — and with adjacent two-qubit instructions
-// sharing its qubits — into one pair block (opU4). A CNOT that shares one
-// qubit with an open CNOT-only pair block extends the block to a qubit
-// triple, which is what collapses all-pairs CNOT meshes: consecutive CNOTs
-// sharing a control land in one three-qubit block, emitted as a
-// compile-time basis permutation (opPerm8, one pass and no arithmetic).
-// Mixed blocks never grow past a pair.
-//
-// A fused block stays open while the stream touches none of its qubits; any
-// instruction touching some but not all of the qubits it needs closes it.
-// The fused instruction is emitted at the position of the block's last
-// member. The move is exact: when a member is placed (joining, opening, or
-// absorbed from a pending list or a grow), every non-member instruction
-// between it and the emission point is known to touch none of that member's
-// qubits — instructions touching an open block's qubits either join it or
-// close it, and pending single-qubit instructions are absorbed or discarded
-// the moment anything else touches their qubit — so each member commutes
-// past the instructions it skips.
-func (p *Program) fuseBlocks() {
-	nq := p.circ.NumQubits
-	type block struct {
-		mask     int // qubit set; local bit order follows ascending qubit index
-		members  []int
-		cnotOnly bool // every member is a bare CNOT
-		open     bool
-	}
-	owner := make([]*block, nq)
-	pend := make([][]int, nq)
-	memberOf := make([]*block, len(p.ins))
-	var blocks []*block
-	closeBlk := func(b *block) {
-		if b == nil || !b.open {
-			return
-		}
-		b.open = false
-		for q := 0; q < nq; q++ {
-			if owner[q] == b {
-				owner[q] = nil
-			}
-		}
-	}
-	// absorb attaches qubit q (and its pending single-qubit instructions)
-	// to block b.
-	absorb := func(b *block, q int) {
-		b.mask |= 1 << q
-		for _, m := range pend[q] {
-			b.members = append(b.members, m)
-			b.cnotOnly = false
-			memberOf[m] = b
-		}
-		pend[q] = pend[q][:0]
-		owner[q] = b
-	}
-	addMember := func(b *block, idx int, op opcode) {
-		b.members = append(b.members, idx)
-		if op != opCNOT {
-			b.cnotOnly = false
-		}
-		memberOf[idx] = b
-	}
-	triple := func(b *block) bool { return b != nil && bits.OnesCount(uint(b.mask)) >= 3 }
-	for idx := range p.ins {
-		in := &p.ins[idx]
-		switch in.op {
-		case opU2, opDiag:
-			q := in.q
-			b := owner[q]
-			// Only CNOTs may join a triple; close the permutation instead.
-			if triple(b) {
-				closeBlk(b)
-				b = nil
-			}
-			if b != nil {
-				addMember(b, idx, in.op)
-			} else {
-				pend[q] = append(pend[q], idx)
-			}
-		case opCNOT, opCtrlDiag:
-			a, b := in.q, in.c
-			ba, bb := owner[a], owner[b]
-			if ba != nil && ba == bb {
-				// Keep triples pure: a controlled diagonal closes the
-				// permutation and starts a fresh pair instead.
-				if !(triple(ba) && in.op != opCNOT) {
-					addMember(ba, idx, in.op)
-					continue
-				}
-				closeBlk(ba)
-				ba, bb = nil, nil
-			}
-			// Grow an open pair block by the unowned endpoint only when
-			// everything involved is a bare CNOT, so the triple emits as a
-			// zero-arithmetic permutation.
-			grow := func(blk *block, other int) bool {
-				return blk != nil && !triple(blk) && blk.cnotOnly && in.op == opCNOT && len(pend[other]) == 0
-			}
-			if bb == nil && grow(ba, b) {
-				absorb(ba, b)
-				addMember(ba, idx, in.op)
-				continue
-			}
-			if ba == nil && grow(bb, a) {
-				absorb(bb, a)
-				addMember(bb, idx, in.op)
-				continue
-			}
-			closeBlk(ba)
-			closeBlk(bb)
-			nb := &block{open: true, cnotOnly: true}
-			absorb(nb, a)
-			absorb(nb, b)
-			addMember(nb, idx, in.op)
-			blocks = append(blocks, nb)
-		default: // opEmbedProd, opEmbedAll, opDiagN: full-width barriers
-			for q := 0; q < nq; q++ {
-				closeBlk(owner[q])
-				pend[q] = pend[q][:0]
-			}
-		}
-	}
-	// CNOT-only pair blocks stay bare CNOTs: a dense 4×4 costs more than
-	// the swap passes it would replace, and the permutation path needs a
-	// third qubit to pay off. Every other block, a lone CRZ chain included,
-	// becomes an opU4.
-	for _, b := range blocks {
-		if b.cnotOnly && !triple(b) {
-			for _, m := range b.members {
-				memberOf[m] = nil
-			}
-			b.members = b.members[:0]
-		}
-		sort.Ints(b.members)
-	}
-	out := p.ins[:0:0]
-	for idx := range p.ins {
-		b := memberOf[idx]
-		if b == nil {
-			out = append(out, p.ins[idx])
-			continue
-		}
-		if idx != b.members[len(b.members)-1] {
-			continue
-		}
-		var gates []Gate
-		for _, m := range b.members {
-			gates = append(gates, p.ins[m].gates...)
-		}
-		qs := maskQubits(b.mask)
-		if len(qs) == 2 {
-			out = append(out, instr{op: opU4, q: qs[0], c: qs[1], gates: gates})
-			continue
-		}
-		in := instr{
-			op: opPerm8, q: qs[0], c: qs[1], q2: qs[2], gates: gates,
-			perm: cnotPerm8(gates, qs[0], qs[1], qs[2]),
-		}
-		in.cycles, in.invCycles = permCycles(in.perm)
-		out = append(out, in)
-	}
-	p.ins = out
-}
-
-// cnotPerm8 composes a CNOT sequence on the triple (qa, qb, qc) into one
-// local basis permutation P with new[P[j]] = old[j].
-func cnotPerm8(gates []Gate, qa, qb, qc int) [8]uint8 {
-	var perm [8]uint8
-	for j := range perm {
-		perm[j] = uint8(j)
-	}
-	for _, g := range gates {
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		for j := range perm {
-			if perm[j]&(1<<pc) != 0 {
-				perm[j] ^= 1 << pt
-			}
-		}
-	}
-	return perm
-}
-
-// permCycles decomposes a local permutation into its non-trivial cycles
-// (each cycle c satisfies perm[c[i]] = c[(i+1) mod len]) and the reversed
-// cycles of the inverse permutation. Fixed points are omitted, so the
-// execution kernels never touch amplitudes the block leaves in place.
-func permCycles(perm [8]uint8) (cycles, inv [][]uint8) {
-	var seen [8]bool
-	for s := 0; s < 8; s++ {
-		if seen[s] || int(perm[s]) == s {
-			continue
-		}
-		var cyc []uint8
-		for j := uint8(s); !seen[j]; j = perm[j] {
-			seen[j] = true
-			cyc = append(cyc, j)
-		}
-		cycles = append(cycles, cyc)
-		rev := make([]uint8, len(cyc))
-		for i, v := range cyc {
-			rev[len(cyc)-1-i] = v
-		}
-		inv = append(inv, rev)
-	}
-	return cycles, inv
-}
-
-// maskQubits lists the set bits of a qubit mask in ascending order.
-func maskQubits(mask int) []int {
-	var qs []int
-	for q := 0; mask != 0; q++ {
-		if mask&1 != 0 {
-			qs = append(qs, q)
-		}
-		mask >>= 1
-	}
-	return qs
-}
-
 // pairSingles fuses each two adjacent surviving single-qubit instructions
-// (opU2, opDiag) on distinct qubits into one pair block (opU4, q < c) whose
-// gates keep their stream order. The two factors act on different qubits,
-// so the block is their Kronecker product and the move is exact; it is what
-// collapses the rotation walls block fusion leaves, e.g. Cross-Mesh's RX
-// wall in front of its fused diagonal mesh. A second instruction on the
-// pending one's qubit emits the pending one alone and takes its place; one
-// left alone is emitted as an opU2, an RZ chain included.
+// (opU2, opDiag) on independent qubits into one pair block (opU4, q < c)
+// whose gates keep their stream order. The two factors act on different
+// tensor factors of the state, so the block is their Kronecker product and
+// the move is exact; it is what collapses the rotation walls, within a
+// layer and across the CNOTs between layers. The pending instruction stays
+// unpaired when the next one is on the same logical qubit or not
+// independent of it, and anything else ends the pairing. An unpaired run
+// pairs with an identity factor on another qubit of its frame (the lowest
+// one), so it too runs on the pair kernel; only a one-qubit program, which
+// has no other qubit, emits it as an opU2. A lone CRZ chain becomes an opU4
+// on its qubit pair.
 func (p *Program) pairSingles() {
 	out := p.ins[:0:0]
 	pend := -1 // index of the unpaired single-qubit instruction, if any
 	flush := func() {
-		if pend >= 0 {
-			in := p.ins[pend]
+		if pend < 0 {
+			return
+		}
+		in := p.ins[pend]
+		pend = -1
+		if p.circ.NumQubits == 1 {
 			in.op = opU2
 			out = append(out, in)
-			pend = -1
+			return
 		}
+		other := 0
+		if in.q == 0 {
+			other = 1
+		}
+		out = append(out, u4(in.q, other, in.fr[in.q], in.fr[other], in.gates))
 	}
 	for idx := range p.ins {
 		in := &p.ins[idx]
 		switch {
+		case in.op == opCtrlDiag:
+			flush()
+			out = append(out, u4(in.q, in.c, in.fr[in.q], in.fr[in.c], in.gates))
 		case in.op != opU2 && in.op != opDiag:
 			flush()
 			out = append(out, *in)
-		case pend < 0 || p.ins[pend].q == in.q:
+		case pend < 0:
+			pend = idx
+		case p.ins[pend].q == in.q || !independent(p.ins[pend].fr[p.ins[pend].q], in.fr[in.q]):
 			flush()
 			pend = idx
 		default:
 			a := &p.ins[pend]
 			gates := append(append([]Gate(nil), a.gates...), in.gates...)
-			out = append(out, instr{op: opU4, q: min(a.q, in.q), c: max(a.q, in.q), gates: gates})
+			out = append(out, u4(a.q, in.q, a.fr[a.q], in.fr[in.q], gates))
 			pend = -1
 		}
 	}
@@ -700,33 +516,29 @@ func (p *Program) pairSingles() {
 	p.ins = out
 }
 
-// foldTrailingPerms strips the CNOT and opPerm8 instructions that end the
-// stream and folds them into the program's readout map: the readout reads
-// the final state through the permutation and the adjoint seed writes
-// through it, so the permutation passes vanish from both the forward and
-// the backward walk. A permutation moves amplitudes without arithmetic, so
-// every output and gradient keeps its bits; only the digest changes.
-func (p *Program) foldTrailingPerms() {
-	k := len(p.ins)
-	for k > 0 && (p.ins[k-1].op == opCNOT || p.ins[k-1].op == opPerm8) {
-		k--
+// u4 returns the opU4 running gates on logical qubits qa and qb, addressed
+// as va and vb, with the lower logical qubit as local bit 0.
+func u4(qa, qb int, va, vb vqubit, gates []Gate) instr {
+	if qa > qb {
+		qa, qb, va, vb = qb, qa, vb, va
 	}
-	p.folded = append(p.folded, p.ins[k:]...)
-	p.ins = p.ins[:k]
-	var cnots []Gate
-	for _, in := range p.folded {
-		cnots = append(cnots, in.gates...)
-	}
-	p.readout = newReadoutMap(cnots)
+	return instr{op: opU4, q: qa, c: qb, gates: gates, v: [2]vqubit{va, vb}}
 }
 
-// layout assigns coefficient slots, derivative slots and — for
-// full-register diagonals — the compile-time derivative sign tables.
+// layout assigns coefficient slots and derivative slots, builds the group
+// walks of the pair blocks and the re-upload embeddings, and lays out the
+// full-register diagonals' derivative sign tables over physical basis
+// states, reading each source gate's bits through its frame rows.
 func (p *Program) layout() {
-	dim := 1 << p.circ.NumQubits
+	nq := p.circ.NumQubits
+	dim := 1 << nq
 	for i := range p.ins {
 		in := &p.ins[i]
 		switch in.op {
+		case opEmbedAll:
+			for _, v := range in.fr {
+				in.walks = append(in.walks, newGroupWalk(nq, v))
+			}
 		case opU2:
 			in.slot = p.ncoef
 			p.ncoef += 8
@@ -737,6 +549,7 @@ func (p *Program) layout() {
 			p.ncoef += 32
 			in.dslot = p.nderiv
 			p.nderiv += 32 * len(in.params)
+			in.walks = []groupWalk{newGroupWalk(nq, in.v[0], in.v[1])}
 		case opDiagN:
 			in.slot = p.ncoef
 			p.ncoef += 2 * dim
@@ -744,23 +557,18 @@ func (p *Program) layout() {
 			p.ndiag++
 			in.signs = make([]int8, len(in.params)*dim)
 			pi := 0
-			for _, g := range in.gates {
+			for gi, g := range in.gates {
 				if g.P < 0 {
 					continue
 				}
 				row := in.signs[pi*dim : (pi+1)*dim]
-				tMask := 1 << g.Q
-				cMask := 0
-				if g.Kind == CRZ {
-					cMask = 1 << g.C
-				}
+				rt, rc := in.rows[gi][0], in.rows[gi][1]
 				for j := 0; j < dim; j++ {
-					if cMask != 0 && j&cMask == 0 {
-						continue
-					}
-					if j&tMask == 0 {
+					switch {
+					case rc != 0 && parity(rc&j) == 0:
+					case parity(rt&j) == 0:
 						row[j] = 1
-					} else {
+					default:
 						row[j] = -1
 					}
 				}
@@ -880,36 +688,11 @@ func localBit(q, qa, qb int) int {
 	panic("qsim: gate qubit outside fused pair")
 }
 
-// localBit3 returns the local bit position of qubit q within the triple
-// (qa, qb, qc), qa < qb < qc.
-func localBit3(q, qa, qb, qc int) int {
-	switch q {
-	case qa:
-		return 0
-	case qb:
-		return 1
-	case qc:
-		return 2
-	}
-	panic("qsim: gate qubit outside fused triple")
-}
-
 // gateMat4 returns the 4×4 matrix of gate g within the pair (qa, qb).
 func gateMat4(g Gate, theta []float64, qa, qb int) mat4 {
 	switch g.Kind {
 	case RX, RY, RZ:
 		return embed2in4(gateMat2(g, theta), localBit(g.Q, qa, qb))
-	case CNOT:
-		pc, pt := localBit(g.C, qa, qb), localBit(g.Q, qa, qb)
-		var m mat4
-		for col := 0; col < 4; col++ {
-			row := col
-			if col&(1<<pc) != 0 {
-				row = col ^ (1 << pt)
-			}
-			m[(row*4+col)*2] = 1
-		}
-		return m
 	case CRZ:
 		c, s := cosHalf(theta[g.P]), sinHalf(theta[g.P])
 		pc, pt := localBit(g.C, qa, qb), localBit(g.Q, qa, qb)

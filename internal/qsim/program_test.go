@@ -7,11 +7,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // progNetMatrix composes the dense net unitary of a compiled program's
 // non-embedding instructions via the naive-oracle instrMatrix expansion,
-// then the permutation its readout map reads the final state through.
+// then the permutation its readout map (the frame its CNOTs leave) reads
+// the final state through.
 func progNetMatrix(p *Program, coeff []float64) cmat {
 	dim := 1 << p.circ.NumQubits
 	u := eye(dim)
@@ -68,10 +71,10 @@ func randomCircuit(rng *rand.Rand, nq int, reupload bool) *Circuit {
 
 // compilerCorpus is the differential-testing corpus for the compiler: the
 // hand-picked circuits first — each one shaped to reach a lowering the
-// built-in ansätze never take (a lone RZ chain, a lone CRZ chain,
-// single-parameter and dense 4×4 blocks, paired single-qubit runs, a
-// rotation-dense triple) — then a seeded random fill over 3–5 qubits, with
-// and without re-uploading.
+// built-in ansätze never take (a lone RZ chain, a lone CRZ chain, a
+// one-qubit opU2, single-parameter and dense 4×4 blocks, paired
+// single-qubit runs, a rotation-dense three-qubit block) — then a seeded random fill
+// over 3–5 qubits, with and without re-uploading.
 func compilerCorpus() []*Circuit {
 	rx := func(q int) Gate { return Gate{RX, q, -1, 0} }
 	ry := func(q int) Gate { return Gate{RY, q, -1, 0} }
@@ -79,15 +82,17 @@ func compilerCorpus() []*Circuit {
 	cnot := func(c, q int) Gate { return Gate{CNOT, q, c, -1} }
 	crz := func(c, q int) Gate { return Gate{CRZ, q, c, 0} }
 	corpus := []*Circuit{
-		// A lone RZ beside a lone CNOT: the RZ chain no pass absorbs runs
-		// as an opU2 (TestProgramLowersLoneDiagonals).
+		// A lone RZ beside a lone CNOT: the RZ chain no pass absorbs pairs
+		// with an identity factor on qubit 1 (TestProgramLowersLoneDiagonals).
 		specCircuit("lone-rz", 3, false, []Gate{rz(0), cnot(1, 2)}),
-		// A CRZ block closed by a CNOT it cannot grow into runs as a
-		// one-gate opU4 on its pair (TestProgramLowersLoneDiagonals), then
-		// an RZ joining the CNOT's pair: a single-parameter opU4.
+		// A CRZ block no diagonal joins runs as a one-gate opU4 on its pair
+		// (TestProgramLowersLoneDiagonals), then an RX behind a CNOT on its
+		// control pairs with an identity factor under the CNOT's frame.
 		// TestProgramDerivCoeffsOracle checks both blocks' derivative
 		// slots by finite differences.
-		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rz(0)}),
+		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rx(0)}),
+		// One qubit: the only program shape that runs an opU2.
+		specCircuit("one-qubit", 1, true, []Gate{rx(0), rz(0)}, []Gate{ry(0)}),
 		// Two parametrized gates in one pair block: a dense-path opU4.
 		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
 		// Single- and multi-gate single-qubit runs (opU2).
@@ -96,15 +101,17 @@ func compilerCorpus() []*Circuit {
 		// blocks: an RZ on qubit 2 pairs with the two-gate run on qubit 0
 		// after it, so the block's qubits are sorted against stream order.
 		specCircuit("pairs", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
-		// CNOTs sharing a control: a basis permutation (opPerm8).
-		specCircuit("perm8", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
+		// CNOTs alone: no instruction beyond the embedding, the whole
+		// circuit is the readout's frame.
+		specCircuit("cnots", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
 		// CRZs on different pairs with nothing between: one opDiagN.
 		specCircuit("diagN", 4, true, []Gate{crz(0, 1), crz(1, 2), crz(3, 0)}, []Gate{crz(2, 3), rz(1)}),
-		// A rotation-dense three-qubit block: pair blocks and lone
-		// instructions, since only CNOT-only blocks grow to a triple.
+		// A rotation-dense three-qubit block: runs in three frames and a
+		// CRZ read through the last one.
 		denseTripleCircuit(),
-		// One parametrized rotation behind a CNOT in each of two disjoint
-		// pair blocks, on the target (RX) and on the control (RZ).
+		// One parametrized rotation behind a CNOT on each of two disjoint
+		// pairs, on the target (RX) and on the control (RZ): two runs read
+		// through a non-identity frame pair with each other.
 		specCircuit("entangled-rotations", 4, false, []Gate{cnot(0, 1), rx(1), cnot(2, 3), rz(2)}),
 	}
 	rng := rand.New(rand.NewSource(517))
@@ -114,31 +121,59 @@ func compilerCorpus() []*Circuit {
 	return corpus
 }
 
-// checkSinglesPaired fails t if two adjacent executed single-qubit
-// instructions (opU2) act on distinct qubits: pairSingles fuses every such
-// pair into one opU4, so a survivor means the pass was lost.
+// loneRun reports whether an opU4 is a single-qubit run paired with an
+// identity factor, and if so the vqubit the run acts on.
+func loneRun(in *instr) (vqubit, int, bool) {
+	if in.op != opU4 {
+		return vqubit{}, 0, false
+	}
+	q := in.gates[0].Q
+	for _, g := range in.gates {
+		if g.Kind == CRZ || g.Q != q {
+			return vqubit{}, 0, false
+		}
+	}
+	if q == in.q {
+		return in.v[0], q, true
+	}
+	return in.v[1], q, true
+}
+
+// checkSinglesPaired fails t if two adjacent executed single-qubit runs
+// that pairSingles could have fused are left apart: two opU4 blocks that
+// each hold one run beside an identity factor, on different logical qubits
+// whose frame masks make them independent. A survivor means the pass lost
+// a pairing.
 func checkSinglesPaired(t *testing.T, name string, prog *Program) {
 	t.Helper()
 	for i := 1; i < len(prog.ins); i++ {
-		a, b := &prog.ins[i-1], &prog.ins[i]
-		if a.op == opU2 && b.op == opU2 && a.q != b.q {
-			t.Errorf("%s: instructions %d and %d (opU2 on q%d and q%d) are unpaired single-qubit runs", name, i-1, i, a.q, b.q)
+		va, qa, okA := loneRun(&prog.ins[i-1])
+		vb, qb, okB := loneRun(&prog.ins[i])
+		if okA && okB && qa != qb && independent(va, vb) {
+			t.Errorf("%s: instructions %d and %d (runs on q%d and q%d) are unpaired single-qubit runs", name, i-1, i, qa, qb)
 		}
 	}
 }
 
 // executedForms is every instruction form fwdBlock and bwdBlock run. The
 // compile-time diagonals (opDiag, opCtrlDiag) are absorbed or lowered onto
-// opU2/opU4 before a program executes.
-var executedForms = []opcode{opEmbedProd, opEmbedAll, opU2, opU4, opCNOT, opPerm8, opDiagN}
+// opU4 before a program executes, and no CNOT is executed: the compiler
+// tracks them in the program's frame.
+var executedForms = []opcode{opEmbedProd, opEmbedAll, opU2, opU4, opDiagN}
 
 // checkExecutedForms fails t if an executed instruction is not one of
-// executedForms: the executor has no case for it and would skip it.
+// executedForms (the executor has no case for it and would skip it), or is
+// an opU2 in a program of more than one qubit, where a lone run pairs with
+// an identity factor instead.
 func checkExecutedForms(t *testing.T, name string, prog *Program) {
 	t.Helper()
 	for i := range prog.ins {
-		if !slices.Contains(executedForms, prog.ins[i].op) {
-			t.Errorf("%s: instruction %d has op=%d, which the executor does not run", name, i, prog.ins[i].op)
+		op := prog.ins[i].op
+		if !slices.Contains(executedForms, op) {
+			t.Errorf("%s: instruction %d has op=%d, which the executor does not run", name, i, op)
+		}
+		if op == opU2 && prog.circ.NumQubits > 1 {
+			t.Errorf("%s: instruction %d is an opU2 in a %d-qubit program", name, i, prog.circ.NumQubits)
 		}
 	}
 }
@@ -167,21 +202,33 @@ func TestProgramExecutedFormsGrid(t *testing.T) {
 }
 
 // TestProgramLowersLoneDiagonals pins how the corpus's lone diagonal chains
-// compile: a lone RZ chain becomes an opU2 and a lone CRZ chain a one-gate
-// opU4 on its sorted qubit pair.
+// compile: a lone RZ chain becomes an opU4 beside an identity factor on the
+// lowest other qubit, a lone CRZ chain a one-gate opU4 on its sorted qubit
+// pair, and a run behind a CNOT an opU4 under the CNOT's frame.
 func TestProgramLowersLoneDiagonals(t *testing.T) {
 	type form struct {
-		op    opcode
-		q, c  int
-		gates int
+		op     opcode
+		q, c   int
+		gates  int
+		va, vb vqubit
 	}
 	cases := []struct {
 		name string
 		want []form
 	}{
-		// The trailing CNOT(1→2) folds into the readout.
-		{"lone-rz", []form{{opEmbedProd, -1, -1, 0}, {opU2, 0, -1, 1}}},
-		{"ctrl-diag", []form{{opEmbedProd, -1, -1, 0}, {opU4, 1, 2, 1}, {opU4, 0, 1, 2}}},
+		// The CNOT(1→2) runs as a frame change after the RZ.
+		{"lone-rz", []form{{opEmbedProd, -1, -1, 0, vqubit{}, vqubit{}}, {opU4, 0, 1, 1, vqubit{1, 1}, vqubit{2, 2}}}},
+		// Under CNOT(0→1), qubit 0 flips physical bits 0 and 1 and qubit
+		// 1's bit is the parity of physical bits 0 and 1.
+		{"ctrl-diag", []form{
+			{opEmbedProd, -1, -1, 0, vqubit{}, vqubit{}},
+			{opU4, 1, 2, 1, vqubit{2, 2}, vqubit{4, 4}},
+			{opU4, 0, 1, 1, vqubit{1, 3}, vqubit{3, 2}},
+		}},
+		{"one-qubit", []form{
+			{opEmbedProd, -1, -1, 0, vqubit{}, vqubit{}}, {opU2, 0, -1, 2, vqubit{}, vqubit{}},
+			{opEmbedAll, -1, -1, 0, vqubit{}, vqubit{}}, {opU2, 0, -1, 1, vqubit{}, vqubit{}},
+		}},
 	}
 	byName := map[string]*Circuit{}
 	for _, circ := range compilerCorpus() {
@@ -191,7 +238,7 @@ func TestProgramLowersLoneDiagonals(t *testing.T) {
 		prog := CompileProgram(byName[c.name])
 		var got []form
 		for _, in := range prog.ins {
-			got = append(got, form{in.op, in.q, in.c, len(in.gates)})
+			got = append(got, form{in.op, in.q, in.c, len(in.gates), in.v[0], in.v[1]})
 		}
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: compiled to %v, want %v", c.name, got, c.want)
@@ -344,9 +391,9 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		NumParams: 3,
 	}
 	prog := CompileProgram(circ)
-	// embed + diagN; the trailing CNOT folds into the readout.
-	if got := prog.NumInstructions(); got != 2 || len(prog.folded) != 1 {
-		t.Fatalf("commuting diagonals: %d instructions and %d folded, want 2 and 1", got, len(prog.folded))
+	// embed + diagN; the CNOT only changes the frame.
+	if got := prog.NumInstructions(); got != 2 || len(prog.cnots) != 1 {
+		t.Fatalf("commuting diagonals: %d instructions and %d CNOTs in the frame, want 2 and 1", got, len(prog.cnots))
 	}
 	var dn *instr
 	for i := range prog.ins {
@@ -358,18 +405,23 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		t.Fatalf("expected one fused diagonal absorbing all 3 parameters, got %+v", dn)
 	}
 
-	// RZ(0), CNOT(0→1), RZ(0): the CNOT touches qubit 0, so the diagonals
-	// must NOT commute past it into one group — instead pair fusion absorbs
-	// all three into a single two-qubit block.
+	// RZ(0), CNOT(0→1), RX(0), CNOT(0→1), RZ(0): under the first CNOT's
+	// frame the RX flips both qubits' physical bits, the first RZ's bit
+	// among them (logically RX₀ conjugated by the CNOT is an X₀X₁
+	// rotation), so the diagonals must NOT commute past it into one group.
+	// (A CNOT alone never blocks: it runs as a frame change, and a diagonal
+	// read through any frame is still diagonal.)
 	blocked := &Circuit{
 		Name:      "diag-blocked",
 		NumQubits: 2,
 		Gates: []Gate{
 			{RZ, 0, -1, 0},
 			{CNOT, 1, 0, -1},
-			{RZ, 0, -1, 1},
+			{RX, 0, -1, 1},
+			{CNOT, 1, 0, -1},
+			{RZ, 0, -1, 2},
 		},
-		NumParams: 2,
+		NumParams: 3,
 	}
 	bprog := CompileProgram(blocked)
 	for i := range bprog.ins {
@@ -404,9 +456,8 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 }
 
 // denseTripleCircuit builds a rotation-dense three-qubit block: rotation
-// walls around CNOTs chaining qubits 0–1–2 and a closing CRZ. Block fusion
-// grows only CNOT-only blocks to a triple, so this shape pins the pair-block
-// fallback for mixed three-qubit sequences.
+// walls around CNOTs chaining qubits 0–1–2 and a closing CRZ, so its runs
+// and its diagonal sit in three different frames.
 func denseTripleCircuit() *Circuit {
 	var gates []Gate
 	p := 0
@@ -464,5 +515,99 @@ func TestProgramDiagNSigns(t *testing.T) {
 			}
 		}
 		pi++
+	}
+}
+
+// randomStream draws a layered gate stream over nq qubits from
+// RX/RY/RZ/CNOT/CRZ (single-qubit kinds only on one qubit), with and
+// without re-uploading. Kinds and qubits come only from rng.
+func randomStream(rng *rand.Rand, nq int, reupload bool) *Circuit {
+	kinds := 5
+	if nq == 1 {
+		kinds = 3
+	}
+	layers := make([][]Gate, 1+rng.Intn(3))
+	for l := range layers {
+		for i := 1 + rng.Intn(12); i > 0; i-- {
+			kind := GateKind(rng.Intn(kinds))
+			g := Gate{Kind: kind, Q: rng.Intn(nq), C: -1}
+			if kind == CNOT || kind == CRZ {
+				g.C = (g.Q + 1 + rng.Intn(nq-1)) % nq
+			}
+			layers[l] = append(layers[l], g)
+		}
+	}
+	return specCircuit(fmt.Sprintf("stream-%dq", nq), nq, reupload, layers...)
+}
+
+// TestProgramRandomCircuits is the randomized-circuit parity pin for the
+// frame-tracking compiler: about 200 circuits, hand-picked ones first (CNOTs
+// alone, a re-upload embedding under a CNOT frame, CRZs after CNOTs, runs
+// whose frames leave them no partner, one and two qubits), then streams
+// drawn from rand.New(rand.NewSource(517)) over 1–7 qubits with and without
+// re-uploading. On each, the sharded engine must match the naive dense
+// engine to 1e-10 in z, every tangent, dθ, dAngles and dAngleTans, and its
+// AVX2 and pure-Go kernel paths must agree bit for bit.
+func TestProgramRandomCircuits(t *testing.T) {
+	defer func(v bool) { useSIMD = v }(useSIMD)
+	rx := func(q int) Gate { return Gate{RX, q, -1, 0} }
+	ry := func(q int) Gate { return Gate{RY, q, -1, 0} }
+	rz := func(q int) Gate { return Gate{RZ, q, -1, 0} }
+	cnot := func(c, q int) Gate { return Gate{CNOT, q, c, -1} }
+	crz := func(c, q int) Gate { return Gate{CRZ, q, c, 0} }
+	cases := []*Circuit{
+		specCircuit("cnot-only", 3, false, []Gate{cnot(0, 1), cnot(1, 2), cnot(2, 0)}),
+		specCircuit("cnot-then-reupload", 3, true,
+			[]Gate{ry(0), cnot(0, 1), cnot(1, 2)}, []Gate{rx(1), cnot(2, 0), rz(2)}),
+		specCircuit("crz-after-cnot", 3, false, []Gate{rx(0), cnot(0, 1), crz(1, 2), crz(0, 1), ry(2)}),
+		// Under CNOT(0→1) qubit 1's bit reads qubit 0's, so the two runs are
+		// not independent and each pairs with an identity factor.
+		specCircuit("lone-run", 2, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
+		specCircuit("one-qubit", 1, true, []Gate{rx(0), rz(0)}, []Gate{ry(0), rx(0)}),
+		specCircuit("two-qubit", 2, true,
+			[]Gate{rz(0), ry(0), rx(1), cnot(0, 1), cnot(1, 0)}, []Gate{crz(1, 0), ry(1), cnot(1, 0), rz(0)}),
+	}
+	rng := rand.New(rand.NewSource(517))
+	for len(cases) < 200 {
+		cases = append(cases, randomStream(rng, 1+rng.Intn(7), rng.Intn(2) == 1))
+	}
+	for i, circ := range cases {
+		n, nq := 3, circ.NumQubits
+		angles := randAngles(rng, n, nq)
+		theta := randTheta(rng, circ.NumParams)
+		tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
+		gz := randAngles(rng, n, nq)
+		gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
+		name := fmt.Sprintf("case %d %s reupload=%v %v", i, circ.Name, circ.Reupload, circ.Gates)
+		checkExecutedForms(t, name, CompileProgram(circ))
+
+		want := runEngine(EngineNaive, circ, n, angles, tans, theta, gz, gztans)
+		useSIMD = false
+		have := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
+		series := func(r engineResult) map[string][]float64 {
+			return map[string][]float64{
+				"z": r.z, "dθ": r.dTheta, "dAngles": r.dAngles,
+				"ztans[0]": r.ztans[0], "ztans[2]": r.ztans[2],
+				"dAngleTans[0]": r.dTans[0], "dAngleTans[2]": r.dTans[2],
+			}
+		}
+		ws, hs := series(want), series(have)
+		//torq:allow maprange -- independent per-series assertions
+		for s, w := range ws {
+			if d := maxAbsDiff(w, hs[s]); d > 1e-10 {
+				t.Errorf("%s: sharded %s diverges from naive by %v", name, s, d)
+			}
+		}
+		if !cpufeat.AVX2 {
+			continue
+		}
+		useSIMD = true
+		simd := series(runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans))
+		//torq:allow maprange -- independent per-series assertions
+		for s, g := range hs {
+			if j, ok := sameBitsNaN(g, simd[s]); !ok {
+				t.Errorf("%s: %s[%d] = %v on simd, %v on go", name, s, j, simd[s][j], g[j])
+			}
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package qsim
 
-import (
-	"math/bits"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // This file is the readout layer: the per-qubit ⟨Z⟩ and tangent readouts
 // that end a forward pass, and the adjoint seed that starts a backward pass
@@ -19,27 +15,20 @@ import (
 //   - The seed builds each sample's basis weights by prefix doubling
 //     (buildW) in a dim-float scratch right before it uses them, and writes
 //     its first term instead of adding it to a cleared state.
-//   - Both read the program's final state through its readoutMap, so the
-//     basis permutations that end a program never run (see
-//     Program.foldTrailingPerms).
+//   - Both read the program's final state through its readout map, the
+//     frame its CNOTs leave, so no CNOT ever runs (see frame.go).
 
-// readoutMap is the basis map through which the readout and the adjoint
-// seed view the state the executed instructions leave: amplitude j of the
-// circuit's output state sits at index src(j). The compiler folds the CNOT
-// and opPerm8 instructions that end a program into it. Such a map is
-// GF(2)-linear, so src advances through ascending j without a table:
-// src(j+1) = src(j) ^ step[t], where t counts the trailing one bits of j and
-// step[t] = src(2^(t+1) − 1).
-type readoutMap struct {
-	step [64]int
-}
+// The readout map is the program's final frame as a basisWalk: amplitude j
+// of the circuit's output state sits at index src(j) = L(j) of the state
+// the executed instructions leave, where L undoes the circuit's CNOTs (see
+// frame), so src(j+1) = src(j) ^ step[t] with t the trailing one bits of j.
 
 // identityReadout reads every state as it stands: step[t] = 2^(t+1) − 1.
 var identityReadout = newReadoutMap(nil)
 
-// newReadoutMap builds the map of a CNOT sequence (in application order)
-// that a program would apply after its last executed instruction.
-func newReadoutMap(cnots []Gate) readoutMap {
+// newReadoutMap builds the map through which the state a program leaves is
+// read when the program's CNOTs (in application order) were not applied.
+func newReadoutMap(cnots []Gate) basisWalk {
 	// src(j) undoes the CNOTs last first; each is its own inverse.
 	src := func(j int) int {
 		for i := len(cnots) - 1; i >= 0; i-- {
@@ -49,20 +38,11 @@ func newReadoutMap(cnots []Gate) readoutMap {
 		}
 		return j
 	}
-	var m readoutMap
-	acc := 0
-	for t := range m.step {
-		if t < 63 {
-			acc ^= src(1 << t)
-		}
-		m.step[t] = acc
+	cols := make([]int, 63)
+	for t := range cols {
+		cols[t] = src(1 << t)
 	}
-	return m
-}
-
-// next returns src(j+1) given s = src(j).
-func (m *readoutMap) next(s, j int) int {
-	return s ^ m.step[bits.TrailingZeros(uint(j+1))&63]
+	return newBasisWalk(cols, len(cols))
 }
 
 // zChunk is how many readout terms readoutRange gathers into a stack
@@ -93,7 +73,7 @@ func CrossZ(v, w *State, out []float64) {
 // eight qubits; each further pass recomputes the terms for five more.
 //
 //torq:hotpath
-func readoutRange(v, w *State, out []float64, lo, hi int, ro *readoutMap) {
+func readoutRange(v, w *State, out []float64, lo, hi int, ro *basisWalk) {
 	dim, nq := v.Dim, v.NQ
 	// The buffer starts zeroed, and a state below eight amplitudes never
 	// writes past dim, so its block is padded with +0 terms. Those leave
@@ -124,7 +104,7 @@ func readoutRange(v, w *State, out []float64, lo, hi int, ro *readoutMap) {
 // gatherNorms fills p with the readout terms |ψ_j|² of basis states
 // j = j0, j0+1, … of the sample at offset off, reading ψ_j at index src(j)
 // starting from src = src(j0), and returns src of the next state.
-func gatherNorms(p []float64, v *State, off, j0, src int, ro *readoutMap) int {
+func gatherNorms(p []float64, v *State, off, j0, src int, ro *basisWalk) int {
 	re, im := v.Re[off:off+v.Dim], v.Im[off:off+v.Dim]
 	for i := range p {
 		p[i] = float64(re[src]*re[src]) + float64(im[src]*im[src])
@@ -134,7 +114,7 @@ func gatherNorms(p []float64, v *State, off, j0, src int, ro *readoutMap) int {
 }
 
 // gatherCross is gatherNorms for the tangent terms 2·Re(v_j*·w_j).
-func gatherCross(p []float64, v, w *State, off, j0, src int, ro *readoutMap) int {
+func gatherCross(p []float64, v, w *State, off, j0, src int, ro *basisWalk) int {
 	vr, vi := v.Re[off:off+v.Dim], v.Im[off:off+v.Dim]
 	wr, wi := w.Re[off:off+v.Dim], w.Im[off:off+v.Dim]
 	for i := range p {
@@ -188,7 +168,7 @@ func signedSums(z *[8]float64, p []float64, b0, sh int) {
 // 2^(nq+1) − 2 adds instead of nq·2^nq, and every w[j] sees the partial
 // sums of the qubit-by-qubit formula in its order. wp must hold 2^nq
 // floats.
-func buildW(wp, g []float64, ro *readoutMap) {
+func buildW(wp, g []float64, ro *basisWalk) {
 	wp[0] = 0
 	for q, h := 0, 1; q < len(g); q, h = q+1, h<<1 {
 		gq := g[q]
@@ -220,7 +200,7 @@ func buildW(wp, g []float64, ro *readoutMap) {
 // Every product is rounded on its own, so no target fuses it into the sum.
 //
 //torq:hotpath
-func seedAdjointsRange(ws *Workspace, ro *readoutMap, lo, hi int, gz []float64, gztans [][]float64) {
+func seedAdjointsRange(ws *Workspace, ro *basisWalk, lo, hi int, gz []float64, gztans [][]float64) {
 	nq, dim := ws.nq, ws.val.Dim
 	for smp := lo; smp < hi; smp++ {
 		off := smp * dim

@@ -112,7 +112,7 @@ func seedAdjointsRef(ws *Workspace, lo, hi int, gz []float64, gztans [][]float64
 }
 
 // readoutSrc lists src(j) for every basis state j of ro over dim states.
-func readoutSrc(ro *readoutMap, dim int) []int {
+func readoutSrc(ro *basisWalk, dim int) []int {
 	src := make([]int, dim)
 	for j := 1; j < dim; j++ {
 		src[j] = ro.next(src[j-1], j-1)
@@ -120,7 +120,7 @@ func readoutSrc(ro *readoutMap, dim int) []int {
 	return src
 }
 
-// permuted returns the state the folded permutation would have produced:
+// permuted returns the state the CNOTs of a frame would have produced:
 // amplitude j of every sample is s's amplitude src[j].
 func permuted(s *State, src []int) *State {
 	c := s.clone()
@@ -156,7 +156,7 @@ func randomCNOTs(rng *rand.Rand, nq int) []Gate {
 }
 
 // TestReadoutMapMatchesCNOTs checks the incremental readout map against
-// the CNOT sequence it folds, applied to every basis index: the amplitude
+// the CNOT sequence it stands for, applied to every basis index: the amplitude
 // at j after the CNOTs is the amplitude at src(j) before them.
 func TestReadoutMapMatchesCNOTs(t *testing.T) {
 	rng := rand.New(rand.NewSource(517))
@@ -191,7 +191,7 @@ func TestReadoutMapMatchesCNOTs(t *testing.T) {
 // which crosses the eight-qubit register group, sample ranges starting at 0
 // and past it, states and gradients seeded with signed zeros, subnormals,
 // infinities and NaN, and random subsets of live tangents and nil
-// gradients. Through a folded CNOT map the kernels must equal the oracles
+// gradients. Through a random CNOT frame the kernels must equal the oracles
 // run on the explicitly permuted states, with the seeded adjoints permuted
 // back. Every element outside [lo, hi) must be left as it was.
 func TestReadoutKernelsMatchOracle(t *testing.T) {
@@ -210,7 +210,7 @@ func TestReadoutKernelsMatchOracle(t *testing.T) {
 				if fold {
 					gates := randomCNOTs(rng, nq)
 					ro = newReadoutMap(gates)
-					ctx += fmt.Sprintf(" folded %v", gates)
+					ctx += fmt.Sprintf(" frame of %v", gates)
 				}
 				src := readoutSrc(&ro, dim)
 				edge := []float64{0, 0.05, 0.3}[rng.Intn(3)]
@@ -303,66 +303,6 @@ func TestSeedKeepsPositiveZero(t *testing.T) {
 	for i, v := range []float64{ws.lamV.Re[0], ws.lamV.Re[1], ws.lamV.Im[0], ws.lamV.Im[1]} {
 		if math.Signbit(v) && v == 0 {
 			t.Errorf("seed element %d is −0, want +0", i)
-		}
-	}
-}
-
-// TestFoldedReadoutMatchesExplicitPermutation runs every ansatz whose
-// program ends in permutations twice through the sharded engine: as
-// compiled, with the permutations folded into the readout, and with them
-// put back as executed instructions read through the identity map. z, the
-// tangents and every gradient must agree bit for bit.
-func TestFoldedReadoutMatchesExplicitPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(517))
-	const n = 37
-	folded := map[AnsatzKind]int{}
-	for _, a := range AllAnsatze {
-		for _, nq := range []int{2, 3, 4, 5, 7} {
-			for _, layers := range []int{1, 2, 4} {
-				for _, reup := range []bool{false, true} {
-					circ := a.Build(nq, layers)
-					if reup {
-						circ = circ.WithReupload()
-					}
-					prog := CompileProgram(circ)
-					if len(prog.folded) == 0 {
-						continue
-					}
-					folded[a] += len(prog.folded)
-					plain := *prog
-					plain.ins = append(slices.Clone(prog.ins), prog.folded...)
-					plain.folded = nil
-					plain.readout = identityReadout
-
-					angles := randAngles(rng, n, nq)
-					theta := randTheta(rng, circ.NumParams)
-					tans := [][]float64{randAngles(rng, n, nq), randAngles(rng, n, nq), randAngles(rng, n, nq)}
-					gz := randAngles(rng, n, nq)
-					gztans := [][]float64{randAngles(rng, n, nq), randAngles(rng, n, nq), randAngles(rng, n, nq)}
-					run := func(p *Program) engineResult {
-						return runPQC(&PQC{Circ: circ, prog: p}, n, angles, tans, theta, gz, gztans)
-					}
-					want, got := run(&plain), run(prog)
-					check := func(name string, w, g []float64) {
-						if i, ok := sameBitsNaN(w, g); !ok {
-							t.Errorf("%v nq=%d layers=%d reupload=%v: %s[%d] = %v folded, %v executed",
-								a, nq, layers, reup, name, i, g[i], w[i])
-						}
-					}
-					check("z", want.z, got.z)
-					check("dAngles", want.dAngles, got.dAngles)
-					check("dθ", want.dTheta, got.dTheta)
-					for k := 0; k < MaxTangents; k++ {
-						check(fmt.Sprintf("ztans[%d]", k), want.ztans[k], got.ztans[k])
-						check(fmt.Sprintf("dAngleTans[%d]", k), want.dTans[k], got.dTans[k])
-					}
-				}
-			}
-		}
-	}
-	for _, a := range []AnsatzKind{StronglyEntangling, BasicEntangling, CrossMeshCNOT} {
-		if folded[a] == 0 {
-			t.Errorf("%v: no program folded a permutation", a)
 		}
 	}
 }

@@ -10,8 +10,10 @@
 //
 // Execution is split into a compile and an execute stage. CompileProgram
 // lowers a Circuit plus its RX angle embedding into a flat instruction
-// stream, fusing single-qubit runs, diagonal groups, and two- and
-// three-qubit entangler blocks into super-ops. Programs run behind the
+// stream, fusing single-qubit runs, diagonal groups and pairs of runs into
+// super-ops. It emits no instruction for a CNOT: it tracks the CNOTs in a
+// GF(2) basis frame (frame.go) through which every later instruction, and
+// the readout, addresses the amplitudes. Programs run behind the
 // Engine interface: the default sharded engine streams the whole program —
 // forward, tangent channels, and the adjoint backward — through one sample
 // shard at a time inside a single parallel region, so a batch pays one
@@ -24,12 +26,14 @@
 // The batchwide Apply* methods on State apply one source gate to the whole
 // batch by parallelizing a per-sample-range kernel; the legacy engine and
 // the reference paths (EvalZ, the noise channels) use them. The sharded
-// executor runs seven instruction forms and calls their range kernels
-// directly: the two embedding blocks (opEmbedProd, opEmbedAll), opCNOT, and
-// the fused super-ops opU2, opU4, opDiagN and opPerm8, which have range
-// kernels only. A diagonal chain no fusion pass absorbed is lowered onto
-// opU2 or opU4, so the diagonal range kernels serve ApplyDiag and
-// ApplyCtrlDiag alone.
+// executor runs five instruction forms and calls their range kernels
+// directly: the two embedding blocks (opEmbedProd, opEmbedAll) and the
+// fused super-ops opU4, opDiagN and, in one-qubit programs only, opU2,
+// which have range kernels only. The opU4 kernels and the re-upload
+// embedding find their amplitude groups by walking the block's frame
+// masks (groupWalk). A diagonal chain no fusion pass absorbed is lowered
+// onto opU4, so the diagonal range kernels serve ApplyDiag and
+// ApplyCtrlDiag alone, and the CNOT kernel ApplyCNOT.
 //
 // The opU4 entangler block, a dense 4×4 unitary on a qubit pair and most of
 // a Strongly-Entangling step, has AVX2 assembly kernels on amd64 for its
@@ -60,7 +64,11 @@
 // digest or training trajectory.
 package qsim
 
-import "repro/internal/par"
+import (
+	"math/bits"
+
+	"repro/internal/par"
+)
 
 // State is a batch of pure statevectors: n samples over nq qubits, stored
 // row-major as separate real and imaginary planes of length n·2^nq.
@@ -252,53 +260,6 @@ func (s *State) applyU2Range(lo, hi, q int, u *[8]float64) {
 	}
 }
 
-// applyPerm8Range applies a local basis permutation on the qubit triple
-// (qa, qb, qc), qa < qb < qc, given as its non-trivial cycle decomposition
-// (see permCycles) — the kernel behind fused CNOT-only blocks: one
-// zero-arithmetic pass replacing one swap pass per source CNOT, touching
-// only the amplitudes that actually move.
-//
-//torq:hotpath
-func (s *State) applyPerm8Range(lo, hi, qa, qb, qc int, cycles [][]uint8) {
-	sa, sb, sc := 1<<qa, 1<<qb, 1<<qc
-	var offs [8]int
-	for t := 0; t < 8; t++ {
-		offs[t] = (t&1)*sa + ((t>>1)&1)*sb + ((t>>2)&1)*sc
-	}
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for b1 := 0; b1 < dim; b1 += sc << 1 {
-			for b2 := b1; b2 < b1+sc; b2 += sb << 1 {
-				for b3 := b2; b3 < b2+sb; b3 += sa << 1 {
-					for j := b3; j < b3+sa; j++ {
-						base := off + j
-						for _, cyc := range cycles {
-							if len(cyc) == 2 {
-								a, b := base+offs[cyc[0]], base+offs[cyc[1]]
-								re[a], re[b] = re[b], re[a]
-								im[a], im[b] = im[b], im[a]
-								continue
-							}
-							// Rotate: new[c_i] = old[c_{i-1}], wrapping at 0.
-							last := base + offs[cyc[len(cyc)-1]]
-							tr, ti := re[last], im[last]
-							for i := len(cyc) - 1; i >= 1; i-- {
-								dst := base + offs[cyc[i]]
-								src := base + offs[cyc[i-1]]
-								re[dst], im[dst] = re[src], im[src]
-							}
-							first := base + offs[cyc[0]]
-							re[first], im[first] = tr, ti
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // applyDiagNRange applies a full-register diagonal with per-basis complex
 // phases ph (interleaved re/im, length 2·Dim) to samples [lo, hi) — the
 // kernel behind fused diagonal chains (CRZ meshes).
@@ -483,26 +444,23 @@ func axpyRange(dst, src *State, c []float64, lo, hi int) {
 	}
 }
 
-// applyIXSample applies a·I − i·b·X on qubit q to one sample — the scalar
-// building block of the fused embedding kernels, which walk sample-major so
-// one sample's amplitudes stay register/cache-hot across the whole
-// per-qubit embedding sequence.
-func (s *State) applyIXSample(smp, q int, a, b float64) {
-	stride := 1 << q
-	step := stride << 1
+// applyIXSample applies a·I − i·b·X on the qubit w addresses to one
+// sample — the scalar building block of the re-upload embedding kernels,
+// which walk sample-major so one sample's amplitudes stay cache-hot across
+// the whole per-qubit embedding sequence. w is a one-qubit walk of the
+// program's frame: each pair is a base j and j^m.
+func (s *State) applyIXSample(smp int, w *groupWalk, a, b float64) {
 	dim := s.Dim
-	re, im := s.Re, s.Im
-	off := smp * dim
-	for blk := 0; blk < dim; blk += step {
-		base := off + blk
-		for j := base; j < base+stride; j++ {
-			k := j + stride
-			r0, i0, r1, i1 := re[j], im[j], re[k], im[k]
-			re[j] = a*r0 + b*i1
-			im[j] = a*i0 - b*r1
-			re[k] = b*i0 + a*r1
-			im[k] = -b*r0 + a*i1
-		}
+	re, im := s.Re[smp*dim:(smp+1)*dim], s.Im[smp*dim:(smp+1)*dim]
+	m := w.ma
+	for g, j := 0, 0; g < dim/2; g++ {
+		k := j ^ m
+		r0, i0, r1, i1 := re[j], im[j], re[k], im[k]
+		re[j] = a*r0 + b*i1
+		im[j] = a*i0 - b*r1
+		re[k] = b*i0 + a*r1
+		im[k] = -b*r0 + a*i1
+		j ^= w.walk.step[bits.TrailingZeros(uint(g+1))&63]
 	}
 }
 

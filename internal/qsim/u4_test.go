@@ -91,13 +91,31 @@ func (s *State) clone() *State {
 // states hold one sample more than hi, which must come through untouched.
 var u4Ranges = [][2]int{{0, 1}, {2, 5}, {1, 65}}
 
+// pairWalk returns the opU4 walk of the qubit pair (qa, qb) under the
+// identity frame, qa as local bit 0.
+func pairWalk(nq, qa, qb int) *groupWalk {
+	w := newGroupWalk(nq, vqubit{1 << qa, 1 << qa}, vqubit{1 << qb, 1 << qb})
+	return &w
+}
+
+// randomFrame returns the frame up to eight random CNOTs over nq ≥ 2 qubits
+// leave.
+func randomFrame(rng *rand.Rand, nq int) frame {
+	f := identityFrame(nq)
+	for _, g := range randomCNOTs(rng, nq) {
+		f = f.cnot(g.C, g.Q)
+	}
+	return f
+}
+
 // TestU4KernelsMatchOracle pins both opU4 assembly kernels to the pure-Go
-// kernels bit for bit: every qubit pair qa < qb for nq 2–10, over 1, 3 and
-// 64 samples with non-zero lo, on states and matrices seeded with signed
-// zeros, subnormals, infinities and NaN. The forward output, the recovered
-// ψ and λ, and the accumulated outer product K (started non-zero, as after
-// an earlier channel) must agree in every bit, NaN counted as one class;
-// the samples outside [lo, hi) must be left as they were.
+// kernels bit for bit: every qubit pair for nq 2–10, under the identity
+// frame (qa < qb) and under a random CNOT frame (both local orders), over 1,
+// 3 and 64 samples with non-zero lo, on states and matrices seeded with
+// signed zeros, subnormals, infinities and NaN. The forward output, the
+// recovered ψ and λ, and the accumulated outer product K (started non-zero,
+// as after an earlier channel) must agree in every bit, NaN counted as one
+// class; the samples outside [lo, hi) must be left as they were.
 func TestU4KernelsMatchOracle(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 on this CPU")
@@ -105,18 +123,84 @@ func TestU4KernelsMatchOracle(t *testing.T) {
 	defer func(v bool) { useSIMD = v }(useSIMD)
 	rng := rand.New(rand.NewSource(517))
 	for nq := 2; nq <= 10; nq++ {
+		fr := randomFrame(rng, nq)
 		for qa := 0; qa < nq; qa++ {
-			for qb := qa + 1; qb < nq; qb++ {
-				for _, r := range u4Ranges {
-					lo, hi := r[0], r[1]
-					edge := []float64{0, 0.05}[rng.Intn(2)]
-					ctx := fmt.Sprintf("nq=%d qa=%d qb=%d samples [%d,%d) edge=%v", nq, qa, qb, lo, hi, edge)
-					var u, k [32]float64
-					copy(u[:], u4Fill(rng, 32, edge))
-					copy(k[:], u4Fill(rng, 32, edge))
-					psi := u4State(rng, hi+1, nq, edge)
-					lam := u4State(rng, hi+1, nq, edge)
-					checkU4Paths(t, ctx, psi, lam, lo, hi, qa, qb, &u, &k)
+			for qb := 0; qb < nq; qb++ {
+				walks := map[string]*groupWalk{}
+				if qa < qb {
+					walks["identity"] = pairWalk(nq, qa, qb)
+				}
+				if qa != qb {
+					w := newGroupWalk(nq, fr[qa], fr[qb])
+					walks["cnot"] = &w
+				}
+				for _, name := range []string{"identity", "cnot"} {
+					w := walks[name]
+					if w == nil {
+						continue
+					}
+					for _, r := range u4Ranges {
+						lo, hi := r[0], r[1]
+						edge := []float64{0, 0.05}[rng.Intn(2)]
+						ctx := fmt.Sprintf("nq=%d qa=%d qb=%d %s frame, samples [%d,%d) edge=%v", nq, qa, qb, name, lo, hi, edge)
+						var u, k [32]float64
+						copy(u[:], u4Fill(rng, 32, edge))
+						copy(k[:], u4Fill(rng, 32, edge))
+						psi := u4State(rng, hi+1, nq, edge)
+						lam := u4State(rng, hi+1, nq, edge)
+						checkU4Paths(t, ctx, psi, lam, lo, hi, w, &u, &k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupWalkCoversEachIndexOnce checks the walks the kernels run on: for
+// random CNOT frames over nq 1–10 and every one or two qubits, the groups
+// of two whole samples must cover each amplitude index exactly once, with
+// every member's local bits read through the frame rows as its position in
+// the group; under the identity frame the bases must ascend.
+func TestGroupWalkCoversEachIndexOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(517))
+	for nq := 1; nq <= 10; nq++ {
+		for trial := 0; trial < 3; trial++ {
+			fr := identityFrame(nq)
+			if trial > 0 && nq > 1 {
+				fr = randomFrame(rng, nq)
+			}
+			for qa := 0; qa < nq; qa++ {
+				for qb := -1; qb < nq; qb++ {
+					if qb == qa {
+						continue
+					}
+					vs := []vqubit{fr[qa]}
+					if qb >= 0 {
+						vs = append(vs, fr[qb])
+					}
+					w := newGroupWalk(nq, vs...)
+					size := 1 << len(vs)
+					masks := []int{0, w.ma, w.mb, w.ma ^ w.mb}[:size]
+					seen := make([]bool, 2<<nq)
+					for g, base, prev := 0, 0, -1; g < len(seen)/size; g++ {
+						if trial == 0 && base <= prev {
+							t.Fatalf("nq=%d %v: identity-frame base %d after %d", nq, vs, base, prev)
+						}
+						prev = base
+						for l, m := range masks {
+							j := base ^ m
+							for i, v := range vs {
+								if parity(v.r&j) != l>>i&1 {
+									t.Fatalf("nq=%d %v: member %d of group %d (index %d) reads local bits wrong", nq, vs, l, g, j)
+								}
+							}
+							if j >= len(seen) || seen[j] {
+								t.Fatalf("nq=%d %v: index %d out of range or visited twice", nq, vs, j)
+							}
+							seen[j] = true
+						}
+						base = w.walk.next(base, g)
+					}
 				}
 			}
 		}
@@ -125,7 +209,7 @@ func TestU4KernelsMatchOracle(t *testing.T) {
 
 // checkU4Paths runs both kernels on copies of psi and lam on each path and
 // compares the results bit for bit.
-func checkU4Paths(t *testing.T, ctx string, psi, lam *State, lo, hi, qa, qb int, u, k *[32]float64) {
+func checkU4Paths(t *testing.T, ctx string, psi, lam *State, lo, hi int, w *groupWalk, u, k *[32]float64) {
 	t.Helper()
 	type out struct {
 		fwd, psi, lam *State
@@ -134,8 +218,8 @@ func checkU4Paths(t *testing.T, ctx string, psi, lam *State, lo, hi, qa, qb int,
 	run := func(simd bool) out {
 		useSIMD = simd
 		o := out{fwd: psi.clone(), psi: psi.clone(), lam: lam.clone(), k: *k}
-		o.fwd.applyU4Range(lo, hi, qa, qb, u)
-		revU4PairRange(o.psi, o.lam, lo, hi, qa, qb, u, &o.k)
+		o.fwd.applyU4Range(lo, hi, w, u)
+		revU4PairRange(o.psi, o.lam, lo, hi, w, u, &o.k)
 		return o
 	}
 	want, got := run(false), run(true)
@@ -223,36 +307,59 @@ func TestU4RangeZeroAllocs(t *testing.T) {
 		psi, lam := u4State(rng, 4, 5, 0), u4State(rng, 4, 5, 0)
 		var u, k [32]float64
 		copy(u[:], u4Fill(rng, 32, 0))
-		if a := testing.AllocsPerRun(20, func() { psi.applyU4Range(1, 4, 1, 3, &u) }); a != 0 {
+		w := pairWalk(5, 1, 3)
+		if a := testing.AllocsPerRun(20, func() { psi.applyU4Range(1, 4, w, &u) }); a != 0 {
 			t.Errorf("applyU4Range: %v allocs/run, want 0", a)
 		}
-		if a := testing.AllocsPerRun(20, func() { revU4PairRange(psi, lam, 1, 4, 1, 3, &u, &k) }); a != 0 {
+		if a := testing.AllocsPerRun(20, func() { revU4PairRange(psi, lam, 1, 4, w, &u, &k) }); a != 0 {
 			t.Errorf("revU4PairRange: %v allocs/run, want 0", a)
 		}
 	})
 }
 
-// TestU4WrapperRejectsBadArguments pins the guard in front of the
-// assembly, which has no bounds checks of its own: a qubit pair that is not
-// 0 ≤ qa < qb < nq, a sample range past the state, or a short plane must
-// panic in the Go wrapper on both paths.
+// TestU4WrapperRejectsBadArguments pins the guards in front of the
+// assembly, which has no bounds checks of its own. newGroupWalk must panic
+// on qubit masks that repeat a qubit, reach past the register, are zero or
+// are not independent; and on both paths the kernel wrappers must panic on
+// a walk of another register width or of one qubit, a sample range past the
+// state, or a short plane.
 func TestU4WrapperRejectsBadArguments(t *testing.T) {
+	mustPanic := func(name, kernel string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: %s did not panic", name, kernel)
+			}
+		}()
+		f()
+	}
+	for _, c := range []struct {
+		name   string
+		va, vb vqubit
+	}{
+		{"same qubit twice", vqubit{2, 2}, vqubit{2, 2}},
+		{"mask past the register", vqubit{1, 1}, vqubit{8, 8}},
+		{"zero mask", vqubit{1, 1}, vqubit{2, 0}},
+		{"not independent", vqubit{1, 1}, vqubit{3, 2}},
+	} {
+		mustPanic(c.name, "newGroupWalk", func() { newGroupWalk(3, c.va, c.vb) })
+	}
 	onBothPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(517))
 		var u, k [32]float64
+		one := newGroupWalk(3, vqubit{1, 1})
 		cases := []struct {
 			name            string
-			lo, hi, qa, qb  int
+			lo, hi          int
+			w               *groupWalk
 			shortPsi, short bool
 		}{
-			{name: "qa = qb", hi: 2, qa: 1, qb: 1},
-			{name: "qa > qb", hi: 2, qa: 2, qb: 1},
-			{name: "qa < 0", hi: 2, qa: -1, qb: 1},
-			{name: "qb = nq", hi: 2, qa: 0, qb: 3},
-			{name: "lo > hi", lo: 2, hi: 1, qa: 0, qb: 1},
-			{name: "hi past the batch", hi: 3, qa: 0, qb: 1},
-			{name: "short ψ plane", hi: 2, qa: 0, qb: 1, shortPsi: true},
-			{name: "short λ plane", hi: 2, qa: 0, qb: 1, short: true},
+			{name: "walk of another register", hi: 2, w: pairWalk(4, 0, 1)},
+			{name: "one-qubit walk", hi: 2, w: &one},
+			{name: "lo > hi", lo: 2, hi: 1, w: pairWalk(3, 0, 1)},
+			{name: "hi past the batch", hi: 3, w: pairWalk(3, 0, 1)},
+			{name: "short ψ plane", hi: 2, w: pairWalk(3, 0, 1), shortPsi: true},
+			{name: "short λ plane", hi: 2, w: pairWalk(3, 0, 1), short: true},
 		}
 		for _, c := range cases {
 			psi, lam := u4State(rng, 2, 3, 0), u4State(rng, 2, 3, 0)
@@ -262,18 +369,10 @@ func TestU4WrapperRejectsBadArguments(t *testing.T) {
 			if c.short {
 				lam.Re = lam.Re[:len(lam.Re)-1]
 			}
-			mustPanic := func(kernel string, f func()) {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: %s did not panic", c.name, kernel)
-					}
-				}()
-				f()
-			}
 			if !c.short {
-				mustPanic("applyU4Range", func() { psi.applyU4Range(c.lo, c.hi, c.qa, c.qb, &u) })
+				mustPanic(c.name, "applyU4Range", func() { psi.applyU4Range(c.lo, c.hi, c.w, &u) })
 			}
-			mustPanic("revU4PairRange", func() { revU4PairRange(psi, lam, c.lo, c.hi, c.qa, c.qb, &u, &k) })
+			mustPanic(c.name, "revU4PairRange", func() { revU4PairRange(psi, lam, c.lo, c.hi, c.w, &u, &k) })
 		}
 	})
 }
@@ -358,41 +457,55 @@ func randUnitary4(rng *rand.Rand) [32]float64 {
 
 // benchU4 times kernel at 4 and 7 qubits on the assembly ("simd") and
 // pure-Go ("go") paths side by side, over a cache-resident sample block on
-// the pair (1, nq−1), and reports ns per 4-amplitude group.
-func benchU4(b *testing.B, kernel func(psi, lam *State, n, qa, qb int, u, k *[32]float64)) {
+// the pair (1, nq−1), and reports ns per 4-amplitude group. Each runs under
+// the identity frame and, as "cnot-ring", under the frame one
+// Strongly-Entangling CNOT ring leaves, whose groups are scattered.
+func benchU4(b *testing.B, kernel func(psi, lam *State, n int, w *groupWalk, u, k *[32]float64)) {
 	defer func(v bool) { useSIMD = v }(useSIMD)
 	for _, nq := range []int{4, 7} {
 		n := 1024 >> nq
-		for _, simd := range []bool{true, false} {
-			b.Run(fmt.Sprintf("nq=%d/%s", nq, pathName(simd)), func(b *testing.B) {
-				if simd && !cpufeat.AVX2 {
-					b.Skip("no AVX2 on this CPU")
-				}
-				useSIMD = simd
-				rng := rand.New(rand.NewSource(517))
-				psi, lam := u4State(rng, n, nq, 0), u4State(rng, n, nq, 0)
-				u := randUnitary4(rng)
-				var k [32]float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					kernel(psi, lam, n, 1, nq-1, &u, &k)
-				}
-				groups := float64(b.N) * float64(n<<nq/4)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/groups, "ns/group")
-			})
+		ring := identityFrame(nq)
+		for q := 0; q < nq; q++ {
+			ring = ring.cnot(q, (q+1)%nq)
+		}
+		for _, fr := range []struct {
+			name string
+			w    *groupWalk
+		}{
+			{"", pairWalk(nq, 1, nq-1)},
+			{"cnot-ring/", func() *groupWalk { w := newGroupWalk(nq, ring[1], ring[nq-1]); return &w }()},
+		} {
+			for _, simd := range []bool{true, false} {
+				b.Run(fmt.Sprintf("nq=%d/%s%s", nq, fr.name, pathName(simd)), func(b *testing.B) {
+					if simd && !cpufeat.AVX2 {
+						b.Skip("no AVX2 on this CPU")
+					}
+					useSIMD = simd
+					rng := rand.New(rand.NewSource(517))
+					psi, lam := u4State(rng, n, nq, 0), u4State(rng, n, nq, 0)
+					u := randUnitary4(rng)
+					var k [32]float64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						kernel(psi, lam, n, fr.w, &u, &k)
+					}
+					groups := float64(b.N) * float64(n<<nq/4)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/groups, "ns/group")
+				})
+			}
 		}
 	}
 }
 
 // BenchmarkU4Apply times the opU4 forward (applyU4Range) on one channel.
 func BenchmarkU4Apply(b *testing.B) {
-	benchU4(b, func(psi, _ *State, n, qa, qb int, u, _ *[32]float64) { psi.applyU4Range(0, n, qa, qb, u) })
+	benchU4(b, func(psi, _ *State, n int, w *groupWalk, u, _ *[32]float64) { psi.applyU4Range(0, n, w, u) })
 }
 
 // BenchmarkU4Adjoint times one channel pair's opU4 adjoint
 // (revU4PairRange): both inverses and the outer-product accumulation.
 func BenchmarkU4Adjoint(b *testing.B) {
-	benchU4(b, func(psi, lam *State, n, qa, qb int, u, k *[32]float64) {
-		revU4PairRange(psi, lam, 0, n, qa, qb, u, k)
+	benchU4(b, func(psi, lam *State, n int, w *groupWalk, u, k *[32]float64) {
+		revU4PairRange(psi, lam, 0, n, w, u, k)
 	})
 }
