@@ -227,6 +227,7 @@ type ShardRunner struct {
 	// runner instead fills once per distinct theta (bit-compared, so any
 	// change refills) and shares the tables across every shard workspace.
 	coeff      []float64
+	pack       []float64
 	dcoef      []float64
 	coeffTheta []float64
 	coeffOK    bool
@@ -359,11 +360,16 @@ func (r *ShardRunner) ensureCoeffs(ws *Workspace, theta []float64, deriv bool) (
 			r.coeff = make([]float64, prog.ncoef)
 		}
 		prog.FillCoeffs(theta, r.coeff[:prog.ncoef])
+		if cap(r.pack) < prog.npack {
+			r.pack = make([]float64, prog.npack)
+		}
+		prog.packCoeffs(r.coeff[:prog.ncoef], r.pack[:prog.npack])
 		r.coeffTheta = append(r.coeffTheta[:0], theta...)
 		r.coeffOK, r.derivOK = true, false
 	}
 	coeff = r.coeff[:prog.ncoef]
 	ws.coeff = coeff
+	ws.pack = r.pack[:prog.npack]
 	if deriv && prog.nderiv > 0 {
 		if !r.derivOK {
 			if cap(r.dcoef) < prog.nderiv {

@@ -60,13 +60,14 @@ type embedRun struct {
 	dAngleTans [MaxTangents][]float64
 }
 
-// runEmbedKernel runs one embedding kernel pair (opEmbedProd when prod, else
-// opEmbedAll from |0…0⟩) forward, then its adjoint from copies of lamV and
-// lamT.
+// runEmbedKernel runs one embedding kernel pair (opEmbedProd with no folded
+// gate when prod, else opEmbedAll from |0…0⟩) forward, then its adjoint
+// from copies of lamV and lamT.
 func runEmbedKernel(ws *Workspace, prod bool, lamV *State, lamT [MaxTangents]*State) embedRun {
 	n := ws.n
+	bare := &instr{op: opEmbedProd}
 	if prod {
-		embedProdRange(ws, 0, n)
+		embedProdRange(ws, embedWall(bare, nil, ws.nq), 0, n)
 	} else {
 		ws.val.resetRange(0, n, false)
 		for k := 0; k < MaxTangents; k++ {
@@ -94,7 +95,7 @@ func runEmbedKernel(ws *Workspace, prod bool, lamV *State, lamT [MaxTangents]*St
 		dat[k] = r.dAngleTans[k]
 	}
 	if prod {
-		reverseEmbedProdRange(ws, 0, n, r.dAngles, dat)
+		reverseEmbedProdRange(ws, bare, nil, nil, 0, n, r.dAngles, dat, bwdScratch{})
 	} else {
 		reverseEmbedAllRange(ws, identityWalks(ws.nq), 0, n, r.dAngles, dat)
 	}
@@ -196,8 +197,10 @@ func testEmbedProdMatchesEmbedAll(t *testing.T) {
 // TestEmbedKernelsMatchOracle pins the four opEmbedProd step kernels'
 // AVX2 assembly to their pure-Go loops bit for bit: levels of 4, 8 and 64
 // amplitudes, the in-place forms the forward uses (p0 = y, t0 = x), inputs
-// and coefficients seeded with signed zeros, subnormals, infinities and
-// NaN, and lane accumulators that start non-zero. NaN counts as one class.
+// and general complex factors u and d (no component zero or shared, as a
+// folded W_q makes them) seeded with signed zeros, subnormals, infinities
+// and NaN, and lane accumulators that start non-zero. NaN counts as one
+// class.
 func TestEmbedKernelsMatchOracle(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 on this CPU")
@@ -212,35 +215,34 @@ func TestEmbedKernelsMatchOracle(t *testing.T) {
 				for i := range in {
 					in[i] = u4Fill(rng, n, edge)
 				}
-				kf := u4Fill(rng, 4, edge)
-				kv3 := [3]float64{kf[0], kf[1], -kf[1]}
-				kt5 := [5]float64{kf[0], kf[1], kf[2], kf[3], -kf[1]}
-				kv2 := [2]float64{kf[0], kf[1]}
-				kt4 := [4]float64{kf[0], kf[1], kf[2], -kf[3]}
-				var acc8 [8]float64
+				var kv [4]float64
+				var kt [8]float64
+				copy(kv[:], u4Fill(rng, 4, edge))
+				copy(kt[:], u4Fill(rng, 8, edge))
 				var acc16 [16]float64
-				copy(acc8[:], u4Fill(rng, 8, edge))
+				var acc32 [32]float64
 				copy(acc16[:], u4Fill(rng, 16, edge))
-				run := func(simd bool) ([][]float64, [8]float64, [16]float64) {
+				copy(acc32[:], u4Fill(rng, 32, edge))
+				run := func(simd bool) ([][]float64, [16]float64, [32]float64) {
 					useSIMD = simd
 					s := make([][]float64, len(in))
 					for i := range in {
 						s[i] = slices.Clone(in[i])
 					}
-					g8, g16 := acc8, acc16
+					g16, g32 := acc16, acc32
 					if inPlace {
-						embedValStep(s[0], s[1], s[0], s[1], s[2], s[3], &kv3)
-						embedTanStep(s[4], s[5], s[0], s[1], s[4], s[5], s[6], s[7], &kt5)
+						embedValStep(s[0], s[1], s[0], s[1], s[2], s[3], &kv)
+						embedTanStep(s[4], s[5], s[0], s[1], s[4], s[5], s[6], s[7], &kt)
 					} else {
-						embedValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv3)
-						embedTanStep(s[6], s[7], s[8], s[9], s[0], s[1], s[2], s[3], &kt5)
+						embedValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv)
+						embedTanStep(s[6], s[7], s[8], s[9], s[0], s[1], s[2], s[3], &kt)
 					}
-					embedRevValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv2, &g8)
-					embedRevTanStep(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], &kt4, &g16)
-					return s, g8, g16
+					embedRevValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv, &g16)
+					embedRevTanStep(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], &kt, &g32)
+					return s, g16, g32
 				}
-				want, w8, w16 := run(false)
-				got, g8, g16 := run(true)
+				want, w16, w32 := run(false)
+				got, g16, g32 := run(true)
 				cmp := func(name string, w, g []float64) {
 					t.Helper()
 					if i, ok := sameBitsNaN(w, g); !ok {
@@ -251,8 +253,8 @@ func TestEmbedKernelsMatchOracle(t *testing.T) {
 				for i := range want {
 					cmp(fmt.Sprintf("slice %d", i), want[i], got[i])
 				}
-				cmp("value lanes", w8[:], g8[:])
-				cmp("tangent lanes", w16[:], g16[:])
+				cmp("value lanes", w16[:], g16[:])
+				cmp("tangent lanes", w32[:], g32[:])
 			}
 		}
 	}
@@ -421,9 +423,11 @@ func TestEmbeddingGradsMatchCentralDifferences(t *testing.T) {
 
 // benchEmbed times one embedding kernel's forward plus adjoint at 4 and 7
 // qubits with all three tangent channels live, over a cache-resident block
-// of samples, and reports ns per sample. Each iteration also restores the
-// adjoint seeds, which both adjoints consume; that copy is the same in both
-// rows.
+// of samples, and reports ns per sample. The opEmbedProd row runs the form
+// programs ship: the Strongly-Entangling first layer's Rot folded on every
+// qubit (a random, non-identity W_q each), its gradients contracted into
+// dθ. Each iteration also restores the adjoint seeds, which both adjoints
+// consume; that copy is the same in both rows.
 func benchEmbed(b *testing.B, prod bool) {
 	for _, nq := range []int{4, 7} {
 		b.Run(fmt.Sprintf("nq=%d", nq), func(b *testing.B) {
@@ -439,6 +443,17 @@ func benchEmbed(b *testing.B, prod bool) {
 			for k := range dat {
 				dat[k] = make([]float64, n*nq)
 			}
+			prog := CompileProgram(StronglyEntangling.Build(nq, 1))
+			theta := randTheta(rng, prog.circ.NumParams)
+			coeff := make([]float64, prog.ncoef)
+			dcoef := make([]float64, prog.nderiv)
+			prog.FillCoeffs(theta, coeff)
+			prog.FillDerivCoeffs(theta, dcoef)
+			in := &prog.ins[0]
+			if len(in.params) != 3*nq {
+				b.Fatalf("first instruction folded %d parameters, want %d", len(in.params), 3*nq)
+			}
+			sc := bwdScratch{dth: make([]float64, len(theta))}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ws.lamV.CopyFrom(seeds[0])
@@ -446,8 +461,8 @@ func benchEmbed(b *testing.B, prod bool) {
 					ws.lamT[k].CopyFrom(seeds[1+k])
 				}
 				if prod {
-					embedProdRange(ws, 0, n)
-					reverseEmbedProdRange(ws, 0, n, dAngles, dat)
+					embedProdRange(ws, embedWall(in, coeff, nq), 0, n)
+					reverseEmbedProdRange(ws, in, coeff, dcoef, 0, n, dAngles, dat, sc)
 				} else {
 					ws.val.resetRange(0, n, false)
 					for k := 0; k < MaxTangents; k++ {
@@ -462,7 +477,8 @@ func benchEmbed(b *testing.B, prod bool) {
 	}
 }
 
-// BenchmarkEmbedProd times the product-state first embedding (opEmbedProd).
+// BenchmarkEmbedProd times the product-state first embedding (opEmbedProd)
+// with a folded rotation wall.
 func BenchmarkEmbedProd(b *testing.B) { benchEmbed(b, true) }
 
 // BenchmarkEmbedAll times the qubit-by-qubit RX embedding (opEmbedAll) that

@@ -157,18 +157,14 @@ func prepForward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64,
 	return prog, coeff, z, ztans, blk
 }
 
-// prepPass is prepForward without the output allocation, for callers that
-// own reusable output buffers (the dist ShardRunner, whose results are
-// copied to the wire immediately): save inputs, fill the coefficient slots,
-// and size the cache-resident sample block for the live channel count.
+// prepPass is prepForward without the output allocation: save inputs, fill
+// the coefficient slots and the packed opU4 tables, and size the
+// cache-resident sample block for the live channel count.
 func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (prog *Program, coeff []float64, blk int) {
 	ws.saveInputs(p, angles, angleTans, theta)
 	prog = p.Program()
-	if cap(ws.coeff) < prog.ncoef {
-		ws.coeff = make([]float64, prog.ncoef)
-	}
-	coeff = ws.coeff[:prog.ncoef]
-	prog.FillCoeffs(theta, coeff)
+	fillCoeffs(ws, prog, theta)
+	coeff = ws.coeff
 
 	channels := 1
 	for k := 0; k < MaxTangents; k++ {
@@ -195,16 +191,16 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 		in := &prog.ins[i]
 		switch in.op {
 		case opEmbedProd:
-			embedProdRange(ws, lo, hi)
+			embedProdRange(ws, embedWall(in, coeff, ws.nq), lo, hi)
 		case opEmbedAll:
 			embedAllRange(ws, in.walks, lo, hi)
 		case opU4:
-			u := (*[32]float64)(coeff[in.slot : in.slot+32])
+			pk := (*[32]float64)(ws.pack[in.pslot : in.pslot+32])
 			w := &in.walks[0]
-			ws.val.applyU4Range(lo, hi, w, u)
+			ws.val.applyU4Range(lo, hi, w, pk)
 			for k := 0; k < MaxTangents; k++ {
 				if ws.active[k] {
-					ws.tan[k].applyU4Range(lo, hi, w, u)
+					ws.tan[k].applyU4Range(lo, hi, w, pk)
 				}
 			}
 		case opDiagN:
@@ -262,14 +258,28 @@ func embedAllRange(ws *Workspace, walks []groupWalk, lo, hi int) {
 	}
 }
 
-// refreshCoeffs prepares a backward walk of the compiled instruction stream: refresh the forward coefficients (don't rely on ws.coeff surviving
-// from Forward — the program may have been recompiled if the engine changed
-// between passes) and the dU/dθ matrices of fused unitaries, once per pass.
-func refreshCoeffs(ws *Workspace, prog *Program, theta []float64) {
+// fillCoeffs fills ws.coeff with the program's forward coefficients for
+// theta and ws.pack with its packed opU4 matrices, once per pass.
+func fillCoeffs(ws *Workspace, prog *Program, theta []float64) {
 	if cap(ws.coeff) < prog.ncoef {
 		ws.coeff = make([]float64, prog.ncoef)
 	}
-	prog.FillCoeffs(theta, ws.coeff[:prog.ncoef])
+	ws.coeff = ws.coeff[:prog.ncoef]
+	prog.FillCoeffs(theta, ws.coeff)
+	if cap(ws.pack) < prog.npack {
+		ws.pack = make([]float64, prog.npack)
+	}
+	ws.pack = ws.pack[:prog.npack]
+	prog.packCoeffs(ws.coeff, ws.pack)
+}
+
+// refreshCoeffs prepares a backward walk of the compiled instruction stream:
+// refresh the forward coefficients and packed tables (don't rely on them
+// surviving from Forward — the program may have been recompiled if the
+// engine changed between passes) and the dU/dθ matrices of fused unitaries,
+// once per pass.
+func refreshCoeffs(ws *Workspace, prog *Program, theta []float64) {
+	fillCoeffs(ws, prog, theta)
 	if prog.nderiv > 0 {
 		if cap(ws.dcoef) < prog.nderiv {
 			ws.dcoef = make([]float64, prog.nderiv)
@@ -325,13 +335,13 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 		in := &prog.ins[i]
 		switch in.op {
 		case opEmbedProd:
-			reverseEmbedProdRange(ws, lo, hi, dAngles, dAngleTans)
+			reverseEmbedProdRange(ws, in, coeff, ws.dcoef, lo, hi, dAngles, dAngleTans, sc)
 		case opEmbedAll:
 			reverseEmbedAllRange(ws, in.walks, lo, hi, dAngles, dAngleTans)
 		case opU2:
 			revU2Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
 		case opU4:
-			revU4Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
+			revU4Range(ws, in, ws.dcoef, lo, hi, sc)
 		case opDiagN:
 			revDiagNRange(ws, in, coeff, lo, hi, sc)
 		}
@@ -466,19 +476,13 @@ func revU2Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 // revU4Range is the fused adjoint step for one opU4 entangler block: the
 // 4×4 analogue of revU2Range over the block's qubit pair, with the same
 // outer-product trick so per-group cost is independent of how many
-// parametrized gates the block fused.
-func revU4Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc bwdScratch) {
-	u := coeff[in.slot : in.slot+32]
-	var ud [32]float64 // U†
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			ud[(r*4+c)*2] = u[(c*4+r)*2]
-			ud[(r*4+c)*2+1] = -u[(c*4+r)*2+1]
-		}
-	}
+// parametrized gates the block fused. It reads U† from the pass's packed
+// table.
+func revU4Range(ws *Workspace, in *instr, dcoef []float64, lo, hi int, sc bwdScratch) {
+	pkd := (*[32]float64)(ws.pack[in.pslot+32 : in.pslot+64])
 	var K [32]float64
 	ws.forChannelPairs(func(psi, lam *State) {
-		revU4PairRange(psi, lam, lo, hi, &in.walks[0], &ud, &K)
+		revU4PairRange(psi, lam, lo, hi, &in.walks[0], pkd, &K)
 	})
 	for t, p := range in.params {
 		d := dcoef[in.dslot+32*t : in.dslot+32*t+32]

@@ -92,9 +92,11 @@ type Workspace struct {
 	cbuf, sbuf, dA, dB, tmpN []float64
 	wNegS, wNegB             []float64
 
-	// Program scratch: forward coefficient slots and the fused-block
-	// derivative slots of the backward walk.
+	// Program scratch: forward coefficient slots, the column-packed opU4
+	// matrices (U and U†, packCoeffs) and the fused-block derivative slots
+	// of the backward walk, each filled once per pass.
 	coeff []float64
+	pack  []float64
 	dcoef []float64
 
 	// Sharded-engine scratch: per-shard dTheta partials (stride NumParams)

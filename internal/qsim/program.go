@@ -24,7 +24,11 @@ import "math"
 // and adjoint passes stream one instruction sequence end-to-end. The first
 // embedding acts on |0…0⟩ and is built as a product state (opEmbedProd, see
 // embed.go); re-upload blocks act on an entangled state and apply RX qubit
-// by qubit (opEmbedAll). Two fusion passes follow.
+// by qubit (opEmbedAll). The single-qubit gates in front of the first
+// two-qubit gate still act on that product state, under the identity frame,
+// so they fold into the opEmbedProd: each qubit's gates compose into one
+// 2×2 factor W_q the embedding applies to its per-qubit state. Two fusion
+// passes follow.
 //
 // Diagonal absorption is commutation-aware: a fused diagonal group may
 // absorb non-adjacent diagonal instructions by commuting them backward past
@@ -81,6 +85,7 @@ type instr struct {
 	slot   int
 	dslot  int
 	tslot  int    // opDiagN: index of this instr's gradient accumulator
+	pslot  int    // opU4: offset of its packed U and U† in the pass's pack table
 	gates  []Gate // source gates in application order
 	params []int  // theta indices of parametrized source gates, in order
 	signs  []int8 // opDiagN: per (param, physical basis) derivative sign in {-1,0,+1}
@@ -105,6 +110,7 @@ type Program struct {
 	ncoef  int // forward coefficient floats
 	nderiv int // backward derivative floats
 	ndiag  int // number of opDiagN instructions (gradient accumulators)
+	npack  int // packed opU4 matrix floats (packCoeffs)
 
 	// cnots are the circuit's CNOTs in order, which no instruction runs:
 	// readout is the frame they leave, through which the readout and the
@@ -131,8 +137,11 @@ func CompileProgram(circ *Circuit) *Program {
 func fuseProgram(circ *Circuit) *Program {
 	p := &Program{circ: circ}
 	fr := identityFrame(circ.NumQubits)
-	for _, seg := range circ.segments() {
+	for i, seg := range circ.segments() {
 		p.addEmbed(fr)
+		if i == 0 {
+			seg = p.foldLeading(seg)
+		}
 		fr = p.addGates(seg, fr)
 	}
 	p.readout = newReadoutMap(p.cnots)
@@ -313,6 +322,19 @@ func (p *Program) addEmbed(fr frame) {
 		op = opEmbedProd
 	}
 	p.ins = append(p.ins, instr{op: op, q: -1, c: -1, fr: fr})
+}
+
+// foldLeading moves the single-qubit gates in front of seg's first
+// two-qubit gate (CNOT or CRZ) into the program's opEmbedProd and returns
+// the rest of seg. No CNOT has been passed there, so every gate folded acts
+// on its own qubit's factor of the product state.
+func (p *Program) foldLeading(seg []Gate) []Gate {
+	i := 0
+	for i < len(seg) && isSingleQubit(seg[i]) {
+		i++
+	}
+	p.ins[0].gates = seg[:i]
+	return seg[i:]
 }
 
 // reembeds reports whether the program holds an opEmbedAll (a re-upload
@@ -525,8 +547,9 @@ func u4(qa, qb int, va, vb vqubit, gates []Gate) instr {
 	return instr{op: opU4, q: qa, c: qb, gates: gates, v: [2]vqubit{va, vb}}
 }
 
-// layout assigns coefficient slots and derivative slots, builds the group
-// walks of the pair blocks and the re-upload embeddings, and lays out the
+// layout assigns coefficient slots, derivative slots and pack slots, builds
+// the group walks of the pair blocks and the re-upload embeddings, and lays
+// out the
 // full-register diagonals' derivative sign tables over physical basis
 // states, reading each source gate's bits through its frame rows.
 func (p *Program) layout() {
@@ -535,6 +558,15 @@ func (p *Program) layout() {
 	for i := range p.ins {
 		in := &p.ins[i]
 		switch in.op {
+		case opEmbedProd:
+			// An embedding that folded no gate has no slots, so a program
+			// without a leading rotation lays out (and hashes) as before.
+			if len(in.gates) > 0 {
+				in.slot = p.ncoef
+				p.ncoef += 8 * nq
+				in.dslot = p.nderiv
+				p.nderiv += 8 * len(in.params)
+			}
 		case opEmbedAll:
 			for _, v := range in.fr {
 				in.walks = append(in.walks, newGroupWalk(nq, v))
@@ -549,6 +581,8 @@ func (p *Program) layout() {
 			p.ncoef += 32
 			in.dslot = p.nderiv
 			p.nderiv += 32 * len(in.params)
+			in.pslot = p.npack
+			p.npack += 64
 			in.walks = []groupWalk{newGroupWalk(nq, in.v[0], in.v[1])}
 		case opDiagN:
 			in.slot = p.ncoef
@@ -733,19 +767,62 @@ func dgateMat4(g Gate, theta []float64, qa, qb int) mat4 {
 	return embed2in4(dgateMat2(g, theta), localBit(g.Q, qa, qb))
 }
 
+// runMat2 returns the product U_k·…·U_1 of the gates g1, …, gk (in
+// application order) among gates that act on qubit q, or ident2 if none do.
+func runMat2(gates []Gate, q int, theta []float64) mat2 {
+	u, first := ident2, true
+	for _, g := range gates {
+		if g.Q != q {
+			continue
+		}
+		if first {
+			u, first = gateMat2(g, theta), false
+		} else {
+			u = mul2(gateMat2(g, theta), u)
+		}
+	}
+	return u
+}
+
+// runDeriv2 returns dU/dθ of runMat2(gates, q, θ) for the parametrized
+// gate gates[i] on q: G_k·…·G_{i+1}·(dG_i/dθ)·G_{i-1}·…·G_1 over q's gates.
+func runDeriv2(gates []Gate, i int, theta []float64) mat2 {
+	q := gates[i].Q
+	pre := ident2
+	for _, g := range gates[:i] {
+		if g.Q == q {
+			pre = mul2(gateMat2(g, theta), pre)
+		}
+	}
+	suf := ident2
+	for j := len(gates) - 1; j > i; j-- {
+		if gates[j].Q == q {
+			suf = mul2(suf, gateMat2(gates[j], theta))
+		}
+	}
+	return mul2(suf, mul2(dgateMat2(gates[i], theta), pre))
+}
+
 // FillCoeffs refreshes the forward coefficient slots for the given
 // parameters; dst must have at least NumCoeffs elements. For a fused run
 // g1, g2, …, gk (in application order) the slot holds the product
-// U_k·…·U_2·U_1.
+// U_k·…·U_2·U_1; an opEmbedProd's slot holds one such product W_q per
+// qubit q, over the gates it folded on q (the identity on a qubit with
+// none).
 func (p *Program) FillCoeffs(theta, dst []float64) {
 	dim := 1 << p.circ.NumQubits
 	for _, in := range p.ins {
 		switch in.op {
-		case opU2:
-			u := gateMat2(in.gates[0], theta)
-			for _, g := range in.gates[1:] {
-				u = mul2(gateMat2(g, theta), u)
+		case opEmbedProd:
+			if len(in.gates) == 0 {
+				continue
 			}
+			for q := 0; q < p.circ.NumQubits; q++ {
+				w := runMat2(in.gates, q, theta)
+				copy(dst[in.slot+8*q:in.slot+8*q+8], w[:])
+			}
+		case opU2:
+			u := runMat2(in.gates, in.q, theta)
 			copy(dst[in.slot:in.slot+8], u[:])
 		case opU4:
 			u := gateMat4(in.gates[0], theta, in.q, in.c)
@@ -779,34 +856,24 @@ func (p *Program) FillCoeffs(theta, dst []float64) {
 // FillDerivCoeffs refreshes the backward derivative slots: for every
 // parametrized source gate i of a fused unitary U = G_k·…·G_1 it stores
 // dU/dθ_i = G_k·…·G_{i+1}·(dG_i/dθ)·G_{i-1}·…·G_1, so the adjoint kernel
-// can take every gradient of a fused block in a single traversal. dst must
-// have at least nderiv elements. Only gradient passes pay this cost.
+// can take every gradient of a fused block in a single traversal. An
+// opEmbedProd's gates lay out like an opU2's, each one's slot the
+// derivative of its own qubit's W_q. dst must have at least nderiv
+// elements. Only gradient passes pay this cost.
 func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 	for _, in := range p.ins {
 		if len(in.params) == 0 {
 			continue
 		}
 		switch in.op {
-		case opU2:
-			k := len(in.gates)
-			mats := make([]mat2, k)
-			for i, g := range in.gates {
-				mats[i] = gateMat2(g, theta)
-			}
-			suf := make([]mat2, k)
-			suf[k-1] = ident2
-			for i := k - 2; i >= 0; i-- {
-				suf[i] = mul2(suf[i+1], mats[i+1])
-			}
-			pre := ident2
+		case opU2, opEmbedProd:
 			di := 0
 			for i, g := range in.gates {
 				if g.P >= 0 {
-					d := mul2(suf[i], mul2(dgateMat2(g, theta), pre))
+					d := runDeriv2(in.gates, i, theta)
 					copy(dst[in.dslot+8*di:in.dslot+8*di+8], d[:])
 					di++
 				}
-				pre = mul2(mats[i], pre)
 			}
 		case opU4:
 			k := len(in.gates)
@@ -830,5 +897,28 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 				pre = mul4(mats[i], pre)
 			}
 		}
+	}
+}
+
+// packCoeffs column-packs every opU4's matrix U and its adjoint U† from the
+// forward coefficients coeff into pack (packU4's layout, 64 floats from the
+// instruction's pslot: U, then U†), so the kernels read one packed table per
+// pass instead of packing per call. pack must have at least npack elements.
+func (p *Program) packCoeffs(coeff, pack []float64) {
+	for i := range p.ins {
+		in := &p.ins[i]
+		if in.op != opU4 {
+			continue
+		}
+		u := (*[32]float64)(coeff[in.slot : in.slot+32])
+		var ud [32]float64
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 4; c++ {
+				ud[(r*4+c)*2] = u[(c*4+r)*2]
+				ud[(r*4+c)*2+1] = -u[(c*4+r)*2+1]
+			}
+		}
+		packU4((*[32]float64)(pack[in.pslot:in.pslot+32]), u)
+		packU4((*[32]float64)(pack[in.pslot+32:in.pslot+64]), &ud)
 	}
 }

@@ -12,14 +12,29 @@ import (
 )
 
 // progNetMatrix composes the dense net unitary of a compiled program's
-// non-embedding instructions via the naive-oracle instrMatrix expansion,
-// then the permutation its readout map (the frame its CNOTs leave) reads
-// the final state through.
+// gates: the folded ⊗_q W_q of its opEmbedProd (the rotations it applies
+// after the embedding proper), then its non-embedding instructions via the
+// naive-oracle instrMatrix expansion, then the permutation its readout map
+// (the frame its CNOTs leave) reads the final state through.
 func progNetMatrix(p *Program, coeff []float64) cmat {
-	dim := 1 << p.circ.NumQubits
+	nq := p.circ.NumQubits
+	dim := 1 << nq
 	u := eye(dim)
 	for _, in := range p.ins {
-		if in.op == opEmbedProd || in.op == opEmbedAll {
+		switch in.op {
+		case opEmbedAll:
+			continue
+		case opEmbedProd:
+			w := embedWall(&in, coeff, nq)
+			for q := 0; q < nq; q++ {
+				m := newCmat(dim)
+				x := w[8*q : 8*q+8]
+				place1Q(m, q, [2][2]complex128{
+					{complex(x[0], x[1]), complex(x[2], x[3])},
+					{complex(x[4], x[5]), complex(x[6], x[7])},
+				})
+				u = m.mul(u)
+			}
 			continue
 		}
 		u = p.instrMatrix(in, coeff).mul(u)
@@ -73,8 +88,11 @@ func randomCircuit(rng *rand.Rand, nq int, reupload bool) *Circuit {
 // hand-picked circuits first — each one shaped to reach a lowering the
 // built-in ansätze never take (a lone RZ chain, a lone CRZ chain, a
 // one-qubit opU2, single-parameter and dense 4×4 blocks, paired
-// single-qubit runs, a rotation-dense three-qubit block) — then a seeded random fill
-// over 3–5 qubits, with and without re-uploading.
+// single-qubit runs, a rotation-dense three-qubit block, rotations folded
+// into the embedding on some qubits) — then a seeded random fill over 3–5
+// qubits, with and without re-uploading. A circuit that should reach a
+// pair block starts with a two-qubit gate, since every single-qubit gate in
+// front of the first one folds into the embedding.
 func compilerCorpus() []*Circuit {
 	rx := func(q int) Gate { return Gate{RX, q, -1, 0} }
 	ry := func(q int) Gate { return Gate{RY, q, -1, 0} }
@@ -82,25 +100,30 @@ func compilerCorpus() []*Circuit {
 	cnot := func(c, q int) Gate { return Gate{CNOT, q, c, -1} }
 	crz := func(c, q int) Gate { return Gate{CRZ, q, c, 0} }
 	corpus := []*Circuit{
-		// A lone RZ beside a lone CNOT: the RZ chain no pass absorbs pairs
+		// A lone RZ behind a lone CNOT: the RZ chain no pass absorbs pairs
 		// with an identity factor on qubit 1 (TestProgramLowersLoneDiagonals).
-		specCircuit("lone-rz", 3, false, []Gate{rz(0), cnot(1, 2)}),
+		specCircuit("lone-rz", 3, false, []Gate{cnot(1, 2), rz(0)}),
 		// A CRZ block no diagonal joins runs as a one-gate opU4 on its pair
 		// (TestProgramLowersLoneDiagonals), then an RX behind a CNOT on its
 		// control pairs with an identity factor under the CNOT's frame.
 		// TestProgramDerivCoeffsOracle checks both blocks' derivative
 		// slots by finite differences.
 		specCircuit("ctrl-diag", 3, false, []Gate{crz(1, 2), cnot(0, 1), rx(0)}),
-		// One qubit: the only program shape that runs an opU2.
+		// One qubit: the only program shape that runs an opU2 (the second
+		// layer's run, behind the re-upload embedding; the first layer's
+		// folds into the first embedding).
 		specCircuit("one-qubit", 1, true, []Gate{rx(0), rz(0)}, []Gate{ry(0)}),
-		// Two parametrized gates in one pair block: a dense-path opU4.
-		specCircuit("dense-u4", 3, false, []Gate{rx(0), cnot(0, 1), ry(1)}),
-		// Single- and multi-gate single-qubit runs (opU2).
+		// Two parametrized gates in one pair block, on qubits the CNOT's
+		// frame leaves independent: a dense-path opU4.
+		specCircuit("dense-u4", 3, false, []Gate{cnot(0, 2), rx(0), ry(1)}),
+		// Single- and multi-gate runs on some qubits in front of the first
+		// CNOT: they fold into the embedding, qubit 3 keeps the identity.
 		specCircuit("u2-runs", 4, false, []Gate{rx(0), rx(1), ry(1), cnot(2, 3)}),
 		// Single rotations on distinct qubits pair into Kronecker opU4
-		// blocks: an RZ on qubit 2 pairs with the two-gate run on qubit 0
-		// after it, so the block's qubits are sorted against stream order.
-		specCircuit("pairs", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
+		// blocks behind a lone CRZ: a run on qubit 2 pairs with the two-gate
+		// run on qubit 0 after it, so the block's qubits are sorted against
+		// stream order.
+		specCircuit("pairs", 3, false, []Gate{crz(0, 1), rx(0), ry(1), ry(2)}, []Gate{rx(0), ry(0), rx(1), ry(2)}),
 		// CNOTs alone: no instruction beyond the embedding, the whole
 		// circuit is the readout's frame.
 		specCircuit("cnots", 3, false, []Gate{cnot(0, 1), cnot(0, 2)}),
@@ -204,7 +227,8 @@ func TestProgramExecutedFormsGrid(t *testing.T) {
 // TestProgramLowersLoneDiagonals pins how the corpus's lone diagonal chains
 // compile: a lone RZ chain becomes an opU4 beside an identity factor on the
 // lowest other qubit, a lone CRZ chain a one-gate opU4 on its sorted qubit
-// pair, and a run behind a CNOT an opU4 under the CNOT's frame.
+// pair, and a run behind a CNOT an opU4 under the CNOT's frame; rotations
+// in front of the first two-qubit gate fold into the opEmbedProd.
 func TestProgramLowersLoneDiagonals(t *testing.T) {
 	type form struct {
 		op     opcode
@@ -216,8 +240,9 @@ func TestProgramLowersLoneDiagonals(t *testing.T) {
 		name string
 		want []form
 	}{
-		// The CNOT(1→2) runs as a frame change after the RZ.
-		{"lone-rz", []form{{opEmbedProd, -1, -1, 0, vqubit{}, vqubit{}}, {opU4, 0, 1, 1, vqubit{1, 1}, vqubit{2, 2}}}},
+		// The CNOT(1→2) runs as a frame change before the RZ: qubit 1 then
+		// flips physical bits 1 and 2.
+		{"lone-rz", []form{{opEmbedProd, -1, -1, 0, vqubit{}, vqubit{}}, {opU4, 0, 1, 1, vqubit{1, 1}, vqubit{2, 6}}}},
 		// Under CNOT(0→1), qubit 0 flips physical bits 0 and 1 and qubit
 		// 1's bit is the parity of physical bits 0 and 1.
 		{"ctrl-diag", []form{
@@ -225,10 +250,13 @@ func TestProgramLowersLoneDiagonals(t *testing.T) {
 			{opU4, 1, 2, 1, vqubit{2, 2}, vqubit{4, 4}},
 			{opU4, 0, 1, 1, vqubit{1, 3}, vqubit{3, 2}},
 		}},
+		// The first layer's two rotations fold into the embedding.
 		{"one-qubit", []form{
-			{opEmbedProd, -1, -1, 0, vqubit{}, vqubit{}}, {opU2, 0, -1, 2, vqubit{}, vqubit{}},
+			{opEmbedProd, -1, -1, 2, vqubit{}, vqubit{}},
 			{opEmbedAll, -1, -1, 0, vqubit{}, vqubit{}}, {opU2, 0, -1, 1, vqubit{}, vqubit{}},
 		}},
+		// Rotations in front of the first CNOT fold into the embedding.
+		{"u2-runs", []form{{opEmbedProd, -1, -1, 3, vqubit{}, vqubit{}}}},
 	}
 	byName := map[string]*Circuit{}
 	for _, circ := range compilerCorpus() {
@@ -329,7 +357,9 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 // TestProgramDerivCoeffsOracle checks the fused-block derivative matrices
 // against central finite differences of the forward coefficients on every
 // circuit of the compiler corpus: for every fused unitary instruction,
-// dU/dθ_p from FillDerivCoeffs must match (U(θ+ε) − U(θ−ε)) / 2ε.
+// dU/dθ_p from FillDerivCoeffs must match (U(θ+ε) − U(θ−ε)) / 2ε. For an
+// opEmbedProd the derivative slot of a folded gate on qubit q is checked
+// against the difference of W_q, and every other qubit's W must not move.
 func TestProgramDerivCoeffsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const eps = 1e-6
@@ -344,12 +374,19 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 		for _, in := range prog.ins {
 			var width int
 			switch in.op {
-			case opU2:
+			case opU2, opEmbedProd:
 				width = 8
 			case opU4:
 				width = 32
 			default:
 				continue
+			}
+			// qubits[pi] is the qubit whose W the pi-th parameter moves.
+			var qubits []int
+			for _, g := range in.gates {
+				if g.P >= 0 {
+					qubits = append(qubits, g.Q)
+				}
 			}
 			for pi, p := range in.params {
 				tweak[p] = theta[p] + eps
@@ -357,9 +394,19 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 				tweak[p] = theta[p] - eps
 				prog.FillCoeffs(tweak, minus)
 				tweak[p] = theta[p]
-				for i := 0; i < width; i++ {
+				span := width
+				if in.op == opEmbedProd {
+					span = 8 * circ.NumQubits
+				}
+				for i := 0; i < span; i++ {
 					fd := (plus[in.slot+i] - minus[in.slot+i]) / (2 * eps)
-					an := deriv[in.dslot+width*pi+i]
+					var an float64
+					switch {
+					case in.op != opEmbedProd:
+						an = deriv[in.dslot+width*pi+i]
+					case i/8 == qubits[pi]:
+						an = deriv[in.dslot+8*pi+i%8]
+					}
 					if math.Abs(fd-an) > 1e-8 {
 						t.Fatalf("%s op=%d param %d coeff %d: analytic %v vs finite-diff %v", circ.Name, in.op, p, i, an, fd)
 					}
@@ -543,7 +590,10 @@ func randomStream(rng *rand.Rand, nq int, reupload bool) *Circuit {
 // TestProgramRandomCircuits is the randomized-circuit parity pin for the
 // frame-tracking compiler: about 200 circuits, hand-picked ones first (CNOTs
 // alone, a re-upload embedding under a CNOT frame, CRZs after CNOTs, runs
-// whose frames leave them no partner, one and two qubits), then streams
+// whose frames leave them no partner, one and two qubits, rotation walls
+// folded into the embedding on every qubit, on some, as multi-gate runs or
+// as a whole circuit, and a first gate that is a CNOT or a CRZ, so that
+// nothing folds), then streams
 // drawn from rand.New(rand.NewSource(517)) over 1–7 qubits with and without
 // re-uploading. On each, the sharded engine must match the naive dense
 // engine to 1e-10 in z, every tangent, dθ, dAngles and dAngleTans, and its
@@ -566,6 +616,15 @@ func TestProgramRandomCircuits(t *testing.T) {
 		specCircuit("one-qubit", 1, true, []Gate{rx(0), rz(0)}, []Gate{ry(0), rx(0)}),
 		specCircuit("two-qubit", 2, true,
 			[]Gate{rz(0), ry(0), rx(1), cnot(0, 1), cnot(1, 0)}, []Gate{crz(1, 0), ry(1), cnot(1, 0), rz(0)}),
+		specCircuit("full-wall", 4, false,
+			[]Gate{rz(0), ry(0), rz(0), rz(1), ry(1), rz(1), rz(2), ry(2), rz(2), rz(3), ry(3), rz(3),
+				cnot(0, 1), cnot(1, 2), cnot(2, 3), cnot(3, 0), ry(2), rx(0)}),
+		specCircuit("partial-wall", 5, false, []Gate{rx(1), ry(3), crz(1, 3), rz(0), ry(1)}),
+		specCircuit("interleaved-runs", 3, true,
+			[]Gate{rx(0), ry(2), rz(0), rx(2), ry(0), cnot(2, 1), rx(1)}, []Gate{ry(0), cnot(0, 2), rz(2)}),
+		specCircuit("all-folded", 3, false, []Gate{rx(0), ry(1), rz(2)}, []Gate{ry(0), rx(2), rz(0)}),
+		specCircuit("cnot-first", 3, false, []Gate{cnot(0, 1), rx(0), ry(1), rz(2)}),
+		specCircuit("crz-first", 3, true, []Gate{crz(2, 0), rx(0), ry(2)}, []Gate{rx(1), cnot(1, 2)}),
 	}
 	rng := rand.New(rand.NewSource(517))
 	for len(cases) < 200 {

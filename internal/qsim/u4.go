@@ -37,7 +37,8 @@ func checkU4(re, im []float64, lo, hi, nq, dim int, w *groupWalk) {
 // packU4 copies the 4×4 complex matrix m (row-major, interleaved re/im
 // pairs) into pk column by column: pk[8c:8c+4] holds column c's real parts
 // and pk[8c+4:8c+8] its imaginary parts, rows ascending, so one YMM load
-// gives a column across the four output rows.
+// gives a column across the four output rows. Program.packCoeffs packs
+// every opU4 once per pass; both kernel paths read the packed form.
 func packU4(pk, m *[32]float64) {
 	for c := 0; c < 4; c++ {
 		for r := 0; r < 4; r++ {
@@ -48,23 +49,24 @@ func packU4(pk, m *[32]float64) {
 }
 
 // applyU4Range applies an arbitrary 4×4 unitary on the qubit pair w
-// addresses to samples [lo, hi). u is row-major as interleaved re/im pairs
+// addresses to samples [lo, hi). pk is the matrix column-packed (packU4),
 // with w's first qubit as bit 0 of the local basis index — the kernel
 // behind fused pair blocks.
 //
 //torq:hotpath
-func (s *State) applyU4Range(lo, hi int, w *groupWalk, u *[32]float64) {
+func (s *State) applyU4Range(lo, hi int, w *groupWalk, pk *[32]float64) {
 	checkU4(s.Re, s.Im, lo, hi, s.NQ, s.Dim, w)
 	if useSIMD {
-		var pk [32]float64
-		packU4(&pk, u)
-		applyU4AVX2(s.Re[lo*s.Dim:hi*s.Dim], s.Im[lo*s.Dim:hi*s.Dim], &pk, w.ma, w.mb, &w.walk.step)
+		applyU4AVX2(s.Re[lo*s.Dim:hi*s.Dim], s.Im[lo*s.Dim:hi*s.Dim], pk, w.ma, w.mb, &w.walk.step)
 		return
 	}
-	s.applyU4RangeGo(lo, hi, w, u)
+	s.applyU4RangeGo(lo, hi, w, pk)
 }
 
-func (s *State) applyU4RangeGo(lo, hi int, w *groupWalk, u *[32]float64) {
+// The pure-Go kernels run the assembly's products and sums in its order,
+// reading U[r,c] as pk[8c+r] + i·pk[8c+4+r].
+
+func (s *State) applyU4RangeGo(lo, hi int, w *groupWalk, pk *[32]float64) {
 	re, im := s.Re[lo*s.Dim:hi*s.Dim], s.Im[lo*s.Dim:hi*s.Dim]
 	ma, mb := w.ma, w.mb
 	for g, i0 := 0, 0; g < len(re)/4; g++ {
@@ -73,14 +75,14 @@ func (s *State) applyU4RangeGo(lo, hi int, w *groupWalk, u *[32]float64) {
 		x1r, x1i := re[i1], im[i1]
 		x2r, x2i := re[i2], im[i2]
 		x3r, x3i := re[i3], im[i3]
-		re[i0] = u[0]*x0r - u[1]*x0i + u[2]*x1r - u[3]*x1i + u[4]*x2r - u[5]*x2i + u[6]*x3r - u[7]*x3i
-		im[i0] = u[0]*x0i + u[1]*x0r + u[2]*x1i + u[3]*x1r + u[4]*x2i + u[5]*x2r + u[6]*x3i + u[7]*x3r
-		re[i1] = u[8]*x0r - u[9]*x0i + u[10]*x1r - u[11]*x1i + u[12]*x2r - u[13]*x2i + u[14]*x3r - u[15]*x3i
-		im[i1] = u[8]*x0i + u[9]*x0r + u[10]*x1i + u[11]*x1r + u[12]*x2i + u[13]*x2r + u[14]*x3i + u[15]*x3r
-		re[i2] = u[16]*x0r - u[17]*x0i + u[18]*x1r - u[19]*x1i + u[20]*x2r - u[21]*x2i + u[22]*x3r - u[23]*x3i
-		im[i2] = u[16]*x0i + u[17]*x0r + u[18]*x1i + u[19]*x1r + u[20]*x2i + u[21]*x2r + u[22]*x3i + u[23]*x3r
-		re[i3] = u[24]*x0r - u[25]*x0i + u[26]*x1r - u[27]*x1i + u[28]*x2r - u[29]*x2i + u[30]*x3r - u[31]*x3i
-		im[i3] = u[24]*x0i + u[25]*x0r + u[26]*x1i + u[27]*x1r + u[28]*x2i + u[29]*x2r + u[30]*x3i + u[31]*x3r
+		re[i0] = pk[0]*x0r - pk[4]*x0i + pk[8]*x1r - pk[12]*x1i + pk[16]*x2r - pk[20]*x2i + pk[24]*x3r - pk[28]*x3i
+		im[i0] = pk[0]*x0i + pk[4]*x0r + pk[8]*x1i + pk[12]*x1r + pk[16]*x2i + pk[20]*x2r + pk[24]*x3i + pk[28]*x3r
+		re[i1] = pk[1]*x0r - pk[5]*x0i + pk[9]*x1r - pk[13]*x1i + pk[17]*x2r - pk[21]*x2i + pk[25]*x3r - pk[29]*x3i
+		im[i1] = pk[1]*x0i + pk[5]*x0r + pk[9]*x1i + pk[13]*x1r + pk[17]*x2i + pk[21]*x2r + pk[25]*x3i + pk[29]*x3r
+		re[i2] = pk[2]*x0r - pk[6]*x0i + pk[10]*x1r - pk[14]*x1i + pk[18]*x2r - pk[22]*x2i + pk[26]*x3r - pk[30]*x3i
+		im[i2] = pk[2]*x0i + pk[6]*x0r + pk[10]*x1i + pk[14]*x1r + pk[18]*x2i + pk[22]*x2r + pk[26]*x3i + pk[30]*x3r
+		re[i3] = pk[3]*x0r - pk[7]*x0i + pk[11]*x1r - pk[15]*x1i + pk[19]*x2r - pk[23]*x2i + pk[27]*x3r - pk[31]*x3i
+		im[i3] = pk[3]*x0i + pk[7]*x0r + pk[11]*x1i + pk[15]*x1r + pk[19]*x2i + pk[23]*x2r + pk[27]*x3i + pk[31]*x3r
 		i0 ^= w.walk.step[bits.TrailingZeros(uint(g+1))&63]
 	}
 }
@@ -88,23 +90,21 @@ func (s *State) applyU4RangeGo(lo, hi int, w *groupWalk, u *[32]float64) {
 // revU4PairRange is one channel pair's share of the opU4 adjoint over
 // samples [lo, hi): it recovers ψ_pre = U†ψ and λ_pre = U†λ in place and
 // adds the outer product ψ_pre_c·conj(λ_post_r) of every group to
-// K[r,c] (interleaved re/im, row-major). ud is U†.
+// K[r,c] (interleaved re/im, row-major). pkd is U†, column-packed.
 //
 //torq:hotpath
-func revU4PairRange(psi, lam *State, lo, hi int, w *groupWalk, ud, K *[32]float64) {
+func revU4PairRange(psi, lam *State, lo, hi int, w *groupWalk, pkd, K *[32]float64) {
 	checkU4(psi.Re, psi.Im, lo, hi, psi.NQ, psi.Dim, w)
 	checkU4(lam.Re, lam.Im, lo, hi, psi.NQ, lam.Dim, w) // and lam.Dim = psi.Dim
 	a, b := lo*psi.Dim, hi*psi.Dim
 	if useSIMD {
-		var pk [32]float64
-		packU4(&pk, ud)
-		revU4AVX2(psi.Re[a:b], psi.Im[a:b], lam.Re[a:b], lam.Im[a:b], &pk, K, w.ma, w.mb, &w.walk.step)
+		revU4AVX2(psi.Re[a:b], psi.Im[a:b], lam.Re[a:b], lam.Im[a:b], pkd, K, w.ma, w.mb, &w.walk.step)
 		return
 	}
-	revU4PairRangeGo(psi.Re[a:b], psi.Im[a:b], lam.Re[a:b], lam.Im[a:b], w, ud, K)
+	revU4PairRangeGo(psi.Re[a:b], psi.Im[a:b], lam.Re[a:b], lam.Im[a:b], w, pkd, K)
 }
 
-func revU4PairRangeGo(pr, pim, lr, lim []float64, w *groupWalk, ud, K *[32]float64) {
+func revU4PairRangeGo(pr, pim, lr, lim []float64, w *groupWalk, pkd, K *[32]float64) {
 	ma, mb := w.ma, w.mb
 	for g, i0 := 0, 0; g < len(pr)/4; g++ {
 		i1, i2, i3 := i0^ma, i0^mb, i0^ma^mb
@@ -116,15 +116,15 @@ func revU4PairRangeGo(pr, pim, lr, lim []float64, w *groupWalk, ud, K *[32]float
 		l1r, l1i := lr[i1], lim[i1]
 		l2r, l2i := lr[i2], lim[i2]
 		l3r, l3i := lr[i3], lim[i3]
-		// ψ_pre = U†·ψ_post
-		p0r := ud[0]*x0r - ud[1]*x0i + ud[2]*x1r - ud[3]*x1i + ud[4]*x2r - ud[5]*x2i + ud[6]*x3r - ud[7]*x3i
-		p0i := ud[0]*x0i + ud[1]*x0r + ud[2]*x1i + ud[3]*x1r + ud[4]*x2i + ud[5]*x2r + ud[6]*x3i + ud[7]*x3r
-		p1r := ud[8]*x0r - ud[9]*x0i + ud[10]*x1r - ud[11]*x1i + ud[12]*x2r - ud[13]*x2i + ud[14]*x3r - ud[15]*x3i
-		p1i := ud[8]*x0i + ud[9]*x0r + ud[10]*x1i + ud[11]*x1r + ud[12]*x2i + ud[13]*x2r + ud[14]*x3i + ud[15]*x3r
-		p2r := ud[16]*x0r - ud[17]*x0i + ud[18]*x1r - ud[19]*x1i + ud[20]*x2r - ud[21]*x2i + ud[22]*x3r - ud[23]*x3i
-		p2i := ud[16]*x0i + ud[17]*x0r + ud[18]*x1i + ud[19]*x1r + ud[20]*x2i + ud[21]*x2r + ud[22]*x3i + ud[23]*x3r
-		p3r := ud[24]*x0r - ud[25]*x0i + ud[26]*x1r - ud[27]*x1i + ud[28]*x2r - ud[29]*x2i + ud[30]*x3r - ud[31]*x3i
-		p3i := ud[24]*x0i + ud[25]*x0r + ud[26]*x1i + ud[27]*x1r + ud[28]*x2i + ud[29]*x2r + ud[30]*x3i + ud[31]*x3r
+		// ψ_pre = U†·ψ_post; U†[r,c] is pkd[8c+r] + i·pkd[8c+4+r]
+		p0r := pkd[0]*x0r - pkd[4]*x0i + pkd[8]*x1r - pkd[12]*x1i + pkd[16]*x2r - pkd[20]*x2i + pkd[24]*x3r - pkd[28]*x3i
+		p0i := pkd[0]*x0i + pkd[4]*x0r + pkd[8]*x1i + pkd[12]*x1r + pkd[16]*x2i + pkd[20]*x2r + pkd[24]*x3i + pkd[28]*x3r
+		p1r := pkd[1]*x0r - pkd[5]*x0i + pkd[9]*x1r - pkd[13]*x1i + pkd[17]*x2r - pkd[21]*x2i + pkd[25]*x3r - pkd[29]*x3i
+		p1i := pkd[1]*x0i + pkd[5]*x0r + pkd[9]*x1i + pkd[13]*x1r + pkd[17]*x2i + pkd[21]*x2r + pkd[25]*x3i + pkd[29]*x3r
+		p2r := pkd[2]*x0r - pkd[6]*x0i + pkd[10]*x1r - pkd[14]*x1i + pkd[18]*x2r - pkd[22]*x2i + pkd[26]*x3r - pkd[30]*x3i
+		p2i := pkd[2]*x0i + pkd[6]*x0r + pkd[10]*x1i + pkd[14]*x1r + pkd[18]*x2i + pkd[22]*x2r + pkd[26]*x3i + pkd[30]*x3r
+		p3r := pkd[3]*x0r - pkd[7]*x0i + pkd[11]*x1r - pkd[15]*x1i + pkd[19]*x2r - pkd[23]*x2i + pkd[27]*x3r - pkd[31]*x3i
+		p3i := pkd[3]*x0i + pkd[7]*x0r + pkd[11]*x1i + pkd[15]*x1r + pkd[19]*x2i + pkd[23]*x2r + pkd[27]*x3i + pkd[31]*x3r
 		// K[r,c] += ψ_pre_c·conj(λ_post_r)
 		K[0] += p0r*l0r + p0i*l0i
 		K[1] += p0i*l0r - p0r*l0i
@@ -159,14 +159,14 @@ func revU4PairRangeGo(pr, pim, lr, lim []float64, w *groupWalk, ud, K *[32]float
 		K[30] += p3r*l3r + p3i*l3i
 		K[31] += p3i*l3r - p3r*l3i
 		// λ_pre = U†·λ_post
-		lr[i0] = ud[0]*l0r - ud[1]*l0i + ud[2]*l1r - ud[3]*l1i + ud[4]*l2r - ud[5]*l2i + ud[6]*l3r - ud[7]*l3i
-		lim[i0] = ud[0]*l0i + ud[1]*l0r + ud[2]*l1i + ud[3]*l1r + ud[4]*l2i + ud[5]*l2r + ud[6]*l3i + ud[7]*l3r
-		lr[i1] = ud[8]*l0r - ud[9]*l0i + ud[10]*l1r - ud[11]*l1i + ud[12]*l2r - ud[13]*l2i + ud[14]*l3r - ud[15]*l3i
-		lim[i1] = ud[8]*l0i + ud[9]*l0r + ud[10]*l1i + ud[11]*l1r + ud[12]*l2i + ud[13]*l2r + ud[14]*l3i + ud[15]*l3r
-		lr[i2] = ud[16]*l0r - ud[17]*l0i + ud[18]*l1r - ud[19]*l1i + ud[20]*l2r - ud[21]*l2i + ud[22]*l3r - ud[23]*l3i
-		lim[i2] = ud[16]*l0i + ud[17]*l0r + ud[18]*l1i + ud[19]*l1r + ud[20]*l2i + ud[21]*l2r + ud[22]*l3i + ud[23]*l3r
-		lr[i3] = ud[24]*l0r - ud[25]*l0i + ud[26]*l1r - ud[27]*l1i + ud[28]*l2r - ud[29]*l2i + ud[30]*l3r - ud[31]*l3i
-		lim[i3] = ud[24]*l0i + ud[25]*l0r + ud[26]*l1i + ud[27]*l1r + ud[28]*l2i + ud[29]*l2r + ud[30]*l3i + ud[31]*l3r
+		lr[i0] = pkd[0]*l0r - pkd[4]*l0i + pkd[8]*l1r - pkd[12]*l1i + pkd[16]*l2r - pkd[20]*l2i + pkd[24]*l3r - pkd[28]*l3i
+		lim[i0] = pkd[0]*l0i + pkd[4]*l0r + pkd[8]*l1i + pkd[12]*l1r + pkd[16]*l2i + pkd[20]*l2r + pkd[24]*l3i + pkd[28]*l3r
+		lr[i1] = pkd[1]*l0r - pkd[5]*l0i + pkd[9]*l1r - pkd[13]*l1i + pkd[17]*l2r - pkd[21]*l2i + pkd[25]*l3r - pkd[29]*l3i
+		lim[i1] = pkd[1]*l0i + pkd[5]*l0r + pkd[9]*l1i + pkd[13]*l1r + pkd[17]*l2i + pkd[21]*l2r + pkd[25]*l3i + pkd[29]*l3r
+		lr[i2] = pkd[2]*l0r - pkd[6]*l0i + pkd[10]*l1r - pkd[14]*l1i + pkd[18]*l2r - pkd[22]*l2i + pkd[26]*l3r - pkd[30]*l3i
+		lim[i2] = pkd[2]*l0i + pkd[6]*l0r + pkd[10]*l1i + pkd[14]*l1r + pkd[18]*l2i + pkd[22]*l2r + pkd[26]*l3i + pkd[30]*l3r
+		lr[i3] = pkd[3]*l0r - pkd[7]*l0i + pkd[11]*l1r - pkd[15]*l1i + pkd[19]*l2r - pkd[23]*l2i + pkd[27]*l3r - pkd[31]*l3i
+		lim[i3] = pkd[3]*l0i + pkd[7]*l0r + pkd[11]*l1i + pkd[15]*l1r + pkd[19]*l2i + pkd[23]*l2r + pkd[27]*l3i + pkd[31]*l3r
 		pr[i0], pim[i0] = p0r, p0i
 		pr[i1], pim[i1] = p1r, p1i
 		pr[i2], pim[i2] = p2r, p2i
