@@ -57,7 +57,11 @@ package qsim
 // reaches the first instruction), never recovers the pre-embedding states,
 // and contracts λ in place instead of propagating it.
 //
-// Each level is one call of a step kernel over 2^j amplitudes. The kernels
+// Level 0 starts from P_0 = [1] and T_0 = [0], so the forward writes
+// P_1 = u_0 and T_1 = φ̇_0·u′_0 outright, and the adjoint reads level 0's
+// G[b] straight off the adjoints (G_{X,P}[b] = conj X_1[b], G_{N,T} = 0)
+// with nothing left to contract. Every other level is one call of a step
+// kernel over 2^j amplitudes. The kernels
 // have AVX2 assembly on amd64 (embed_amd64.s) for levels of four or more
 // amplitudes, chosen by useSIMD like the opU4 kernels; the pure-Go loops
 // below are the oracle and the fallback. A kernel's sums over a level
@@ -97,11 +101,17 @@ func embedFactor(w []float64, c, s float64) (u, du [4]float64) {
 	return u, du
 }
 
-// tanFactor is the tangent step kernel's coefficients for factor u, its
-// derivative du and the angle tangent d: (u, d·du).
-func tanFactor(u, du [4]float64, d float64) [8]float64 {
-	return [8]float64{u[0], u[1], u[2], u[3], d * du[0], d * du[1], d * du[2], d * du[3]}
+// embedQubit is one qubit's share of a sample in the opEmbedProd adjoint:
+// its half-angle cosine and sine and its factors u and u′ (embedFactor).
+type embedQubit struct {
+	c, s  float64
+	u, du [4]float64
 }
+
+// maxEmbedQubits bounds the adjoint's per-qubit tables, which live on the
+// stack: far past any register a workspace can hold (2^32 amplitudes per
+// sample and channel).
+const maxEmbedQubits = 32
 
 // embedProdRange is the forward of opEmbedProd over samples [lo, hi), with
 // w the factors W_q (embedWall). It writes every amplitude of the value
@@ -114,13 +124,18 @@ func embedProdRange(ws *Workspace, w []float64, lo, hi int) {
 		off := smp * dim
 		row := smp * nq
 		vr, vi := ws.val.Re[off:off+dim], ws.val.Im[off:off+dim]
-		vr[0], vi[0] = 1, 0
+		// Level 0 from P_0 = [1] and T_0 = [0]: P_1 = u_0, T_1 = φ̇_0·u′_0.
+		c, s := cosSin(ws.angles[row] / 2)
+		u, du := embedFactor(w, c, s)
+		vr[0], vi[0], vr[1], vi[1] = u[0], u[1], u[2], u[3]
 		for k := 0; k < MaxTangents; k++ {
 			if ws.active[k] {
-				ws.tan[k].Re[off], ws.tan[k].Im[off] = 0, 0
+				d := ws.angleTans[k][row]
+				tr, ti := ws.tan[k].Re[off:off+2], ws.tan[k].Im[off:off+2]
+				tr[0], ti[0], tr[1], ti[1] = d*du[0], d*du[1], d*du[2], d*du[3]
 			}
 		}
-		for j, h := 0, 1; j < nq; j, h = j+1, h<<1 {
+		for j, h := 1, 2; j < nq; j, h = j+1, h<<1 {
 			c, s := cosSin(ws.angles[row+j] / 2)
 			u, du := embedFactor(w[8*j:], c, s)
 			yr, yi := vr[:h], vi[:h]
@@ -130,9 +145,8 @@ func embedProdRange(ws *Workspace, w []float64, lo, hi int) {
 				if !ws.active[k] {
 					continue
 				}
-				kt := tanFactor(u, du, ws.angleTans[k][row+j])
 				tr, ti := ws.tan[k].Re[off:off+dim], ws.tan[k].Im[off:off+dim]
-				embedTanStep(tr[:h], ti[:h], yr, yi, tr[:h], ti[:h], tr[h:][:h], ti[h:][:h], &kt)
+				embedTanStep(tr[:h], ti[:h], yr, yi, tr[:h], ti[:h], tr[h:][:h], ti[h:][:h], &u, &du, ws.angleTans[k][row+j])
 			}
 			embedValStep(yr, yi, yr, yi, vr[h:][:h], vi[h:][:h], &u)
 		}
@@ -142,68 +156,77 @@ func embedProdRange(ws *Workspace, w []float64, lo, hi int) {
 // reverseEmbedProdRange is the adjoint of opEmbedProd in over samples
 // [lo, hi): it adds dφ into dAngles, dφ̇_k into dAngleTans[k] (where
 // non-nil) and the folded gates' gradients into sc.dth, and leaves the
-// value, tangent, adjoint and scr1 planes of those samples overwritten. It
-// must be the last step of the reverse walk.
+// value, tangent and adjoint planes of those samples overwritten. It must
+// be the last step of the reverse walk.
 //
 //torq:hotpath
 func reverseEmbedProdRange(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, dAngles []float64, dAngleTans [][]float64, sc bwdScratch) {
 	nq, dim := ws.nq, ws.val.Dim
+	if nq > maxEmbedQubits {
+		panic("qsim: opEmbedProd adjoint: more than 32 qubits")
+	}
 	w := embedWall(in, coeff, nq)
-	// K_q of every qubit, eight floats each (a mat2), when any folded gate
-	// has a parameter. 32 qubits is far past any register a workspace can
-	// hold (2^32 amplitudes per sample and channel).
-	var kbuf [8 * 32]float64
+	// The sample's per-qubit trigonometry and factors, for the rebuild and
+	// the reverse sweep, and K_q of every qubit (a mat2 each) when any
+	// folded gate has a parameter.
+	var fac [maxEmbedQubits]embedQubit
+	var kbuf [8 * maxEmbedQubits]float64
 	var K []float64
 	if len(in.params) > 0 {
-		if 8*nq > len(kbuf) {
-			panic("qsim: opEmbedProd adjoint: more than 32 qubits")
-		}
 		K = kbuf[:8*nq]
 	}
 	for smp := lo; smp < hi; smp++ {
 		off := smp * dim
 		row := smp * nq
-		// Per-qubit half-angle trigonometry, cached in the sample's scr1
-		// plane (nq ≤ 2^nq floats) for the rebuild and the reverse sweep.
-		cs, sn := ws.scr1.Re[off:off+nq], ws.scr1.Im[off:off+nq]
 		for j := 0; j < nq; j++ {
-			cs[j], sn[j] = cosSin(ws.angles[row+j] / 2)
+			q := &fac[j]
+			q.c, q.s = cosSin(ws.angles[row+j] / 2)
+			q.u, q.du = embedFactor(w[8*j:], q.c, q.s)
 		}
 
 		// Rebuild the prefixes: P_j and T_j occupy [2^j, 2^{j+1}) of the
-		// value and tangent planes, for j = 0 … nq−1.
+		// value and tangent planes, for j = 1 … nq−1 (the sweep reads P_0 =
+		// [1] and T_0 = [0] as constants): P_1 = u_0, T_1 = φ̇_0·u′_0.
 		pr, pim := ws.val.Re[off:off+dim], ws.val.Im[off:off+dim]
-		pr[1], pim[1] = 1, 0
-		for k := 0; k < MaxTangents; k++ {
-			if ws.active[k] {
-				ws.tan[k].Re[off+1], ws.tan[k].Im[off+1] = 0, 0
+		if nq > 1 {
+			u, du := &fac[0].u, &fac[0].du
+			pr[2], pim[2], pr[3], pim[3] = u[0], u[1], u[2], u[3]
+			for k := 0; k < MaxTangents; k++ {
+				if ws.active[k] {
+					d := ws.angleTans[k][row]
+					tr, ti := ws.tan[k].Re[off+2:off+4], ws.tan[k].Im[off+2:off+4]
+					tr[0], ti[0], tr[1], ti[1] = d*du[0], d*du[1], d*du[2], d*du[3]
+				}
 			}
 		}
-		for j, h := 0, 1; j < nq-1; j, h = j+1, h<<1 {
-			u, du := embedFactor(w[8*j:], cs[j], sn[j])
+		for j, h := 1, 2; j < nq-1; j, h = j+1, h<<1 {
+			q := &fac[j]
 			yr, yi := pr[h:][:h], pim[h:][:h]
 			for k := 0; k < MaxTangents; k++ {
 				if !ws.active[k] {
 					continue
 				}
-				kt := tanFactor(u, du, ws.angleTans[k][row+j])
 				tr, ti := ws.tan[k].Re[off:off+dim], ws.tan[k].Im[off:off+dim]
-				embedTanStep(tr[h:][:h], ti[h:][:h], yr, yi, tr[2*h:][:h], ti[2*h:][:h], tr[3*h:][:h], ti[3*h:][:h], &kt)
+				embedTanStep(tr[h:][:h], ti[h:][:h], yr, yi, tr[2*h:][:h], ti[2*h:][:h], tr[3*h:][:h], ti[3*h:][:h], &q.u, &q.du, ws.angleTans[k][row+j])
 			}
-			embedValStep(yr, yi, pr[2*h:][:h], pim[2*h:][:h], pr[3*h:][:h], pim[3*h:][:h], &u)
+			embedValStep(yr, yi, pr[2*h:][:h], pim[2*h:][:h], pr[3*h:][:h], pim[3*h:][:h], &q.u)
 		}
 
 		// Reverse sweep, top qubit first: λv holds M and λt_k holds N_k,
 		// each contracted in place into its lower half at every level.
 		mr, mi := ws.lamV.Re[off:off+dim], ws.lamV.Im[off:off+dim]
 		for j, h := nq-1, dim>>1; j >= 0; j, h = j-1, h>>1 {
-			c, s := cs[j], sn[j]
-			u, du := embedFactor(w[8*j:], c, s)
+			q := &fac[j]
 			yr, yi := pr[h:][:h], pim[h:][:h] // P_j
 			m0r, m0i := mr[:h], mi[:h]
-			var gv [16]float64 // lanes of G_{M,P}: Re, Im of [0], then of [1]
-			embedRevValStep(m0r, m0i, mr[h:][:h], mi[h:][:h], yr, yi, &u, &gv)
-			A := [4]float64{lanes4(gv[0:4]), lanes4(gv[4:8]), lanes4(gv[8:12]), lanes4(gv[12:16])}
+			// Lanes of A: G_{M,P}, then every G_{N_k,T_k} added lane by lane
+			// (Re and Im of [0], then of [1]). At level 0, P_0 = [1] and
+			// T_0 = [0], so G_{X,P}[b] = conj X_1[b], G_{N,T} = 0, and no
+			// adjoint below it needs contracting.
+			var ga [16]float64
+			if j > 0 {
+				embedRevValStep(m0r, m0i, mr[h:][:h], mi[h:][:h], yr, yi, &q.u, &ga)
+			}
 			var B [4]float64
 			for k := 0; k < MaxTangents; k++ {
 				if !ws.active[k] {
@@ -211,25 +234,34 @@ func reverseEmbedProdRange(ws *Workspace, in *instr, coeff, dcoef []float64, lo,
 				}
 				d := ws.angleTans[k][row+j]
 				nr, ni := ws.lamT[k].Re[off:off+dim], ws.lamT[k].Im[off:off+dim]
-				tr, ti := ws.tan[k].Re[off+h:off+2*h], ws.tan[k].Im[off+h:off+2*h] // T_j
-				kt := tanFactor(u, du, d)
-				var g [32]float64 // lanes of G_{N,T}, then of G_{N,P}
-				embedRevTanStep(nr[:h], ni[:h], nr[h:][:h], ni[h:][:h], tr, ti, yr, yi, m0r, m0i, &kt, &g)
-				var gn [4]float64
-				for i := range A {
-					A[i] += lanes4(g[4*i : 4*i+4])
-					gn[i] = lanes4(g[16+4*i : 20+4*i])
-					B[i] += d * gn[i]
+				var G [4]float64 // G_{N_k,P}
+				if j > 0 {
+					tr, ti := ws.tan[k].Re[off+h:off+2*h], ws.tan[k].Im[off+h:off+2*h] // T_j
+					var gn [16]float64
+					embedRevTanStep(nr[:h], ni[:h], nr[h:][:h], ni[h:][:h], tr, ti, yr, yi, m0r, m0i, &q.u, &q.du, d, &ga, &gn)
+					G = [4]float64{lanes4(gn[0:4]), lanes4(gn[4:8]), lanes4(gn[8:12]), lanes4(gn[12:16])}
+				} else {
+					G = [4]float64{nr[0], -ni[0], nr[1], -ni[1]}
+				}
+				for i, g := range G {
+					B[i] += d * g
 				}
 				if dAngleTans != nil && k < len(dAngleTans) && dAngleTans[k] != nil {
-					dAngleTans[k][row+j] += reDot2(gn, du)
+					dAngleTans[k][row+j] += reDot2(G, q.du)
 				}
 			}
-			dAngles[row+j] += reDot2(A, du) - reDot2(B, u)/4
+			var A [4]float64
+			if j > 0 {
+				A = [4]float64{lanes4(ga[0:4]), lanes4(ga[4:8]), lanes4(ga[8:12]), lanes4(ga[12:16])}
+			} else {
+				A = [4]float64{mr[0], -mi[0], mr[1], -mi[1]}
+			}
+			dAngles[row+j] += reDot2(A, q.du) - reDot2(B, q.u)/4
 			if K != nil {
 				// K[b,c] += A[b]·e[c] + B[b]·e′[c], e = (c, −i·s) and
 				// e′ = (−s/2, −i·c/2).
 				kq := K[8*j : 8*j+8]
+				c, s := q.c, q.s
 				hc, hs := c/2, s/2
 				for b := 0; b < 2; b++ {
 					ar, ai, br, bi := A[2*b], A[2*b+1], B[2*b], B[2*b+1]
@@ -287,23 +319,24 @@ func embedValStep(yr, yi, p0r, p0i, p1r, p1i []float64, k *[4]float64) {
 	}
 }
 
-// embedTanStep is one tangent level: with k = (u, d) (tanFactor), d = φ̇·u′,
-// it writes t0 = u[0]·x + d[0]·y and t1 = u[1]·x + d[1]·y from the tangent
-// prefix x and value prefix y. t0 may be x itself; every slice must have
-// len(yr) elements.
+// embedTanStep is one tangent level: with the factor u, its derivative du
+// and the angle tangent d, so that δ = d·du, it writes
+// t0 = u[0]·x + δ[0]·y and t1 = u[1]·x + δ[1]·y from the tangent prefix x
+// and value prefix y. t0 may be x itself; every slice must have len(yr)
+// elements.
 //
 //torq:hotpath
-func embedTanStep(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, k *[8]float64) {
+func embedTanStep(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, u, du *[4]float64, d float64) {
 	n := len(yr)
 	if len(xr) != n || len(xi) != n || len(yi) != n || len(t0r) != n || len(t0i) != n || len(t1r) != n || len(t1i) != n {
 		panic("qsim: embedding step: slice lengths differ")
 	}
 	if useSIMD && n >= 4 {
-		embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i, k)
+		embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i, u, du, d)
 		return
 	}
-	u0r, u0i, u1r, u1i := k[0], k[1], k[2], k[3]
-	d0r, d0i, d1r, d1i := k[4], k[5], k[6], k[7]
+	u0r, u0i, u1r, u1i := u[0], u[1], u[2], u[3]
+	d0r, d0i, d1r, d1i := d*du[0], d*du[1], d*du[2], d*du[3]
 	for i := range yr {
 		x0, x1, y0, y1 := xr[i], xi[i], yr[i], yi[i]
 		t0r[i] = u0r*x0 - u0i*x1 + (d0r*y0 - d0i*y1)
@@ -343,39 +376,39 @@ func embedRevValStep(m0r, m0i, m1r, m1i, yr, yi []float64, k *[4]float64, g *[16
 	}
 }
 
-// embedRevTanStep is one level of a tangent adjoint N: with k = (u, d)
-// (tanFactor) it adds the lanes of Σ conj(N_0)·x and Σ conj(N_1)·x (Re, Im
-// each) to g[0:16] and of Σ conj(N_0)·y and Σ conj(N_1)·y to g[16:32], for
-// the tangent prefix x and value prefix y; adds conj(d[0])·N_0 +
-// conj(d[1])·N_1 to the value adjoint M_0; and contracts
-// N_0 ← conj(u[0])·N_0 + conj(u[1])·N_1 in place. Every slice must have
-// len(yr) elements.
+// embedRevTanStep is one level of a tangent adjoint N: with the factor u,
+// its derivative du and the angle tangent d, so that δ = d·du, it adds the
+// lanes of Σ conj(N_0)·x and Σ conj(N_1)·x (Re, then Im, of each) to gt
+// and of Σ conj(N_0)·y and Σ conj(N_1)·y to gn, for the tangent prefix x
+// and value prefix y; adds conj(δ[0])·N_0 + conj(δ[1])·N_1 to the value
+// adjoint M_0; and contracts N_0 ← conj(u[0])·N_0 + conj(u[1])·N_1 in
+// place. Every slice must have len(yr) elements.
 //
 //torq:hotpath
-func embedRevTanStep(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, k *[8]float64, g *[32]float64) {
+func embedRevTanStep(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, u, du *[4]float64, d float64, gt, gn *[16]float64) {
 	n := len(yr)
 	if len(n0r) != n || len(n0i) != n || len(n1r) != n || len(n1i) != n || len(xr) != n || len(xi) != n ||
 		len(yi) != n || len(m0r) != n || len(m0i) != n {
 		panic("qsim: embedding step: slice lengths differ")
 	}
 	if useSIMD && n >= 4 {
-		embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i, k, g)
+		embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i, u, du, d, gt, gn)
 		return
 	}
-	u0r, u0i, u1r, u1i := k[0], k[1], k[2], k[3]
-	d0r, d0i, d1r, d1i := k[4], k[5], k[6], k[7]
+	u0r, u0i, u1r, u1i := u[0], u[1], u[2], u[3]
+	d0r, d0i, d1r, d1i := d*du[0], d*du[1], d*du[2], d*du[3]
 	for i := range yr {
 		l := i & 3
 		a0r, a0i, a1r, a1i := n0r[i], n0i[i], n1r[i], n1i[i]
 		x0, x1, y0, y1 := xr[i], xi[i], yr[i], yi[i]
-		g[l] += a0r*x0 + a0i*x1
-		g[4+l] += a0r*x1 - a0i*x0
-		g[8+l] += a1r*x0 + a1i*x1
-		g[12+l] += a1r*x1 - a1i*x0
-		g[16+l] += a0r*y0 + a0i*y1
-		g[20+l] += a0r*y1 - a0i*y0
-		g[24+l] += a1r*y0 + a1i*y1
-		g[28+l] += a1r*y1 - a1i*y0
+		gt[l] += a0r*x0 + a0i*x1
+		gt[4+l] += a0r*x1 - a0i*x0
+		gt[8+l] += a1r*x0 + a1i*x1
+		gt[12+l] += a1r*x1 - a1i*x0
+		gn[l] += a0r*y0 + a0i*y1
+		gn[4+l] += a0r*y1 - a0i*y0
+		gn[8+l] += a1r*y0 + a1i*y1
+		gn[12+l] += a1r*y1 - a1i*y0
 		m0r[i] += d0r*a0r + d0i*a0i + (d1r*a1r + d1i*a1i)
 		m0i[i] += d0r*a0i - d0i*a0r + (d1r*a1i - d1i*a1r)
 		n0r[i] = u0r*a0r + u0i*a0i + (u1r*a1r + u1i*a1i)

@@ -14,14 +14,14 @@ func embedValAVX2(yr, yi, p0r, p0i, p1r, p1i []float64, k *[4]float64)
 // embedTanAVX2 is embedTanStep's loop.
 //
 //go:noescape
-func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, k *[8]float64)
+func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, u, du *[4]float64, d float64)
 
 // embedRevValAVX2 is embedRevValStep's loop; acc holds the lane sums.
 //
 //go:noescape
 func embedRevValAVX2(m0r, m0i, m1r, m1i, yr, yi []float64, k *[4]float64, acc *[16]float64)
 
-// embedRevTanAVX2 is embedRevTanStep's loop; acc holds the lane sums.
+// embedRevTanAVX2 is embedRevTanStep's loop; gt and gn hold the lane sums.
 //
 //go:noescape
-func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, k *[8]float64, acc *[32]float64)
+func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, u, du *[4]float64, d float64, gt, gn *[16]float64)

@@ -5,7 +5,7 @@
 // register holds amplitude 4m + l of block m. Every expression runs in the
 // Go loop's order (embed.go) as separately rounded VMULPD and VADDPD/VSUBPD
 // steps; there is no fused multiply-add in this file. The factors are
-// general complex numbers (u = W·e, d = φ̇·W·e′). The reductions keep one
+// general complex numbers (u = W·e, and d·du with du = W·e′). The reductions keep one
 // partial sum per lane, loaded from and stored back to acc.
 
 // func embedValAVX2(yr, yi, p0r, p0i, p1r, p1i []float64, k *[4]float64)
@@ -54,13 +54,14 @@ loop:
 	VZEROUPPER
 	RET
 
-// func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, k *[8]float64)
+// func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, u, du *[4]float64, d float64)
 //
-// Y8–Y15 = u0r, u0i, u1r, u1i, d0r, d0i, d1r, d1i.
+// Y8–Y11 = u0r, u0i, u1r, u1i; Y12–Y15 = d0r, d0i, d1r, d1i, each the
+// product d·du[i].
 // t0r = (u0r·xr − u0i·xi) + (d0r·yr − d0i·yi),
 // t0i = (u0r·xi + u0i·xr) + (d0r·yi + d0i·yr), and t1 likewise from u1, d1.
 // All four inputs are loaded before any store, so t0 may be x.
-TEXT ·embedTanAVX2(SB), NOSPLIT, $0-200
+TEXT ·embedTanAVX2(SB), NOSPLIT, $0-216
 	MOVQ xr_base+0(FP), SI
 	MOVQ xi_base+24(FP), DI
 	MOVQ yr_base+48(FP), R8
@@ -71,15 +72,21 @@ TEXT ·embedTanAVX2(SB), NOSPLIT, $0-200
 	MOVQ t1i_base+168(FP), R13
 	MOVQ yr_len+56(FP), CX
 	SHLQ $3, CX
-	MOVQ k+192(FP), AX
+	MOVQ u+192(FP), AX
 	VBROADCASTSD 0(AX), Y8
 	VBROADCASTSD 8(AX), Y9
 	VBROADCASTSD 16(AX), Y10
 	VBROADCASTSD 24(AX), Y11
-	VBROADCASTSD 32(AX), Y12
-	VBROADCASTSD 40(AX), Y13
-	VBROADCASTSD 48(AX), Y14
-	VBROADCASTSD 56(AX), Y15
+	MOVQ du+200(FP), AX
+	VBROADCASTSD d+208(FP), Y7
+	VBROADCASTSD 0(AX), Y12
+	VMULPD       Y7, Y12, Y12
+	VBROADCASTSD 8(AX), Y13
+	VMULPD       Y7, Y13, Y13
+	VBROADCASTSD 16(AX), Y14
+	VMULPD       Y7, Y14, Y14
+	VBROADCASTSD 24(AX), Y15
+	VMULPD       Y7, Y15, Y15
 	XORQ BX, BX
 
 loop:
@@ -202,11 +209,12 @@ loop:
 	VZEROUPPER
 	RET
 
-// func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, k *[8]float64, acc *[32]float64)
+// func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, u, du *[4]float64, d float64, gt, gn *[16]float64)
 //
-// The eight coefficients u0r, u0i, u1r, u1i, d0r, d0i, d1r, d1i are
-// broadcast into the frame at 0(SP) … 224(SP) and read as memory operands;
-// Y8–Y15 are the lane sums acc[0:4] … acc[28:32].
+// The eight coefficients u0r, u0i, u1r, u1i and d0r, d0i, d1r, d1i (each
+// the product d·du[i]) are broadcast into the frame at 0(SP) … 224(SP)
+// and read as memory operands; Y8–Y11 are the lane sums gt[0:4] …
+// gt[12:16] and Y12–Y15 those of gn.
 // gt0 += a0r·xr + a0i·xi, gt1 += a0r·xi − a0i·xr,
 // gt2 += a1r·xr + a1i·xi, gt3 += a1r·xi − a1i·xr, and gn0–gn3 likewise
 // from y;
@@ -214,7 +222,7 @@ loop:
 // m0i += (d0r·a0i − d0i·a0r) + (d1r·a1i − d1i·a1r);
 // n0r = (u0r·a0r + u0i·a0i) + (u1r·a1r + u1i·a1i),
 // n0i = (u0r·a0i − u0i·a0r) + (u1r·a1i − u1i·a1r).
-TEXT ·embedRevTanAVX2(SB), NOSPLIT, $256-256
+TEXT ·embedRevTanAVX2(SB), NOSPLIT, $256-280
 	MOVQ n0r_base+0(FP), SI
 	MOVQ n0i_base+24(FP), DI
 	MOVQ n1r_base+48(FP), R8
@@ -227,7 +235,7 @@ TEXT ·embedRevTanAVX2(SB), NOSPLIT, $256-256
 	MOVQ m0i_base+216(FP), DX
 	MOVQ yr_len+152(FP), CX
 	SHLQ $3, CX
-	MOVQ k+240(FP), BX
+	MOVQ u+240(FP), BX
 	VBROADCASTSD 0(BX), Y0
 	VMOVUPD      Y0, 0(SP)
 	VBROADCASTSD 8(BX), Y0
@@ -236,23 +244,30 @@ TEXT ·embedRevTanAVX2(SB), NOSPLIT, $256-256
 	VMOVUPD      Y0, 64(SP)
 	VBROADCASTSD 24(BX), Y0
 	VMOVUPD      Y0, 96(SP)
-	VBROADCASTSD 32(BX), Y0
+	MOVQ du+248(FP), BX
+	VBROADCASTSD d+256(FP), Y1
+	VBROADCASTSD 0(BX), Y0
+	VMULPD       Y1, Y0, Y0
 	VMOVUPD      Y0, 128(SP)
-	VBROADCASTSD 40(BX), Y0
+	VBROADCASTSD 8(BX), Y0
+	VMULPD       Y1, Y0, Y0
 	VMOVUPD      Y0, 160(SP)
-	VBROADCASTSD 48(BX), Y0
+	VBROADCASTSD 16(BX), Y0
+	VMULPD       Y1, Y0, Y0
 	VMOVUPD      Y0, 192(SP)
-	VBROADCASTSD 56(BX), Y0
+	VBROADCASTSD 24(BX), Y0
+	VMULPD       Y1, Y0, Y0
 	VMOVUPD      Y0, 224(SP)
-	MOVQ    acc+248(FP), BX
+	MOVQ    gt+264(FP), BX
 	VMOVUPD 0(BX), Y8
 	VMOVUPD 32(BX), Y9
 	VMOVUPD 64(BX), Y10
 	VMOVUPD 96(BX), Y11
-	VMOVUPD 128(BX), Y12
-	VMOVUPD 160(BX), Y13
-	VMOVUPD 192(BX), Y14
-	VMOVUPD 224(BX), Y15
+	MOVQ    gn+272(FP), BX
+	VMOVUPD 0(BX), Y12
+	VMOVUPD 32(BX), Y13
+	VMOVUPD 64(BX), Y14
+	VMOVUPD 96(BX), Y15
 	XORQ    BX, BX
 
 loop:
@@ -333,14 +348,15 @@ loop:
 	ADDQ    $32, BX
 	CMPQ    BX, CX
 	JB      loop
-	MOVQ    acc+248(FP), BX
+	MOVQ    gt+264(FP), BX
 	VMOVUPD Y8, 0(BX)
 	VMOVUPD Y9, 32(BX)
 	VMOVUPD Y10, 64(BX)
 	VMOVUPD Y11, 96(BX)
-	VMOVUPD Y12, 128(BX)
-	VMOVUPD Y13, 160(BX)
-	VMOVUPD Y14, 192(BX)
-	VMOVUPD Y15, 224(BX)
+	MOVQ    gn+272(FP), BX
+	VMOVUPD Y12, 0(BX)
+	VMOVUPD Y13, 32(BX)
+	VMOVUPD Y14, 64(BX)
+	VMOVUPD Y15, 96(BX)
 	VZEROUPPER
 	RET

@@ -196,11 +196,11 @@ func testEmbedProdMatchesEmbedAll(t *testing.T) {
 
 // TestEmbedKernelsMatchOracle pins the four opEmbedProd step kernels'
 // AVX2 assembly to their pure-Go loops bit for bit: levels of 4, 8 and 64
-// amplitudes, the in-place forms the forward uses (p0 = y, t0 = x), inputs
-// and general complex factors u and d (no component zero or shared, as a
-// folded W_q makes them) seeded with signed zeros, subnormals, infinities
-// and NaN, and lane accumulators that start non-zero. NaN counts as one
-// class.
+// amplitudes, the in-place forms the forward uses (p0 = y, t0 = x), inputs,
+// general complex factors u and du (every component non-zero, as a folded
+// W_q makes them) and the angle tangent seeded with signed zeros,
+// subnormals, infinities and NaN, and lane accumulators that start
+// non-zero. NaN counts as one class.
 func TestEmbedKernelsMatchOracle(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 on this CPU")
@@ -215,34 +215,34 @@ func TestEmbedKernelsMatchOracle(t *testing.T) {
 				for i := range in {
 					in[i] = u4Fill(rng, n, edge)
 				}
-				var kv [4]float64
-				var kt [8]float64
+				var kv, kd [4]float64
 				copy(kv[:], u4Fill(rng, 4, edge))
-				copy(kt[:], u4Fill(rng, 8, edge))
-				var acc16 [16]float64
-				var acc32 [32]float64
-				copy(acc16[:], u4Fill(rng, 16, edge))
-				copy(acc32[:], u4Fill(rng, 32, edge))
-				run := func(simd bool) ([][]float64, [16]float64, [32]float64) {
+				copy(kd[:], u4Fill(rng, 4, edge))
+				d := u4Fill(rng, 1, edge)[0]
+				var acc [3][16]float64
+				for i := range acc {
+					copy(acc[i][:], u4Fill(rng, 16, edge))
+				}
+				run := func(simd bool) ([][]float64, [3][16]float64) {
 					useSIMD = simd
 					s := make([][]float64, len(in))
 					for i := range in {
 						s[i] = slices.Clone(in[i])
 					}
-					g16, g32 := acc16, acc32
+					g := acc
 					if inPlace {
 						embedValStep(s[0], s[1], s[0], s[1], s[2], s[3], &kv)
-						embedTanStep(s[4], s[5], s[0], s[1], s[4], s[5], s[6], s[7], &kt)
+						embedTanStep(s[4], s[5], s[0], s[1], s[4], s[5], s[6], s[7], &kv, &kd, d)
 					} else {
 						embedValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv)
-						embedTanStep(s[6], s[7], s[8], s[9], s[0], s[1], s[2], s[3], &kt)
+						embedTanStep(s[6], s[7], s[8], s[9], s[0], s[1], s[2], s[3], &kv, &kd, d)
 					}
-					embedRevValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv, &g16)
-					embedRevTanStep(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], &kt, &g32)
-					return s, g16, g32
+					embedRevValStep(s[0], s[1], s[2], s[3], s[4], s[5], &kv, &g[0])
+					embedRevTanStep(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], &kv, &kd, d, &g[1], &g[2])
+					return s, g
 				}
-				want, w16, w32 := run(false)
-				got, g16, g32 := run(true)
+				want, wg := run(false)
+				got, gg := run(true)
 				cmp := func(name string, w, g []float64) {
 					t.Helper()
 					if i, ok := sameBitsNaN(w, g); !ok {
@@ -253,8 +253,9 @@ func TestEmbedKernelsMatchOracle(t *testing.T) {
 				for i := range want {
 					cmp(fmt.Sprintf("slice %d", i), want[i], got[i])
 				}
-				cmp("value lanes", w16[:], g16[:])
-				cmp("tangent lanes", w32[:], g32[:])
+				cmp("value lanes", wg[0][:], gg[0][:])
+				cmp("tangent x lanes", wg[1][:], gg[1][:])
+				cmp("tangent y lanes", wg[2][:], gg[2][:])
 			}
 		}
 	}

@@ -901,24 +901,25 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 }
 
 // packCoeffs column-packs every opU4's matrix U and its adjoint U† from the
-// forward coefficients coeff into pack (packU4's layout, 64 floats from the
-// instruction's pslot: U, then U†), so the kernels read one packed table per
-// pass instead of packing per call. pack must have at least npack elements.
+// forward coefficients coeff (row-major, interleaved re/im pairs) into pack,
+// 64 floats from the instruction's pslot: U, then U†. In a packed matrix pk,
+// pk[8c:8c+4] holds column c's real parts and pk[8c+4:8c+8] its imaginary
+// parts, rows ascending, so one YMM load gives a column across the four
+// output rows. The kernels read the table once per pass instead of packing
+// per call. pack must have at least npack elements.
 func (p *Program) packCoeffs(coeff, pack []float64) {
 	for i := range p.ins {
 		in := &p.ins[i]
 		if in.op != opU4 {
 			continue
 		}
-		u := (*[32]float64)(coeff[in.slot : in.slot+32])
-		var ud [32]float64
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 4; c++ {
-				ud[(r*4+c)*2] = u[(c*4+r)*2]
-				ud[(r*4+c)*2+1] = -u[(c*4+r)*2+1]
+		u := coeff[in.slot : in.slot+32]
+		pk := pack[in.pslot : in.pslot+64]
+		for c := 0; c < 4; c++ {
+			for r := 0; r < 4; r++ {
+				pk[8*c+r], pk[8*c+4+r] = u[8*r+2*c], u[8*r+2*c+1]      // U[r,c]
+				pk[32+8*c+r], pk[36+8*c+r] = u[8*c+2*r], -u[8*c+2*r+1] // U†[r,c] = conj U[c,r]
 			}
 		}
-		packU4((*[32]float64)(pack[in.pslot:in.pslot+32]), u)
-		packU4((*[32]float64)(pack[in.pslot+32:in.pslot+64]), &ud)
 	}
 }

@@ -34,24 +34,10 @@ func checkU4(re, im []float64, lo, hi, nq, dim int, w *groupWalk) {
 	}
 }
 
-// packU4 copies the 4×4 complex matrix m (row-major, interleaved re/im
-// pairs) into pk column by column: pk[8c:8c+4] holds column c's real parts
-// and pk[8c+4:8c+8] its imaginary parts, rows ascending, so one YMM load
-// gives a column across the four output rows. Program.packCoeffs packs
-// every opU4 once per pass; both kernel paths read the packed form.
-func packU4(pk, m *[32]float64) {
-	for c := 0; c < 4; c++ {
-		for r := 0; r < 4; r++ {
-			pk[8*c+r] = m[8*r+2*c]
-			pk[8*c+4+r] = m[8*r+2*c+1]
-		}
-	}
-}
-
 // applyU4Range applies an arbitrary 4×4 unitary on the qubit pair w
-// addresses to samples [lo, hi). pk is the matrix column-packed (packU4),
-// with w's first qubit as bit 0 of the local basis index — the kernel
-// behind fused pair blocks.
+// addresses to samples [lo, hi), with w's first qubit as bit 0 of the
+// local basis index — the kernel behind fused pair blocks. pk is the
+// matrix column-packed by Program.packCoeffs, once per pass.
 //
 //torq:hotpath
 func (s *State) applyU4Range(lo, hi int, w *groupWalk, pk *[32]float64) {

@@ -1,6 +1,6 @@
 package qsim
 
-// applyU4AVX2 applies the column-packed 4×4 unitary pk (packU4) to every
+// applyU4AVX2 applies the column-packed 4×4 unitary pk (packCoeffs) to every
 // 4-amplitude group of re/im: len(re)/4 groups, group g's base the walk's
 // L(g) (base(g+1) = base(g) ^ step[tz(g+1)]), its members base, base^ma,
 // base^mb and base^ma^mb. The caller guarantees len(im) = len(re), that

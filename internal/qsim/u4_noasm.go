@@ -17,7 +17,7 @@ func embedValAVX2(yr, yi, p0r, p0i, p1r, p1i []float64, k *[4]float64) {
 	panic("qsim: no SIMD embedding kernel on this architecture")
 }
 
-func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, k *[8]float64) {
+func embedTanAVX2(xr, xi, yr, yi, t0r, t0i, t1r, t1i []float64, u, du *[4]float64, d float64) {
 	panic("qsim: no SIMD embedding kernel on this architecture")
 }
 
@@ -25,6 +25,6 @@ func embedRevValAVX2(m0r, m0i, m1r, m1i, yr, yi []float64, k *[4]float64, g *[16
 	panic("qsim: no SIMD embedding kernel on this architecture")
 }
 
-func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, k *[8]float64, g *[32]float64) {
+func embedRevTanAVX2(n0r, n0i, n1r, n1i, xr, xi, yr, yi, m0r, m0i []float64, u, du *[4]float64, d float64, gt, gn *[16]float64) {
 	panic("qsim: no SIMD embedding kernel on this architecture")
 }
