@@ -18,9 +18,7 @@ package qsim
 // with v = P_nq and t_k = T_nq, where u′ = W·e′ is du/dφ, e′ =
 // (−sin φ/2 / 2, −i·cos φ/2 / 2). Level j doubles a 2^j-amplitude prefix,
 // so a sample costs O(2^nq) per channel instead of the nq full-vector RX
-// sweeps opEmbedAll makes, and the folded gates cost nothing per amplitude:
-// in the paper's 7-qubit Strongly-Entangling program they were the first
-// layer's four opU4 blocks.
+// sweeps opEmbedAll makes, and the folded gates cost nothing per amplitude.
 //
 // Its adjoint is reverse mode through the same recurrence. With the loss
 // written as F = Re⟨λv, v⟩ + Σ_k Re⟨λt_k, t_k⟩, the adjoints of P_j and

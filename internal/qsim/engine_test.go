@@ -400,7 +400,7 @@ func TestProgramFusionShrinksStream(t *testing.T) {
 //     (16).
 //
 // The 4q/2L programs of the bench's QPINN workloads fold the same way:
-// Strongly-Entangling is 1 + 2 (from 1 + 4).
+// Strongly-Entangling is 1 + 2.
 //
 // Every program must also leave no two adjacent single-qubit runs that
 // could pair (checkSinglesPaired): a lost pairing pass fails here. And it

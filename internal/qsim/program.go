@@ -549,9 +549,8 @@ func u4(qa, qb int, va, vb vqubit, gates []Gate) instr {
 
 // layout assigns coefficient slots, derivative slots and pack slots, builds
 // the group walks of the pair blocks and the re-upload embeddings, and lays
-// out the
-// full-register diagonals' derivative sign tables over physical basis
-// states, reading each source gate's bits through its frame rows.
+// out the full-register diagonals' derivative sign tables over physical
+// basis states, reading each source gate's bits through its frame rows.
 func (p *Program) layout() {
 	nq := p.circ.NumQubits
 	dim := 1 << nq
@@ -559,8 +558,9 @@ func (p *Program) layout() {
 		in := &p.ins[i]
 		switch in.op {
 		case opEmbedProd:
-			// An embedding that folded no gate has no slots, so a program
-			// without a leading rotation lays out (and hashes) as before.
+			// An embedding that folded no gate takes no slots (it runs on
+			// identWall), so a program whose first gate is a two-qubit gate
+			// lays out and hashes the same with or without the fold.
 			if len(in.gates) > 0 {
 				in.slot = p.ncoef
 				p.ncoef += 8 * nq
@@ -905,8 +905,8 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 // 64 floats from the instruction's pslot: U, then U†. In a packed matrix pk,
 // pk[8c:8c+4] holds column c's real parts and pk[8c+4:8c+8] its imaginary
 // parts, rows ascending, so one YMM load gives a column across the four
-// output rows. The kernels read the table once per pass instead of packing
-// per call. pack must have at least npack elements.
+// output rows. It runs once per pass, so no kernel call packs a matrix.
+// pack must have at least npack elements.
 func (p *Program) packCoeffs(coeff, pack []float64) {
 	for i := range p.ins {
 		in := &p.ins[i]
