@@ -40,13 +40,15 @@
 // forward apply and its fused adjoint (u4_amd64.s), chosen at start-up from
 // CPUID (internal/cpufeat). Their YMM lanes run across the four output rows
 // of U or U†: each input amplitude is broadcast and multiplied by a column
-// of a column-packed copy of the matrix, and every sum is a VMULPD followed
-// by a VADDPD or VSUBPD in the scalar expression's order, never a fused
-// multiply-add. The adjoint keeps the 32 entries of its outer product K in
-// eight YMM registers for a whole call. The product-state first embedding
-// (opEmbedProd) has AVX2 step kernels too (embed_amd64.s), one amplitude per
-// lane, with level sums kept in four lanes in both implementations. The
-// pure-Go kernels run everywhere else and are the oracle.
+// of a column-packed copy of the matrix (packed once per pass), and every
+// sum is a VMULPD followed by a VADDPD or VSUBPD in the scalar expression's
+// order, never a fused multiply-add. The adjoint keeps the 32 entries of
+// its outer product K in eight YMM registers for a whole call. The
+// product-state first embedding (opEmbedProd), which also applies the
+// rotations in front of the first two-qubit gate as one 2×2 factor per
+// qubit, has AVX2 step kernels too (embed_amd64.s), one amplitude per lane,
+// with level sums kept in four lanes in both implementations. The pure-Go
+// kernels run everywhere else and are the oracle.
 //
 // # Invariants
 //
