@@ -80,6 +80,7 @@ func (e *exactSolution) at(x, t float64) complex128 {
 // model is a periodic-feature MLP with 4 outputs (u, v, p, q).
 type model struct {
 	reg    *nn.Registry
+	embed  *nn.Embedding
 	layers []nn.Layer
 }
 
@@ -87,9 +88,8 @@ func newModel(seed int64) *model {
 	rng := rand.New(rand.NewSource(seed))
 	reg := &nn.Registry{}
 	m := &model{reg: reg}
-	// Periodic embedding reuses the Maxwell layer with a dummy y column.
-	m.layers = append(m.layers, nn.NewPeriodic(reg, domainL, domainL, 2.0))
-	m.layers = append(m.layers, nn.NewRFF(rng, 6, 16, 1.0))
+	// The input embedding reuses the Maxwell layer with a dummy y column.
+	m.embed = nn.NewEmbedding(reg, rng, domainL, domainL, 2.0, 16, 1.0)
 	m.layers = append(m.layers, nn.NewDense(reg, rng, "h1", 32, 48, true))
 	m.layers = append(m.layers, nn.NewDense(reg, rng, "h2", 48, 48, true))
 	m.layers = append(m.layers, nn.NewDense(reg, rng, "out", 48, 4, false))
@@ -97,16 +97,7 @@ func newModel(seed int64) *model {
 }
 
 func (m *model) forward(tp *ad.Tape, coords []float64, n int, tangents bool) dual.D {
-	x := dual.FromValue(tp.Leaf(n, 3, coords, false))
-	if tangents {
-		for _, k := range []int{0, 2} { // ∂/∂x and ∂/∂t only
-			tan := make([]float64, n*3)
-			for i := 0; i < n; i++ {
-				tan[i*3+k] = 1
-			}
-			x.T[k] = tp.Const(n, 3, tan)
-		}
-	}
+	x := m.embed.Forward(tp, coords, n, [dual.K]bool{tangents, false, tangents}) // ∂/∂x and ∂/∂t only
 	for _, l := range m.layers {
 		x = l.Forward(tp, x)
 	}

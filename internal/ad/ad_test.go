@@ -111,11 +111,6 @@ func TestMatMulGradients(t *testing.T) {
 	w := randSlice(rng, 4*2, -1, 1)
 	gradCheck(t, "MatMul", [][]float64{a, w}, [][2]int{{3, 4}, {4, 2}},
 		func(tp *Tape, l []Value) Value { return tp.SumSq(tp.MatMul(l[0], l[1])) })
-
-	cm := randSlice(rng, 4*5, -1, 1)
-	a2 := randSlice(rng, 3*4, -1, 1)
-	gradCheck(t, "MatMulC", [][]float64{a2}, [][2]int{{3, 4}},
-		func(tp *Tape, l []Value) Value { return tp.SumSq(tp.MatMulC(l[0], cm, 5)) })
 }
 
 func TestBroadcastGradients(t *testing.T) {
@@ -129,11 +124,6 @@ func TestBroadcastGradients(t *testing.T) {
 	s := randSlice(rng, 3, 0.5, 1.5)
 	gradCheck(t, "RowScale", [][]float64{a2, s}, [][2]int{{3, 4}, {3, 1}},
 		func(tp *Tape, l []Value) Value { return tp.SumSq(tp.RowScale(l[0], l[1])) })
-
-	a3 := randSlice(rng, 3*4, -1, 1)
-	sc := []float64{1.3}
-	gradCheck(t, "ScaleVar", [][]float64{a3, sc}, [][2]int{{3, 4}, {1, 1}},
-		func(tp *Tape, l []Value) Value { return tp.SumSq(tp.ScaleVar(l[0], l[1])) })
 }
 
 func TestShapeOpGradients(t *testing.T) {

@@ -28,6 +28,10 @@ func (t *Tape) Backward(loss Value) {
 			if g := &t.groups[n.b]; g.runner == i {
 				dualBackward(g)
 			}
+		case n.op == OpEmbed:
+			if e := t.embeds[n.b]; e.runner == i {
+				t.embedBackward(e)
+			}
 		default:
 			t.backprop(n)
 		}
@@ -145,11 +149,6 @@ func (t *Tape) backprop(n *node) {
 		if db := t.gradOf(n.b); db != nil {
 			mmTNAcc(db, na.val, g, rows, k, m)
 		}
-	case OpMatMulC:
-		na := &t.nodes[n.a]
-		if da := t.gradOf(n.a); da != nil {
-			mmNTAcc(da, g, n.cm, &t.panel, int(na.rows), int(n.cmCols), int(na.cols))
-		}
 	case OpAddBias:
 		if da := t.gradOf(n.a); da != nil {
 			axpy(da, g, 1)
@@ -187,18 +186,6 @@ func (t *Tape) backprop(n *node) {
 				}
 			}
 		})
-	case OpScaleVar:
-		na, ns := &t.nodes[n.a], &t.nodes[n.b]
-		if da := t.gradOf(n.a); da != nil {
-			axpy(da, g, ns.val[0])
-		}
-		if ds := t.gradOf(n.b); ds != nil {
-			var sum float64
-			for i, x := range g {
-				sum += x * na.val[i]
-			}
-			ds[0] += sum
-		}
 	case OpSelectCols:
 		if da := t.gradOf(n.a); da != nil {
 			cols := int(t.nodes[n.a].cols)

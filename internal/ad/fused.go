@@ -22,23 +22,20 @@ const (
 // 1/√(1−c²), away from ±1 where the factor is infinite.
 const dualClamp = 1 - 1e-9
 
-// dualGroup is one fused dual op. Its nodes are contiguous on the tape: a
-// member's value node, then one node per valid tangent; a SinCos pair has
-// two members. The group's backward runs once, at runner, the last of its
-// nodes that has a gradient, which the reverse sweep reaches first.
+// dualGroup is one fused dual op. Its nodes are contiguous on the tape: the
+// value node, then one node per valid tangent. The group's backward runs
+// once, at runner, the last of its nodes that has a gradient, which the
+// reverse sweep reaches first.
 type dualGroup struct {
-	fn       DualFn // a single member's function; unused for a pair
-	pair     bool   // sin and cos of the same input
-	cosFirst bool   // the pair replays cos-then-sin instead of sin-then-cos
-	runner   int32
-	x, dx    []float64  // input a and its gradient (nil: a needs none)
-	y, dy    []float64  // a single member's value, or the pair's sin; its gradient
-	y2, dy2  []float64  // the pair's cos and its gradient
-	d        []float64  // a single member's f′(a), pooled; nil for a pair
-	lanes    []dualLane // a single member's tangents; a pair's sin then cos tangents
+	fn     DualFn
+	runner int32
+	x, dx  []float64  // input a and its gradient (nil: a needs none)
+	y, dy  []float64  // the value and its gradient
+	d      []float64  // f′(a), pooled
+	lanes  []dualLane // the tangents
 }
 
-// dualLane is one tangent channel of a group member: the input tangent aₖ,
+// dualLane is one tangent channel of a group: the input tangent aₖ,
 // the output f′(a)⊙aₖ, and their gradients (nil where there is none).
 type dualLane struct {
 	x, dx []float64
@@ -83,30 +80,6 @@ func (t *Tape) Dual(fn DualFn, a Value, tan, out []Value) Value {
 	return v
 }
 
-// SinCos returns sin(a) and cos(a) as one fused group, with the tangents
-// cos(a)⊙tan[k] in sinOut[k] and −sin(a)⊙tan[k] in cosOut[k] for every valid
-// tan[k]. Each output is the other's derivative, so the forward evaluates
-// each function once and the backward evaluates none. The values and every
-// gradient equal those of Dual(DualSin, …) followed by Dual(DualCos, …) on
-// the same input bit for bit, or of DualCos then DualSin when cosFirst is
-// set: the order decides in which order terms reach a's gradients.
-func (t *Tape) SinCos(a Value, tan, sinOut, cosOut []Value, cosFirst bool) (sin, cos Value) {
-	gi := t.openGroup(a)
-	g := &t.groups[gi]
-	g.pair, g.cosFirst = true, cosFirst
-	sin = t.groupNode(a.i, gi)
-	g.y, g.dy = sin.Data(), sin.Grad()
-	first := len(t.lanes)
-	t.groupLanes(gi, a, tan, sinOut)
-	cos = t.groupNode(a.i, gi)
-	g.y2, g.dy2 = cos.Data(), cos.Grad()
-	t.groupLanes(gi, a, tan, cosOut)
-	g.lanes = t.lanes[first:]
-	g.runner = t.lastWithGrad(sin.i)
-	par.For(len(g.x), func(s, e int) { sinCosFwdRange(g, s, e) })
-	return sin, cos
-}
-
 func anyValid(vs []Value) bool {
 	for _, v := range vs {
 		if v.Valid() {
@@ -123,7 +96,7 @@ func (t *Tape) openGroup(a Value) int32 {
 	return int32(len(t.groups) - 1)
 }
 
-// groupNode appends a group member's value node, shaped like a; it needs a
+// groupNode appends a group's value node, shaped like a; it needs a
 // gradient exactly when a does.
 func (t *Tape) groupNode(a, gi int32) Value {
 	na := &t.nodes[a]
@@ -131,8 +104,8 @@ func (t *Tape) groupNode(a, gi int32) Value {
 	return v
 }
 
-// groupLanes appends one node and one lane per valid tangent of a group
-// member and sets out[k] to the node. A tangent node needs a gradient when
+// groupLanes appends one node and one lane per valid tangent of a group and
+// sets out[k] to the node. A tangent node needs a gradient when
 // a or its input tangent does, as the chain's Mul did.
 func (t *Tape) groupLanes(gi int32, a Value, tan, out []Value) {
 	if len(out) != len(tan) {
@@ -165,15 +138,11 @@ func (t *Tape) lastWithGrad(first int32) int32 {
 
 // dualBackward runs a group's whole backward.
 func dualBackward(g *dualGroup) {
-	bwd := dualBwdRange
-	if g.pair {
-		bwd = sinCosBwdRange
-	}
-	par.For(len(g.x), func(s, e int) { bwd(g, s, e) })
+	par.For(len(g.x), func(s, e int) { dualBwdRange(g, s, e) })
 }
 
-// dualFwdRange writes a single member's value, f′ and tangents over
-// elements [s, e).
+// dualFwdRange writes the group's value, f′ and tangents over elements
+// [s, e).
 //
 //torq:hotpath
 func dualFwdRange(g *dualGroup, s, e int) {
@@ -209,37 +178,6 @@ func dualFwdRange(g *dualGroup, s, e int) {
 	for l := range g.lanes {
 		ln := &g.lanes[l]
 		mulInto(ln.y[s:e], d, ln.x[s:e])
-	}
-}
-
-// sinCosFwdRange writes the pair's sin, cos and tangents over elements
-// [s, e).
-//
-//torq:hotpath
-func sinCosFwdRange(g *dualGroup, s, e int) {
-	x, sv, cv := g.x[s:e], g.y[s:e], g.y2[s:e]
-	sv, cv = sv[:len(x)], cv[:len(x)]
-	for i, xi := range x {
-		sv[i], cv[i] = sincos(xi)
-	}
-	nt := len(g.lanes) / 2
-	for l := range g.lanes[:nt] {
-		ln := &g.lanes[l]
-		mulInto(ln.y[s:e], cv, ln.x[s:e])
-	}
-	for l := range g.lanes[nt:] {
-		ln := &g.lanes[nt+l]
-		negMulInto(ln.y[s:e], sv, ln.x[s:e])
-	}
-}
-
-// negMulInto writes out[i] = −d[i]·x[i], the chain's Mul(Neg(sin), aₖ).
-//
-//torq:hotpath
-func negMulInto(out, d, x []float64) {
-	d, x = d[:len(out)], x[:len(out)]
-	for i := range out {
-		out[i] = -d[i] * x[i]
 	}
 }
 
@@ -282,7 +220,7 @@ func clampTo(x, c float64) float64 {
 	return x
 }
 
-// lanesBack replays, for element i, the backward of a member's tangent
+// lanesBack replays, for element i, the backward of a group's tangent
 // products f′⊙aₖ, last tangent first as the reverse sweep met them: each
 // output gradient gₖ adds gₖ·f′ to aₖ's gradient, and the returned sum of
 // gₖ·aₖ, accumulated from +0 in the same order, is the gradient of f′.
@@ -304,7 +242,7 @@ func lanesBack(lanes []dualLane, d float64, i int) float64 {
 	return gd
 }
 
-// dualBwdRange is a single member's backward over elements [s, e). After
+// dualBwdRange is the group's backward over elements [s, e). After
 // the tangent lanes it replays the chain that built f′ from a, one rounded
 // operation per former node: a constant shift is 0+x and a negation 0−x on
 // a gradient that started at zero. Then the value node's own term lands in
@@ -363,42 +301,6 @@ func dualBwdRange(g *dualGroup, s, e int) {
 				dx[i] += gc
 			}
 			dx[i] += dy[i] * dv
-		}
-	}
-}
-
-// sinCosBwdRange is the pair's backward over elements [s, e): each member
-// as dualBwdRange would run it, the member built last first. A member with
-// tangents had a derivative node in the chain, and only then does its term
-// reach a's gradient.
-//
-//torq:hotpath
-func sinCosBwdRange(g *dualGroup, s, e int) {
-	nt := len(g.lanes) / 2
-	sinL, cosL := g.lanes[:nt], g.lanes[nt:]
-	sv, cv, ds, dc, dx, cosFirst := g.y, g.y2, g.dy, g.dy2, g.dx, g.cosFirst
-	for i := s; i < e; i++ {
-		si, ci := sv[i], cv[i]
-		for m := 0; m < 2; m++ {
-			if (m == 0) == cosFirst {
-				// sin: f′ = Cos(a), whose own backward factor is −sin.
-				gd := lanesBack(sinL, ci, i)
-				if dx != nil {
-					if nt > 0 {
-						dx[i] += gd * -si
-					}
-					dx[i] += ds[i] * ci
-				}
-			} else {
-				// cos: f′ = Neg(Sin(a)), whose Sin's backward factor is cos.
-				gd := lanesBack(cosL, -si, i)
-				if dx != nil {
-					if nt > 0 {
-						dx[i] += (0 - gd) * ci
-					}
-					dx[i] += dc[i] * -si
-				}
-			}
 		}
 	}
 }

@@ -8,22 +8,23 @@ import (
 )
 
 // everyOpGraph builds a small graph that uses every op the tape has, fused
-// dual groups included, over leaves that all need gradients, and returns its
-// scalar loss.
+// dual groups and the input embedding included, over leaves that all need
+// gradients, and returns its scalar loss.
 func everyOpGraph(tp *Tape, x, w, b, s []float64, cw []float64) Value {
 	X := tp.Leaf(6, 4, x, true)
 	W := tp.Leaf(4, 9, w, true)
 	B := tp.Leaf(1, 9, b, true)
 	S := tp.Leaf(1, 1, s, true)
 	h := tp.AddBias(tp.MatMul(X, W), B)
-	ta := tp.MatMulC(X, cw, 9)
-	tan := []Value{ta, {}, tp.ScaleVar(ta, S)}
+	ta := tp.MatMul(X, tp.Const(4, 9, cw))
+	tan := []Value{ta, {}, tp.Mul(ta, h)}
 	tt := make([]Value, 3)
 	th := tp.Dual(DualTanh, h, tan, tt)
 	st, ct := make([]Value, 3), make([]Value, 3)
-	sn, cs := tp.SinCos(th, tt, st, ct, false)
+	sn := tp.Dual(DualSin, th, tt, st)
+	cs := tp.Dual(DualCos, th, tt, ct)
 	sc := make([]Value, 3)
-	sn2, cs2 := tp.SinCos(tp.Scale(h, 0.5), nil, nil, nil, true)
+	sn2, cs2 := tp.Sin(tp.Scale(h, 0.5)), tp.Cos(tp.Scale(h, 0.5))
 	u := tp.Scale(tp.Tanh(h), 0.99)
 	as := tp.Dual(DualAsin, u, ct, sc)
 	ac := tp.Dual(DualAcos, u, st, make([]Value, 3))
@@ -39,11 +40,14 @@ func everyOpGraph(tp *Tape, x, w, b, s []float64, cw []float64) Value {
 			dp[i] += 2 * g[i]
 		}
 	})
+	et := make([]Value, 3)
+	ev := tp.FourierEmbed(x[:18], 6, [2]float64{1.5, 2.5}, S, cw, 6, [3]bool{true, false, true}, et)
 	return tp.AddScalars(
 		tp.SumAll(tp.Clamp(cu, 0.7)),
 		tp.MeanAll(sc[0]),
 		tp.SumSq(sc[2]),
 		tp.MSE(tp.Sub(tt[2], st[0])),
+		tp.SumSq(tp.Add(ev, tp.Mul(et[0], et[2]))),
 	)
 }
 
@@ -114,17 +118,13 @@ func TestFusedRangeZeroAllocs(t *testing.T) {
 	a := tp.Leaf(8, 5, randSlice(rng, n, -1, 1), true)
 	tan := []Value{tp.Leaf(8, 5, randSlice(rng, n, -1, 1), true), {}, tp.Leaf(8, 5, randSlice(rng, n, -1, 1), false)}
 	tp.Dual(DualAsin, a, tan, make([]Value, 3))
-	tp.SinCos(a, tan, make([]Value, 3), make([]Value, 3), true)
+	tp.Dual(DualTanh, a, tan, make([]Value, 3))
 	for gi := range tp.groups {
 		g := &tp.groups[gi]
-		fwd, bwd := dualFwdRange, dualBwdRange
-		if g.pair {
-			fwd, bwd = sinCosFwdRange, sinCosBwdRange
-		}
-		if allocs := testing.AllocsPerRun(20, func() { fwd(g, 0, n) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { dualFwdRange(g, 0, n) }); allocs != 0 {
 			t.Errorf("group %d forward: %v allocs/run, want 0", gi, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { bwd(g, 0, n) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { dualBwdRange(g, 0, n) }); allocs != 0 {
 			t.Errorf("group %d backward: %v allocs/run, want 0", gi, allocs)
 		}
 	}

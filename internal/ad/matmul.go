@@ -342,18 +342,3 @@ func (t *Tape) MatMul(a, b Value) Value {
 	mmAcc(n.val, na.val, nb.val, int(na.rows), int(na.cols), int(nb.cols))
 	return v
 }
-
-// MatMulC returns a·M for a constant matrix M (k×m, row-major). The constant
-// never receives gradients; only dA = dC·Mᵀ flows back.
-func (t *Tape) MatMulC(a Value, m []float64, mCols int) Value {
-	na := &t.nodes[a.i]
-	k := int(na.cols)
-	if len(m) != k*mCols {
-		panic(fmt.Sprintf("ad: MatMulC const %d ≠ %d×%d", len(m), k, mCols))
-	}
-	v, n := t.newAccNode(OpMatMulC, a.i, -1, int(na.rows), mCols, t.needsGrad(a.i))
-	n.cm = m
-	n.cmCols = int32(mCols)
-	mmAcc(n.val, na.val, m, int(na.rows), k, mCols)
-	return v
-}

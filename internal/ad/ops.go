@@ -179,21 +179,3 @@ func (t *Tape) RowScale(a, s Value) Value {
 	})
 	return v
 }
-
-// ScaleVar returns a * s for a differentiable 1×1 scalar s.
-func (t *Tape) ScaleVar(a, s Value) Value {
-	na, ns := &t.nodes[a.i], &t.nodes[s.i]
-	if ns.rows != 1 || ns.cols != 1 {
-		panic("ad: ScaleVar scalar must be 1×1")
-	}
-	ng := t.needsGrad(a.i) || t.needsGrad(s.i)
-	v, n := t.newNode(OpScaleVar, a.i, s.i, int(na.rows), int(na.cols), ng)
-	av, out := na.val, n.val
-	f := ns.val[0]
-	par.For(len(out), func(st, e int) {
-		for i := st; i < e; i++ {
-			out[i] = av[i] * f
-		}
-	})
-	return v
-}

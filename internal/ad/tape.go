@@ -18,7 +18,7 @@
 // bit-identical for any par worker count, and whether the AVX2 assembly or
 // the pure-Go kernels ran.
 //
-// A fused dual group (Dual, SinCos in fused.go) replaces the chain of
+// A fused dual group (Dual in fused.go) replaces the chain of
 // elementwise nodes that forward-mode tangents used to need — f(a), f′(a)
 // and one product f′(a)⊙aₖ per tangent — with one value node and one node
 // per tangent. Its single backward replays, element by element, the exact
@@ -28,6 +28,12 @@
 // a's gradient in the order the chain's nodes would have added it. So a
 // group's values and gradients equal the chain's bit for bit, up to which
 // NaN results where two NaNs meet, a choice Go leaves to the compiler.
+//
+// The input-embedding op (FourierEmbed in embed.go) forms each point's
+// outputs from per-distinct-value tables and that point's coordinate bits
+// alone, and its backward sums per-point partials in point order. So its
+// values and dL/dT are bit-identical however the batch is composed or
+// ordered, and for any par worker count.
 //
 // Buffers come from the pool in two kinds. Gradient buffers, and value
 // buffers a kernel accumulates into (MatMul's C, PlaceCols' zero fill), are
@@ -63,10 +69,8 @@ const (
 	OpAcos
 	OpClamp    // clamp to [-c, c]
 	OpMatMul   // [n×k]·[k×m], both differentiable
-	OpMatMulC  // [n×k]·const[k×m]
 	OpAddBias  // [n×m] + bias[1×m], broadcast over rows
 	OpRowScale // [n×c] ⊙ s[n×1], broadcast over columns
-	OpScaleVar // [n×c] * s[1×1]
 	OpSelectCols
 	OpPlaceCols
 	OpSelectRows
@@ -75,7 +79,8 @@ const (
 	OpMeanAll
 	OpSumSq // Σ x² → [1×1]
 	OpCustom
-	OpDual // member of a fused dual group; b indexes Tape.groups
+	OpDual  // member of a fused dual group; b indexes Tape.groups
+	OpEmbed // output of an input-embedding op; b indexes Tape.embeds
 )
 
 // node is one tape entry. Buffers val and grad are len rows*cols; grad is nil
@@ -84,10 +89,8 @@ type node struct {
 	op         Op
 	a, b       int32
 	rows, cols int32
-	c          float64   // scalar payload (Scale, Shift, Clamp)
-	idx        []int     // index payload (Select/Place)
-	cm         []float64 // constant-matrix payload (MatMulC)
-	cmCols     int32
+	c          float64 // scalar payload (Scale, Shift, Clamp)
+	idx        []int   // index payload (Select/Place)
 	val        []float64
 	grad       []float64
 	backward   func() // Custom nodes only
@@ -136,6 +139,7 @@ type Tape struct {
 	panel   []float64   // MatMul backward's packed Wᵀ (mmNTAcc), reused
 	groups  []dualGroup // fused dual groups, indexed by their nodes' b
 	lanes   []dualLane  // the groups' tangent channels, reused
+	embeds  []*embedOp  // input-embedding ops, indexed by their nodes' b; reused
 }
 
 // OnReset registers fn to run at the start of the next Reset, after which it
@@ -168,7 +172,7 @@ func (t *Tape) Reset() {
 		if n.grad != nil {
 			t.pool.put(n.grad)
 		}
-		n.val, n.grad, n.idx, n.cm, n.backward = nil, nil, nil, nil, nil
+		n.val, n.grad, n.idx, n.backward = nil, nil, nil, nil
 	}
 	t.nodes = t.nodes[:0]
 	for i := range t.groups {
@@ -178,6 +182,7 @@ func (t *Tape) Reset() {
 	t.groups = t.groups[:0]
 	clear(t.lanes)
 	t.lanes = t.lanes[:0]
+	t.embeds = t.embeds[:0]
 }
 
 // alloc returns a zeroed buffer of length n from the pool.

@@ -137,8 +137,9 @@ func SmokeModel(arch Arch, ansatz qsim.AnsatzKind, scaling qsim.ScalingKind) Mod
 type Model struct {
 	Cfg     ModelConfig
 	Reg     *nn.Registry
-	Layers  []nn.Layer
-	Quantum *nn.Quantum // nil for classical architectures
+	Embed   *nn.Embedding // the input stage: periodic features and RFF
+	Layers  []nn.Layer    // every layer after Embed
+	Quantum *nn.Quantum   // nil for classical architectures
 	Circ    *qsim.Circuit
 
 	// TrainState carries the optimizer/curriculum state across warm restarts
@@ -148,8 +149,8 @@ type Model struct {
 }
 
 // NewModel builds the network. Layer sizes follow §2.2/§2.3: input (x,y,t) →
-// periodic embedding (6 features, one learned period parameter) → RFF
-// (2·RFFFeatures sinusoidal features, fixed) → hidden tanh layers of width
+// embedding (6 periodic features with one learned period parameter, then
+// 2·RFFFeatures fixed random Fourier features) → hidden tanh layers of width
 // Hidden → output (Ez, Hx, Hy). The QPINN replaces the last hidden layer
 // with an adapter to NumQubits activations, the PQC, and a NumQubits→3
 // output layer — reproducing Table 1's parameter counts exactly at paper
@@ -159,8 +160,7 @@ func NewModel(cfg ModelConfig) *Model {
 	reg := &nn.Registry{}
 	m := &Model{Cfg: cfg, Reg: reg}
 
-	m.Layers = append(m.Layers, nn.NewPeriodic(reg, 2, 2, cfg.TimePeriod))
-	m.Layers = append(m.Layers, nn.NewRFF(rng, 6, cfg.RFFFeatures, cfg.RFFSigma))
+	m.Embed = nn.NewEmbedding(reg, rng, 2, 2, cfg.TimePeriod, cfg.RFFFeatures, cfg.RFFSigma)
 	in := 2 * cfg.RFFFeatures
 	h := cfg.Hidden
 
@@ -204,16 +204,7 @@ func (m *Model) ParamCounts() (classical, quantum, total int) {
 // Forward implements maxwell.Forward: it binds nothing (the caller binds the
 // registry once per tape) and evaluates the network on a coordinate batch.
 func (m *Model) Forward(tp *ad.Tape, coords []float64, n int, withTangents bool) maxwell.FieldsDual {
-	x := dual.FromValue(tp.Leaf(n, 3, coords, false))
-	if withTangents {
-		for k := 0; k < 3; k++ {
-			tan := make([]float64, n*3)
-			for i := 0; i < n; i++ {
-				tan[i*3+k] = 1
-			}
-			x.T[k] = tp.Const(n, 3, tan)
-		}
-	}
+	x := m.Embed.Forward(tp, coords, n, [dual.K]bool{withTangents, withTangents, withTangents})
 	for _, l := range m.Layers {
 		x = l.Forward(tp, x)
 	}
@@ -245,7 +236,7 @@ func (m *Model) EvalFields(coords []float64, n int) (ez, hx, hy []float64) {
 func (m *Model) PenultimateActivations(coords []float64, n int) []float64 {
 	tp := ad.NewTape()
 	m.Reg.Bind(tp, false)
-	x := dual.FromValue(tp.Leaf(n, 3, coords, false))
+	x := m.Embed.Forward(tp, coords, n, [dual.K]bool{})
 	for _, l := range m.Layers[:len(m.Layers)-1] {
 		x = l.Forward(tp, x)
 	}
@@ -259,7 +250,7 @@ func (m *Model) PenultimateQuantumAngles(tp *ad.Tape, coords []float64, n int) [
 	if m.Quantum == nil {
 		panic("core: PenultimateQuantumAngles on a classical model")
 	}
-	x := dual.FromValue(tp.Leaf(n, 3, coords, false))
+	x := m.Embed.Forward(tp, coords, n, [dual.K]bool{})
 	for _, l := range m.Layers {
 		if l == nn.Layer(m.Quantum) {
 			break

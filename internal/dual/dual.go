@@ -134,21 +134,6 @@ func fused(tp *ad.Tape, fn ad.DualFn, a D) D {
 	return out
 }
 
-// SinCos returns sin(a) and cos(a) as one fused tape group: each is the
-// other's derivative, so every trigonometric value is computed once, in the
-// forward. It equals Sin then Cos bit for bit, gradients included.
-func SinCos(tp *ad.Tape, a D) (sin, cos D) {
-	sin.V, cos.V = tp.SinCos(a.V, a.T[:], sin.T[:], cos.T[:], false)
-	return sin, cos
-}
-
-// CosSin is SinCos whose gradients equal Cos then Sin bit for bit: the two
-// orders add their terms to a's gradients in opposite order.
-func CosSin(tp *ad.Tape, a D) (cos, sin D) {
-	sin.V, cos.V = tp.SinCos(a.V, a.T[:], sin.T[:], cos.T[:], true)
-	return cos, sin
-}
-
 // Linear applies the affine layer y = a·W + bias. W and bias carry no input
 // tangents (they are parameters), so tangent channels propagate linearly:
 // yₖ = aₖ·W.
@@ -157,29 +142,6 @@ func Linear(tp *ad.Tape, a D, w, bias ad.Value) D {
 	for k := 0; k < K; k++ {
 		if a.T[k].Valid() {
 			out.T[k] = tp.MatMul(a.T[k], w)
-		}
-	}
-	return out
-}
-
-// MatMulC applies a fixed linear map (e.g. the random Fourier projection Ω).
-func MatMulC(tp *ad.Tape, a D, m []float64, mCols int) D {
-	out := D{V: tp.MatMulC(a.V, m, mCols)}
-	for k := 0; k < K; k++ {
-		if a.T[k].Valid() {
-			out.T[k] = tp.MatMulC(a.T[k], m, mCols)
-		}
-	}
-	return out
-}
-
-// ScaleVar multiplies by a differentiable 1×1 scalar (learned 2π/T factor in
-// the periodic time embedding). The scalar has no input tangents.
-func ScaleVar(tp *ad.Tape, a D, s ad.Value) D {
-	out := D{V: tp.ScaleVar(a.V, s)}
-	for k := 0; k < K; k++ {
-		if a.T[k].Valid() {
-			out.T[k] = tp.ScaleVar(a.T[k], s)
 		}
 	}
 	return out

@@ -11,32 +11,21 @@ import (
 )
 
 // buildNet is a tiny smooth network f: R³ → R² exercising every dual op used
-// on the PINN forward path: periodic features, a fixed projection, tanh
-// layers, column select/concat, and a learned scalar.
-func buildNet(tp *ad.Tape, coords []float64, n int, w1, b1, w2, b2, sParam []float64, omega []float64, withTangents bool) D {
-	x := FromValue(tp.Leaf(n, 3, coords, false))
-	if withTangents {
-		for k := 0; k < 3; k++ {
-			tan := make([]float64, n*3)
-			for i := 0; i < n; i++ {
-				tan[i*3+k] = 1
-			}
-			x.T[k] = tp.Const(n, 3, tan)
-		}
+// on the PINN forward path: the input embedding with its learned period,
+// column select/concat, sin/cos, and tanh layers. params are w1 (4×5), b1,
+// w2 (5×2), b2 and the period; it returns the output and their leaves.
+func buildNet(tp *ad.Tape, coords []float64, n int, params [][]float64, omega []float64, withTangents bool) (D, []ad.Value) {
+	shapes := [][2]int{{4, 5}, {1, 5}, {5, 2}, {1, 2}, {1, 1}}
+	leaves := make([]ad.Value, len(params))
+	for i, p := range params {
+		leaves[i] = tp.Leaf(shapes[i][0], shapes[i][1], p, true)
 	}
-	s := tp.Leaf(1, 1, sParam, true)
-	// Periodic-style features with a learned frequency on the last column.
-	xc := Col(tp, x, 0)
-	yc := Col(tp, x, 1)
-	tc := ScaleVar(tp, Col(tp, x, 2), s)
-	feats := ConcatCols(tp, ConcatCols(tp, Sin(tp, xc), Cos(tp, yc)), Sin(tp, tc))
-	proj := MatMulC(tp, feats, omega, 4)
-	w1v := tp.Leaf(4, 5, w1, true)
-	b1v := tp.Leaf(1, 5, b1, true)
-	h := Tanh(tp, Linear(tp, proj, w1v, b1v))
-	w2v := tp.Leaf(5, 2, w2, true)
-	b2v := tp.Leaf(1, 2, b2, true)
-	return Linear(tp, h, w2v, b2v)
+	var x D
+	tan := [K]bool{withTangents, withTangents, withTangents}
+	x.V = tp.FourierEmbed(coords, n, [2]float64{2.1, 1.3}, leaves[4], omega, 2, tan, x.T[:])
+	feats := ConcatCols(tp, ConcatCols(tp, Sin(tp, Col(tp, x, 0)), Cos(tp, Col(tp, x, 1))), SelectCols(tp, x, []int{3, 2}))
+	h := Tanh(tp, Linear(tp, feats, leaves[0], leaves[1]))
+	return Linear(tp, h, leaves[2], leaves[3]), leaves
 }
 
 func TestTangentsMatchFiniteDifferences(t *testing.T) {
@@ -46,21 +35,17 @@ func TestTangentsMatchFiniteDifferences(t *testing.T) {
 	for i := range coords {
 		coords[i] = rng.Float64()*2 - 1
 	}
-	w1 := randn(rng, 3*4*5/3) // 4×5
-	b1 := randn(rng, 5)
-	w2 := randn(rng, 5*2)
-	b2 := randn(rng, 2)
-	sp := []float64{1.7}
-	omega := randn(rng, 3*4)
+	params := [][]float64{randn(rng, 4*5), randn(rng, 5), randn(rng, 5*2), randn(rng, 2), {1.7}}
+	omega := randn(rng, 6*2)
 
 	eval := func(c []float64) []float64 {
 		tp := ad.NewTape()
-		out := buildNet(tp, c, n, w1, b1, w2, b2, sp, omega, false)
+		out, _ := buildNet(tp, c, n, params, omega, false)
 		return append([]float64(nil), out.V.Data()...)
 	}
 
 	tp := ad.NewTape()
-	out := buildNet(tp, coords, n, w1, b1, w2, b2, sp, omega, true)
+	out, _ := buildNet(tp, coords, n, params, omega, true)
 
 	const h = 1e-6
 	for k := 0; k < 3; k++ {
@@ -92,51 +77,23 @@ func TestTangentLossParamGradients(t *testing.T) {
 	for i := range coords {
 		coords[i] = rng.Float64()*2 - 1
 	}
-	w1 := randn(rng, 4*5)
-	b1 := randn(rng, 5)
-	w2 := randn(rng, 5*2)
-	b2 := randn(rng, 2)
-	sp := []float64{1.3}
-	omega := randn(rng, 3*4)
+	params := [][]float64{randn(rng, 4*5), randn(rng, 5), randn(rng, 5*2), randn(rng, 2), {1.3}}
+	omega := randn(rng, 6*2)
 
-	params := [][]float64{w1, b1, w2, b2, sp}
-
-	// Build once with handles retained for gradient readout.
-	tp := ad.NewTape()
-	x := FromValue(tp.Leaf(n, 3, coords, false))
-	for k := 0; k < 3; k++ {
-		tan := make([]float64, n*3)
-		for i := 0; i < n; i++ {
-			tan[i*3+k] = 1
-		}
-		x.T[k] = tp.Const(n, 3, tan)
+	// A loss on tangent nodes: res = ∂f₀/∂t − ∂f₁/∂x + f₀·∂f₁/∂y.
+	loss := func(tp *ad.Tape) (ad.Value, []ad.Value) {
+		out, leaves := buildNet(tp, coords, n, params, omega, true)
+		f0 := Col(tp, out, 0)
+		f1 := Col(tp, out, 1)
+		res := tp.Add(tp.Sub(f0.T[2], f1.T[0]), tp.Mul(f0.V, f1.T[1]))
+		return tp.MSE(res), leaves
 	}
-	sV := tp.Leaf(1, 1, sp, true)
-	xc := Col(tp, x, 0)
-	yc := Col(tp, x, 1)
-	tc := ScaleVar(tp, Col(tp, x, 2), sV)
-	feats := ConcatCols(tp, ConcatCols(tp, Sin(tp, xc), Cos(tp, yc)), Sin(tp, tc))
-	proj := MatMulC(tp, feats, omega, 4)
-	w1V := tp.Leaf(4, 5, w1, true)
-	b1V := tp.Leaf(1, 5, b1, true)
-	hid := Tanh(tp, Linear(tp, proj, w1V, b1V))
-	w2V := tp.Leaf(5, 2, w2, true)
-	b2V := tp.Leaf(1, 2, b2, true)
-	out := Linear(tp, hid, w2V, b2V)
-	f0 := Col(tp, out, 0)
-	f1 := Col(tp, out, 1)
-	res := tp.Add(tp.Sub(f0.T[2], f1.T[0]), tp.Mul(f0.V, f1.T[1]))
-	loss := tp.MSE(res)
-	tp.Backward(loss)
-	grads := [][]float64{w1V.Grad(), b1V.Grad(), w2V.Grad(), b2V.Grad(), sV.Grad()}
-
+	tp := ad.NewTape()
+	l, leaves := loss(tp)
+	tp.Backward(l)
 	evalLoss := func() float64 {
-		tp2 := ad.NewTape()
-		out2 := buildNet(tp2, coords, n, w1, b1, w2, b2, sp, omega, true)
-		f0 := Col(tp2, out2, 0)
-		f1 := Col(tp2, out2, 1)
-		res := tp2.Add(tp2.Sub(f0.T[2], f1.T[0]), tp2.Mul(f0.V, f1.T[1]))
-		return tp2.MSE(res).Scalar()
+		v, _ := loss(ad.NewTape())
+		return v.Scalar()
 	}
 
 	const h = 1e-6
@@ -149,7 +106,7 @@ func TestTangentLossParamGradients(t *testing.T) {
 			fm := evalLoss()
 			p[j] = orig
 			num := (fp - fm) / (2 * h)
-			got := grads[pi][j]
+			got := leaves[pi].Grad()[j]
 			if math.Abs(got-num) > 2e-4*(1+math.Abs(num)) {
 				t.Errorf("param %d[%d]: grad %v vs fd %v", pi, j, got, num)
 			}
@@ -282,9 +239,7 @@ func chainAcos(tp *ad.Tape, a D) D {
 	})
 }
 
-// fusedCases pairs each fused dual op with its composed oracle. Every case
-// returns its outputs in the same order on both sides; the pairs are built
-// in their own order (sin then cos, or cos then sin) on the oracle side.
+// fusedCases pairs each fused dual op with its composed oracle.
 type fusedCase struct {
 	name         string
 	fused, chain func(tp *ad.Tape, a D) []D
@@ -296,20 +251,6 @@ var fusedCases = []fusedCase{
 	{"Cos", func(tp *ad.Tape, a D) []D { return []D{Cos(tp, a)} }, func(tp *ad.Tape, a D) []D { return []D{chainCos(tp, a)} }},
 	{"Asin", func(tp *ad.Tape, a D) []D { return []D{Asin(tp, a)} }, func(tp *ad.Tape, a D) []D { return []D{chainAsin(tp, a)} }},
 	{"Acos", func(tp *ad.Tape, a D) []D { return []D{Acos(tp, a)} }, func(tp *ad.Tape, a D) []D { return []D{chainAcos(tp, a)} }},
-	{"SinCos", func(tp *ad.Tape, a D) []D {
-		s, c := SinCos(tp, a)
-		return []D{s, c}
-	}, func(tp *ad.Tape, a D) []D {
-		s := chainSin(tp, a)
-		return []D{s, chainCos(tp, a)}
-	}},
-	{"CosSin", func(tp *ad.Tape, a D) []D {
-		c, s := CosSin(tp, a)
-		return []D{s, c}
-	}, func(tp *ad.Tape, a D) []D {
-		c := chainCos(tp, a)
-		return []D{chainSin(tp, a), c}
-	}},
 }
 
 // dualEdges are the inputs where rounding, clamping and NaN propagation
@@ -397,7 +338,7 @@ func TestFusedMatchesComposedChain(t *testing.T) {
 		for k := range tanData {
 			tanData[k] = randn(rng, n)
 		}
-		weights := make([][]float64, 2*(1+K))
+		weights := make([][]float64, 1+K)
 		for i := range weights {
 			weights[i] = randn(rng, n)
 		}
@@ -473,5 +414,3 @@ func benchDual(b *testing.B, name string) {
 }
 
 func BenchmarkDualTanh(b *testing.B) { benchDual(b, "Tanh") }
-
-func BenchmarkDualSinCos(b *testing.B) { benchDual(b, "SinCos") }

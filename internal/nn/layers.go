@@ -37,65 +37,38 @@ func (d *Dense) Forward(tp *ad.Tape, x dual.D) dual.D {
 	return y
 }
 
-// RFF is the random Fourier feature embedding of §2.2: a fixed Gaussian
-// projection Ω (not trainable) followed by [cos, sin] feature maps,
-// producing 2·Features outputs. It mitigates the spectral bias of plain
-// MLP PINNs (Tancik et al.).
-type RFF struct {
-	Omega    []float64 // in×Features, row-major, fixed
-	In       int
+// Embedding is the input stage of §2.2, as one tape op (ad.FourierEmbed).
+// x and y are mapped to sin/cos pairs at the domain's fundamental frequency
+// (strict spatial periodicity, removing the boundary-loss term per Dong &
+// Ni), and t to a sin/cos pair with a *learned* period (the simulated window
+// is shorter than one period). The six periodic features are then projected
+// by a fixed Gaussian matrix Ω (not trainable) and mapped to [cos, sin]:
+// the random Fourier features that mitigate the spectral bias of plain MLP
+// PINNs (Tancik et al.). The output has 2·Features columns.
+type Embedding struct {
+	Lx, Ly   float64
+	TPeriod  *Param    // 1×1, learned period T: t̂ = 2πt/T
+	Omega    []float64 // 6×Features, row-major, fixed
 	Features int
 }
 
-// NewRFF draws Ω once from N(0, σ²).
-func NewRFF(rng *rand.Rand, in, features int, sigma float64) *RFF {
-	om := make([]float64, in*features)
-	for i := range om {
-		om[i] = rng.NormFloat64() * sigma
+// NewEmbedding registers the learned time period, initialized to initT,
+// and then draws Ω from N(0, σ²).
+func NewEmbedding(r *Registry, rng *rand.Rand, lx, ly, initT float64, features int, sigma float64) *Embedding {
+	e := &Embedding{Lx: lx, Ly: ly, TPeriod: r.New("periodic.T", 1, 1, ConstInit(initT)), Features: features}
+	e.Omega = make([]float64, 6*features)
+	for i := range e.Omega {
+		e.Omega[i] = rng.NormFloat64() * sigma
 	}
-	return &RFF{Omega: om, In: in, Features: features}
+	return e
 }
 
-// Forward maps x ↦ [cos(xΩ), sin(xΩ)].
-func (f *RFF) Forward(tp *ad.Tape, x dual.D) dual.D {
-	z := dual.MatMulC(tp, x, f.Omega, f.Features)
-	cos, sin := dual.CosSin(tp, z)
-	return dual.ConcatCols(tp, cos, sin)
-}
-
-// Periodic implements the input embedding of §2.2: x and y are mapped to
-// sin/cos pairs at the domain's fundamental frequency (strict spatial
-// periodicity, removing the boundary-loss term per Dong & Ni), while t is
-// mapped to sin/cos with a *learned* period parameter (the simulated window
-// is shorter than one period). Input is the raw (x, y, t) batch; output has
-// 6 columns: [sin x̂, cos x̂, sin ŷ, cos ŷ, sin t̂, cos t̂].
-type Periodic struct {
-	Lx, Ly  float64
-	TPeriod *Param // 1×1, learned period T: t̂ = 2πt/T
-}
-
-// NewPeriodic creates the embedding with the learned time period initialized
-// to initT.
-func NewPeriodic(r *Registry, lx, ly, initT float64) *Periodic {
-	return &Periodic{Lx: lx, Ly: ly, TPeriod: r.New("periodic.T", 1, 1, ConstInit(initT))}
-}
-
-// Forward expects x with 3 columns (x, y, t).
-func (p *Periodic) Forward(tp *ad.Tape, x dual.D) dual.D {
-	xs := dual.Scale(tp, dual.Col(tp, x, 0), 2*math.Pi/p.Lx)
-	ys := dual.Scale(tp, dual.Col(tp, x, 1), 2*math.Pi/p.Ly)
-	// ω = 2π/T as a differentiable scalar.
-	one := tp.ConstScalar(2 * math.Pi)
-	omega := tp.Div(one, p.TPeriod.Leaf())
-	ts := dual.ScaleVar(tp, dual.Col(tp, x, 2), omega)
-	xf := sinCosCols(tp, xs)
-	yf := sinCosCols(tp, ys)
-	tf := sinCosCols(tp, ts)
-	return dual.ConcatCols(tp, dual.ConcatCols(tp, xf, yf), tf)
-}
-
-// sinCosCols returns [sin a | cos a], the two computed as one fused pair.
-func sinCosCols(tp *ad.Tape, a dual.D) dual.D {
-	sin, cos := dual.SinCos(tp, a)
-	return dual.ConcatCols(tp, sin, cos)
+// Forward embeds the n points of coords (n×3 row-major: x, y, t). Tangent
+// channel k is the derivative with respect to coordinate k, present where
+// tangents[k] is set.
+func (e *Embedding) Forward(tp *ad.Tape, coords []float64, n int, tangents [dual.K]bool) dual.D {
+	var out dual.D
+	scale := [2]float64{2 * math.Pi / e.Lx, 2 * math.Pi / e.Ly}
+	out.V = tp.FourierEmbed(coords, n, scale, e.TPeriod.Leaf(), e.Omega, e.Features, tangents, out.T[:])
+	return out
 }

@@ -10,19 +10,12 @@ import (
 	"repro/internal/qsim"
 )
 
-// hybridForward builds a miniature QPINN slice: coords → periodic → dense →
-// quantum → dense, returning a scalar loss that mixes output values and
+// hybridForward builds a miniature QPINN slice: coords → embedding → dense
+// → quantum → dense, returning a scalar loss that mixes output values and
 // tangents (a PDE-residual stand-in).
-func hybridForward(tp *ad.Tape, reg *Registry, layers []Layer, coords []float64, n int, trainable bool) ad.Value {
+func hybridForward(tp *ad.Tape, reg *Registry, emb *Embedding, layers []Layer, coords []float64, n int, trainable bool) ad.Value {
 	reg.Bind(tp, trainable)
-	x := dual.FromValue(tp.Leaf(n, 3, coords, false))
-	for k := 0; k < 3; k++ {
-		tan := make([]float64, n*3)
-		for i := 0; i < n; i++ {
-			tan[i*3+k] = 1
-		}
-		x.T[k] = tp.Const(n, 3, tan)
-	}
+	x := emb.Forward(tp, coords, n, [dual.K]bool{true, true, true})
 	for _, l := range layers {
 		x = l.Forward(tp, x)
 	}
@@ -32,13 +25,13 @@ func hybridForward(tp *ad.Tape, reg *Registry, layers []Layer, coords []float64,
 	return tp.Add(tp.MSE(res), tp.MSE(f0.V))
 }
 
-func buildHybrid(t *testing.T, scaling qsim.ScalingKind, engine qsim.EngineKind) (*Registry, []Layer, []float64, int) {
+func buildHybrid(t *testing.T, scaling qsim.ScalingKind, engine qsim.EngineKind) (*Registry, *Embedding, []Layer, []float64, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	reg := &Registry{}
 	circ := qsim.StronglyEntangling.Build(3, 2)
+	emb := NewEmbedding(reg, rng, 2, 2, 4.0, 3, 1.0)
 	layers := []Layer{
-		NewPeriodic(reg, 2, 2, 4.0),
 		NewDense(reg, rng, "h1", 6, 5, true),
 		NewDense(reg, rng, "adapter", 5, 3, true),
 		NewQuantum(reg, rng, circ, scaling, qsim.InitRegular, engine),
@@ -49,18 +42,19 @@ func buildHybrid(t *testing.T, scaling qsim.ScalingKind, engine qsim.EngineKind)
 	for i := range coords {
 		coords[i] = rng.Float64()*1.6 - 0.8
 	}
-	return reg, layers, coords, n
+	return reg, emb, layers, coords, n
 }
 
 // TestHybridQuantumGradients is the end-to-end integration check: parameter
 // gradients of a tangent-mixing loss through periodic embedding, dense
-// layers and the quantum circuit layer must match finite differences.
+// layers and the quantum circuit layer must match finite differences; the
+// learned time period among them.
 func TestHybridQuantumGradients(t *testing.T) {
 	for _, scaling := range []qsim.ScalingKind{qsim.ScaleNone, qsim.ScalePi, qsim.ScaleAsin, qsim.ScaleAcos, qsim.ScaleBias} {
-		reg, layers, coords, n := buildHybrid(t, scaling, qsim.EngineSharded)
+		reg, emb, layers, coords, n := buildHybrid(t, scaling, qsim.EngineSharded)
 
 		tp := ad.NewTape()
-		loss := hybridForward(tp, reg, layers, coords, n, true)
+		loss := hybridForward(tp, reg, emb, layers, coords, n, true)
 		tp.Backward(loss)
 		reg.PullGrads()
 
@@ -71,7 +65,7 @@ func TestHybridQuantumGradients(t *testing.T) {
 
 		eval := func() float64 {
 			tp2 := ad.NewTape()
-			return hybridForward(tp2, reg, layers, coords, n, false).Scalar()
+			return hybridForward(tp2, reg, emb, layers, coords, n, false).Scalar()
 		}
 
 		const h = 1e-6
@@ -96,11 +90,11 @@ func TestHybridQuantumGradients(t *testing.T) {
 // TestQuantumLayerInferenceMatchesTraining: the no-grad path must produce
 // identical outputs to the training path.
 func TestQuantumLayerInferenceMatchesTraining(t *testing.T) {
-	reg, layers, coords, n := buildHybrid(t, qsim.ScaleAsin, qsim.EngineSharded)
+	reg, emb, layers, coords, n := buildHybrid(t, qsim.ScaleAsin, qsim.EngineSharded)
 	tp := ad.NewTape()
-	lossTrain := hybridForward(tp, reg, layers, coords, n, true)
+	lossTrain := hybridForward(tp, reg, emb, layers, coords, n, true)
 	tp2 := ad.NewTape()
-	lossInfer := hybridForward(tp2, reg, layers, coords, n, false)
+	lossInfer := hybridForward(tp2, reg, emb, layers, coords, n, false)
 	if math.Abs(lossTrain.Scalar()-lossInfer.Scalar()) > 1e-12 {
 		t.Fatalf("training loss %v ≠ inference loss %v", lossTrain.Scalar(), lossInfer.Scalar())
 	}
@@ -114,9 +108,9 @@ func TestQuantumLayerEngineParity(t *testing.T) {
 		grads [][]float64
 	}
 	run := func(engine qsim.EngineKind) result {
-		reg, layers, coords, n := buildHybrid(t, qsim.ScaleAcos, engine)
+		reg, emb, layers, coords, n := buildHybrid(t, qsim.ScaleAcos, engine)
 		tp := ad.NewTape()
-		loss := hybridForward(tp, reg, layers, coords, n, true)
+		loss := hybridForward(tp, reg, emb, layers, coords, n, true)
 		tp.Backward(loss)
 		reg.PullGrads()
 		var grads [][]float64
@@ -142,64 +136,78 @@ func TestQuantumLayerEngineParity(t *testing.T) {
 	}
 }
 
-// TestPeriodicEmbeddingIsPeriodic: f(x) = f(x + Lx) and f(y) = f(y + Ly)
-// exactly — the property that removes the boundary-loss term (§2.2).
-func TestPeriodicEmbeddingIsPeriodic(t *testing.T) {
-	reg := &Registry{}
-	p := NewPeriodic(reg, 2, 2, 4.0)
+// embedFeatures evaluates the embedding's value at the given points on a
+// fresh tape.
+func embedFeatures(reg *Registry, e *Embedding, coords []float64) []float64 {
 	tp := ad.NewTape()
 	reg.Bind(tp, false)
-	coords := []float64{0.3, -0.7, 0.5}
-	shifted := []float64{0.3 + 2, -0.7 - 2, 0.5}
-	a := p.Forward(tp, dual.FromValue(tp.Leaf(1, 3, coords, false)))
-	b := p.Forward(tp, dual.FromValue(tp.Leaf(1, 3, shifted, false)))
-	for i := range a.V.Data() {
-		if math.Abs(a.V.Data()[i]-b.V.Data()[i]) > 1e-12 {
-			t.Fatalf("periodicity violated at feature %d: %v vs %v", i, a.V.Data()[i], b.V.Data()[i])
+	out := e.Forward(tp, coords, len(coords)/3, [dual.K]bool{})
+	return append([]float64(nil), out.V.Data()...)
+}
+
+// TestPeriodicEmbeddingIsPeriodic: f(x) = f(x + Lx) and f(y) = f(y + Ly)
+// to rounding — the property that removes the boundary-loss term (§2.2) —
+// and likewise f(t) = f(t + T) for the learned period T.
+func TestPeriodicEmbeddingIsPeriodic(t *testing.T) {
+	reg := &Registry{}
+	e := NewEmbedding(reg, rand.New(rand.NewSource(42)), 2, 2, 4.0, 8, 1.0)
+	a := embedFeatures(reg, e, []float64{0.3, -0.7, 0.5})
+	b := embedFeatures(reg, e, []float64{0.3 + 2, -0.7 - 2, 0.5 + 4})
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > 1e-12 {
+			t.Fatalf("periodicity violated at feature %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
 
 // TestPeriodicTimeUsesLearnedPeriod: changing the period parameter changes
-// the time features but not the spatial ones.
+// the features at t ≠ 0 and leaves them, bit for bit, at t = 0, where every
+// period gives t̂ = 0.
 func TestPeriodicTimeUsesLearnedPeriod(t *testing.T) {
 	reg := &Registry{}
-	p := NewPeriodic(reg, 2, 2, 4.0)
-	coords := []float64{0.3, -0.7, 0.5}
-	featAt := func() []float64 {
-		tp := ad.NewTape()
-		reg.Bind(tp, false)
-		out := p.Forward(tp, dual.FromValue(tp.Leaf(1, 3, coords, false)))
-		return append([]float64(nil), out.V.Data()...)
-	}
-	f1 := featAt()
-	p.TPeriod.W[0] = 8.0
-	f2 := featAt()
-	for i := 0; i < 4; i++ {
+	e := NewEmbedding(reg, rand.New(rand.NewSource(42)), 2, 2, 4.0, 8, 1.0)
+	coords := []float64{0.3, -0.7, 0.5, 0.3, -0.7, 0}
+	f1 := embedFeatures(reg, e, coords)
+	e.TPeriod.W[0] = 8.0
+	f2 := embedFeatures(reg, e, coords)
+	for i := 16; i < 32; i++ {
 		if math.Float64bits(f1[i]) != math.Float64bits(f2[i]) {
-			t.Fatalf("spatial feature %d changed with time period", i)
+			t.Fatalf("feature %d at t = 0 changed with the time period", i-16)
 		}
 	}
-	if math.Float64bits(f1[4]) == math.Float64bits(f2[4]) && math.Float64bits(f1[5]) == math.Float64bits(f2[5]) {
-		t.Fatal("time features ignored the learned period")
+	for i := 0; i < 16; i++ {
+		if math.Float64bits(f1[i]) == math.Float64bits(f2[i]) {
+			t.Fatalf("feature %d at t = 0.5 ignored the learned period", i)
+		}
 	}
 }
 
-// TestRFFShapesAndDeterminism: 2·features outputs, fixed across calls.
+// TestRFFShapesAndDeterminism: 2·features outputs; Ω drawn after the period
+// is registered, from the caller's source, so one seed gives the same Ω and
+// the same features on every call.
 func TestRFFShapesAndDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	f := NewRFF(rng, 6, 8, 1.0)
-	tp := ad.NewTape()
-	x := dual.FromValue(tp.Leaf(2, 6, make([]float64, 12), false))
-	out := f.Forward(tp, x)
-	if out.V.Cols() != 16 {
-		t.Fatalf("RFF output cols = %d, want 16", out.V.Cols())
+	build := func() (*Registry, *Embedding) {
+		reg := &Registry{}
+		return reg, NewEmbedding(reg, rand.New(rand.NewSource(42)), 2, 2, 4.0, 8, 1.0)
 	}
-	// cos(0) = 1, sin(0) = 0 for zero input.
-	d := out.V.Data()
-	for j := 0; j < 8; j++ {
-		if math.Abs(d[j]-1) > 1e-15 || math.Abs(d[8+j]) > 1e-15 {
-			t.Fatalf("RFF at zero input: cos=%v sin=%v", d[j], d[8+j])
+	reg, e := build()
+	if len(reg.Params) != 1 || reg.Params[0].Name != "periodic.T" || len(e.Omega) != 6*8 {
+		t.Fatalf("registry %d params, Ω %d entries", len(reg.Params), len(e.Omega))
+	}
+	want := rand.New(rand.NewSource(42)).NormFloat64()
+	if math.Float64bits(e.Omega[0]) != math.Float64bits(want) {
+		t.Fatalf("Ω[0] = %v, want the source's first normal %v", e.Omega[0], want)
+	}
+	coords := []float64{0.1, 0.2, 0.3, -0.4, 0.5, 0.6}
+	a := embedFeatures(reg, e, coords)
+	if len(a) != 2*16 {
+		t.Fatalf("%d features for 2 points, want %d", len(a), 2*16)
+	}
+	reg2, e2 := build()
+	b := embedFeatures(reg2, e2, coords)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("feature %d differs between two builds from one seed", i)
 		}
 	}
 }
