@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 // gradCheck compares the tape gradient of a scalar-valued graph against
@@ -153,6 +155,43 @@ func TestShapeOpGradients(t *testing.T) {
 		func(tp *Tape, l []Value) Value {
 			return tp.SumSq(tp.ConcatCols(l[0], l[1]))
 		})
+}
+
+// TestSelectRowsRepeatedIndices: a gather may name a row more than once
+// (a hand-built collocation set can hold duplicate points), and its backward
+// must sum every copy's gradient into that row, race-free under any worker
+// bound.
+func TestSelectRowsRepeatedIndices(t *testing.T) {
+	defer par.SetMaxWorkers(0)
+	rng := rand.New(rand.NewSource(6))
+	a := randSlice(rng, 4*1, -1, 1)
+	gradCheck(t, "SelectRows repeated", [][]float64{a}, [][2]int{{4, 1}},
+		func(tp *Tape, l []Value) Value {
+			return tp.SumSq(tp.Mul(tp.SelectRows(l[0], []int{2, 0, 2, 2, 3, 0}), tp.Const(6, 1, []float64{1, -2, 3, 0.5, 1, 4})))
+		})
+
+	// Large enough that a parallel scatter would split the index list.
+	const n, m = 64, 4096
+	src := randSlice(rng, n, -1, 1)
+	idx := make([]int, m)
+	for j := range idx {
+		idx[j] = rng.Intn(n)
+	}
+	want := make([]float64, n)
+	for _, r := range idx {
+		want[r]++
+	}
+	for _, workers := range []int{1, 4} {
+		par.SetMaxWorkers(workers)
+		tp := NewTape()
+		leaf := tp.Leaf(n, 1, src, true)
+		tp.Backward(tp.SumAll(tp.SelectRows(leaf, idx)))
+		for r, g := range leaf.Grad() {
+			if math.Float64bits(g) != math.Float64bits(want[r]) {
+				t.Fatalf("workers=%d: row %d gradient %v, want %v (its count in idx)", workers, r, g, want[r])
+			}
+		}
+	}
 }
 
 func TestClampGradient(t *testing.T) {

@@ -218,17 +218,16 @@ func (t *Tape) backprop(n *node) {
 		}
 	case OpSelectRows:
 		if da := t.gradOf(n.a); da != nil {
+			// Serial: repeated indices scatter into the same row, and the
+			// gathered values are a single column in every caller.
 			c := int(n.cols)
-			idx := n.idx
-			par.For(len(idx), func(s, e int) {
-				for j := s; j < e; j++ {
-					gr := g[j*c : (j+1)*c]
-					dr := da[idx[j]*c : (idx[j]+1)*c]
-					for i, x := range gr {
-						dr[i] += x
-					}
+			for j, r := range n.idx {
+				gr := g[j*c : (j+1)*c]
+				dr := da[r*c : (r+1)*c]
+				for i, x := range gr {
+					dr[i] += x
 				}
-			})
+			}
 		}
 	case OpConcatCols:
 		na, nb := &t.nodes[n.a], &t.nodes[n.b]

@@ -65,9 +65,8 @@ func (t *Tape) PlaceCols(a Value, idx []int, c int) Value {
 	return v
 }
 
-// SelectRows gathers rows idx from a, returning [len(idx)×c]. Indices must
-// be distinct (they partition collocation sets), which keeps the backward
-// scatter race-free.
+// SelectRows gathers rows idx from a, returning [len(idx)×c]. Indices may
+// repeat: the backward scatter-adds serially in index order.
 func (t *Tape) SelectRows(a Value, idx []int) Value {
 	na := &t.nodes[a.i]
 	for _, r := range idx {

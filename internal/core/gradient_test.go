@@ -9,6 +9,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/dual"
 	"repro/internal/maxwell"
+	"repro/internal/par"
 	"repro/internal/qsim"
 )
 
@@ -275,6 +276,54 @@ func TestModelLossGradientDirectional(t *testing.T) {
 		fd := (lossAt(h) - lossAt(-h)) / (2 * h)
 		if d := math.Abs(gv - fd); d > gradTol*math.Max(math.Abs(gv), gnorm) {
 			t.Errorf("%s: g·v = %v, central difference %v (diff %v, |g| = %v)", name, gv, fd, d, gnorm)
+		}
+	}
+}
+
+// TestModelIsPointwise pins the contract maxwell.Build relies on when it
+// gathers the IC and symmetry values from the collocation pass: a model's
+// output at a point does not depend on the batch around it, nor on whether
+// tangents are requested. For every architecture and grids of 4, 7 and 10
+// points per axis, the values-only outputs on the IC set and on both mirror
+// batches must equal, bit for bit, the outputs of the collocation pass with
+// tangents at the rows holding the same coordinates, under 1, 2 and 4
+// workers (the bound that sets every layer's parallel chunking).
+func TestModelIsPointwise(t *testing.T) {
+	defer par.SetMaxWorkers(0)
+	bits := func(coords []float64, i int) [3]uint64 {
+		return [3]uint64{math.Float64bits(coords[3*i]), math.Float64bits(coords[3*i+1]), math.Float64bits(coords[3*i+2])}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		par.SetMaxWorkers(workers)
+		for _, arch := range []Arch{ClassicalRegular, ClassicalReduced, ClassicalExtra, QPINN, ClassicalTrig} {
+			m := NewModel(SmokeModel(arch, qsim.StronglyEntangling, qsim.ScaleAsin))
+			for _, g := range []int{4, 7, 10} {
+				c := maxwell.NewCollocation(maxwell.NewSmokeProblem(maxwell.VacuumCase), g, 3)
+				row := map[[3]uint64]int{}
+				for i := 0; i < c.N; i++ {
+					row[bits(c.Coords, i)] = i
+				}
+				full, _ := fieldValues(m, c.Coords, c.N, true)
+				for _, b := range []struct {
+					name   string
+					coords []float64
+					n      int
+				}{{"IC", c.ICCoords, c.ICN}, {"x-mirror", c.MirrorX, c.N}, {"y-mirror", c.MirrorY, c.N}} {
+					got, _ := fieldValues(m, b.coords, b.n, false)
+					for i := 0; i < b.n; i++ {
+						j, ok := row[bits(b.coords, i)]
+						if !ok {
+							t.Fatalf("workers=%d %v g=%d: %s row %d is not a collocation row", workers, arch, g, b.name, i)
+						}
+						for k := 0; k < 3; k++ {
+							if math.Float64bits(got[k][i]) != math.Float64bits(full[k][j]) {
+								t.Fatalf("workers=%d %v g=%d: %s row %d component %d = %v, collocation row %d gives %v",
+									workers, arch, g, b.name, i, k, got[k][i], j, full[k][j])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package maxwell
 
 import (
+	"math"
+
 	"repro/internal/ad"
 	"repro/internal/dual"
 	"repro/internal/par"
@@ -24,7 +26,11 @@ func Split(tp *ad.Tape, out dual.D) FieldsDual {
 // Forward evaluates the model on a coordinate batch. withTangents requests
 // the input-derivative channels (needed for PDE and energy losses; the IC
 // and symmetry losses use values only). The maxwell package is agnostic to
-// the architecture behind this closure.
+// the architecture behind this closure, but Build relies on it being
+// pointwise: the values at a row depend only on that row's coordinates, bit
+// for bit, whatever the batch around it and whether tangents are requested.
+// Build therefore takes the IC and mirror values as row gathers of the
+// collocation pass instead of evaluating those batches.
 type Forward func(tp *ad.Tape, coords []float64, n int, withTangents bool) FieldsDual
 
 // Config selects the loss composition of one training run.
@@ -66,11 +72,15 @@ func residuals(tp *ad.Tape, f FieldsDual) (curlPart, res2, res3 ad.Value) {
 }
 
 // Build assembles the complete training loss for one step. It runs the
-// model over the collocation set (with tangents), the IC set, and — when the
-// symmetry loss is enabled — the two mirrored batches (values only).
+// model once, over the collocation set with tangents. The IC set and the
+// mirrored batches of the symmetry loss are collocation rows, so their
+// values are gathered from that pass; a batch with a row that is not a
+// collocation point (only a hand-built Collocation has one) is evaluated by
+// the model instead, values only.
 func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Terms {
 	var t Terms
 	f := model(tp, c.Coords, c.N, true)
+	row := rowIndex(c)
 
 	curl, res2, res3 := residuals(tp, f)
 	res1vac := tp.Sub(f.Ez.T[2], curl)
@@ -127,7 +137,7 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 	t.BinResiduals = binResiduals(c, res1vac, res2, res3)
 
 	// Initial-condition loss (eq. 19), values only.
-	fic := model(tp, c.ICCoords, c.ICN, false)
+	fic := valuesAt(tp, model, f, row, c.ICCoords, c.ICN)
 	ez0 := tp.Const(c.ICN, 1, c.ICEz0)
 	t.IC = tp.AddScalars(
 		tp.MSE(tp.Sub(fic.Ez.V, ez0)),
@@ -137,11 +147,12 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 
 	terms := []ad.Value{t.Phys, tp.Scale(t.IC, cfg.WIC)}
 
-	// Symmetry loss (eq. 20): mirror batches share the collocation points.
+	// Symmetry loss (eq. 20): row i of each mirror batch is the reflection
+	// of collocation point i, so each term compares a row with its image.
 	if cfg.UseSymmetry && (p.UseSymX || p.UseSymY) {
 		var symTerms []ad.Value
 		if p.UseSymX {
-			fm := model(tp, c.MirrorX, c.N, false)
+			fm := valuesAt(tp, model, f, row, c.MirrorX, c.N)
 			symTerms = append(symTerms,
 				tp.MSE(tp.Sub(f.Ez.V, fm.Ez.V)), // Ez even in x
 				tp.MSE(tp.Sub(f.Hx.V, fm.Hx.V)), // Hx even in x
@@ -149,7 +160,7 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 			)
 		}
 		if p.UseSymY {
-			fm := model(tp, c.MirrorY, c.N, false)
+			fm := valuesAt(tp, model, f, row, c.MirrorY, c.N)
 			symTerms = append(symTerms,
 				tp.MSE(tp.Sub(f.Ez.V, fm.Ez.V)), // Ez even in y
 				tp.MSE(tp.Add(f.Hx.V, fm.Hx.V)), // Hx odd in y
@@ -180,6 +191,42 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 
 	t.Total = tp.AddScalars(terms...)
 	return t
+}
+
+// rowIndex maps the coordinate bits of each row of c.Coords to its row.
+// Build rebuilds it on every call because a Collocation's rows may be
+// reordered between steps.
+func rowIndex(c *Collocation) map[[3]uint64]int {
+	row := make(map[[3]uint64]int, c.N)
+	for i := 0; i < c.N; i++ {
+		row[coordBits(c.Coords, i)] = i
+	}
+	return row
+}
+
+// valuesAt returns the field values at the n points of coords as row
+// gathers of the collocation pass f, each point matched by its coordinate
+// bits. A batch with a point that is no collocation row is evaluated by the
+// model, values only.
+func valuesAt(tp *ad.Tape, model Forward, f FieldsDual, row map[[3]uint64]int, coords []float64, n int) FieldsDual {
+	idx := make([]int, n)
+	for i := range idx {
+		j, ok := row[coordBits(coords, i)]
+		if !ok {
+			return model(tp, coords, n, false)
+		}
+		idx[i] = j
+	}
+	return FieldsDual{
+		Ez: dual.FromValue(tp.SelectRows(f.Ez.V, idx)),
+		Hx: dual.FromValue(tp.SelectRows(f.Hx.V, idx)),
+		Hy: dual.FromValue(tp.SelectRows(f.Hy.V, idx)),
+	}
+}
+
+// coordBits is the bit pattern of row i of an N×3 coordinate array.
+func coordBits(coords []float64, i int) [3]uint64 {
+	return [3]uint64{math.Float64bits(coords[3*i]), math.Float64bits(coords[3*i+1]), math.Float64bits(coords[3*i+2])}
 }
 
 // epsOfDielectric returns the (constant) ε_r of the dielectric partition.

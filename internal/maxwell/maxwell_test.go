@@ -2,6 +2,7 @@ package maxwell
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ad"
@@ -145,16 +146,50 @@ func TestCollocationPartition(t *testing.T) {
 	}
 }
 
+// TestMirrorBatches pins the mirror batches to the periodic grid image: row
+// i of MirrorX is collocation row i with x replaced by grid coordinate
+// (g−ix) mod g, bit for bit, which is −x up to an ulp or a whole period
+// (and likewise for MirrorY in y). Every mirror row and every IC row must
+// then be a Coords row bit for bit, which is what lets Build gather them
+// from the collocation pass.
 func TestMirrorBatches(t *testing.T) {
-	p := NewProblem(VacuumCase)
-	c := NewCollocation(p, 4, 2)
-	differ := func(a, b float64) bool { return math.Float64bits(a) != math.Float64bits(b) }
-	for i := 0; i < c.N; i++ {
-		if differ(c.MirrorX[i*3], -c.Coords[i*3]) || differ(c.MirrorX[i*3+1], c.Coords[i*3+1]) || differ(c.MirrorX[i*3+2], c.Coords[i*3+2]) {
-			t.Fatal("x-mirror batch wrong")
+	for _, g := range []int{4, 7, 10} {
+		p := NewProblem(VacuumCase)
+		c := NewCollocation(p, g, 2)
+		same := func(a, b []float64) bool {
+			for k := range a {
+				if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+					return false
+				}
+			}
+			return true
 		}
-		if differ(c.MirrorY[i*3], c.Coords[i*3]) || differ(c.MirrorY[i*3+1], -c.Coords[i*3+1]) {
-			t.Fatal("y-mirror batch wrong")
+		// reflects reports whether m is −x up to rounding or a period of 2.
+		reflects := func(m, x float64) bool {
+			d := math.Abs(m + x)
+			return d < 1e-15 || math.Abs(d-2) < 1e-15
+		}
+		rows := map[[3]uint64]bool{}
+		for i := 0; i < c.N; i++ {
+			rows[coordBits(c.Coords, i)] = true
+		}
+		for i := 0; i < c.N; i++ {
+			ix, iy := i%g, i/g%g
+			x, y, tt := c.Coords[3*i], c.Coords[3*i+1], c.Coords[3*i+2]
+			if !same(c.MirrorX[3*i:3*i+3], []float64{refsol.Coord((g-ix)%g, g), y, tt}) || !reflects(c.MirrorX[3*i], x) {
+				t.Fatalf("g=%d: x-mirror row %d = %v, collocation row %v", g, i, c.MirrorX[3*i:3*i+3], c.Coords[3*i:3*i+3])
+			}
+			if !same(c.MirrorY[3*i:3*i+3], []float64{x, refsol.Coord((g-iy)%g, g), tt}) || !reflects(c.MirrorY[3*i+1], y) {
+				t.Fatalf("g=%d: y-mirror row %d = %v, collocation row %v", g, i, c.MirrorY[3*i:3*i+3], c.Coords[3*i:3*i+3])
+			}
+			if !rows[coordBits(c.MirrorX, i)] || !rows[coordBits(c.MirrorY, i)] {
+				t.Fatalf("g=%d: mirror rows of point %d are not collocation rows", g, i)
+			}
+		}
+		for i := 0; i < c.ICN; i++ {
+			if !rows[coordBits(c.ICCoords, i)] {
+				t.Fatalf("g=%d: IC row %d = %v is not a collocation row", g, i, c.ICCoords[3*i:3*i+3])
+			}
 		}
 	}
 }
@@ -306,5 +341,168 @@ func TestTimeWeightsSuppressLateResiduals(t *testing.T) {
 	if terms.Phys.Scalar() >= full.Phys.Scalar()/2 {
 		t.Fatalf("curriculum weighting did not suppress late residuals: %v vs %v",
 			terms.Phys.Scalar(), full.Phys.Scalar())
+	}
+}
+
+// pointwiseFields is a smooth, asymmetric field triple with exact tangents,
+// evaluated row by row: a Forward that is pointwise by construction.
+func pointwiseFields(x, y, t float64) (v [3]float64, d [3][3]float64) {
+	sx, cx := math.Sincos(math.Pi*x + 0.3)
+	sy, cy := math.Sincos(math.Pi*y + 0.2)
+	v = [3]float64{sx * cy * (1 + t), cx * sy * t, x * cy}
+	d = [3][3]float64{
+		{math.Pi * cx * cy * (1 + t), -math.Pi * sx * sy * (1 + t), sx * cy},
+		{-math.Pi * sx * sy * t, math.Pi * cx * cy * t, cx * sy},
+		{cy, -math.Pi * x * sy, 0},
+	}
+	return v, d
+}
+
+// countingForward wraps pointwiseFields as a Forward and counts its calls.
+func countingForward(calls *int) Forward {
+	return func(tp *ad.Tape, coords []float64, n int, withTangents bool) FieldsDual {
+		*calls++
+		var vals [3][]float64
+		var tans [3][3][]float64
+		for k := range vals {
+			vals[k] = make([]float64, n)
+			for j := range tans[k] {
+				tans[k][j] = make([]float64, n)
+			}
+		}
+		for i := 0; i < n; i++ {
+			v, d := pointwiseFields(coords[3*i], coords[3*i+1], coords[3*i+2])
+			for k := range vals {
+				vals[k][i] = v[k]
+				for j := range tans[k] {
+					tans[k][j][i] = d[k][j]
+				}
+			}
+		}
+		var out [3]dual.D
+		for k := range out {
+			out[k] = dual.FromValue(tp.Const(n, 1, vals[k]))
+			if withTangents {
+				for j := 0; j < 3; j++ {
+					out[k].T[j] = tp.Const(n, 1, tans[k][j])
+				}
+			}
+		}
+		return FieldsDual{Ez: out[0], Hx: out[1], Hy: out[2]}
+	}
+}
+
+// directICSym evaluates eq. 19's IC loss and eq. 20's symmetry loss in plain
+// float64 at every point of the IC and mirror batches, sharing no code with
+// Build's gather.
+func directICSym(p Problem, c *Collocation) (ic, sym float64) {
+	for i := 0; i < c.ICN; i++ {
+		v, _ := pointwiseFields(c.ICCoords[3*i], c.ICCoords[3*i+1], c.ICCoords[3*i+2])
+		ic += (v[0]-c.ICEz0[i])*(v[0]-c.ICEz0[i]) + v[1]*v[1] + v[2]*v[2]
+	}
+	ic /= float64(c.ICN)
+	mirror := func(m []float64, parity [3]float64) {
+		for i := 0; i < c.N; i++ {
+			v, _ := pointwiseFields(c.Coords[3*i], c.Coords[3*i+1], c.Coords[3*i+2])
+			mv, _ := pointwiseFields(m[3*i], m[3*i+1], m[3*i+2])
+			for k := range v {
+				r := v[k] - parity[k]*mv[k]
+				sym += r * r / float64(c.N)
+			}
+		}
+	}
+	if p.UseSymX {
+		mirror(c.MirrorX, [3]float64{1, 1, -1})
+	}
+	if p.UseSymY {
+		mirror(c.MirrorY, [3]float64{1, -1, 1})
+	}
+	return ic, sym
+}
+
+// shuffleRows returns a copy of c with its collocation rows permuted
+// (coordinates, mirror partners, ε, time bins and the index lists moving
+// together) and its IC rows permuted with their targets.
+func shuffleRows(c *Collocation, rng *rand.Rand) *Collocation {
+	out := *c
+	perm := rng.Perm(c.N)
+	newRow := make([]int, c.N)
+	out.Coords = make([]float64, len(c.Coords))
+	out.MirrorX = make([]float64, len(c.MirrorX))
+	out.MirrorY = make([]float64, len(c.MirrorY))
+	out.Eps = make([]float64, c.N)
+	out.BinOf = make([]int, c.N)
+	for j, i := range perm {
+		newRow[i] = j
+		copy(out.Coords[3*j:3*j+3], c.Coords[3*i:3*i+3])
+		copy(out.MirrorX[3*j:3*j+3], c.MirrorX[3*i:3*i+3])
+		copy(out.MirrorY[3*j:3*j+3], c.MirrorY[3*i:3*i+3])
+		out.Eps[j] = c.Eps[i]
+		out.BinOf[j] = c.BinOf[i]
+	}
+	remap := func(idx []int) []int {
+		r := make([]int, len(idx))
+		for k, i := range idx {
+			r[k] = newRow[i]
+		}
+		return r
+	}
+	out.VacIdx, out.DielIdx = remap(c.VacIdx), remap(c.DielIdx)
+	out.BinIdx = make([][]int, len(c.BinIdx))
+	for b, idx := range c.BinIdx {
+		out.BinIdx[b] = remap(idx)
+	}
+	out.ICCoords = make([]float64, len(c.ICCoords))
+	out.ICEz0 = make([]float64, c.ICN)
+	for j, i := range rng.Perm(c.ICN) {
+		copy(out.ICCoords[3*j:3*j+3], c.ICCoords[3*i:3*i+3])
+		out.ICEz0[j] = c.ICEz0[i]
+	}
+	return &out
+}
+
+// TestBuildOnePass: Build calls the model once per step on a NewCollocation
+// and on a row-shuffled copy of one, gathering the IC and mirror values
+// from that pass. A collocation whose x-mirror batch holds a point off the
+// grid takes the fallback (one more, values-only call for that batch). In
+// every case the IC and symmetry terms match a direct evaluation at the
+// batches' points, and the total is their weighted sum with the physics and
+// energy terms.
+func TestBuildOnePass(t *testing.T) {
+	for _, pc := range []Case{VacuumCase, DielectricCase} {
+		p := NewProblem(pc)
+		grid := NewCollocation(p, 5, 3)
+		offGrid := *grid
+		offGrid.MirrorX = append([]float64(nil), grid.MirrorX...)
+		offGrid.MirrorX[3*7] += 0.01
+		cases := []struct {
+			name  string
+			c     *Collocation
+			calls int
+		}{
+			{"grid", grid, 1},
+			{"shuffled", shuffleRows(grid, rand.New(rand.NewSource(3))), 1},
+			{"off-grid mirror", &offGrid, 1},
+		}
+		if p.UseSymX {
+			cases[2].calls = 2
+		}
+		for _, tc := range cases {
+			var calls int
+			cfg := PaperConfig(true, true)
+			terms := Build(ad.NewTape(), countingForward(&calls), p, tc.c, cfg)
+			if calls != tc.calls {
+				t.Errorf("%v %s: Build called the model %d times, want %d", pc, tc.name, calls, tc.calls)
+			}
+			ic, sym := directICSym(p, tc.c)
+			near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-13*math.Abs(want) }
+			if !near(terms.IC.Scalar(), ic) || !near(terms.Sym.Scalar(), sym) {
+				t.Errorf("%v %s: IC %v, sym %v; direct evaluation %v, %v", pc, tc.name, terms.IC.Scalar(), terms.Sym.Scalar(), ic, sym)
+			}
+			want := terms.Phys.Scalar() + cfg.WIC*ic + cfg.WSym*sym + cfg.WEnergy*terms.Energy.Scalar()
+			if !near(terms.Total.Scalar(), want) {
+				t.Errorf("%v %s: total %v, composed from its terms %v", pc, tc.name, terms.Total.Scalar(), want)
+			}
+		}
 	}
 }

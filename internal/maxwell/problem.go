@@ -71,10 +71,16 @@ type Collocation struct {
 	Bins   int
 	BinOf  []int
 	BinIdx [][]int
-	// Mirrored batches for the symmetry loss.
+	// Mirrored batches for the symmetry loss, N×3 each: row i is row i of
+	// Coords reflected through x = 0 (MirrorX) or y = 0 (MirrorY) onto the
+	// periodic grid. The reflection of grid index ix is index (g−ix) mod g,
+	// so every mirror row is a Coords row bit for bit (−x itself is off the
+	// grid by an ulp for some x, is −0 at x = 0 and lies a period away at
+	// x = −1).
 	MirrorX, MirrorY []float64
 
-	// Initial-condition set: the G² spatial grid at t = 0 with target Ez.
+	// Initial-condition set: the G² spatial grid at t = 0 with target Ez;
+	// each row is the Coords row of the same (x, y) at t = 0.
 	ICCoords []float64
 	ICEz0    []float64
 	ICN      int
@@ -102,17 +108,17 @@ func NewCollocation(p Problem, g, bins int) *Collocation {
 			bin = bins - 1
 		}
 		for iy := 0; iy < g; iy++ {
-			y := refsol.Coord(iy, g)
+			y, my := refsol.Coord(iy, g), refsol.Coord((g-iy)%g, g)
 			for ix := 0; ix < g; ix++ {
 				x := refsol.Coord(ix, g)
 				c.Coords[i*3+0] = x
 				c.Coords[i*3+1] = y
 				c.Coords[i*3+2] = t
-				c.MirrorX[i*3+0] = -x
+				c.MirrorX[i*3+0] = refsol.Coord((g-ix)%g, g)
 				c.MirrorX[i*3+1] = y
 				c.MirrorX[i*3+2] = t
 				c.MirrorY[i*3+0] = x
-				c.MirrorY[i*3+1] = -y
+				c.MirrorY[i*3+1] = my
 				c.MirrorY[i*3+2] = t
 				c.Eps[i] = p.Medium.EpsAt(x, y)
 				c.BinOf[i] = bin
