@@ -5,15 +5,15 @@
 // CI runners and the machine that recorded the baseline differ in absolute
 // speed, so the gate compares machine-independent RELATIVE costs: every
 // benchmark is normalized by a reference benchmark measured in the same run
-// (default TorqEpochLegacy, whose workload is fixed across PRs). For each
-// benchmark present in both the baseline and the fresh output, the gate
-// computes
+// (default Table2NaiveSimulator, the Table 2 dense comparator: oracle code
+// whose workload stays fixed). For each benchmark present in both the
+// baseline and the fresh output, the gate computes
 //
 //	drift = (fresh[b]/fresh[ref]) / (base[b]/base[ref])
 //
 // and fails when drift > 1 + tol: the benchmark got slower relative to the
-// legacy yardstick than the baseline says it should be. A lost fusion pass
-// or a de-optimized kernel shows up as drift ≥ 2 and trips the gate even on
+// reference than the baseline says it should be. A lost fusion pass or a
+// de-optimized kernel shows up as drift ≥ 2 and trips the gate even on
 // a noisy runner; -tol defaults to 0.5 so ordinary scheduling jitter does
 // not. -warn-only downgrades failures to warnings for slow matrix runners.
 package main
@@ -60,7 +60,7 @@ func parseBench(path string) (map[string]float64, error) {
 func main() {
 	basePath := flag.String("baseline", "BENCH_engine.json", "committed baseline JSON")
 	benchPath := flag.String("bench", "bench-smoke.txt", "fresh `go test -bench` output")
-	ref := flag.String("ref", "TorqEpochLegacy", "reference benchmark used to normalize machine speed")
+	ref := flag.String("ref", "Table2NaiveSimulator", "reference benchmark used to normalize machine speed")
 	tol := flag.Float64("tol", 0.5, "allowed relative-cost drift before failing (0.5 = +50%)")
 	warnOnly := flag.Bool("warn-only", false, "report regressions without failing (slow matrix runners)")
 	require := flag.String("require", "", "comma-separated substrings that must each match a benchmark present in BOTH the baseline and the fresh output (e.g. \"Sharded\") — a variant that silently stops being measured fails the gate instead of being skipped")

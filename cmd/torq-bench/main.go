@@ -2,7 +2,7 @@
 // adjoint simulator (the TorQ analogue) against the naive per-sample and
 // full-unitary baselines that stand in for PennyLane's default.qubit and
 // operator-composition pipelines. The -engine flag selects the execution
-// engine for the batched rows, enabling sharded-vs-legacy A/B runs.
+// engine for the batched rows: sharded (the default), dist, or naive.
 package main
 
 import (
@@ -18,7 +18,7 @@ import (
 
 func main() {
 	preset := flag.String("preset", "smoke", experiments.PresetNames())
-	engine := flag.String("engine", "sharded", "circuit-execution engine for the batched simulator ("+qsim.EngineNames()+"): sharded runs the compiled program in process as work-stealing sample shards with worker-count-independent gradients, dist ships the same shards to worker processes, legacy sweeps per gate, naive is the dense per-sample baseline")
+	engine := flag.String("engine", "sharded", "circuit-execution engine for the batched simulator ("+qsim.EngineNames()+"): sharded runs the compiled program in process as work-stealing sample shards with worker-count-independent gradients, dist ships the same shards to worker processes, naive is the dense per-sample reference")
 	distWorkers := flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
 	obsFlags := obs.RegisterFlags("torq-bench")
 	flag.Parse()

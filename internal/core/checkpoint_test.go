@@ -48,6 +48,8 @@ func TestLoadRejectsInvalidConfig(t *testing.T) {
 		{"unknown scaling", "unknown scaling -1", func(c *ModelConfig) { c.Scaling = -1 }},
 		{"unknown init", "unknown initialization 7", func(c *ModelConfig) { c.Init = 7 }},
 		{"unknown engine", "unknown engine 42", func(c *ModelConfig) { c.Engine = 42 }},
+		// 2 named the retired per-gate engine; it must not run as another.
+		{"retired engine 2", "unknown engine 2", func(c *ModelConfig) { c.Engine = 2 }},
 		{"40 qubits", "40 qubits", func(c *ModelConfig) { c.NumQubits = 40 }},
 		{"no qubits", "0 qubits", func(c *ModelConfig) { c.NumQubits = 0 }},
 		{"negative layers", "-3 circuit layers", func(c *ModelConfig) { c.QLayers = -3 }},

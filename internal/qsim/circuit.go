@@ -248,74 +248,5 @@ func (a AnsatzKind) Build(nq, layers int) *Circuit {
 	return c
 }
 
-// apply runs gate g (forward) on state s with parameters theta.
-func (g Gate) apply(s *State, theta []float64) {
-	switch g.Kind {
-	case RX:
-		t := theta[g.P]
-		s.ApplyIX(g.Q, cosHalf(t), sinHalf(t))
-	case RY:
-		t := theta[g.P]
-		s.ApplyY(g.Q, cosHalf(t), sinHalf(t))
-	case RZ:
-		t := theta[g.P]
-		c, sn := cosHalf(t), sinHalf(t)
-		s.ApplyDiag(g.Q, c, -sn, c, sn)
-	case CNOT:
-		s.ApplyCNOT(g.C, g.Q)
-	case CRZ:
-		t := theta[g.P]
-		c, sn := cosHalf(t), sinHalf(t)
-		s.ApplyCtrlDiag(g.C, g.Q, c, -sn, c, sn)
-	}
-}
-
-// applyInverse runs g† on s (rotation with negated angle; CNOT self-inverse).
-func (g Gate) applyInverse(s *State, theta []float64) {
-	switch g.Kind {
-	case RX:
-		t := theta[g.P]
-		s.ApplyIX(g.Q, cosHalf(t), -sinHalf(t))
-	case RY:
-		t := theta[g.P]
-		s.ApplyY(g.Q, cosHalf(t), -sinHalf(t))
-	case RZ:
-		t := theta[g.P]
-		c, sn := cosHalf(t), sinHalf(t)
-		s.ApplyDiag(g.Q, c, sn, c, -sn)
-	case CNOT:
-		s.ApplyCNOT(g.C, g.Q)
-	case CRZ:
-		t := theta[g.P]
-		c, sn := cosHalf(t), sinHalf(t)
-		s.ApplyCtrlDiag(g.C, g.Q, c, sn, c, -sn)
-	}
-}
-
-// applyDeriv runs dU/dθ on s (destructive; s becomes the derivative image).
-// CNOT has no parameter; calling applyDeriv on it panics.
-func (g Gate) applyDeriv(s *State, theta []float64) {
-	switch g.Kind {
-	case RX:
-		t := theta[g.P]
-		s.ApplyIX(g.Q, -sinHalf(t)/2, cosHalf(t)/2)
-	case RY:
-		t := theta[g.P]
-		s.ApplyY(g.Q, -sinHalf(t)/2, cosHalf(t)/2)
-	case RZ:
-		t := theta[g.P]
-		c, sn := cosHalf(t), sinHalf(t)
-		// d/dθ diag(e^{−iθ/2}, e^{iθ/2}) = diag(−(s+ic)/2, (−s+ic)/2)
-		s.ApplyDiag(g.Q, -sn/2, -c/2, -sn/2, c/2)
-	case CRZ:
-		t := theta[g.P]
-		c, sn := cosHalf(t), sinHalf(t)
-		s.ApplyCtrlDiag(g.C, g.Q, -sn/2, -c/2, -sn/2, c/2)
-		s.ZeroOutDerivCtrl(g.C)
-	default:
-		panic("qsim: derivative of non-parametrized gate")
-	}
-}
-
 func cosHalf(t float64) float64 { return math.Cos(t / 2) }
 func sinHalf(t float64) float64 { return math.Sin(t / 2) }

@@ -303,8 +303,8 @@ func TestProgramEmbedOpcodes(t *testing.T) {
 // gradients against the two-term RX shift rule. Without re-uploading each
 // angle enters exactly one RX gate, whose generator X/2 has spectrum ±1/2,
 // so ∂f/∂φ = (f(φ + π/2) − f(φ − π/2))/2 holds exactly for
-// f = Σ gz·⟨Z⟩. f is evaluated by EvalZ, the gate-by-gate reference path,
-// which shares no code with the compiled program.
+// f = Σ gz·⟨Z⟩. f is evaluated by EvalZ, which runs the naive engine and
+// shares no code with the compiled program.
 func TestEmbeddingShiftRuleMatchesAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(517))
 	for _, a := range AllAnsatze {
@@ -338,7 +338,7 @@ func TestEmbeddingShiftRuleMatchesAdjoint(t *testing.T) {
 
 // TestEmbeddingGradsMatchCentralDifferences checks dAngles and dAngleTans
 // against central differences of the full objective
-// f = Σ gz·z + Σ_k gztans_k·ztans_k, evaluated with the legacy per-gate
+// f = Σ gz·z + Σ_k gztans_k·ztans_k, evaluated with the naive dense
 // engine's forward. It covers re-uploading circuits (where an angle enters
 // one RX per layer), 1 to 6 qubits, a random subset of tangent channels per
 // circuit, and angles on the edge set {0, ±π/2, ±π}. dAngles with tangents
@@ -372,10 +372,10 @@ func TestEmbeddingGradsMatchCentralDifferences(t *testing.T) {
 			gz := randAngles(rng, n, nq)
 			got := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
 
-			legacy := &PQC{Circ: circ, Eng: EngineLegacy}
+			naive := &PQC{Circ: circ, Eng: EngineNaive}
 			ws := NewWorkspace(n, nq)
 			f := func(angles []float64, tans [][]float64) float64 {
-				z, ztans := legacy.Forward(ws, angles, tans, theta)
+				z, ztans := naive.Forward(ws, angles, tans, theta)
 				var s float64
 				for j, v := range z {
 					s += gz[j] * v

@@ -30,20 +30,23 @@ const (
 	// through RegisterDistBackend; selecting "dist" in a binary that does
 	// not link that package panics with instructions.
 	EngineDist
-	// EngineLegacy executes one batchwide parallel sweep per gate
-	// application — the original execution model, kept as a comparator.
-	EngineLegacy
-	// EngineNaive runs the identical adjoint algorithm but applies every
-	// gate as a dense 2^nq×2^nq matrix per sample (the default.qubit-style
-	// losing architecture of Table 2).
+	// Kind 2 is reserved: it named the retired per-gate engine, and a
+	// checkpoint that stored it fails config validation instead of running
+	// as another engine.
+	_
+	// EngineNaive runs the per-gate adjoint algorithm with every gate
+	// applied as a dense 2^nq×2^nq matrix per sample (the default.qubit-style
+	// losing architecture of Table 2): the reference the other engines are
+	// checked against.
 	EngineNaive
 )
 
-// engineFlags holds each engine's -engine flag value, indexed by kind.
-var engineFlags = [...]string{EngineSharded: "sharded", EngineDist: "dist", EngineLegacy: "legacy", EngineNaive: "naive"}
+// engineFlags holds each engine's -engine flag value, indexed by kind; the
+// reserved kind has none.
+var engineFlags = [...]string{EngineSharded: "sharded", EngineDist: "dist", EngineNaive: "naive"}
 
 func (k EngineKind) String() string {
-	if int(k) >= len(engineFlags) {
+	if int(k) >= len(engineFlags) || engineFlags[k] == "" {
 		return "unknown"
 	}
 	return engineFlags[k]
@@ -54,12 +57,12 @@ func (k EngineKind) String() string {
 // Config validation and the name round-trip test iterate it, and
 // TestEngineKindsClosed checks that it holds every named engine.
 func EngineKinds() []EngineKind {
-	return []EngineKind{EngineSharded, EngineDist, EngineLegacy, EngineNaive}
+	return []EngineKind{EngineSharded, EngineDist, EngineNaive}
 }
 
 // EngineNames returns the canonical flag names of every registered engine,
 // "|"-separated, for flag usage strings and error messages.
-func EngineNames() string { return strings.Join(engineFlags[:], "|") }
+func EngineNames() string { return flagList(engineFlags[:]) }
 
 // ParseEngine maps a flag value to an EngineKind; the empty string selects
 // the default, EngineSharded.
@@ -72,8 +75,8 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // AnsatzNames and ScalingNames return the valid -ansatz and -scale flag
 // values, "|"-separated, for flag usage strings.
-func AnsatzNames() string  { return strings.Join(ansatzFlags[:], "|") }
-func ScalingNames() string { return strings.Join(scalingFlags[:], "|") }
+func AnsatzNames() string  { return flagList(ansatzFlags[:]) }
+func ScalingNames() string { return flagList(scalingFlags[:]) }
 
 // ParseAnsatz maps an -ansatz flag value to its AnsatzKind.
 func ParseAnsatz(s string) (AnsatzKind, error) {
@@ -86,12 +89,24 @@ func ParseScaling(s string) (ScalingKind, error) {
 }
 
 // parseFlag returns the kind whose flag value in names (indexed by kind) is
-// s; the error lists every valid value.
+// s; the error lists every valid value. An empty name marks a kind with no
+// flag value, which no s selects.
 func parseFlag[K ~int | ~uint8](what, s string, names []string) (K, error) {
-	if i := slices.Index(names, s); i >= 0 {
+	if i := slices.Index(names, s); i >= 0 && s != "" {
 		return K(i), nil
 	}
-	return 0, fmt.Errorf("qsim: unknown %s %q (want %s)", what, s, strings.Join(names, "|"))
+	return 0, fmt.Errorf("qsim: unknown %s %q (want %s)", what, s, flagList(names))
+}
+
+// flagList joins the non-empty flag values in names with "|".
+func flagList(names []string) string {
+	var valid []string
+	for _, s := range names {
+		if s != "" {
+			valid = append(valid, s)
+		}
+	}
+	return strings.Join(valid, "|")
 }
 
 // Engine is the pluggable execution strategy for a PQC pass: it owns how
@@ -107,20 +122,21 @@ type Engine interface {
 var (
 	engineSharded Engine = shardedEngine{}
 	engineDist    Engine = distEngine{}
-	engineLegacy  Engine = &legacyEngine{kind: EngineLegacy, hooks: fastHooks}
-	engineNaive   Engine = &legacyEngine{kind: EngineNaive, hooks: naiveHooks}
+	engineNaive   Engine = naiveEngine{}
 )
 
+// engine returns k's Engine. A kind outside EngineKinds panics rather than
+// run as another engine; configurations are validated before they get here.
 func (k EngineKind) engine() Engine {
 	switch k {
+	case EngineSharded:
+		return engineSharded
 	case EngineDist:
 		return engineDist
-	case EngineLegacy:
-		return engineLegacy
 	case EngineNaive:
 		return engineNaive
 	}
-	return engineSharded
+	panic(fmt.Sprintf("qsim: unknown engine %d", k))
 }
 
 // blockSamples picks how many samples one worker streams through the whole
@@ -349,12 +365,13 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 }
 
 // reverseEmbedAllRange is the fused embedding adjoint: the sample-major
-// analogue of legacyEngine.reverseEmbedding, un-applying the whole embedding
-// block for one sample — qubits in reverse order — before moving to the next, so the
-// sample's value, tangent, and adjoint amplitudes stay cache-hot across the
-// entire per-qubit sequence and the per-qubit scratch copies shrink to one
-// sample. See legacyEngine.reverseEmbedding for the derivation of the
-// gradient terms (a)–(c).
+// analogue of the naive driver's naiveEngine.reverseEmbedding, un-applying
+// the whole embedding block for one sample — qubits in reverse order —
+// before moving to the next, so the sample's value, tangent, and adjoint
+// amplitudes stay cache-hot across the entire per-qubit sequence and the
+// per-qubit scratch copies shrink to one sample. See
+// naiveEngine.reverseEmbedding for the derivation of the gradient terms
+// (a)–(c).
 func reverseEmbedAllRange(ws *Workspace, walks []groupWalk, lo, hi int, dAngles []float64, dAngleTans [][]float64) {
 	nq := ws.nq
 	for smp := lo; smp < hi; smp++ {

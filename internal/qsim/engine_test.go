@@ -58,11 +58,10 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestEngineParity is the decisive cross-engine check: on randomized seeded
 // circuits across every ansatz (with and without data re-uploading), the
-// sharded and naive engines must reproduce the legacy per-gate engine's
-// expectations, tangents, and adjoint gradients to tight tolerance. The
-// engines share no kernel code on the sharded side (compiled instruction
-// stream with gate fusion vs per-gate sweeps vs dense matrices), so
-// agreement pins the whole compile/execute stack. Every ansatz runs at 4
+// sharded engine must reproduce the naive dense engine's expectations,
+// tangents, and adjoint gradients to tight tolerance. The two share no
+// kernel code (compiled instruction stream with gate fusion vs per-gate
+// dense matrices), so agreement pins the whole compile/execute stack. Every ansatz runs at 4
 // qubits and at 1, where the entangling ansätze emit no entangler.
 func TestEngineParity(t *testing.T) { onBothPaths(t, testEngineParity) }
 
@@ -87,24 +86,22 @@ func testEngineParity(t *testing.T) {
 				gz := randAngles(rng, n, nq)
 				gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
-				ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-				for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
-					got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
-					check := func(name string, want, have []float64) {
-						if d := maxAbsDiff(want, have); d > tol {
-							t.Errorf("%v nq=%d reupload=%v engine=%v: %s diverges by %v", a, nq, reup, kind, name, d)
-						}
+				ref := runEngine(EngineNaive, circ, n, angles, tans, theta, gz, gztans)
+				got := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
+				check := func(name string, want, have []float64) {
+					if d := maxAbsDiff(want, have); d > tol {
+						t.Errorf("%v nq=%d reupload=%v: sharded %s diverges by %v", a, nq, reup, name, d)
 					}
-					check("z", ref.z, got.z)
-					check("dAngles", ref.dAngles, got.dAngles)
-					check("dTheta", ref.dTheta, got.dTheta)
-					for k := 0; k < MaxTangents; k++ {
-						if ref.ztans[k] != nil {
-							check("ztans", ref.ztans[k], got.ztans[k])
-							check("dTans", ref.dTans[k], got.dTans[k])
-						} else if got.ztans[k] != nil {
-							t.Errorf("%v engine=%v: tangent channel %d unexpectedly present", a, kind, k)
-						}
+				}
+				check("z", ref.z, got.z)
+				check("dAngles", ref.dAngles, got.dAngles)
+				check("dTheta", ref.dTheta, got.dTheta)
+				for k := 0; k < MaxTangents; k++ {
+					if ref.ztans[k] != nil {
+						check("ztans", ref.ztans[k], got.ztans[k])
+						check("dTans", ref.dTans[k], got.dTans[k])
+					} else if got.ztans[k] != nil {
+						t.Errorf("%v: tangent channel %d unexpectedly present", a, k)
 					}
 				}
 			}
@@ -133,23 +130,20 @@ func testEngineParityNoTangents(t *testing.T) {
 		pqc.Backward(ws, gz, nil, dA, nil, dTheta)
 		return z, dA, dTheta
 	}
-	zL, daL, dtL := run(EngineLegacy)
-	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
-		z, da, dt := run(kind)
-		//torq:allow maprange -- independent per-series assertions
-		for name, pair := range map[string][2][]float64{
-			"z": {zL, z}, "dAngles": {daL, da}, "dTheta": {dtL, dt},
-		} {
-			if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
-				t.Errorf("engine=%v: %s diverges by %v", kind, name, d)
-			}
+	zN, daN, dtN := run(EngineNaive)
+	z, da, dt := run(EngineSharded)
+	//torq:allow maprange -- independent per-series assertions
+	for name, pair := range map[string][2][]float64{
+		"z": {zN, z}, "dAngles": {daN, da}, "dTheta": {dtN, dt},
+	} {
+		if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
+			t.Errorf("sharded: %s diverges by %v", name, d)
 		}
 	}
 }
 
 // TestEngineParityRandomShapes: property-style sweep over random batch
-// sizes, qubit counts and depths, sharded vs legacy only (naive is covered
-// above and is O(4^nq) per gate).
+// sizes, qubit counts (2–5) and depths, sharded vs naive.
 func TestEngineParityRandomShapes(t *testing.T) { onBothPaths(t, testEngineParityRandomShapes) }
 
 func testEngineParityRandomShapes(t *testing.T) {
@@ -175,7 +169,7 @@ func testEngineParityRandomShapes(t *testing.T) {
 		}
 		gz := randAngles(rng, n, nq)
 
-		ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
+		ref := runEngine(EngineNaive, circ, n, angles, tans, theta, gz, gztans)
 		kind := EngineSharded
 		got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 		if d := maxAbsDiff(ref.z, got.z); d > 1e-10 {
@@ -214,15 +208,13 @@ func testEngineParityNilValueGradient(t *testing.T) {
 	tans := [][]float64{randAngles(rng, n, nq), nil, nil}
 	gztans := [][]float64{randAngles(rng, n, nq), nil, nil}
 
-	ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, nil, gztans)
-	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
-		got := runEngine(kind, circ, n, angles, tans, theta, nil, gztans)
-		if d := maxAbsDiff(ref.dAngles, got.dAngles); d > 1e-10 {
-			t.Errorf("engine=%v: dAngles diverges by %v", kind, d)
-		}
-		if d := maxAbsDiff(ref.dTheta, got.dTheta); d > 1e-10 {
-			t.Errorf("engine=%v: dTheta diverges by %v", kind, d)
-		}
+	ref := runEngine(EngineNaive, circ, n, angles, tans, theta, nil, gztans)
+	got := runEngine(EngineSharded, circ, n, angles, tans, theta, nil, gztans)
+	if d := maxAbsDiff(ref.dAngles, got.dAngles); d > 1e-10 {
+		t.Errorf("sharded: dAngles diverges by %v", d)
+	}
+	if d := maxAbsDiff(ref.dTheta, got.dTheta); d > 1e-10 {
+		t.Errorf("sharded: dTheta diverges by %v", d)
 	}
 }
 
@@ -489,13 +481,29 @@ func TestEngineKindRoundTrip(t *testing.T) {
 	if zero != EngineSharded {
 		t.Errorf("zero-value EngineKind is %v, want sharded", zero)
 	}
+	// Checkpoints store the kind as a number: naive keeps 3, and 2, the
+	// retired per-gate engine's, names no engine.
+	if EngineNaive != 3 {
+		t.Errorf("EngineNaive = %d, want 3", EngineNaive)
+	}
+	if s := EngineKind(2).String(); s != "unknown" {
+		t.Errorf("EngineKind(2).String() = %q, want unknown", s)
+	}
+	for _, k := range EngineKinds() {
+		if k == 2 {
+			t.Error("EngineKinds lists the reserved kind 2")
+		}
+	}
 	// Retired engine names are errors, not aliases, and the error lists
 	// the valid names.
-	for _, old := range []string{"fused", "fused1", "fused2"} {
+	if got := EngineNames(); got != "sharded|dist|naive" {
+		t.Errorf("EngineNames() = %q, want sharded|dist|naive", got)
+	}
+	for _, old := range []string{"fused", "fused1", "fused2", "legacy"} {
 		_, err := ParseEngine(old)
 		if err == nil {
 			t.Errorf("ParseEngine(%q) accepted a retired engine", old)
-		} else if !strings.Contains(err.Error(), EngineNames()) {
+		} else if !strings.Contains(err.Error(), "(want "+EngineNames()+")") {
 			t.Errorf("ParseEngine(%q) error %q omits the valid names %q", old, err, EngineNames())
 		}
 	}

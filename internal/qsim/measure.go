@@ -1,56 +1,38 @@
 package qsim
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-)
+import "math"
 
-// EvalZ is the plain (no-gradient) execution path: embedding + ansatz +
-// per-qubit ⟨Z⟩ for a batch of n samples. Used by the parameter-shift rule,
-// diagnostics, and the Fig. 12 initialization study.
+// EvalZ runs the embedding, the ansatz and the per-qubit ⟨Z⟩ readout for a
+// batch of n samples on the naive engine, with no tangents and no gradient.
+// Used by the parameter-shift rule, whose oracle role needs a path that
+// shares no code with the compiled program, and by the Fig. 3 scaling study.
+// Its cost grows as 4^nq per gate and sample, so it suits small circuits.
 func EvalZ(circ *Circuit, angles, theta []float64, n int) []float64 {
-	st := runPlain(circ, angles, theta, n, nil)
-	out := make([]float64, n*circ.NumQubits)
-	st.ExpZ(out)
-	return out
+	p := &PQC{Circ: circ, Eng: EngineNaive}
+	z, _ := naiveEngine{}.Forward(p, NewWorkspace(n, circ.NumQubits), angles, nil, theta)
+	return z
 }
 
-// FinalState runs the circuit and returns the batch statevector (for
-// entanglement diagnostics).
+// FinalState runs the compiled program on the batch (the sharded engine's
+// forward pass, no tangents) and returns its output statevector, for
+// entanglement diagnostics. The program tracks CNOTs in a basis frame
+// instead of executing them, so it leaves amplitude j at index src(j) of its
+// state; FinalState reads the state through the program's readout map to
+// return amplitude j at index j.
 func FinalState(circ *Circuit, angles, theta []float64, n int) *State {
-	return runPlain(circ, angles, theta, n, nil)
-}
-
-// runPlain runs circ gate by gate on a fresh batch state, the way every
-// engine does: the RX angle embedding, then the ansatz gates, re-embedding
-// before every layer under data re-uploading. noise, when non-nil, runs
-// after every embedding rotation (c = −1) and every gate, on the qubits it
-// touched.
-func runPlain(circ *Circuit, angles, theta []float64, n int, noise func(st *State, q, c int)) *State {
-	nq := circ.NumQubits
-	st := NewState(n, nq)
-	c := make([]float64, n)
-	s := make([]float64, n)
-	for _, seg := range circ.segments() {
-		for q := 0; q < nq; q++ {
-			for i := 0; i < n; i++ {
-				c[i] = cosHalf(angles[i*nq+q])
-				s[i] = sinHalf(angles[i*nq+q])
-			}
-			st.ApplyIXPerSample(q, c, s)
-			if noise != nil {
-				noise(st, q, -1)
-			}
-		}
-		for _, g := range seg {
-			g.apply(st, theta)
-			if noise != nil {
-				noise(st, g.Q, g.C)
-			}
+	p := &PQC{Circ: circ}
+	ws := NewWorkspace(n, circ.NumQubits)
+	shardedEngine{}.Forward(p, ws, angles, nil, theta)
+	ro := &p.Program().readout
+	out := NewZeroState(n, circ.NumQubits)
+	dim := out.Dim
+	for off := 0; off < n*dim; off += dim {
+		for j, src := 0, 0; j < dim; j++ {
+			out.Re[off+j], out.Im[off+j] = ws.val.Re[off+src], ws.val.Im[off+src]
+			src = ro.next(src, j)
 		}
 	}
-	return st
+	return out
 }
 
 // ParameterShiftGrad computes d⟨Z⟩/dθ_p for every ansatz parameter via the
@@ -99,52 +81,6 @@ func ParameterShiftGrad(circ *Circuit, angles, theta []float64, n int) [][]float
 		grads[p] = g
 	}
 	return grads
-}
-
-// SampleZ estimates per-qubit ⟨Z⟩ from a finite number of measurement shots
-// drawn from the final state's Born distribution — the execution model on
-// real hardware, as opposed to the analytic expectations used throughout
-// the paper's simulator runs. Each sample builds its cumulative distribution
-// once and draws shots by binary search, so the per-shot cost is O(log dim)
-// rather than the O(dim) linear scan that made large shot counts quadratic
-// in practice.
-func SampleZ(circ *Circuit, angles, theta []float64, n, shots int, rng *rand.Rand) []float64 {
-	st := FinalState(circ, angles, theta, n)
-	nq, dim := st.NQ, st.Dim
-	out := make([]float64, n*nq)
-	cdf := make([]float64, dim)
-	for i := 0; i < n; i++ {
-		off := i * dim
-		var total float64
-		for j := 0; j < dim; j++ {
-			total += st.Re[off+j]*st.Re[off+j] + st.Im[off+j]*st.Im[off+j]
-			cdf[j] = total
-		}
-		counts := make([]int, dim)
-		for s := 0; s < shots; s++ {
-			r := rng.Float64() * total
-			k := sort.Search(dim, func(j int) bool { return cdf[j] > r })
-			if k == dim { // r landed on the rounding tail of the last bin
-				k = dim - 1
-			}
-			counts[k]++
-		}
-		for q := 0; q < nq; q++ {
-			var z float64
-			for j, cnt := range counts {
-				if cnt == 0 {
-					continue
-				}
-				if j&(1<<q) == 0 {
-					z += float64(cnt)
-				} else {
-					z -= float64(cnt)
-				}
-			}
-			out[i*nq+q] = z / float64(shots)
-		}
-	}
-	return out
 }
 
 // MeyerWallach returns the Meyer–Wallach global entanglement measure

@@ -273,33 +273,19 @@ func denseApplyAll(s *State, m cmat) {
 	}
 }
 
-// naiveHooks route the adjoint algorithm's gate primitives through dense
-// per-sample matrix application: the EngineNaive comparator, architecturally
-// equivalent to running PennyLane's default.qubit inside the PINN.
-var naiveHooks = applyHooks{
-	apply: func(g Gate, s *State, theta []float64) {
-		denseApplyAll(s, expand(g, theta, s.NQ))
-	},
-	applyInv: func(g Gate, s *State, theta []float64) {
-		var angle float64
-		if g.P >= 0 {
-			angle = -theta[g.P]
-		}
-		denseApplyAll(s, expandAngle(g, angle, s.NQ))
-	},
-	applyDeriv: func(g Gate, s *State, theta []float64) {
-		denseApplyAll(s, expandDeriv(g, theta[g.P], s.NQ))
-	},
-	applyIXPS: func(s *State, q int, a, b []float64) {
-		dim := s.Dim
-		for smp := 0; smp < s.N; smp++ {
-			m := newCmat(dim)
-			place1Q(m, q, [2][2]complex128{
-				{complex(a[smp], 0), complex(0, -b[smp])},
-				{complex(0, -b[smp]), complex(a[smp], 0)}})
-			denseApplySample(s, smp, m)
-		}
-	},
+// denseApplyIX applies a[smp]·I − i·b[smp]·X on qubit q to each sample as a
+// dense matrix built per sample: the naive engine's embedding RX(φ)
+// (a = cos φ/2, b = sin φ/2), its inverse (b negated) and its φ-derivative
+// (a = −sin(φ/2)/2, b = cos(φ/2)/2).
+func denseApplyIX(s *State, q int, a, b []float64) {
+	dim := s.Dim
+	for smp := 0; smp < s.N; smp++ {
+		m := newCmat(dim)
+		place1Q(m, q, [2][2]complex128{
+			{complex(a[smp], 0), complex(0, -b[smp])},
+			{complex(0, -b[smp]), complex(a[smp], 0)}})
+		denseApplySample(s, smp, m)
+	}
 }
 
 // instrMatrix expands one compiled non-embedding instruction into its dense

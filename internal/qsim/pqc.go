@@ -23,7 +23,8 @@ import (
 //
 // Execution strategy is pluggable via Eng (see Engine): the default sharded
 // engine compiles the circuit once and streams it sample-block by
-// sample-block; the legacy and naive engines are per-gate comparators.
+// sample-block; the naive engine runs the circuit gate by gate on dense
+// matrices and is the reference the others are checked against.
 type PQC struct {
 	Circ *Circuit
 	Eng  EngineKind
@@ -162,11 +163,10 @@ func (ws *Workspace) anyTan() bool {
 	return false
 }
 
-// loadHalfAnglesRange fills cbuf/sbuf with cos, sin of half the embedding
-// angle for qubit q and dA/dB with the dU/dφ coefficients (−s/2, c/2), for
-// samples [lo, hi).
-func (ws *Workspace) loadHalfAnglesRange(q, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// loadHalfAngles fills cbuf/sbuf with cos, sin of half the embedding angle
+// for qubit q and dA/dB with the dU/dφ coefficients (−s/2, c/2).
+func (ws *Workspace) loadHalfAngles(q int) {
+	for i := 0; i < ws.n; i++ {
 		t := ws.angles[i*ws.nq+q] / 2
 		c, s := cosSin(t)
 		ws.cbuf[i], ws.sbuf[i] = c, s
@@ -174,35 +174,35 @@ func (ws *Workspace) loadHalfAnglesRange(q, lo, hi int) {
 	}
 }
 
-// gatherTanRange extracts the per-sample tangent of the embedding angle on
-// qubit q for channel k into tmpN over samples [lo, hi).
-func (ws *Workspace) gatherTanRange(k, q, lo, hi int) {
+// gatherTan extracts the per-sample tangent of the embedding angle on
+// qubit q for channel k into tmpN.
+func (ws *Workspace) gatherTan(k, q int) {
 	src := ws.angleTans[k]
-	for i := lo; i < hi; i++ {
+	for i := 0; i < ws.n; i++ {
 		ws.tmpN[i] = src[i*ws.nq+q]
 	}
 }
 
-// negSinRange fills wNegS with −sin(φ/2) for samples [lo, hi) and returns
-// it. wNegS must be pre-sized (see ensureScratch).
-func (ws *Workspace) negSinRange(lo, hi int) []float64 {
+// negSin fills wNegS with −sin(φ/2) and returns it. wNegS must be
+// pre-sized (see ensureScratch).
+func (ws *Workspace) negSin() []float64 {
 	negS := ws.wNegS
-	for i := lo; i < hi; i++ {
+	for i := range negS {
 		negS[i] = -ws.sbuf[i]
 	}
 	return negS
 }
 
-// negDBRange fills wNegB with −dB for samples [lo, hi) and returns it.
-func (ws *Workspace) negDBRange(lo, hi int) []float64 {
+// negDB fills wNegB with −dB and returns it.
+func (ws *Workspace) negDB() []float64 {
 	negB := ws.wNegB
-	for i := lo; i < hi; i++ {
+	for i := range negB {
 		negB[i] = -ws.dB[i]
 	}
 	return negB
 }
 
-// ensureScratch sizes the lazily allocated per-sample scratch of the legacy
+// ensureScratch sizes the lazily allocated per-sample scratch of the naive
 // engine's embedding adjoint.
 func (ws *Workspace) ensureScratch() {
 	if cap(ws.wNegS) < ws.n {
@@ -215,35 +215,16 @@ func (ws *Workspace) ensureScratch() {
 	ws.wNegB = ws.wNegB[:ws.n]
 }
 
-// legacyEngine is the original execution strategy: every gate application is
-// its own batchwide parallel sweep. Its gate primitives are pluggable so the
-// naive engine can reuse the identical adjoint algorithm with dense
-// 2^nq×2^nq matrix application (the losing architecture of Table 2).
-type legacyEngine struct {
-	kind  EngineKind
-	hooks applyHooks
-}
+// naiveEngine is the reference execution strategy: it walks the circuit gate
+// by gate and applies every gate to every sample as a dense 2^nq×2^nq matrix
+// (the dense primitives in naive.go), so it shares no kernel with the
+// compiled program. The adjoint algorithm it runs is the per-gate form of
+// the one the compiled engines fuse.
+type naiveEngine struct{}
 
-// applyHooks are the four gate-application primitives the per-gate adjoint
-// algorithm is parameterized over.
-type applyHooks struct {
-	apply      func(g Gate, s *State, theta []float64)
-	applyInv   func(g Gate, s *State, theta []float64)
-	applyDeriv func(g Gate, s *State, theta []float64)
-	applyIXPS  func(s *State, q int, a, b []float64)
-}
+func (naiveEngine) Kind() EngineKind { return EngineNaive }
 
-// fastHooks apply gates through the batched stride kernels.
-var fastHooks = applyHooks{
-	apply:      func(g Gate, s *State, theta []float64) { g.apply(s, theta) },
-	applyInv:   func(g Gate, s *State, theta []float64) { g.applyInverse(s, theta) },
-	applyDeriv: func(g Gate, s *State, theta []float64) { g.applyDeriv(s, theta) },
-	applyIXPS:  func(s *State, q int, a, b []float64) { s.ApplyIXPerSample(q, a, b) },
-}
-
-func (e *legacyEngine) Kind() EngineKind { return e.kind }
-
-func (e *legacyEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64) {
+func (e naiveEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64) {
 	ws.saveInputs(p, angles, angleTans, theta)
 	n, nq := ws.n, ws.nq
 
@@ -275,40 +256,41 @@ func (e *legacyEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTan
 
 // forwardEmbedding applies RX(angle_q) per qubit, coupling tangent channels
 // through t' = U·t + φ̇·(dU/dφ)·v.
-func (e *legacyEngine) forwardEmbedding(ws *Workspace) {
+func (naiveEngine) forwardEmbedding(ws *Workspace) {
 	anyTan := ws.anyTan()
 	for q := 0; q < ws.nq; q++ {
-		ws.loadHalfAnglesRange(q, 0, ws.n)
+		ws.loadHalfAngles(q)
 		if anyTan {
 			ws.scr1.CopyFrom(ws.val)
-			e.hooks.applyIXPS(ws.scr1, q, ws.dA, ws.dB) // D·v_pre
+			denseApplyIX(ws.scr1, q, ws.dA, ws.dB) // D·v_pre
 		}
 		for k := 0; k < MaxTangents; k++ {
 			if !ws.active[k] {
 				continue
 			}
-			e.hooks.applyIXPS(ws.tan[k], q, ws.cbuf, ws.sbuf)
-			ws.gatherTanRange(k, q, 0, ws.n)
+			denseApplyIX(ws.tan[k], q, ws.cbuf, ws.sbuf)
+			ws.gatherTan(k, q)
 			axpyState(ws.tan[k], ws.scr1, ws.tmpN)
 		}
-		e.hooks.applyIXPS(ws.val, q, ws.cbuf, ws.sbuf)
+		denseApplyIX(ws.val, q, ws.cbuf, ws.sbuf)
 	}
 }
 
 // forwardGates applies ansatz gates: input-independent unitaries act
 // identically on every channel.
-func (e *legacyEngine) forwardGates(ws *Workspace, gates []Gate, theta []float64) {
+func (naiveEngine) forwardGates(ws *Workspace, gates []Gate, theta []float64) {
 	for _, g := range gates {
-		e.hooks.apply(g, ws.val, theta)
+		u := expand(g, theta, ws.nq)
+		denseApplyAll(ws.val, u)
 		for k := 0; k < MaxTangents; k++ {
 			if ws.active[k] {
-				e.hooks.apply(g, ws.tan[k], theta)
+				denseApplyAll(ws.tan[k], u)
 			}
 		}
 	}
 }
 
-func (e *legacyEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
+func (e naiveEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
 	n := ws.n
 	theta := ws.theta
 	ws.ensureScratch()
@@ -326,28 +308,35 @@ func (e *legacyEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]
 
 // reverseGates recovers pre-gate states via inverses, accumulates
 // dθ = Σ_channels Re⟨λ, dU/dθ ψ_pre⟩, and propagates λ ← U†λ.
-func (e *legacyEngine) reverseGates(ws *Workspace, gates []Gate, theta []float64, dTheta []float64) {
+func (e naiveEngine) reverseGates(ws *Workspace, gates []Gate, theta []float64, dTheta []float64) {
 	for gi := len(gates) - 1; gi >= 0; gi-- {
 		g := gates[gi]
-		e.hooks.applyInv(g, ws.val, theta)
+		// U† is the rotation with its angle negated; CNOT is its own inverse.
+		var angle float64
+		if g.P >= 0 {
+			angle = theta[g.P]
+		}
+		inv := expandAngle(g, -angle, ws.nq)
+		denseApplyAll(ws.val, inv)
 		for k := 0; k < MaxTangents; k++ {
 			if ws.active[k] {
-				e.hooks.applyInv(g, ws.tan[k], theta)
+				denseApplyAll(ws.tan[k], inv)
 			}
 		}
 		if g.P >= 0 {
-			grad := e.gateThetaGrad(ws, g, ws.lamV, ws.val)
+			d := expandDeriv(g, angle, ws.nq)
+			grad := e.gateThetaGrad(ws, d, ws.lamV, ws.val)
 			for k := 0; k < MaxTangents; k++ {
 				if ws.active[k] {
-					grad += e.gateThetaGrad(ws, g, ws.lamT[k], ws.tan[k])
+					grad += e.gateThetaGrad(ws, d, ws.lamT[k], ws.tan[k])
 				}
 			}
 			dTheta[g.P] += grad
 		}
-		e.hooks.applyInv(g, ws.lamV, theta)
+		denseApplyAll(ws.lamV, inv)
 		for k := 0; k < MaxTangents; k++ {
 			if ws.active[k] {
-				e.hooks.applyInv(g, ws.lamT[k], theta)
+				denseApplyAll(ws.lamT[k], inv)
 			}
 		}
 	}
@@ -356,10 +345,10 @@ func (e *legacyEngine) reverseGates(ws *Workspace, gates []Gate, theta []float64
 // reverseEmbedding un-applies the embedding block (qubits in reverse order),
 // accumulating angle and angle-tangent gradients including the closed-form
 // second-derivative coupling term.
-func (e *legacyEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngleTans [][]float64) {
+func (naiveEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngleTans [][]float64) {
 	n, nq := ws.n, ws.nq
 	for q := nq - 1; q >= 0; q-- {
-		ws.loadHalfAnglesRange(q, 0, n)
+		ws.loadHalfAngles(q)
 
 		// (c) second-derivative coupling needs the *post*-gate value state:
 		// dφ += −¼ · φ̇ₖ · Re⟨λtₖ, U v_pre⟩ = −¼ · φ̇ₖ · Re⟨λtₖ, v_post⟩.
@@ -374,10 +363,10 @@ func (e *legacyEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngle
 		}
 
 		// Recover v_pre and D·v_pre.
-		negS := ws.negSinRange(0, n)
-		e.hooks.applyIXPS(ws.val, q, ws.cbuf, negS) // U†: RX(−φ)
+		negS := ws.negSin()
+		denseApplyIX(ws.val, q, ws.cbuf, negS) // U†: RX(−φ)
 		ws.scr1.CopyFrom(ws.val)
-		e.hooks.applyIXPS(ws.scr1, q, ws.dA, ws.dB) // D·v_pre
+		denseApplyIX(ws.scr1, q, ws.dA, ws.dB) // D·v_pre
 
 		// (a) dφ += Re⟨λv, D v_pre⟩ ; dφ̇ₖ += Re⟨λtₖ, D v_pre⟩.
 		innerRe(ws.lamV, ws.scr1, ws.tmpN)
@@ -406,9 +395,9 @@ func (e *legacyEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngle
 				ws.tmpN[i] = -ws.angleTans[k][i*nq+q]
 			}
 			axpyState(ws.tan[k], ws.scr1, ws.tmpN)
-			e.hooks.applyIXPS(ws.tan[k], q, ws.cbuf, negS)
+			denseApplyIX(ws.tan[k], q, ws.cbuf, negS)
 			ws.scr2.CopyFrom(ws.tan[k])
-			e.hooks.applyIXPS(ws.scr2, q, ws.dA, ws.dB)
+			denseApplyIX(ws.scr2, q, ws.dA, ws.dB)
 			innerRe(ws.lamT[k], ws.scr2, ws.tmpN)
 			for i := 0; i < n; i++ {
 				dAngles[i*nq+q] += ws.tmpN[i]
@@ -416,24 +405,25 @@ func (e *legacyEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngle
 		}
 
 		// Propagate adjoints: λv ← U†λv + Σₖ φ̇ₖ·D†λtₖ ; λtₖ ← U†λtₖ.
-		e.hooks.applyIXPS(ws.lamV, q, ws.cbuf, negS)
+		denseApplyIX(ws.lamV, q, ws.cbuf, negS)
 		for k := 0; k < MaxTangents; k++ {
 			if !ws.active[k] {
 				continue
 			}
 			ws.scr2.CopyFrom(ws.lamT[k])
-			e.hooks.applyIXPS(ws.scr2, q, ws.dA, ws.negDBRange(0, n)) // D†
-			ws.gatherTanRange(k, q, 0, n)
+			denseApplyIX(ws.scr2, q, ws.dA, ws.negDB()) // D†
+			ws.gatherTan(k, q)
 			axpyState(ws.lamV, ws.scr2, ws.tmpN)
-			e.hooks.applyIXPS(ws.lamT[k], q, ws.cbuf, negS)
+			denseApplyIX(ws.lamT[k], q, ws.cbuf, negS)
 		}
 	}
 }
 
-// gateThetaGrad computes Σ_samples Re⟨λ, dU/dθ ψ⟩ for one ansatz gate.
-func (e *legacyEngine) gateThetaGrad(ws *Workspace, g Gate, lam, psi *State) float64 {
+// gateThetaGrad computes Σ_samples Re⟨λ, dU/dθ ψ⟩ for one ansatz gate,
+// given dU/dθ as the dense matrix d.
+func (naiveEngine) gateThetaGrad(ws *Workspace, d cmat, lam, psi *State) float64 {
 	ws.scr1.CopyFrom(psi)
-	e.hooks.applyDeriv(g, ws.scr1, ws.theta)
+	denseApplyAll(ws.scr1, d)
 	innerRe(lam, ws.scr1, ws.tmpN)
 	var sum float64
 	for _, v := range ws.tmpN {

@@ -278,12 +278,12 @@ func TestProgramLowersLoneDiagonals(t *testing.T) {
 // circuit of the compiler corpus, the composed dense matrix of the compiled
 // instruction stream must equal the gate-by-gate dense product of the
 // source circuit, and the sharded engine executing the program must match
-// the legacy per-gate engine to 1e-10. This pins every fusion pass —
+// the naive dense engine to 1e-10. This pins every fusion pass —
 // single-qubit runs, diagonal merges, 4×4 entangler blocks, permutations,
 // single-run pairs, full-register diagonals — and the kernels behind each
 // instruction form. The sharded adjoint's dTheta must also equal the
 // parameter-shift gradient contracted with the upstream weights to 1e-9,
-// an oracle that shares no code with either engine. Across the corpus every
+// an oracle that shares no code with the compiled program. Across the corpus every
 // opcode must be emitted, so a kernel the compiler can no longer reach fails
 // here instead of rotting.
 func TestProgramNetUnitaryOracle(t *testing.T) {
@@ -320,7 +320,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 		tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 		gz := randAngles(rng, n, nq)
 		gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-		want := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
+		want := runEngine(EngineNaive, circ, n, angles, tans, theta, gz, gztans)
 		have := runEngine(EngineSharded, circ, n, angles, tans, theta, gz, gztans)
 		//torq:allow maprange -- independent per-series assertions
 		for name, pair := range map[string][2][]float64{
@@ -329,7 +329,7 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 			"ztans":  {want.ztans[0], have.ztans[0]}, "dTans": {want.dTans[2], have.dTans[2]},
 		} {
 			if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
-				t.Errorf("%s %v: sharded %s diverges from legacy by %v", circ.Name, circ.Gates, name, d)
+				t.Errorf("%s %v: sharded %s diverges from naive by %v", circ.Name, circ.Gates, name, d)
 			}
 		}
 
@@ -421,7 +421,7 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 // disjoint support merge into one full-register diagonal (not only
 // consecutive runs), while a blocker touching the diagonal's
 // support keeps it out of the group. Both the instruction shapes and full
-// numerical parity against the legacy engine are checked.
+// numerical parity against the naive engine are checked.
 func TestProgramDiagCommutationAbsorb(t *testing.T) {
 	// CRZ(0→1), CNOT(2→3), RZ(0), CRZ(0→1): the CNOT's support {2,3} is
 	// disjoint from every diagonal's support, so all three diagonals commute
@@ -477,7 +477,7 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		}
 	}
 
-	// Numerical parity on both shapes, all engines.
+	// Numerical parity on both shapes, sharded against naive.
 	rng := rand.New(rand.NewSource(321))
 	for _, c := range []*Circuit{circ, blocked} {
 		n, nq := 3, c.NumQubits
@@ -486,17 +486,15 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		tans := [][]float64{randAngles(rng, n, nq), nil, nil}
 		gz := randAngles(rng, n, nq)
 		gztans := [][]float64{randAngles(rng, n, nq), nil, nil}
-		ref := runEngine(EngineLegacy, c, n, angles, tans, theta, gz, gztans)
-		for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
-			got := runEngine(kind, c, n, angles, tans, theta, gz, gztans)
-			//torq:allow maprange -- independent per-series assertions
-			for name, pair := range map[string][2][]float64{
-				"z": {ref.z, got.z}, "dAngles": {ref.dAngles, got.dAngles},
-				"dTheta": {ref.dTheta, got.dTheta},
-			} {
-				if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
-					t.Errorf("%s engine=%v: %s diverges by %v", c.Name, kind, name, d)
-				}
+		ref := runEngine(EngineNaive, c, n, angles, tans, theta, gz, gztans)
+		got := runEngine(EngineSharded, c, n, angles, tans, theta, gz, gztans)
+		//torq:allow maprange -- independent per-series assertions
+		for name, pair := range map[string][2][]float64{
+			"z": {ref.z, got.z}, "dAngles": {ref.dAngles, got.dAngles},
+			"dTheta": {ref.dTheta, got.dTheta},
+		} {
+			if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
+				t.Errorf("%s sharded: %s diverges by %v", c.Name, name, d)
 			}
 		}
 	}

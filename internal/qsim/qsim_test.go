@@ -45,8 +45,9 @@ func TestParamCountsMatchTable1(t *testing.T) {
 	}
 }
 
-// TestFastMatchesNaive verifies the batched kernel simulator against the
-// dense Kronecker-product reference for every ansatz.
+// TestFastMatchesNaive verifies the sharded engine's forward pass and EvalZ
+// (the naive engine) against the Table 2 dense simulators, per-gate and
+// Kronecker-composed, for every ansatz.
 func TestFastMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, a := range AllAnsatze {
@@ -54,24 +55,30 @@ func TestFastMatchesNaive(t *testing.T) {
 		n := 3
 		angles := randAngles(rng, n, 4)
 		theta := randTheta(rng, circ.NumParams)
-		fast := EvalZ(circ, angles, theta, n)
+		fast, _ := (&PQC{Circ: circ}).Forward(NewWorkspace(n, 4), angles, nil, theta)
+		evalZ := EvalZ(circ, angles, theta, n)
 		naive := (&NaiveSimulator{circ}).Run(angles, theta, n)
 		kron := (&KronSimulator{circ}).Run(angles, theta, n)
-		for i := range fast {
-			if math.Abs(fast[i]-naive[i]) > 1e-10 {
-				t.Errorf("%v: fast %v vs naive %v at %d", a, fast[i], naive[i], i)
-				break
-			}
-			if math.Abs(fast[i]-kron[i]) > 1e-10 {
-				t.Errorf("%v: fast %v vs kron %v at %d", a, fast[i], kron[i], i)
-				break
+		for _, c := range []struct {
+			name string
+			got  []float64
+		}{{"sharded", fast}, {"EvalZ", evalZ}} {
+			for i := range c.got {
+				if math.Abs(c.got[i]-naive[i]) > 1e-10 {
+					t.Errorf("%v: %s %v vs naive %v at %d", a, c.name, c.got[i], naive[i], i)
+					break
+				}
+				if math.Abs(c.got[i]-kron[i]) > 1e-10 {
+					t.Errorf("%v: %s %v vs kron %v at %d", a, c.name, c.got[i], kron[i], i)
+					break
+				}
 			}
 		}
 	}
 }
 
-// TestPQCForwardMatchesEvalZ: the differentiable runner's value channel must
-// agree with the plain execution path.
+// TestPQCForwardMatchesEvalZ: the sharded engine's value channel must agree
+// with EvalZ, which runs the naive engine.
 func TestPQCForwardMatchesEvalZ(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, a := range AllAnsatze {
@@ -289,29 +296,6 @@ func TestExpZBounds(t *testing.T) {
 	}
 }
 
-// TestGateInversesRoundTrip: applying U then U† restores the state.
-func TestGateInversesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	circ := StronglyEntangling.Build(4, 3)
-	n := 2
-	angles := randAngles(rng, n, 4)
-	theta := randTheta(rng, circ.NumParams)
-	st := FinalState(circ, angles, theta, n)
-	ref := NewZeroState(n, 4)
-	ref.CopyFrom(st)
-	for gi := len(circ.Gates) - 1; gi >= 0; gi-- {
-		circ.Gates[gi].applyInverse(st, theta)
-	}
-	for _, g := range circ.Gates {
-		g.apply(st, theta)
-	}
-	for i := range st.Re {
-		if math.Abs(st.Re[i]-ref.Re[i]) > 1e-10 || math.Abs(st.Im[i]-ref.Im[i]) > 1e-10 {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-	}
-}
-
 // TestMeyerWallach: closed-form anchors — product states have Q = 0, a Bell
 // pair embedded in 2 qubits has Q = 1.
 func TestMeyerWallach(t *testing.T) {
@@ -337,6 +321,48 @@ func TestMeyerWallach(t *testing.T) {
 	}
 }
 
+// TestFinalStateMatchesNaiveState: the compiled program leaves its state in
+// the basis frame of the CNOTs it did not execute, and FinalState reads it
+// back through the program's readout map. Its amplitudes, and the
+// Meyer–Wallach measure (which a basis permutation changes), must equal the
+// naive engine's dense state on ansätze whose final frame is not the
+// identity, with and without re-uploading.
+func TestFinalStateMatchesNaiveState(t *testing.T) {
+	rng := rand.New(rand.NewSource(1013))
+	for _, a := range []AnsatzKind{StronglyEntangling, CrossMeshCNOT, BasicEntangling} {
+		for nq := 3; nq <= 5; nq++ {
+			for _, reup := range []bool{false, true} {
+				circ := a.Build(nq, 2)
+				if reup {
+					circ = circ.WithReupload()
+				}
+				name := fmt.Sprintf("%v %dq reupload=%v", a, nq, reup)
+				src := readoutSrc(&CompileProgram(circ).readout, 1<<nq)
+				moved := false
+				for j, s := range src {
+					moved = moved || s != j
+				}
+				if !moved {
+					t.Fatalf("%s: test premise broken, the final frame is the identity", name)
+				}
+				n := 3
+				angles := randAngles(rng, n, nq)
+				theta := randTheta(rng, circ.NumParams)
+				got := FinalState(circ, angles, theta, n)
+				ws := NewWorkspace(n, nq)
+				naiveEngine{}.Forward(&PQC{Circ: circ, Eng: EngineNaive}, ws, angles, nil, theta)
+				want := ws.val
+				if d := max(maxAbsDiff(want.Re, got.Re), maxAbsDiff(want.Im, got.Im)); d > 1e-12 {
+					t.Errorf("%s: FinalState amplitudes differ from the naive state by %v", name, d)
+				}
+				if d := math.Abs(MeyerWallach(got) - MeyerWallach(want)); d > 1e-12 {
+					t.Errorf("%s: Meyer–Wallach %v, naive state %v", name, MeyerWallach(got), MeyerWallach(want))
+				}
+			}
+		}
+	}
+}
+
 // TestScalingEndpoints pins the closed-form behaviour shown in the paper's
 // Fig. 3a: with ⟨Z⟩ = cos(θ) after an RX embedding, scale_acos is the
 // identity on the input and scale_asin is a sign flip.
@@ -358,22 +384,6 @@ func TestScalingEndpoints(t *testing.T) {
 	}
 }
 
-// TestSampleZConvergesToAnalytic: shot-based estimation approaches the
-// analytic expectation as shots grow.
-func TestSampleZConvergesToAnalytic(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	circ := BasicEntangling.Build(3, 2)
-	angles := randAngles(rng, 2, 3)
-	theta := randTheta(rng, circ.NumParams)
-	exact := EvalZ(circ, angles, theta, 2)
-	est := SampleZ(circ, angles, theta, 2, 200000, rng)
-	for i := range exact {
-		if math.Abs(exact[i]-est[i]) > 0.02 {
-			t.Errorf("shots estimate %v vs exact %v at %d", est[i], exact[i], i)
-		}
-	}
-}
-
 // TestStronglyEntanglingGapPattern: layer ℓ uses control-target gap ℓ+1.
 func TestStronglyEntanglingGapPattern(t *testing.T) {
 	c := StronglyEntangling.Build(7, 4)
@@ -392,127 +402,6 @@ func TestStronglyEntanglingGapPattern(t *testing.T) {
 			g := cnots[l*7+q]
 			if g.C != q || g.Q != (q+gap)%7 {
 				t.Errorf("layer %d: CNOT(%d→%d), want (%d→%d)", l, g.C, g.Q, q, (q+gap)%7)
-			}
-		}
-	}
-}
-
-// TestNoisyEvalZ: p=0 reduces exactly to the noiseless path; strong noise
-// pulls expectations toward the maximally mixed value 0; weak noise stays
-// close to noiseless.
-func TestNoisyEvalZ(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	circ := BasicEntangling.Build(3, 2)
-	n := 3
-	angles := randAngles(rng, n, 3)
-	theta := randTheta(rng, circ.NumParams)
-	exact := EvalZ(circ, angles, theta, n)
-
-	zero := NoisyEvalZ(circ, angles, theta, n, NoiseModel{P: 0, Trajectories: 10}, rng)
-	for i := range exact {
-		if math.Float64bits(zero[i]) != math.Float64bits(exact[i]) {
-			t.Fatalf("p=0 path diverged at %d", i)
-		}
-	}
-
-	var exactMag, noisyMag float64
-	noisy := NoisyEvalZ(circ, angles, theta, n, NoiseModel{P: 0.5, Trajectories: 400}, rng)
-	for i := range exact {
-		exactMag += math.Abs(exact[i])
-		noisyMag += math.Abs(noisy[i])
-	}
-	if noisyMag > 0.8*exactMag {
-		t.Fatalf("strong depolarizing noise did not shrink |⟨Z⟩|: %v vs %v", noisyMag, exactMag)
-	}
-
-	weak := NoisyEvalZ(circ, angles, theta, n, NoiseModel{P: 0.005, Trajectories: 400}, rng)
-	var maxDiff float64
-	for i := range exact {
-		if d := math.Abs(weak[i] - exact[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 0.2 {
-		t.Fatalf("weak noise shifted expectations too much: %v", maxDiff)
-	}
-}
-
-// TestNoisyEvalZTwoQubitChannel pins the two-qubit depolarizing fix: noise
-// after an entangling gate must act on BOTH of its qubits. The probe circuit
-// entangles and then leaves qubit 0 (every CNOT's control) untouched by any
-// single-qubit gate, so under the old target-only insertion qubit 0 could
-// never receive an error and its ⟨Z⟩ survived arbitrary noise unshrunk.
-func TestNoisyEvalZTwoQubitChannel(t *testing.T) {
-	circ := &Circuit{
-		Name:      "control-noise-probe",
-		NumQubits: 2,
-		Gates: []Gate{
-			{CNOT, 1, 0, -1},
-			{CNOT, 1, 0, -1},
-			{CNOT, 1, 0, -1},
-			{CNOT, 1, 0, -1},
-		},
-		NumParams: 0,
-	}
-	n := 1
-	angles := make([]float64, 2) // zero angles: state stays |00⟩, ⟨Z_0⟩ = 1
-	rng := rand.New(rand.NewSource(88))
-	exact := EvalZ(circ, angles, nil, n)
-	if math.Abs(exact[0]-1) > 1e-12 {
-		t.Fatalf("noiseless control ⟨Z⟩ = %v, want 1", exact[0])
-	}
-
-	// p = 0 path must remain bit-exact.
-	zero := NoisyEvalZ(circ, angles, nil, n, NoiseModel{P: 0, Trajectories: 50}, rng)
-	for i := range exact {
-		if math.Float64bits(zero[i]) != math.Float64bits(exact[i]) {
-			t.Fatalf("p=0 path diverged at %d", i)
-		}
-	}
-
-	// Strong noise must damp the control qubit too: a depolarizing channel
-	// on the pair hits qubit 0 with X or Y in 8 of 15 branches.
-	noisy := NoisyEvalZ(circ, angles, nil, n, NoiseModel{P: 0.9, Trajectories: 600}, rng)
-	if noisy[0] > 0.75 {
-		t.Errorf("control qubit saw no depolarizing noise: ⟨Z_0⟩ = %v", noisy[0])
-	}
-
-	// Trajectory averages converge back to the analytic value as P → 0.
-	prev := math.Inf(1)
-	for _, p := range []float64{0.2, 0.02, 0.002} {
-		got := NoisyEvalZ(circ, angles, nil, n, NoiseModel{P: p, Trajectories: 800}, rng)
-		var dev float64
-		for i := range exact {
-			dev = math.Max(dev, math.Abs(got[i]-exact[i]))
-		}
-		if dev > prev+0.05 { // allow shot-level wiggle, require the trend
-			t.Errorf("P=%v: deviation %v did not shrink (prev %v)", p, dev, prev)
-		}
-		prev = dev
-	}
-	if prev > 0.05 {
-		t.Errorf("P=0.002 deviation %v too large", prev)
-	}
-}
-
-// TestSampleZShotNoiseScaling is the seeded statistical check for the
-// CDF/binary-search sampler: the shot estimate converges to the analytic
-// expectation within a few standard errors, and tightens as shots grow.
-func TestSampleZShotNoiseScaling(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	circ := StronglyEntangling.Build(4, 2)
-	n, nq := 2, 4
-	angles := randAngles(rng, n, nq)
-	theta := randTheta(rng, circ.NumParams)
-	exact := EvalZ(circ, angles, theta, n)
-	for _, shots := range []int{2000, 200000} {
-		est := SampleZ(circ, angles, theta, n, shots, rng)
-		// Var(⟨Z⟩_est) ≤ 1/shots, so 5σ = 5/√shots bounds every qubit with
-		// large margin for a fixed seed.
-		tol := 5 / math.Sqrt(float64(shots))
-		for i := range exact {
-			if math.Abs(est[i]-exact[i]) > tol {
-				t.Errorf("shots=%d qubit %d: |%v − %v| > %v", shots, i, est[i], exact[i], tol)
 			}
 		}
 	}
@@ -551,35 +440,29 @@ func TestMemoryPerPointOrdering(t *testing.T) {
 }
 
 // reuploadRef computes the re-uploading forward pass the obvious way:
-// (embedding, layer) repeated, on the plain simulator.
+// (embedding, layer) repeated, one dense matrix per gate and sample.
 func reuploadRef(circ *Circuit, angles, theta []float64, n int) []float64 {
 	nq := circ.NumQubits
-	st := NewState(n, nq)
-	c := make([]float64, n)
-	s := make([]float64, n)
-	embed := func() {
-		for q := 0; q < nq; q++ {
-			for i := 0; i < n; i++ {
-				c[i] = math.Cos(angles[i*nq+q] / 2)
-				s[i] = math.Sin(angles[i*nq+q] / 2)
-			}
-			st.ApplyIXPerSample(q, c, s)
-		}
-	}
-	for l := 0; l < circ.Layers; l++ {
-		embed()
-		for _, g := range circ.LayerSlice(l) {
-			g.apply(st, theta)
-		}
-	}
 	out := make([]float64, n*nq)
-	st.ExpZ(out)
+	for i := 0; i < n; i++ {
+		v := make(cvec, 1<<nq)
+		v[0] = 1
+		for l := 0; l < circ.Layers; l++ {
+			for q := 0; q < nq; q++ {
+				v = embedMatrix(q, angles[i*nq+q], nq).matvec(v)
+			}
+			for _, g := range circ.LayerSlice(l) {
+				v = expand(g, theta, nq).matvec(v)
+			}
+		}
+		writeExpZ(v, nq, out[i*nq:(i+1)*nq])
+	}
 	return out
 }
 
 // TestReuploadForwardMatchesReference: the PQC runner with Reupload set
-// reproduces the obvious (embedding, layer)* composition, and so do the
-// plain execution paths EvalZ and FinalState, on every ansatz and on every
+// reproduces the obvious (embedding, layer)* composition, and so do EvalZ
+// (the naive engine) and FinalState's readout, on every ansatz and on every
 // re-uploading circuit of the compiler corpus.
 func TestReuploadForwardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))

@@ -18,22 +18,18 @@
 // forward, tangent channels, and the adjoint backward — through one sample
 // shard at a time inside a single parallel region, so a batch pays one
 // fork/join per pass and each sample's 2^nq amplitudes stay cache-resident
-// across every instruction. The legacy
-// engine preserves the original one-parallel-sweep-per-gate execution and
-// the naive engine applies dense 2^nq×2^nq matrices per gate; both serve as
-// comparators and parity references.
+// across every instruction. The naive engine compiles nothing: it runs the
+// circuit gate by gate, each gate a dense 2^nq×2^nq matrix per sample
+// (naive.go), and is the reference the parity tests check the others
+// against. EvalZ runs it; FinalState runs the compiled program and reads
+// its state back through the program's readout map.
 //
-// The batchwide Apply* methods on State apply one source gate to the whole
-// batch by parallelizing a per-sample-range kernel; the legacy engine and
-// the reference paths (EvalZ, the noise channels) use them. The sharded
-// executor runs five instruction forms and calls their range kernels
-// directly: the two embedding blocks (opEmbedProd, opEmbedAll) and the
-// fused super-ops opU4, opDiagN and, in one-qubit programs only, opU2,
-// which have range kernels only. The opU4 kernels and the re-upload
-// embedding find their amplitude groups by walking the block's frame
-// masks (groupWalk). A diagonal chain no fusion pass absorbed is lowered
-// onto opU4, so the diagonal range kernels serve ApplyDiag and
-// ApplyCtrlDiag alone, and the CNOT kernel ApplyCNOT.
+// The sharded executor runs five instruction forms and calls their range
+// kernels directly: the two embedding blocks (opEmbedProd, opEmbedAll) and
+// the fused super-ops opU4, opDiagN and, in one-qubit programs only, opU2.
+// The opU4 kernels and the re-upload embedding find their amplitude groups
+// by walking the block's frame masks (groupWalk). A diagonal chain no
+// fusion pass absorbed is lowered onto opU4.
 //
 // The opU4 entangler block, a dense 4×4 unitary on a qubit pair and most of
 // a Strongly-Entangling step, has AVX2 assembly kernels on amd64 for its
@@ -52,7 +48,7 @@
 //
 // # Invariants
 //
-// Every engine agrees with every other to 1e-10 relative tolerance on z,
+// The sharded engine agrees with the naive reference to 1e-10 on z,
 // tangents, and all gradients (pinned by the engine-parity tests); the
 // sharded and dist engines agree bit-for-bit with each other. They
 // partition a batch into fixed cache-block shards keyed by lo/blockSamples,
@@ -137,102 +133,6 @@ func (s *State) Norm2() []float64 {
 	return out
 }
 
-// gateCost approximates per-sample work for parallel grain decisions.
-func (s *State) gateCost() int { return s.Dim }
-
-// ApplyIX applies the matrix a·I − i·b·X on qubit q with uniform
-// coefficients: covers RX(θ) (a=cos θ/2, b=sin θ/2), its θ-derivative
-// (a=−sin(θ/2)/2, b=cos(θ/2)/2) and its adjoint (b negated).
-func (s *State) ApplyIX(q int, a, b float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyIXRange(lo, hi, q, a, b)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyIXRange(lo, hi, q int, a, b float64) {
-	stride := 1 << q
-	step := stride << 1
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for blk := 0; blk < dim; blk += step {
-			base := off + blk
-			for j := base; j < base+stride; j++ {
-				k := j + stride
-				r0, i0, r1, i1 := re[j], im[j], re[k], im[k]
-				// a0' = a·a0 − i b·a1 ; a1' = −i b·a0 + a·a1
-				re[j] = a*r0 + b*i1
-				im[j] = a*i0 - b*r1
-				re[k] = b*i0 + a*r1
-				im[k] = -b*r0 + a*i1
-			}
-		}
-	}
-}
-
-// ApplyIXPerSample is ApplyIX with per-sample coefficients (the angle
-// embedding layer, whose rotation angle is a network activation).
-func (s *State) ApplyIXPerSample(q int, a, b []float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyIXPerSampleRange(lo, hi, q, a, b)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyIXPerSampleRange(lo, hi, q int, a, b []float64) {
-	stride := 1 << q
-	step := stride << 1
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		av, bv := a[smp], b[smp]
-		off := smp * dim
-		for blk := 0; blk < dim; blk += step {
-			base := off + blk
-			for j := base; j < base+stride; j++ {
-				k := j + stride
-				r0, i0, r1, i1 := re[j], im[j], re[k], im[k]
-				re[j] = av*r0 + bv*i1
-				im[j] = av*i0 - bv*r1
-				re[k] = bv*i0 + av*r1
-				im[k] = -bv*r0 + av*i1
-			}
-		}
-	}
-}
-
-// ApplyY applies the real matrix [[a, −b], [b, a]] on qubit q: covers RY(θ)
-// (a=cos θ/2, b=sin θ/2), its derivative (a=−s/2, b=c/2) and inverse (−b).
-func (s *State) ApplyY(q int, a, b float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyYRange(lo, hi, q, a, b)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyYRange(lo, hi, q int, a, b float64) {
-	stride := 1 << q
-	step := stride << 1
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for blk := 0; blk < dim; blk += step {
-			base := off + blk
-			for j := base; j < base+stride; j++ {
-				k := j + stride
-				r0, i0, r1, i1 := re[j], im[j], re[k], im[k]
-				re[j] = a*r0 - b*r1
-				im[j] = a*i0 - b*i1
-				re[k] = b*r0 + a*r1
-				im[k] = b*i0 + a*i1
-			}
-		}
-	}
-}
-
 // applyU2Range applies an arbitrary 2×2 unitary on qubit q to samples
 // [lo, hi), given row-major as interleaved re/im pairs u = [u00r, u00i,
 // u01r, u01i, u10r, u10i, u11r, u11i] — the kernel behind fused runs of
@@ -277,128 +177,6 @@ func (s *State) applyDiagNRange(lo, hi int, ph []float64) {
 			r, i := re[off+j], im[off+j]
 			re[off+j] = pr*r - pi*i
 			im[off+j] = pr*i + pi*r
-		}
-	}
-}
-
-// ApplyDiag applies diag(p0, p1) on qubit q with complex phases given as
-// (p0r + i·p0i, p1r + i·p1i): covers RZ(θ) with p0 = e^{−iθ/2},
-// p1 = e^{+iθ/2}, its derivative, and its inverse.
-func (s *State) ApplyDiag(q int, p0r, p0i, p1r, p1i float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyDiagRange(lo, hi, q, p0r, p0i, p1r, p1i)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyDiagRange(lo, hi, q int, p0r, p0i, p1r, p1i float64) {
-	stride := 1 << q
-	step := stride << 1
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for blk := 0; blk < dim; blk += step {
-			base := off + blk
-			for j := base; j < base+stride; j++ {
-				k := j + stride
-				r0, i0 := re[j], im[j]
-				re[j] = p0r*r0 - p0i*i0
-				im[j] = p0r*i0 + p0i*r0
-				r1, i1 := re[k], im[k]
-				re[k] = p1r*r1 - p1i*i1
-				im[k] = p1r*i1 + p1i*r1
-			}
-		}
-	}
-}
-
-// ApplyCNOT applies CNOT(control=c, target=t): amplitudes with the control
-// bit set have their target pair swapped.
-func (s *State) ApplyCNOT(c, t int) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyCNOTRange(lo, hi, c, t)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyCNOTRange(lo, hi, c, t int) {
-	strideT := 1 << t
-	stepT := strideT << 1
-	cMask := 1 << c
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for blk := 0; blk < dim; blk += stepT {
-			for j := blk; j < blk+strideT; j++ {
-				if j&cMask == 0 {
-					continue
-				}
-				a, b := off+j, off+j+strideT
-				re[a], re[b] = re[b], re[a]
-				im[a], im[b] = im[b], im[a]
-			}
-		}
-	}
-}
-
-// ApplyCtrlDiag applies diag(p0, p1) on the target qubit restricted to the
-// control-set subspace: CRZ and its derivative/inverse.
-func (s *State) ApplyCtrlDiag(c, t int, p0r, p0i, p1r, p1i float64) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.applyCtrlDiagRange(lo, hi, c, t, p0r, p0i, p1r, p1i)
-	})
-}
-
-//torq:hotpath
-func (s *State) applyCtrlDiagRange(lo, hi, c, t int, p0r, p0i, p1r, p1i float64) {
-	strideT := 1 << t
-	stepT := strideT << 1
-	cMask := 1 << c
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for blk := 0; blk < dim; blk += stepT {
-			for j := blk; j < blk+strideT; j++ {
-				if j&cMask == 0 {
-					continue
-				}
-				a, b := off+j, off+j+strideT
-				r0, i0 := re[a], im[a]
-				re[a] = p0r*r0 - p0i*i0
-				im[a] = p0r*i0 + p0i*r0
-				r1, i1 := re[b], im[b]
-				re[b] = p1r*r1 - p1i*i1
-				im[b] = p1r*i1 + p1i*r1
-			}
-		}
-	}
-}
-
-// ZeroOutDerivCtrl zeroes the control-unset subspace in place. The CRZ
-// θ-derivative acts as d(RZ)/dθ on the control-set subspace and as the zero
-// operator elsewhere, so derivative application is ApplyCtrlDiag followed by
-// this mask.
-func (s *State) ZeroOutDerivCtrl(c int) {
-	par.ForGrain(s.N, s.gateCost(), func(lo, hi int) {
-		s.zeroOutDerivCtrlRange(lo, hi, c)
-	})
-}
-
-//torq:hotpath
-func (s *State) zeroOutDerivCtrlRange(lo, hi, c int) {
-	cMask := 1 << c
-	dim := s.Dim
-	re, im := s.Re, s.Im
-	for smp := lo; smp < hi; smp++ {
-		off := smp * dim
-		for j := 0; j < dim; j++ {
-			if j&cMask == 0 {
-				re[off+j] = 0
-				im[off+j] = 0
-			}
 		}
 	}
 }
