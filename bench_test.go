@@ -259,7 +259,7 @@ func BenchmarkTorqEpochShardedMultiWorker(b *testing.B) {
 // BenchmarkTable2NaiveSimulator times the per-sample dense-gate baseline
 // (the default.qubit stand-in) — the losing column of Table 2. Its workload
 // is oracle code that stays fixed, so bench-gate normalizes every other
-// row by it.
+// row by its geometric mean with BenchmarkTable2KronSimulator.
 func BenchmarkTable2NaiveSimulator(b *testing.B) {
 	circ := qsim.StronglyEntangling.Build(7, 4)
 	n := 8
@@ -277,7 +277,8 @@ func BenchmarkTable2NaiveSimulator(b *testing.B) {
 	b.ReportMetric(float64(n), "points/op")
 }
 
-// BenchmarkTable2KronSimulator times the full-unitary composition baseline.
+// BenchmarkTable2KronSimulator times the full-unitary composition baseline,
+// the second fixed row of bench-gate's reference.
 func BenchmarkTable2KronSimulator(b *testing.B) {
 	circ := qsim.StronglyEntangling.Build(7, 4)
 	n := 2

@@ -4,26 +4,32 @@
 //
 // CI runners and the machine that recorded the baseline differ in absolute
 // speed, so the gate compares machine-independent RELATIVE costs: every
-// benchmark is normalized by a reference benchmark measured in the same run
-// (default Table2NaiveSimulator, the Table 2 dense comparator: oracle code
-// whose workload stays fixed). For each benchmark present in both the
-// baseline and the fresh output, the gate computes
+// benchmark is normalized by a reference cost measured in the same run, the
+// geometric mean of the -ref benchmarks (default Table2NaiveSimulator and
+// Table2KronSimulator, the two Table 2 dense comparators: oracle code whose
+// workloads stay fixed). For each benchmark present in both the baseline and
+// the fresh output, the gate computes
 //
 //	drift = (fresh[b]/fresh[ref]) / (base[b]/base[ref])
 //
 // and fails when drift > 1 + tol: the benchmark got slower relative to the
-// reference than the baseline says it should be. A lost fusion pass or a
-// de-optimized kernel shows up as drift ≥ 2 and trips the gate even on
-// a noisy runner; -tol defaults to 0.5 so ordinary scheduling jitter does
-// not. -warn-only downgrades failures to warnings for slow matrix runners.
+// reference than the baseline says it should be. Each row is the minimum of
+// its repeats in the fresh output, so a reference row that the bench smoke
+// runs in more than one step is the minimum over all of those processes. A
+// lost fusion pass or a de-optimized kernel shows up as drift ≥ 2 and trips
+// the gate even on a noisy runner; -tol defaults to 0.5 so ordinary
+// scheduling jitter does not. -warn-only downgrades failures to warnings for
+// slow matrix runners.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,10 +63,24 @@ func parseBench(path string) (map[string]float64, error) {
 	return out, nil
 }
 
+// refCost returns the geometric mean of the refs' times in m, or false when
+// one of them is missing or not positive.
+func refCost(m map[string]float64, refs []string) (float64, bool) {
+	var logSum float64
+	for _, r := range refs {
+		v, ok := m[r]
+		if !ok || v <= 0 {
+			return 0, false
+		}
+		logSum += math.Log(v)
+	}
+	return math.Exp(logSum / float64(len(refs))), true
+}
+
 func main() {
 	basePath := flag.String("baseline", "BENCH_engine.json", "committed baseline JSON")
 	benchPath := flag.String("bench", "bench-smoke.txt", "fresh `go test -bench` output")
-	ref := flag.String("ref", "Table2NaiveSimulator", "reference benchmark used to normalize machine speed")
+	ref := flag.String("ref", "Table2NaiveSimulator,Table2KronSimulator", "comma-separated reference benchmarks; their geometric mean normalizes machine speed")
 	tol := flag.Float64("tol", 0.5, "allowed relative-cost drift before failing (0.5 = +50%)")
 	warnOnly := flag.Bool("warn-only", false, "report regressions without failing (slow matrix runners)")
 	require := flag.String("require", "", "comma-separated substrings that must each match a benchmark present in BOTH the baseline and the fresh output (e.g. \"Sharded\") — a variant that silently stops being measured fails the gate instead of being skipped")
@@ -81,9 +101,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench-gate:", err)
 		os.Exit(2)
 	}
-	baseRef, okB := base.Benchmarks[*ref]
-	freshRef, okF := fresh[*ref]
-	if !okB || !okF || baseRef <= 0 || freshRef <= 0 {
+	refs := strings.Split(*ref, ",")
+	baseRef, okB := refCost(base.Benchmarks, refs)
+	freshRef, okF := refCost(fresh, refs)
+	if !okB || !okF {
 		fmt.Fprintf(os.Stderr, "bench-gate: reference %q missing from baseline or fresh output\n", *ref)
 		os.Exit(2)
 	}
@@ -126,7 +147,7 @@ func main() {
 	sort.Strings(baseNames)
 	var names, missing []string
 	for _, name := range baseNames {
-		if name == *ref {
+		if slices.Contains(refs, name) {
 			continue
 		}
 		if _, ok := fresh[name]; ok {

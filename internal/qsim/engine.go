@@ -75,8 +75,8 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // AnsatzNames and ScalingNames return the valid -ansatz and -scale flag
 // values, "|"-separated, for flag usage strings.
-func AnsatzNames() string  { return flagList(ansatzFlags[:]) }
-func ScalingNames() string { return flagList(scalingFlags[:]) }
+func AnsatzNames() string  { return strings.Join(ansatzFlags[:], "|") }
+func ScalingNames() string { return strings.Join(scalingFlags[:], "|") }
 
 // ParseAnsatz maps an -ansatz flag value to its AnsatzKind.
 func ParseAnsatz(s string) (AnsatzKind, error) {
@@ -89,16 +89,16 @@ func ParseScaling(s string) (ScalingKind, error) {
 }
 
 // parseFlag returns the kind whose flag value in names (indexed by kind) is
-// s; the error lists every valid value. An empty name marks a kind with no
-// flag value, which no s selects.
+// s; the error lists every valid value.
 func parseFlag[K ~int | ~uint8](what, s string, names []string) (K, error) {
-	if i := slices.Index(names, s); i >= 0 && s != "" {
+	if i := slices.Index(names, s); i >= 0 {
 		return K(i), nil
 	}
 	return 0, fmt.Errorf("qsim: unknown %s %q (want %s)", what, s, flagList(names))
 }
 
-// flagList joins the non-empty flag values in names with "|".
+// flagList joins the non-empty flag values in names with "|", skipping the
+// reserved engine kind.
 func flagList(names []string) string {
 	var valid []string
 	for _, s := range names {

@@ -5,8 +5,11 @@ import "math"
 // EvalZ runs the embedding, the ansatz and the per-qubit ⟨Z⟩ readout for a
 // batch of n samples on the naive engine, with no tangents and no gradient.
 // Used by the parameter-shift rule, whose oracle role needs a path that
-// shares no code with the compiled program, and by the Fig. 3 scaling study.
-// Its cost grows as 4^nq per gate and sample, so it suits small circuits.
+// shares no code with the compiled program, and by the Fig. 3 scaling study;
+// no training path calls it. Every gate is a dense 2^nq×2^nq matrix applied
+// to every sample, so a call costs O(4^nq) time per gate and sample, and it
+// allocates one 16·4^nq-byte matrix (256 KiB at 7 qubits) per ansatz gate
+// and per embedding rotation and sample.
 func EvalZ(circ *Circuit, angles, theta []float64, n int) []float64 {
 	p := &PQC{Circ: circ, Eng: EngineNaive}
 	z, _ := naiveEngine{}.Forward(p, NewWorkspace(n, circ.NumQubits), angles, nil, theta)
