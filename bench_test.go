@@ -4,8 +4,7 @@
 // ablation figures, a simulator epoch for Table 2, the reference solvers
 // for Fig. 5, the diagnostics for Fig. 10), so `go test -bench=. -benchmem`
 // gives the per-unit costs from which full-experiment runtimes scale.
-// The experiments themselves are regenerated by cmd/qpinn-bench and
-// cmd/qpinn-ablate.
+// The experiments themselves are regenerated by cmd/qpinn-bench.
 package repro
 
 import (
@@ -113,8 +112,7 @@ func BenchmarkTable2TorQEpoch(b *testing.B) {
 
 // BenchmarkTorqEpochSharded is the engine unit on the sharded executor over
 // the compiled program (4×4 pair blocks, CNOTs tracked in the basis frame,
-// the product-state embedding). Its recorded cost lives in
-// BENCH_engine.json.
+// the product-state embedding).
 func BenchmarkTorqEpochSharded(b *testing.B) {
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
 }
@@ -148,10 +146,9 @@ func BenchmarkTorqEpochDist(b *testing.B) {
 // BenchmarkTorqEpochDistSerial pins ONE subprocess worker, making the unit
 // machine-shape independent: the coordinator blocks on each reply while the
 // worker computes, so the request→reply pipeline runs serially whether the
-// host has 1 core or 64 — unlike the 2-worker variants, whose relative cost
-// halves on a multi-core runner and would hide a transport regression from
-// the bench gate behind that headroom. This is the dist row the regression
-// gate can trust across runners.
+// host has 1 core or 64 — unlike the 2-worker variants, whose cost halves on
+// a multi-core runner and can hide a transport regression behind that
+// headroom. This is the dist row that isolates the transport.
 func BenchmarkTorqEpochDistSerial(b *testing.B) {
 	dist.Configure(dist.Options{Workers: 1})
 	defer dist.Shutdown()
@@ -162,8 +159,8 @@ func BenchmarkTorqEpochDistSerial(b *testing.B) {
 // pair: the identical Sharded / DistSerial units with the flight-data
 // recorder live at its default cadence, sampling the par, qsim, and dist
 // counters throughout. The FTDC-on vs FTDC-off ratio is the measured cost
-// of always-on telemetry, and the bench gate holds it inside the noise
-// band — the recorder's contract is that it is unmeasurable.
+// of always-on telemetry — the recorder's contract is that it is
+// unmeasurable.
 func BenchmarkTorqEpochShardedFTDC(b *testing.B) {
 	rec := ftdc.New(ftdc.Options{}, ftdc.Standard()...)
 	rec.Start()
@@ -187,7 +184,7 @@ func BenchmarkTorqEpochDistSerialFTDC(b *testing.B) {
 // worker-side shard spans back inside result frames). The traced vs untraced
 // ratio is the measured cost of the observability plane's tracing bit — the
 // span ring's contract is zero steady-state allocations and sub-noise
-// overhead, and the bench gate holds both rows inside the band.
+// overhead.
 func BenchmarkTorqEpochShardedTraced(b *testing.B) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
@@ -257,9 +254,7 @@ func BenchmarkTorqEpochShardedMultiWorker(b *testing.B) {
 }
 
 // BenchmarkTable2NaiveSimulator times the per-sample dense-gate baseline
-// (the default.qubit stand-in) — the losing column of Table 2. Its workload
-// is oracle code that stays fixed, so bench-gate normalizes every other
-// row by its geometric mean with BenchmarkTable2KronSimulator.
+// (the default.qubit stand-in) — the losing column of Table 2.
 func BenchmarkTable2NaiveSimulator(b *testing.B) {
 	circ := qsim.StronglyEntangling.Build(7, 4)
 	n := 8
@@ -278,7 +273,7 @@ func BenchmarkTable2NaiveSimulator(b *testing.B) {
 }
 
 // BenchmarkTable2KronSimulator times the full-unitary composition baseline,
-// the second fixed row of bench-gate's reference.
+// the other dense column of Table 2.
 func BenchmarkTable2KronSimulator(b *testing.B) {
 	circ := qsim.StronglyEntangling.Build(7, 4)
 	n := 2
@@ -348,17 +343,6 @@ func BenchmarkFig6VacuumQPINNEpoch(b *testing.B) {
 // BenchmarkFig6VacuumClassicalEpoch times the classical baseline epoch.
 func BenchmarkFig6VacuumClassicalEpoch(b *testing.B) {
 	r := newEpochRunner(maxwell.VacuumCase, core.ClassicalRegular, qsim.BasicEntangling, qsim.ScaleNone, false, 8, qsim.EngineSharded)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.epoch()
-	}
-}
-
-// BenchmarkEpochQPINNSharded runs the Fig. 6 vacuum QPINN epoch on the
-// sharded engine, named for the engine so bench-gate's required variants
-// cover it.
-func BenchmarkEpochQPINNSharded(b *testing.B) {
-	r := newEpochRunner(maxwell.VacuumCase, core.QPINN, qsim.StronglyEntangling, qsim.ScaleAcos, true, 8, qsim.EngineSharded)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.epoch()

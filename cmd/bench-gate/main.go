@@ -1,189 +1,146 @@
-// Command bench-gate is the CI bench-trend regression gate: it compares a
-// fresh `go test -bench` output against the committed BENCH_engine.json
-// baseline and fails when a benchmark regresses beyond a tolerance band.
+// Command bench-gate is the CI regression gate for the root benchmark rows:
+// it compares the change's `go test -bench` output against its parent's,
+// both measured on the same runner in alternated sessions, and fails when a
+// row got slower than the tolerance allows.
 //
-// CI runners and the machine that recorded the baseline differ in absolute
-// speed, so the gate compares machine-independent RELATIVE costs: every
-// benchmark is normalized by a reference cost measured in the same run, the
-// geometric mean of the -ref benchmarks (default Table2NaiveSimulator and
-// Table2KronSimulator, the two Table 2 dense comparators: oracle code whose
-// workloads stay fixed). For each benchmark present in both the baseline and
-// the fresh output, the gate computes
+// A row's cost on each side is its minimum ns/op over every line of that
+// side's output, so over every -count repeat of every session: the minimum
+// is the reading least contaminated by contention, and taking it over
+// several alternated sessions keeps a burst that lands on one side from
+// reading as a regression. The gate fails when
 //
-//	drift = (fresh[b]/fresh[ref]) / (base[b]/base[ref])
+//	change[row] / parent[row] > 1 + tol
 //
-// and fails when drift > 1 + tol: the benchmark got slower relative to the
-// reference than the baseline says it should be. Each row is the minimum of
-// its repeats in the fresh output, so a reference row that the bench smoke
-// runs in more than one step is the minimum over all of those processes. A
-// lost fusion pass or a de-optimized kernel shows up as drift ≥ 2 and trips
-// the gate even on a noisy runner; -tol defaults to 0.5 so ordinary
-// scheduling jitter does not. -warn-only downgrades failures to warnings for
-// slow matrix runners.
+// for a row the parent measured, when such a row is missing from the
+// change's output, or when a -require name matches no row of the change.
+// Rows only the change measured are reported as new and not compared.
+//
+// Usage:
+//
+//	bench-gate -parent bench-parent.txt -change bench-change.txt -tol 0.35 -require Sharded,Dist
+//
+// Exit status 1 means the gate failed, 2 that an input could not be read or
+// parsed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"os"
 	"regexp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-type baseline struct {
-	Benchmarks map[string]float64 `json:"benchmarks_ns_per_op"`
-}
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(\S+) ns/op`)
 
-var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-func parseBench(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(data), -1) {
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			v, err := strconv.ParseFloat(m[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bench-gate: bad ns/op in %q: %v", line, err)
-			}
-			// Keep the best (lowest) time when -count repeats a benchmark:
-			// the minimum is the least noise-contaminated estimate.
-			if prev, ok := out[m[1]]; !ok || v < prev {
-				out[m[1]] = v
-			}
+// parseBench returns each benchmark's minimum ns/op over every line of a
+// `go test -bench` output. A benchmark line whose ns/op is not a positive
+// finite number is an error.
+func parseBench(out string) (map[string]float64, error) {
+	rows := map[string]float64{}
+	for _, line := range strings.Split(out, "\n") {
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[2], 64)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("bad ns/op %q in %q", m[2], strings.TrimSpace(line))
+		}
+		if prev, ok := rows[m[1]]; !ok || v < prev {
+			rows[m[1]] = v
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
-// refCost returns the geometric mean of the refs' times in m, or false when
-// one of them is missing or not positive.
-func refCost(m map[string]float64, refs []string) (float64, bool) {
-	var logSum float64
-	for _, r := range refs {
-		v, ok := m[r]
-		if !ok || v <= 0 {
-			return 0, false
-		}
-		logSum += math.Log(v)
+// gate writes the row-by-row comparison to w and reports whether the change
+// passes: no parent row slower than 1+tol times, none missing, and every
+// required name matching a row of the change.
+func gate(w io.Writer, parent, change map[string]float64, tol float64, require []string) bool {
+	if len(parent) == 0 {
+		fmt.Fprintln(w, "bench-gate: the parent output holds no benchmark rows")
+		return false
 	}
-	return math.Exp(logSum / float64(len(refs))), true
+	pass := true
+	fmt.Fprintf(w, "%-32s %14s %14s %8s\n", "benchmark", "parent ns/op", "change ns/op", "ratio")
+	for _, name := range slices.Sorted(maps.Keys(parent)) {
+		c, ok := change[name]
+		if !ok {
+			fmt.Fprintf(w, "%-32s %14.0f %14s %8s MISSING from change\n", name, parent[name], "-", "-")
+			pass = false
+			continue
+		}
+		ratio := c / parent[name]
+		status := "ok"
+		if ratio > 1+tol {
+			status = "REGRESSION"
+			pass = false
+		}
+		fmt.Fprintf(w, "%-32s %14.0f %14.0f %7.3fx %s\n", name, parent[name], c, ratio, status)
+	}
+	for _, name := range slices.Sorted(maps.Keys(change)) {
+		if _, ok := parent[name]; !ok {
+			fmt.Fprintf(w, "%-32s %14s %14.0f %8s new\n", name, "-", change[name], "-")
+		}
+	}
+	for _, req := range require {
+		switch {
+		case !anyContains(change, req):
+			fmt.Fprintf(w, "required %q: no row of the change matches\n", req)
+			pass = false
+		case !anyContains(parent, req):
+			fmt.Fprintf(w, "required %q: new, no row of the parent matches\n", req)
+		}
+	}
+	return pass
+}
+
+func anyContains(rows map[string]float64, sub string) bool {
+	//torq:allow maprange -- existence scan, any order finds the same answer
+	for name := range rows {
+		if strings.Contains(name, sub) {
+			return true
+		}
+	}
+	return false
 }
 
 func main() {
-	basePath := flag.String("baseline", "BENCH_engine.json", "committed baseline JSON")
-	benchPath := flag.String("bench", "bench-smoke.txt", "fresh `go test -bench` output")
-	ref := flag.String("ref", "Table2NaiveSimulator,Table2KronSimulator", "comma-separated reference benchmarks; their geometric mean normalizes machine speed")
-	tol := flag.Float64("tol", 0.5, "allowed relative-cost drift before failing (0.5 = +50%)")
-	warnOnly := flag.Bool("warn-only", false, "report regressions without failing (slow matrix runners)")
-	require := flag.String("require", "", "comma-separated substrings that must each match a benchmark present in BOTH the baseline and the fresh output (e.g. \"Sharded\") — a variant that silently stops being measured fails the gate instead of being skipped")
+	parentPath := flag.String("parent", "bench-parent.txt", "`go test -bench` output of the parent build")
+	changePath := flag.String("change", "bench-change.txt", "`go test -bench` output of the change, from the same runner")
+	tol := flag.Float64("tol", 0.35, "allowed slowdown of a row before failing (0.35 = +35%)")
+	require := flag.String("require", "", "comma-separated substrings that must each match a row of the change (e.g. \"Sharded\"), so a variant that silently stops being measured fails the gate")
 	flag.Parse()
 
-	raw, err := os.ReadFile(*basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench-gate:", err)
+	if !(*tol >= 0) || math.IsInf(*tol, 1) {
+		fmt.Fprintf(os.Stderr, "bench-gate: -tol %v: want a finite value ≥ 0\n", *tol)
 		os.Exit(2)
 	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintln(os.Stderr, "bench-gate:", err)
-		os.Exit(2)
-	}
-	fresh, err := parseBench(*benchPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench-gate:", err)
-		os.Exit(2)
-	}
-	refs := strings.Split(*ref, ",")
-	baseRef, okB := refCost(base.Benchmarks, refs)
-	freshRef, okF := refCost(fresh, refs)
-	if !okB || !okF {
-		fmt.Fprintf(os.Stderr, "bench-gate: reference %q missing from baseline or fresh output\n", *ref)
-		os.Exit(2)
-	}
-
-	// Required variants must be covered on BOTH sides: the per-baseline check
-	// below only catches benchmarks that vanish from the fresh output, not a
-	// whole family (e.g. the sharded engine) that was never added to the
-	// committed baseline in the first place.
-	for _, req := range strings.Split(*require, ",") {
-		req = strings.TrimSpace(req)
-		if req == "" {
-			continue
+	var sides [2]map[string]float64
+	for i, path := range []string{*parentPath, *changePath} {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			sides[i], err = parseBench(string(data))
 		}
-		matches := func(m map[string]float64) bool {
-			//torq:allow maprange -- existence scan, any order finds the same answer
-			for name := range m {
-				if strings.Contains(name, req) {
-					return true
-				}
-			}
-			return false
-		}
-		if !matches(base.Benchmarks) {
-			fmt.Fprintf(os.Stderr, "bench-gate: required variant %q missing from baseline %s\n", req, *basePath)
-			os.Exit(2)
-		}
-		if !matches(fresh) {
-			fmt.Fprintf(os.Stderr, "bench-gate: required variant %q missing from fresh output %s\n", req, *benchPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench-gate: %s: %v\n", path, err)
 			os.Exit(2)
 		}
 	}
-
-	// Every baseline benchmark must appear in the fresh output: a unit that
-	// silently stops running (bench-regex drift, a rename without a baseline
-	// update) would otherwise pass the gate while losing coverage.
-	baseNames := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		baseNames = append(baseNames, name)
-	}
-	sort.Strings(baseNames)
-	var names, missing []string
-	for _, name := range baseNames {
-		if slices.Contains(refs, name) {
-			continue
-		}
-		if _, ok := fresh[name]; ok {
-			names = append(names, name)
-		} else {
-			missing = append(missing, name)
+	var reqs []string
+	for _, r := range strings.Split(*require, ",") {
+		if r = strings.TrimSpace(r); r != "" {
+			reqs = append(reqs, r)
 		}
 	}
-	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "bench-gate: no overlapping benchmarks to compare")
-		os.Exit(2)
-	}
-
-	failed := false
-	for _, name := range missing {
-		fmt.Printf("%-36s MISSING from fresh output\n", name)
-		failed = true
-	}
-	fmt.Printf("%-36s %12s %12s %8s\n", "benchmark", "base rel", "fresh rel", "drift")
-	for _, name := range names {
-		baseRel := base.Benchmarks[name] / baseRef
-		freshRel := fresh[name] / freshRef
-		drift := freshRel / baseRel
-		status := "ok"
-		if drift > 1+*tol {
-			status = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("%-36s %12.4f %12.4f %7.3fx %s\n", name, baseRel, freshRel, drift, status)
-	}
-	if failed {
-		if *warnOnly {
-			fmt.Println("bench-gate: regressions found (warn-only mode, not failing)")
-			return
-		}
-		fmt.Println("bench-gate: FAIL — relative cost drifted beyond the tolerance band")
+	if !gate(os.Stdout, sides[0], sides[1], *tol, reqs) {
+		fmt.Printf("bench-gate: FAIL (tolerance +%.0f%%)\n", 100**tol)
 		os.Exit(1)
 	}
 	fmt.Println("bench-gate: PASS")

@@ -67,15 +67,29 @@ func main() {
 			sol = "spectral"
 		}
 	}
+	// Refuse what the solvers cannot run before any of them starts: on a
+	// grid of fewer than 3 points a point's left and right neighbours
+	// coincide (0 or less panics or never ends), and the spectral solver's
+	// FFT needs a power of two.
+	switch {
+	case sol != "spectral" && sol != "pade" && sol != "fdtd":
+		fmt.Fprintf(os.Stderr, "unknown solver %q (want spectral | pade | fdtd)\n", sol)
+		os.Exit(2)
+	case sol == "spectral" && c == maxwell.DielectricCase:
+		fmt.Fprintln(os.Stderr, "spectral solver is vacuum-only")
+		os.Exit(2)
+	case *grid < 3:
+		fmt.Fprintf(os.Stderr, "-grid %d: want at least 3 points per axis\n", *grid)
+		os.Exit(2)
+	case sol == "spectral" && *grid&(*grid-1) != 0:
+		fmt.Fprintf(os.Stderr, "-grid %d: the spectral solver needs a power of two\n", *grid)
+		os.Exit(2)
+	}
 
 	init := p.Pulse.InitFields(*grid)
 	var snaps []*refsol.Fields
 	switch sol {
 	case "spectral":
-		if c == maxwell.DielectricCase {
-			fmt.Fprintln(os.Stderr, "spectral solver is vacuum-only")
-			os.Exit(2)
-		}
 		snaps = refsol.NewSpectral(init).Series(times)
 	case "pade":
 		med := p.Medium
@@ -89,9 +103,6 @@ func main() {
 			med = refsol.SmoothSlab(2 * refsol.L / float64(*grid))
 		}
 		snaps = refsol.NewFDTD(*grid, med).Solve(init, times)
-	default:
-		fmt.Fprintln(os.Stderr, "unknown solver")
-		os.Exit(2)
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
