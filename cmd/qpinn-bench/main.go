@@ -1,9 +1,13 @@
 // Command qpinn-bench regenerates individual tables and figures from the
 // paper's evaluation. Run with -list to see every registered experiment.
+// -exp table2 is the Table 2 simulator comparison: the batched adjoint
+// simulator (the TorQ analogue) against the naive per-sample and
+// full-unitary baselines, with the batched rows on the -engine chosen.
 //
 // Usage:
 //
 //	qpinn-bench -exp table1
+//	qpinn-bench -exp table2 -engine dist -dist-workers 2
 //	qpinn-bench -exp fig10 -preset smoke -seeds 2 -epochs 300
 //	qpinn-bench -exp fig5 -figdir out/figs
 package main
@@ -15,21 +19,25 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/qsim"
 )
 
 func main() {
 	var (
-		exp    = flag.String("exp", "", "experiment name (see -list)")
-		list   = flag.Bool("list", false, "list experiments and exit")
-		preset = flag.String("preset", "smoke", experiments.PresetNames())
-		seeds  = flag.Int("seeds", 0, "replicate count (0 = preset default)")
-		epochs = flag.Int("epochs", 0, "training epochs (0 = preset default)")
-		figdir = flag.String("figdir", "", "directory for PGM/CSV artifacts")
-		ansatz = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze ("+qsim.AnsatzNames()+")")
-		scale  = flag.String("scale", "", "restrict sweep to comma-separated scalings ("+qsim.ScalingNames()+")")
-		engine = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
+		exp      = flag.String("exp", "", "experiment name (see -list)")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		preset   = flag.String("preset", "smoke", experiments.PresetNames())
+		seeds    = flag.Int("seeds", 0, "replicate count (0 = preset default)")
+		epochs   = flag.Int("epochs", 0, "training epochs (0 = preset default)")
+		figdir   = flag.String("figdir", "", "directory for PGM/CSV artifacts")
+		ansatz   = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze ("+qsim.AnsatzNames()+")")
+		scale    = flag.String("scale", "", "restrict sweep to comma-separated scalings ("+qsim.ScalingNames()+")")
+		engine   = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
+		workers  = flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
+		obsFlags = obs.RegisterFlags("qpinn-bench")
 	)
 	flag.Parse()
 
@@ -59,6 +67,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *seeds < 0 || *epochs < 0 {
+		fmt.Fprintf(os.Stderr, "qpinn-bench: negative count (-seeds %d, -epochs %d); 0 means the preset default\n", *seeds, *epochs)
+		os.Exit(2)
+	}
 	o := experiments.Options{
 		Preset: pre,
 		Seeds:  *seeds,
@@ -83,6 +95,17 @@ func main() {
 		}
 		o.Scalings = append(o.Scalings, sc)
 	}
+
+	if *workers > 0 {
+		dist.Configure(dist.Options{Workers: *workers})
+		defer dist.Shutdown()
+	}
+	stopObs, err := obsFlags.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	defer stopObs()
 
 	start := time.Now()
 	if err := r.Run(o); err != nil {

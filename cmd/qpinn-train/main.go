@@ -113,6 +113,10 @@ func main() {
 	tcfg := core.SmokeTrain(*epochs, maxwell.PaperConfig(*energy, useSym))
 	tcfg.Grid = *grid
 	tcfg.QuantumDiagnostics = arch == core.QPINN
+	if err := tcfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var model *core.Model
 	if *loadPath != "" {

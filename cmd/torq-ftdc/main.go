@@ -1,4 +1,4 @@
-// torq-ftdc decodes flight-data-recorder captures written by torq-bench or
+// torq-ftdc decodes flight-data-recorder captures written by qpinn-bench or
 // qpinn-train (-ftdc-dump flag, SIGUSR1 while running, or the debug plane's
 // /ftdc endpoint).
 //

@@ -143,11 +143,11 @@ func (t *Tape) backprop(n *node) {
 	case OpMatMul:
 		na, nb := &t.nodes[n.a], &t.nodes[n.b]
 		rows, k, m := int(na.rows), int(na.cols), int(nb.cols)
-		if da := t.gradOf(n.a); da != nil {
-			mmNTAcc(da, g, nb.val, &t.panel, rows, m, k)
+		if da := t.gradOf(n.a); da != nil { // NT: dA += dC·Wᵀ
+			gemm(da, g, ntPanel(&t.panel, nb.val, m, k), rows, k, m, m, 1, true)
 		}
-		if db := t.gradOf(n.b); db != nil {
-			mmTNAcc(db, na.val, g, rows, k, m)
+		if db := t.gradOf(n.b); db != nil { // TN: dW += Xᵀ·dC
+			gemm(db, na.val, g, k, m, rows, 1, k, false)
 		}
 	case OpAddBias:
 		if da := t.gradOf(n.a); da != nil {

@@ -22,21 +22,3 @@ func (t *Tape) Custom(rows, cols int, out []float64, needsGrad bool, backward fu
 	}
 	return v
 }
-
-// CustomInPlace is Custom without the copy: the tape takes ownership of out,
-// which must have been sized rows*cols by the caller. The buffer is recycled
-// into the tape pool on Reset, so callers must not retain it.
-func (t *Tape) CustomInPlace(rows, cols int, out []float64, needsGrad bool, backward func(outGrad []float64)) Value {
-	if len(out) != rows*cols {
-		panic("ad: CustomInPlace buffer size mismatch")
-	}
-	t.nodes = append(t.nodes, node{op: OpCustom, a: -1, b: -1, rows: int32(rows), cols: int32(cols), val: out})
-	i := int32(len(t.nodes) - 1)
-	n := &t.nodes[i]
-	if needsGrad {
-		n.grad = t.alloc(rows * cols)
-		grad := n.grad
-		n.backward = func() { backward(grad) }
-	}
-	return Value{t, i}
-}

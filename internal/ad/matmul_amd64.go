@@ -7,7 +7,7 @@ package ad
 // updates every lane with one VMULPD and one VADDPD, never a fused
 // multiply-add. fresh starts the accumulators at zero and adds them to C at
 // the end; otherwise they start from C. The caller guarantees red ≥ 1 and
-// that every element touched is in range (simdTiles).
+// that every element touched is in range (gemmRange).
 //
 //go:noescape
 func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)

@@ -15,8 +15,9 @@ import (
 )
 
 // The reference kernels are the plain triple loops the tiled kernels
-// replaced, kept serial and verbatim as the bit-identity oracle. Their
-// av == 0 skips are part of the original semantics: on finite inputs a
+// replaced, kept serial as the bit-identity oracle; like gemmGo they write
+// each product as float64(x*y), so no architecture fuses it into the add.
+// Their av == 0 skips are part of the original semantics: on finite inputs a
 // skipped zero product cannot change a sum that is not -0, so the oracle and
 // the tiled kernels agree bit for bit there, and differ on non-finite inputs
 // (see TestGEMMPropagatesNonFinite).
@@ -31,7 +32,7 @@ func refMMAcc(c, a, b []float64, n, k, m int) {
 			}
 			bl := b[l*m : (l+1)*m]
 			for j, bv := range bl {
-				ci[j] += av * bv
+				ci[j] += float64(av * bv)
 			}
 		}
 	}
@@ -45,7 +46,7 @@ func refMMNTAcc(c, a, b []float64, n, m, k int) {
 			bj := b[j*m : (j+1)*m]
 			var sum float64
 			for l, av := range ai {
-				sum += av * bj[l]
+				sum += float64(av * bj[l])
 			}
 			ci[j] += sum
 		}
@@ -62,25 +63,36 @@ func refMMTNAcc(c, a, b []float64, n, k, m int) {
 			}
 			bi := b[i*m : (i+1)*m]
 			for j, bv := range bi {
-				cl[j] += av * bv
+				cl[j] += float64(av * bv)
 			}
 		}
 	}
 }
 
 // gemmCase describes one GEMM of a dense layer X(n×k)·W(k×m) in the layer's
-// own n×k×m terms: the operand lengths, and the kernel, its serial range
-// function and its oracle with the arguments the tape passes them.
+// own n×k×m terms: the operand lengths, the gemm call the tape makes for it
+// (B as passed, and the strides of matmul.go's table), and its oracle.
 type gemmCase struct {
-	name       string
-	x, y, c    func(n, k, m int) int // lengths of the two operands and of C
-	rows       func(n, k, m int) int // rows of C the range function splits
-	kernel     func(c, x, y []float64, n, k, m int)
-	kernelRows func(c, x, y []float64, n, k, m, s, e int)
-	ref        func(c, x, y []float64, n, k, m int)
+	name    string
+	x, y, c func(n, k, m int) int // lengths of the two operands and of C
+	layout  func(y []float64, n, k, m int) gemmLayout
+	ref     func(c, x, y []float64, n, k, m int)
 }
 
-// testPanel is the NT cases' packed-Bᵀ buffer, reused like Tape.panel.
+// gemmLayout is one row of matmul.go's stride table.
+type gemmLayout struct {
+	b                           []float64
+	rows, cols, red, aRow, aRed int
+	fresh                       bool
+}
+
+// kernel runs the layout's GEMM as the tape does.
+func (g gemmCase) kernel(c, x, y []float64, n, k, m int) {
+	l := g.layout(y, n, k, m)
+	gemm(c, x, l.b, l.rows, l.cols, l.red, l.aRow, l.aRed, l.fresh)
+}
+
+// testPanel is the NT case's packed-Bᵀ buffer, reused like Tape.panel.
 var testPanel []float64
 
 var gemmCases = []gemmCase{
@@ -89,12 +101,8 @@ var gemmCases = []gemmCase{
 		x:    func(n, k, m int) int { return n * k },
 		y:    func(n, k, m int) int { return k * m },
 		c:    func(n, k, m int) int { return n * m },
-		rows: func(n, k, m int) int { return n },
-		kernel: func(c, x, y []float64, n, k, m int) {
-			mmAcc(c, x, y, n, k, m)
-		},
-		kernelRows: func(c, x, y []float64, n, k, m, s, e int) {
-			mmAccRange(c, x, y, k, m, s, e)
+		layout: func(y []float64, n, k, m int) gemmLayout {
+			return gemmLayout{y, n, m, k, k, 1, false}
 		},
 		ref: refMMAcc,
 	},
@@ -103,12 +111,8 @@ var gemmCases = []gemmCase{
 		x:    func(n, k, m int) int { return n * m },
 		y:    func(n, k, m int) int { return k * m },
 		c:    func(n, k, m int) int { return n * k },
-		rows: func(n, k, m int) int { return n },
-		kernel: func(c, x, y []float64, n, k, m int) {
-			mmNTAcc(c, x, y, &testPanel, n, m, k)
-		},
-		kernelRows: func(c, x, y []float64, n, k, m, s, e int) {
-			mmNTAccRange(c, x, y, ntPanel(&testPanel, y, n, m, k), m, k, s, e)
+		layout: func(y []float64, n, k, m int) gemmLayout {
+			return gemmLayout{ntPanel(&testPanel, y, m, k), n, k, m, m, 1, true}
 		},
 		ref: func(c, x, y []float64, n, k, m int) { refMMNTAcc(c, x, y, n, m, k) },
 	},
@@ -117,12 +121,8 @@ var gemmCases = []gemmCase{
 		x:    func(n, k, m int) int { return n * k },
 		y:    func(n, k, m int) int { return n * m },
 		c:    func(n, k, m int) int { return k * m },
-		rows: func(n, k, m int) int { return k },
-		kernel: func(c, x, y []float64, n, k, m int) {
-			mmTNAcc(c, x, y, n, k, m)
-		},
-		kernelRows: func(c, x, y []float64, n, k, m, s, e int) {
-			mmTNAccRange(c, x, y, n, k, m, s, e)
+		layout: func(y []float64, n, k, m int) gemmLayout {
+			return gemmLayout{y, k, m, n, 1, k, false}
 		},
 		ref: refMMTNAcc,
 	},
@@ -176,14 +176,15 @@ func sameBits(a, b []float64) (int, bool) {
 	return -1, true
 }
 
-// TestGEMMMatchesOracle pins both kernel families to the triple-loop oracle
-// bit for bit: hand-picked shapes covering full tiles, every 2×4 and 4×8
-// tile edge in each dimension, an empty reduction, the vacuum and
+// TestGEMMMatchesOracle pins both kernels to the triple-loop oracle bit for
+// bit: hand-picked shapes covering full tiles, every 2×4, 2×3, 2×1 and 4×8
+// tile edge in each dimension (6 columns end in two 2×1 tiles; 15 leave a
+// 2×4 and a 2×3 tile after one 4×8), an empty reduction, the vacuum and
 // paper-infer workloads' layers, then seeded random shapes; operands with
 // 25% exact zeros and C non-zero on entry; under 1, 2 and 3 workers, and
-// through the range functions over uneven row splits whose bounds are
-// mostly not multiples of 4. Together these pin that each element's
-// accumulation order is a function of the shape alone.
+// through gemmRange over uneven row splits whose bounds are mostly not
+// multiples of 4. Together these pin that each element's accumulation order
+// is a function of the shape alone.
 func TestGEMMMatchesOracle(t *testing.T) {
 	onBothPaths(t, testGEMMMatchesOracle)
 }
@@ -197,7 +198,7 @@ func testGEMMMatchesOracle(t *testing.T) {
 		{1000, 48, 32}, {1000, 32, 32}, {1000, 32, 4}, {1000, 32, 3}, {1000, 4, 3},
 		{2304, 256, 128}, {2304, 128, 128},
 	}
-	edges := []int{3, 4, 5, 7, 8, 9, 16, 17}
+	edges := []int{3, 4, 5, 6, 7, 8, 9, 15, 16, 17}
 	for _, n := range edges {
 		for _, k := range edges {
 			for _, m := range edges {
@@ -229,11 +230,11 @@ func testGEMMMatchesOracle(t *testing.T) {
 				g.kernel(got, x, y, n, k, m)
 				check(fmt.Sprintf("workers=%d", w), got)
 			}
-			rows := g.rows(n, k, m)
+			l := g.layout(y, n, k, m)
 			got := append([]float64(nil), c0...)
-			for s := 0; s < rows; {
-				e := min(rows, s+1+rng.Intn(13))
-				g.kernelRows(got, x, y, n, k, m, s, e)
+			for s := 0; s < l.rows; {
+				e := min(l.rows, s+1+rng.Intn(13))
+				gemmRange(got, x, l.b, l.cols, l.red, l.aRow, l.aRed, l.fresh, s, e)
 				s = e
 			}
 			check("uneven row split", got)
@@ -275,7 +276,7 @@ func testGEMMPropagatesNonFinite(t *testing.T) {
 	}
 }
 
-// TestMMTNAccSplitsNarrowLayers pins mmTNAcc's work estimate: a row of dW
+// TestMMTNAccSplitsNarrowLayers pins the TN GEMM's work estimate: a row of dW
 // costs n·m multiply-adds, so the dW of the vacuum model's narrow output
 // (32×3) and adapter (32×4) layers at 1000 rows is split across two
 // workers rather than run serially.
@@ -288,7 +289,7 @@ func TestMMTNAccSplitsNarrowLayers(t *testing.T) {
 		g := make([]float64, n*m)
 		dw := make([]float64, k*m)
 		par.ResetStats()
-		mmTNAcc(dw, x, g, n, k, m)
+		gemmCases[2].kernel(dw, x, g, n, k, m)
 		if st := par.Stats(); st.Regions != 1 || st.Chunks != 2 {
 			t.Errorf("dW %dx%d at %d rows: %d regions, %d chunks; want 1 region of 2 chunks", k, m, n, st.Regions, st.Chunks)
 		}
@@ -296,8 +297,8 @@ func TestMMTNAccSplitsNarrowLayers(t *testing.T) {
 }
 
 // TestGEMMRangeZeroAllocs backs the //torq:hotpath annotation on the serial
-// range functions with a dynamic check, at a shape with full 4×8 tiles and
-// remainders in every dimension.
+// range function with a dynamic check, for every layout at a shape with full
+// 4×8 tiles and remainders in every dimension.
 func TestGEMMRangeZeroAllocs(t *testing.T) {
 	onBothPaths(t, testGEMMRangeZeroAllocs)
 }
@@ -308,9 +309,9 @@ func testGEMMRangeZeroAllocs(t *testing.T) {
 		x := make([]float64, g.x(n, k, m))
 		y := make([]float64, g.y(n, k, m))
 		c := make([]float64, g.c(n, k, m))
-		rows := g.rows(n, k, m)
-		if a := testing.AllocsPerRun(20, func() { g.kernelRows(c, x, y, n, k, m, 0, rows) }); a != 0 {
-			t.Errorf("%s range function: %v allocs/run, want 0", g.name, a)
+		l := g.layout(y, n, k, m)
+		if a := testing.AllocsPerRun(20, func() { gemmRange(c, x, l.b, l.cols, l.red, l.aRow, l.aRed, l.fresh, 0, l.rows) }); a != 0 {
+			t.Errorf("%s gemmRange: %v allocs/run, want 0", g.name, a)
 		}
 	}
 }
@@ -393,12 +394,12 @@ func benchGEMM(b *testing.B, g gemmCase) {
 	}
 }
 
-// BenchmarkGEMMNN times the forward C += X·W (mmAcc).
+// BenchmarkGEMMNN times the forward C += X·W.
 func BenchmarkGEMMNN(b *testing.B) { benchGEMM(b, gemmCases[0]) }
 
-// BenchmarkGEMMNT times the input gradient dX += dC·Wᵀ (mmNTAcc), including
-// the packing of Wᵀ on the simd path.
+// BenchmarkGEMMNT times the input gradient dX += dC·Wᵀ, including the
+// packing of Wᵀ.
 func BenchmarkGEMMNT(b *testing.B) { benchGEMM(b, gemmCases[1]) }
 
-// BenchmarkGEMMTN times the weight gradient dW += Xᵀ·dC (mmTNAcc).
+// BenchmarkGEMMTN times the weight gradient dW += Xᵀ·dC.
 func BenchmarkGEMMTN(b *testing.B) { benchGEMM(b, gemmCases[2]) }

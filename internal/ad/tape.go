@@ -136,7 +136,7 @@ type Tape struct {
 	nodes   []node
 	pool    pool
 	onReset []func()
-	panel   []float64   // MatMul backward's packed Wᵀ (mmNTAcc), reused
+	panel   []float64   // MatMul backward's packed Wᵀ (ntPanel), reused
 	groups  []dualGroup // fused dual groups, indexed by their nodes' b
 	lanes   []dualLane  // the groups' tangent channels, reused
 	embeds  []*embedOp  // input-embedding ops, indexed by their nodes' b; reused

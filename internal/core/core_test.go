@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/maxwell"
@@ -202,8 +204,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	coords := []float64{0.1, -0.4, 0.7, -0.6, 0.2, 1.1}
-	a := res.Model.EvalEz(coords, 2)
-	b := restored.EvalEz(coords, 2)
+	a, _, _ := res.Model.EvalFields(coords, 2)
+	b, _, _ := restored.EvalFields(coords, 2)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("prediction %d differs after reload: %v vs %v", i, a[i], b[i])
@@ -236,6 +238,51 @@ func TestTrainEvalEveryZero(t *testing.T) {
 	if last := res.History[len(res.History)-1]; math.IsNaN(last.L2) {
 		t.Error("final epoch not evaluated under EvalEvery=0")
 	}
+}
+
+// TestTrainConfigValidate pins the training settings TrainModel refuses: a
+// grid of 0 or less used to panic in the collocation build, a grid of 1
+// trained on NaN coordinates, and 0 or fewer epochs reported an infinite or
+// negative time per epoch. More time bins than grid points is legal.
+func TestTrainConfigValidate(t *testing.T) {
+	smoke := SmokeTrain(10, maxwell.PaperConfig(true, true))
+	cases := []struct {
+		name, want string // want is "" for a valid config
+		edit       func(*TrainConfig)
+	}{
+		{"smoke", "", func(*TrainConfig) {}},
+		{"paper", "", func(c *TrainConfig) { *c = PaperTrain(c.Loss) }},
+		{"grid 2", "", func(c *TrainConfig) { c.Grid = 2 }},
+		{"more bins than points", "", func(c *TrainConfig) { c.Grid, c.TimeBins = 4, 5 }},
+		{"one epoch", "", func(c *TrainConfig) { c.Epochs = 1 }},
+		{"grid 1", "grid 1 below 2", func(c *TrainConfig) { c.Grid = 1 }},
+		{"grid 0", "grid 0 below 2", func(c *TrainConfig) { c.Grid = 0 }},
+		{"negative grid", "grid -1 below 2", func(c *TrainConfig) { c.Grid = -1 }},
+		{"no epochs", "0 epochs", func(c *TrainConfig) { c.Epochs = 0 }},
+		{"negative epochs", "-1 epochs", func(c *TrainConfig) { c.Epochs = -1 }},
+		{"no time bins", "0 time bins", func(c *TrainConfig) { c.TimeBins = 0 }},
+		{"negative time bins", "-3 time bins", func(c *TrainConfig) { c.TimeBins = -3 }},
+	}
+	for _, c := range cases {
+		cfg := smoke
+		c.edit(&cfg)
+		err := cfg.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: Validate = %v, want nil", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// TrainModel refuses before building anything, with the same error.
+	bad := smoke
+	bad.Grid = 0
+	defer func() {
+		if r := recover(); r == nil || fmt.Sprint(r) != bad.Validate().Error() {
+			t.Errorf("TrainModel with grid 0 panicked with %v, want %v", r, bad.Validate())
+		}
+	}()
+	TrainModel(NewModel(SmokeModel(ClassicalRegular, qsim.CrossMesh, qsim.ScaleAcos)), maxwell.NewSmokeProblem(maxwell.VacuumCase), bad, nil)
 }
 
 // TestWarmRestartEquivalence: training k1 epochs, checkpointing, and resuming
@@ -373,8 +420,8 @@ func TestCheckpointV1StillLoads(t *testing.T) {
 		t.Fatal("v1 checkpoint conjured optimizer state from nowhere")
 	}
 	coords := []float64{0.2, -0.1, 0.4, -0.3, 0.6, 0.9}
-	a := model.EvalEz(coords, 2)
-	b := restored.EvalEz(coords, 2)
+	a, _, _ := model.EvalFields(coords, 2)
+	b, _, _ := restored.EvalFields(coords, 2)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("v1-restored prediction %d differs: %v vs %v", i, a[i], b[i])

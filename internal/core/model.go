@@ -211,15 +211,6 @@ func (m *Model) Forward(tp *ad.Tape, coords []float64, n int, withTangents bool)
 	return maxwell.Split(tp, x)
 }
 
-// EvalEz evaluates only the Ez component (no gradients, no tangents) over a
-// coordinate batch — the L2-metric path.
-func (m *Model) EvalEz(coords []float64, n int) []float64 {
-	tp := ad.NewTape()
-	m.Reg.Bind(tp, false)
-	f := m.Forward(tp, coords, n, false)
-	return append([]float64(nil), f.Ez.V.Data()...)
-}
-
 // EvalFields evaluates all three components without gradients.
 func (m *Model) EvalFields(coords []float64, n int) (ez, hx, hy []float64) {
 	tp := ad.NewTape()

@@ -44,6 +44,22 @@ func PaperTrain(loss maxwell.Config) TrainConfig {
 	}
 }
 
+// Validate reports the first setting TrainModel cannot train with: fewer
+// than 2 collocation points per coordinate (the grid's spacing
+// TMax/(Grid-1) is then undefined), no epoch, or no curriculum bin. A
+// TimeBins above Grid is allowed: the surplus bins are empty.
+func (c TrainConfig) Validate() error {
+	switch {
+	case c.Grid < 2:
+		return fmt.Errorf("core: train config: grid %d below 2 points per coordinate", c.Grid)
+	case c.Epochs < 1:
+		return fmt.Errorf("core: train config: %d epochs, want at least 1", c.Epochs)
+	case c.TimeBins < 1:
+		return fmt.Errorf("core: train config: %d time bins, want at least 1", c.TimeBins)
+	}
+	return nil
+}
+
 // EpochStats is one row of the training history.
 type EpochStats struct {
 	Epoch    int
@@ -92,8 +108,12 @@ func Train(p maxwell.Problem, mcfg ModelConfig, tcfg TrainConfig, ref *Reference
 // A model carrying TrainState — one previously trained in this process, or
 // restored from a version-2 checkpoint — resumes with its Adam moments, step
 // count, curriculum weights, and schedule position intact; a fresh model
-// cold-starts all of them.
+// cold-starts all of them. It panics with TrainConfig.Validate's error on a
+// config it cannot train.
 func TrainModel(model *Model, p maxwell.Problem, tcfg TrainConfig, ref *Reference) *RunResult {
+	if err := tcfg.Validate(); err != nil {
+		panic(err)
+	}
 	coll := maxwell.NewCollocation(p, tcfg.Grid, tcfg.TimeBins)
 	curriculum := maxwell.NewTimeCurriculum(tcfg.TimeBins, tcfg.Kappa)
 	adam := opt.NewAdam(tcfg.Schedule.LR0, model.Reg.Buffers(), model.Reg.Grads)

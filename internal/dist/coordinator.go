@@ -24,7 +24,7 @@ import (
 // workers (2 when unset and no remote addresses are given),
 // TORQ_DIST_WORKER_BIN as the worker binary (self-exec when unset),
 // TORQ_DIST_ADDRS remote workers, TORQ_DIST_SHARD_TIMEOUT per-shard
-// timeout — so e.g. `torq-bench -dist-workers 4` composes with a
+// timeout — so e.g. `qpinn-bench -dist-workers 4` composes with a
 // TORQ_DIST_ADDRS / TORQ_DIST_WORKER_BIN environment instead of silently
 // discarding it.
 type Options struct {
