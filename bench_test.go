@@ -104,15 +104,11 @@ func torqEpoch(b *testing.B, ansatz qsim.AnsatzKind, engine qsim.EngineKind) {
 	b.ReportMetric(float64(n), "points/op")
 }
 
-// BenchmarkTable2TorQEpoch times the batched adjoint simulator (TorQ
-// analogue) on the default sharded engine — the winning column of Table 2.
-func BenchmarkTable2TorQEpoch(b *testing.B) {
-	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
-}
-
 // BenchmarkTorqEpochSharded is the engine unit on the sharded executor over
 // the compiled program (4×4 pair blocks, CNOTs tracked in the basis frame,
-// the product-state embedding).
+// the product-state embedding): the batched adjoint simulator (TorQ
+// analogue) on the default engine, Table 2's TorQ column, next to the
+// Table2NaiveSimulator and Table2KronSimulator comparators.
 func BenchmarkTorqEpochSharded(b *testing.B) {
 	torqEpoch(b, qsim.StronglyEntangling, qsim.EngineSharded)
 }

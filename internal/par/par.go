@@ -45,26 +45,44 @@ import (
 // loop is worth splitting. Below this, scheduling overhead dominates.
 const grain = 2048
 
-// maxWorkers bounds concurrency to the number of usable CPUs. It is read on
-// every loop entry — possibly from inside pool workers while a benchmark
-// goroutine toggles the bound — so access is atomic.
-var maxWorkers atomic.Int64
+// override is the SetMaxWorkers bound, 0 when none is set; procs is the
+// GOMAXPROCS the last region read. Both are read on every loop entry —
+// possibly from inside pool workers while a benchmark goroutine toggles the
+// bound — so access is atomic.
+var override, procs atomic.Int64
 
-func init() { maxWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
+func init() { procs.Store(int64(runtime.GOMAXPROCS(0))) }
 
 // SetMaxWorkers overrides the worker bound (primarily for tests and
-// benchmarks that measure serial baselines). n < 1 resets to GOMAXPROCS.
-func SetMaxWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	maxWorkers.Store(int64(n))
-}
+// benchmarks that measure serial baselines). n < 1 removes the override, so
+// regions follow the current GOMAXPROCS again.
+func SetMaxWorkers(n int) { override.Store(int64(max(n, 0))) }
 
-// MaxWorkers reports the current worker bound.
+// MaxWorkers reports the worker bound: the SetMaxWorkers override, else the
+// GOMAXPROCS the last region read (at start-up, the initial GOMAXPROCS). It
+// takes no lock, so it does not read GOMAXPROCS itself.
 //
 //torq:nolock
-func MaxWorkers() int { return int(maxWorkers.Load()) }
+func MaxWorkers() int {
+	if n := override.Load(); n > 0 {
+		return int(n)
+	}
+	return int(procs.Load())
+}
+
+// workerBound is the bound a region runs under: the SetMaxWorkers override,
+// else the current GOMAXPROCS, so a GOMAXPROCS change (go test -cpu N)
+// reaches the next region. Reading GOMAXPROCS takes the scheduler's lock.
+func workerBound() int {
+	if n := override.Load(); n > 0 {
+		return int(n)
+	}
+	n := runtime.GOMAXPROCS(0)
+	if int64(n) != procs.Load() {
+		procs.Store(int64(n))
+	}
+	return n
+}
 
 // SchedStats is a snapshot of the region scheduler's cumulative telemetry:
 // how many regions ran, how many chunks they executed, and how many steals
@@ -318,9 +336,10 @@ func ForGrain(n, itemCost int, fn func(start, end int)) {
 	if itemCost < 1 {
 		itemCost = 1
 	}
-	workers := MaxWorkers()
-	if w := n * itemCost / grain; w < workers {
-		workers = w
+	// Work too small to split never reads the bound, which takes a lock.
+	workers := n * itemCost / grain
+	if workers > 1 {
+		workers = min(workers, workerBound())
 	}
 	if workers <= 1 {
 		statRegions.Add(1)
@@ -349,5 +368,5 @@ func RunChunk(n, chunk int, fn func(worker, lo, hi int)) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	region(n, chunk, MaxWorkers(), true, fn)
+	region(n, chunk, workerBound(), true, fn)
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,6 +234,32 @@ func TestSetMaxWorkers(t *testing.T) {
 	SetMaxWorkers(0)
 	if MaxWorkers() < 1 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestBoundFollowsGOMAXPROCS pins that, with no SetMaxWorkers override, a
+// region's worker bound is the GOMAXPROCS current when it starts, not the
+// one at start-up, so go test -cpu N parallelizes N ways. Each region's
+// chunks sleep long enough that every worker runs one, and the calling
+// goroutine runs the highest worker id, so the largest id a region reports
+// is its bound minus one. MaxWorkers then reports the same bound.
+func TestBoundFollowsGOMAXPROCS(t *testing.T) {
+	SetMaxWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{3, 1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var top atomic.Int64
+		RunChunk(32, 1, func(w, _, _ int) {
+			for cur := top.Load(); int64(w) > cur && !top.CompareAndSwap(cur, int64(w)); cur = top.Load() {
+			}
+			time.Sleep(200 * time.Microsecond)
+		})
+		if got := int(top.Load()) + 1; got != procs {
+			t.Errorf("GOMAXPROCS %d: the region ran %d workers", procs, got)
+		}
+		if got := MaxWorkers(); got != procs {
+			t.Errorf("GOMAXPROCS %d: MaxWorkers reports %d", procs, got)
+		}
 	}
 }
 

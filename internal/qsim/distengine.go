@@ -2,18 +2,21 @@ package qsim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/trace"
 )
 
 // This file is the qsim half of the multi-process executor: the
 // coordinator-side distEngine that partitions a pass into the same fixed
-// cache-block shards as the in-process sharded engine and merges results in
-// shard order, and the worker-side ShardRunner that executes one shard
-// bit-identically to one sharded-engine chunk. The transport between them —
-// process spawning, the framed wire protocol, worker death and re-dispatch —
-// lives in repro/internal/dist, which plugs in through RegisterDistBackend.
+// cache-block shards as the in-process sharded engine, and the worker-side
+// ShardRunner that executes one shard bit-identically to one sharded-engine
+// chunk. Both ends run the sharded engine's own shard path: the runner
+// loads a shard into a Workspace backed by its one coefficient cache
+// (coeffTables) and runs fwdBlock/bwdBlock on it in the fixed tangent
+// layout, and the coordinator merges the ShardResults through mergeShards,
+// the sharded engine's ordered merge. The transport between them — process
+// spawning, the framed wire protocol, worker death and re-dispatch — lives
+// in repro/internal/dist, which plugs in through RegisterDistBackend.
 // Keeping all numerics (shard partition, execution, reduction order) in this
 // package is what makes the bit-identity guarantee auditable: the dist
 // subsystem only moves bytes.
@@ -84,13 +87,35 @@ var distBackend DistBackend
 func RegisterDistBackend(b DistBackend) { distBackend = b }
 
 // distEngine is the coordinator side of the multi-process executor. It
-// reuses the sharded engine's pass preparation so the shard partition — and
-// therefore the floating-point reduction order — is pinned to the same
-// cache-block layout, then delegates shard execution to the registered
-// DistBackend and merges results in shard order.
+// partitions a pass into the sharded engine's backward cache blocks, hands
+// the shards to the registered DistBackend, and merges the results in shard
+// order through the sharded engine's own merge (mergeShards). It fills no
+// coefficient table: the workers do.
 type distEngine struct{}
 
 func (distEngine) Kind() EngineKind { return EngineDist }
+
+// distPass describes the pass whose inputs ws saved to the backend,
+// partitioned with the backward pass's block size. Forward z/ztans are
+// strictly per-sample (no cross-sample reduction), so the partition never
+// affects forward values, while the backward partition pins the gradient
+// reduction order. Sharing it makes forward and backward shards of one
+// training step align 1:1 by index, which is what lets the transport route
+// each backward shard to the worker holding that exact shard's cached
+// forward states.
+func distPass(p *PQC, ws *Workspace) *PassSpec {
+	spec := &PassSpec{
+		Circ: p.Circ, Prog: p.Program(),
+		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws.val.Dim, ws.active),
+		Active: ws.active, Theta: ws.theta, Angles: ws.angles,
+	}
+	for k := 0; k < MaxTangents; k++ {
+		if ws.active[k] {
+			spec.AngleTans[k] = ws.angleTans[k]
+		}
+	}
+	return spec
+}
 
 func runDistPass(spec *PassSpec) []ShardResult {
 	if distBackend == nil {
@@ -104,34 +129,18 @@ func runDistPass(spec *PassSpec) []ShardResult {
 }
 
 //torq:ordered-merge
-func (distEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64) {
-	prog, _, z, ztans, _ := prepForward(p, ws, angles, angleTans, theta)
-	// Partition the forward with the BACKWARD pass's block size, not the
-	// forward's own: forward z/ztans are strictly per-sample (no cross-sample
-	// reduction), so the partition never affects forward values, while the
-	// backward partition pins the gradient reduction order. Sharing it makes
-	// forward and backward shards of one training step align 1:1 by index,
-	// which is what lets the transport route each backward shard to the
-	// worker holding that exact shard's cached forward states.
-	spec := &PassSpec{
-		Circ: p.Circ, Prog: prog,
-		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws.val.Dim, ws.active),
-		Active: ws.active, Theta: ws.theta, Angles: ws.angles,
-	}
-	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] {
-			spec.AngleTans[k] = ws.angleTans[k]
-		}
-	}
-	nq := ws.nq
+func (distEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
+	z, ztans = prepForward(p, ws, angles, angleTans, theta)
+	spec := distPass(p, ws)
 	results := runDistPass(spec)
 	msp := trace.Begin(trace.KMerge, trace.CurrentPass())
+	nq := ws.nq
 	for s, r := range results {
-		lo, hi := spec.Shard(s)
-		copy(z[lo*nq:hi*nq], r.Z)
-		for k := 0; k < MaxTangents; k++ {
-			if ws.active[k] {
-				copy(ztans[k][lo*nq:hi*nq], r.ZTans[k])
+		lo, _ := spec.Shard(s)
+		copy(z[lo*nq:], r.Z)
+		for k, zt := range ztans {
+			if zt != nil {
+				copy(zt[lo*nq:], r.ZTans[k])
 			}
 		}
 	}
@@ -140,61 +149,38 @@ func (distEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][
 }
 
 //torq:ordered-merge
-func (distEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
-	prog := p.Program()
-	spec := &PassSpec{
-		Circ: p.Circ, Prog: prog, Backward: true,
-		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws.val.Dim, ws.active),
-		Active: ws.active, Theta: ws.theta, Angles: ws.angles,
-		GZ: gz,
-	}
+func (distEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [MaxTangents][]float64, dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta []float64) {
+	spec := distPass(p, ws)
+	spec.Backward, spec.GZ = true, gz
 	for k := 0; k < MaxTangents; k++ {
 		if ws.active[k] {
-			spec.AngleTans[k] = ws.angleTans[k]
-			if k < len(gztans) {
-				spec.GZTans[k] = gztans[k]
-			}
+			spec.GZTans[k] = gztans[k]
 		}
 	}
 	results := runDistPass(spec)
 	msp := trace.Begin(trace.KMerge, trace.CurrentPass())
-
 	// Per-sample gradients: each row belongs to exactly one shard, so the
 	// worker's zero-initialized partial adds back as the same value the
 	// in-process engine accumulated in place (0 + Σterms is exact).
 	nq := ws.nq
 	for s, r := range results {
 		lo, _ := spec.Shard(s)
-		for i, v := range r.DAngles {
-			dAngles[lo*nq+i] += v
-		}
-		for k := 0; k < MaxTangents; k++ {
-			if !ws.active[k] || dAngleTans == nil || k >= len(dAngleTans) || dAngleTans[k] == nil {
-				continue
-			}
-			for i, v := range r.DAngleTans[k] {
-				dAngleTans[k][lo*nq+i] += v
+		addTo(dAngles[lo*nq:], r.DAngles)
+		for k, dat := range dAngleTans {
+			if dat != nil {
+				addTo(dat[lo*nq:], r.DAngleTans[k])
 			}
 		}
 	}
-	// Deterministic merge, mirroring shardedEngine.Backward: dTheta partials
-	// in shard order, then the fused-diagonal accumulators in shard order
-	// contracted against the sign tables once per pass.
-	for _, r := range results {
-		for i, v := range r.DTheta {
-			dTheta[i] += v
-		}
-	}
-	if nt := prog.ndiag * ws.val.Dim; nt > 0 {
-		acc := make([]float64, nt)
-		for _, r := range results {
-			for i, v := range r.DiagT {
-				acc[i] += v
-			}
-		}
-		reduceDiagNGrads(prog, acc, dTheta, ws.val.Dim)
-	}
+	mergeShards(spec.Prog, ws.val.Dim, results, dTheta)
 	msp.End()
+}
+
+// addTo adds src element-wise into the head of dst.
+func addTo(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // ShardRunner executes single shards of a circuit's level-3 program inside a
@@ -219,19 +205,10 @@ type ShardRunner struct {
 	fwdSnaps map[uint32]*fwdSnapshot
 	snapPool []*fwdSnapshot
 
-	// Coefficient cache: FillCoeffs/FillDerivCoeffs depend only on theta (the
-	// compiled program is fixed per runner), yet one pass splits into dozens
-	// of cache-block shards that all share one theta. Filling per shard would
-	// redo the fused matrix products O(shards) times per pass — the dominant
-	// worker overhead over the in-process engine, which fills once. The
-	// runner instead fills once per distinct theta (bit-compared, so any
-	// change refills) and shares the tables across every shard workspace.
-	coeff      []float64
-	pack       []float64
-	dcoef      []float64
-	coeffTheta []float64
-	coeffOK    bool
-	derivOK    bool
+	// tab backs every shard workspace: one pass splits into dozens of
+	// shards that share one theta, so the runner fills a theta's tables
+	// once, not once per shard or per shard size.
+	tab coeffTables
 }
 
 // fwdSnapshot is one shard's retained forward execution: deep copies of the
@@ -252,26 +229,14 @@ type fwdSnapshot struct {
 }
 
 // shardState is the runner's reusable per-shard-size state: the workspace
-// plus every output buffer a shard produces. Shards arrive sequentially per
-// session and results are copied to the wire before the next shard runs, so
-// reusing the buffers keeps the per-shard hot path allocation-free instead
-// of feeding the GC one garbage generation per shard.
+// plus one buffer for every output a shard produces, every tangent channel
+// included. Shards arrive sequentially per session and results are copied
+// to the wire before the next shard runs, so reusing the buffers keeps the
+// per-shard hot path allocation-free instead of feeding the GC one garbage
+// generation per shard.
 type shardState struct {
-	ws      *Workspace
-	z       []float64
-	ztans   [][]float64
-	dAngles []float64
-	dat     [][]float64
-	dTheta  []float64
-	diagT   []float64
-
-	// Reused [][]float64 view headers, so the steady-state shard loop never
-	// re-allocates them: tanView widens fixed tangent arrays for the engine
-	// entry points, ztView carries the forward output views, datView the
-	// gradient accumulator views. Each call overwrites every slot.
-	tanView [][]float64
-	ztView  [][]float64
-	datView [][]float64
+	ws  *Workspace
+	out ShardResult
 }
 
 // NewShardRunner compiles circ at level 3 and prepares a per-shard-size
@@ -327,92 +292,34 @@ func (r *ShardRunner) state(n int) *shardState {
 		return s
 	}
 	nq := r.pqc.Circ.NumQubits
-	prog := r.pqc.Program()
-	s := &shardState{
-		ws:      NewWorkspace(n, nq),
-		z:       make([]float64, n*nq),
-		ztans:   make([][]float64, MaxTangents),
-		dAngles: make([]float64, n*nq),
-		dat:     make([][]float64, MaxTangents),
-		dTheta:  make([]float64, r.pqc.Circ.NumParams),
-		diagT:   make([]float64, prog.ndiag*(1<<nq)),
-		tanView: make([][]float64, MaxTangents),
-		ztView:  make([][]float64, MaxTangents),
-		datView: make([][]float64, MaxTangents),
-	}
+	rows := func() []float64 { return make([]float64, n*nq) }
+	s := &shardState{ws: NewWorkspace(n, nq), out: ShardResult{
+		Z:       rows(),
+		DAngles: rows(),
+		DTheta:  make([]float64, r.pqc.Circ.NumParams),
+		DiagT:   make([]float64, r.pqc.Program().ndiag*(1<<nq)),
+	}}
 	for k := 0; k < MaxTangents; k++ {
-		s.ztans[k] = make([]float64, n*nq)
-		s.dat[k] = make([]float64, n*nq)
+		s.out.ZTans[k], s.out.DAngleTans[k] = rows(), rows()
 	}
+	s.ws.tab = &r.tab
 	r.free[n] = s
 	return s
 }
 
-// ensureCoeffs installs the coefficient tables for theta into the shard
-// workspace, refilling them only when theta's bit pattern differs from the
-// cached fill. Shards of one session run sequentially, so the runner-owned
-// tables can back every shard workspace at once; the derivative slots are
-// filled lazily on the first backward shard of a theta.
-func (r *ShardRunner) ensureCoeffs(ws *Workspace, theta []float64, deriv bool) (prog *Program, coeff []float64) {
-	prog = r.pqc.Program()
-	if !r.coeffOK || !bitsEqualF64(r.coeffTheta, theta) {
-		if cap(r.coeff) < prog.ncoef {
-			r.coeff = make([]float64, prog.ncoef)
-		}
-		prog.FillCoeffs(theta, r.coeff[:prog.ncoef])
-		if cap(r.pack) < prog.npack {
-			r.pack = make([]float64, prog.npack)
-		}
-		prog.packCoeffs(r.coeff[:prog.ncoef], r.pack[:prog.npack])
-		r.coeffTheta = append(r.coeffTheta[:0], theta...)
-		r.coeffOK, r.derivOK = true, false
-	}
-	coeff = r.coeff[:prog.ncoef]
-	ws.coeff = coeff
-	ws.pack = r.pack[:prog.npack]
-	if deriv && prog.nderiv > 0 {
-		if !r.derivOK {
-			if cap(r.dcoef) < prog.nderiv {
-				r.dcoef = make([]float64, prog.nderiv)
-			}
-			prog.FillDerivCoeffs(theta, r.dcoef[:prog.nderiv])
-			r.derivOK = true
-		}
-		ws.dcoef = r.dcoef[:prog.nderiv]
-	}
-	return prog, coeff
-}
-
-// tanSlices widens a fixed tangent array to the [][]float64 shape the engine
-// entry points take, keeping nil for inactive channels. The returned header
-// is s.tanView: each call overwrites the previous one, which is safe because
-// no two results are live at once — saveInputs copies what it needs before
-// the adjoint path builds its own view.
-func (s *shardState) tanSlices(active [MaxTangents]bool, t [MaxTangents][]float64) [][]float64 {
-	out := s.tanView
-	for k := 0; k < MaxTangents; k++ {
-		if active[k] {
-			out[k] = t[k]
-		} else {
-			out[k] = nil
+// load readies the state of an n-sample shard: it saves the shard's inputs,
+// with nil for every inactive tangent channel, and fills the runner's
+// forward tables for theta.
+func (r *ShardRunner) load(n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) *shardState {
+	s := r.state(n)
+	for k := range angleTans {
+		if !active[k] {
+			angleTans[k] = nil
 		}
 	}
-	return out
-}
-
-// outputs assembles the z/ztans views for one forward execution: the full
-// sample-major kernels overwrite every element in range, so the reused
-// buffers need no zeroing.
-func (s *shardState) outputs(active [MaxTangents]bool) (z []float64, ztans [][]float64) {
-	ztans = s.ztView
-	for k := 0; k < MaxTangents; k++ {
-		if active[k] {
-			ztans[k] = s.ztans[k]
-		} else {
-			ztans[k] = nil
-		}
-	}
-	return s.z, ztans
+	s.ws.saveInputs(&r.pqc, angles, angleTans, theta)
+	r.tab.fill(r.pqc.Program(), theta, false)
+	return s
 }
 
 // ForwardShard runs the forward pass over one shard of n samples and returns
@@ -421,16 +328,14 @@ func (s *shardState) outputs(active [MaxTangents]bool) (z []float64, ztans [][]f
 //
 //torq:hotpath
 func (r *ShardRunner) ForwardShard(n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
-	s := r.state(n)
-	s.ws.saveInputs(&r.pqc, angles, s.tanSlices(active, angleTans), theta)
-	prog, coeff := r.ensureCoeffs(s.ws, theta, false)
-	zb, ztb := s.outputs(active)
-	fwdBlock(s.ws, prog, coeff, 0, n, zb, ztb)
-	z = zb
-	for k := 0; k < MaxTangents; k++ {
-		ztans[k] = ztb[k]
+	s := r.load(n, active, angles, angleTans, theta)
+	for k := range ztans {
+		if active[k] {
+			ztans[k] = s.out.ZTans[k]
+		}
 	}
-	return z, ztans
+	fwdBlock(s.ws, r.pqc.Program(), 0, n, s.out.Z, ztans)
+	return s.out.Z, ztans
 }
 
 // BackwardShard recomputes the shard's forward states and runs the adjoint
@@ -442,43 +347,33 @@ func (r *ShardRunner) ForwardShard(n int, active [MaxTangents]bool, angles []flo
 //
 //torq:hotpath
 func (r *ShardRunner) BackwardShard(n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64) {
-	s := r.state(n)
-	ws := s.ws
-	ws.saveInputs(&r.pqc, angles, s.tanSlices(active, angleTans), theta)
-	prog, coeff := r.ensureCoeffs(ws, theta, false)
-	zb, ztb := s.outputs(active)
-	fwdBlock(ws, prog, coeff, 0, n, zb, ztb)
-	return r.runAdjoint(s, prog, n, active, theta, gz, gztans)
+	r.ForwardShard(n, active, angles, angleTans, theta)
+	return r.runAdjoint(r.free[n], gz, gztans)
 }
 
-// runAdjoint runs the adjoint walk over a workspace whose forward states are
-// already in place — freshly recomputed (BackwardShard) or restored from a
-// snapshot (BackwardShardCached) — and returns the shard's gradient partials.
+// runAdjoint runs the adjoint walk over a loaded workspace whose forward
+// states are already in place — freshly recomputed (BackwardShard) or
+// restored from a snapshot (BackwardShardCached) — and returns the shard's
+// gradient partials.
 //
 //torq:hotpath
-func (r *ShardRunner) runAdjoint(s *shardState, prog *Program, n int, active [MaxTangents]bool, theta, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64) {
-	ws := s.ws
-	r.ensureCoeffs(ws, theta, true)
-	gzt := s.tanSlices(active, gztans)
+func (r *ShardRunner) runAdjoint(s *shardState, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64) {
+	prog := r.pqc.Program()
+	r.tab.fill(prog, s.ws.theta, true)
 	// The adjoint walk accumulates (+=) into every gradient buffer, so the
 	// reused ones must start zeroed.
-	dAngles = s.dAngles
-	clear(dAngles)
-	dat := s.datView
-	for k := 0; k < MaxTangents; k++ {
-		dat[k] = nil
-		if active[k] {
-			dAngleTans[k] = s.dat[k]
+	out := &s.out
+	clear(out.DAngles)
+	for k := range dAngleTans {
+		if s.ws.active[k] {
+			dAngleTans[k] = out.DAngleTans[k]
 			clear(dAngleTans[k])
-			dat[k] = dAngleTans[k]
 		}
 	}
-	dTheta = s.dTheta
-	clear(dTheta)
-	diagT = s.diagT
-	clear(diagT)
-	bwdBlock(ws, prog, 0, n, gz, gzt, dAngles, dat, bwdScratch{dth: dTheta, diagT: diagT})
-	return dAngles, dAngleTans, dTheta, diagT
+	clear(out.DTheta)
+	clear(out.DiagT)
+	bwdBlock(s.ws, prog, 0, s.ws.n, gz, gztans, out.DAngles, dAngleTans, bwdScratch{dth: out.DTheta, diagT: out.DiagT})
+	return out.DAngles, dAngleTans, out.DTheta, out.DiagT
 }
 
 // ForwardShardRetain is ForwardShard plus a snapshot of the evolved states
@@ -515,22 +410,6 @@ func (r *ShardRunner) ForwardShardRetain(shard uint32, n int, active [MaxTangent
 	return z, ztans
 }
 
-// bitsEqualF64 compares two float slices by IEEE bit pattern — the cache
-// validity predicate. Bit equality (not ==) keeps the check total: two
-// bit-identical inputs always reproduce bit-identical forward states, NaN
-// payloads included.
-func bitsEqualF64(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // BackwardShardCached is BackwardShard minus the forward recompute: it
 // restores the shard's forward states from the snapshot ForwardShardRetain
 // took under the same shard index, then runs the adjoint walk on them. The
@@ -552,12 +431,11 @@ func (r *ShardRunner) BackwardShardCached(shard uint32, n int, active [MaxTangen
 			return dAngles, dAngleTans, dTheta, diagT, false
 		}
 	}
-	s := r.state(n)
-	ws := s.ws
 	// Restore the saved inputs the adjoint reads from the workspace (the
 	// angles and angle tangents of the reverse embedding) and the evolved
 	// states themselves.
-	ws.saveInputs(&r.pqc, angles, s.tanSlices(active, angleTans), theta)
+	s := r.load(n, active, angles, angleTans, theta)
+	ws := s.ws
 	copy(ws.val.Re, snap.valRe)
 	copy(ws.val.Im, snap.valIm)
 	for k := 0; k < MaxTangents; k++ {
@@ -566,6 +444,6 @@ func (r *ShardRunner) BackwardShardCached(shard uint32, n int, active [MaxTangen
 			copy(ws.tan[k].Im, snap.tanIm[k])
 		}
 	}
-	dAngles, dAngleTans, dTheta, diagT = r.runAdjoint(s, r.pqc.Program(), n, active, theta, gz, gztans)
+	dAngles, dAngleTans, dTheta, diagT = r.runAdjoint(s, gz, gztans)
 	return dAngles, dAngleTans, dTheta, diagT, true
 }

@@ -104,9 +104,10 @@ func TestShardRunnerForwardStateCache(t *testing.T) {
 
 // TestShardRunnerSteadyStateAllocs pins the shard loop's zero-alloc
 // contract (the //torq:hotpath annotations on ForwardShard / BackwardShard /
-// runAdjoint): once the per-size state is warm, repeated shard executions
-// must not allocate — the view headers (tanSlices, outputs, the adjoint's
-// dat) are reused runner buffers, not per-call makes.
+// runAdjoint): once the per-size state and the coefficient cache are warm,
+// repeated shard executions must not allocate — tangents travel as
+// [MaxTangents][]float64 values pointing into the runner's reused output
+// buffers, and a repeated theta refills no table.
 func TestShardRunnerSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(70707))
 	circ := StronglyEntangling.Build(4, 2)

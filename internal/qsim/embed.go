@@ -158,7 +158,7 @@ func embedProdRange(ws *Workspace, w []float64, lo, hi int) {
 // be the last step of the reverse walk.
 //
 //torq:hotpath
-func reverseEmbedProdRange(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, dAngles []float64, dAngleTans [][]float64, sc bwdScratch) {
+func reverseEmbedProdRange(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, dAngles []float64, dAngleTans [MaxTangents][]float64, sc bwdScratch) {
 	nq, dim := ws.nq, ws.val.Dim
 	if nq > maxEmbedQubits {
 		panic("qsim: opEmbedProd adjoint: more than 32 qubits")
@@ -244,7 +244,7 @@ func reverseEmbedProdRange(ws *Workspace, in *instr, coeff, dcoef []float64, lo,
 				for i, g := range G {
 					B[i] += d * g
 				}
-				if dAngleTans != nil && k < len(dAngleTans) && dAngleTans[k] != nil {
+				if dAngleTans[k] != nil {
 					dAngleTans[k][row+j] += reDot2(G, q.du)
 				}
 			}

@@ -90,14 +90,10 @@ func runEmbedKernel(ws *Workspace, prod bool, lamV *State, lamT [MaxTangents]*St
 		}
 	}
 	r.dAngles = make([]float64, n*ws.nq)
-	dat := make([][]float64, MaxTangents)
-	for k := range dat {
-		dat[k] = r.dAngleTans[k]
-	}
 	if prod {
-		reverseEmbedProdRange(ws, bare, nil, nil, 0, n, r.dAngles, dat, bwdScratch{})
+		reverseEmbedProdRange(ws, bare, nil, nil, 0, n, r.dAngles, r.dAngleTans, bwdScratch{})
 	} else {
-		reverseEmbedAllRange(ws, identityWalks(ws.nq), 0, n, r.dAngles, dat)
+		reverseEmbedAllRange(ws, identityWalks(ws.nq), 0, n, r.dAngles, r.dAngleTans)
 	}
 	return r
 }
@@ -440,7 +436,7 @@ func benchEmbed(b *testing.B, prod bool) {
 				seeds[i] = u4State(rng, n, nq, 0)
 			}
 			dAngles := make([]float64, n*nq)
-			dat := make([][]float64, MaxTangents)
+			var dat [MaxTangents][]float64
 			for k := range dat {
 				dat[k] = make([]float64, n*nq)
 			}

@@ -2,9 +2,21 @@ package qsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
+
+// This file holds the engine registry and the shard path every
+// program-streaming engine shares. A forward pass saves its inputs
+// (prepForward), fills the workspace's coefficient cache (coeffTables, at
+// most once per program and theta, so the backward reuses its forward's
+// tables) and streams each shard through fwdBlock; a backward pass streams
+// each shard through bwdBlock into its own ShardResult accumulator, and
+// mergeShards adds them up in shard order. Below PQC's public entry points,
+// tangents travel as [MaxTangents][]float64 with nil for an inactive
+// channel. The sharded engine runs the shards on the par pool; the dist
+// engine ships the same shards to ShardRunners in worker processes.
 
 // EngineKind selects the circuit-execution strategy behind PQC.
 type EngineKind uint8
@@ -115,8 +127,8 @@ func flagList(names []string) string {
 // and differ only in architecture — the axis the paper's Table 2 measures.
 type Engine interface {
 	Kind() EngineKind
-	Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64)
-	Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64)
+	Forward(p *PQC, ws *Workspace, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64)
+	Backward(p *PQC, ws *Workspace, gz []float64, gztans [MaxTangents][]float64, dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta []float64)
 }
 
 var (
@@ -156,32 +168,23 @@ func blockSamples(dim, channels int) int {
 	return b
 }
 
-// prepForward performs the per-pass setup every program-streaming engine
-// shares: save inputs, compile/fill the coefficient slots, allocate the
-// outputs, and size the cache-resident sample block for the live channel
-// count.
-func prepForward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (prog *Program, coeff []float64, z []float64, ztans [][]float64, blk int) {
-	prog, coeff, blk = prepPass(p, ws, angles, angleTans, theta)
-	n, nq := ws.n, ws.nq
-	z = make([]float64, n*nq)
-	ztans = make([][]float64, MaxTangents)
-	for k := 0; k < MaxTangents; k++ {
+// prepForward saves a forward pass's inputs and allocates its outputs: z
+// and one row block per active tangent channel.
+func prepForward(p *PQC, ws *Workspace, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
+	ws.saveInputs(p, angles, angleTans, theta)
+	z = make([]float64, ws.n*ws.nq)
+	for k := range ztans {
 		if ws.active[k] {
-			ztans[k] = make([]float64, n*nq)
+			ztans[k] = make([]float64, ws.n*ws.nq)
 		}
 	}
-	return prog, coeff, z, ztans, blk
+	return z, ztans
 }
 
-// prepPass is prepForward without the output allocation: save inputs, fill
-// the coefficient slots and the packed opU4 tables, and size the
-// cache-resident sample block for the live channel count.
-func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (prog *Program, coeff []float64, blk int) {
-	ws.saveInputs(p, angles, angleTans, theta)
-	prog = p.Program()
-	fillCoeffs(ws, prog, theta)
-	coeff = ws.coeff
-
+// forwardBlock sizes the forward's cache-resident sample block for the
+// live channel count: the value state, each active tangent, and scr1, which
+// holds D·v during a re-upload embedding.
+func forwardBlock(ws *Workspace, prog *Program) int {
 	channels := 1
 	for k := 0; k < MaxTangents; k++ {
 		if ws.active[k] {
@@ -189,10 +192,58 @@ func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, th
 		}
 	}
 	if ws.anyTan() && prog.reembeds() {
-		channels++ // scr1 holds D·v during a re-upload embedding
+		channels++
 	}
-	blk = blockSamples(ws.val.Dim, channels)
-	return prog, coeff, blk
+	return blockSamples(ws.val.Dim, channels)
+}
+
+// coeffTables holds a program's coefficient tables for one theta: the
+// forward slots, the column-packed opU4 matrices (U and U†, packCoeffs) and
+// the fused-block derivative slots. fill refills them only when the program
+// or theta's bit pattern moves, so a workspace fills a theta's tables at
+// most once (the sharded engine's backward reuses its forward's), and so
+// does a dist worker, whose ShardRunner shares one set across every shard
+// of a pass, whatever its size.
+// The key is the *Program (which the cache keeps alive, so its address is
+// never reused) and theta compared bit for bit: −0 and +0, or two NaN
+// payloads, fill different tables.
+type coeffTables struct {
+	prog               *Program
+	theta              []float64
+	coeff, pack, dcoef []float64
+	deriv              bool // dcoef holds (prog, theta)'s derivative slots
+}
+
+// fill makes the tables hold prog's coefficients for theta, the derivative
+// slots too when deriv is set.
+func (t *coeffTables) fill(prog *Program, theta []float64, deriv bool) {
+	if t.prog != prog || !bitsEqualF64(t.theta, theta) {
+		t.coeff = slices.Grow(t.coeff[:0], prog.ncoef)[:prog.ncoef]
+		prog.FillCoeffs(theta, t.coeff)
+		t.pack = slices.Grow(t.pack[:0], prog.npack)[:prog.npack]
+		prog.packCoeffs(t.coeff, t.pack)
+		t.prog, t.theta, t.deriv = prog, append(t.theta[:0], theta...), false
+	}
+	if deriv && !t.deriv {
+		t.dcoef = slices.Grow(t.dcoef[:0], prog.nderiv)[:prog.nderiv]
+		prog.FillDerivCoeffs(theta, t.dcoef)
+		t.deriv = true
+	}
+}
+
+// bitsEqualF64 compares two float slices by IEEE bit pattern. Bit equality
+// (not ==) keeps a cache check total: two bit-identical inputs always
+// reproduce bit-identical outputs, NaN payloads and signed zeros included.
+func bitsEqualF64(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // fwdBlock streams the whole program through samples [lo, hi): every
@@ -202,7 +253,8 @@ func prepPass(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, th
 // outright, so no reset precedes it.
 //
 //torq:hotpath
-func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []float64, ztans [][]float64) {
+func fwdBlock(ws *Workspace, prog *Program, lo, hi int, z []float64, ztans [MaxTangents][]float64) {
+	coeff, pack := ws.tab.coeff, ws.tab.pack
 	for i := range prog.ins {
 		in := &prog.ins[i]
 		switch in.op {
@@ -211,7 +263,7 @@ func fwdBlock(ws *Workspace, prog *Program, coeff []float64, lo, hi int, z []flo
 		case opEmbedAll:
 			embedAllRange(ws, in.walks, lo, hi)
 		case opU4:
-			pk := (*[32]float64)(ws.pack[in.pslot : in.pslot+32])
+			pk := (*[32]float64)(pack[in.pslot : in.pslot+32])
 			w := &in.walks[0]
 			ws.val.applyU4Range(lo, hi, w, pk)
 			for k := 0; k < MaxTangents; k++ {
@@ -274,37 +326,6 @@ func embedAllRange(ws *Workspace, walks []groupWalk, lo, hi int) {
 	}
 }
 
-// fillCoeffs fills ws.coeff with the program's forward coefficients for
-// theta and ws.pack with its packed opU4 matrices, once per pass.
-func fillCoeffs(ws *Workspace, prog *Program, theta []float64) {
-	if cap(ws.coeff) < prog.ncoef {
-		ws.coeff = make([]float64, prog.ncoef)
-	}
-	ws.coeff = ws.coeff[:prog.ncoef]
-	prog.FillCoeffs(theta, ws.coeff)
-	if cap(ws.pack) < prog.npack {
-		ws.pack = make([]float64, prog.npack)
-	}
-	ws.pack = ws.pack[:prog.npack]
-	prog.packCoeffs(ws.coeff, ws.pack)
-}
-
-// refreshCoeffs prepares a backward walk of the compiled instruction stream:
-// refresh the forward coefficients and packed tables (don't rely on them
-// surviving from Forward — the program may have been recompiled if the
-// engine changed between passes) and the dU/dθ matrices of fused unitaries,
-// once per pass.
-func refreshCoeffs(ws *Workspace, prog *Program, theta []float64) {
-	fillCoeffs(ws, prog, theta)
-	if prog.nderiv > 0 {
-		if cap(ws.dcoef) < prog.nderiv {
-			ws.dcoef = make([]float64, prog.nderiv)
-		}
-		ws.dcoef = ws.dcoef[:prog.nderiv]
-		prog.FillDerivCoeffs(theta, ws.dcoef)
-	}
-}
-
 // backwardBlock sizes the cache-resident sample block for the backward
 // channel count — val + λv, one (tangent, adjoint) pair per active channel,
 // and the two scratch states. It is the shard size of the sharded engine's
@@ -344,20 +365,20 @@ func (ws *Workspace) forChannelPairs(f func(psi, lam *State)) {
 // instruction.
 //
 //torq:hotpath
-func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, sc bwdScratch) {
+func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [MaxTangents][]float64, dAngles []float64, dAngleTans [MaxTangents][]float64, sc bwdScratch) {
 	seedAdjointsRange(ws, &prog.readout, lo, hi, gz, gztans)
-	coeff := ws.coeff[:prog.ncoef]
+	coeff, dcoef := ws.tab.coeff, ws.tab.dcoef
 	for i := len(prog.ins) - 1; i >= 0; i-- {
 		in := &prog.ins[i]
 		switch in.op {
 		case opEmbedProd:
-			reverseEmbedProdRange(ws, in, coeff, ws.dcoef, lo, hi, dAngles, dAngleTans, sc)
+			reverseEmbedProdRange(ws, in, coeff, dcoef, lo, hi, dAngles, dAngleTans, sc)
 		case opEmbedAll:
 			reverseEmbedAllRange(ws, in.walks, lo, hi, dAngles, dAngleTans)
 		case opU2:
-			revU2Range(ws, in, coeff, ws.dcoef, lo, hi, sc)
+			revU2Range(ws, in, coeff, dcoef, lo, hi, sc)
 		case opU4:
-			revU4Range(ws, in, ws.dcoef, lo, hi, sc)
+			revU4Range(ws, in, dcoef, lo, hi, sc)
 		case opDiagN:
 			revDiagNRange(ws, in, coeff, lo, hi, sc)
 		}
@@ -372,7 +393,7 @@ func bwdBlock(ws *Workspace, prog *Program, lo, hi int, gz []float64, gztans [][
 // per-qubit scratch copies shrink to one sample. See
 // naiveEngine.reverseEmbedding for the derivation of the gradient terms
 // (a)–(c).
-func reverseEmbedAllRange(ws *Workspace, walks []groupWalk, lo, hi int, dAngles []float64, dAngleTans [][]float64) {
+func reverseEmbedAllRange(ws *Workspace, walks []groupWalk, lo, hi int, dAngles []float64, dAngleTans [MaxTangents][]float64) {
 	nq := ws.nq
 	for smp := lo; smp < hi; smp++ {
 		for q := nq - 1; q >= 0; q-- {
@@ -400,7 +421,7 @@ func reverseEmbedAllRange(ws *Workspace, walks []groupWalk, lo, hi int, dAngles 
 					continue
 				}
 				g := innerReSample(ws.lamT[k], ws.scr1, smp)
-				if dAngleTans != nil && k < len(dAngleTans) && dAngleTans[k] != nil {
+				if dAngleTans[k] != nil {
 					dAngleTans[k][smp*nq+q] += g
 				}
 			}
@@ -496,7 +517,7 @@ func revU2Range(ws *Workspace, in *instr, coeff, dcoef []float64, lo, hi int, sc
 // parametrized gates the block fused. It reads U† from the pass's packed
 // table.
 func revU4Range(ws *Workspace, in *instr, dcoef []float64, lo, hi int, sc bwdScratch) {
-	pkd := (*[32]float64)(ws.pack[in.pslot+32 : in.pslot+64])
+	pkd := (*[32]float64)(ws.tab.pack[in.pslot+32 : in.pslot+64])
 	var K [32]float64
 	ws.forChannelPairs(func(psi, lam *State) {
 		revU4PairRange(psi, lam, lo, hi, &in.walks[0], pkd, &K)

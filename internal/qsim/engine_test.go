@@ -3,6 +3,7 @@ package qsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -580,5 +581,154 @@ func TestEngineKindsClosed(t *testing.T) {
 		if k.String() != "unknown" && !listed[k] {
 			t.Errorf("engine %v (=%d) has a name but is missing from EngineKinds()", k, v)
 		}
+	}
+}
+
+// TestCoeffTablesKey pins the coefficient cache's key, the program and
+// theta's bit pattern, on the two places it lives: a Workspace reused
+// across passes and a ShardRunner reused across shards. Each step changes
+// one thing against the step before — theta moved by one ulp, one theta
+// entry flipped from +0 to −0, and (on the Workspace) a PQC with another
+// circuit of the same shape under the same theta — and every z, tangent
+// and gradient, and every table, must match a fresh workspace or runner
+// bit for bit. No output of a pass can tell +0 from −0 in theta (each one
+// accumulates from +0), so the tables themselves are compared: a cache
+// compared with == keeps the +0 tables, and one keyed only on theta runs
+// the second circuit on the first one's tables.
+func TestCoeffTablesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(80808))
+	const n, nq = 5, 2
+	// Cross-Mesh on two qubits, and the same gates with RY where it has
+	// RX: the same parameter count and the same instruction and table
+	// shapes, so only the program tells their tables apart.
+	circA := CrossMesh.Build(nq, 1)
+	circB := &Circuit{Name: "ry-mesh", NumQubits: nq, Layers: 1, NumParams: circA.NumParams,
+		Gates: append([]Gate(nil), circA.Gates...)}
+	for i, g := range circB.Gates {
+		if g.Kind == RX {
+			circB.Gates[i].Kind = RY
+		}
+	}
+	active := [MaxTangents]bool{true, false, true}
+	angles, gz := randAngles(rng, n, nq), randAngles(rng, n, nq)
+	var angleTans, gztans [MaxTangents][]float64
+	for k := range active {
+		if active[k] {
+			angleTans[k], gztans[k] = randAngles(rng, n, nq), randAngles(rng, n, nq)
+		}
+	}
+	// Entry 0 is the first RX's angle, which its opEmbedProd slot holds
+	// unmultiplied, so its sign of zero reaches the tables.
+	theta0 := randTheta(rng, circA.NumParams)
+	theta0[0] = 0
+	negZero := append([]float64(nil), theta0...)
+	negZero[0] = math.Copysign(0, -1)
+	ulp := append([]float64(nil), negZero...)
+	ulp[1] = math.Nextafter(ulp[1], math.Inf(1))
+	steps := []struct {
+		name     string
+		circ     *Circuit
+		theta    []float64
+		signFlip bool
+	}{
+		{"first pass", circA, theta0, false},
+		{"+0 → −0", circA, negZero, true},
+		{"one ulp", circA, ulp, false},
+		{"other circuit", circB, ulp, false},
+	}
+
+	type passOut struct {
+		outs [][]float64 // z, tangents and gradients
+		tabs [3][]float64
+	}
+	same := func(a, b [][]float64) bool {
+		for i := range a {
+			if !bitsEqualF64(a[i], b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(ctx string, got, want, prev passOut, signFlip bool) {
+		t.Helper()
+		for i := range want.outs {
+			if !bitsEqualF64(got.outs[i], want.outs[i]) {
+				t.Errorf("%s: output %d differs from a fresh one", ctx, i)
+			}
+		}
+		for i, name := range []string{"coeff", "pack", "dcoef"} {
+			if !bitsEqualF64(got.tabs[i], want.tabs[i]) {
+				t.Errorf("%s: %s table differs from a fresh fill", ctx, name)
+			}
+		}
+		// The premise: the step changes what a fresh pass produces — its
+		// tables for the sign flip, which no output shows, else its outputs.
+		if prev.outs == nil {
+			return
+		}
+		changed := !same(want.outs, prev.outs)
+		if signFlip {
+			changed = !same(want.tabs[:], prev.tabs[:])
+		}
+		if !changed {
+			t.Fatalf("%s: test premise broken, the step changes nothing a fresh pass produces", ctx)
+		}
+	}
+	tables := func(tab *coeffTables) [3][]float64 {
+		return [3][]float64{slices.Clone(tab.coeff), slices.Clone(tab.pack), slices.Clone(tab.dcoef)}
+	}
+
+	// One Workspace and one PQC per circuit through every step, against a
+	// fresh workspace and PQC per step.
+	wsPass := func(ws *Workspace, pqc *PQC, theta []float64) passOut {
+		circ := pqc.Circ
+		z, ztans := pqc.Forward(ws, angles, angleTans[:], theta)
+		dA, dTh := make([]float64, n*nq), make([]float64, circ.NumParams)
+		dAT := make([][]float64, MaxTangents)
+		out := passOut{outs: [][]float64{z, dA, dTh}}
+		for k := range active {
+			if active[k] {
+				dAT[k] = make([]float64, n*nq)
+				out.outs = append(out.outs, ztans[k], dAT[k])
+			}
+		}
+		pqc.Backward(ws, gz, gztans[:], dA, dAT, dTh)
+		out.tabs = tables(ws.tab)
+		return out
+	}
+	ws := NewWorkspace(n, nq)
+	pqcs := map[*Circuit]*PQC{circA: {Circ: circA}, circB: {Circ: circB}}
+	var prev passOut
+	for _, st := range steps {
+		want := wsPass(NewWorkspace(n, nq), &PQC{Circ: st.circ}, st.theta)
+		check("Workspace, "+st.name, wsPass(ws, pqcs[st.circ], st.theta), want, prev, st.signFlip)
+		prev = want
+	}
+
+	// One ShardRunner through the theta steps, against a fresh one per step.
+	runnerPass := func(r *ShardRunner, theta []float64) passOut {
+		z, ztans := r.ForwardShard(n, active, angles, angleTans, theta)
+		out := passOut{outs: [][]float64{slices.Clone(z)}}
+		for k := range active {
+			if active[k] {
+				out.outs = append(out.outs, slices.Clone(ztans[k]))
+			}
+		}
+		dA, dAT, dTh, diagT := r.BackwardShard(n, active, angles, angleTans, theta, gz, gztans)
+		out.outs = append(out.outs, slices.Clone(dA), slices.Clone(dTh), slices.Clone(diagT))
+		for k := range active {
+			if active[k] {
+				out.outs = append(out.outs, slices.Clone(dAT[k]))
+			}
+		}
+		out.tabs = tables(&r.tab)
+		return out
+	}
+	r := mustShardRunner(t, circA)
+	prev = passOut{}
+	for _, st := range steps[:3] {
+		want := runnerPass(mustShardRunner(t, circA), st.theta)
+		check("ShardRunner, "+st.name, runnerPass(r, st.theta), want, prev, st.signFlip)
+		prev = want
 	}
 }

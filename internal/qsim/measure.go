@@ -12,7 +12,7 @@ import "math"
 // and per embedding rotation and sample.
 func EvalZ(circ *Circuit, angles, theta []float64, n int) []float64 {
 	p := &PQC{Circ: circ, Eng: EngineNaive}
-	z, _ := naiveEngine{}.Forward(p, NewWorkspace(n, circ.NumQubits), angles, nil, theta)
+	z, _ := naiveEngine{}.Forward(p, NewWorkspace(n, circ.NumQubits), angles, [MaxTangents][]float64{}, theta)
 	return z
 }
 
@@ -25,7 +25,7 @@ func EvalZ(circ *Circuit, angles, theta []float64, n int) []float64 {
 func FinalState(circ *Circuit, angles, theta []float64, n int) *State {
 	p := &PQC{Circ: circ}
 	ws := NewWorkspace(n, circ.NumQubits)
-	shardedEngine{}.Forward(p, ws, angles, nil, theta)
+	shardedEngine{}.Forward(p, ws, angles, [MaxTangents][]float64{}, theta)
 	ro := &p.Program().readout
 	out := NewZeroState(n, circ.NumQubits)
 	dim := out.Dim

@@ -41,7 +41,8 @@ func (p *PQC) Forward(ws *Workspace, angles []float64, angleTans [][]float64, th
 	sp := trace.BeginPass(trace.KForward)
 	defer sp.End()
 	defer recordForward(time.Now()) //torq:allow nondet -- telemetry timing only, never feeds the numerics
-	return p.Eng.engine().Forward(p, ws, angles, angleTans, theta)
+	z, zt := p.Eng.engine().Forward(p, ws, angles, tangents(angleTans), theta)
+	return z, zt[:]
 }
 
 // Backward consumes upstream gradients gz (n×nq) and gztans[k] (nil where
@@ -52,7 +53,15 @@ func (p *PQC) Backward(ws *Workspace, gz []float64, gztans [][]float64, dAngles 
 	sp := trace.BeginPass(trace.KBackward)
 	defer sp.End()
 	defer recordBackward(time.Now()) //torq:allow nondet -- telemetry timing only, never feeds the numerics
-	p.Eng.engine().Backward(p, ws, gz, gztans, dAngles, dAngleTans, dTheta)
+	p.Eng.engine().Backward(p, ws, gz, tangents(gztans), dAngles, tangents(dAngleTans), dTheta)
+}
+
+// tangents converts a tangent list of the public API, nil or short where
+// channels are absent, to the fixed layout every engine takes: one slot per
+// channel, nil for an inactive one.
+func tangents(t [][]float64) (a [MaxTangents][]float64) {
+	copy(a[:], t)
+	return a
 }
 
 // Program returns the compiled level-3 instruction stream for the current
@@ -93,23 +102,18 @@ type Workspace struct {
 	cbuf, sbuf, dA, dB, tmpN []float64
 	wNegS, wNegB             []float64
 
-	// Program scratch: forward coefficient slots, the column-packed opU4
-	// matrices (U and U†, packCoeffs) and the fused-block derivative slots
-	// of the backward walk, each filled once per pass.
-	coeff []float64
-	pack  []float64
-	dcoef []float64
+	// The program's coefficient tables for the saved theta. A ShardRunner
+	// points every shard workspace at its one set.
+	tab *coeffTables
 
-	// Sharded-engine scratch: per-shard dTheta partials (stride NumParams)
-	// and fused-diagonal accumulators (stride ndiag·dim), merged in shard
-	// order so gradients are independent of the worker count.
-	dthS  []float64
-	diagS []float64
+	// Sharded-engine scratch: one gradient accumulator per backward shard,
+	// merged in shard order (mergeShards).
+	parts []ShardResult
 }
 
 // NewWorkspace allocates buffers for batches of n samples over nq qubits.
 func NewWorkspace(n, nq int) *Workspace {
-	ws := &Workspace{n: n, nq: nq}
+	ws := &Workspace{n: n, nq: nq, tab: &coeffTables{}}
 	ws.val = NewState(n, nq)
 	ws.lamV = NewZeroState(n, nq)
 	ws.scr1 = NewZeroState(n, nq)
@@ -120,7 +124,6 @@ func NewWorkspace(n, nq int) *Workspace {
 	ws.dB = make([]float64, n)
 	ws.tmpN = make([]float64, n)
 	ws.angles = make([]float64, n*nq)
-	ws.theta = nil
 	return ws
 }
 
@@ -134,7 +137,7 @@ func (ws *Workspace) ensureTangent(k int) {
 
 // saveInputs validates and copies the forward inputs into the workspace and
 // activates the requested tangent channels. Every engine calls it first.
-func (ws *Workspace) saveInputs(p *PQC, angles []float64, angleTans [][]float64, theta []float64) {
+func (ws *Workspace) saveInputs(p *PQC, angles []float64, angleTans [MaxTangents][]float64, theta []float64) {
 	n, nq := ws.n, ws.nq
 	if len(angles) != n*nq {
 		panic(fmt.Sprintf("qsim: angles %d ≠ %d×%d", len(angles), n, nq))
@@ -145,7 +148,7 @@ func (ws *Workspace) saveInputs(p *PQC, angles []float64, angleTans [][]float64,
 	copy(ws.angles, angles)
 	ws.theta = append(ws.theta[:0], theta...)
 	for k := 0; k < MaxTangents; k++ {
-		ws.active[k] = k < len(angleTans) && angleTans[k] != nil
+		ws.active[k] = angleTans[k] != nil
 		if ws.active[k] {
 			ws.ensureTangent(k)
 			copy(ws.angleTans[k], angleTans[k])
@@ -224,7 +227,7 @@ type naiveEngine struct{}
 
 func (naiveEngine) Kind() EngineKind { return EngineNaive }
 
-func (e naiveEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][]float64, theta []float64) (z []float64, ztans [][]float64) {
+func (e naiveEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
 	ws.saveInputs(p, angles, angleTans, theta)
 	n, nq := ws.n, ws.nq
 
@@ -244,7 +247,6 @@ func (e naiveEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans 
 
 	z = make([]float64, n*nq)
 	ws.val.ExpZ(z)
-	ztans = make([][]float64, MaxTangents)
 	for k := 0; k < MaxTangents; k++ {
 		if ws.active[k] {
 			ztans[k] = make([]float64, n*nq)
@@ -290,7 +292,7 @@ func (naiveEngine) forwardGates(ws *Workspace, gates []Gate, theta []float64) {
 	}
 }
 
-func (e naiveEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
+func (e naiveEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [MaxTangents][]float64, dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta []float64) {
 	n := ws.n
 	theta := ws.theta
 	ws.ensureScratch()
@@ -345,7 +347,7 @@ func (e naiveEngine) reverseGates(ws *Workspace, gates []Gate, theta []float64, 
 // reverseEmbedding un-applies the embedding block (qubits in reverse order),
 // accumulating angle and angle-tangent gradients including the closed-form
 // second-derivative coupling term.
-func (naiveEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngleTans [][]float64) {
+func (naiveEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngleTans [MaxTangents][]float64) {
 	n, nq := ws.n, ws.nq
 	for q := nq - 1; q >= 0; q-- {
 		ws.loadHalfAngles(q)
@@ -378,7 +380,7 @@ func (naiveEngine) reverseEmbedding(ws *Workspace, dAngles []float64, dAngleTans
 				continue
 			}
 			innerRe(ws.lamT[k], ws.scr1, ws.tmpN)
-			if dAngleTans != nil && k < len(dAngleTans) && dAngleTans[k] != nil {
+			if dAngleTans[k] != nil {
 				for i := 0; i < n; i++ {
 					dAngleTans[k][i*nq+q] += ws.tmpN[i]
 				}

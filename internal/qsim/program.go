@@ -905,7 +905,8 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 // 64 floats from the instruction's pslot: U, then U†. In a packed matrix pk,
 // pk[8c:8c+4] holds column c's real parts and pk[8c+4:8c+8] its imaginary
 // parts, rows ascending, so one YMM load gives a column across the four
-// output rows. It runs once per pass, so no kernel call packs a matrix.
+// output rows. It runs once per theta (coeffTables.fill), so no kernel
+// call packs a matrix.
 // pack must have at least npack elements.
 func (p *Program) packCoeffs(coeff, pack []float64) {
 	for i := range p.ins {

@@ -350,7 +350,7 @@ func TestFinalStateMatchesNaiveState(t *testing.T) {
 				theta := randTheta(rng, circ.NumParams)
 				got := FinalState(circ, angles, theta, n)
 				ws := NewWorkspace(n, nq)
-				naiveEngine{}.Forward(&PQC{Circ: circ, Eng: EngineNaive}, ws, angles, nil, theta)
+				naiveEngine{}.Forward(&PQC{Circ: circ, Eng: EngineNaive}, ws, angles, [MaxTangents][]float64{}, theta)
 				want := ws.val
 				if d := max(maxAbsDiff(want.Re, got.Re), maxAbsDiff(want.Im, got.Im)); d > 1e-12 {
 					t.Errorf("%s: FinalState amplitudes differ from the naive state by %v", name, d)

@@ -200,7 +200,7 @@ func buildW(wp, g []float64, ro *basisWalk) {
 // Every product is rounded on its own, so no target fuses it into the sum.
 //
 //torq:hotpath
-func seedAdjointsRange(ws *Workspace, ro *basisWalk, lo, hi int, gz []float64, gztans [][]float64) {
+func seedAdjointsRange(ws *Workspace, ro *basisWalk, lo, hi int, gz []float64, gztans [MaxTangents][]float64) {
 	nq, dim := ws.nq, ws.val.Dim
 	for smp := lo; smp < hi; smp++ {
 		off := smp * dim
@@ -215,10 +215,7 @@ func seedAdjointsRange(ws *Workspace, ro *basisWalk, lo, hi int, gz []float64, g
 			if !ws.active[k] {
 				continue
 			}
-			var g []float64
-			if k < len(gztans) {
-				g = gztans[k]
-			}
+			g := gztans[k]
 			if g == nil {
 				clear(ws.lamT[k].Re[off : off+dim])
 				clear(ws.lamT[k].Im[off : off+dim])

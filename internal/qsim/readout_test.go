@@ -77,7 +77,7 @@ func buildWRangeRef(w, g []float64, nq, lo, hi int) {
 
 // seedAdjointsRef is the oracle of seedAdjointsRange through the identity
 // map: whole-batch weight buffers, adjoints cleared and then added into.
-func seedAdjointsRef(ws *Workspace, lo, hi int, gz []float64, gztans [][]float64) {
+func seedAdjointsRef(ws *Workspace, lo, hi int, gz []float64, gztans [MaxTangents][]float64) {
 	nq, dim := ws.nq, ws.val.Dim
 	var wbuf [1 + MaxTangents][]float64
 	if gz != nil {
@@ -85,7 +85,7 @@ func seedAdjointsRef(ws *Workspace, lo, hi int, gz []float64, gztans [][]float64
 		buildWRangeRef(wbuf[0], gz, nq, lo, hi)
 	}
 	for k := 0; k < MaxTangents; k++ {
-		if ws.active[k] && k < len(gztans) && gztans[k] != nil {
+		if ws.active[k] && gztans[k] != nil {
 			wbuf[1+k] = make([]float64, ws.n*dim)
 			buildWRangeRef(wbuf[1+k], gztans[k], nq, lo, hi)
 		}
@@ -253,15 +253,13 @@ func TestReadoutKernelsMatchOracle(t *testing.T) {
 				got := NewWorkspace(n, nq)
 				got.val = val
 				got.lamV = u4State(rng, n, nq, 0.3)
-				var gztans [][]float64
-				if rng.Intn(4) > 0 {
-					gztans = make([][]float64, MaxTangents)
-				}
+				var gztans [MaxTangents][]float64
+				withTans := rng.Intn(4) > 0
 				for k := 0; k < MaxTangents; k++ {
 					got.active[k] = rng.Intn(3) > 0
 					got.tan[k] = u4State(rng, n, nq, edge)
 					got.lamT[k] = u4State(rng, n, nq, 0.3)
-					if gztans != nil && rng.Intn(4) > 0 {
+					if withTans && rng.Intn(4) > 0 {
 						gztans[k] = u4Fill(rng, n*nq, edge)
 					}
 				}
@@ -299,7 +297,7 @@ func TestSeedKeepsPositiveZero(t *testing.T) {
 	ws := NewWorkspace(1, 1)
 	ws.val.Re[0], ws.val.Im[0] = math.Copysign(0, -1), 1
 	ws.val.Re[1], ws.val.Im[1] = 1, math.Copysign(0, -1)
-	seedAdjointsRange(ws, &identityReadout, 0, 1, []float64{0.5}, nil)
+	seedAdjointsRange(ws, &identityReadout, 0, 1, []float64{0.5}, [MaxTangents][]float64{})
 	for i, v := range []float64{ws.lamV.Re[0], ws.lamV.Re[1], ws.lamV.Im[0], ws.lamV.Im[1]} {
 		if math.Signbit(v) && v == 0 {
 			t.Errorf("seed element %d is −0, want +0", i)
@@ -317,7 +315,7 @@ func BenchmarkReadout(b *testing.B) {
 		n := 16
 		ws := NewWorkspace(n, nq)
 		ws.val = u4State(rng, n, nq, 0)
-		gztans := make([][]float64, MaxTangents)
+		var gztans [MaxTangents][]float64
 		for k := 0; k < MaxTangents; k++ {
 			ws.active[k] = true
 			ws.tan[k] = u4State(rng, n, nq, 0)
