@@ -387,6 +387,27 @@ func BenchmarkFig11FieldEvaluation(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperInferEvalFields times the end-to-end benchmark's
+// paper-infer step: one EvalFields call of the paper-scale QPINN (66,932
+// parameters, Strongly Entangling, scale_acos) on a 48×48 snapshot, the
+// 2304 points of one time slice. Its hidden layers are 128 wide, so their
+// tanh and GEMM kernels are most of a call.
+func BenchmarkPaperInferEvalFields(b *testing.B) {
+	model := core.NewModel(core.PaperModel(core.QPINN, qsim.StronglyEntangling, qsim.ScaleAcos))
+	const g = 48
+	coords := make([]float64, g*g*3)
+	for i := 0; i < g*g; i++ {
+		coords[i*3] = float64(i%g)/float64(g)*2 - 1
+		coords[i*3+1] = float64(i/g)/float64(g)*2 - 1
+		coords[i*3+2] = 0.75
+	}
+	model.EvalFields(coords, g*g) // compile the circuit and fill the tape's pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.EvalFields(coords, g*g)
+	}
+}
+
 // BenchmarkFig12InitDistribution times the penultimate-activation probe of
 // the initialization study.
 func BenchmarkFig12InitDistribution(b *testing.B) {

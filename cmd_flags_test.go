@@ -14,8 +14,9 @@ import (
 // Go panic on stderr (a panic exits 2 too), and a two-epoch qpinn-train run
 // must succeed. The refusals cover:
 //
-//   - qpinn-train: an unknown -ansatz, -arch or -case, an invalid -qubits,
-//     the retired -engine legacy, a -grid below 2 (0 and -1 panicked, 1
+//   - qpinn-train: an unknown -ansatz, -arch or -case; a model config
+//     core.ModelConfig.Validate refuses (-qubits 0 or 40, -hidden 0,
+//     -rff -1, -qlayers 0); the retired -engine legacy, a -grid below 2 (0 and -1 panicked, 1
 //     trained on NaN) and an -epochs below 1 (0 and -1 printed an infinite
 //     or negative time per epoch);
 //   - qpinn-bench: a misspelt -preset, which must not run at smoke scale,
@@ -43,6 +44,10 @@ func TestCommandFlagErrors(t *testing.T) {
 		{"qpinn-train -epochs 2", 0},
 		{"qpinn-train -epochs 2 -ansatz bogus", 2},
 		{"qpinn-train -epochs 2 -qubits 0", 2},
+		{"qpinn-train -epochs 2 -qubits 40", 2},
+		{"qpinn-train -epochs 2 -hidden 0", 2},
+		{"qpinn-train -epochs 2 -rff -1", 2},
+		{"qpinn-train -epochs 2 -qlayers 0", 2},
 		{"qpinn-train -epochs 2 -arch bogus", 2},
 		{"qpinn-train -epochs 2 -case bogus", 2},
 		{"qpinn-train -epochs 2 -engine legacy", 2},

@@ -150,9 +150,8 @@ func dualFwdRange(g *dualGroup, s, e int) {
 	y, d = y[:len(x)], d[:len(x)]
 	switch g.fn {
 	case DualTanh:
-		for i, xi := range x {
-			v := math.Tanh(xi)
-			y[i] = v
+		tanhSlice(y, x)
+		for i, v := range y {
 			d[i] = -(v * v) + 1
 		}
 	case DualSin:

@@ -317,8 +317,9 @@ func testGEMMRangeZeroAllocs(t *testing.T) {
 }
 
 // TestGEMMDispatch pins the run-time kernel choice on linux/amd64: a CPU
-// whose /proc/cpuinfo flags list avx2 must select the assembly kernels, so a
-// broken CPUID/XGETBV check cannot silently fall back to the pure-Go path.
+// whose /proc/cpuinfo flags list avx2 must select the assembly kernels, and
+// one that also lists fma must report it for the tanh kernel, so a broken
+// CPUID/XGETBV check cannot silently fall back to the pure-Go path.
 func TestGEMMDispatch(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the dispatch check reads linux/amd64 CPU flags")
@@ -332,8 +333,12 @@ func TestGEMMDispatch(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		if slices.Contains(strings.Fields(flags), "avx2") && !(hasAVX2 && useSIMD) {
+		fields := strings.Fields(flags)
+		if slices.Contains(fields, "avx2") && !(hasAVX2 && useSIMD) {
 			t.Fatalf("cpuinfo lists avx2 but hasAVX2=%v useSIMD=%v", hasAVX2, useSIMD)
+		}
+		if slices.Contains(fields, "avx2") && slices.Contains(fields, "fma") && !hasFMA {
+			t.Fatal("cpuinfo lists avx2 and fma but hasFMA=false")
 		}
 		return
 	}

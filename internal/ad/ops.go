@@ -26,15 +26,21 @@ func (t *Tape) binary(op Op, a, b Value, fw func(x, y float64) float64) Value {
 
 // unary creates an elementwise unary node.
 func (t *Tape) unary(op Op, a Value, c float64, fw func(x float64) float64) Value {
+	return t.unarySlice(op, a, c, func(y, x []float64) {
+		for i, xi := range x {
+			y[i] = fw(xi)
+		}
+	})
+}
+
+// unarySlice creates an elementwise unary node; fw maps each chunk of a's
+// values x to the node's values y.
+func (t *Tape) unarySlice(op Op, a Value, c float64, fw func(y, x []float64)) Value {
 	na := &t.nodes[a.i]
 	v, n := t.newNode(op, a.i, -1, int(na.rows), int(na.cols), t.needsGrad(a.i))
 	n.c = c
 	av, out := na.val, n.val
-	par.For(len(out), func(s, e int) {
-		for i := s; i < e; i++ {
-			out[i] = fw(av[i])
-		}
-	})
+	par.For(len(out), func(s, e int) { fw(out[s:e], av[s:e]) })
 	return v
 }
 
@@ -80,7 +86,7 @@ func (t *Tape) Sin(a Value) Value { return t.unary(OpSin, a, 0, math.Sin) }
 func (t *Tape) Cos(a Value) Value { return t.unary(OpCos, a, 0, math.Cos) }
 
 // Tanh returns tanh(a) elementwise.
-func (t *Tape) Tanh(a Value) Value { return t.unary(OpTanh, a, 0, math.Tanh) }
+func (t *Tape) Tanh(a Value) Value { return t.unarySlice(OpTanh, a, 0, tanhSlice) }
 
 // Exp returns exp(a) elementwise.
 func (t *Tape) Exp(a Value) Value { return t.unary(OpExp, a, 0, math.Exp) }

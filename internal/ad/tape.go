@@ -18,6 +18,14 @@
 // bit-identical for any par worker count, and whether the AVX2 assembly or
 // the pure-Go kernels ran.
 //
+// Tanh, and the fused tanh group below, compute every element with
+// tanhSlice (tanh.go), which returns math.Tanh's bits, NaN payloads and
+// signed zeros included. On amd64 CPUs with AVX2 and FMA a 4-lane assembly
+// kernel takes whole groups of four; it fuses multiply-adds exactly where
+// Go's amd64 math.Exp does, which is only on CPUs with AVX and FMA. So a
+// tanh value is the same for any chunking, worker count or kernel on one
+// host, and, like math.Tanh's, may differ on a host without FMA.
+//
 // A fused dual group (Dual in fused.go) replaces the chain of
 // elementwise nodes that forward-mode tangents used to need — f(a), f′(a)
 // and one product f′(a)⊙aₖ per tangent — with one value node and one node

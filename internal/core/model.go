@@ -146,6 +146,8 @@ type Model struct {
 	// (nil until the model has been trained or restored from a v2
 	// checkpoint). See core.TrainState.
 	TrainState *TrainState
+
+	evalTape *ad.Tape // EvalFields' tape, reset and reused by every call
 }
 
 // NewModel builds the network. Layer sizes follow §2.2/§2.3: input (x,y,t) →
@@ -211,9 +213,17 @@ func (m *Model) Forward(tp *ad.Tape, coords []float64, n int, withTangents bool)
 	return maxwell.Split(tp, x)
 }
 
-// EvalFields evaluates all three components without gradients.
+// EvalFields evaluates all three components without gradients, and returns
+// them in fresh slices. Every call runs on one tape the Model keeps and
+// resets, so after the first call at a batch size the tape's buffers come
+// from its pool instead of the heap. It is therefore not safe for
+// concurrent calls on one Model.
 func (m *Model) EvalFields(coords []float64, n int) (ez, hx, hy []float64) {
-	tp := ad.NewTape()
+	if m.evalTape == nil {
+		m.evalTape = ad.NewTape()
+	}
+	tp := m.evalTape
+	tp.Reset()
 	m.Reg.Bind(tp, false)
 	f := m.Forward(tp, coords, n, false)
 	return append([]float64(nil), f.Ez.V.Data()...),

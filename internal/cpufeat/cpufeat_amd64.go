@@ -1,22 +1,24 @@
 package cpufeat
 
-func detectAVX2() bool {
+// detect returns AVX2 and FMA. Both need the OS to save YMM state
+// (OSXSAVE, AVX, and XCR0's SSE and AVX bits).
+func detect() (avx2, fma bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
+	const fma3, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+		return false, false
 	}
 	// XCR0 bits 1 and 2: the OS enables SSE and AVX (YMM) state.
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
+		return false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	const avx2Bit = 1 << 5
+	return ebx7&avx2Bit != 0, ecx1&fma3 != 0
 }
 
 // cpuid executes CPUID for the given leaf and sub-leaf.

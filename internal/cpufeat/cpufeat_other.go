@@ -2,4 +2,4 @@
 
 package cpufeat
 
-func detectAVX2() bool { return false }
+func detect() (avx2, fma bool) { return false, false }
