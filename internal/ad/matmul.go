@@ -28,29 +28,35 @@ import (
 // to a plain triple loop bit for bit on finite inputs (up to the sign of a
 // -0 in C that receives only zero terms).
 //
-// Two kernels share that contract. gemmGo computes 2×4 tiles of C in eight
-// scalar accumulators with the reduction loop innermost, a 2×3 and then
-// 2×1 tiles for the remainder columns, two rows at a time. On amd64 with AVX2 the assembly micro-kernel gemm4x8
-// (matmul_amd64.s) computes 4×8 tiles instead: its lanes run across C's
-// columns, each holding one element's accumulator, and every term is a
-// broadcast, a per-lane VMULPD and a per-lane VADDPD, so a lane performs
-// exactly gemmGo's operations in gemmGo's order. gemmRange gives the
-// assembly a range's full tiles and gemmGo the remainder rows and columns.
-// Narrow layers (fewer than 8 columns of C) and every other architecture
-// run gemmGo alone, which is also the oracle the assembly is tested against.
+// Three kernels share that contract. gemmGo computes 2×4 tiles of C in
+// eight scalar accumulators with the reduction loop innermost, a 2×3 and
+// then 2×1 tiles for the remainder columns, two rows at a time. On amd64
+// the assembly micro-kernels (matmul_amd64.s) compute 4-row tiles instead:
+// gemm4x8 4×8 tiles in YMM registers with AVX2, gemm4x16 4×16 tiles in ZMM
+// registers with AVX-512F. Their lanes run across C's columns, each holding
+// one element's accumulator, and every term is a broadcast, a per-lane
+// VMULPD and a per-lane VADDPD, so a lane performs exactly gemmGo's
+// operations in gemmGo's order. gemmRange gives gemm4x16, where the CPU has
+// it, every full group of four rows across all columns (the last tile's
+// missing columns are masked off), and gemmGo the last rows mod 4; with
+// AVX2 alone it gives gemm4x8 the full 4×8 tiles and gemmGo the remainder
+// rows and columns, so narrow layers (fewer than 8 columns of C) run gemmGo
+// alone there. Every other architecture runs gemmGo alone, which is also the
+// oracle the assembly is tested against.
 //
 // Every product is accumulated, zeros included: a NaN or ±Inf in either
 // operand reaches C even where the other operand is exactly zero
 // (0·Inf = NaN), so a non-finite weight or gradient surfaces on the same
 // step instead of hiding behind a zero activation.
 
-// hasAVX2 reports whether the CPU can run the assembly micro-kernel; it is
-// false off amd64.
-var hasAVX2 = cpufeat.AVX2
+// hasAVX2 and hasAVX512 report whether the CPU can run gemm4x8 and
+// gemm4x16; both are false off amd64.
+var hasAVX2, hasAVX512 = cpufeat.AVX2, cpufeat.AVX512
 
-// useSIMD selects the assembly micro-kernel for full 4×8 tiles. It is set
-// once from the CPU's features; tests clear it to run the pure-Go path.
-var useSIMD = hasAVX2
+// useSIMD selects the assembly micro-kernels, and useAVX512 gemm4x16 over
+// gemm4x8 among them. Both are set once from the CPU's features; tests clear
+// useSIMD to run the pure-Go path, and useAVX512 alone to run the AVX2 one.
+var useSIMD, useAVX512 = hasAVX2, hasAVX512
 
 // gemm computes C += A·B in the strided form above, parallel over rows of C;
 // each row costs cols·red multiply-adds.
@@ -58,8 +64,8 @@ func gemm(c, a, b []float64, rows, cols, red, aRow, aRed int, fresh bool) {
 	par.ForGrain(rows, cols*red, func(s, e int) { gemmRange(c, a, b, cols, red, aRow, aRed, fresh, s, e) })
 }
 
-// gemmRange is gemm over rows [s, e) of C. The reslicing before gemm4x8 is
-// the assembly's bounds check: it panics unless every element the kernel
+// gemmRange is gemm over rows [s, e) of C. The reslicing before the
+// assembly is its bounds check: it panics unless every element the kernel
 // touches is in range.
 //
 //torq:hotpath
@@ -68,11 +74,18 @@ func gemmRange(c, a, b []float64, cols, red, aRow, aRed int, fresh bool, s, e in
 		return // no terms: C keeps its value, and A may be empty
 	}
 	c, a, rows := c[s*cols:], a[s*aRow:], e-s
-	if useSIMD && cols >= 8 && rows >= 4 && red > 0 {
+	if useSIMD && rows >= 4 && red > 0 && (useAVX512 || cols >= 8) {
 		r, w := rows&^3, cols&^7
+		if useAVX512 {
+			w = cols
+		}
 		ct, at, bt := c[:(r-1)*cols+w], a[:(r-1)*aRow+(red-1)*aRed+1], b[:(red-1)*cols+w]
 		for i := 0; i < r; i += 4 {
-			gemm4x8(ct[i*cols:], at[i*aRow:], bt, w, red, cols, aRow, aRed, fresh)
+			if useAVX512 {
+				gemm4x16(ct[i*cols:], at[i*aRow:], bt, w, red, cols, aRow, aRed, fresh)
+			} else {
+				gemm4x8(ct[i*cols:], at[i*aRow:], bt, w, red, cols, aRow, aRed, fresh)
+			}
 		}
 		if w < cols {
 			gemmGo(c[w:], a, b[w:], r, cols-w, red, cols, aRow, aRed, fresh)
@@ -83,8 +96,8 @@ func gemmRange(c, a, b []float64, cols, red, aRow, aRed int, fresh bool, s, e in
 }
 
 // gemmGo is the pure-Go kernel over a rows×cols block of C with row stride
-// ldc (also B's row stride), under gemm4x8's contract; aRed ≥ 1 when
-// red > 0. It runs two rows of C at a time, and a last odd row as a pair
+// ldc (also B's row stride), under the assembly kernels' contract; aRed ≥ 1
+// when red > 0. It runs two rows of C at a time, and a last odd row as a pair
 // with itself: both copies compute the same sums from the same inputs.
 //
 //torq:hotpath

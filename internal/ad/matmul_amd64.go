@@ -11,3 +11,12 @@ package ad
 //
 //go:noescape
 func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)
+
+// gemm4x16 is gemm4x8 with 4×16 tiles held in eight ZMM accumulators, eight
+// lanes each, for any cols ≥ 1: the last tile's missing columns are masked
+// off (K1/K2), so they load as zero and are never stored. The caller
+// guarantees AVX-512F, red ≥ 1 and that every element of the 4×cols block
+// is in range.
+//
+//go:noescape
+func gemm4x16(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)

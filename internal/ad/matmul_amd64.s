@@ -119,3 +119,142 @@ store:
 done:
 	VZEROUPPER
 	RET
+
+// func gemm4x16(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)
+//
+// gemm4x8's register plan with ZMM registers: Z0–Z7 accumulate rows 0–3,
+// columns 0–7 and 8–15 of a 4×16 tile; Z8/Z9 hold B's row, Z10/Z13 the
+// broadcast A term, Z11/Z12/Z14/Z15 the products. DX counts tiles, the last
+// one partial unless cols is a multiple of 16. K1/K2 mask the low and high
+// eight columns of a tile: all set until the last tile, which takes K3's
+// cols mod 16 low bits (all 16 if none). Masked-off lanes load as zero and
+// are never stored, so nothing outside the block is read or written.
+TEXT ·gemm4x16(SB), NOSPLIT, $0-113
+	MOVQ  cols+72(FP), DX
+	TESTQ DX, DX
+	JZ    done
+
+	// K3 = 2^t - 1 for the t = (cols-1) mod 16 + 1 columns of the last
+	// tile; DX = ceil(cols/16) tiles.
+	LEAQ   -1(DX), CX
+	ANDL   $15, CX
+	MOVL   $2, BX
+	SHLL   CX, BX
+	DECL   BX
+	KMOVW  BX, K3
+	ADDQ   $15, DX
+	SHRQ   $4, DX
+	KXNORW K1, K1, K1
+	KXNORW K2, K2, K2
+
+	MOVQ c_base+0(FP), CX
+	MOVQ a_base+24(FP), AX
+	MOVQ b_base+48(FP), DI
+	MOVQ ldc+88(FP), R11
+	MOVQ aRow+96(FP), R8
+	MOVQ aRed+104(FP), R10
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R12
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	SHLQ $3, R10
+
+tile:
+	CMPQ DX, $1
+	JNE  body
+	KMOVW    K3, K1
+	KSHIFTRW $8, K3, K2
+
+body:
+	MOVQ AX, SI
+	MOVQ DI, R13
+	MOVQ red+80(FP), BX
+	CMPB fresh+112(FP), $0
+	JNE  zero
+	VMOVUPD.Z (CX), K1, Z0
+	VMOVUPD.Z 64(CX), K2, Z1
+	VMOVUPD.Z (CX)(R11*1), K1, Z2
+	VMOVUPD.Z 64(CX)(R11*1), K2, Z3
+	VMOVUPD.Z (CX)(R11*2), K1, Z4
+	VMOVUPD.Z 64(CX)(R11*2), K2, Z5
+	VMOVUPD.Z (CX)(R12*1), K1, Z6
+	VMOVUPD.Z 64(CX)(R12*1), K2, Z7
+	JMP  term
+
+zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+	PCALIGN $64
+
+term:
+	VMOVUPD.Z    (R13), K1, Z8
+	VMOVUPD.Z    64(R13), K2, Z9
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+	VMULPD       Z9, Z10, Z12
+	VADDPD       Z12, Z1, Z1
+	VBROADCASTSD (SI)(R8*1), Z13
+	VMULPD       Z8, Z13, Z14
+	VADDPD       Z14, Z2, Z2
+	VMULPD       Z9, Z13, Z15
+	VADDPD       Z15, Z3, Z3
+	VBROADCASTSD (SI)(R8*2), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, Z4
+	VMULPD       Z9, Z10, Z12
+	VADDPD       Z12, Z5, Z5
+	VBROADCASTSD (SI)(R9*1), Z13
+	VMULPD       Z8, Z13, Z14
+	VADDPD       Z14, Z6, Z6
+	VMULPD       Z9, Z13, Z15
+	VADDPD       Z15, Z7, Z7
+	ADDQ         R10, SI
+	ADDQ         R11, R13
+	DECQ         BX
+	JNZ          term
+
+	CMPB fresh+112(FP), $0
+	JEQ  store
+	// C += sum, with C as the first operand like the scalar c += s.
+	VMOVUPD.Z (CX), K1, Z8
+	VADDPD    Z0, Z8, Z0
+	VMOVUPD.Z 64(CX), K2, Z9
+	VADDPD    Z1, Z9, Z1
+	VMOVUPD.Z (CX)(R11*1), K1, Z10
+	VADDPD    Z2, Z10, Z2
+	VMOVUPD.Z 64(CX)(R11*1), K2, Z11
+	VADDPD    Z3, Z11, Z3
+	VMOVUPD.Z (CX)(R11*2), K1, Z12
+	VADDPD    Z4, Z12, Z4
+	VMOVUPD.Z 64(CX)(R11*2), K2, Z13
+	VADDPD    Z5, Z13, Z5
+	VMOVUPD.Z (CX)(R12*1), K1, Z14
+	VADDPD    Z6, Z14, Z6
+	VMOVUPD.Z 64(CX)(R12*1), K2, Z15
+	VADDPD    Z7, Z15, Z7
+
+store:
+	VMOVUPD Z0, K1, (CX)
+	VMOVUPD Z1, K2, 64(CX)
+	VMOVUPD Z2, K1, (CX)(R11*1)
+	VMOVUPD Z3, K2, 64(CX)(R11*1)
+	VMOVUPD Z4, K1, (CX)(R11*2)
+	VMOVUPD Z5, K2, 64(CX)(R11*2)
+	VMOVUPD Z6, K1, (CX)(R12*1)
+	VMOVUPD Z7, K2, 64(CX)(R12*1)
+	ADDQ    $128, CX
+	ADDQ    $128, DI
+	DECQ    DX
+	JNZ     tile
+
+done:
+	VZEROUPPER
+	RET

@@ -2,7 +2,12 @@
 
 package ad
 
-// gemm4x8 has no implementation off amd64; useSIMD is never set there.
+// gemm4x8 and gemm4x16 have no implementation off amd64; useSIMD is never
+// set there.
 func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool) {
+	panic("ad: no SIMD GEMM kernel on this architecture")
+}
+
+func gemm4x16(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool) {
 	panic("ad: no SIMD GEMM kernel on this architecture")
 }

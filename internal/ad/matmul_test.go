@@ -144,27 +144,43 @@ func gemmFill(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	return s
 }
 
-// onBothPaths runs f as subtest "simd", with the assembly micro-kernels
-// taking every full 4×8 tile, and as subtest "go", with the pure-Go kernels
-// alone. The simd run is skipped on CPUs without AVX2.
-func onBothPaths(t *testing.T, f func(t *testing.T)) {
-	defer func(v bool) { useSIMD = v }(useSIMD)
-	for _, simd := range []bool{true, false} {
-		t.Run(pathName(simd), func(t *testing.T) {
-			if simd && !hasAVX2 {
-				t.Skip("no AVX2 on this CPU")
-			}
-			useSIMD = simd
+// kernelPath is one kernel family a test can force through useSIMD and
+// useAVX512; ok reports whether this CPU runs it, and lack why not.
+type kernelPath struct {
+	name         string
+	simd, avx512 bool
+	ok           bool
+	lack         string
+}
+
+// gemmPaths are the GEMM's three kernel families: gemm4x16 taking every
+// full group of four rows, gemm4x8 taking every full 4×8 tile, and gemmGo
+// alone.
+var gemmPaths = []kernelPath{
+	{name: "avx512", simd: true, avx512: true, ok: hasAVX2 && hasAVX512, lack: "no AVX-512F on this CPU"},
+	{name: "avx2", simd: true, ok: hasAVX2, lack: "no AVX2 on this CPU"},
+	{name: "go", ok: true},
+}
+
+// force selects p's kernels until tb ends, or skips tb on a CPU without
+// them.
+func (p kernelPath) force(tb testing.TB) {
+	if !p.ok {
+		tb.Skip(p.lack)
+	}
+	simd, avx512 := useSIMD, useAVX512
+	tb.Cleanup(func() { useSIMD, useAVX512 = simd, avx512 })
+	useSIMD, useAVX512 = p.simd, p.avx512
+}
+
+// onEachPath runs f as one subtest per path, named after it.
+func onEachPath(t *testing.T, paths []kernelPath, f func(t *testing.T)) {
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			p.force(t)
 			f(t)
 		})
 	}
-}
-
-func pathName(simd bool) string {
-	if simd {
-		return "simd"
-	}
-	return "go"
 }
 
 func sameBits(a, b []float64) (int, bool) {
@@ -176,17 +192,19 @@ func sameBits(a, b []float64) (int, bool) {
 	return -1, true
 }
 
-// TestGEMMMatchesOracle pins both kernels to the triple-loop oracle bit for
-// bit: hand-picked shapes covering full tiles, every 2×4, 2×3, 2×1 and 4×8
-// tile edge in each dimension (6 columns end in two 2×1 tiles; 15 leave a
-// 2×4 and a 2×3 tile after one 4×8), an empty reduction, the vacuum and
-// paper-infer workloads' layers, then seeded random shapes; operands with
+// TestGEMMMatchesOracle pins every kernel path to the triple-loop oracle bit
+// for bit: hand-picked shapes covering full tiles, every 2×4, 2×3, 2×1, 4×8
+// and 4×16 tile edge in each dimension (6 columns end in two 2×1 tiles; 15
+// leave a 2×4 and a 2×3 tile after one 4×8; 1–7 and 9–15 columns mod 16 end
+// gemm4x16's masked tail in its low and its high eight lanes), rows 1–3 mod
+// 4 left to gemmGo, an empty reduction, the vacuum and paper-infer
+// workloads' layers, then seeded random shapes; operands with
 // 25% exact zeros and C non-zero on entry; under 1, 2 and 3 workers, and
 // through gemmRange over uneven row splits whose bounds are mostly not
 // multiples of 4. Together these pin that each element's accumulation order
 // is a function of the shape alone.
 func TestGEMMMatchesOracle(t *testing.T) {
-	onBothPaths(t, testGEMMMatchesOracle)
+	onEachPath(t, gemmPaths, testGEMMMatchesOracle)
 }
 
 func testGEMMMatchesOracle(t *testing.T) {
@@ -196,9 +214,9 @@ func testGEMMMatchesOracle(t *testing.T) {
 		{24, 24, 24}, {3, 24, 5}, {513, 33, 31},
 		{4, 0, 8}, {9, 0, 17}, {0, 8, 8},
 		{1000, 48, 32}, {1000, 32, 32}, {1000, 32, 4}, {1000, 32, 3}, {1000, 4, 3},
-		{2304, 256, 128}, {2304, 128, 128},
+		{2304, 256, 128}, {2304, 128, 128}, {2304, 128, 7}, {2304, 7, 3},
 	}
-	edges := []int{3, 4, 5, 6, 7, 8, 9, 15, 16, 17}
+	edges := []int{1, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 31}
 	for _, n := range edges {
 		for _, k := range edges {
 			for _, m := range edges {
@@ -248,7 +266,7 @@ func testGEMMMatchesOracle(t *testing.T) {
 // visible on the step it appears instead of being masked by a zero input.
 // The shape gives every layout a full 4×8 tile at C[0].
 func TestGEMMPropagatesNonFinite(t *testing.T) {
-	onBothPaths(t, testGEMMPropagatesNonFinite)
+	onEachPath(t, gemmPaths, testGEMMPropagatesNonFinite)
 }
 
 func testGEMMPropagatesNonFinite(t *testing.T) {
@@ -270,6 +288,84 @@ func testGEMMPropagatesNonFinite(t *testing.T) {
 				g.kernel(c, x, y, n, k, m)
 				if !math.IsNaN(c[0]) {
 					t.Errorf("%s: %v against an exact zero gave C[0] = %v, want NaN", g.name, bad, c[0])
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMKernelsStayInBlock runs each path's 4-row kernel on blocks of C
+// narrower than their row stride, the way gemmRange's AVX2 split hands
+// gemm4x8 the columns before gemmGo's: NaN sentinels fill C before the
+// block, after it and the gap between each row's last column and the next
+// row, and B's gap columns too. Every sentinel must keep its bits and the
+// block must match the contract's sum. Go's bounds checks cannot see a
+// store from the assembly, so this is what pins gemm4x16's masks.
+func TestGEMMKernelsStayInBlock(t *testing.T) {
+	onEachPath(t, gemmPaths, testGEMMKernelsStayInBlock)
+}
+
+func testGEMMKernelsStayInBlock(t *testing.T) {
+	// tile is the kernel the path runs on a full group of four rows, for
+	// column counts that are multiples of step.
+	tile, step := func(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool) {
+		gemmGo(c, a, b, 4, cols, red, ldc, aRow, aRed, fresh)
+	}, 1
+	switch {
+	case useSIMD && useAVX512:
+		tile = gemm4x16
+	case useSIMD:
+		tile, step = gemm4x8, 8
+	}
+	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	const pad = 40
+	rng := rand.New(rand.NewSource(517))
+	for cols := step; cols <= 40; cols += step {
+		for _, gap := range []int{0, 1, 7, 9, 16} {
+			for _, red := range []int{1, 3} {
+				for _, fresh := range []bool{false, true} {
+					ldc := cols + gap
+					in := func(i int) bool { return i >= pad && i < pad+4*ldc && (i-pad)%ldc < cols }
+					c := make([]float64, pad+4*ldc+pad)
+					b := make([]float64, red*ldc)
+					for i := range c {
+						c[i] = sentinel
+						if in(i) {
+							c[i] = rng.Float64() - 0.5
+						}
+					}
+					for i := range b {
+						b[i] = sentinel
+						if i%ldc < cols {
+							b[i] = rng.Float64() - 0.5
+						}
+					}
+					a := randSlice(rng, 4*red, -1, 1)
+					want := append([]float64(nil), c...)
+					for r := 0; r < 4; r++ {
+						for j := 0; j < cols; j++ {
+							cw := &want[pad+r*ldc+j]
+							var sum float64
+							if !fresh {
+								sum = *cw
+							}
+							for l := 0; l < red; l++ {
+								sum += float64(a[r*red+l] * b[l*ldc+j])
+							}
+							if fresh {
+								sum = *cw + sum
+							}
+							*cw = sum
+						}
+					}
+					tile(c[pad:], a, b, cols, red, ldc, red, 1, fresh)
+					if i, ok := sameBits(c, want); !ok {
+						what := "block"
+						if !in(i) {
+							what = "sentinel"
+						}
+						t.Fatalf("cols=%d ldc=%d red=%d fresh=%v: %s C[%d] = %v, want %v", cols, ldc, red, fresh, what, i-pad, c[i], want[i])
+					}
 				}
 			}
 		}
@@ -300,7 +396,7 @@ func TestMMTNAccSplitsNarrowLayers(t *testing.T) {
 // range function with a dynamic check, for every layout at a shape with full
 // 4×8 tiles and remainders in every dimension.
 func TestGEMMRangeZeroAllocs(t *testing.T) {
-	onBothPaths(t, testGEMMRangeZeroAllocs)
+	onEachPath(t, gemmPaths, testGEMMRangeZeroAllocs)
 }
 
 func testGEMMRangeZeroAllocs(t *testing.T) {
@@ -317,9 +413,10 @@ func testGEMMRangeZeroAllocs(t *testing.T) {
 }
 
 // TestGEMMDispatch pins the run-time kernel choice on linux/amd64: a CPU
-// whose /proc/cpuinfo flags list avx2 must select the assembly kernels, and
-// one that also lists fma must report it for the tanh kernel, so a broken
-// CPUID/XGETBV check cannot silently fall back to the pure-Go path.
+// whose /proc/cpuinfo flags list avx2 must select the assembly kernels, one
+// that lists avx512f must select gemm4x16 among them, and one that also
+// lists fma must report it for the tanh kernel, so a broken CPUID/XGETBV
+// check cannot silently fall back to a narrower path.
 func TestGEMMDispatch(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the dispatch check reads linux/amd64 CPU flags")
@@ -336,6 +433,9 @@ func TestGEMMDispatch(t *testing.T) {
 		fields := strings.Fields(flags)
 		if slices.Contains(fields, "avx2") && !(hasAVX2 && useSIMD) {
 			t.Fatalf("cpuinfo lists avx2 but hasAVX2=%v useSIMD=%v", hasAVX2, useSIMD)
+		}
+		if slices.Contains(fields, "avx512f") && !(hasAVX512 && useAVX512) {
+			t.Fatalf("cpuinfo lists avx512f but hasAVX512=%v useAVX512=%v", hasAVX512, useAVX512)
 		}
 		if slices.Contains(fields, "avx2") && slices.Contains(fields, "fma") && !hasFMA {
 			t.Fatal("cpuinfo lists avx2 and fma but hasFMA=false")
@@ -367,24 +467,20 @@ func TestGEMMAssemblyHasNoFMA(t *testing.T) {
 // gemmBenchShapes are the vacuum workload's layer GEMMs at its 1000-point
 // grid, n×k×m: RFF→hidden, hidden→hidden, hidden→adapter, hidden→output;
 // then the paper-infer workload's 2304-point snapshot through its 256→128
-// and 128→128 layers.
+// and 128→128 hidden layers, its 128→7 adapter and its 7→3 output layer.
 var gemmBenchShapes = [][3]int{
 	{1000, 48, 32}, {1000, 32, 32}, {1000, 32, 4}, {1000, 32, 3},
-	{2304, 256, 128}, {2304, 128, 128},
+	{2304, 256, 128}, {2304, 128, 128}, {2304, 128, 7}, {2304, 7, 3},
 }
 
-// benchGEMM times g at every shape on the assembly ("simd") and pure-Go
-// ("go") paths side by side, so the kernel ratio is a same-session number.
+// benchGEMM times g at every shape on each kernel path side by side, so the
+// kernel ratios are same-session numbers.
 func benchGEMM(b *testing.B, g gemmCase) {
-	defer func(v bool) { useSIMD = v }(useSIMD)
 	for _, s := range gemmBenchShapes {
 		n, k, m := s[0], s[1], s[2]
-		for _, simd := range []bool{true, false} {
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", n, k, m, pathName(simd)), func(b *testing.B) {
-				if simd && !hasAVX2 {
-					b.Skip("no AVX2 on this CPU")
-				}
-				useSIMD = simd
+		for _, p := range gemmPaths {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", n, k, m, p.name), func(b *testing.B) {
+				p.force(b)
 				rng := rand.New(rand.NewSource(517))
 				x := randSlice(rng, g.x(n, k, m), -1, 1)
 				y := randSlice(rng, g.y(n, k, m), -1, 1)

@@ -45,6 +45,13 @@ func tanhCorpus(n int) []float64 {
 	return xs
 }
 
+// tanhPaths are tanhSlice's two kernel paths: tanh4 on every whole group of
+// four, and math.Tanh alone.
+var tanhPaths = []kernelPath{
+	{name: "simd", simd: true, ok: hasAVX2 && hasFMA, lack: "no AVX2 and FMA on this CPU"},
+	{name: "go", ok: true},
+}
+
 // TestTanhMatchesMathTanh pins tanhSlice to math.Tanh bit for bit, NaN
 // payloads and signed zeros included, on over a million inputs; then on
 // every length 0–9 at every offset 0–3 into the corpus, so each tail after
@@ -57,10 +64,7 @@ func TestTanhMatchesMathTanh(t *testing.T) {
 	for i, x := range xs {
 		want[i] = math.Tanh(x)
 	}
-	onBothPaths(t, func(t *testing.T) {
-		if useSIMD && !hasFMA {
-			t.Skip("no FMA on this CPU")
-		}
+	onEachPath(t, tanhPaths, func(t *testing.T) {
 		check := func(what string, x, got, want []float64) {
 			t.Helper()
 			if i, ok := sameBits(got, want); !ok {
@@ -90,7 +94,6 @@ func TestTanhMatchesMathTanh(t *testing.T) {
 // 2304-point snapshot, on the assembly ("simd") and math.Tanh ("go") paths
 // side by side, in ns/element.
 func BenchmarkTanh(b *testing.B) {
-	defer func(v bool) { useSIMD = v }(useSIMD)
 	const n = 2304 * 128
 	r := rand.New(rand.NewSource(517))
 	x := make([]float64, n)
@@ -98,12 +101,9 @@ func BenchmarkTanh(b *testing.B) {
 		x[i] = r.NormFloat64() * 2
 	}
 	y := make([]float64, n)
-	for _, simd := range []bool{true, false} {
-		b.Run(fmt.Sprintf("%dx128/%s", n/128, pathName(simd)), func(b *testing.B) {
-			if simd && !(hasAVX2 && hasFMA) {
-				b.Skip("no AVX2 and FMA on this CPU")
-			}
-			useSIMD = simd
+	for _, p := range tanhPaths {
+		b.Run(fmt.Sprintf("%dx128/%s", n/128, p.name), func(b *testing.B) {
+			p.force(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tanhSlice(y, x)

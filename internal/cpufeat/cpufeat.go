@@ -2,8 +2,9 @@
 // repository's hand-written assembly kernels need. It holds the only CPUID
 // and XGETBV code in the module; the packages with assembly kernels (ad's
 // GEMM tiles, qsim's opU4 entangler and embedding kernels) read AVX2 to pick
-// between their assembly and pure-Go paths, and ad's 4-lane tanh kernel
-// also reads FMA.
+// between their assembly and pure-Go paths, ad's GEMM also reads AVX512 to
+// pick its 8-lane tile over its 4-lane one, and ad's 4-lane tanh kernel
+// reads FMA.
 //
 // The probe is read-only and deterministic for a given machine: it selects
 // which kernel family runs, never what it computes, because every assembly
@@ -20,4 +21,8 @@ package cpufeat
 // FMA reports whether the CPU also implements the VEX-encoded fused
 // multiply-add instructions (FMA3) under the same operating-system check.
 // It is always false off amd64.
-var AVX2, FMA = detect()
+//
+// AVX512 reports whether the CPU implements AVX-512 Foundation (AVX512F)
+// and the operating system also saves the opmask and ZMM registers. It is
+// always false off amd64.
+var AVX2, FMA, AVX512 = detect()
