@@ -298,6 +298,11 @@ func (t *Tape) embedBackward(e *embedOp) {
 	for _, p := range e.part {
 		sum += p
 	}
-	np := &t.nodes[e.period]
-	np.grad[0] += sum * -(e.freq[2] / np.val[0])
+	g, first := t.gradOf(e.period)
+	dT := sum * -(e.freq[2] / t.nodes[e.period].val[0])
+	if first {
+		g[0] = 0 + dT
+	} else {
+		g[0] += dT
+	}
 }

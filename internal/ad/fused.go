@@ -29,18 +29,27 @@ const dualClamp = 1 - 1e-9
 type dualGroup struct {
 	fn     DualFn
 	runner int32
+	a      int32      // the input's node
+	first  bool       // the backward is dx's first writer (tape.go)
 	x, dx  []float64  // input a and its gradient (nil: a needs none)
 	y, dy  []float64  // the value and its gradient
 	d      []float64  // f′(a), pooled
 	lanes  []dualLane // the tangents
 }
 
-// dualLane is one tangent channel of a group: the input tangent aₖ,
-// the output f′(a)⊙aₖ, and their gradients (nil where there is none).
+// dualLane is one tangent channel of a group: the input tangent aₖ (node
+// xi), the output f′(a)⊙aₖ, and their gradients (nil where there is none).
 type dualLane struct {
+	xi    int32
+	first bool // the backward is dx's first writer
 	x, dx []float64
 	y, g  []float64
 }
+
+// dualBlock is the number of elements a group's range kernels take at a
+// time: small enough that a block of each array they stream, and the
+// backward's f′ gradient on the stack, stay in L1.
+const dualBlock = 512
 
 // Dual applies fn to a as one fused tape group. It returns fn(a) and sets
 // out[k] to the tangent fn′(a)⊙tan[k] for every valid tan[k], leaving out[k]
@@ -70,7 +79,7 @@ func (t *Tape) Dual(fn DualFn, a Value, tan, out []Value) Value {
 	g := &t.groups[gi]
 	g.fn = fn
 	v := t.groupNode(a.i, gi)
-	g.y, g.dy = v.Data(), v.Grad()
+	g.y, g.dy = t.nodes[v.i].val, t.nodes[v.i].grad
 	g.d = t.pool.get(len(g.x))
 	first := len(t.lanes)
 	t.groupLanes(gi, a, tan, out)
@@ -92,7 +101,7 @@ func anyValid(vs []Value) bool {
 // openGroup appends a group over input a and returns its index.
 func (t *Tape) openGroup(a Value) int32 {
 	na := &t.nodes[a.i]
-	t.groups = append(t.groups, dualGroup{x: na.val, dx: na.grad})
+	t.groups = append(t.groups, dualGroup{a: a.i, x: na.val, dx: na.grad})
 	return int32(len(t.groups) - 1)
 }
 
@@ -120,7 +129,7 @@ func (t *Tape) groupLanes(gi int32, a Value, tan, out []Value) {
 			panic(fmt.Sprintf("ad: tangent %d×%d of a %d×%d value", nk.rows, nk.cols, na.rows, na.cols))
 		}
 		o, on := t.newNode(OpDual, tk.i, gi, int(na.rows), int(na.cols), na.grad != nil || nk.grad != nil)
-		t.lanes = append(t.lanes, dualLane{x: nk.val, dx: nk.grad, y: on.val, g: on.grad})
+		t.lanes = append(t.lanes, dualLane{xi: tk.i, x: nk.val, dx: nk.grad, y: on.val, g: on.grad})
 		out[k] = o
 	}
 }
@@ -136,47 +145,61 @@ func (t *Tape) lastWithGrad(first int32) int32 {
 	return -1
 }
 
-// dualBackward runs a group's whole backward.
-func dualBackward(g *dualGroup) {
+// dualBackward runs a group's whole backward. Its writes reach each input
+// gradient in the chain's order, the tangent lanes last first and then a's
+// own terms, so that is the order in which they take the first-writer
+// flags.
+func (t *Tape) dualBackward(g *dualGroup) {
+	for l := len(g.lanes) - 1; l >= 0; l-- {
+		if ln := &g.lanes[l]; ln.g != nil && ln.dx != nil {
+			_, ln.first = t.gradOf(ln.xi)
+		}
+	}
+	if g.dx != nil {
+		_, g.first = t.gradOf(g.a)
+	}
 	par.For(len(g.x), func(s, e int) { dualBwdRange(g, s, e) })
 }
 
 // dualFwdRange writes the group's value, f′ and tangents over elements
-// [s, e).
+// [s, e), one block at a time.
 //
 //torq:hotpath
 func dualFwdRange(g *dualGroup, s, e int) {
-	x, y, d := g.x[s:e], g.y[s:e], g.d[s:e]
-	y, d = y[:len(x)], d[:len(x)]
-	switch g.fn {
-	case DualTanh:
-		tanhSlice(y, x)
-		for i, v := range y {
-			d[i] = -(v * v) + 1
+	for bs := s; bs < e; bs += dualBlock {
+		be := min(bs+dualBlock, e)
+		x, y, d := g.x[bs:be], g.y[bs:be], g.d[bs:be]
+		y, d = y[:len(x)], d[:len(x)]
+		switch g.fn {
+		case DualTanh:
+			tanhSlice(y, x)
+			for i, v := range y {
+				d[i] = -(v * v) + 1
+			}
+		case DualSin:
+			for i, xi := range x {
+				y[i], d[i] = sincos(xi)
+			}
+		case DualCos:
+			for i, xi := range x {
+				sin, cos := sincos(xi)
+				y[i], d[i] = cos, -sin
+			}
+		case DualAsin:
+			for i, xi := range x {
+				y[i] = math.Asin(clamp1(xi))
+				d[i] = 1 / asinDen(xi)
+			}
+		case DualAcos:
+			for i, xi := range x {
+				y[i] = math.Acos(clamp1(xi))
+				d[i] = -(1 / asinDen(xi))
+			}
 		}
-	case DualSin:
-		for i, xi := range x {
-			y[i], d[i] = sincos(xi)
+		for l := range g.lanes {
+			ln := &g.lanes[l]
+			mulInto(ln.y[bs:be], d, ln.x[bs:be])
 		}
-	case DualCos:
-		for i, xi := range x {
-			sin, cos := sincos(xi)
-			y[i], d[i] = cos, -sin
-		}
-	case DualAsin:
-		for i, xi := range x {
-			y[i] = math.Asin(clamp1(xi))
-			d[i] = 1 / asinDen(xi)
-		}
-	case DualAcos:
-		for i, xi := range x {
-			y[i] = math.Acos(clamp1(xi))
-			d[i] = -(1 / asinDen(xi))
-		}
-	}
-	for l := range g.lanes {
-		ln := &g.lanes[l]
-		mulInto(ln.y[s:e], d, ln.x[s:e])
 	}
 }
 
@@ -219,73 +242,77 @@ func clampTo(x, c float64) float64 {
 	return x
 }
 
-// lanesBack replays, for element i, the backward of a group's tangent
-// products f′⊙aₖ, last tangent first as the reverse sweep met them: each
-// output gradient gₖ adds gₖ·f′ to aₖ's gradient, and the returned sum of
-// gₖ·aₖ, accumulated from +0 in the same order, is the gradient of f′.
-//
-//torq:hotpath
-func lanesBack(lanes []dualLane, d float64, i int) float64 {
-	var gd float64
-	for l := len(lanes) - 1; l >= 0; l-- {
-		ln := &lanes[l]
-		if ln.g == nil {
-			continue
-		}
-		gk := ln.g[i]
-		gd += gk * ln.x[i]
-		if ln.dx != nil {
-			ln.dx[i] += gk * d
-		}
-	}
-	return gd
-}
-
-// dualBwdRange is the group's backward over elements [s, e). After
-// the tangent lanes it replays the chain that built f′ from a, one rounded
-// operation per former node: a constant shift is 0+x and a negation 0−x on
-// a gradient that started at zero. Then the value node's own term lands in
-// a's gradient.
+// dualBwdRange is the group's backward over elements [s, e), one block
+// at a time. It replays, per element, the backward of the chain the group
+// replaced. The chain's Mul nodes came first, last tangent first: one pass
+// per lane adds gₖ·aₖ to f′'s gradient gd (summed from +0, on the stack)
+// and gₖ·f′ to aₖ's gradient. A last pass replays the chain that built f′
+// from a, one rounded operation per former node (a constant shift is 0+x
+// and a negation 0−x on a gradient that started at zero), and then adds
+// the value node's own term to a's gradient.
 //
 //torq:hotpath
 func dualBwdRange(g *dualGroup, s, e int) {
-	x, y, dy, d, dx, lanes := g.x, g.y, g.dy, g.d, g.dx, g.lanes
-	if dx == nil {
-		for i := s; i < e; i++ {
-			lanesBack(lanes, d[i], i)
+	var gd [dualBlock]float64
+	for bs := s; bs < e; bs += dualBlock {
+		be := min(bs+dualBlock, e)
+		dualBwdBlock(g, gd[:be-bs], bs)
+	}
+}
+
+// dualBwdBlock is dualBwdRange over the len(gd) elements from bs. When a
+// needs a gradient, so does every tangent node, so the lanes always write
+// gd before the last pass reads it.
+//
+//torq:hotpath
+func dualBwdBlock(g *dualGroup, gd []float64, bs int) {
+	be := bs + len(gd)
+	d := g.d[bs:be]
+	for l := len(g.lanes) - 1; l >= 0; l-- {
+		ln := &g.lanes[l]
+		if ln.g == nil {
+			continue
 		}
+		gk := ln.g[bs:be]
+		if g.dx != nil {
+			mulAddTo(gd, gk, ln.x[bs:be], l == len(g.lanes)-1)
+		}
+		if ln.dx != nil {
+			mulAddTo(ln.dx[bs:be], gk, d, ln.first)
+		}
+	}
+	if g.dx == nil {
 		return
 	}
+	x, y, dy, dx := g.x[bs:be], g.y[bs:be], g.dy[bs:be], g.dx[bs:be]
+	x, y, dy, dx, d = x[:len(gd)], y[:len(gd)], dy[:len(gd)], dx[:len(gd)], d[:len(gd)]
+	first := g.first
 	switch g.fn {
 	case DualTanh:
-		for i := s; i < e; i++ {
-			gd := lanesBack(lanes, d[i], i)
+		for i, gdi := range gd {
 			yi := y[i]
 			// f′ = Shift(Neg(Square(y)), 1): Square's term joins y's gradient
 			// before the tanh factor applies it to a.
-			gy := dy[i] + (0-(0+gd))*(2*yi)
+			gy := dy[i] + (0-(0+gdi))*(2*yi)
 			dy[i] = gy
-			dx[i] += gy * (1 - yi*yi)
+			dx[i] = start(dx, i, first) + gy*(1-yi*yi)
 		}
 	case DualSin:
-		for i := s; i < e; i++ {
-			gd := lanesBack(lanes, d[i], i)
-			dx[i] += gd * -y[i]
-			dx[i] += dy[i] * d[i]
+		for i, gdi := range gd {
+			acc := start(dx, i, first) + gdi*-y[i]
+			dx[i] = acc + dy[i]*d[i]
 		}
 	case DualCos:
-		for i := s; i < e; i++ {
-			gd := lanesBack(lanes, d[i], i)
-			dx[i] += (0 - gd) * y[i]
-			dx[i] += dy[i] * d[i]
+		for i, gdi := range gd {
+			acc := start(dx, i, first) + (0-gdi)*y[i]
+			dx[i] = acc + dy[i]*d[i]
 		}
 	case DualAsin, DualAcos:
-		for i := s; i < e; i++ {
-			gd := lanesBack(lanes, d[i], i)
+		for i, gdi := range gd {
 			xi := x[i]
 			var dv float64
 			if g.fn == DualAcos {
-				gd = 0 - gd // f′ = Neg(Div(1, den))
+				gdi = 0 - gdi // f′ = Neg(Div(1, den))
 				dv = -1 / math.Sqrt(math.Max(1-xi*xi, asinEps))
 			} else {
 				dv = 1 / math.Sqrt(math.Max(1-xi*xi, asinEps))
@@ -293,13 +320,23 @@ func dualBwdRange(g *dualGroup, s, e int) {
 			// den = Sqrt(Shift(Neg(Square(Clamp(a))), 1)); f′ = Div(1, den).
 			c := clampTo(xi, dualClamp)
 			den := math.Sqrt(-(c * c) + 1)
-			gden := 0 - gd/(den*den)
+			gden := 0 - gdi/(den*den)
 			gsq := 0 - (0 + (0 + gden*(0.5/den)))
 			gc := 0 + gsq*(2*c)
+			acc := start(dx, i, first)
 			if xi > -dualClamp && xi < dualClamp {
-				dx[i] += gc
+				acc += gc
 			}
-			dx[i] += dy[i] * dv
+			dx[i] = acc + dy[i]*dv
 		}
 	}
+}
+
+// start returns dx[i], where a's gradient sum continues, or +0 when the
+// group is the gradient's first writer.
+func start(dx []float64, i int, first bool) float64 {
+	if first {
+		return 0
+	}
+	return dx[i]
 }

@@ -7,10 +7,20 @@ import (
 	"testing"
 )
 
+// opGraph is everyOpGraph's loss and the two leaves whose gradients the
+// first-writer rule must still get right: unused, a parameter the loss does
+// not use, and behindInf, a weight whose one product meets an Inf
+// activation and a gradient no consumer wrote.
+type opGraph struct{ loss, unused, behindInf Value }
+
 // everyOpGraph builds a small graph that uses every op the tape has, fused
 // dual groups and the input embedding included, over leaves that all need
-// gradients, and returns its scalar loss.
-func everyOpGraph(tp *Tape, x, w, b, s []float64, cw []float64) Value {
+// gradients. Beside them it builds the first-writer rule's edge cases: a
+// node whose gradient no consumer writes, an unused parameter, an Inf
+// weight behind a zero upstream gradient, and dual groups of 1147 elements,
+// more than two blocks with a ragged last one, one taking its own input as
+// a tangent.
+func everyOpGraph(tp *Tape, x, w, b, s []float64, cw []float64) opGraph {
 	X := tp.Leaf(6, 4, x, true)
 	W := tp.Leaf(4, 9, w, true)
 	B := tp.Leaf(1, 9, b, true)
@@ -42,13 +52,45 @@ func everyOpGraph(tp *Tape, x, w, b, s []float64, cw []float64) Value {
 	})
 	et := make([]Value, 3)
 	ev := tp.FourierEmbed(x[:18], 6, [2]float64{1.5, 2.5}, S, cw, 6, [3]bool{true, false, true}, et)
-	return tp.AddScalars(
-		tp.SumAll(tp.Clamp(cu, 0.7)),
-		tp.MeanAll(sc[0]),
-		tp.SumSq(sc[2]),
-		tp.MSE(tp.Sub(tt[2], st[0])),
-		tp.SumSq(tp.Add(ev, tp.Mul(et[0], et[2]))),
-	)
+
+	// No consumer writes this node's gradient: Backward zeroes it, and its
+	// zero terms still reach h.
+	tp.Exp(h)
+	// The loss does not use U: its gradient must come out +0.
+	U := tp.Leaf(2, 3, w[:6], true)
+	// Winf holds an Inf, so hinf has Inf entries; the product of hinf and V
+	// has no consumer, so V's TN product meets them with a zeroed upstream
+	// gradient, and 0·Inf = NaN must reach V's gradient.
+	winf := slices.Clone(cw[:8])
+	winf[3] = math.Inf(1)
+	hinf := tp.MatMul(tp.Leaf(6, 4, x, false), tp.Leaf(4, 2, winf, true))
+	V := tp.Leaf(2, 3, b[:6], true)
+	tp.MatMul(hinf, V)
+
+	// Groups over 1147 = 2·512 + 123 elements. The tanh group takes its own
+	// input as its first tangent, so the lane and the value term write one
+	// gradient.
+	rng := rand.New(rand.NewSource(517))
+	const br, bc = 37, 31
+	G := tp.Leaf(br, bc, randSlice(rng, br*bc, -2, 2), true)
+	gt := make([]Value, 3)
+	gv := tp.Dual(DualTanh, G, []Value{G, {}, tp.Leaf(br, bc, randSlice(rng, br*bc, -1, 1), true)}, gt)
+	gs := make([]Value, 3)
+	ga := tp.Dual(DualAsin, tp.Scale(gv, 0.9), gt, gs)
+
+	return opGraph{
+		loss: tp.AddScalars(
+			tp.SumAll(tp.Clamp(cu, 0.7)),
+			tp.MeanAll(sc[0]),
+			tp.SumSq(sc[2]),
+			tp.MSE(tp.Sub(tt[2], st[0])),
+			tp.SumSq(tp.Add(ev, tp.Mul(et[0], et[2]))),
+			tp.MSE(tp.Mul(ga, gs[0])),
+			tp.MeanAll(tp.Add(gs[2], gv)),
+		),
+		unused:    U,
+		behindInf: V,
+	}
 }
 
 // tapeBits returns the bits of every node's value and gradient.
@@ -64,18 +106,35 @@ func tapeBits(tp *Tape) []uint64 {
 	return bits
 }
 
-// TestPooledBuffersWrittenInFull backs the allocation rule: value buffers
-// that are not zeroed must be written in full by their kernel, and gradient
-// buffers must still start at zero. A graph using every op is built and
-// backpropagated on a fresh tape, then rebuilt on the same tape after every
-// recycled buffer was filled with NaN; every value and gradient must come
-// out bit for bit the same.
+// TestPooledBuffersWrittenInFull backs the allocation rule: no buffer but
+// PlaceCols' value is zeroed when handed out, so a value kernel must write
+// its buffer in full, and a gradient must be written by a first writer that
+// stores, zeroed before a partial writer adds, or zeroed by Backward when
+// no consumer wrote it. A graph using every op and the rule's edge cases is
+// built and backpropagated on a fresh tape, then rebuilt on the same tape
+// after every recycled buffer was filled with NaN; every value and gradient
+// must come out bit for bit the same, with no tolerance. On both builds the
+// unused parameter's gradient must be +0 and the weight behind the Inf must
+// have a NaN gradient.
 func TestPooledBuffersWrittenInFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(517))
 	x, w, b := randSlice(rng, 24, -1, 1), randSlice(rng, 36, -1, 1), randSlice(rng, 9, -1, 1)
 	s, cw := []float64{0.8}, randSlice(rng, 36, -1, 1)
+	checkEdges := func(how string, g opGraph) {
+		t.Helper()
+		for i, v := range g.unused.Grad() {
+			if math.Float64bits(v) != 0 {
+				t.Errorf("%s: unused parameter's gradient[%d] = %v, want +0", how, i, v)
+			}
+		}
+		if !slices.ContainsFunc(g.behindInf.Grad(), math.IsNaN) {
+			t.Errorf("%s: gradient behind the Inf activation is %v, want a NaN", how, g.behindInf.Grad())
+		}
+	}
 	tp := NewTape()
-	tp.Backward(everyOpGraph(tp, x, w, b, s, cw))
+	g := everyOpGraph(tp, x, w, b, s, cw)
+	tp.Backward(g.loss)
+	checkEdges("fresh tape", g)
 	want := tapeBits(tp)
 	tp.Reset()
 
@@ -92,11 +151,12 @@ func TestPooledBuffersWrittenInFull(t *testing.T) {
 		}
 	}
 
-	loss := everyOpGraph(tp, x, w, b, s, cw)
-	if math.IsNaN(loss.Scalar()) {
+	g = everyOpGraph(tp, x, w, b, s, cw)
+	if math.IsNaN(g.loss.Scalar()) {
 		t.Fatal("loss is NaN after recycling poisoned buffers")
 	}
-	tp.Backward(loss)
+	tp.Backward(g.loss)
+	checkEdges("poisoned pool", g)
 	got := tapeBits(tp)
 	if len(got) != len(want) {
 		t.Fatalf("rebuilt tape has %d words, first build %d", len(got), len(want))
@@ -110,13 +170,18 @@ func TestPooledBuffersWrittenInFull(t *testing.T) {
 }
 
 // TestFusedRangeZeroAllocs backs the //torq:hotpath annotation on the fused
-// groups' range kernels with a dynamic check.
+// groups' range kernels with a dynamic check, over more elements than a
+// block, so the block loop and the backward's stack scratch run too.
 func TestFusedRangeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(517))
-	const n = 40
+	const r, c = 30, 40
+	const n = r * c
+	if n <= dualBlock {
+		t.Fatalf("n = %d fits in one block of %d", n, dualBlock)
+	}
 	tp := NewTape()
-	a := tp.Leaf(8, 5, randSlice(rng, n, -1, 1), true)
-	tan := []Value{tp.Leaf(8, 5, randSlice(rng, n, -1, 1), true), {}, tp.Leaf(8, 5, randSlice(rng, n, -1, 1), false)}
+	a := tp.Leaf(r, c, randSlice(rng, n, -1, 1), true)
+	tan := []Value{tp.Leaf(r, c, randSlice(rng, n, -1, 1), true), {}, tp.Leaf(r, c, randSlice(rng, n, -1, 1), false)}
 	tp.Dual(DualAsin, a, tan, make([]Value, 3))
 	tp.Dual(DualTanh, a, tan, make([]Value, 3))
 	for gi := range tp.groups {

@@ -1,13 +1,14 @@
 #include "textflag.h"
 
-// func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)
+// func gemm4x8(c, a, b []float64, cols, red, ldc, aRow, aRed int, mode gemmMode)
 //
 // Registers: CX C tile, DI B tile, R13 B row, AX A rows, SI A term, BX terms
 // left, DX tiles left; R8/R9 = 1×/3× A's row stride, R10 = A's term stride,
 // R11/R12 = 1×/3× ldc, all in bytes. Y0–Y7 accumulate rows 0–3, columns
 // 0–3 and 4–7; Y8/Y9 hold B's row, Y10/Y13 the broadcast A term, Y11/Y12/
-// Y14/Y15 the products.
-TEXT ·gemm4x8(SB), NOSPLIT, $0-113
+// Y14/Y15 the products. mode 0 (gemmAcc) loads the accumulators from C,
+// the others zero them; mode 1 (gemmFresh) adds C back before the store.
+TEXT ·gemm4x8(SB), NOSPLIT, $0-120
 	MOVQ c_base+0(FP), CX
 	MOVQ a_base+24(FP), AX
 	MOVQ b_base+48(FP), DI
@@ -27,7 +28,7 @@ tile:
 	MOVQ AX, SI
 	MOVQ DI, R13
 	MOVQ red+80(FP), BX
-	CMPB fresh+112(FP), $0
+	CMPQ mode+112(FP), $0
 	JNE  zero
 	VMOVUPD (CX), Y0
 	VMOVUPD 32(CX), Y1
@@ -82,8 +83,8 @@ term:
 	DECQ         BX
 	JNZ          term
 
-	CMPB fresh+112(FP), $0
-	JEQ  store
+	CMPQ mode+112(FP), $1
+	JNE  store
 	// C += sum, with C as the first operand like the scalar c += s.
 	VMOVUPD (CX), Y8
 	VADDPD  Y0, Y8, Y0
@@ -120,7 +121,7 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemm4x16(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool)
+// func gemm4x16(c, a, b []float64, cols, red, ldc, aRow, aRed int, mode gemmMode)
 //
 // gemm4x8's register plan with ZMM registers: Z0–Z7 accumulate rows 0–3,
 // columns 0–7 and 8–15 of a 4×16 tile; Z8/Z9 hold B's row, Z10/Z13 the
@@ -128,8 +129,10 @@ done:
 // one partial unless cols is a multiple of 16. K1/K2 mask the low and high
 // eight columns of a tile: all set until the last tile, which takes K3's
 // cols mod 16 low bits (all 16 if none). Masked-off lanes load as zero and
-// are never stored, so nothing outside the block is read or written.
-TEXT ·gemm4x16(SB), NOSPLIT, $0-113
+// are never stored, so nothing outside the block is read or written. A last
+// tile of eight columns or fewer (K2 empty) runs the half-width loop at
+// half: the same terms in the same order, in Z0/Z2/Z4/Z6 alone.
+TEXT ·gemm4x16(SB), NOSPLIT, $0-120
 	MOVQ  cols+72(FP), DX
 	TESTQ DX, DX
 	JZ    done
@@ -164,12 +167,14 @@ tile:
 	JNE  body
 	KMOVW    K3, K1
 	KSHIFTRW $8, K3, K2
+	KORTESTW K2, K2
+	JZ       half
 
 body:
 	MOVQ AX, SI
 	MOVQ DI, R13
 	MOVQ red+80(FP), BX
-	CMPB fresh+112(FP), $0
+	CMPQ mode+112(FP), $0
 	JNE  zero
 	VMOVUPD.Z (CX), K1, Z0
 	VMOVUPD.Z 64(CX), K2, Z1
@@ -221,8 +226,8 @@ term:
 	DECQ         BX
 	JNZ          term
 
-	CMPB fresh+112(FP), $0
-	JEQ  store
+	CMPQ mode+112(FP), $1
+	JNE  store
 	// C += sum, with C as the first operand like the scalar c += s.
 	VMOVUPD.Z (CX), K1, Z8
 	VADDPD    Z0, Z8, Z0
@@ -256,5 +261,65 @@ store:
 	JNZ     tile
 
 done:
+	VZEROUPPER
+	RET
+
+	// The last tile has eight columns or fewer: only the low halves of its
+	// rows hold columns, so Z1/Z3/Z5/Z7 and B's high half are left out.
+half:
+	MOVQ AX, SI
+	MOVQ DI, R13
+	MOVQ red+80(FP), BX
+	CMPQ mode+112(FP), $0
+	JNE  hzero
+	VMOVUPD.Z (CX), K1, Z0
+	VMOVUPD.Z (CX)(R11*1), K1, Z2
+	VMOVUPD.Z (CX)(R11*2), K1, Z4
+	VMOVUPD.Z (CX)(R12*1), K1, Z6
+	JMP  hterm
+
+hzero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z6, Z6, Z6
+
+	PCALIGN $64
+
+hterm:
+	VMOVUPD.Z    (R13), K1, Z8
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+	VBROADCASTSD (SI)(R8*1), Z13
+	VMULPD       Z8, Z13, Z14
+	VADDPD       Z14, Z2, Z2
+	VBROADCASTSD (SI)(R8*2), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, Z4
+	VBROADCASTSD (SI)(R9*1), Z13
+	VMULPD       Z8, Z13, Z14
+	VADDPD       Z14, Z6, Z6
+	ADDQ         R10, SI
+	ADDQ         R11, R13
+	DECQ         BX
+	JNZ          hterm
+
+	CMPQ mode+112(FP), $1
+	JNE  hstore
+	VMOVUPD.Z (CX), K1, Z8
+	VADDPD    Z0, Z8, Z0
+	VMOVUPD.Z (CX)(R11*1), K1, Z10
+	VADDPD    Z2, Z10, Z2
+	VMOVUPD.Z (CX)(R11*2), K1, Z12
+	VADDPD    Z4, Z12, Z4
+	VMOVUPD.Z (CX)(R12*1), K1, Z14
+	VADDPD    Z6, Z14, Z6
+
+hstore:
+	VMOVUPD Z0, K1, (CX)
+	VMOVUPD Z2, K1, (CX)(R11*1)
+	VMOVUPD Z4, K1, (CX)(R11*2)
+	VMOVUPD Z6, K1, (CX)(R12*1)
 	VZEROUPPER
 	RET

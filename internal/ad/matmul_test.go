@@ -79,17 +79,22 @@ type gemmCase struct {
 	ref     func(c, x, y []float64, n, k, m int)
 }
 
-// gemmLayout is one row of matmul.go's stride table.
+// gemmLayout is one row of matmul.go's stride table, in the mode that adds
+// to C (NN as acc).
 type gemmLayout struct {
 	b                           []float64
 	rows, cols, red, aRow, aRed int
-	fresh                       bool
+	mode                        gemmMode
 }
 
-// kernel runs the layout's GEMM as the tape does.
-func (g gemmCase) kernel(c, x, y []float64, n, k, m int) {
+// kernel runs the layout's GEMM as the tape does: adding to C, or with
+// store as a first writer (and NN's forward) does.
+func (g gemmCase) kernel(c, x, y []float64, n, k, m int, store bool) {
 	l := g.layout(y, n, k, m)
-	gemm(c, x, l.b, l.rows, l.cols, l.red, l.aRow, l.aRed, l.fresh)
+	if store {
+		l.mode = gemmStore
+	}
+	gemm(c, x, l.b, l.rows, l.cols, l.red, l.aRow, l.aRed, l.mode)
 }
 
 // testPanel is the NT case's packed-Bᵀ buffer, reused like Tape.panel.
@@ -102,7 +107,7 @@ var gemmCases = []gemmCase{
 		y:    func(n, k, m int) int { return k * m },
 		c:    func(n, k, m int) int { return n * m },
 		layout: func(y []float64, n, k, m int) gemmLayout {
-			return gemmLayout{y, n, m, k, k, 1, false}
+			return gemmLayout{y, n, m, k, k, 1, gemmAcc}
 		},
 		ref: refMMAcc,
 	},
@@ -112,7 +117,7 @@ var gemmCases = []gemmCase{
 		y:    func(n, k, m int) int { return k * m },
 		c:    func(n, k, m int) int { return n * k },
 		layout: func(y []float64, n, k, m int) gemmLayout {
-			return gemmLayout{ntPanel(&testPanel, y, m, k), n, k, m, m, 1, true}
+			return gemmLayout{ntPanel(&testPanel, y, m, k), n, k, m, m, 1, gemmFresh}
 		},
 		ref: func(c, x, y []float64, n, k, m int) { refMMNTAcc(c, x, y, n, m, k) },
 	},
@@ -122,7 +127,7 @@ var gemmCases = []gemmCase{
 		y:    func(n, k, m int) int { return n * m },
 		c:    func(n, k, m int) int { return k * m },
 		layout: func(y []float64, n, k, m int) gemmLayout {
-			return gemmLayout{y, k, m, n, 1, k, false}
+			return gemmLayout{y, k, m, n, 1, k, gemmAcc}
 		},
 		ref: refMMTNAcc,
 	},
@@ -183,6 +188,10 @@ func onEachPath(t *testing.T, paths []kernelPath, f func(t *testing.T)) {
 	}
 }
 
+// gemmSentinel is a NaN with a payload no arithmetic produces, filling C
+// where a kernel must neither read nor write.
+var gemmSentinel = math.Float64frombits(0x7ff8_0000_dead_beef)
+
 func sameBits(a, b []float64) (int, bool) {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -199,10 +208,13 @@ func sameBits(a, b []float64) (int, bool) {
 // gemm4x16's masked tail in its low and its high eight lanes), rows 1–3 mod
 // 4 left to gemmGo, an empty reduction, the vacuum and paper-infer
 // workloads' layers, then seeded random shapes; operands with
-// 25% exact zeros and C non-zero on entry; under 1, 2 and 3 workers, and
-// through gemmRange over uneven row splits whose bounds are mostly not
-// multiples of 4. Together these pin that each element's accumulation order
-// is a function of the shape alone.
+// 25% exact zeros; under 1, 2 and 3 workers, and through gemmRange over
+// uneven row splits whose bounds are mostly not multiples of 4. Each shape
+// runs in the layout's adding mode with C non-zero on entry, and in store
+// mode with C filled with a NaN sentinel, which must equal the oracle on a
+// zeroed C: a kernel that reads C in store mode fails. Together these pin
+// that each element's accumulation order is a function of the shape and
+// mode alone.
 func TestGEMMMatchesOracle(t *testing.T) {
 	onEachPath(t, gemmPaths, testGEMMMatchesOracle)
 }
@@ -231,31 +243,42 @@ func testGEMMMatchesOracle(t *testing.T) {
 	for _, s := range shapes {
 		n, k, m := s[0], s[1], s[2]
 		for _, g := range gemmCases {
-			x := gemmFill(rng, g.x(n, k, m), 0.25)
-			y := gemmFill(rng, g.y(n, k, m), 0.25)
-			c0 := gemmFill(rng, g.c(n, k, m), 0)
-			want := append([]float64(nil), c0...)
-			g.ref(want, x, y, n, k, m)
-			check := func(how string, got []float64) {
-				t.Helper()
-				if i, ok := sameBits(got, want); !ok {
-					t.Errorf("%s %dx%dx%d %s: C[%d] = %v, oracle %v", g.name, n, k, m, how, i, got[i], want[i])
+			for _, store := range []bool{false, true} {
+				x := gemmFill(rng, g.x(n, k, m), 0.25)
+				y := gemmFill(rng, g.y(n, k, m), 0.25)
+				c0 := gemmFill(rng, g.c(n, k, m), 0)
+				want := append([]float64(nil), c0...)
+				if store {
+					clear(want)
+					for i := range c0 {
+						c0[i] = gemmSentinel
+					}
 				}
-			}
-			for _, w := range []int{1, 2, 3} {
-				par.SetMaxWorkers(w)
+				g.ref(want, x, y, n, k, m)
+				check := func(how string, got []float64) {
+					t.Helper()
+					if i, ok := sameBits(got, want); !ok {
+						t.Errorf("%s %dx%dx%d store=%v %s: C[%d] = %v, oracle %v", g.name, n, k, m, store, how, i, got[i], want[i])
+					}
+				}
+				for _, w := range []int{1, 2, 3} {
+					par.SetMaxWorkers(w)
+					got := append([]float64(nil), c0...)
+					g.kernel(got, x, y, n, k, m, store)
+					check(fmt.Sprintf("workers=%d", w), got)
+				}
+				l := g.layout(y, n, k, m)
+				if store {
+					l.mode = gemmStore
+				}
 				got := append([]float64(nil), c0...)
-				g.kernel(got, x, y, n, k, m)
-				check(fmt.Sprintf("workers=%d", w), got)
+				for s := 0; s < l.rows; {
+					e := min(l.rows, s+1+rng.Intn(13))
+					gemmRange(got, x, l.b, l.cols, l.red, l.aRow, l.aRed, l.mode, s, e)
+					s = e
+				}
+				check("uneven row split", got)
 			}
-			l := g.layout(y, n, k, m)
-			got := append([]float64(nil), c0...)
-			for s := 0; s < l.rows; {
-				e := min(l.rows, s+1+rng.Intn(13))
-				gemmRange(got, x, l.b, l.cols, l.red, l.aRow, l.aRed, l.fresh, s, e)
-				s = e
-			}
-			check("uneven row split", got)
 		}
 	}
 }
@@ -264,7 +287,9 @@ func testGEMMMatchesOracle(t *testing.T) {
 // or Inf in one operand reaches C even where the matching entry of the other
 // operand is exactly zero (0·Inf = NaN), so a blown-up weight or gradient is
 // visible on the step it appears instead of being masked by a zero input.
-// The shape gives every layout a full 4×8 tile at C[0].
+// The shape gives every layout a full 4×8 tile at C[0]. In store mode C
+// starts as a NaN sentinel, and its last element, which no poisoned entry
+// reaches, must come out finite.
 func TestGEMMPropagatesNonFinite(t *testing.T) {
 	onEachPath(t, gemmPaths, testGEMMPropagatesNonFinite)
 }
@@ -284,10 +309,20 @@ func testGEMMPropagatesNonFinite(t *testing.T) {
 				} else {
 					x[0], y[0] = bad, 0
 				}
-				c := make([]float64, g.c(n, k, m))
-				g.kernel(c, x, y, n, k, m)
-				if !math.IsNaN(c[0]) {
-					t.Errorf("%s: %v against an exact zero gave C[0] = %v, want NaN", g.name, bad, c[0])
+				for _, store := range []bool{false, true} {
+					c := make([]float64, g.c(n, k, m))
+					if store {
+						for i := range c {
+							c[i] = gemmSentinel
+						}
+					}
+					g.kernel(c, x, y, n, k, m, store)
+					if !math.IsNaN(c[0]) {
+						t.Errorf("%s store=%v: %v against an exact zero gave C[0] = %v, want NaN", g.name, store, bad, c[0])
+					}
+					if last := c[len(c)-1]; math.IsNaN(last) || math.IsInf(last, 0) {
+						t.Errorf("%s store=%v: %v at entry 0 reached C's last element: %v", g.name, store, bad, last)
+					}
 				}
 			}
 		}
@@ -299,8 +334,10 @@ func testGEMMPropagatesNonFinite(t *testing.T) {
 // gemm4x8 the columns before gemmGo's: NaN sentinels fill C before the
 // block, after it and the gap between each row's last column and the next
 // row, and B's gap columns too. Every sentinel must keep its bits and the
-// block must match the contract's sum. Go's bounds checks cannot see a
-// store from the assembly, so this is what pins gemm4x16's masks.
+// block must match the contract's sum, in every mode; in store mode the
+// block starts as sentinels too, which the kernel must not read. Go's
+// bounds checks cannot see a store from the assembly, so this is what pins
+// gemm4x16's masks.
 func TestGEMMKernelsStayInBlock(t *testing.T) {
 	onEachPath(t, gemmPaths, testGEMMKernelsStayInBlock)
 }
@@ -308,8 +345,8 @@ func TestGEMMKernelsStayInBlock(t *testing.T) {
 func testGEMMKernelsStayInBlock(t *testing.T) {
 	// tile is the kernel the path runs on a full group of four rows, for
 	// column counts that are multiples of step.
-	tile, step := func(c, a, b []float64, cols, red, ldc, aRow, aRed int, fresh bool) {
-		gemmGo(c, a, b, 4, cols, red, ldc, aRow, aRed, fresh)
+	tile, step := func(c, a, b []float64, cols, red, ldc, aRow, aRed int, mode gemmMode) {
+		gemmGo(c, a, b, 4, cols, red, ldc, aRow, aRed, mode)
 	}, 1
 	switch {
 	case useSIMD && useAVX512:
@@ -317,20 +354,20 @@ func testGEMMKernelsStayInBlock(t *testing.T) {
 	case useSIMD:
 		tile, step = gemm4x8, 8
 	}
-	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	sentinel := gemmSentinel
 	const pad = 40
 	rng := rand.New(rand.NewSource(517))
 	for cols := step; cols <= 40; cols += step {
 		for _, gap := range []int{0, 1, 7, 9, 16} {
 			for _, red := range []int{1, 3} {
-				for _, fresh := range []bool{false, true} {
+				for _, mode := range []gemmMode{gemmAcc, gemmFresh, gemmStore} {
 					ldc := cols + gap
 					in := func(i int) bool { return i >= pad && i < pad+4*ldc && (i-pad)%ldc < cols }
 					c := make([]float64, pad+4*ldc+pad)
 					b := make([]float64, red*ldc)
 					for i := range c {
 						c[i] = sentinel
-						if in(i) {
+						if in(i) && mode != gemmStore {
 							c[i] = rng.Float64() - 0.5
 						}
 					}
@@ -346,25 +383,25 @@ func testGEMMKernelsStayInBlock(t *testing.T) {
 						for j := 0; j < cols; j++ {
 							cw := &want[pad+r*ldc+j]
 							var sum float64
-							if !fresh {
+							if mode == gemmAcc {
 								sum = *cw
 							}
 							for l := 0; l < red; l++ {
 								sum += float64(a[r*red+l] * b[l*ldc+j])
 							}
-							if fresh {
+							if mode == gemmFresh {
 								sum = *cw + sum
 							}
 							*cw = sum
 						}
 					}
-					tile(c[pad:], a, b, cols, red, ldc, red, 1, fresh)
+					tile(c[pad:], a, b, cols, red, ldc, red, 1, mode)
 					if i, ok := sameBits(c, want); !ok {
 						what := "block"
 						if !in(i) {
 							what = "sentinel"
 						}
-						t.Fatalf("cols=%d ldc=%d red=%d fresh=%v: %s C[%d] = %v, want %v", cols, ldc, red, fresh, what, i-pad, c[i], want[i])
+						t.Fatalf("cols=%d ldc=%d red=%d mode=%d: %s C[%d] = %v, want %v", cols, ldc, red, mode, what, i-pad, c[i], want[i])
 					}
 				}
 			}
@@ -385,7 +422,7 @@ func TestMMTNAccSplitsNarrowLayers(t *testing.T) {
 		g := make([]float64, n*m)
 		dw := make([]float64, k*m)
 		par.ResetStats()
-		gemmCases[2].kernel(dw, x, g, n, k, m)
+		gemmCases[2].kernel(dw, x, g, n, k, m, false)
 		if st := par.Stats(); st.Regions != 1 || st.Chunks != 2 {
 			t.Errorf("dW %dx%d at %d rows: %d regions, %d chunks; want 1 region of 2 chunks", k, m, n, st.Regions, st.Chunks)
 		}
@@ -406,7 +443,7 @@ func testGEMMRangeZeroAllocs(t *testing.T) {
 		y := make([]float64, g.y(n, k, m))
 		c := make([]float64, g.c(n, k, m))
 		l := g.layout(y, n, k, m)
-		if a := testing.AllocsPerRun(20, func() { gemmRange(c, x, l.b, l.cols, l.red, l.aRow, l.aRed, l.fresh, 0, l.rows) }); a != 0 {
+		if a := testing.AllocsPerRun(20, func() { gemmRange(c, x, l.b, l.cols, l.red, l.aRow, l.aRed, l.mode, 0, l.rows) }); a != 0 {
 			t.Errorf("%s gemmRange: %v allocs/run, want 0", g.name, a)
 		}
 	}
@@ -487,7 +524,7 @@ func benchGEMM(b *testing.B, g gemmCase) {
 				c := make([]float64, g.c(n, k, m))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					g.kernel(c, x, y, n, k, m)
+					g.kernel(c, x, y, n, k, m, false)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*k*m), "ns/MAC")
 			})

@@ -43,11 +43,19 @@
 // values and dL/dT are bit-identical however the batch is composed or
 // ordered, and for any par worker count.
 //
-// Buffers come from the pool in two kinds. Gradient buffers, and value
-// buffers a kernel accumulates into (MatMul's C, PlaceCols' zero fill), are
-// zeroed. Every other value buffer is returned as is, holding whatever an
-// earlier step left, because its kernel writes every element before
-// anything reads it.
+// No buffer is zeroed when the pool hands it out, except PlaceCols' value
+// buffer, whose scatter writes only its placed columns. A value buffer
+// holds whatever an earlier step left until its kernel writes every element
+// of it; MatMul's GEMM stores into C without reading it. A gradient buffer
+// is written first-writer style: each node records whether its gradient has
+// been written this step, and the first writer that covers the whole buffer
+// stores 0 + x where later writers add x, the bits that adding x to a zeroed
+// buffer gives: a −0 term lands as +0. A gradient is zeroed on first use
+// instead when its writer covers only part of it (SelectRows, SelectCols,
+// PlaceCols, Clamp), when Value.Grad hands it out (a Custom op's backward
+// adds into its inputs' gradients through it), and when no consumer wrote
+// it: Backward zeroes it before the node's own backprop, so zero terms
+// still reach the node's inputs.
 package ad
 
 import "fmt"
@@ -97,6 +105,7 @@ type node struct {
 	op         Op
 	a, b       int32
 	rows, cols int32
+	written    bool    // grad holds this step's gradient (first-writer rule)
 	c          float64 // scalar payload (Scale, Shift, Clamp)
 	idx        []int   // index payload (Select/Place)
 	val        []float64
@@ -122,9 +131,16 @@ func (v Value) Cols() int { return int(v.t.nodes[v.i].cols) }
 // Data returns the node's value buffer (live view, not a copy).
 func (v Value) Data() []float64 { return v.t.nodes[v.i].val }
 
-// Grad returns the node's gradient buffer after Backward, or nil if the node
-// does not require gradients.
-func (v Value) Grad() []float64 { return v.t.nodes[v.i].grad }
+// Grad returns the node's gradient buffer, or nil if the node does not
+// require gradients. After Backward it holds the gradient. Called earlier
+// (a Custom backward adding into an input's gradient, or a layer keeping
+// the buffer for one), it zeroes the buffer if nothing has written it yet
+// this step, so callers may add into it.
+func (v Value) Grad() []float64 {
+	n := &v.t.nodes[v.i]
+	n.settle()
+	return n.grad
+}
 
 // NeedsGrad reports whether gradients flow into this node.
 func (v Value) NeedsGrad() bool { return v.t.nodes[v.i].grad != nil }
@@ -165,8 +181,8 @@ func (t *Tape) Len() int { return len(t.nodes) }
 
 // Reset clears the tape for the next step, recycling all buffers it owns.
 // Leaf and Const value buffers are owned (and often retained across steps)
-// by the caller and must never enter the pool: recycling them would zero
-// live caller data on the next allocation.
+// by the caller and must never enter the pool: recycling them would let a
+// later node overwrite live caller data.
 func (t *Tape) Reset() {
 	for _, fn := range t.onReset {
 		fn()
@@ -193,25 +209,23 @@ func (t *Tape) Reset() {
 	t.embeds = t.embeds[:0]
 }
 
-// alloc returns a zeroed buffer of length n from the pool.
-func (t *Tape) alloc(n int) []float64 { return t.pool.getZeroed(n) }
-
 // newNode appends a node, allocating its value buffer (len rows*cols) and,
-// when needsGrad is set, a zeroed gradient buffer. The value buffer is not
-// zeroed: the caller's kernel must write every element of it.
+// when needsGrad is set, its gradient buffer. Neither is zeroed: the
+// caller's kernel must write every element of the value buffer, and the
+// gradient follows the first-writer rule.
 func (t *Tape) newNode(op Op, a, b int32, rows, cols int, needsGrad bool) (Value, *node) {
 	t.nodes = append(t.nodes, node{op: op, a: a, b: b, rows: int32(rows), cols: int32(cols)})
 	i := int32(len(t.nodes) - 1)
 	n := &t.nodes[i]
 	n.val = t.pool.get(rows * cols)
 	if needsGrad {
-		n.grad = t.alloc(rows * cols)
+		n.grad = t.pool.get(rows * cols)
 	}
 	return Value{t, i}, n
 }
 
-// newAccNode is newNode with a zeroed value buffer, for kernels that
-// accumulate into their output or write only part of it.
+// newAccNode is newNode with a zeroed value buffer, for PlaceCols, whose
+// kernel writes only part of it.
 func (t *Tape) newAccNode(op Op, a, b int32, rows, cols int, needsGrad bool) (Value, *node) {
 	v, n := t.newNode(op, a, b, rows, cols, needsGrad)
 	clear(n.val)
@@ -222,10 +236,42 @@ func (t *Tape) needsGrad(idx int32) bool {
 	return idx >= 0 && t.nodes[idx].grad != nil
 }
 
+// gradOf returns node idx's gradient buffer, or nil if it has none, for a
+// writer that covers every element of it, and whether that writer is the
+// buffer's first this step: it then stores 0 + x (0 − x for a subtraction)
+// where later writers add x. A writer that covers only part of a gradient
+// takes it through Value.Grad instead, which zeroes it if it is unwritten.
+func (t *Tape) gradOf(idx int32) (grad []float64, first bool) {
+	if idx < 0 {
+		return nil, false
+	}
+	n := &t.nodes[idx]
+	first, n.written = !n.written, true
+	return n.grad, first
+}
+
+// settle zeroes the node's gradient buffer unless it has been written this
+// step, and marks it written.
+func (n *node) settle() {
+	if !n.written {
+		clear(n.grad)
+		n.written = true
+	}
+}
+
+// settleGroup settles node i and the nodes of its fused group below it: the
+// group's one backward, run at node i, reads all their gradients.
+func (t *Tape) settleGroup(i int32) {
+	op, b := t.nodes[i].op, t.nodes[i].b
+	for j := i; j >= 0 && t.nodes[j].op == op && t.nodes[j].b == b; j-- {
+		t.nodes[j].settle()
+	}
+}
+
 // Leaf registers an externally owned buffer (parameter or input batch) as a
 // tape node. data must have length rows*cols and remains aliased: parameter
 // updates mutate it in place between steps. When needsGrad is set, Backward
-// accumulates into the node's gradient buffer, readable via Value.Grad.
+// writes the node's gradient buffer, readable via Value.Grad.
 func (t *Tape) Leaf(rows, cols int, data []float64, needsGrad bool) Value {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("ad: Leaf buffer length %d ≠ %d×%d", len(data), rows, cols))
@@ -233,7 +279,7 @@ func (t *Tape) Leaf(rows, cols int, data []float64, needsGrad bool) Value {
 	t.nodes = append(t.nodes, node{op: OpLeaf, a: -1, b: -1, rows: int32(rows), cols: int32(cols), val: data})
 	i := int32(len(t.nodes) - 1)
 	if needsGrad {
-		t.nodes[i].grad = t.alloc(rows * cols)
+		t.nodes[i].grad = t.pool.get(rows * cols)
 	}
 	return Value{t, i}
 }
@@ -273,13 +319,6 @@ func (p *pool) get(n int) []float64 {
 		return buf
 	}
 	return make([]float64, n)
-}
-
-// getZeroed returns a zeroed buffer of length n.
-func (p *pool) getZeroed(n int) []float64 {
-	buf := p.get(n)
-	clear(buf)
-	return buf
 }
 
 func (p *pool) put(buf []float64) {
