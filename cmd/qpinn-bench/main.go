@@ -36,7 +36,7 @@ func main() {
 		ansatz   = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze ("+qsim.AnsatzNames()+")")
 		scale    = flag.String("scale", "", "restrict sweep to comma-separated scalings ("+qsim.ScalingNames()+")")
 		engine   = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
-		workers  = flag.Int("dist-workers", 0, "subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2); remote workers come from TORQ_DIST_ADDRS")
+		workers  = flag.Int("dist-workers", 0, "local subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2)")
 		obsFlags = obs.RegisterFlags("qpinn-bench")
 	)
 	flag.Parse()

@@ -243,7 +243,10 @@ func TestTrainEvalEveryZero(t *testing.T) {
 // TestTrainConfigValidate pins the training settings TrainModel refuses: a
 // grid of 0 or less used to panic in the collocation build, a grid of 1
 // trained on NaN coordinates, and 0 or fewer epochs reported an infinite or
-// negative time per epoch. More time bins than grid points is legal.
+// negative time per epoch. A negative or non-finite loss weight, and a
+// non-finite kappa, learning rate or decay factor, would train on a loss or
+// step that is not the one asked for. More time bins than grid points is
+// legal, and so are zero loss weights.
 func TestTrainConfigValidate(t *testing.T) {
 	smoke := SmokeTrain(10, maxwell.PaperConfig(true, true))
 	cases := []struct {
@@ -262,6 +265,20 @@ func TestTrainConfigValidate(t *testing.T) {
 		{"negative epochs", "-1 epochs", func(c *TrainConfig) { c.Epochs = -1 }},
 		{"no time bins", "0 time bins", func(c *TrainConfig) { c.TimeBins = 0 }},
 		{"negative time bins", "-3 time bins", func(c *TrainConfig) { c.TimeBins = -3 }},
+		{"zero loss weights", "", func(c *TrainConfig) { c.Loss.WIC, c.Loss.WSym, c.Loss.WEnergy = 0, 0, 0 }},
+		{"negative IC weight", "IC loss weight -1", func(c *TrainConfig) { c.Loss.WIC = -1 }},
+		{"NaN IC weight", "IC loss weight NaN", func(c *TrainConfig) { c.Loss.WIC = math.NaN() }},
+		{"negative symmetry weight", "symmetry loss weight -0.5", func(c *TrainConfig) { c.Loss.WSym = -0.5 }},
+		{"Inf symmetry weight", "symmetry loss weight +Inf", func(c *TrainConfig) { c.Loss.WSym = math.Inf(1) }},
+		{"negative energy weight", "energy loss weight -10", func(c *TrainConfig) { c.Loss.WEnergy = -10 }},
+		{"NaN energy weight", "energy loss weight NaN", func(c *TrainConfig) { c.Loss.WEnergy = math.NaN() }},
+		{"-Inf energy weight", "energy loss weight -Inf", func(c *TrainConfig) { c.Loss.WEnergy = math.Inf(-1) }},
+		{"NaN kappa", "kappa NaN", func(c *TrainConfig) { c.Kappa = math.NaN() }},
+		{"Inf kappa", "kappa +Inf", func(c *TrainConfig) { c.Kappa = math.Inf(1) }},
+		{"NaN learning rate", "learning rate NaN", func(c *TrainConfig) { c.Schedule.LR0 = math.NaN() }},
+		{"-Inf learning rate", "learning rate -Inf", func(c *TrainConfig) { c.Schedule.LR0 = math.Inf(-1) }},
+		{"NaN decay factor", "decay factor NaN", func(c *TrainConfig) { c.Schedule.Factor = math.NaN() }},
+		{"Inf decay factor", "decay factor +Inf", func(c *TrainConfig) { c.Schedule.Factor = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		cfg := smoke

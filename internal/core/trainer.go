@@ -46,8 +46,10 @@ func PaperTrain(loss maxwell.Config) TrainConfig {
 
 // Validate reports the first setting TrainModel cannot train with: fewer
 // than 2 collocation points per coordinate (the grid's spacing
-// TMax/(Grid-1) is then undefined), no epoch, or no curriculum bin. A
-// TimeBins above Grid is allowed: the surplus bins are empty.
+// TMax/(Grid-1) is then undefined), no epoch, no curriculum bin, a negative
+// or non-finite loss weight, or a non-finite curriculum sharpness or
+// learning-rate schedule. A TimeBins above Grid is allowed: the surplus
+// bins are empty.
 func (c TrainConfig) Validate() error {
 	switch {
 	case c.Grid < 2:
@@ -56,6 +58,22 @@ func (c TrainConfig) Validate() error {
 		return fmt.Errorf("core: train config: %d epochs, want at least 1", c.Epochs)
 	case c.TimeBins < 1:
 		return fmt.Errorf("core: train config: %d time bins, want at least 1", c.TimeBins)
+	}
+	for _, w := range []struct {
+		name string
+		v    float64
+	}{{"IC", c.Loss.WIC}, {"symmetry", c.Loss.WSym}, {"energy", c.Loss.WEnergy}} {
+		if !(w.v >= 0) || math.IsInf(w.v, 1) {
+			return fmt.Errorf("core: train config: %s loss weight %v, want finite and non-negative", w.name, w.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"kappa", c.Kappa}, {"learning rate", c.Schedule.LR0}, {"decay factor", c.Schedule.Factor}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: train config: %s %v, want finite", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,30 +17,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Options configures the coordinator's worker set. Every zero-valued field
-// falls back to its environment default — TORQ_DIST_WORKERS subprocess
-// workers (2 when unset and no remote addresses are given),
-// TORQ_DIST_WORKER_BIN as the worker binary (self-exec when unset),
-// TORQ_DIST_ADDRS remote workers, TORQ_DIST_SHARD_TIMEOUT per-shard
-// timeout — so e.g. `qpinn-bench -dist-workers 4` composes with a
-// TORQ_DIST_ADDRS / TORQ_DIST_WORKER_BIN environment instead of silently
-// discarding it.
+// Options configures the coordinator's worker pool.
 type Options struct {
-	// Workers is the number of local subprocess workers to spawn.
+	// Workers is the number of local subprocess workers to spawn. Zero
+	// falls back to TORQ_DIST_WORKERS, and to 2 when that is unset.
 	Workers int
-	// WorkerBin is the worker executable (normally a torq-worker build).
-	// Empty re-executes the current binary with TORQ_DIST_WORKER=stdio set,
-	// which this package's init intercepts — any binary that links the dist
-	// subsystem can therefore act as its own worker pool.
-	WorkerBin string
-	// Addrs lists remote `torq-worker -listen` endpoints to dial, used in
-	// addition to the subprocess workers.
-	Addrs []string
-	// ShardTimeout bounds one shard's round trip; an exchange covering a
-	// batch of shards gets the per-shard timeout times the batch size. A
-	// worker that blows its (scaled) timeout is declared dead and its
-	// outstanding shards re-dispatched. Zero means 60s per shard.
-	ShardTimeout time.Duration
 }
 
 // maxShardsPerBatch caps how many shards ride one assignment frame. The
@@ -55,44 +34,22 @@ const maxShardsPerBatch = 16
 // to each worker, hiding frame-transport latency under shard compute.
 const pipelineDepth = 2
 
-func (o Options) timeout() time.Duration {
-	if o.ShardTimeout > 0 {
-		return o.ShardTimeout
-	}
-	return 60 * time.Second
-}
-
-func envOptions() Options {
-	var o Options
-	if v, err := strconv.Atoi(os.Getenv("TORQ_DIST_WORKERS")); err == nil && v >= 0 {
-		o.Workers = v
-	}
-	o.WorkerBin = os.Getenv("TORQ_DIST_WORKER_BIN")
-	if v := os.Getenv("TORQ_DIST_ADDRS"); v != "" {
-		for _, a := range strings.Split(v, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				o.Addrs = append(o.Addrs, a)
-			}
-		}
-	}
-	if v, err := time.ParseDuration(os.Getenv("TORQ_DIST_SHARD_TIMEOUT")); err == nil && v > 0 {
-		o.ShardTimeout = v
-	}
-	return o
-}
+// shardTimeout bounds one shard's round trip; an exchange covering a batch
+// of shards gets it times the batch size. A worker that blows its (scaled)
+// timeout is declared dead and its outstanding shards re-dispatched.
+const shardTimeout = 60 * time.Second
 
 // worker is one coordinator-side worker handle: a framed transport plus the
-// process or connection behind it. During a pass a worker is driven by one
+// subprocess behind it. During a pass a worker is driven by one
 // sender and one receiver goroutine: the sender owns the write half (w,
 // ebuf, smBuf), the receiver the read half (r, rbuf, arena, rmBuf); only
 // the dead flag, the in-flight counter, and the kill path are shared.
 type worker struct {
-	id   int
-	addr string // non-empty for remote (TCP) workers
-	r    *bufio.Reader
-	w    *bufio.Writer
-	raw  io.Closer
-	cmd  *exec.Cmd
+	id  int
+	r   *bufio.Reader
+	w   *bufio.Writer
+	raw io.Closer
+	cmd *exec.Cmd
 
 	circ     *qsim.Circuit // circuit of the last successful handshake
 	dead     atomic.Bool
@@ -117,22 +74,18 @@ type worker struct {
 }
 
 // kill tears the transport down (idempotent, safe from timeout callbacks):
-// closing the stdin pipe/conn unblocks any in-flight write, and for
-// subprocess workers the async Wait both reaps the child and closes the
-// parent side of the stdout pipe (unblocking any in-flight read) — without
-// it every dead worker would leak one pipe fd until a GC finalizer ran.
+// closing the stdin pipe unblocks any in-flight write, and the async Wait
+// both reaps the child and closes the parent side of the stdout pipe
+// (unblocking any in-flight read) — without it every dead worker would leak
+// one pipe fd until a GC finalizer ran.
 func (w *worker) kill() {
 	w.dead.Store(true)
 	w.killOnce.Do(func() {
 		xstats.workerKills.Add(1)
 		markWorkerDead(w.id)
-		if w.raw != nil {
-			w.raw.Close()
-		}
-		if w.cmd != nil {
-			w.cmd.Process.Kill()
-			go w.cmd.Wait() // reap + release pipes without blocking callers
-		}
+		w.raw.Close()
+		w.cmd.Process.Kill()
+		go w.cmd.Wait() // reap + release pipes without blocking callers
 	})
 }
 
@@ -144,20 +97,19 @@ func (w *worker) send(typ byte, payload []byte) error {
 }
 
 // guard arms the worker-death timeout around a blocking frame exchange and
-// returns its stop function. Pipes and TCP conns carry no write deadlines
-// here, so BOTH directions must run under the timer: a wedged worker (or a
-// black-holed network peer) can block the coordinator in send — a full TCP
-// window or pipe buffer — just as it can block the reply read; killing the
-// transport is what unblocks either side.
+// returns its stop function. Pipes carry no write deadlines, so BOTH
+// directions must run under the timer: a wedged worker can block the
+// coordinator in send — a full pipe buffer — just as it can block the reply
+// read; killing the transport is what unblocks either side.
 func (c *coordinator) guard(w *worker) func() bool {
 	return c.guardN(w, 1)
 }
 
 // guardN is guard with the timeout scaled to an exchange covering `shards`
-// shards: the configured ShardTimeout stays a per-shard liveness bound no
-// matter how coarse the batching or how deep the pipeline.
+// shards: shardTimeout stays a per-shard liveness bound no matter how
+// coarse the batching or how deep the pipeline.
 func (c *coordinator) guardN(w *worker, shards int) func() bool {
-	t := c.options().timeout()
+	t := shardTimeout
 	if shards > 1 {
 		t *= time.Duration(shards)
 	}
@@ -169,8 +121,7 @@ func (c *coordinator) guardN(w *worker, shards int) func() bool {
 // worker plus the shared shard queue and result slots.
 type coordinator struct {
 	mu      sync.Mutex
-	opts    Options
-	optsSet bool
+	workerN int // configured pool size; 0 = TORQ_DIST_WORKERS or 2
 	started bool
 	workers []*worker
 	nextID  int
@@ -202,31 +153,18 @@ type fwdPassInfo struct {
 
 var coord coordinator
 
-// Configure replaces the coordinator's options (zero-valued fields keep
-// their environment defaults), shutting down any running workers so the
-// next pass starts a fresh pool.
+// Configure replaces the coordinator's options (a zero Workers keeps the
+// environment default), shutting down any running workers so the next pass
+// starts a fresh pool.
 func Configure(o Options) {
-	base := envOptions()
-	if o.Workers != 0 {
-		base.Workers = o.Workers
-	}
-	if o.WorkerBin != "" {
-		base.WorkerBin = o.WorkerBin
-	}
-	if len(o.Addrs) > 0 {
-		base.Addrs = o.Addrs
-	}
-	if o.ShardTimeout > 0 {
-		base.ShardTimeout = o.ShardTimeout
-	}
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
 	coord.shutdownLocked()
-	coord.opts, coord.optsSet = base, true
+	coord.workerN = o.Workers
 }
 
-// Shutdown kills every worker process and drops every connection. The next
-// pass respawns the pool; safe to call at any quiesced point.
+// Shutdown kills every worker process. The next pass respawns the pool;
+// safe to call at any quiesced point.
 func Shutdown() {
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
@@ -240,25 +178,14 @@ func (c *coordinator) shutdownLocked() {
 	c.workers, c.started, c.lastFwd = nil, false, nil
 }
 
-func (c *coordinator) options() Options {
-	if !c.optsSet {
-		c.opts, c.optsSet = envOptions(), true
-	}
-	return c.opts
-}
-
-// spawnProc starts one subprocess worker on a stdio transport.
+// spawnProc starts one subprocess worker: the current binary re-executed
+// with TORQ_DIST_WORKER=stdio, which this package's init intercepts.
 func (c *coordinator) spawnProc() (*worker, error) {
-	o := c.options()
-	bin := o.WorkerBin
-	if bin == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("dist: cannot self-exec a worker: %w", err)
-		}
-		bin = exe
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("dist: cannot self-exec a worker: %w", err)
 	}
-	cmd := exec.Command(bin)
+	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), workerModeEnv+"=stdio")
 	cmd.Env = append(cmd.Env, c.spawnEnv...)
 	c.spawnEnv = nil
@@ -272,7 +199,7 @@ func (c *coordinator) spawnProc() (*worker, error) {
 		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("dist: spawning worker %q: %w", bin, err)
+		return nil, fmt.Errorf("dist: spawning worker %q: %w", exe, err)
 	}
 	c.nextID++
 	registerWorkerStats(c.nextID)
@@ -285,41 +212,23 @@ func (c *coordinator) spawnProc() (*worker, error) {
 	}, nil
 }
 
-// dialWorker connects one remote worker.
-func (c *coordinator) dialWorker(addr string) (*worker, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("dist: dialing worker %s: %w", addr, err)
+// poolSize is the configured worker count: Options.Workers, else
+// TORQ_DIST_WORKERS, else 2.
+func (c *coordinator) poolSize() int {
+	if c.workerN != 0 {
+		return c.workerN
 	}
-	c.nextID++
-	registerWorkerStats(c.nextID)
-	return &worker{
-		id:   c.nextID,
-		addr: addr,
-		r:    bufio.NewReaderSize(conn, 1<<16),
-		w:    bufio.NewWriterSize(conn, 1<<16),
-		raw:  conn,
-	}, nil
+	if v, err := strconv.Atoi(os.Getenv("TORQ_DIST_WORKERS")); err == nil && v > 0 {
+		return v
+	}
+	return 2
 }
 
-// ensureWorkersLocked brings the pool to its configured shape, respawning or
-// redialing workers that died in earlier passes.
+// ensureWorkersLocked brings the pool to its configured size, respawning
+// workers that died in earlier passes.
 func (c *coordinator) ensureWorkersLocked() error {
-	o := c.options()
 	if !c.started {
-		for _, addr := range o.Addrs {
-			w, err := c.dialWorker(addr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dist: %v (continuing without it)\n", err)
-				continue
-			}
-			c.workers = append(c.workers, w)
-		}
-		n := o.Workers
-		if n == 0 && len(o.Addrs) == 0 {
-			n = 2
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < c.poolSize(); i++ {
 			w, err := c.spawnProc()
 			if err != nil {
 				// Tear the partial pool down rather than dropping live
@@ -336,13 +245,7 @@ func (c *coordinator) ensureWorkersLocked() error {
 			if !w.dead.Load() {
 				continue
 			}
-			var nw *worker
-			var err error
-			if w.addr != "" {
-				nw, err = c.dialWorker(w.addr)
-			} else {
-				nw, err = c.spawnProc()
-			}
+			nw, err := c.spawnProc()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dist: replacing dead worker %d: %v\n", w.id, err)
 				continue
@@ -586,9 +489,9 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		}
 		if w.circ != spec.Circ {
 			if err := c.handshake(w, spec); err != nil {
-				// Surface every refusal: a version/digest-skewed remote node
-				// would otherwise be silently re-dialed and re-refused on
-				// each pass while the pool runs at reduced capacity.
+				// Surface every refusal: a refused worker is respawned and
+				// re-refused on each pass while the pool runs at reduced
+				// capacity, so a silent failure would hide the cause.
 				fmt.Fprintf(os.Stderr, "dist: worker %d handshake failed: %v (removed from pool this pass)\n", w.id, err)
 				hsErr = err
 				w.kill()
@@ -628,9 +531,8 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		}
 		c.lastFwd = nil
 	}
-	retain := !spec.Backward
 	var fwd *fwdPassInfo
-	if retain {
+	if !spec.Backward {
 		fwd = &fwdPassInfo{
 			pass: pass, circ: spec.Circ, n: spec.N, block: spec.Block,
 			active: spec.Active, owner: make([]int32, ns),
@@ -680,8 +582,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	}
 	pm := encodePass(passMsg{
 		Pass: pass, FwdPass: fwdPass, Trace: traceCtx, Span: passSpan,
-		Backward: spec.Backward, Retain: retain,
-		Active: spec.Active, Theta: spec.Theta,
+		Backward: spec.Backward, Active: spec.Active, Theta: spec.Theta,
 	})
 
 	var wg sync.WaitGroup

@@ -12,11 +12,11 @@
 // forward states — which is what lets the coordinator re-dispatch a dead
 // worker's outstanding shards to the survivors and finish the pass.
 //
-// Workers come in two transports: local subprocesses speaking frames over
-// stdio (spawned from TORQ_DIST_WORKER_BIN, or by re-executing the current
-// binary — this package's init intercepts TORQ_DIST_WORKER=stdio before
-// main runs), and remote `torq-worker -listen` instances dialed over TCP
-// (TORQ_DIST_ADDRS or Options.Addrs).
+// Workers are local subprocesses that re-execute the coordinator's own
+// binary and speak frames over stdio: this package's init intercepts
+// TORQ_DIST_WORKER=stdio before main runs, so every worker runs the
+// coordinator's build on the coordinator's host. The pool size
+// (Options.Workers, else TORQ_DIST_WORKERS, else 2) is the one setting.
 //
 // Importing the package registers the coordinator as qsim's dist backend;
 // nothing starts until the first EngineDist pass runs.
@@ -50,8 +50,8 @@ const workerModeEnv = "TORQ_DIST_WORKER"
 
 func init() {
 	if os.Getenv(workerModeEnv) == "stdio" {
-		if err := ServeStdio(); err != nil {
-			fmt.Fprintf(os.Stderr, "torq-worker (self-exec): %v\n", err)
+		if err := ServeConn(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "dist worker: %v\n", err)
 			os.Exit(1)
 		}
 		os.Exit(0)

@@ -37,7 +37,9 @@ import (
 // batch frames fShardBatch/fResultBatch joined the protocol.
 // Version 3: trace context — passMsg gained Trace/Span, shard batches carry
 // a batch-span id, and result batches return the worker's span records.
-const ProtoVersion uint16 = 3
+// Version 4: passMsg lost Retain — every forward pass retains its shard
+// states for the paired backward.
+const ProtoVersion uint16 = 4
 
 // maxFrame bounds a frame's wire size; anything larger is a corrupt stream.
 const maxFrame = 1 << 30
@@ -438,10 +440,10 @@ func decodeHelloAck(b []byte) (helloAckMsg, error) {
 
 // passMsg is the per-pass broadcast: the pass id every subsequent shard
 // frame references, the pass direction, the active tangent channels, and the
-// ansatz coefficient vector theta. The affinity fields steer the worker's
-// forward-state cache: Retain asks a forward pass to snapshot its shard
-// states, and FwdPass names the forward pass a backward pass pairs with
-// (zero when unpaired — the worker then drops any cached states).
+// ansatz coefficient vector theta. Every forward pass snapshots its shard
+// states into the worker's forward-state cache; FwdPass names the forward
+// pass a backward pass pairs with (zero when unpaired — the worker then
+// drops any cached states).
 // The trace-context fields piggyback on the broadcast: Trace is the
 // coordinator's trace context id (nonzero exactly when the pass is traced —
 // the worker gates its per-shard span recording on it, so a traced
@@ -455,7 +457,6 @@ type passMsg struct {
 	Trace    uint64
 	Span     uint64
 	Backward bool
-	Retain   bool
 	Active   [qsim.MaxTangents]bool
 	Theta    []float64
 }
@@ -467,7 +468,6 @@ func encodePass(m passMsg) []byte {
 	e.u64(m.Trace)
 	e.u64(m.Span)
 	e.bool(m.Backward)
-	e.bool(m.Retain)
 	var mask byte
 	for k := 0; k < qsim.MaxTangents; k++ {
 		if m.Active[k] {
@@ -481,7 +481,7 @@ func encodePass(m passMsg) []byte {
 
 func decodePass(b []byte) (passMsg, error) {
 	d := dec{b: b}
-	m := passMsg{Pass: d.u64(), FwdPass: d.u64(), Trace: d.u64(), Span: d.u64(), Backward: d.bool(), Retain: d.bool()}
+	m := passMsg{Pass: d.u64(), FwdPass: d.u64(), Trace: d.u64(), Span: d.u64(), Backward: d.bool()}
 	mask := d.u8()
 	for k := 0; k < qsim.MaxTangents; k++ {
 		m.Active[k] = mask&(1<<k) != 0

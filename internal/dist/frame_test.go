@@ -103,8 +103,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		pm := passMsg{
 			Pass: rng.Uint64(), FwdPass: rng.Uint64(),
 			Trace: rng.Uint64(), Span: rng.Uint64(),
-			Backward: rng.Intn(2) == 1, Retain: rng.Intn(2) == 1,
-			Theta: randFloats(rng, rng.Intn(40)),
+			Backward: rng.Intn(2) == 1, Theta: randFloats(rng, rng.Intn(40)),
 		}
 		pm.Theta = append(pm.Theta, math.NaN(), math.Inf(1), 5e-324)
 		for k := range pm.Active {
@@ -117,7 +116,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		// NaN breaks DeepEqual on purpose; compare bit patterns instead.
 		if gotP.Pass != pm.Pass || gotP.FwdPass != pm.FwdPass || gotP.Backward != pm.Backward ||
 			gotP.Trace != pm.Trace || gotP.Span != pm.Span ||
-			gotP.Retain != pm.Retain || gotP.Active != pm.Active || !bitsEqual(gotP.Theta, pm.Theta) {
+			gotP.Active != pm.Active || !bitsEqual(gotP.Theta, pm.Theta) {
 			t.Fatalf("pass round trip: got %+v want %+v", gotP, pm)
 		}
 
@@ -524,7 +523,6 @@ func TestCodecGoldenBytes(t *testing.T) {
 		Trace:    0x2122232425262728,
 		Span:     0x3132333435363738,
 		Backward: true,
-		Retain:   true,
 		Active:   [qsim.MaxTangents]bool{true, false, true},
 		Theta:    []float64{1, -0.5},
 	}
@@ -542,7 +540,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 		want string
 	}{
 		{"pass", encodePass(pass),
-			"080706050403020118171615141312112827262524232221383736353433323101010502000000000000000000f03f000000000000e0bf"},
+			"0807060504030201181716151413121128272625242322213837363534333231010502000000000000000000f03f000000000000e0bf"},
 		// The batch encoder emits a complete frame: u32 length (type byte +
 		// 78-byte payload = 0x4f) and the fShardBatch type lead the bytes; the
 		// batch-span id sits between the pass id and the entry count.
@@ -691,11 +689,10 @@ func TestReservedFrameTypesRejected(t *testing.T) {
 }
 
 // TestMalformedHelloRejected drives a worker session in memory with
-// handshakes whose circuits would index outside the compiler's tables. The
-// listener accepts unauthenticated TCP, so each must be refused with an
-// error frame instead of panicking the worker, and a valid handshake must
-// still succeed on the same session afterwards, as must every shipped
-// ansatz at paper scale.
+// handshakes whose circuits would index outside the compiler's tables. Each
+// must be refused with an error frame instead of panicking the worker, and
+// a valid handshake must still succeed on the same session afterwards, as
+// must every shipped ansatz at paper scale.
 func TestMalformedHelloRejected(t *testing.T) {
 	circ := qsim.StronglyEntangling.Build(3, 2)
 	prog := qsim.CompileProgram(circ)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strconv"
 	"time"
@@ -128,11 +127,11 @@ func (s *session) handle(typ byte, body []byte) error {
 }
 
 // Sanity bounds on handshake payloads, enforced BEFORE compiling anything:
-// compilation allocates 2^nq-sized tables, so an absurd circuit from a
-// confused (or hostile — the TCP listener is unauthenticated) peer must be
-// refused with an error frame rather than OOM-killing the worker.
-// Paper-scale circuits need a few KiB of the tables maxWorkerTableBytes
-// bounds.
+// compilation allocates 2^nq-sized tables, so an absurd circuit — from a
+// coordinator bug or a corrupted stream; the fuzzers treat the frame stream
+// as hostile — must be refused with an error frame rather than OOM-killing
+// the worker. Paper-scale circuits need a few KiB of the tables
+// maxWorkerTableBytes bounds.
 const (
 	maxWorkerQubits     = 24
 	maxWorkerGates      = 1 << 20
@@ -142,7 +141,7 @@ const (
 
 // checkCircuit refuses a handshake circuit the compiler or the kernels
 // cannot execute: every index it carries is used to slice a table, so an
-// unchecked value from a hostile peer would panic the worker process.
+// unchecked value from a malformed frame would panic the worker process.
 func checkCircuit(hm *helloMsg) error {
 	nq := hm.NumQubits
 	if nq < 1 || nq > maxWorkerQubits {
@@ -237,9 +236,8 @@ func (s *session) shardBatch(body []byte) error {
 	// Per-shard spans, gated on the coordinator's trace context rather than
 	// this process's own TORQ_TRACE: a traced coordinator traces its whole
 	// fleet. Each span parents under the batch span that carried the shard
-	// (falling back to the pass-root span), records locally — a worker's own
-	// -debug-addr /trace sees it — and rides the reply's span section back
-	// for coordinator-side stitching.
+	// (falling back to the pass-root span) and rides the reply's span
+	// section back for coordinator-side stitching.
 	traced := s.pass.Trace != 0
 	parent := batchSpan
 	if parent == 0 {
@@ -344,37 +342,8 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 		}
 		da, dat, dth, diagT := s.runner.BackwardShard(n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta, sm.GZ, sm.GZTans)
 		rm.DAngles, rm.DAngleTans, rm.DTheta, rm.DiagT = da, dat, dth, diagT
-	case s.pass.Retain:
-		rm.Z, rm.ZTans = s.runner.ForwardShardRetain(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta)
 	default:
-		rm.Z, rm.ZTans = s.runner.ForwardShard(n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta)
+		rm.Z, rm.ZTans = s.runner.ForwardShardRetain(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta)
 	}
 	return nil
-}
-
-// ServeStdio runs the worker loop on stdin/stdout — the transport a
-// coordinator-spawned subprocess worker uses.
-func ServeStdio() error { return ServeConn(os.Stdin, os.Stdout) }
-
-// Listen serves remote workers: it accepts TCP connections on addr and runs
-// one independent worker session per connection (so several coordinators can
-// share one torq-worker instance). It blocks until the listener fails.
-func Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "torq-worker: listening on %s\n", ln.Addr())
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go func() {
-			defer conn.Close()
-			if err := ServeConn(conn, conn); err != nil {
-				fmt.Fprintf(os.Stderr, "torq-worker: session ended: %v\n", err)
-			}
-		}()
-	}
 }

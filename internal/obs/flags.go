@@ -15,10 +15,7 @@ type Flags struct {
 	cmd             string
 	dump, debugAddr *string
 	every           *time.Duration
-	tracing         bool // -debug-addr also turns span tracing on
 }
-
-const planeHelp = "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address"
 
 // RegisterFlags defines -ftdc-dump, -ftdc-interval and -debug-addr for the
 // command named cmd.
@@ -27,16 +24,8 @@ func RegisterFlags(cmd string) *Flags {
 		cmd:       cmd,
 		dump:      flag.String("ftdc-dump", "", "record flight-data telemetry and write the capture here at exit (and on SIGUSR1)"),
 		every:     flag.Duration("ftdc-interval", 0, "telemetry sampling period (0 = 100ms)"),
-		debugAddr: flag.String("debug-addr", "", planeHelp+" and enable span tracing; results stay bit-identical"),
-		tracing:   true,
+		debugAddr: flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address and enable span tracing; results stay bit-identical"),
 	}
-}
-
-// RegisterWorkerFlags defines only -debug-addr: a worker records spans
-// when the coordinator's trace context says so, never on its own.
-func RegisterWorkerFlags(cmd string) *Flags {
-	return &Flags{cmd: cmd, dump: new(string), every: new(time.Duration),
-		debugAddr: flag.String("debug-addr", "", planeHelp+"; span recording itself is switched by the coordinator's trace context, not locally")}
 }
 
 // Start runs what the flags ask for: a recorder dumped on SIGUSR1 and by
@@ -52,9 +41,7 @@ func (f *Flags) Start() (stop func(), err error) {
 	}
 	var srv *Server
 	if *f.debugAddr != "" {
-		if f.tracing {
-			trace.SetEnabled(true)
-		}
+		trace.SetEnabled(true)
 		if srv, err = Start(*f.debugAddr, Options{Recorder: rec}); err != nil {
 			return nil, err
 		}

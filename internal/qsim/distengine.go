@@ -93,8 +93,6 @@ func RegisterDistBackend(b DistBackend) { distBackend = b }
 // coefficient table: the workers do.
 type distEngine struct{}
 
-func (distEngine) Kind() EngineKind { return EngineDist }
-
 // distPass describes the pass whose inputs ws saved to the backend,
 // partitioned with the backward pass's block size. Forward z/ztans are
 // strictly per-sample (no cross-sample reduction), so the partition never

@@ -31,11 +31,11 @@ const (
 	// gradients are bit-identical for every worker count, and uneven
 	// per-shard costs rebalance across the pool. The zero value: the one
 	// production in-process engine. A shard is exactly the unit EngineDist
-	// ships to a remote executor.
+	// ships to a worker process.
 	EngineSharded EngineKind = iota
 	// EngineDist executes the same fixed cache-block shards as EngineSharded
-	// but ships them to worker *processes* (local subprocesses or remote
-	// torq-worker instances) over a framed binary protocol, merging results
+	// but ships them to local worker *processes* (the running binary,
+	// re-executed) over a framed binary protocol, merging results
 	// in shard order so gradients and z rows stay bit-identical to the
 	// in-process sharded engine for any worker count. The transport and
 	// worker lifecycle live in repro/internal/dist, which registers itself
@@ -126,7 +126,6 @@ func flagList(names []string) string {
 // batch. All engines are numerically interchangeable (see the parity tests)
 // and differ only in architecture — the axis the paper's Table 2 measures.
 type Engine interface {
-	Kind() EngineKind
 	Forward(p *PQC, ws *Workspace, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64)
 	Backward(p *PQC, ws *Workspace, gz []float64, gztans [MaxTangents][]float64, dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta []float64)
 }

@@ -150,19 +150,23 @@ type NaiveSimulator struct {
 	Circ *Circuit
 }
 
-// Run returns per-qubit ⟨Z⟩ for each sample (n×nq row-major).
+// Run returns per-qubit ⟨Z⟩ for each sample (n×nq row-major). Like every
+// execution path it walks the circuit's segments, embedding before each.
 func (ns *NaiveSimulator) Run(angles []float64, theta []float64, n int) []float64 {
 	nq := ns.Circ.NumQubits
 	dim := 1 << nq
+	segs := ns.Circ.segments()
 	out := make([]float64, n*nq)
 	for i := 0; i < n; i++ {
 		v := make(cvec, dim)
 		v[0] = 1
-		for q := 0; q < nq; q++ {
-			v = embedMatrix(q, angles[i*nq+q], nq).matvec(v)
-		}
-		for _, g := range ns.Circ.Gates {
-			v = expand(g, theta, nq).matvec(v)
+		for _, seg := range segs {
+			for q := 0; q < nq; q++ {
+				v = embedMatrix(q, angles[i*nq+q], nq).matvec(v)
+			}
+			for _, g := range seg {
+				v = expand(g, theta, nq).matvec(v)
+			}
 		}
 		writeExpZ(v, nq, out[i*nq:(i+1)*nq])
 	}
@@ -177,18 +181,22 @@ type KronSimulator struct {
 	Circ *Circuit
 }
 
-// Run returns per-qubit ⟨Z⟩ for each sample (n×nq row-major).
+// Run returns per-qubit ⟨Z⟩ for each sample (n×nq row-major), composing
+// the circuit segment by segment with the embedding before each.
 func (ks *KronSimulator) Run(angles []float64, theta []float64, n int) []float64 {
 	nq := ks.Circ.NumQubits
 	dim := 1 << nq
+	segs := ks.Circ.segments()
 	out := make([]float64, n*nq)
 	for i := 0; i < n; i++ {
 		u := eye(dim)
-		for q := 0; q < nq; q++ {
-			u = embedMatrix(q, angles[i*nq+q], nq).mul(u)
-		}
-		for _, g := range ks.Circ.Gates {
-			u = expand(g, theta, nq).mul(u)
+		for _, seg := range segs {
+			for q := 0; q < nq; q++ {
+				u = embedMatrix(q, angles[i*nq+q], nq).mul(u)
+			}
+			for _, g := range seg {
+				u = expand(g, theta, nq).mul(u)
+			}
 		}
 		v := make(cvec, dim)
 		v[0] = 1

@@ -225,8 +225,6 @@ func (ws *Workspace) ensureScratch() {
 // the one the compiled engines fuse.
 type naiveEngine struct{}
 
-func (naiveEngine) Kind() EngineKind { return EngineNaive }
-
 func (e naiveEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
 	ws.saveInputs(p, angles, angleTans, theta)
 	n, nq := ws.n, ws.nq

@@ -47,11 +47,14 @@ func TestParamCountsMatchTable1(t *testing.T) {
 
 // TestFastMatchesNaive verifies the sharded engine's forward pass and EvalZ
 // (the naive engine) against the Table 2 dense simulators, per-gate and
-// Kronecker-composed, for every ansatz.
+// Kronecker-composed, for every ansatz with and without data re-uploading.
 func TestFastMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	var circs []*Circuit
 	for _, a := range AllAnsatze {
-		circ := a.Build(4, 2)
+		circs = append(circs, a.Build(4, 2), a.Build(4, 2).WithReupload())
+	}
+	for _, circ := range circs {
 		n := 3
 		angles := randAngles(rng, n, 4)
 		theta := randTheta(rng, circ.NumParams)
@@ -65,11 +68,11 @@ func TestFastMatchesNaive(t *testing.T) {
 		}{{"sharded", fast}, {"EvalZ", evalZ}} {
 			for i := range c.got {
 				if math.Abs(c.got[i]-naive[i]) > 1e-10 {
-					t.Errorf("%v: %s %v vs naive %v at %d", a, c.name, c.got[i], naive[i], i)
+					t.Errorf("%s: %s %v vs naive %v at %d", circ.Name, c.name, c.got[i], naive[i], i)
 					break
 				}
 				if math.Abs(c.got[i]-kron[i]) > 1e-10 {
-					t.Errorf("%v: %s %v vs kron %v at %d", a, c.name, c.got[i], kron[i], i)
+					t.Errorf("%s: %s %v vs kron %v at %d", circ.Name, c.name, c.got[i], kron[i], i)
 					break
 				}
 			}

@@ -22,8 +22,6 @@ import (
 // coordinator by the same mergeShards.
 type shardedEngine struct{}
 
-func (shardedEngine) Kind() EngineKind { return EngineSharded }
-
 // shardCount reports how many shards a batch of n samples splits into at
 // shard size blk.
 func shardCount(n, blk int) int { return (n + blk - 1) / blk }

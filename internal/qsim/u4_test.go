@@ -401,21 +401,26 @@ func TestU4Dispatch(t *testing.T) {
 	t.Skip("no flags line in /proc/cpuinfo")
 }
 
-// TestQsimAssemblyHasNoFMA pins the rounding contract of the opU4 assembly:
-// every term is a separately rounded multiply and add or subtract, as in
-// the scalar Go code, so a fused multiply-add anywhere in u4_amd64.s would
-// break bit-identity with the pure-Go path and across architectures.
+// TestQsimAssemblyHasNoFMA pins the rounding contract of qsim's assembly,
+// the opU4 kernels (u4_amd64.s) and the opEmbedProd step kernels
+// (embed_amd64.s): every term is a separately rounded multiply and add or
+// subtract, as in the scalar Go code, so a fused multiply-add anywhere in
+// either file would break bit-identity with the pure-Go path and across
+// architectures.
 func TestQsimAssemblyHasNoFMA(t *testing.T) {
-	src, err := os.ReadFile("u4_amd64.s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fma := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)\w*`).FindAll(src, -1); len(fma) > 0 {
-		t.Errorf("u4_amd64.s uses fused multiply-add: %s", fma)
-	}
-	for _, op := range []string{"VMULPD", "VADDPD", "VSUBPD"} {
-		if !strings.Contains(string(src), op) {
-			t.Errorf("u4_amd64.s has no %s: is this still the opU4 kernel?", op)
+	fma := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)\w*`)
+	for _, file := range []string{"u4_amd64.s", "embed_amd64.s"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found := fma.FindAll(src, -1); len(found) > 0 {
+			t.Errorf("%s uses fused multiply-add: %s", file, found)
+		}
+		for _, op := range []string{"VMULPD", "VADDPD", "VSUBPD"} {
+			if !strings.Contains(string(src), op) {
+				t.Errorf("%s has no %s: is this still a qsim kernel?", file, op)
+			}
 		}
 	}
 }
