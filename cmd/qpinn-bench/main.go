@@ -36,7 +36,7 @@ func main() {
 		ansatz   = flag.String("ansatz", "", "restrict sweep to comma-separated ansätze ("+qsim.AnsatzNames()+")")
 		scale    = flag.String("scale", "", "restrict sweep to comma-separated scalings ("+qsim.ScalingNames()+")")
 		engine   = flag.String("engine", "sharded", "circuit-execution engine: "+qsim.EngineNames())
-		workers  = flag.Int("dist-workers", 0, "local subprocess worker count for -engine dist (0 = TORQ_DIST_WORKERS or 2)")
+		workers  = flag.Int("dist-workers", 0, fmt.Sprintf("local subprocess worker count for -engine dist, at most %d (0 = TORQ_DIST_WORKERS or 2)", dist.MaxWorkers))
 		obsFlags = obs.RegisterFlags("qpinn-bench")
 	)
 	flag.Parse()
@@ -69,6 +69,10 @@ func main() {
 	}
 	if *seeds < 0 || *epochs < 0 {
 		fmt.Fprintf(os.Stderr, "qpinn-bench: negative count (-seeds %d, -epochs %d); 0 means the preset default\n", *seeds, *epochs)
+		os.Exit(2)
+	}
+	if *workers < 0 || *workers > dist.MaxWorkers {
+		fmt.Fprintf(os.Stderr, "qpinn-bench: -dist-workers %d outside [0, %d]; 0 means TORQ_DIST_WORKERS or 2\n", *workers, dist.MaxWorkers)
 		os.Exit(2)
 	}
 	o := experiments.Options{

@@ -20,8 +20,12 @@ import (
 //     trained on NaN) and an -epochs below 1 (0 and -1 printed an infinite
 //     or negative time per epoch);
 //   - qpinn-bench: a misspelt -preset, which must not run at smoke scale,
-//     and a negative -epochs or -seeds, which used to run the preset's
-//     default (25 000 epochs at the paper preset);
+//     a negative -epochs or -seeds, which used to run the preset's
+//     default (25 000 epochs at the paper preset), and a -dist-workers
+//     outside [0, dist.MaxWorkers] (100000 was accepted, and a dist pass
+//     would have spawned that many processes; -1 silently meant the
+//     default). These run on the default sharded engine, so a refusal
+//     that breaks shows as exit 0 without starting a worker;
 //   - maxwell-ref: a -grid the reference solvers cannot run, refused before
 //     any solver starts (-grid 0 panicked in the spectral and Padé solvers
 //     or wrote NaN energies in FDTD, and -grid 100 panicked in the spectral
@@ -59,6 +63,9 @@ func TestCommandFlagErrors(t *testing.T) {
 		{"qpinn-bench -exp table1 -preset papr", 2},
 		{"qpinn-bench -exp table1 -epochs -1", 2},
 		{"qpinn-bench -exp table1 -seeds -1", 2},
+		{"qpinn-bench -exp table1 -dist-workers 65", 2},
+		{"qpinn-bench -exp table1 -dist-workers 100000", 2},
+		{"qpinn-bench -exp table1 -dist-workers -1", 2},
 		{"maxwell-ref -grid 0", 2},
 		{"maxwell-ref -grid 100", 2},
 		{"maxwell-ref -solver fdtd -grid 0", 2},

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,15 +18,26 @@ import (
 
 // Options configures the coordinator's worker pool.
 type Options struct {
-	// Workers is the number of local subprocess workers to spawn. Zero
-	// falls back to TORQ_DIST_WORKERS, and to 2 when that is unset.
+	// Workers is the number of local subprocess workers to spawn, in
+	// [1, MaxWorkers]. Zero falls back to TORQ_DIST_WORKERS, and to 2 when
+	// that is unset.
 	Workers int
 }
 
+// MaxWorkers bounds the pool size from either source. Every worker is a
+// whole process on the coordinator's host holding its own tables and shard
+// states, so a count past the host's cores only adds memory and pipe
+// traffic; 64 also leaves most of telemetry's maxWorkerSlots per-worker
+// series to the respawns of a long run.
+const MaxWorkers = 64
+
+// workersEnv is the environment fallback for Options.Workers.
+const workersEnv = "TORQ_DIST_WORKERS"
+
 // maxShardsPerBatch caps how many shards ride one assignment frame. The
 // scheduler only reaches the cap while plenty of work remains — batches
-// shrink toward single shards near a pass's tail, so late rebalancing and
-// dead-worker re-dispatch keep single-shard granularity.
+// shrink toward single shards near a pass's tail, so dead-worker
+// re-dispatch keeps single-shard granularity.
 const maxShardsPerBatch = 16
 
 // pipelineDepth is how many batches beyond the one in service stay queued
@@ -118,7 +128,10 @@ func (c *coordinator) guardN(w *worker, shards int) func() bool {
 
 // coordinator owns the worker pool behind the EngineDist backend. One pass
 // runs at a time (mu); worker goroutines within a pass touch only their own
-// worker plus the shared shard queue and result slots.
+// worker plus the shared shard queue and result slots. A worker's index in
+// workers is its slot: shard s of every pass belongs to slot
+// s mod len(workers), and a respawned worker takes over its dead
+// predecessor's slot.
 type coordinator struct {
 	mu      sync.Mutex
 	workerN int // configured pool size; 0 = TORQ_DIST_WORKERS or 2
@@ -127,10 +140,11 @@ type coordinator struct {
 	nextID  int
 	passID  uint64
 
-	// lastFwd describes the most recent retained forward pass; the next
-	// backward pass pairs with it when shapes match, routing each backward
-	// shard to the worker holding that shard's cached forward states.
-	lastFwd *fwdPassInfo
+	// The last forward pass's shape and the id of the worker live in each
+	// slot then (0: none), for the affinity accounting of the backward
+	// that follows it; fwdIDs is nil once a backward has consumed them.
+	fwdShape passShape
+	fwdIDs   []int
 
 	// spawnEnv is appended to the next spawned subprocess's environment and
 	// then cleared — the hook the kill-a-worker recovery tests use to arm
@@ -138,17 +152,12 @@ type coordinator struct {
 	spawnEnv []string
 }
 
-// fwdPassInfo records which worker ran each shard of a retained forward
-// pass, plus the shape fields a backward pass must match to pair with it —
-// the pairing is a routing hint only; workers re-validate cached states
-// against the backward shard's exact inputs before replaying them.
-type fwdPassInfo struct {
-	pass   uint64
-	circ   *qsim.Circuit
-	n      int
-	block  int
-	active [qsim.MaxTangents]bool
-	owner  []int32 // shard index → worker id (-1: not completed/unknown)
+// passShape is what a backward must share with the forward before it to be
+// its training step's second half.
+type passShape struct {
+	circ     *qsim.Circuit
+	n, block int
+	active   [qsim.MaxTangents]bool
 }
 
 var coord coordinator
@@ -175,7 +184,7 @@ func (c *coordinator) shutdownLocked() {
 	for _, w := range c.workers {
 		w.kill()
 	}
-	c.workers, c.started, c.lastFwd = nil, false, nil
+	c.workers, c.started, c.fwdIDs = nil, false, nil
 }
 
 // spawnProc starts one subprocess worker: the current binary re-executed
@@ -213,22 +222,32 @@ func (c *coordinator) spawnProc() (*worker, error) {
 }
 
 // poolSize is the configured worker count: Options.Workers, else
-// TORQ_DIST_WORKERS, else 2.
-func (c *coordinator) poolSize() int {
-	if c.workerN != 0 {
-		return c.workerN
+// TORQ_DIST_WORKERS, else 2. A set value that is not an integer in
+// [1, MaxWorkers] is an error naming its source.
+func (c *coordinator) poolSize() (int, error) {
+	src, v := "Options.Workers", strconv.Itoa(c.workerN)
+	if c.workerN == 0 {
+		src, v = workersEnv, os.Getenv(workersEnv)
+		if v == "" {
+			return 2, nil
+		}
 	}
-	if v, err := strconv.Atoi(os.Getenv("TORQ_DIST_WORKERS")); err == nil && v > 0 {
-		return v
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 || n > MaxWorkers {
+		return 0, fmt.Errorf("dist: %s is %q, want a worker count in [1, %d]", src, v, MaxWorkers)
 	}
-	return 2
+	return n, nil
 }
 
 // ensureWorkersLocked brings the pool to its configured size, respawning
 // workers that died in earlier passes.
 func (c *coordinator) ensureWorkersLocked() error {
 	if !c.started {
-		for i := 0; i < c.poolSize(); i++ {
+		n, err := c.poolSize()
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
 			w, err := c.spawnProc()
 			if err != nil {
 				// Tear the partial pool down rather than dropping live
@@ -312,128 +331,70 @@ func (w *worker) recv() (byte, []byte, error) {
 // backend implements qsim.DistBackend on the package coordinator.
 type backend struct{}
 
-// passSched hands out shard batches to worker senders. Assignment is
-// dynamic: a grab takes a batch sized to the work remaining — coarse
-// batches while the pool is deep, single shards near the tail, so late
-// rebalancing and dead-worker re-dispatch keep single-shard granularity —
-// preferring shards whose forward states the worker holds, then unowned
-// shards, then stealing hinted shards from slower workers. Shards come back
-// via giveBack when a worker dies with them in flight; the pass is complete
-// when every shard's result has been accepted.
+// passSched hands out shard batches to worker senders. Shard s belongs to
+// slot s mod len(own) in both halves of a training step, so a backward shard
+// lands on the worker that ran its forward. A sender takes its own shards
+// first, then orphans: the shards of slots not live this pass, and those
+// of a worker that died with them in flight or unsent. A batch is half of
+// what the sender can still take, capped at maxShardsPerBatch, at least one
+// shard. The pass is complete when every shard's result has been accepted.
 type passSched struct {
-	mu         sync.Mutex
-	cond       sync.Cond
-	prefer     map[int][]int // worker id → shards whose forward states it holds
-	global     []int         // unowned shards, popped from the end
-	unassigned int
-	remaining  int
-	workers    int
-	paired     bool // pass carries affinity routing (owner map was supplied)
+	mu        sync.Mutex
+	cond      sync.Cond
+	own       [][]int // slot → its unsent shards, popped from the end
+	orphans   []int   // popped from the end
+	remaining int
 }
 
-// newPassSched routes shard i to prefer[owner[i]] when that worker is in
-// the pass's live set, and to the global pool otherwise (owner may be nil —
-// no affinity pairing). Lists are built in descending shard order so the
+// newPassSched deals ns shards to the slots, live[slot] telling which can
+// take them. Lists are built in descending shard order so the
 // pop-from-the-end grab path dispatches ascending.
-func newPassSched(ns int, live []*worker, owner []int32) *passSched {
-	s := &passSched{
-		prefer:     make(map[int][]int, len(live)),
-		unassigned: ns,
-		remaining:  ns,
-		workers:    len(live),
-		paired:     owner != nil,
-	}
+func newPassSched(ns int, live []bool) *passSched {
+	s := &passSched{own: make([][]int, len(live)), remaining: ns}
 	s.cond.L = &s.mu
-	alive := make(map[int]bool, len(live))
-	for _, w := range live {
-		alive[w.id] = true
-	}
 	for i := ns - 1; i >= 0; i-- {
-		if owner != nil && owner[i] >= 0 && alive[int(owner[i])] {
-			id := int(owner[i])
-			s.prefer[id] = append(s.prefer[id], i)
+		if slot := i % len(live); live[slot] {
+			s.own[slot] = append(s.own[slot], i)
 		} else {
-			s.global = append(s.global, i)
+			s.orphans = append(s.orphans, i)
 		}
 	}
 	return s
 }
 
-// grab blocks until work is available (a dying worker may give shards back)
-// and returns the next batch for w, or nil when the pass has completed or w
-// itself has died.
-func (s *passSched) grab(w *worker) []int {
+// grab blocks until work is available to the sender of slot (a dying
+// worker may orphan shards) and returns its next batch, or nil when the
+// pass has completed or w itself has died.
+func (s *passSched) grab(w *worker, slot int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.remaining == 0 || w.dead.Load() {
 			return nil
 		}
-		if s.unassigned > 0 {
+		if len(s.own[slot])+len(s.orphans) > 0 {
 			break
 		}
 		s.cond.Wait()
 	}
-	chunk := s.unassigned / (2 * s.workers)
-	if chunk > maxShardsPerBatch {
-		chunk = maxShardsPerBatch
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := min(max((len(s.own[slot])+len(s.orphans))/2, 1), maxShardsPerBatch)
 	out := make([]int, 0, chunk)
-	own := s.prefer[w.id]
-	for len(out) < chunk && len(own) > 0 {
-		out = append(out, own[len(own)-1])
-		own = own[:len(own)-1]
-	}
-	s.prefer[w.id] = own
-	routed := len(out)
-	for len(out) < chunk && len(s.global) > 0 {
-		out = append(out, s.global[len(s.global)-1])
-		s.global = s.global[:len(s.global)-1]
-	}
-	for len(out) < chunk {
-		// Steal from the worker hoarding the most preferred shards, from
-		// the far end of its list — losing the affinity hint only costs the
-		// victim's cached forward state a recompute on another worker.
-		// Lowest id wins ties so the victim choice is map-order-independent.
-		vid, max := 0, 0
-		//torq:allow maprange -- max-by-length with lowest-id tie-break; order-insensitive
-		for id, l := range s.prefer {
-			if len(l) > max || (len(l) == max && max > 0 && id < vid) {
-				vid, max = id, len(l)
-			}
+	for _, l := range []*[]int{&s.own[slot], &s.orphans} {
+		for len(out) < chunk && len(*l) > 0 {
+			out = append(out, (*l)[len(*l)-1])
+			*l = (*l)[:len(*l)-1]
 		}
-		if max == 0 {
-			break
-		}
-		victim := s.prefer[vid]
-		out = append(out, victim[0])
-		s.prefer[vid] = victim[1:]
-	}
-	s.unassigned -= len(out)
-	// Affinity accounting (paired backward passes only): a shard grabbed
-	// from the worker's own prefer list rides its cached forward states; a
-	// shard grabbed from the global pool or stolen from another owner will
-	// recompute on a cold worker.
-	if s.paired {
-		xstats.affRouted.Add(int64(routed))
-		xstats.affMissed.Add(int64(len(out) - routed))
 	}
 	return out
 }
 
-// giveBack returns a dead worker's in-flight shards to the global pool (its
-// cached forward states died with it) and wakes idle senders.
-func (s *passSched) giveBack(shards []int) {
-	if len(shards) == 0 {
-		return
-	}
-	xstats.redispatched.Add(int64(len(shards)))
+// giveBack orphans a dead worker's shards, those in flight and the rest of
+// its slot's list, and wakes idle senders.
+func (s *passSched) giveBack(slot int, inflight []int) {
+	xstats.redispatched.Add(int64(len(inflight)))
 	s.mu.Lock()
-	s.global = append(s.global, shards...)
-	s.unassigned += len(shards)
+	s.orphans = append(append(s.orphans, s.own[slot]...), inflight...)
+	s.own[slot] = nil
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -455,14 +416,12 @@ func (s *passSched) outstanding() int {
 	return s.remaining
 }
 
-// wake unblocks grabs so a sender notices its worker died.
-func (s *passSched) wake() { s.cond.Broadcast() }
-
-// RunPass partitions the pass into shards and fans them out over the live
-// workers in pipelined batches. A worker that dies (transport error,
-// timeout, mismatched reply) has its in-flight shards pushed back for the
-// survivors, which recompute them statelessly. The pass fails only when
-// every worker is gone with shards outstanding.
+// RunPass partitions the pass into shards and fans them out to their
+// owner workers in pipelined batches. A worker that dies (transport error,
+// timeout, mismatched reply) has its in-flight and unsent shards orphaned
+// for the survivors, which recompute them from the inputs every shard
+// frame carries. The pass fails only when every worker is gone with shards
+// outstanding.
 func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	c := &coord
 	c.mu.Lock()
@@ -481,9 +440,10 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 
 	// Handshake lazily: only workers whose session is pinned to a different
 	// circuit (or fresh workers) pay it, once per circuit change.
-	var live []*worker
+	live := make([]bool, len(c.workers))
+	var nLive int
 	var hsErr error
-	for _, w := range c.workers {
+	for i, w := range c.workers {
 		if w.dead.Load() {
 			continue
 		}
@@ -498,9 +458,10 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 				continue
 			}
 		}
-		live = append(live, w)
+		live[i] = true
+		nLive++
 	}
-	if len(live) == 0 {
+	if nLive == 0 {
 		if hsErr != nil {
 			return nil, hsErr
 		}
@@ -513,64 +474,11 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		// An empty batch has nothing to dispatch; without this return the
 		// worker loops would block forever waiting for a completion that
 		// only a shard result delivers.
-		c.lastFwd = nil
 		return results, nil
 	}
+	c.countAffinity(spec, live)
 
-	// Pair a backward pass with the retained forward whose shape it
-	// matches; its owner map seeds the scheduler's affinity routing. The
-	// pairing is consumed either way — the workers' caches roll over at the
-	// next forward pass.
-	var fwdPass uint64
-	var owner []int32
-	if spec.Backward {
-		if lf := c.lastFwd; lf != nil && lf.circ == spec.Circ &&
-			lf.n == spec.N && lf.block == spec.Block && lf.active == spec.Active &&
-			len(lf.owner) == ns {
-			fwdPass, owner = lf.pass, lf.owner
-		}
-		c.lastFwd = nil
-	}
-	var fwd *fwdPassInfo
-	if !spec.Backward {
-		fwd = &fwdPassInfo{
-			pass: pass, circ: spec.Circ, n: spec.N, block: spec.Block,
-			active: spec.Active, owner: make([]int32, ns),
-		}
-		for i := range fwd.owner {
-			fwd.owner[i] = -1
-		}
-		c.lastFwd = fwd
-	}
-
-	// With fewer shards than workers, the surplus workers get neither
-	// shards nor the theta broadcast. On a paired backward pass the workers
-	// holding the most forward states participate first, keeping the
-	// affinity routing intact through the trim.
-	if ns < len(live) {
-		if owner != nil {
-			counts := make(map[int]int, len(live))
-			for _, id := range owner {
-				if id >= 0 {
-					counts[int(id)]++
-				}
-			}
-			sort.SliceStable(live, func(i, j int) bool {
-				return counts[live[i].id] > counts[live[j].id]
-			})
-		}
-		live = live[:ns]
-	}
-
-	// The previous pass's decoded results die here: per-worker arenas recycle
-	// at pass start, which is why ShardResult arrays are documented as valid
-	// only until the next RunPass.
-	for _, w := range live {
-		w.arena.reset()
-		w.inflight.Store(0)
-	}
-
-	sched := newPassSched(ns, live, owner)
+	sched := newPassSched(ns, live)
 	// Trace context rides the broadcast: the engine's pass-root span (opened
 	// by qsim around this RunPass) parents the transport spans here, and its
 	// id crosses the wire so worker-side shard spans stitch under the same
@@ -581,24 +489,68 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		passSpan = trace.CurrentPass()
 	}
 	pm := encodePass(passMsg{
-		Pass: pass, FwdPass: fwdPass, Trace: traceCtx, Span: passSpan,
+		Pass: pass, Trace: traceCtx, Span: passSpan,
 		Backward: spec.Backward, Active: spec.Active, Theta: spec.Theta,
 	})
 
+	// Read before any sender starts: senders pop orphans, while a slot's
+	// own list is only touched by that slot's goroutines.
+	orphaned := len(sched.orphans) > 0
 	var wg sync.WaitGroup
-	for _, w := range live {
+	for slot, w := range c.workers {
+		// A worker with no shards of its own gets no theta broadcast,
+		// unless shards of a slot with no live worker need it.
+		if !live[slot] || len(sched.own[slot]) == 0 && !orphaned {
+			continue
+		}
+		// The previous pass's decoded results die here: per-worker arenas
+		// recycle at pass start, which is why ShardResult arrays are
+		// documented as valid only until the next RunPass.
+		w.arena.reset()
+		w.inflight.Store(0)
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
-			c.workerRun(w, spec, pass, passSpan, pm, sched, results, fwd)
-		}(w)
+			c.workerRun(w, slot, spec, pass, passSpan, pm, sched, results)
+		}()
 	}
 	wg.Wait()
 	if n := sched.outstanding(); n != 0 {
-		c.lastFwd = nil
 		return nil, fmt.Errorf("dist: pass %d lost all workers with %d shards outstanding", pass, n)
 	}
 	return results, nil
+}
+
+// countAffinity keeps the affinity series. A forward records its shape and
+// the worker live in each slot; the backward that follows it with the same
+// shape counts each shard once, routed when the shard's slot still holds
+// the worker that ran its forward (whose kept states it will reuse) and
+// missed otherwise. Any other backward counts nothing.
+func (c *coordinator) countAffinity(spec *qsim.PassSpec, live []bool) {
+	shape := passShape{circ: spec.Circ, n: spec.N, block: spec.Block, active: spec.Active}
+	if !spec.Backward {
+		c.fwdShape, c.fwdIDs = shape, c.fwdIDs[:0]
+		for slot, w := range c.workers {
+			id := 0
+			if live[slot] {
+				id = w.id
+			}
+			c.fwdIDs = append(c.fwdIDs, id)
+		}
+		return
+	}
+	if c.fwdIDs != nil && c.fwdShape == shape {
+		ns, routed := spec.NumShards(), 0
+		for s := 0; s < ns; s++ {
+			slot := s % len(c.workers)
+			if live[slot] && c.workers[slot].id == c.fwdIDs[slot] {
+				routed++
+			}
+		}
+		xstats.affRouted.Add(int64(routed))
+		xstats.affMissed.Add(int64(ns - routed))
+	}
+	c.fwdIDs = nil
 }
 
 // workerRun drives one worker through a pass with a sender/receiver pair:
@@ -609,7 +561,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 // blocks writing reply k would wedge; here the receiver keeps draining. The
 // flights channel carries each in-flight batch from sender to receiver and
 // its capacity bounds the pipeline depth.
-func (c *coordinator) workerRun(w *worker, spec *qsim.PassSpec, pass, passSpan uint64, pm []byte, sched *passSched, results []qsim.ShardResult, fwd *fwdPassInfo) {
+func (c *coordinator) workerRun(w *worker, slot int, spec *qsim.PassSpec, pass, passSpan uint64, pm []byte, sched *passSched, results []qsim.ShardResult) {
 	bcast := trace.Begin(trace.KBroadcast, passSpan)
 	bcast.Worker = int32(w.id)
 	stop := c.guard(w)
@@ -618,7 +570,7 @@ func (c *coordinator) workerRun(w *worker, spec *qsim.PassSpec, pass, passSpan u
 	bcast.End()
 	if err != nil {
 		w.kill()
-		sched.wake()
+		sched.giveBack(slot, nil)
 		return
 	}
 	// A flight is one in-service batch; the send timestamp turns the
@@ -641,7 +593,7 @@ func (c *coordinator) workerRun(w *worker, spec *qsim.PassSpec, pass, passSpan u
 			shards := f.shards
 			if failed {
 				xstats.queueDepth.Add(int64(-len(shards)))
-				sched.giveBack(shards)
+				sched.giveBack(slot, shards)
 				continue
 			}
 			if err := c.recvBatch(w, spec, pass, shards, results); err != nil {
@@ -649,26 +601,18 @@ func (c *coordinator) workerRun(w *worker, spec *qsim.PassSpec, pass, passSpan u
 				w.kill()
 				failed = true
 				xstats.queueDepth.Add(int64(-len(shards)))
-				sched.giveBack(shards)
-				sched.wake()
+				sched.giveBack(slot, shards)
 				continue
 			}
 			observeBatch(w.id, len(shards), time.Since(f.sent).Nanoseconds())
 			f.span.End()
-			if fwd != nil {
-				// Each shard completes exactly once per pass, so these
-				// writes never contend across receivers.
-				for _, s := range shards {
-					fwd.owner[s] = int32(w.id)
-				}
-			}
 			w.inflight.Add(int32(-len(shards)))
 			xstats.queueDepth.Add(int64(-len(shards)))
 			sched.complete(len(shards))
 		}
 	}()
 	for {
-		shards := sched.grab(w)
+		shards := sched.grab(w, slot)
 		if shards == nil {
 			break
 		}
@@ -679,8 +623,7 @@ func (c *coordinator) workerRun(w *worker, spec *qsim.PassSpec, pass, passSpan u
 		if err := c.sendBatch(w, spec, pass, bsp.ID, shards); err != nil {
 			w.kill()
 			xstats.queueDepth.Add(int64(-len(shards)))
-			sched.giveBack(shards)
-			sched.wake()
+			sched.giveBack(slot, shards)
 			break
 		}
 		flights <- flight{shards: shards, sent: time.Now(), span: bsp}

@@ -8,15 +8,18 @@
 // A session opens with one handshake carrying the ansatz circuit and the
 // compiled program's digest (workers recompile deterministically and must
 // agree); each pass then broadcasts the coefficient vector once and streams
-// shard assignments. Shards are stateless — a backward shard recomputes its
-// forward states — which is what lets the coordinator re-dispatch a dead
-// worker's outstanding shards to the survivors and finish the pass.
+// shard assignments. Shard s has one owner worker, slot s mod the pool
+// size, for both halves of a training step: the owner keeps the states its
+// forward left and runs the backward on them. Every shard frame still
+// carries the shard's inputs, so a dead worker's shards re-dispatch to the
+// survivors, which recompute those states, and the pass finishes.
 //
 // Workers are local subprocesses that re-execute the coordinator's own
 // binary and speak frames over stdio: this package's init intercepts
 // TORQ_DIST_WORKER=stdio before main runs, so every worker runs the
 // coordinator's build on the coordinator's host. The pool size
-// (Options.Workers, else TORQ_DIST_WORKERS, else 2) is the one setting.
+// (Options.Workers, else TORQ_DIST_WORKERS, else 2; at most MaxWorkers) is
+// the one setting.
 //
 // Importing the package registers the coordinator as qsim's dist backend;
 // nothing starts until the first EngineDist pass runs.
@@ -29,9 +32,9 @@
 // per-shard partials in ascending shard order, bit-identical to the
 // in-process sharded engine. The wire protocol is versioned (ProtoVersion,
 // specified normatively in docs/PROTOCOL.md) and handshake-checked, and
-// forward-state affinity is a fast path only: workers validate cached
-// forward states bit-for-bit against the backward shard's inputs and fall
-// back to the stateless recompute on any mismatch.
+// the kept forward states are a fast path only: a worker runs a backward
+// shard on them only when its inputs match the forward's bit for bit, and
+// recomputes them otherwise.
 package dist
 
 import (

@@ -116,10 +116,10 @@ func affinityShards() int64 {
 // completion — bit-identity then proves the shard-order merge.
 //
 // Each workload runs twice: once with the backward paired to its forward,
-// so workers replay their retained forward states, and once unpaired. In
-// the unpaired run a forward of a different batch size lands between the
-// forward and the backward, so the coordinator sends fwd_pass=0 and every
-// worker recomputes the forward statelessly.
+// so workers run it on the states their forward kept, and once unpaired.
+// In the unpaired run a forward of a different batch size lands between the
+// forward and the backward; its pass frame supersedes the kept states, so
+// every worker recomputes the forward.
 func TestDistBitIdenticalToSharded(t *testing.T) {
 	defer dist.Shutdown()
 	rng := rand.New(rand.NewSource(4242))
@@ -167,8 +167,8 @@ func TestDistBitIdenticalToSharded(t *testing.T) {
 // checkPairedAndUnpaired runs one pass on EngineDist twice and compares
 // both with want. The first backward pairs with its forward, so it must
 // move the affinity accounting. Before the second backward, a forward of
-// half the batch runs, so the coordinator sends fwd_pass=0, every worker
-// recomputes statelessly, and the accounting must not move.
+// half the batch runs, so every worker recomputes and the accounting must
+// not move.
 func checkPairedAndUnpaired(t *testing.T, ctx string, circ *qsim.Circuit, n int, angles []float64, tans [][]float64,
 	theta, gz []float64, gztans [][]float64, want passResult) {
 	t.Helper()

@@ -15,9 +15,9 @@ func SetTestSpawnEnv(env ...string) {
 // FailAfterEnv is the worker-side chaos hook environment variable.
 const FailAfterEnv = failAfterEnv
 
-// RequireCachedEnv makes workers refuse stateless backward recomputes; a
-// pass that succeeds under it proves every backward shard was served from
-// the forward-state affinity cache.
+// RequireCachedEnv makes workers refuse backward recomputes; a pass that
+// succeeds under it proves every backward shard ran on the states its
+// forward kept.
 const RequireCachedEnv = requireCachedEnv
 
 // StallEnv makes a worker sleep the given number of milliseconds per shard —

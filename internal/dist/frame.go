@@ -39,7 +39,9 @@ import (
 // a batch-span id, and result batches return the worker's span records.
 // Version 4: passMsg lost Retain — every forward pass retains its shard
 // states for the paired backward.
-const ProtoVersion uint16 = 4
+// Version 5: passMsg lost FwdPass — each shard has one owner worker for
+// both halves of a training step, so a backward needs no pairing id.
+const ProtoVersion uint16 = 5
 
 // maxFrame bounds a frame's wire size; anything larger is a corrupt stream.
 const maxFrame = 1 << 30
@@ -440,10 +442,8 @@ func decodeHelloAck(b []byte) (helloAckMsg, error) {
 
 // passMsg is the per-pass broadcast: the pass id every subsequent shard
 // frame references, the pass direction, the active tangent channels, and the
-// ansatz coefficient vector theta. Every forward pass snapshots its shard
-// states into the worker's forward-state cache; FwdPass names the forward
-// pass a backward pass pairs with (zero when unpaired — the worker then
-// drops any cached states).
+// ansatz coefficient vector theta. A forward pass supersedes the shard
+// states the worker kept from the one before.
 // The trace-context fields piggyback on the broadcast: Trace is the
 // coordinator's trace context id (nonzero exactly when the pass is traced —
 // the worker gates its per-shard span recording on it, so a traced
@@ -453,7 +453,6 @@ func decodeHelloAck(b []byte) (helloAckMsg, error) {
 // untraced passes.
 type passMsg struct {
 	Pass     uint64
-	FwdPass  uint64
 	Trace    uint64
 	Span     uint64
 	Backward bool
@@ -464,7 +463,6 @@ type passMsg struct {
 func encodePass(m passMsg) []byte {
 	var e enc
 	e.u64(m.Pass)
-	e.u64(m.FwdPass)
 	e.u64(m.Trace)
 	e.u64(m.Span)
 	e.bool(m.Backward)
@@ -481,7 +479,7 @@ func encodePass(m passMsg) []byte {
 
 func decodePass(b []byte) (passMsg, error) {
 	d := dec{b: b}
-	m := passMsg{Pass: d.u64(), FwdPass: d.u64(), Trace: d.u64(), Span: d.u64(), Backward: d.bool()}
+	m := passMsg{Pass: d.u64(), Trace: d.u64(), Span: d.u64(), Backward: d.bool()}
 	mask := d.u8()
 	for k := 0; k < qsim.MaxTangents; k++ {
 		m.Active[k] = mask&(1<<k) != 0

@@ -101,8 +101,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		}
 
 		pm := passMsg{
-			Pass: rng.Uint64(), FwdPass: rng.Uint64(),
-			Trace: rng.Uint64(), Span: rng.Uint64(),
+			Pass: rng.Uint64(), Trace: rng.Uint64(), Span: rng.Uint64(),
 			Backward: rng.Intn(2) == 1, Theta: randFloats(rng, rng.Intn(40)),
 		}
 		pm.Theta = append(pm.Theta, math.NaN(), math.Inf(1), 5e-324)
@@ -114,7 +113,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("pass decode: %v", err)
 		}
 		// NaN breaks DeepEqual on purpose; compare bit patterns instead.
-		if gotP.Pass != pm.Pass || gotP.FwdPass != pm.FwdPass || gotP.Backward != pm.Backward ||
+		if gotP.Pass != pm.Pass || gotP.Backward != pm.Backward ||
 			gotP.Trace != pm.Trace || gotP.Span != pm.Span ||
 			gotP.Active != pm.Active || !bitsEqual(gotP.Theta, pm.Theta) {
 			t.Fatalf("pass round trip: got %+v want %+v", gotP, pm)
@@ -519,7 +518,6 @@ func TestCodecMinimumEntrySizes(t *testing.T) {
 func TestCodecGoldenBytes(t *testing.T) {
 	pass := passMsg{
 		Pass:     0x0102030405060708,
-		FwdPass:  0x1112131415161718,
 		Trace:    0x2122232425262728,
 		Span:     0x3132333435363738,
 		Backward: true,
@@ -540,7 +538,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 		want string
 	}{
 		{"pass", encodePass(pass),
-			"0807060504030201181716151413121128272625242322213837363534333231010502000000000000000000f03f000000000000e0bf"},
+			"080706050403020128272625242322213837363534333231010502000000000000000000f03f000000000000e0bf"},
 		// The batch encoder emits a complete frame: u32 length (type byte +
 		// 78-byte payload = 0x4f) and the fShardBatch type lead the bytes; the
 		// batch-span id sits between the pass id and the entry count.

@@ -41,18 +41,6 @@ func TestFTDCCapturesDistTrainingEpoch(t *testing.T) {
 	dist.Configure(dist.Options{Workers: 2})
 	trainEpochs(t, qsim.EngineDist, 2)
 
-	// With two workers, affinity hits race against work stealing (a fast
-	// worker may legitimately take every paired shard before its owner
-	// grabs), so pin the affinity-hit series with a single-worker pass:
-	// one worker owns every cached forward state, and each paired backward
-	// shard must route to it.
-	rng := rand.New(rand.NewSource(99))
-	const an, anq = 40, 4
-	acirc := qsim.BasicEntangling.Build(anq, 2)
-	dist.Configure(dist.Options{Workers: 1})
-	runPass(qsim.EngineDist, acirc, an,
-		randRows(rng, an*anq), nil, randRows(rng, acirc.NumParams), randRows(rng, an*anq), nil)
-
 	// The coordinator-side scheduler may legitimately see zero steals on a
 	// single-core host (the dist compute happens in the workers), so force
 	// a stealing region the way the par suite does: a stalled owner whose

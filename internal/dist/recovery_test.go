@@ -78,14 +78,15 @@ func TestDistSurvivesExternalKill(t *testing.T) {
 	}
 }
 
-// TestDistAffinityCacheServesBackward proves forward-state affinity
-// actually engages end to end: with a single worker and the worker-side
-// require-cached hook armed, every backward shard must be answered from the
-// retained forward states — a stateless recompute (affinity broken, pairing
-// lost, snapshot validation failing) kills the worker and fails the pass.
-// Two rounds with fresh inputs and theta check that each backward pairs
-// with its own round's forward rather than replaying stale states (the
-// worker validates cached inputs bit-for-bit before trusting a snapshot).
+// TestDistAffinityCacheServesBackward proves the shard records engage end
+// to end: with the worker-side require-cached hook armed, every backward
+// shard must be answered from the states its forward kept — a recompute
+// (a shard sent to another worker than its owner, or a record failing
+// validation) kills the worker and fails the pass. Each shard has one
+// owner worker for the whole step, so this holds at 1, 2 and 4 workers.
+// Two rounds with fresh inputs and theta check that each backward runs on
+// its own round's forward rather than stale states (the worker validates
+// the kept inputs bit for bit).
 func TestDistAffinityCacheServesBackward(t *testing.T) {
 	defer dist.Shutdown()
 	t.Setenv(dist.RequireCachedEnv, "1")
@@ -93,30 +94,29 @@ func TestDistAffinityCacheServesBackward(t *testing.T) {
 	const n, nq = 96, 7
 	circ := qsim.CrossMesh.Build(nq, 2)
 
-	// One worker: with several, work stealing legitimately routes shards
-	// away from their forward owner and the hook would misfire.
-	dist.Configure(dist.Options{Workers: 1})
-	for round := 0; round < 2; round++ {
-		angles := randRows(rng, n*nq)
-		theta := randRows(rng, circ.NumParams)
-		tans := [][]float64{randRows(rng, n*nq), nil, randRows(rng, n*nq)}
-		gz := randRows(rng, n*nq)
-		gztans := [][]float64{randRows(rng, n*nq), nil, randRows(rng, n*nq)}
-		want := runPass(qsim.EngineSharded, circ, n, angles, tans, theta, gz, gztans)
-		got := runPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans)
-		comparePass(t, fmt.Sprintf("require-cached round %d", round), want, got)
-	}
-	if live := dist.LiveWorkersForTest(); live != 1 {
-		t.Fatalf("expected 1 live worker (no cache miss ever killed it), have %d", live)
+	for _, workers := range []int{1, 2, 4} {
+		dist.Configure(dist.Options{Workers: workers})
+		for round := 0; round < 2; round++ {
+			angles := randRows(rng, n*nq)
+			theta := randRows(rng, circ.NumParams)
+			tans := [][]float64{randRows(rng, n*nq), nil, randRows(rng, n*nq)}
+			gz := randRows(rng, n*nq)
+			gztans := [][]float64{randRows(rng, n*nq), nil, randRows(rng, n*nq)}
+			want := runPass(qsim.EngineSharded, circ, n, angles, tans, theta, gz, gztans)
+			got := runPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans)
+			comparePass(t, fmt.Sprintf("require-cached workers=%d round %d", workers, round), want, got)
+		}
+		if live := dist.LiveWorkersForTest(); live != workers {
+			t.Fatalf("expected %d live workers (no cache miss ever killed one), have %d", workers, live)
+		}
 	}
 }
 
-// TestDistAffinityInvalidationOnWorkerDeath kills workers holding cached
+// TestDistAffinityInvalidationOnWorkerDeath kills workers holding kept
 // forward states between a pass's forward and backward halves. The
-// backward must fall back to the stateless recompute on the survivors (or a
-// freshly respawned pool when every state-holder died) and stay
-// bit-identical to the in-process sharded engine — affinity is a fast path,
-// never a correctness dependency.
+// backward must recompute those shards on the respawned owners and stay
+// bit-identical to the in-process sharded engine — the kept states are a
+// fast path, never a correctness dependency.
 func TestDistAffinityInvalidationOnWorkerDeath(t *testing.T) {
 	defer dist.Shutdown()
 	rng := rand.New(rand.NewSource(909))
@@ -143,11 +143,12 @@ func TestDistAffinityInvalidationOnWorkerDeath(t *testing.T) {
 
 	dist.Configure(dist.Options{Workers: 2})
 	comparePass(t, "clean affinity pass", want, splitPass(0))
-	// One state-holder dies: its shards re-dispatch to the survivor, which
-	// recomputes them statelessly next to its own cached shards.
+	// One state-holder dies: the pool respawns its slot before the
+	// backward, and the new owner recomputes that slot's shards next to the
+	// survivor's cached ones.
 	comparePass(t, "one state-holder killed", want, splitPass(1))
-	// Every state-holder dies: the pool respawns mid-step and the whole
-	// backward runs stateless on workers that never saw the forward.
+	// Every state-holder dies: the whole backward recomputes on workers
+	// that never saw the forward.
 	comparePass(t, "all state-holders killed", want, splitPass(2))
 	if live := dist.LiveWorkersForTest(); live != 2 {
 		t.Fatalf("expected the pool healed to 2 live workers, have %d", live)

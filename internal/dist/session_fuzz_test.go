@@ -79,7 +79,7 @@ func FuzzServeConn(f *testing.F) {
 		{Pass: 2, Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
 	})
 	fwd := passMsg{Pass: 2, Theta: []float64{1, -0.5}}
-	bwd := passMsg{Pass: 3, FwdPass: 2, Trace: 0x2122232425262728, Span: 0x3132333435363738, Backward: true, Theta: []float64{1, -0.5}}
+	bwd := passMsg{Pass: 3, Trace: 0x2122232425262728, Span: 0x3132333435363738, Backward: true, Theta: []float64{1, -0.5}}
 	bwdBatch := encodeShardBatchFrame(nil, 3, 0, []shardMsg{
 		{Pass: 3, Shard: 1, Angles: []float64{0.25}, GZ: []float64{1}},
 		{Pass: 3, Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},

@@ -70,7 +70,7 @@ var wslots struct {
 }
 
 // registerWorkerStats opens the per-worker telemetry slot for a newly
-// spawned or dialed worker. It runs on the coordinator's spawn path, where
+// spawned worker. It runs on the coordinator's spawn path, where
 // allocating and formatting are fine; the sampling functions below only
 // ever load what is published here.
 func registerWorkerStats(id int) {

@@ -20,11 +20,10 @@ import (
 // the coordinator's re-dispatch recovery tests.
 const failAfterEnv = "TORQ_DIST_FAIL_AFTER_SHARDS"
 
-// requireCachedEnv is a test hook: when set, a paired backward shard that
-// misses the forward-state cache (or a backward pass that was never paired)
-// is an error instead of a silent stateless recompute. Only meaningful in
-// single-worker tests — with several workers, work stealing makes
-// legitimate misses part of normal operation.
+// requireCachedEnv is a test hook: when set, a backward shard that misses
+// the states its forward kept is an error instead of a silent recompute.
+// Every shard's owner worker runs both halves of a step, so with no worker
+// death a paired backward never misses, at any worker count.
 const requireCachedEnv = "TORQ_DIST_REQUIRE_CACHED"
 
 // stallEnv is a test/chaos hook: when set to a positive integer, the worker
@@ -105,16 +104,8 @@ func (s *session) handle(typ byte, body []byte) error {
 			return err
 		}
 		s.pass, s.havePass = pm, true
-		if s.runner != nil {
-			// Align the runner's forward-state cache with the pass: a
-			// forward pass opens its own cache generation, a backward pass
-			// replays its paired forward's (FwdPass zero = unpaired, which
-			// rolls the generation and drops any stale states).
-			if pm.Backward {
-				s.runner.SetForwardPass(pm.FwdPass)
-			} else {
-				s.runner.SetForwardPass(pm.Pass)
-			}
+		if s.runner != nil && !pm.Backward {
+			s.runner.BeginForwardPass()
 		}
 		return nil
 	case fShardBatch:
@@ -331,19 +322,13 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 	rm.Pass, rm.Shard, rm.Backward = sm.Pass, sm.Shard, s.pass.Backward
 	switch {
 	case s.pass.Backward:
-		if s.pass.FwdPass != 0 {
-			if da, dat, dth, diagT, ok := s.runner.BackwardShardCached(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta, sm.GZ, sm.GZTans); ok {
-				rm.DAngles, rm.DAngleTans, rm.DTheta, rm.DiagT = da, dat, dth, diagT
-				return nil
-			}
+		var cached bool
+		rm.DAngles, rm.DAngleTans, rm.DTheta, rm.DiagT, cached = s.runner.BackwardShard(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta, sm.GZ, sm.GZTans)
+		if s.requireCached && !cached {
+			return fmt.Errorf("backward shard %d missed the forward-state cache", sm.Shard)
 		}
-		if s.requireCached {
-			return fmt.Errorf("backward shard %d missed the forward-state cache (fwdPass=%d)", sm.Shard, s.pass.FwdPass)
-		}
-		da, dat, dth, diagT := s.runner.BackwardShard(n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta, sm.GZ, sm.GZTans)
-		rm.DAngles, rm.DAngleTans, rm.DTheta, rm.DiagT = da, dat, dth, diagT
 	default:
-		rm.Z, rm.ZTans = s.runner.ForwardShardRetain(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta)
+		rm.Z, rm.ZTans = s.runner.ForwardShard(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta)
 	}
 	return nil
 }

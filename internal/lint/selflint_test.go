@@ -53,8 +53,8 @@ func TestCodecPairDoctoredProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	doctored := strings.Replace(string(spec),
-		"pass: u64 u64 u64 u64 bool u8 f64s",
-		"pass: u64 u64 u64 u64 bool u16 f64s", 1)
+		"pass: u64 u64 u64 bool u8 f64s",
+		"pass: u64 u64 u64 bool u16 f64s", 1)
 	if doctored == string(spec) {
 		t.Fatal("pass frame row not found in docs/PROTOCOL.md — update this test's doctored string")
 	}

@@ -34,8 +34,8 @@ type PassSpec struct {
 	// Block is the shard size in samples. Backward passes use the in-process
 	// sharded engine's cache-block partition, so the shard-order reduction
 	// is bit-compatible between the two engines; forward passes reuse the
-	// same backward partition (see distEngine.Forward) so a training step's
-	// forward and backward shards align 1:1 for forward-state affinity.
+	// same backward partition (see distPass) so a training step's forward
+	// and backward shards align 1:1 and one worker can own both halves.
 	Block  int
 	Active [MaxTangents]bool
 	Theta  []float64
@@ -98,9 +98,9 @@ type distEngine struct{}
 // strictly per-sample (no cross-sample reduction), so the partition never
 // affects forward values, while the backward partition pins the gradient
 // reduction order. Sharing it makes forward and backward shards of one
-// training step align 1:1 by index, which is what lets the transport route
-// each backward shard to the worker holding that exact shard's cached
-// forward states.
+// training step align 1:1 by index, which is what lets the transport give
+// both halves of shard s to one owner worker, whose backward then runs on
+// the states its forward kept.
 func distPass(p *PQC, ws *Workspace) *PassSpec {
 	spec := &PassSpec{
 		Circ: p.Circ, Prog: p.Program(),
@@ -186,22 +186,19 @@ func addTo(dst, src []float64) {
 // a shard's per-sample state evolution depends only on its own rows, and its
 // partial accumulators visit samples in the same order whether the shard
 // lives at batch offset lo in a big workspace or at offset 0 in a private
-// one. Backward shards recompute the shard's forward states first — shards
-// stay stateless between passes, which is what makes a dead worker's shard
-// re-dispatchable to any survivor.
+// one.
+//
+// Each shard index owns a record: the value and tangent states its forward
+// left behind and the inputs that produced them. The shard runs on those
+// buffers directly, so keeping them costs no copy. A backward shard whose
+// inputs match its record of the current forward pass bit for bit runs the
+// adjoint on the kept states; any other recomputes them first, which is
+// what lets a dead worker's shard re-dispatch to any survivor.
 type ShardRunner struct {
 	pqc  PQC
 	free map[int]*shardState
-
-	// Forward-state affinity cache: snapshots of the forward ψ-states (and
-	// the exact inputs that produced them) retained by ForwardShardRetain,
-	// keyed by shard index and pinned to one forward pass id. A matching
-	// BackwardShardCached skips the forward recompute; SetForwardPass drops
-	// every snapshot the moment the pass id moves on, so stale-pass states
-	// can never leak into a later step's gradients.
-	fwdPass  uint64
-	fwdSnaps map[uint32]*fwdSnapshot
-	snapPool []*fwdSnapshot
+	recs map[uint32]*shardRec
+	gen  uint64 // the current forward pass; records of earlier ones hold less
 
 	// tab backs every shard workspace: one pass splits into dozens of
 	// shards that share one theta, so the runner fills a theta's tables
@@ -209,21 +206,31 @@ type ShardRunner struct {
 	tab coeffTables
 }
 
-// fwdSnapshot is one shard's retained forward execution: deep copies of the
-// post-embedding evolved states and of every input that produced them. The
-// input copies make the cache self-validating — BackwardShardCached replays
-// a snapshot only when the backward shard's inputs match bit for bit, so a
-// mispaired pass id degrades to a recompute, never to a wrong gradient.
-type fwdSnapshot struct {
-	n         int
+// shardRec is one shard's forward record. gen is the forward pass that left
+// the states, and 0 once an adjoint has uncomputed them.
+type shardRec struct {
+	gen       uint64
 	active    [MaxTangents]bool
+	theta     []float64
 	angles    []float64
 	angleTans [MaxTangents][]float64
-	theta     []float64
-	valRe     []float64
-	valIm     []float64
-	tanRe     [MaxTangents][]float64
-	tanIm     [MaxTangents][]float64
+	val       *State
+	tan       [MaxTangents]*State
+}
+
+// holds reports whether rec keeps the states of forward pass gen over
+// exactly these inputs.
+func (rec *shardRec) holds(gen uint64, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) bool {
+	if rec == nil || rec.gen != gen || rec.active != active ||
+		!bitsEqualF64(rec.angles, angles) || !bitsEqualF64(rec.theta, theta) {
+		return false
+	}
+	for k := range angleTans {
+		if active[k] && !bitsEqualF64(rec.angleTans[k], angleTans[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // shardState is the runner's reusable per-shard-size state: the workspace
@@ -247,9 +254,10 @@ func NewShardRunner(circ *Circuit, maxTableBytes int) (*ShardRunner, error) {
 	}
 	prog.layout()
 	return &ShardRunner{
-		pqc:      PQC{Circ: circ, Eng: EngineDist, prog: prog},
-		free:     make(map[int]*shardState),
-		fwdSnaps: make(map[uint32]*fwdSnapshot),
+		pqc:  PQC{Circ: circ, Eng: EngineDist, prog: prog},
+		free: make(map[int]*shardState),
+		recs: make(map[uint32]*shardRec),
+		gen:  1,
 	}, nil
 }
 
@@ -259,25 +267,9 @@ func (r *ShardRunner) MaxShard(active [MaxTangents]bool) int {
 	return backwardBlock(1<<r.pqc.Circ.NumQubits, active)
 }
 
-// SetForwardPass pins the forward pass the affinity cache serves. Any pass
-// id change — a new forward pass opening, or a backward pass naming the
-// forward it pairs with — drops every snapshot from other passes, so the
-// cache holds states of at most one forward pass at a time.
-func (r *ShardRunner) SetForwardPass(pass uint64) {
-	if pass == r.fwdPass {
-		return
-	}
-	//torq:allow maprange -- whole-map drain; pool recycling order never reaches results
-	for s, snap := range r.fwdSnaps {
-		r.snapPool = append(r.snapPool, snap)
-		delete(r.fwdSnaps, s)
-	}
-	r.fwdPass = pass
-}
-
-// CachedForwardShards reports how many forward-state snapshots the runner
-// currently holds (test and introspection hook).
-func (r *ShardRunner) CachedForwardShards() int { return len(r.fwdSnaps) }
+// BeginForwardPass invalidates every shard record; their buffers stay for
+// the new pass to reuse.
+func (r *ShardRunner) BeginForwardPass() { r.gen++ }
 
 // Circuit returns the runner's circuit.
 func (r *ShardRunner) Circuit() *Circuit { return r.pqc.Circ }
@@ -305,143 +297,85 @@ func (r *ShardRunner) state(n int) *shardState {
 	return s
 }
 
-// load readies the state of an n-sample shard: it saves the shard's inputs,
-// with nil for every inactive tangent channel, and fills the runner's
-// forward tables for theta.
-func (r *ShardRunner) load(n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) *shardState {
-	s := r.state(n)
+// load readies an n-sample shard: it points the workspace of its size at
+// the shard's record, (re)allocating the record's buffers on first use or
+// a size change, saves the inputs into them (nil for every inactive tangent
+// channel), and fills the runner's forward tables for theta.
+func (r *ShardRunner) load(shard uint32, n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (*shardState, *shardRec) {
+	s, nq := r.state(n), r.pqc.Circ.NumQubits
+	rec := r.recs[shard]
+	if rec == nil || rec.val.N != n {
+		rec = &shardRec{val: NewZeroState(n, nq), angles: make([]float64, n*nq)}
+		r.recs[shard] = rec
+	}
+	ws := s.ws
+	ws.val, ws.angles = rec.val, rec.angles
 	for k := range angleTans {
 		if !active[k] {
 			angleTans[k] = nil
+			continue
 		}
+		if rec.tan[k] == nil {
+			rec.tan[k], rec.angleTans[k] = NewZeroState(n, nq), make([]float64, n*nq)
+		}
+		ws.ensureTangent(k)
+		ws.tan[k], ws.angleTans[k] = rec.tan[k], rec.angleTans[k]
 	}
-	s.ws.saveInputs(&r.pqc, angles, angleTans, theta)
+	ws.saveInputs(&r.pqc, angles, angleTans, theta)
+	rec.active, rec.theta = active, append(rec.theta[:0], theta...)
 	r.tab.fill(r.pqc.Program(), theta, false)
-	return s
+	return s, rec
 }
 
-// ForwardShard runs the forward pass over one shard of n samples and returns
-// the shard's z rows and tangent rows (nil for inactive channels). Returned
-// slices are owned by the runner and valid until the next *Shard call.
+// ForwardShard runs the forward pass over shard `shard` of n samples,
+// keeping its states for the shard's backward, and returns the shard's z
+// rows and tangent rows (nil for inactive channels). Returned slices are
+// owned by the runner and valid until the next *Shard call.
 //
 //torq:hotpath
-func (r *ShardRunner) ForwardShard(n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
-	s := r.load(n, active, angles, angleTans, theta)
+func (r *ShardRunner) ForwardShard(shard uint32, n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
+	s, rec := r.load(shard, n, active, angles, angleTans, theta)
+	fwdBlock(s.ws, r.pqc.Program(), 0, n, s.out.Z, s.out.ZTans)
+	rec.gen = r.gen
 	for k := range ztans {
 		if active[k] {
 			ztans[k] = s.out.ZTans[k]
 		}
 	}
-	fwdBlock(s.ws, r.pqc.Program(), 0, n, s.out.Z, ztans)
 	return s.out.Z, ztans
 }
 
-// BackwardShard recomputes the shard's forward states and runs the adjoint
-// pass over it, returning gradient partials: per-sample dAngles/dAngleTans
-// rows, the per-parameter dTheta partial, and the raw fused-diagonal
-// accumulator (contracted by the coordinator after the shard-order merge,
-// exactly as the in-process sharded engine does). Returned slices are owned
-// by the runner and valid until the next *Shard call.
+// BackwardShard runs the adjoint pass over shard `shard`, returning
+// gradient partials: per-sample dAngles/dAngleTans rows, the per-parameter
+// dTheta partial, and the raw fused-diagonal accumulator (contracted by the
+// coordinator after the shard-order merge, exactly as the in-process
+// sharded engine does). It runs on the states the shard's forward kept when
+// the inputs match them bit for bit (cached), and recomputes them
+// otherwise; the gradients are the same bits either way. Returned slices
+// are owned by the runner and valid until the next *Shard call.
 //
 //torq:hotpath
-func (r *ShardRunner) BackwardShard(n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64) {
-	r.ForwardShard(n, active, angles, angleTans, theta)
-	return r.runAdjoint(r.free[n], gz, gztans)
-}
-
-// runAdjoint runs the adjoint walk over a loaded workspace whose forward
-// states are already in place — freshly recomputed (BackwardShard) or
-// restored from a snapshot (BackwardShardCached) — and returns the shard's
-// gradient partials.
-//
-//torq:hotpath
-func (r *ShardRunner) runAdjoint(s *shardState, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64) {
+func (r *ShardRunner) BackwardShard(shard uint32, n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64, cached bool) {
+	cached = r.recs[shard].holds(r.gen, active, angles, angleTans, theta)
+	s, rec := r.load(shard, n, active, angles, angleTans, theta)
 	prog := r.pqc.Program()
-	r.tab.fill(prog, s.ws.theta, true)
+	if !cached {
+		fwdBlock(s.ws, prog, 0, n, s.out.Z, s.out.ZTans)
+	}
+	rec.gen = 0 // the adjoint uncomputes the states in place
+	r.tab.fill(prog, theta, true)
 	// The adjoint walk accumulates (+=) into every gradient buffer, so the
 	// reused ones must start zeroed.
 	out := &s.out
 	clear(out.DAngles)
 	for k := range dAngleTans {
-		if s.ws.active[k] {
+		if active[k] {
 			dAngleTans[k] = out.DAngleTans[k]
 			clear(dAngleTans[k])
 		}
 	}
 	clear(out.DTheta)
 	clear(out.DiagT)
-	bwdBlock(s.ws, prog, 0, s.ws.n, gz, gztans, out.DAngles, dAngleTans, bwdScratch{dth: out.DTheta, diagT: out.DiagT})
-	return out.DAngles, dAngleTans, out.DTheta, out.DiagT
-}
-
-// ForwardShardRetain is ForwardShard plus a snapshot of the evolved states
-// and their inputs under the given shard index, for a later
-// BackwardShardCached of the same pass to replay.
-func (r *ShardRunner) ForwardShardRetain(shard uint32, n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta []float64) (z []float64, ztans [MaxTangents][]float64) {
-	z, ztans = r.ForwardShard(n, active, angles, angleTans, theta)
-	ws := r.free[n].ws
-	var snap *fwdSnapshot
-	if len(r.snapPool) > 0 {
-		snap = r.snapPool[len(r.snapPool)-1]
-		r.snapPool = r.snapPool[:len(r.snapPool)-1]
-	} else {
-		snap = &fwdSnapshot{}
-	}
-	snap.n = n
-	snap.active = active
-	snap.angles = append(snap.angles[:0], angles...)
-	snap.theta = append(snap.theta[:0], theta...)
-	snap.valRe = append(snap.valRe[:0], ws.val.Re...)
-	snap.valIm = append(snap.valIm[:0], ws.val.Im...)
-	for k := 0; k < MaxTangents; k++ {
-		if active[k] {
-			snap.angleTans[k] = append(snap.angleTans[k][:0], angleTans[k]...)
-			snap.tanRe[k] = append(snap.tanRe[k][:0], ws.tan[k].Re...)
-			snap.tanIm[k] = append(snap.tanIm[k][:0], ws.tan[k].Im...)
-		} else {
-			snap.angleTans[k] = snap.angleTans[k][:0]
-			snap.tanRe[k] = snap.tanRe[k][:0]
-			snap.tanIm[k] = snap.tanIm[k][:0]
-		}
-	}
-	r.fwdSnaps[shard] = snap
-	return z, ztans
-}
-
-// BackwardShardCached is BackwardShard minus the forward recompute: it
-// restores the shard's forward states from the snapshot ForwardShardRetain
-// took under the same shard index, then runs the adjoint walk on them. The
-// restored states are the exact bits the recompute would produce (the
-// snapshot is validated against the backward shard's full inputs before
-// use), so the gradients are bit-identical either way. ok is false — and
-// nothing is computed — when no valid snapshot exists: the caller falls back
-// to the stateless BackwardShard.
-//
-//torq:hotpath
-func (r *ShardRunner) BackwardShardCached(shard uint32, n int, active [MaxTangents]bool, angles []float64, angleTans [MaxTangents][]float64, theta, gz []float64, gztans [MaxTangents][]float64) (dAngles []float64, dAngleTans [MaxTangents][]float64, dTheta, diagT []float64, ok bool) {
-	snap := r.fwdSnaps[shard]
-	if snap == nil || snap.n != n || snap.active != active ||
-		!bitsEqualF64(snap.angles, angles) || !bitsEqualF64(snap.theta, theta) {
-		return dAngles, dAngleTans, dTheta, diagT, false
-	}
-	for k := 0; k < MaxTangents; k++ {
-		if active[k] && !bitsEqualF64(snap.angleTans[k], angleTans[k]) {
-			return dAngles, dAngleTans, dTheta, diagT, false
-		}
-	}
-	// Restore the saved inputs the adjoint reads from the workspace (the
-	// angles and angle tangents of the reverse embedding) and the evolved
-	// states themselves.
-	s := r.load(n, active, angles, angleTans, theta)
-	ws := s.ws
-	copy(ws.val.Re, snap.valRe)
-	copy(ws.val.Im, snap.valIm)
-	for k := 0; k < MaxTangents; k++ {
-		if active[k] {
-			copy(ws.tan[k].Re, snap.tanRe[k])
-			copy(ws.tan[k].Im, snap.tanIm[k])
-		}
-	}
-	dAngles, dAngleTans, dTheta, diagT = r.runAdjoint(s, gz, gztans)
-	return dAngles, dAngleTans, dTheta, diagT, true
+	bwdBlock(s.ws, prog, 0, n, gz, gztans, out.DAngles, dAngleTans, bwdScratch{dth: out.DTheta, diagT: out.DiagT})
+	return out.DAngles, dAngleTans, out.DTheta, out.DiagT, cached
 }

@@ -707,14 +707,14 @@ func TestCoeffTablesKey(t *testing.T) {
 
 	// One ShardRunner through the theta steps, against a fresh one per step.
 	runnerPass := func(r *ShardRunner, theta []float64) passOut {
-		z, ztans := r.ForwardShard(n, active, angles, angleTans, theta)
+		z, ztans := r.ForwardShard(0, n, active, angles, angleTans, theta)
 		out := passOut{outs: [][]float64{slices.Clone(z)}}
 		for k := range active {
 			if active[k] {
 				out.outs = append(out.outs, slices.Clone(ztans[k]))
 			}
 		}
-		dA, dAT, dTh, diagT := r.BackwardShard(n, active, angles, angleTans, theta, gz, gztans)
+		dA, dAT, dTh, diagT, _ := r.BackwardShard(0, n, active, angles, angleTans, theta, gz, gztans)
 		out.outs = append(out.outs, slices.Clone(dA), slices.Clone(dTh), slices.Clone(diagT))
 		for k := range active {
 			if active[k] {
