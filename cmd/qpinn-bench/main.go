@@ -104,6 +104,12 @@ func main() {
 		dist.Configure(dist.Options{Workers: *workers})
 		defer dist.Shutdown()
 	}
+	if eng == qsim.EngineDist {
+		if _, err := dist.PoolSize(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 	stopObs, err := obsFlags.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

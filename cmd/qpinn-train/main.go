@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/maxwell"
 	"repro/internal/obs"
 	"repro/internal/qsim"
@@ -91,6 +92,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if eng == qsim.EngineDist {
+		if _, err := dist.PoolSize(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	ans, err := qsim.ParseAnsatz(*ansatz)
 	if err != nil {

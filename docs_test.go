@@ -3,10 +3,10 @@ package repro
 // Doc-drift gates: documentation that describes code the tests can see is
 // checked against that code, so the docs cannot silently rot. Three
 // contracts are pinned here: the README engine table tracks the engine
-// registry, docs/PROTOCOL.md tracks the implemented protocol version, and
-// every internal package carries real package documentation (with an
-// `# Invariants` section where the package participates in the determinism
-// story).
+// registry, the architecture document names every analyzer torq-lint
+// ships, and every internal package carries real package documentation
+// (with an `# Invariants` section where the package participates in the
+// determinism story).
 
 import (
 	"go/parser"
@@ -14,11 +14,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/lint"
 	"repro/internal/qsim"
 )
@@ -60,38 +58,20 @@ func TestReadmeEngineTableMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestReadmeLinksDocs keeps the README pointing at the two normative
-// documents; a quickstart that loses its deep links is how docs go unread.
+// TestReadmeLinksDocs keeps the README pointing at the architecture
+// document; a quickstart that loses its deep links is how docs go unread.
 func TestReadmeLinksDocs(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"docs/ARCHITECTURE.md", "docs/PROTOCOL.md"} {
+	for _, doc := range []string{"docs/ARCHITECTURE.md"} {
 		if !strings.Contains(string(readme), "("+doc+")") {
 			t.Errorf("README does not link %s", doc)
 		}
 		if _, err := os.Stat(doc); err != nil {
 			t.Errorf("linked document missing: %v", err)
 		}
-	}
-}
-
-// TestProtocolSpecMatchesProtoVersion fails when dist.ProtoVersion moves
-// without docs/PROTOCOL.md following: the spec is normative, so a protocol
-// change that skips the document is incomplete by definition.
-func TestProtocolSpecMatchesProtoVersion(t *testing.T) {
-	spec, err := os.ReadFile(filepath.Join("docs", "PROTOCOL.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := regexp.MustCompile(`(?m)^ProtoVersion: (\d+)$`).FindSubmatch(spec)
-	if m == nil {
-		t.Fatal("docs/PROTOCOL.md has no `ProtoVersion: N` marker line")
-	}
-	if got, want := string(m[1]), strconv.Itoa(int(dist.ProtoVersion)); got != want {
-		t.Fatalf("docs/PROTOCOL.md declares ProtoVersion %s but internal/dist implements %s — "+
-			"update the spec (frame layouts, version history) alongside the code", got, want)
 	}
 }
 

@@ -52,7 +52,7 @@ const shardTimeout = 60 * time.Second
 // worker is one coordinator-side worker handle: a framed transport plus the
 // subprocess behind it. During a pass a worker is driven by one
 // sender and one receiver goroutine: the sender owns the write half (w,
-// ebuf, smBuf), the receiver the read half (r, rbuf, arena, rmBuf); only
+// out, batch), the receiver the read half (r, rbuf, in, reply); only
 // the dead flag, the in-flight counter, and the kill path are shared.
 type worker struct {
 	id  int
@@ -70,17 +70,15 @@ type worker struct {
 	// legitimately wait behind every queued shard's compute.
 	inflight atomic.Int32
 
-	// Steady-state transport scratch: frames encode into and read into
-	// per-worker buffers, and decoded result arrays borrow the per-worker
-	// arena, which resets at pass start — so a pass's results stay valid
-	// until the next RunPass (the engine merges them before returning) and
-	// the hot path performs no per-frame allocation.
-	ebuf  []byte
-	rbuf  []byte
-	arena f64Arena
-	smBuf []shardMsg
-	rmBuf []resultMsg
-	spBuf []trace.SpanRec
+	// Steady-state transport scratch: frames encode through out and read
+	// into rbuf, and decoded result arrays borrow in's arena, which resets
+	// at pass start — so a pass's results stay valid until the next RunPass
+	// (the engine merges them before returning) and the hot path performs
+	// no per-frame allocation.
+	rbuf    []byte
+	in, out wire
+	batch   shardBatch
+	reply   resultBatch
 }
 
 // kill tears the transport down (idempotent, safe from timeout callbacks):
@@ -99,8 +97,8 @@ func (w *worker) kill() {
 	})
 }
 
-func (w *worker) send(typ byte, payload []byte) error {
-	if err := writeFrame(w.w, typ, payload); err != nil {
+func (w *worker) send(frame []byte) error {
+	if _, err := w.w.Write(frame); err != nil {
 		return err
 	}
 	return w.w.Flush()
@@ -221,9 +219,16 @@ func (c *coordinator) spawnProc() (*worker, error) {
 	}, nil
 }
 
-// poolSize is the configured worker count: Options.Workers, else
-// TORQ_DIST_WORKERS, else 2. A set value that is not an integer in
-// [1, MaxWorkers] is an error naming its source.
+// PoolSize is the worker count the next pool starts with: Options.Workers,
+// else TORQ_DIST_WORKERS, else 2. A set value that is not an integer in
+// [1, MaxWorkers] is an error naming its source — the error the first pass
+// would fail with, so a command can refuse the setting before training.
+func PoolSize() (int, error) {
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	return coord.poolSize()
+}
+
 func (c *coordinator) poolSize() (int, error) {
 	src, v := "Options.Workers", strconv.Itoa(c.workerN)
 	if c.workerN == 0 {
@@ -284,7 +289,6 @@ func (c *coordinator) ensureWorkersLocked() error {
 func (c *coordinator) handshake(w *worker, spec *qsim.PassSpec) error {
 	circ := spec.Circ
 	hm := helloMsg{
-		Version:     ProtoVersion,
 		Name:        circ.Name,
 		NumQubits:   circ.NumQubits,
 		Layers:      circ.Layers,
@@ -296,21 +300,18 @@ func (c *coordinator) handshake(w *worker, spec *qsim.PassSpec) error {
 	}
 	xstats.handshakes.Add(1)
 	defer c.guard(w)()
-	if err := w.send(fHello, encodeHello(hm)); err != nil {
+	if err := w.send(w.out.encode(fHello, &hm)); err != nil {
 		return err
 	}
-	typ, body, err := w.recv()
+	typ, body, err := readFrameInto(w.r, &w.rbuf)
 	if err != nil {
 		return err
 	}
 	switch typ {
 	case fHelloAck:
-		ack, err := decodeHelloAck(body)
-		if err != nil {
+		var ack helloAckMsg
+		if err := w.in.decode(body, &ack); err != nil {
 			return err
-		}
-		if ack.Version != ProtoVersion {
-			return fmt.Errorf("dist: worker protocol version %d, coordinator speaks %d", ack.Version, ProtoVersion)
 		}
 		if ack.Digest != hm.Digest {
 			return fmt.Errorf("dist: worker compiled a different program: %+v vs %+v", ack.Digest, hm.Digest)
@@ -318,14 +319,11 @@ func (c *coordinator) handshake(w *worker, spec *qsim.PassSpec) error {
 		w.circ = circ
 		return nil
 	case fError:
-		em, _ := decodeError(body)
+		var em errorMsg
+		_ = w.in.decode(body, &em) // a garbled refusal still refuses
 		return fmt.Errorf("dist: worker refused handshake: %s", em.Msg)
 	}
 	return fmt.Errorf("dist: unexpected handshake reply type %d", typ)
-}
-
-func (w *worker) recv() (byte, []byte, error) {
-	return readFrame(w.r)
 }
 
 // backend implements qsim.DistBackend on the package coordinator.
@@ -488,7 +486,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	if traceCtx != 0 {
 		passSpan = trace.CurrentPass()
 	}
-	pm := encodePass(passMsg{
+	pm := new(wire).encode(fPass, &passMsg{
 		Pass: pass, Trace: traceCtx, Span: passSpan,
 		Backward: spec.Backward, Active: spec.Active, Theta: spec.Theta,
 	})
@@ -506,7 +504,7 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 		// The previous pass's decoded results die here: per-worker arenas
 		// recycle at pass start, which is why ShardResult arrays are
 		// documented as valid only until the next RunPass.
-		w.arena.reset()
+		w.in.arena.reset()
 		w.inflight.Store(0)
 		wg.Add(1)
 		go func() {
@@ -565,7 +563,7 @@ func (c *coordinator) workerRun(w *worker, slot int, spec *qsim.PassSpec, pass, 
 	bcast := trace.Begin(trace.KBroadcast, passSpan)
 	bcast.Worker = int32(w.id)
 	stop := c.guard(w)
-	err := w.send(fPass, pm)
+	err := w.send(pm)
 	stop()
 	bcast.End()
 	if err != nil {
@@ -637,10 +635,10 @@ func (c *coordinator) workerRun(w *worker, slot int, spec *qsim.PassSpec, pass, 
 // nothing is copied until the encoder serializes it.
 func (c *coordinator) sendBatch(w *worker, spec *qsim.PassSpec, pass, span uint64, shards []int) error {
 	nq := spec.NQ
-	sms := w.smBuf[:0]
+	sms := w.batch.Shards[:0]
 	for _, s := range shards {
 		lo, hi := spec.Shard(s)
-		sm := shardMsg{Pass: pass, Shard: uint32(s), Angles: spec.Angles[lo*nq : hi*nq]}
+		sm := shardMsg{Shard: uint32(s), Angles: spec.Angles[lo*nq : hi*nq]}
 		for k := 0; k < qsim.MaxTangents; k++ {
 			if spec.AngleTans[k] != nil {
 				sm.AngleTans[k] = spec.AngleTans[k][lo*nq : hi*nq]
@@ -658,16 +656,13 @@ func (c *coordinator) sendBatch(w *worker, spec *qsim.PassSpec, pass, span uint6
 		}
 		sms = append(sms, sm)
 	}
-	w.smBuf = sms
-	w.ebuf = encodeShardBatchFrame(w.ebuf, pass, span, sms)
+	w.batch = shardBatch{Pass: pass, Span: span, Shards: sms}
+	frame := w.out.encode(fShardBatch, &w.batch)
 	// The timeout covers the send too — a full pipe buffer against a wedged
 	// worker blocks the write exactly like a withheld reply blocks the read.
-	xstats.bytesOut.Add(int64(len(w.ebuf)))
+	xstats.bytesOut.Add(int64(len(frame)))
 	defer c.guardN(w, len(shards))()
-	if _, err := w.w.Write(w.ebuf); err != nil {
-		return err
-	}
-	return w.w.Flush()
+	return w.send(frame)
 }
 
 // recvBatch reads one fResultBatch frame and validates and records each
@@ -682,24 +677,28 @@ func (c *coordinator) recvBatch(w *worker, spec *qsim.PassSpec, pass uint64, sha
 	xstats.bytesIn.Add(int64(len(body)) + 5) // body + u32 length + type byte
 	switch typ {
 	case fError:
-		em, _ := decodeError(body)
+		var em errorMsg
+		_ = w.in.decode(body, &em) // a garbled error still fails the batch
 		return fmt.Errorf("worker error: %s", em.Msg)
 	case fResultBatch:
 	default:
 		return fmt.Errorf("unexpected reply type %d", typ)
 	}
-	w.rmBuf, w.spBuf, err = decodeResultBatchInto(body, &w.arena, w.rmBuf[:0], w.spBuf[:0])
-	if err != nil {
+	rb := &w.reply
+	if err := w.in.decode(body, rb); err != nil {
 		return err
 	}
-	if len(w.rmBuf) != len(shards) {
-		return fmt.Errorf("result batch has %d entries, want %d", len(w.rmBuf), len(shards))
+	if rb.Pass != pass || rb.Backward != spec.Backward {
+		return fmt.Errorf("result batch for pass %d (backward=%v), want pass %d (backward=%v)",
+			rb.Pass, rb.Backward, pass, spec.Backward)
+	}
+	if len(rb.Results) != len(shards) {
+		return fmt.Errorf("result batch has %d entries, want %d", len(rb.Results), len(shards))
 	}
 	for i, s := range shards {
-		rm := w.rmBuf[i]
-		if rm.Pass != pass || int(rm.Shard) != s || rm.Backward != spec.Backward {
-			return fmt.Errorf("result for pass %d shard %d (backward=%v), want pass %d shard %d (backward=%v)",
-				rm.Pass, rm.Shard, rm.Backward, pass, s, spec.Backward)
+		rm := rb.Results[i]
+		if int(rm.Shard) != s {
+			return fmt.Errorf("result for shard %d, want shard %d", rm.Shard, s)
 		}
 		if err := validateResult(spec, s, rm, &results[s]); err != nil {
 			return err
@@ -708,8 +707,8 @@ func (c *coordinator) recvBatch(w *worker, spec *qsim.PassSpec, pass uint64, sha
 	// Stitch the worker's spans into the local ring: the worker cannot know
 	// its coordinator-side id, so it is stamped here. Empty on untraced
 	// passes — the loop is free.
-	for i := range w.spBuf {
-		r := w.spBuf[i]
+	for i := range rb.Spans {
+		r := rb.Spans[i]
 		r.Worker = int32(w.id)
 		trace.Ingest(r)
 	}

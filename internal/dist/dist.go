@@ -1,9 +1,9 @@
 // Package dist is the multi-process shard executor behind qsim's EngineDist:
 // a coordinator that partitions each circuit pass into the same fixed
 // cache-block sample shards as the in-process sharded engine, ships them to
-// worker processes over a length-prefixed, versioned binary frame protocol,
-// and merges (z rows, gradient partials) in shard order — so results are
-// bit-identical to EngineSharded for any worker count.
+// worker processes as length-prefixed binary frames, and merges (z rows,
+// gradient partials) in shard order — so results are bit-identical to
+// EngineSharded for any worker count.
 //
 // A session opens with one handshake carrying the ansatz circuit and the
 // compiled program's digest (workers recompile deterministically and must
@@ -17,7 +17,8 @@
 // Workers are local subprocesses that re-execute the coordinator's own
 // binary and speak frames over stdio: this package's init intercepts
 // TORQ_DIST_WORKER=stdio before main runs, so every worker runs the
-// coordinator's build on the coordinator's host. The pool size
+// coordinator's build on the coordinator's host, and the frame format is
+// private to that build: it carries no version. The pool size
 // (Options.Workers, else TORQ_DIST_WORKERS, else 2; at most MaxWorkers) is
 // the one setting.
 //
@@ -30,9 +31,9 @@
 // which worker computes a shard, in what order, after how many deaths and
 // re-dispatches, never changes the merged result — the coordinator merges
 // per-shard partials in ascending shard order, bit-identical to the
-// in-process sharded engine. The wire protocol is versioned (ProtoVersion,
-// specified normatively in docs/PROTOCOL.md) and handshake-checked, and
-// the kept forward states are a fast path only: a worker runs a backward
+// in-process sharded engine. Each session is digest-checked at the
+// handshake, every frame is bounds-checked as it decodes, and the kept
+// forward states are a fast path only: a worker runs a backward
 // shard on them only when its inputs match the forward's bit for bit, and
 // recomputes them otherwise.
 package dist

@@ -17,22 +17,48 @@ import (
 	"repro/internal/trace"
 )
 
-// TestFrameRoundTrip checks the length-prefixed framing itself.
+// frame is one payload framed for the wire: any type, any bytes, so tests
+// can send what no message encodes.
+func frame(typ byte, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(1+len(payload)))
+	return append(append(b, typ), payload...)
+}
+
+// frameBody strips a frame's 5-byte header, leaving the payload a decoder
+// consumes.
+func frameBody(frame []byte) []byte { return frame[5:] }
+
+// readFrame reads one frame into a fresh buffer.
+func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
+// encode builds one frame carrying m on a fresh wire.
+func encode(typ byte, m message) []byte { return new(wire).encode(typ, m) }
+
+// TestFrameRoundTrip checks the length-prefixed framing itself: frames of
+// raw payloads and an encoded message read back whole.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, {1, 2, 3}, bytes.Repeat([]byte{0xAB}, 1<<16)}
 	for i, p := range payloads {
-		if err := writeFrame(&buf, byte(i+1), p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(frame(byte(i+1), p))
 	}
+	msg := errorMsg{Msg: "x"}
+	buf.Write(encode(fError, &msg))
+	payloads = append(payloads, frameBody(encode(fError, &msg)))
 	for i, p := range payloads {
 		typ, body, err := readFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != byte(i+1) || !bytes.Equal(body, p) {
-			t.Fatalf("frame %d: type %d len %d, want type %d len %d", i, typ, len(body), i+1, len(p))
+		want := byte(i + 1)
+		if i == len(payloads)-1 {
+			want = fError
+		}
+		if typ != want || !bytes.Equal(body, p) {
+			t.Fatalf("frame %d: type %d len %d, want type %d len %d", i, typ, len(body), want, len(p))
 		}
 	}
 	if _, _, err := readFrame(&buf); err != io.EOF {
@@ -69,14 +95,13 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		ng := rng.Intn(12)
 		hm := helloMsg{
-			Version:   uint16(rng.Intn(1 << 16)),
 			Name:      strings.Repeat("q", rng.Intn(8)),
 			NumQubits: rng.Intn(10),
 			Layers:    rng.Intn(5),
 			Reupload:  rng.Intn(2) == 1,
 			NumParams: rng.Intn(200),
 			Digest: qsim.ProgramDigest{
-				Level: 3, Instructions: rng.Intn(500), Coeffs: rng.Intn(5000),
+				Instructions: rng.Intn(500), Coeffs: rng.Intn(5000),
 				DerivCoeffs: rng.Intn(5000), DiagAccums: rng.Intn(8),
 				Hash: rng.Uint64(),
 			},
@@ -89,13 +114,15 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		for i := 0; i < rng.Intn(4); i++ {
 			hm.LayerStarts = append(hm.LayerStarts, rng.Intn(100))
 		}
-		got, err := decodeHello(encodeHello(hm))
+		var got helloMsg
+		err := new(wire).decode(frameBody(encode(fHello, &hm)), &got)
 		if err != nil || !reflect.DeepEqual(got, hm) {
 			t.Fatalf("hello round trip: err %v\n got %+v\nwant %+v", err, got, hm)
 		}
 
-		am := helloAckMsg{Version: uint16(rng.Intn(1 << 16)), Digest: hm.Digest}
-		gotA, err := decodeHelloAck(encodeHelloAck(am))
+		am := helloAckMsg{Digest: hm.Digest}
+		var gotA helloAckMsg
+		err = new(wire).decode(frameBody(encode(fHelloAck, &am)), &gotA)
 		if err != nil || gotA != am {
 			t.Fatalf("helloAck round trip: err %v got %+v want %+v", err, gotA, am)
 		}
@@ -108,8 +135,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		for k := range pm.Active {
 			pm.Active[k] = rng.Intn(2) == 1
 		}
-		gotP, err := decodePass(encodePass(pm))
-		if err != nil {
+		var gotP passMsg
+		if err := new(wire).decode(frameBody(encode(fPass, &pm)), &gotP); err != nil {
 			t.Fatalf("pass decode: %v", err)
 		}
 		// NaN breaks DeepEqual on purpose; compare bit patterns instead.
@@ -120,189 +147,184 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		}
 
 		rows := rng.Intn(30)
-		sm := shardMsg{
-			Pass: rng.Uint64(), Shard: rng.Uint32(),
+		sb := shardBatch{Pass: rng.Uint64(), Span: rng.Uint64(), Shards: []shardMsg{{
+			Shard:  rng.Uint32(),
 			Angles: randFloats(rng, rows), AngleTans: randOptTans(rng, rows),
 			GZTans: randOptTans(rng, rows),
-		}
+		}}}
 		if rng.Intn(2) == 1 {
-			sm.GZ = randFloats(rng, rows)
+			sb.Shards[0].GZ = randFloats(rng, rows)
 		}
-		gotS, _, err := decodeShardBatchInto(frameBody(encodeShardBatchFrame(nil, sm.Pass, 0, []shardMsg{sm})), nil, nil)
-		if err != nil || !reflect.DeepEqual(gotS, []shardMsg{sm}) {
-			t.Fatalf("shard round trip: err %v\n got %+v\nwant %+v", err, gotS, sm)
+		var gotS shardBatch
+		err = new(wire).decode(frameBody(encode(fShardBatch, &sb)), &gotS)
+		if err != nil || !reflect.DeepEqual(gotS, sb) {
+			t.Fatalf("shard round trip: err %v\n got %+v\nwant %+v", err, gotS, sb)
 		}
 
-		rm := resultMsg{
-			Pass: rng.Uint64(), Shard: rng.Uint32(), Backward: rng.Intn(2) == 1,
-			Z: randFloats(rng, rows), ZTans: randOptTans(rng, rows),
+		rb := resultBatch{Pass: rng.Uint64(), Backward: rng.Intn(2) == 1, Results: []resultMsg{{
+			Shard: rng.Uint32(),
+			Z:     randFloats(rng, rows), ZTans: randOptTans(rng, rows),
 			DAngles: randFloats(rng, rows), DAngleTans: randOptTans(rng, rows),
 			DTheta: randFloats(rng, rng.Intn(20)), DiagT: randFloats(rng, rng.Intn(64)),
-		}
-		gotR, _, err := decodeResultBatchInto(frameBody(encodeResultBatchFrame(nil, rm.Pass, rm.Backward, []resultMsg{rm}, nil)), nil, nil, nil)
-		if err != nil || !reflect.DeepEqual(gotR, []resultMsg{rm}) {
-			t.Fatalf("result round trip: err %v\n got %+v\nwant %+v", err, gotR, rm)
+		}}}
+		var gotR resultBatch
+		err = new(wire).decode(frameBody(encode(fResultBatch, &rb)), &gotR)
+		if err != nil || !reflect.DeepEqual(gotR, rb) {
+			t.Fatalf("result round trip: err %v\n got %+v\nwant %+v", err, gotR, rb)
 		}
 
 		em := errorMsg{Msg: strings.Repeat("x", rng.Intn(50))}
-		gotE, err := decodeError(encodeError(em))
+		var gotE errorMsg
+		err = new(wire).decode(frameBody(encode(fError, &em)), &gotE)
 		if err != nil || gotE != em {
 			t.Fatalf("error round trip: err %v got %+v want %+v", err, gotE, em)
 		}
 	}
 }
 
-// TestBatchCodecRoundTrip fuzzes the batch frames: every entry must survive
-// exactly (the batch header's pass/direction stamped back into each entry),
-// with and without an arena attached — arena-borrowed arrays must decode to
-// the same bits as freshly allocated ones.
+// TestBatchCodecRoundTrip fuzzes the batch frames: every entry and span
+// must survive exactly, decoded on a fresh wire and on one reused across
+// trials (its arena reset) into reused batches — arena-borrowed arrays must
+// decode to the same bits as freshly allocated ones.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	var arena f64Arena
-	var encBuf []byte
+	var out, in wire
+	var sbuf shardBatch
+	var rbuf resultBatch
 	for trial := 0; trial < 100; trial++ {
-		pass := rng.Uint64()
-		backward := rng.Intn(2) == 1
 		rows := rng.Intn(24)
 		nb := rng.Intn(5)
-		var shards []shardMsg
-		var results []resultMsg
+		sb := shardBatch{Pass: rng.Uint64(), Span: rng.Uint64()}
+		rb := resultBatch{Pass: sb.Pass, Backward: rng.Intn(2) == 1}
 		for i := 0; i < nb; i++ {
 			sm := shardMsg{
-				Pass: pass, Shard: rng.Uint32(),
+				Shard:  rng.Uint32(),
 				Angles: randFloats(rng, rows), AngleTans: randOptTans(rng, rows),
 				GZTans: randOptTans(rng, rows),
 			}
 			if rng.Intn(2) == 1 {
 				sm.GZ = randFloats(rng, rows)
 			}
-			shards = append(shards, sm)
-			results = append(results, resultMsg{
-				Pass: pass, Shard: sm.Shard, Backward: backward,
-				Z: randFloats(rng, rows), ZTans: randOptTans(rng, rows),
+			sb.Shards = append(sb.Shards, sm)
+			rb.Results = append(rb.Results, resultMsg{
+				Shard: sm.Shard,
+				Z:     randFloats(rng, rows), ZTans: randOptTans(rng, rows),
 				DAngles: randFloats(rng, rows), DAngleTans: randOptTans(rng, rows),
 				DTheta: randFloats(rng, rng.Intn(20)), DiagT: randFloats(rng, rng.Intn(64)),
 			})
 		}
-
-		span := rng.Uint64()
-		encBuf = encodeShardBatchFrame(encBuf, pass, span, shards)
-		for _, a := range []*f64Arena{nil, &arena} {
-			if a != nil {
-				a.reset()
-			}
-			got, gotSpan, err := decodeShardBatchInto(frameBody(encBuf), a, nil)
-			if err != nil || gotSpan != span || !reflect.DeepEqual(got, shards) {
-				t.Fatalf("shard batch round trip (arena=%v): err %v span %x want %x\n got %+v\nwant %+v", a != nil, err, gotSpan, span, got, shards)
-			}
-		}
-
 		// Worker is not on the wire (the coordinator stamps it at ingest), so
 		// the fixture spans leave it zero.
-		var spans []trace.SpanRec
 		for i := 0; i < rng.Intn(4); i++ {
-			spans = append(spans, trace.SpanRec{
+			rb.Spans = append(rb.Spans, trace.SpanRec{
 				ID: rng.Uint64(), Parent: rng.Uint64(), Kind: trace.Kind(rng.Intn(8)),
 				Shard: int32(rng.Intn(100) - 1), Start: rng.Int63(), End: rng.Int63(),
 			})
 		}
-		encBuf = encodeResultBatchFrame(encBuf, pass, backward, results, spans)
-		for _, a := range []*f64Arena{nil, &arena} {
-			if a != nil {
-				a.reset()
-			}
-			got, gotSpans, err := decodeResultBatchInto(frameBody(encBuf), a, nil, nil)
-			if err != nil || !reflect.DeepEqual(got, results) {
-				t.Fatalf("result batch round trip (arena=%v): err %v\n got %+v\nwant %+v", a != nil, err, got, results)
-			}
-			if len(gotSpans) != len(spans) {
-				t.Fatalf("result batch spans: got %d want %d", len(gotSpans), len(spans))
-			}
-			for i := range spans {
-				if gotSpans[i] != spans[i] {
-					t.Fatalf("span %d round trip: got %+v want %+v", i, gotSpans[i], spans[i])
-				}
-			}
+
+		body := frameBody(out.encode(fShardBatch, &sb))
+		var fresh shardBatch
+		if err := new(wire).decode(body, &fresh); err != nil || !reflect.DeepEqual(fresh, sb) {
+			t.Fatalf("shard batch round trip (fresh wire): err %v\n got %+v\nwant %+v", err, fresh, sb)
+		}
+		in.arena.reset()
+		if err := in.decode(body, &sbuf); err != nil || !sameShards(sbuf, sb) {
+			t.Fatalf("shard batch round trip (reused wire): err %v\n got %+v\nwant %+v", err, sbuf, sb)
+		}
+
+		body = frameBody(out.encode(fResultBatch, &rb))
+		var freshR resultBatch
+		if err := new(wire).decode(body, &freshR); err != nil || !reflect.DeepEqual(freshR, rb) {
+			t.Fatalf("result batch round trip (fresh wire): err %v\n got %+v\nwant %+v", err, freshR, rb)
+		}
+		in.arena.reset()
+		if err := in.decode(body, &rbuf); err != nil || !sameResults(rbuf, rb) {
+			t.Fatalf("result batch round trip (reused wire): err %v\n got %+v\nwant %+v", err, rbuf, rb)
 		}
 	}
 }
 
-// TestFrameCodecSteadyStateAllocs pins the zero-alloc frame path: once the
-// session buffers are warm, a full encode → frame-write → frame-read →
-// decode cycle of a shard batch and its result batch performs zero heap
-// allocations.
-func TestFrameCodecSteadyStateAllocs(t *testing.T) {
+// sameShards and sameResults compare batches decoded into reused storage,
+// whose empty entry and span lists are non-nil where a fresh decode's are
+// nil.
+func sameShards(a, b shardBatch) bool {
+	return a.Pass == b.Pass && a.Span == b.Span && len(a.Shards) == len(b.Shards) &&
+		(len(a.Shards) == 0 || reflect.DeepEqual(a.Shards, b.Shards))
+}
+
+func sameResults(a, b resultBatch) bool {
+	return a.Pass == b.Pass && a.Backward == b.Backward &&
+		len(a.Results) == len(b.Results) && (len(a.Results) == 0 || reflect.DeepEqual(a.Results, b.Results)) &&
+		len(a.Spans) == len(b.Spans) && (len(a.Spans) == 0 || reflect.DeepEqual(a.Spans, b.Spans))
+}
+
+// steadyBatches is the fixture of the zero-allocation pin and the codec
+// benchmark: eight 64-row forward shards with two tangent channels and
+// upstream gradients, and their backward results with one span each.
+func steadyBatches() (shardBatch, resultBatch) {
 	rng := rand.New(rand.NewSource(8))
 	const rows = 64
-	var shards []shardMsg
+	sb := shardBatch{Pass: 3, Span: 7}
+	rb := resultBatch{Pass: 3, Backward: true}
 	for i := 0; i < 8; i++ {
-		shards = append(shards, shardMsg{
-			Pass: 3, Shard: uint32(i),
+		sb.Shards = append(sb.Shards, shardMsg{
+			Shard:     uint32(i),
 			Angles:    randFloats(rng, rows),
 			AngleTans: [qsim.MaxTangents][]float64{randFloats(rng, rows), nil, randFloats(rng, rows)},
 			GZ:        randFloats(rng, rows),
 		})
 	}
-
-	var results []resultMsg
-	var spans []trace.SpanRec
 	for i := 0; i < 8; i++ {
-		results = append(results, resultMsg{
-			Pass: 3, Shard: uint32(i), Backward: true,
+		rb.Results = append(rb.Results, resultMsg{
+			Shard:   uint32(i),
 			DAngles: randFloats(rng, rows),
 			DTheta:  randFloats(rng, 12),
 		})
-		spans = append(spans, trace.SpanRec{
+		rb.Spans = append(rb.Spans, trace.SpanRec{
 			ID: uint64(100 + i), Parent: 7, Kind: trace.KShard,
 			Shard: int32(i), Start: int64(i * 1000), End: int64(i*1000 + 500),
 		})
 	}
+	return sb, rb
+}
 
+// TestFrameCodecSteadyStateAllocs pins the zero-alloc frame path: once the
+// wires and buffers are warm, a full encode → frame-write → frame-read →
+// decode cycle of a shard batch and its result batch performs zero heap
+// allocations.
+func TestFrameCodecSteadyStateAllocs(t *testing.T) {
+	sb, rb := steadyBatches()
 	var (
-		encBuf   []byte
-		rdBuf    []byte
-		arena    f64Arena
-		decoded  []shardMsg
-		rdecoded []resultMsg
-		sdecoded []trace.SpanRec
-		rarena   f64Arena
-		wire     bytes.Buffer
-		reader   bytes.Reader
+		out, in wire
+		rdBuf   []byte
+		gotS    shardBatch
+		gotR    resultBatch
+		stream  bytes.Buffer
+		reader  bytes.Reader
 	)
-	cycle := func() {
-		encBuf = encodeShardBatchFrame(encBuf, 3, 7, shards)
-		wire.Reset()
-		if _, err := wire.Write(encBuf); err != nil {
+	roundTrip := func(typ byte, m, got message) {
+		stream.Reset()
+		if _, err := stream.Write(out.encode(typ, m)); err != nil {
 			t.Fatal(err)
 		}
-		reader.Reset(wire.Bytes())
-		typ, body, err := readFrameInto(&reader, &rdBuf)
-		if err != nil || typ != fShardBatch {
-			t.Fatalf("read frame: type %d err %v", typ, err)
+		reader.Reset(stream.Bytes())
+		rt, body, err := readFrameInto(&reader, &rdBuf)
+		if err != nil || rt != typ {
+			t.Fatalf("read frame: type %d err %v", rt, err)
 		}
-		arena.reset()
-		decoded, _, err = decodeShardBatchInto(body, &arena, decoded[:0])
-		if err != nil || len(decoded) != len(shards) {
-			t.Fatalf("decode: %d entries err %v", len(decoded), err)
-		}
-
-		encBuf = encodeResultBatchFrame(encBuf, 3, true, results, spans)
-		wire.Reset()
-		if _, err := wire.Write(encBuf); err != nil {
-			t.Fatal(err)
-		}
-		reader.Reset(wire.Bytes())
-		typ, body, err = readFrameInto(&reader, &rdBuf)
-		if err != nil || typ != fResultBatch {
-			t.Fatalf("read result frame: type %d err %v", typ, err)
-		}
-		rarena.reset()
-		rdecoded, sdecoded, err = decodeResultBatchInto(body, &rarena, rdecoded[:0], sdecoded[:0])
-		if err != nil || len(rdecoded) != len(results) || len(sdecoded) != len(spans) {
-			t.Fatalf("decode result: %d entries %d spans err %v", len(rdecoded), len(sdecoded), err)
+		in.arena.reset()
+		if err := in.decode(body, got); err != nil {
+			t.Fatalf("decode frame type %d: %v", typ, err)
 		}
 	}
+	cycle := func() {
+		roundTrip(fShardBatch, &sb, &gotS)
+		roundTrip(fResultBatch, &rb, &gotR)
+	}
 	cycle() // warm every buffer to steady state
+	if len(gotS.Shards) != len(sb.Shards) || len(gotR.Results) != len(rb.Results) || len(gotR.Spans) != len(rb.Spans) {
+		t.Fatalf("decoded %d shards, %d results, %d spans", len(gotS.Shards), len(gotR.Results), len(gotR.Spans))
+	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("steady-state frame cycle allocates %v times per run, want 0", allocs)
 	}
@@ -312,41 +334,28 @@ func TestFrameCodecSteadyStateAllocs(t *testing.T) {
 // the per-batch transport constant the dist engine pays on top of compute —
 // and reports allocs/op, which the zero-alloc design pins at 0.
 func BenchmarkFrameBatchRoundTrip(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	const rows = 64
-	var shards []shardMsg
-	for i := 0; i < 8; i++ {
-		shards = append(shards, shardMsg{
-			Pass: 3, Shard: uint32(i),
-			Angles:    randFloats(rng, rows),
-			AngleTans: [qsim.MaxTangents][]float64{randFloats(rng, rows), nil, randFloats(rng, rows)},
-			GZ:        randFloats(rng, rows),
-		})
-	}
+	sb, _ := steadyBatches()
 	var (
-		encBuf  []byte
+		out, in wire
 		rdBuf   []byte
-		arena   f64Arena
-		decoded []shardMsg
-		wire    bytes.Buffer
+		got     shardBatch
+		stream  bytes.Buffer
 		reader  bytes.Reader
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		encBuf = encodeShardBatchFrame(encBuf, 3, 7, shards)
-		wire.Reset()
-		if _, err := wire.Write(encBuf); err != nil {
+		stream.Reset()
+		if _, err := stream.Write(out.encode(fShardBatch, &sb)); err != nil {
 			b.Fatal(err)
 		}
-		reader.Reset(wire.Bytes())
+		reader.Reset(stream.Bytes())
 		_, body, err := readFrameInto(&reader, &rdBuf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		arena.reset()
-		decoded, _, err = decodeShardBatchInto(body, &arena, decoded[:0])
-		if err != nil || len(decoded) != len(shards) {
-			b.Fatalf("decode: %d entries err %v", len(decoded), err)
+		in.arena.reset()
+		if err := in.decode(body, &got); err != nil || len(got.Shards) != len(sb.Shards) {
+			b.Fatalf("decode: %d entries err %v", len(got.Shards), err)
 		}
 	}
 }
@@ -366,39 +375,40 @@ func bitsEqual(a, b []float64) bool {
 // TestCodecTruncationRejected checks the batch decoders fail cleanly (no
 // panics, no silent zero values) on truncated and oversized payloads.
 func TestCodecTruncationRejected(t *testing.T) {
-	full := frameBody(encodeShardBatchFrame(nil, 9, 0, []shardMsg{
-		{Pass: 9, Shard: 1, Angles: []float64{1, 2}},
-		{Pass: 9, Shard: 2, Angles: []float64{3}},
-	}))
+	full := frameBody(encode(fShardBatch, &shardBatch{Pass: 9, Shards: []shardMsg{
+		{Shard: 1, Angles: []float64{1, 2}},
+		{Shard: 2, Angles: []float64{3}},
+	}}))
+	var sb shardBatch
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := decodeShardBatchInto(full[:cut], nil, nil); err == nil {
+		if err := new(wire).decode(full[:cut], &sb); err == nil {
 			t.Fatalf("batch truncation at %d of %d accepted", cut, len(full))
 		}
 	}
 	// Trailing garbage must be rejected too: a frame is exactly one message.
-	if _, _, err := decodeShardBatchInto(append(append([]byte{}, full...), 0), nil, nil); err == nil {
+	if err := new(wire).decode(append(append([]byte{}, full...), 0), &sb); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	// The result batch's trailing span section must truncate cleanly too.
-	fullR := frameBody(encodeResultBatchFrame(nil, 9, true,
-		[]resultMsg{{Pass: 9, Shard: 1, Backward: true, DAngles: []float64{1}}},
-		[]trace.SpanRec{{ID: 3, Parent: 2, Kind: trace.KShard, Shard: 1, Start: 10, End: 20}}))
+	fullR := frameBody(encode(fResultBatch, &resultBatch{Pass: 9, Backward: true,
+		Results: []resultMsg{{Shard: 1, DAngles: []float64{1}}},
+		Spans:   []trace.SpanRec{{ID: 3, Parent: 2, Kind: trace.KShard, Shard: 1, Start: 10, End: 20}}}))
+	var rb resultBatch
 	for cut := 0; cut < len(fullR); cut++ {
-		if _, _, err := decodeResultBatchInto(fullR[:cut], nil, nil, nil); err == nil {
+		if err := new(wire).decode(fullR[:cut], &rb); err == nil {
 			t.Fatalf("result batch truncation at %d of %d accepted", cut, len(fullR))
 		}
 	}
-	if _, _, err := decodeResultBatchInto(append(append([]byte{}, fullR...), 0), nil, nil, nil); err == nil {
+	if err := new(wire).decode(append(append([]byte{}, fullR...), 0), &rb); err == nil {
 		t.Fatal("result batch trailing bytes accepted")
 	}
 }
 
 // TestOversizedClaimsRejectedCheaply pins that a length or count a peer
-// claims costs no memory until the bytes behind it arrive. A -listen worker
-// reads its first frame before any handshake, so a 4-byte header must not
-// buy a 1 GiB buffer. A header claiming maxFrame followed by 16 bytes, and
-// every decoded count far beyond its payload, must fail with an error after
-// allocating under 1 MiB.
+// claims costs no memory until the bytes behind it arrive: a 4-byte header
+// must not buy a 1 GiB buffer. A header claiming maxFrame followed by 16
+// bytes, and every decoded count far beyond its payload, must fail with an
+// error after allocating under 1 MiB.
 func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 	const limit = 1 << 20
 	allocated := func(f func() error) (uint64, error) {
@@ -419,52 +429,33 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 		t.Errorf("header claiming %d bytes, then 16: err %v after allocating %d bytes", maxFrame, err, n)
 	}
 
+	// Each claim follows the fields before it, cut from a real payload: a
+	// hello's name, qubits, layers, reupload and parameter count (30 bytes),
+	// a shard batch's pass, span, count and first shard id (24 bytes).
 	const huge = 1 << 28
-	var hello enc
-	hello.u16(ProtoVersion)
-	hello.str("x")
-	hello.int(1)
-	hello.int(1)
-	hello.bool(false)
-	hello.int(0)
-	noGates := append([]byte(nil), hello.b...)
-	var shard enc
-	shard.u64(1)
-	shard.u64(0)
-	shard.u32(1)
-	shard.u32(7)
+	claim := func(prefix []byte, counts ...uint32) []byte {
+		b := append([]byte(nil), prefix...)
+		for _, c := range counts {
+			b = binary.LittleEndian.AppendUint32(b, c)
+		}
+		return b
+	}
+	hello := frameBody(encode(fHello, &helloMsg{Name: "x", NumQubits: 1, Layers: 1}))[:30]
+	shard := frameBody(encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Shard: 7}}}))[:24]
 	cases := []struct {
 		name string
 		body []byte
-		dec  func([]byte) error
+		m    message
 	}{
-		{"hello gates", binary.LittleEndian.AppendUint32(hello.b, huge), func(b []byte) error {
-			_, err := decodeHello(b)
-			return err
-		}},
-		{"hello layer starts", binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(noGates, 0), huge), func(b []byte) error {
-			_, err := decodeHello(b)
-			return err
-		}},
-		{"shard batch", binary.LittleEndian.AppendUint32(make([]byte, 16), huge), func(b []byte) error {
-			_, _, err := decodeShardBatchInto(b, nil, nil)
-			return err
-		}},
-		{"shard array", binary.LittleEndian.AppendUint32(shard.b, huge), func(b []byte) error {
-			_, _, err := decodeShardBatchInto(b, &f64Arena{}, nil)
-			return err
-		}},
-		{"result batch", binary.LittleEndian.AppendUint32(make([]byte, 9), huge), func(b []byte) error {
-			_, _, err := decodeResultBatchInto(b, nil, nil, nil)
-			return err
-		}},
-		{"result spans", binary.LittleEndian.AppendUint32(make([]byte, 13), huge), func(b []byte) error {
-			_, _, err := decodeResultBatchInto(b, nil, nil, nil)
-			return err
-		}},
+		{"hello gates", claim(hello, huge), &helloMsg{}},
+		{"hello layer starts", claim(hello, 0, huge), &helloMsg{}},
+		{"shard batch", claim(make([]byte, 16), huge), &shardBatch{}},
+		{"shard array", claim(shard, huge), &shardBatch{}},
+		{"result batch", claim(make([]byte, 9), huge), &resultBatch{}},
+		{"result spans", claim(make([]byte, 9), 0, huge), &resultBatch{}},
 	}
 	for _, c := range cases {
-		n, err := allocated(func() error { return c.dec(c.body) })
+		n, err := allocated(func() error { return new(wire).decode(c.body, c.m) })
 		if err == nil || !strings.Contains(err.Error(), "count") || n >= limit {
 			t.Errorf("%s claiming %d entries: err %v after allocating %d bytes", c.name, huge, err, n)
 		}
@@ -495,26 +486,26 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 // check counts against to the encoders' output for entries whose arrays are
 // all empty or absent. A minimum larger than that would reject valid frames.
 func TestCodecMinimumEntrySizes(t *testing.T) {
-	shards := len(frameBody(encodeShardBatchFrame(nil, 1, 0, []shardMsg{{Shard: 1}, {Shard: 2}})))
+	shards := len(frameBody(encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Shard: 1}, {Shard: 2}}})))
 	if want := 8 + 8 + 4 + 2*minShardSize; shards != want {
 		t.Errorf("two empty shard entries: body %d bytes, minShardSize implies %d", shards, want)
 	}
-	results := len(frameBody(encodeResultBatchFrame(nil, 1, false, []resultMsg{{Shard: 1}},
-		[]trace.SpanRec{{ID: 1}})))
+	results := len(frameBody(encode(fResultBatch, &resultBatch{Pass: 1,
+		Results: []resultMsg{{Shard: 1}}, Spans: []trace.SpanRec{{ID: 1}}})))
 	if want := 8 + 1 + 4 + minResultSize + 4 + spanSize; results != want {
 		t.Errorf("one empty result and one span: body %d bytes, minResultSize/spanSize imply %d", results, want)
 	}
-	h := helloMsg{Version: ProtoVersion, LayerStarts: []int{0}}
-	h0 := len(encodeHello(h))
+	h := helloMsg{LayerStarts: []int{0}}
+	h0 := len(encode(fHello, &h))
 	h.Gates = []qsim.Gate{{}}
-	if d := len(encodeHello(h)) - h0; d != helloGateSize {
+	if d := len(encode(fHello, &h)) - h0; d != helloGateSize {
 		t.Errorf("one hello gate adds %d bytes, helloGateSize is %d", d, helloGateSize)
 	}
 }
 
-// TestCodecGoldenBytes pins the wire encoding byte for byte: a change to the
-// layout must bump ProtoVersion, and this fixture is what forces that
-// conversation.
+// TestCodecGoldenBytes pins the wire encoding byte for byte: one walk per
+// message keeps encode and decode in step, and this fixture keeps the
+// layout itself from moving unnoticed.
 func TestCodecGoldenBytes(t *testing.T) {
 	pass := passMsg{
 		Pass:     0x0102030405060708,
@@ -524,20 +515,20 @@ func TestCodecGoldenBytes(t *testing.T) {
 		Active:   [qsim.MaxTangents]bool{true, false, true},
 		Theta:    []float64{1, -0.5},
 	}
-	batch := encodeShardBatchFrame(nil, 2, 0x4142434445464748, []shardMsg{
-		{Pass: 2, Shard: 1, Angles: []float64{0.25}},
-		{Pass: 2, Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
-	})
-	rbatch := encodeResultBatchFrame(nil, 2, true,
-		[]resultMsg{{Pass: 2, Shard: 1, Backward: true, DAngles: []float64{0.25}, DTheta: []float64{1}}},
-		[]trace.SpanRec{{ID: 0x5152535455565758, Parent: 0x6162636465666768,
-			Kind: trace.KShard, Shard: 1, Start: 0x0A0B0C0D, End: 0x0A0B0C0E}})
+	batch := encode(fShardBatch, &shardBatch{Pass: 2, Span: 0x4142434445464748, Shards: []shardMsg{
+		{Shard: 1, Angles: []float64{0.25}},
+		{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
+	}})
+	rbatch := encode(fResultBatch, &resultBatch{Pass: 2, Backward: true,
+		Results: []resultMsg{{Shard: 1, DAngles: []float64{0.25}, DTheta: []float64{1}}},
+		Spans: []trace.SpanRec{{ID: 0x5152535455565758, Parent: 0x6162636465666768,
+			Kind: trace.KShard, Shard: 1, Start: 0x0A0B0C0D, End: 0x0A0B0C0E}}})
 	cases := []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"pass", encodePass(pass),
+		{"pass", frameBody(encode(fPass, &pass)),
 			"080706050403020128272625242322213837363534333231010502000000000000000000f03f000000000000e0bf"},
 		// The batch encoder emits a complete frame: u32 length (type byte +
 		// 78-byte payload = 0x4f) and the fShardBatch type lead the bytes; the
@@ -559,131 +550,113 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := hex.EncodeToString(c.got); got != c.want {
-			t.Errorf("%s golden bytes drifted:\n got %s\nwant %s\n(an intentional layout change must bump ProtoVersion)", c.name, got, c.want)
+			t.Errorf("%s golden bytes drifted:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }
 
-// TestVersionMismatchRejected drives a worker session in memory and checks a
-// handshake with a foreign protocol version is refused with an error frame.
-func TestVersionMismatchRejected(t *testing.T) {
-	circ := qsim.NoEntanglement.Build(2, 1)
-	prog := qsim.CompileProgram(circ)
+// serve runs a worker session in memory and returns exchange, which sends
+// one frame and reads the worker's reply, and finish, which closes the
+// session and checks it ended cleanly.
+func serve(t *testing.T) (exchange func(frame []byte) (byte, []byte), finish func()) {
 	toWorkerR, toWorkerW := io.Pipe()
 	fromWorkerR, fromWorkerW := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
 		done <- ServeConn(toWorkerR, fromWorkerW)
 	}()
-	hm := helloMsg{
-		Version: ProtoVersion + 41, Name: circ.Name, NumQubits: circ.NumQubits,
-		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
-		LayerStarts: circ.LayerStarts(), Digest: prog.Digest(),
-	}
-	if err := writeFrame(toWorkerW, fHello, encodeHello(hm)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := readFrame(fromWorkerR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != fError {
-		t.Fatalf("worker replied frame type %d to a mismatched version, want fError", typ)
-	}
-	em, err := decodeError(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(em.Msg, "version mismatch") {
-		t.Fatalf("error %q does not name the version mismatch", em.Msg)
-	}
-	// A correct-version handshake on the same session must still succeed:
-	// the refusal is per-handshake, not a poisoned session.
-	hm.Version = ProtoVersion
-	if err := writeFrame(toWorkerW, fHello, encodeHello(hm)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = readFrame(fromWorkerR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != fHelloAck {
-		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
-	}
-	ack, err := decodeHelloAck(body)
-	if err != nil || ack.Digest != prog.Digest() {
-		t.Fatalf("bad ack %+v (err %v)", ack, err)
-	}
-	toWorkerW.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("worker session ended with error: %v", err)
-	}
-}
-
-// TestReservedFrameTypesRejected: frame types 4 and 5, the retired
-// single-shard request and reply, must draw an "unexpected frame type"
-// error frame from a handshaken worker, and the session must keep serving.
-// So must a shard under a pass whose theta does not match the circuit.
-func TestReservedFrameTypesRejected(t *testing.T) {
-	circ := qsim.NoEntanglement.Build(2, 1)
-	prog := qsim.CompileProgram(circ)
-	toWorkerR, toWorkerW := io.Pipe()
-	fromWorkerR, fromWorkerW := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- ServeConn(toWorkerR, fromWorkerW)
-	}()
-	hm := helloMsg{
-		Version: ProtoVersion, Name: circ.Name, NumQubits: circ.NumQubits,
-		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
-		LayerStarts: circ.LayerStarts(), Digest: prog.Digest(),
-	}
-	exchange := func(typ byte, payload []byte) (byte, []byte) {
-		if err := writeFrame(toWorkerW, typ, payload); err != nil {
+	exchange = func(frame []byte) (byte, []byte) {
+		if _, err := toWorkerW.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		rt, body, err := readFrame(fromWorkerR)
+		typ, body, err := readFrame(fromWorkerR)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rt, body
+		return typ, body
 	}
-	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
+	finish = func() {
+		toWorkerW.Close()
+		if err := <-done; err != nil {
+			t.Fatalf("worker session ended with error: %v", err)
+		}
+	}
+	return exchange, finish
+}
+
+// errorText decodes an error frame's message.
+func errorText(body []byte) string {
+	var em errorMsg
+	_ = new(wire).decode(body, &em) // a garbled text fails the caller's match
+	return em.Msg
+}
+
+// TestDigestMismatchRejected drives a worker session in memory and checks a
+// handshake whose digest hash differs by one bit is refused with an error
+// frame naming the digest. The digest is the handshake's only guard, and
+// the refusal is per handshake: the same session must then ack a correct
+// hello.
+func TestDigestMismatchRejected(t *testing.T) {
+	circ := qsim.NoEntanglement.Build(2, 1)
+	prog := qsim.CompileProgram(circ)
+	exchange, finish := serve(t)
+	hm := helloMsg{
+		Name: circ.Name, NumQubits: circ.NumQubits,
+		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
+		LayerStarts: circ.LayerStarts(), Digest: prog.Digest(),
+	}
+	hm.Digest.Hash ^= 1
+	typ, body := exchange(encode(fHello, &hm))
+	if typ != fError {
+		t.Fatalf("worker replied frame type %d to a mismatched digest, want fError", typ)
+	}
+	if msg := errorText(body); !strings.Contains(msg, "digest mismatch") {
+		t.Fatalf("error %q does not name the digest mismatch", msg)
+	}
+	hm.Digest = prog.Digest()
+	typ, body = exchange(encode(fHello, &hm))
+	if typ != fHelloAck {
 		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
 	}
-	for _, reserved := range []byte{4, 5} {
-		typ, body := exchange(reserved, []byte{1, 2, 3})
-		if typ != fError {
-			t.Fatalf("worker replied frame type %d to reserved type %d, want fError", typ, reserved)
+	var ack helloAckMsg
+	if err := new(wire).decode(body, &ack); err != nil || ack.Digest != prog.Digest() {
+		t.Fatalf("bad ack %+v (err %v)", ack, err)
+	}
+	finish()
+}
+
+// TestUnknownFrameTypesRejected: a frame of a type the worker does not
+// serve — 0, the numbers 4 and 5 no message uses, 9, 255, and the types
+// only a worker sends — must draw an "unexpected frame type" error frame
+// from a handshaken worker, and the session must keep serving. So must a
+// shard under a pass whose theta does not match the circuit.
+func TestUnknownFrameTypesRejected(t *testing.T) {
+	circ := qsim.NoEntanglement.Build(2, 1)
+	prog := qsim.CompileProgram(circ)
+	exchange, finish := serve(t)
+	hello := helloFor(circ, prog.Digest())
+	if typ, _ := exchange(frame(fHello, hello)); typ != fHelloAck {
+		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
+	}
+	for _, unknown := range []byte{0, fHelloAck, 4, 5, fResultBatch, 9, 255} {
+		typ, body := exchange(frame(unknown, []byte{1, 2, 3}))
+		if msg := errorText(body); typ != fError || !strings.Contains(msg, "unexpected frame type") {
+			t.Fatalf("type %d: reply type %d %q, want an unexpected-frame-type error", unknown, typ, msg)
 		}
-		em, err := decodeError(body)
-		if err != nil || !strings.Contains(em.Msg, "unexpected frame type") {
-			t.Fatalf("reserved type %d: error %q (decode err %v), want an unexpected-frame-type error", reserved, em.Msg, err)
-		}
 	}
-	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
-		t.Fatalf("session stopped serving after reserved frames: reply type %d", typ)
+	if typ, _ := exchange(frame(fHello, hello)); typ != fHelloAck {
+		t.Fatalf("session stopped serving after unknown frames: reply type %d", typ)
 	}
-	if err := writeFrame(toWorkerW, fPass, encodePass(passMsg{Pass: 1, Theta: []float64{0.5}})); err != nil {
-		t.Fatal(err)
+	pass := encode(fPass, &passMsg{Pass: 1, Theta: []float64{0.5}})
+	batch := encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Angles: make([]float64, circ.NumQubits)}}})
+	typ, body := exchange(append(pass, batch...))
+	if msg := errorText(body); typ != fError || !strings.Contains(msg, "theta") {
+		t.Fatalf("shard under a 1-value theta (circuit has %d parameters): reply type %d %q, want a theta error", circ.NumParams, typ, msg)
 	}
-	if _, err := toWorkerW.Write(encodeShardBatchFrame(nil, 1, 0, []shardMsg{{Pass: 1, Angles: make([]float64, circ.NumQubits)}})); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := readFrame(fromWorkerR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em, _ := decodeError(body); typ != fError || !strings.Contains(em.Msg, "theta") {
-		t.Fatalf("shard under a 1-value theta (circuit has %d parameters): reply type %d %q, want a theta error", circ.NumParams, typ, em.Msg)
-	}
-	if typ, _ := exchange(fHello, encodeHello(hm)); typ != fHelloAck {
+	if typ, _ := exchange(frame(fHello, hello)); typ != fHelloAck {
 		t.Fatalf("session stopped serving after a bad theta: reply type %d", typ)
 	}
-	toWorkerW.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("worker session ended with error: %v", err)
-	}
+	finish()
 }
 
 // TestMalformedHelloRejected drives a worker session in memory with
@@ -695,7 +668,7 @@ func TestMalformedHelloRejected(t *testing.T) {
 	circ := qsim.StronglyEntangling.Build(3, 2)
 	prog := qsim.CompileProgram(circ)
 	valid := helloMsg{
-		Version: ProtoVersion, Name: circ.Name, NumQubits: circ.NumQubits,
+		Name: circ.Name, NumQubits: circ.NumQubits,
 		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
 		LayerStarts: circ.LayerStarts(), Digest: prog.Digest(),
 	}
@@ -721,41 +694,25 @@ func TestMalformedHelloRejected(t *testing.T) {
 		{"unknown gate kind", func(hm *helloMsg) { hm.Gates[0].Kind = 200 }},
 	}
 
-	toWorkerR, toWorkerW := io.Pipe()
-	fromWorkerR, fromWorkerW := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- ServeConn(toWorkerR, fromWorkerW)
-	}()
+	exchange, finish := serve(t)
 	for _, c := range cases {
 		hm := valid
 		hm.Gates = append([]qsim.Gate(nil), valid.Gates...)
 		c.mutate(&hm)
-		if err := writeFrame(toWorkerW, fHello, encodeHello(hm)); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		typ, body, err := readFrame(fromWorkerR)
-		if err != nil {
-			t.Fatalf("%s: worker stream broke: %v", c.name, err)
-		}
+		typ, body := exchange(encode(fHello, &hm))
 		if typ != fError {
 			t.Fatalf("%s: worker replied frame type %d, want fError", c.name, typ)
 		}
-		if em, err := decodeError(body); err != nil || !strings.Contains(em.Msg, "refusing") {
-			t.Fatalf("%s: error frame %q (decode err %v) does not name the refusal", c.name, em.Msg, err)
+		if msg := errorText(body); !strings.Contains(msg, "refusing") {
+			t.Fatalf("%s: error frame %q does not name the refusal", c.name, msg)
 		}
 	}
-	if err := writeFrame(toWorkerW, fHello, encodeHello(valid)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := readFrame(fromWorkerR)
-	if err != nil {
-		t.Fatal(err)
-	}
+	typ, body := exchange(encode(fHello, &valid))
 	if typ != fHelloAck {
 		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
 	}
-	if ack, err := decodeHelloAck(body); err != nil || ack.Digest != prog.Digest() {
+	var ack helloAckMsg
+	if err := new(wire).decode(body, &ack); err != nil || ack.Digest != prog.Digest() {
 		t.Fatalf("bad ack %+v (err %v)", ack, err)
 	}
 	// The table bound leaves room for every shipped ansatz at paper scale
@@ -763,21 +720,14 @@ func TestMalformedHelloRejected(t *testing.T) {
 	for a := qsim.BasicEntangling; a <= qsim.NoEntanglement; a++ {
 		for _, c := range []*qsim.Circuit{a.Build(7, 4), a.Build(7, 4).WithReupload()} {
 			hm := helloMsg{
-				Version: ProtoVersion, Name: c.Name, NumQubits: c.NumQubits,
+				Name: c.Name, NumQubits: c.NumQubits,
 				Layers: c.Layers, NumParams: c.NumParams, Gates: c.Gates,
 				Reupload: c.Reupload, LayerStarts: c.LayerStarts(), Digest: qsim.CompileProgram(c).Digest(),
 			}
-			if err := writeFrame(toWorkerW, fHello, encodeHello(hm)); err != nil {
-				t.Fatal(err)
-			}
-			if typ, body, err := readFrame(fromWorkerR); err != nil || typ != fHelloAck {
-				em, _ := decodeError(body)
-				t.Fatalf("%s (reupload %v) at paper scale: reply type %d %q (err %v), want fHelloAck", c.Name, c.Reupload, typ, em.Msg, err)
+			if typ, body := exchange(encode(fHello, &hm)); typ != fHelloAck {
+				t.Fatalf("%s (reupload %v) at paper scale: reply type %d %q, want fHelloAck", c.Name, c.Reupload, typ, errorText(body))
 			}
 		}
 	}
-	toWorkerW.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("worker session ended with error: %v", err)
-	}
+	finish()
 }

@@ -11,19 +11,13 @@ import (
 // Session streams for the worker side of the protocol: a byte stream of
 // frames exactly as ServeConn reads it from a coordinator.
 
-// frame is one payload-only message framed for the wire.
-func frame(typ byte, payload []byte) []byte {
-	var b bytes.Buffer
-	writeFrame(&b, typ, payload) //nolint:errcheck // bytes.Buffer
-	return b.Bytes()
-}
-
+// helloFor is the handshake payload for circ under digest.
 func helloFor(circ *qsim.Circuit, digest qsim.ProgramDigest) []byte {
-	return encodeHello(helloMsg{
-		Version: ProtoVersion, Name: circ.Name, NumQubits: circ.NumQubits,
+	return frameBody(encode(fHello, &helloMsg{
+		Name: circ.Name, NumQubits: circ.NumQubits,
 		Layers: circ.Layers, NumParams: circ.NumParams, Gates: circ.Gates,
 		LayerStarts: circ.LayerStarts(), Digest: digest,
-	})
+	}))
 }
 
 // diagHeavyHello is a 1.7 KB handshake that passes checkCircuit: 16 repeats
@@ -40,7 +34,7 @@ func diagHeavyHello() []byte {
 			qsim.Gate{Kind: qsim.RX, Q: 1, C: -1, P: 4*i + 2},
 			qsim.Gate{Kind: qsim.RX, Q: 3, C: -1, P: 4*i + 3})
 	}
-	return encodeHello(helloMsg{Version: ProtoVersion, Name: "diag", NumQubits: 20, Layers: 1, NumParams: 64, Gates: gates})
+	return frameBody(encode(fHello, &helloMsg{Name: "diag", NumQubits: 20, Layers: 1, NumParams: 64, Gates: gates}))
 }
 
 // wideShard is a valid 16-qubit handshake and forward pass, then one shard
@@ -49,8 +43,8 @@ func diagHeavyHello() []byte {
 func wideShard() (hello, pass, shard []byte) {
 	circ := qsim.NoEntanglement.Build(16, 1)
 	hello = helloFor(circ, qsim.CompileProgram(circ).Digest())
-	pass = encodePass(passMsg{Pass: 1, Theta: make([]float64, circ.NumParams)})
-	shard = encodeShardBatchFrame(nil, 1, 0, []shardMsg{{Pass: 1, Angles: make([]float64, 64*16)}})
+	pass = frameBody(encode(fPass, &passMsg{Pass: 1, Theta: make([]float64, circ.NumParams)}))
+	shard = encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Angles: make([]float64, 64*16)}}})
 	return hello, pass, shard
 }
 
@@ -60,8 +54,8 @@ func shortThetaSession() []byte {
 	circ := qsim.StronglyEntangling.Build(4, 2)
 	return slices.Concat(
 		frame(fHello, helloFor(circ, qsim.CompileProgram(circ).Digest())),
-		frame(fPass, encodePass(passMsg{Pass: 1, Theta: []float64{0.5}})),
-		encodeShardBatchFrame(nil, 1, 0, []shardMsg{{Pass: 1, Angles: make([]float64, 4)}}))
+		encode(fPass, &passMsg{Pass: 1, Theta: []float64{0.5}}),
+		encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Angles: make([]float64, 4)}}}))
 }
 
 // FuzzServeConn feeds ServeConn arbitrary frame streams. It is seeded with
@@ -74,19 +68,19 @@ func FuzzServeConn(f *testing.F) {
 	circ := qsim.NewCircuitFromSpec("fuzz", 1, 1,
 		[]qsim.Gate{{Kind: qsim.RY, Q: 0, C: -1, P: 0}, {Kind: qsim.RZ, Q: 0, C: -1, P: 1}}, 2, false, nil)
 	hello := helloFor(circ, qsim.CompileProgram(circ).Digest())
-	batch := encodeShardBatchFrame(nil, 2, 0x4142434445464748, []shardMsg{
-		{Pass: 2, Shard: 1, Angles: []float64{0.25}},
-		{Pass: 2, Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
-	})
+	batch := encode(fShardBatch, &shardBatch{Pass: 2, Span: 0x4142434445464748, Shards: []shardMsg{
+		{Shard: 1, Angles: []float64{0.25}},
+		{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
+	}})
 	fwd := passMsg{Pass: 2, Theta: []float64{1, -0.5}}
 	bwd := passMsg{Pass: 3, Trace: 0x2122232425262728, Span: 0x3132333435363738, Backward: true, Theta: []float64{1, -0.5}}
-	bwdBatch := encodeShardBatchFrame(nil, 3, 0, []shardMsg{
-		{Pass: 3, Shard: 1, Angles: []float64{0.25}, GZ: []float64{1}},
-		{Pass: 3, Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
-	})
-	fwdSession := slices.Concat(frame(fHello, hello), frame(fPass, encodePass(fwd)), batch)
+	bwdBatch := encode(fShardBatch, &shardBatch{Pass: 3, Shards: []shardMsg{
+		{Shard: 1, Angles: []float64{0.25}, GZ: []float64{1}},
+		{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
+	}})
+	fwdSession := slices.Concat(frame(fHello, hello), encode(fPass, &fwd), batch)
 	f.Add(fwdSession)
-	f.Add(slices.Concat(fwdSession, frame(fPass, encodePass(bwd)), bwdBatch))
+	f.Add(slices.Concat(fwdSession, encode(fPass, &bwd), bwdBatch))
 	f.Add(frame(fHello, diagHeavyHello()))
 	wh, wp, ws := wideShard()
 	f.Add(slices.Concat(frame(fHello, wh), frame(fPass, wp), ws))
@@ -103,7 +97,8 @@ func FuzzServeConn(f *testing.F) {
 			if typ != fHello {
 				continue
 			}
-			if hm, err := decodeHello(body); err == nil && hm.NumQubits > 20 {
+			var hm helloMsg
+			if err := new(wire).decode(body, &hm); err == nil && hm.NumQubits > 20 {
 				return
 			}
 		}

@@ -21,7 +21,7 @@ import (
 // LatencyBuckets is the size of the log2 per-shard latency histogram: bucket
 // k counts shards whose per-shard latency fell in [2^(k-1), 2^k)
 // microseconds (bucket 0: under 1µs). The top bucket is open: it counts
-// every shard at or above 2^26 µs ≈ 67s, past the default shard timeout.
+// every shard at or above 2^26 µs ≈ 67s, past the fixed 60 s shard timeout.
 const LatencyBuckets = 28
 
 var xstats struct {

@@ -40,6 +40,7 @@ type session struct {
 
 	runner   *qsim.ShardRunner
 	pass     passMsg
+	theta    []float64 // pass.Theta's storage: it outlives the arena
 	havePass bool
 
 	served        int
@@ -47,15 +48,14 @@ type session struct {
 	requireCached bool
 	stall         time.Duration
 
-	// Steady-state transport scratch: frames read into and encode into
-	// session-owned buffers, and decoded batch arrays borrow the arena
-	// (reset per assignment frame — safe because the runner copies every
-	// input it keeps), so serving a batch allocates nothing.
-	rbuf  []byte
-	ebuf  []byte
-	arena f64Arena
-	smBuf []shardMsg
-	spans []trace.SpanRec
+	// Steady-state transport scratch: frames read into rbuf and encode
+	// through out, and decoded batch arrays borrow in's arena (reset per
+	// shard batch — safe because the runner copies every input it keeps),
+	// so serving a batch allocates nothing.
+	rbuf    []byte
+	in, out wire
+	batch   shardBatch
+	spans   []trace.SpanRec
 }
 
 // ServeConn speaks the worker side of the dist protocol over (r, w) until
@@ -80,15 +80,15 @@ func ServeConn(r io.Reader, w io.Writer) error {
 			return err
 		}
 		if err := s.handle(typ, body); err != nil {
-			if sendErr := s.send(fError, encodeError(errorMsg{Msg: err.Error()})); sendErr != nil {
+			if sendErr := s.send(s.out.encode(fError, &errorMsg{Msg: err.Error()})); sendErr != nil {
 				return sendErr
 			}
 		}
 	}
 }
 
-func (s *session) send(typ byte, payload []byte) error {
-	if err := writeFrame(s.w, typ, payload); err != nil {
+func (s *session) send(frame []byte) error {
+	if _, err := s.w.Write(frame); err != nil {
 		return err
 	}
 	return s.w.Flush()
@@ -99,10 +99,12 @@ func (s *session) handle(typ byte, body []byte) error {
 	case fHello:
 		return s.hello(body)
 	case fPass:
-		pm, err := decodePass(body)
-		if err != nil {
+		var pm passMsg
+		if err := s.in.decode(body, &pm); err != nil {
 			return err
 		}
+		s.theta = append(s.theta[:0], pm.Theta...)
+		pm.Theta = s.theta
 		s.pass, s.havePass = pm, true
 		if s.runner != nil && !pm.Backward {
 			s.runner.BeginForwardPass()
@@ -185,12 +187,9 @@ func checkCircuit(hm *helloMsg) error {
 }
 
 func (s *session) hello(body []byte) error {
-	hm, err := decodeHello(body)
-	if err != nil {
+	var hm helloMsg
+	if err := s.in.decode(body, &hm); err != nil {
 		return err
-	}
-	if hm.Version != ProtoVersion {
-		return fmt.Errorf("protocol version mismatch: worker speaks %d, coordinator sent %d", ProtoVersion, hm.Version)
 	}
 	if err := checkCircuit(&hm); err != nil {
 		return err
@@ -204,7 +203,7 @@ func (s *session) hello(body []byte) error {
 		return fmt.Errorf("compiled program digest mismatch: worker %+v, coordinator %+v", got, hm.Digest)
 	}
 	s.runner, s.havePass = runner, false
-	return s.send(fHelloAck, encodeHelloAck(helloAckMsg{Version: ProtoVersion, Digest: hm.Digest}))
+	return s.send(s.out.encode(fHelloAck, &helloAckMsg{Digest: hm.Digest}))
 }
 
 // shardBatch serves one fShardBatch frame: decode into session scratch, run
@@ -214,15 +213,18 @@ func (s *session) hello(body []byte) error {
 // allocates nothing. An error on any shard fails the
 // whole batch — the coordinator re-dispatches it as a unit.
 func (s *session) shardBatch(body []byte) error {
-	s.arena.reset()
-	var err error
-	var batchSpan uint64
-	s.smBuf, batchSpan, err = decodeShardBatchInto(body, &s.arena, s.smBuf[:0])
-	if err != nil {
+	s.in.arena.reset()
+	if err := s.in.decode(body, &s.batch); err != nil {
 		return err
 	}
-	if len(s.smBuf) == 0 {
+	if len(s.batch.Shards) == 0 {
 		return errors.New("empty shard batch")
+	}
+	if s.runner == nil || !s.havePass {
+		return errors.New("shard before handshake/pass broadcast")
+	}
+	if s.batch.Pass != s.pass.Pass {
+		return fmt.Errorf("shard batch for pass %d, current pass is %d", s.batch.Pass, s.pass.Pass)
 	}
 	// Per-shard spans, gated on the coordinator's trace context rather than
 	// this process's own TORQ_TRACE: a traced coordinator traces its whole
@@ -230,47 +232,39 @@ func (s *session) shardBatch(body []byte) error {
 	// (falling back to the pass-root span) and rides the reply's span
 	// section back for coordinator-side stitching.
 	traced := s.pass.Trace != 0
-	parent := batchSpan
+	parent := s.batch.Span
 	if parent == 0 {
 		parent = s.pass.Span
 	}
 	s.spans = s.spans[:0]
-	// Each entry serializes immediately after its shard runs — the runner's
+	// Each entry is encoded right after its shard runs — the runner's
 	// result arrays alias workspace buffers the next shard will overwrite.
-	e := beginResultBatchFrame(s.ebuf, s.pass.Pass, s.pass.Backward, len(s.smBuf))
-	for i := range s.smBuf {
+	reply := resultBatch{Pass: s.pass.Pass, Backward: s.pass.Backward}
+	s.out.begin(fResultBatch)
+	reply.head(&s.out, len(s.batch.Shards))
+	for i := range s.batch.Shards {
+		sm := &s.batch.Shards[i]
 		var rm resultMsg
 		var sp trace.Span
 		if traced {
 			sp = trace.BeginForced(trace.KShard, parent)
-			sp.Shard = int32(s.smBuf[i].Shard)
+			sp.Shard = int32(sm.Shard)
 		}
-		err := s.runShard(&s.smBuf[i], &rm)
-		if err != nil {
-			s.ebuf = e.b
+		if err := s.runShard(sm, &rm); err != nil {
 			return err
 		}
 		if traced {
 			s.spans = append(s.spans, sp.Finish())
 		}
-		appendResultEntry(&e, &rm)
+		walkResult(&s.out, &rm)
 	}
-	appendSpanSection(&e, s.spans)
-	s.ebuf = finishFrame(e.b, fResultBatch)
-	if _, err := s.w.Write(s.ebuf); err != nil {
-		return err
-	}
-	return s.w.Flush()
+	reply.Spans = s.spans
+	reply.tail(&s.out)
+	return s.send(s.out.finish())
 }
 
 // runShard validates and executes one shard assignment, filling rm.
 func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
-	if s.runner == nil || !s.havePass {
-		return errors.New("shard before handshake/pass broadcast")
-	}
-	if sm.Pass != s.pass.Pass {
-		return fmt.Errorf("shard for pass %d, current pass is %d", sm.Pass, s.pass.Pass)
-	}
 	if s.failAfter > 0 && s.served >= s.failAfter {
 		os.Exit(3)
 	}
@@ -319,7 +313,7 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 	if sm.GZ != nil && len(sm.GZ) != n*nq {
 		return fmt.Errorf("shard gz has %d values, want %d", len(sm.GZ), n*nq)
 	}
-	rm.Pass, rm.Shard, rm.Backward = sm.Pass, sm.Shard, s.pass.Backward
+	rm.Shard = sm.Shard
 	switch {
 	case s.pass.Backward:
 		var cached bool

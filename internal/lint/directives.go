@@ -34,7 +34,6 @@ var allowRules = map[string]bool{
 	"nondet":     true, // nondet
 	"hotalloc":   true, // hotalloc
 	"nolock":     true, // nolocktelemetry
-	"codecpair":  true, // codecpair
 	"atomicmix":  true, // atomicmix
 	"mergeorder": true, // mergeorder
 }

@@ -33,12 +33,6 @@
 //   - torqdirective: validates the //torq: directive namespace itself —
 //     unknown or misplaced directives are errors, so an annotation typo
 //     cannot silently disable a rule.
-//   - codecpair: proves every encodeX/decodeX frame codec in internal/dist
-//     symmetric by extracting and diffing the two primitive-call sequences
-//     (loops preserved as groups, same-package helpers inlined), and
-//     cross-checks both against the machine-readable frame-layouts block in
-//     docs/PROTOCOL.md — a codec pair without a spec row, a spec row without
-//     a codec pair, and any code/spec disagreement are all findings.
 //   - atomicmix: a variable passed to sync/atomic anywhere in a package may
 //     not also be read or written plainly — a torn access corrupts counters
 //     without failing parity. Test files are exempt (join-then-inspect is

@@ -12,15 +12,14 @@ import (
 
 // Analyzers returns the full torq-lint suite in the order diagnostics are
 // grouped: directive hygiene first (a typo there silently disables the
-// rest), then the determinism rules, then the protocol/concurrency deep
-// checks, then the performance contracts.
+// rest), then the determinism rules, then the concurrency deep checks,
+// then the performance contracts.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		TorqDirective,
 		DetRange,
 		FloatBits,
 		NonDet,
-		CodecPair,
 		AtomicMix,
 		MergeOrder,
 		NoLockTelemetry,

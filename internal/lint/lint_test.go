@@ -42,26 +42,6 @@ func TestTorqDirective(t *testing.T) {
 	linttest.NewRunner(t, "testdata/src").Run(lint.TorqDirective, "torqdirective")
 }
 
-// TestCodecPairGood proves the symmetric fixture — including the inlined
-// helper pair and the loop group — clean against its own LAYOUTS.md spec.
-func TestCodecPairGood(t *testing.T) {
-	r := linttest.NewRunner(t, "testdata/src")
-	linttest.SetFlag(t, lint.CodecPair, "packages", "repro/lintfixture/codecpair/good")
-	linttest.SetFlag(t, lint.CodecPair, "protocol", r.FixturePath("codecpair/good/LAYOUTS.md"))
-	r.RunExpectClean(lint.CodecPair, "codecpair/good")
-}
-
-// TestCodecPairBad pins every codecpair finding class: the seeded
-// encoder/decoder field-order mismatch, an orphaned encoder, code/spec width
-// drift, a decoder stopping short, a ghost spec row, and the audited and
-// stale //torq:allow paths.
-func TestCodecPairBad(t *testing.T) {
-	r := linttest.NewRunner(t, "testdata/src")
-	linttest.SetFlag(t, lint.CodecPair, "packages", "repro/lintfixture/codecpair/bad")
-	linttest.SetFlag(t, lint.CodecPair, "protocol", r.FixturePath("codecpair/bad/LAYOUTS.md"))
-	r.Run(lint.CodecPair, "codecpair/bad")
-}
-
 func TestAtomicMix(t *testing.T) {
 	linttest.SetFlag(t, lint.AtomicMix, "packages", "repro/lintfixture/atomicmix")
 	linttest.NewRunner(t, "testdata/src").Run(lint.AtomicMix, "atomicmix")
@@ -78,13 +58,13 @@ func TestPackagesFlagScoping(t *testing.T) {
 	linttest.NewRunner(t, "testdata/src").RunExpectClean(lint.DetRange, "detrange")
 }
 
-// TestAnalyzersWellFormed checks the multichecker surface: nine torq
+// TestAnalyzersWellFormed checks the multichecker surface: eight torq
 // analyzers plus the bundled stock vet passes, unique names, documented, and
 // every allow-rule owner present.
 func TestAnalyzersWellFormed(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 9 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 9", len(as))
+	if len(as) != 8 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 8", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range append(lint.Analyzers(), lint.Stock()...) {
@@ -96,7 +76,7 @@ func TestAnalyzersWellFormed(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	for _, name := range []string{"torqdirective", "detrange", "floatbits", "nondet", "nolocktelemetry", "hotalloc", "codecpair", "atomicmix", "mergeorder"} {
+	for _, name := range []string{"torqdirective", "detrange", "floatbits", "nondet", "nolocktelemetry", "hotalloc", "atomicmix", "mergeorder"} {
 		if !seen[name] {
 			t.Errorf("Analyzers() is missing %q", name)
 		}

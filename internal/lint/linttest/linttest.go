@@ -67,17 +67,6 @@ func NewRunner(t *testing.T, dir string) *Runner {
 	}
 }
 
-// FixturePath returns the absolute path of a file inside the fixture tree,
-// for analyzer flags that point at on-disk specs (codecpair's LAYOUTS.md).
-func (r *Runner) FixturePath(rel string) string {
-	r.t.Helper()
-	abs, err := filepath.Abs(filepath.Join(r.srcDir, rel))
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	return abs
-}
-
 // SetFlag sets an analyzer flag for the duration of the test.
 func SetFlag(t *testing.T, a *analysis.Analyzer, name, value string) {
 	t.Helper()

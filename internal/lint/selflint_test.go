@@ -32,48 +32,6 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
-// TestCodecPairDoctoredProtocol proves the spec side of the drift gate: a
-// PROTOCOL.md copy with one layout token doctored must fail the vettool run
-// over internal/dist, so the machine-readable block cannot rot while the
-// code moves on (or vice versa).
-func TestCodecPairDoctoredProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping vettool build")
-	}
-	root := moduleRoot(t)
-	bin := filepath.Join(t.TempDir(), "torq-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/torq-lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building torq-lint: %v\n%s", err, out)
-	}
-
-	spec, err := os.ReadFile(filepath.Join(root, "docs", "PROTOCOL.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doctored := strings.Replace(string(spec),
-		"pass: u64 u64 u64 bool u8 f64s",
-		"pass: u64 u64 u64 bool u16 f64s", 1)
-	if doctored == string(spec) {
-		t.Fatal("pass frame row not found in docs/PROTOCOL.md — update this test's doctored string")
-	}
-	path := filepath.Join(t.TempDir(), "PROTOCOL.md")
-	if err := os.WriteFile(path, []byte(doctored), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "-codecpair.protocol="+path, "./internal/dist")
-	vet.Dir = root
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("doctored frame-layouts row was not detected:\n%s", out)
-	}
-	if !strings.Contains(string(out), "disagrees with") {
-		t.Fatalf("expected a codecpair spec-drift finding, got:\n%s", out)
-	}
-}
-
 // moduleRoot walks up from the test's working directory to the go.mod.
 func moduleRoot(t *testing.T) string {
 	t.Helper()
@@ -105,7 +63,6 @@ func TestFixtureCoverage(t *testing.T) {
 		"hotalloc":        "hotalloc",
 		"nolocktelemetry": "nolock/collect",
 		"torqdirective":   "torqdirective",
-		"codecpair":       "codecpair/bad",
 		"atomicmix":       "atomicmix",
 		"mergeorder":      "mergeorder",
 	}

@@ -551,7 +551,7 @@ func TestAnsatzScalingRoundTrip(t *testing.T) {
 // TestProgramDigestContent pins the digest the dist handshake relies on:
 // identical compiles agree, and two circuits with identical shape counts but
 // different content (or coefficient math) must disagree — shape-only
-// summaries would wave a version-skewed worker through.
+// summaries would wave a worker with another program through.
 func TestProgramDigestContent(t *testing.T) {
 	rx := &Circuit{Name: "rx", NumQubits: 1, Gates: []Gate{{RX, 0, -1, 0}}, NumParams: 1}
 	ry := &Circuit{Name: "ry", NumQubits: 1, Gates: []Gate{{RY, 0, -1, 0}}, NumParams: 1}

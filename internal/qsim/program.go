@@ -119,8 +119,8 @@ type Program struct {
 	readout basisWalk
 }
 
-// compileLevel is the fusion level CompileProgram implements. It travels in
-// ProgramDigest and the dist handshake, whose frame layout fixes it at 3.
+// compileLevel is the fusion level CompileProgram implements: the only one.
+// contentHash still mixes it in, so digests stay what they were.
 const compileLevel = 3
 
 // CompileProgram lowers circ (and its embedding placement, honouring data
@@ -193,12 +193,11 @@ func (p *Program) NumDiagAccums() int { return p.ndiag }
 // programs before any shard is shipped. Beyond the
 // shape counts, Hash fingerprints the instruction stream's content AND a
 // coefficient probe (FillCoeffs/FillDerivCoeffs evaluated at a fixed theta),
-// so a version-skewed worker whose compiler fuses differently or whose
-// coefficient math drifted is refused at handshake instead of silently
-// returning different numbers. (Amplitude-kernel drift is the one thing a
+// so a worker whose program differs in anything but shape — a circuit
+// garbled in transit, a compile that is not deterministic — is refused at
+// handshake instead of silently returning different numbers. (Amplitude-kernel drift is the one thing a
 // compile-time digest cannot see; the cross-engine parity tests own that.)
 type ProgramDigest struct {
-	Level        int
 	Instructions int
 	Coeffs       int
 	DerivCoeffs  int
@@ -209,7 +208,6 @@ type ProgramDigest struct {
 // Digest returns the program's summary for cross-process validation.
 func (p *Program) Digest() ProgramDigest {
 	return ProgramDigest{
-		Level:        compileLevel,
 		Instructions: len(p.ins),
 		Coeffs:       p.ncoef,
 		DerivCoeffs:  p.nderiv,
