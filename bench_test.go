@@ -122,13 +122,13 @@ func BenchmarkTorqEpochCrossMeshSharded(b *testing.B) {
 
 // distEpoch runs a torqEpoch unit on the multi-process dist engine with 2
 // subprocess workers (the bench binary self-execs as its own workers). The
-// measured quantity on top of the sharded engine is the transport: one
-// theta broadcast plus per-shard row shipping each pass. The default
-// transport batches shards per frame, keeps batches pipelined to each
-// worker, and routes backward shards to the worker retaining their forward
-// states (skipping the backward pass's forward recompute); statelessness
-// remains the recovery path — a dead worker's shards re-dispatch to
-// survivors that recompute them bit-identically.
+// measured quantity on top of the sharded engine is the transport: each
+// pass is one request per worker (the pass header and the rows of every
+// shard it owns) and one result frame back. Each shard's owner runs both
+// halves of a step, so its backward skips the forward recompute on the
+// states its forward kept; statelessness remains the recovery path — a
+// dead worker's shards re-dispatch to survivors that recompute them
+// bit-identically.
 func distEpoch(b *testing.B, ansatz qsim.AnsatzKind) {
 	dist.Configure(dist.Options{Workers: 2})
 	defer dist.Shutdown()
@@ -140,9 +140,9 @@ func BenchmarkTorqEpochDist(b *testing.B) {
 }
 
 // BenchmarkTorqEpochDistSerial pins ONE subprocess worker, making the unit
-// machine-shape independent: the coordinator blocks on each reply while the
-// worker computes, so the request→reply pipeline runs serially whether the
-// host has 1 core or 64 — unlike the 2-worker variants, whose cost halves on
+// machine-shape independent: each pass is one request and one reply, and
+// the coordinator blocks on the reply while the worker computes, so the
+// pass runs serially whether the host has 1 core or 64 — unlike the 2-worker variants, whose cost halves on
 // a multi-core runner and can hide a transport regression behind that
 // headroom. This is the dist row that isolates the transport.
 func BenchmarkTorqEpochDistSerial(b *testing.B) {
@@ -175,7 +175,7 @@ func BenchmarkTorqEpochDistSerialFTDC(b *testing.B) {
 
 // BenchmarkTorqEpochShardedTraced / DistSerialTraced are the span-recorder
 // overhead pair: the identical Sharded / DistSerial units with live span
-// tracing enabled, so every pass records its compile/broadcast/batch/shard/
+// tracing enabled, so every pass records its compile/batch/shard/
 // merge span tree into the lock-free ring (and, for the dist row, ships
 // worker-side shard spans back inside result frames). The traced vs untraced
 // ratio is the measured cost of the observability plane's tracing bit — the

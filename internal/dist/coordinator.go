@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -34,26 +35,14 @@ const MaxWorkers = 64
 // workersEnv is the environment fallback for Options.Workers.
 const workersEnv = "TORQ_DIST_WORKERS"
 
-// maxShardsPerBatch caps how many shards ride one assignment frame. The
-// scheduler only reaches the cap while plenty of work remains — batches
-// shrink toward single shards near a pass's tail, so dead-worker
-// re-dispatch keeps single-shard granularity.
-const maxShardsPerBatch = 16
-
-// pipelineDepth is how many batches beyond the one in service stay queued
-// to each worker, hiding frame-transport latency under shard compute.
-const pipelineDepth = 2
-
-// shardTimeout bounds one shard's round trip; an exchange covering a batch
-// of shards gets it times the batch size. A worker that blows its (scaled)
-// timeout is declared dead and its outstanding shards re-dispatched.
+// shardTimeout bounds one shard's round trip; an exchange covering several
+// shards gets it times their count. A worker that blows its (scaled)
+// timeout is declared dead and its shards re-dispatched.
 const shardTimeout = 60 * time.Second
 
 // worker is one coordinator-side worker handle: a framed transport plus the
-// subprocess behind it. During a pass a worker is driven by one
-// sender and one receiver goroutine: the sender owns the write half (w,
-// out, batch), the receiver the read half (r, rbuf, in, reply); only
-// the dead flag, the in-flight counter, and the kill path are shared.
+// subprocess behind it. During a pass one goroutine drives each worker;
+// only the dead flag and the kill path are shared.
 type worker struct {
 	id  int
 	r   *bufio.Reader
@@ -64,11 +53,6 @@ type worker struct {
 	circ     *qsim.Circuit // circuit of the last successful handshake
 	dead     atomic.Bool
 	killOnce sync.Once
-
-	// inflight counts shards sent but not yet answered — the receive
-	// timeout scales with it, since the reply to the oldest batch can
-	// legitimately wait behind every queued shard's compute.
-	inflight atomic.Int32
 
 	// Steady-state transport scratch: frames encode through out and read
 	// into rbuf, and decoded result arrays borrow in's arena, which resets
@@ -104,29 +88,19 @@ func (w *worker) send(frame []byte) error {
 	return w.w.Flush()
 }
 
-// guard arms the worker-death timeout around a blocking frame exchange and
-// returns its stop function. Pipes carry no write deadlines, so BOTH
-// directions must run under the timer: a wedged worker can block the
-// coordinator in send — a full pipe buffer — just as it can block the reply
-// read; killing the transport is what unblocks either side.
-func (c *coordinator) guard(w *worker) func() bool {
-	return c.guardN(w, 1)
-}
-
-// guardN is guard with the timeout scaled to an exchange covering `shards`
-// shards: shardTimeout stays a per-shard liveness bound no matter how
-// coarse the batching or how deep the pipeline.
-func (c *coordinator) guardN(w *worker, shards int) func() bool {
-	t := shardTimeout
-	if shards > 1 {
-		t *= time.Duration(shards)
-	}
-	return time.AfterFunc(t, w.kill).Stop
+// guard arms the worker-death timeout, shardTimeout per shard, around a
+// blocking frame exchange and returns its stop function. Pipes carry no
+// write deadlines, so BOTH directions must run under the timer: a wedged
+// worker can block the coordinator in send — a full pipe buffer — just as
+// it can block the reply read; killing the transport is what unblocks
+// either side.
+func guard(w *worker, shards int) func() bool {
+	return time.AfterFunc(shardTimeout*time.Duration(shards), w.kill).Stop
 }
 
 // coordinator owns the worker pool behind the EngineDist backend. One pass
 // runs at a time (mu); worker goroutines within a pass touch only their own
-// worker plus the shared shard queue and result slots. A worker's index in
+// worker and their shards' result slots. A worker's index in
 // workers is its slot: shard s of every pass belongs to slot
 // s mod len(workers), and a respawned worker takes over its dead
 // predecessor's slot.
@@ -299,7 +273,7 @@ func (c *coordinator) handshake(w *worker, spec *qsim.PassSpec) error {
 		Digest:      spec.Prog.Digest(),
 	}
 	xstats.handshakes.Add(1)
-	defer c.guard(w)()
+	defer guard(w, 1)()
 	if err := w.send(w.out.encode(fHello, &hm)); err != nil {
 		return err
 	}
@@ -329,97 +303,13 @@ func (c *coordinator) handshake(w *worker, spec *qsim.PassSpec) error {
 // backend implements qsim.DistBackend on the package coordinator.
 type backend struct{}
 
-// passSched hands out shard batches to worker senders. Shard s belongs to
-// slot s mod len(own) in both halves of a training step, so a backward shard
-// lands on the worker that ran its forward. A sender takes its own shards
-// first, then orphans: the shards of slots not live this pass, and those
-// of a worker that died with them in flight or unsent. A batch is half of
-// what the sender can still take, capped at maxShardsPerBatch, at least one
-// shard. The pass is complete when every shard's result has been accepted.
-type passSched struct {
-	mu        sync.Mutex
-	cond      sync.Cond
-	own       [][]int // slot → its unsent shards, popped from the end
-	orphans   []int   // popped from the end
-	remaining int
-}
-
-// newPassSched deals ns shards to the slots, live[slot] telling which can
-// take them. Lists are built in descending shard order so the
-// pop-from-the-end grab path dispatches ascending.
-func newPassSched(ns int, live []bool) *passSched {
-	s := &passSched{own: make([][]int, len(live)), remaining: ns}
-	s.cond.L = &s.mu
-	for i := ns - 1; i >= 0; i-- {
-		if slot := i % len(live); live[slot] {
-			s.own[slot] = append(s.own[slot], i)
-		} else {
-			s.orphans = append(s.orphans, i)
-		}
-	}
-	return s
-}
-
-// grab blocks until work is available to the sender of slot (a dying
-// worker may orphan shards) and returns its next batch, or nil when the
-// pass has completed or w itself has died.
-func (s *passSched) grab(w *worker, slot int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.remaining == 0 || w.dead.Load() {
-			return nil
-		}
-		if len(s.own[slot])+len(s.orphans) > 0 {
-			break
-		}
-		s.cond.Wait()
-	}
-	chunk := min(max((len(s.own[slot])+len(s.orphans))/2, 1), maxShardsPerBatch)
-	out := make([]int, 0, chunk)
-	for _, l := range []*[]int{&s.own[slot], &s.orphans} {
-		for len(out) < chunk && len(*l) > 0 {
-			out = append(out, (*l)[len(*l)-1])
-			*l = (*l)[:len(*l)-1]
-		}
-	}
-	return out
-}
-
-// giveBack orphans a dead worker's shards, those in flight and the rest of
-// its slot's list, and wakes idle senders.
-func (s *passSched) giveBack(slot int, inflight []int) {
-	xstats.redispatched.Add(int64(len(inflight)))
-	s.mu.Lock()
-	s.orphans = append(append(s.orphans, s.own[slot]...), inflight...)
-	s.own[slot] = nil
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// complete retires accepted shards; the final one wakes every blocked grab.
-func (s *passSched) complete(n int) {
-	s.mu.Lock()
-	s.remaining -= n
-	rem := s.remaining
-	s.mu.Unlock()
-	if rem == 0 {
-		s.cond.Broadcast()
-	}
-}
-
-func (s *passSched) outstanding() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.remaining
-}
-
-// RunPass partitions the pass into shards and fans them out to their
-// owner workers in pipelined batches. A worker that dies (transport error,
-// timeout, mismatched reply) has its in-flight and unsent shards orphaned
-// for the survivors, which recompute them from the inputs every shard
-// frame carries. The pass fails only when every worker is gone with shards
-// outstanding.
+// RunPass runs one exchange per worker: a request carrying the pass header
+// and every shard the worker owns, answered by one result frame. A worker
+// that dies (transport error, timeout, mismatched reply) has its shards
+// dealt to the survivors in another round; they recompute them from the
+// inputs every request carries. Each round that fails kills a worker, so a
+// pass takes at most one round per worker, and it fails only when every
+// worker is gone with shards outstanding.
 func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	c := &coord
 	c.mu.Lock()
@@ -469,54 +359,84 @@ func (backend) RunPass(spec *qsim.PassSpec) ([]qsim.ShardResult, error) {
 	ns := spec.NumShards()
 	results := make([]qsim.ShardResult, ns)
 	if ns == 0 {
-		// An empty batch has nothing to dispatch; without this return the
-		// worker loops would block forever waiting for a completion that
-		// only a shard result delivers.
 		return results, nil
 	}
 	c.countAffinity(spec, live)
 
-	sched := newPassSched(ns, live)
-	// Trace context rides the broadcast: the engine's pass-root span (opened
-	// by qsim around this RunPass) parents the transport spans here, and its
-	// id crosses the wire so worker-side shard spans stitch under the same
-	// tree. Both are zero when tracing is off.
+	// Trace context rides every request: the engine's pass-root span (opened
+	// by qsim around this RunPass) parents the exchange spans here, and each
+	// exchange's span id crosses the wire so worker-side shard spans stitch
+	// under the same tree. Both are zero when tracing is off.
 	traceCtx := trace.ContextID()
 	var passSpan uint64
 	if traceCtx != 0 {
 		passSpan = trace.CurrentPass()
 	}
-	pm := new(wire).encode(fPass, &passMsg{
-		Pass: pass, Trace: traceCtx, Span: passSpan,
-		Backward: spec.Backward, Active: spec.Active, Theta: spec.Theta,
-	})
-
-	// Read before any sender starts: senders pop orphans, while a slot's
-	// own list is only touched by that slot's goroutines.
-	orphaned := len(sched.orphans) > 0
-	var wg sync.WaitGroup
+	// The previous pass's decoded results die here: per-worker arenas
+	// recycle at pass start, which is why ShardResult arrays are documented
+	// as valid only until the next RunPass.
 	for slot, w := range c.workers {
-		// A worker with no shards of its own gets no theta broadcast,
-		// unless shards of a slot with no live worker need it.
-		if !live[slot] || len(sched.own[slot]) == 0 && !orphaned {
-			continue
+		if live[slot] {
+			w.in.arena.reset()
 		}
-		// The previous pass's decoded results die here: per-worker arenas
-		// recycle at pass start, which is why ShardResult arrays are
-		// documented as valid only until the next RunPass.
-		w.in.arena.reset()
-		w.inflight.Store(0)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.workerRun(w, slot, spec, pass, passSpan, pm, sched, results)
-		}()
 	}
-	wg.Wait()
-	if n := sched.outstanding(); n != 0 {
-		return nil, fmt.Errorf("dist: pass %d lost all workers with %d shards outstanding", pass, n)
+	todo := make([]int, ns)
+	for s := range todo {
+		todo[s] = s
+	}
+	for len(todo) > 0 {
+		dealt := deal(todo, live)
+		if dealt == nil {
+			return nil, fmt.Errorf("dist: pass %d lost all workers with %d shards outstanding", pass, len(todo))
+		}
+		var wg sync.WaitGroup
+		for slot, w := range c.workers {
+			if len(dealt[slot]) > 0 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.exchange(w, spec, pass, traceCtx, passSpan, dealt[slot], results)
+				}()
+			}
+		}
+		wg.Wait()
+		todo = todo[:0]
+		for slot, w := range c.workers {
+			if live[slot] && w.dead.Load() {
+				live[slot] = false
+				todo = append(todo, dealt[slot]...)
+			}
+		}
+		slices.Sort(todo)
+		xstats.redispatched.Add(int64(len(todo)))
 	}
 	return results, nil
+}
+
+// deal gives each shard to its owner, slot s mod len(live), when that slot
+// is live, and the rest round-robin over the live slots in the order given.
+// It returns nil when no slot is live.
+func deal(shards []int, live []bool) [][]int {
+	var slots []int
+	for slot, ok := range live {
+		if ok {
+			slots = append(slots, slot)
+		}
+	}
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([][]int, len(live))
+	next := 0
+	for _, s := range shards {
+		slot := s % len(live)
+		if !live[slot] {
+			slot = slots[next%len(slots)]
+			next++
+		}
+		out[slot] = append(out[slot], s)
+	}
+	return out
 }
 
 // countAffinity keeps the affinity series. A forward records its shape and
@@ -551,89 +471,13 @@ func (c *coordinator) countAffinity(spec *qsim.PassSpec, live []bool) {
 	c.fwdIDs = nil
 }
 
-// workerRun drives one worker through a pass with a sender/receiver pair:
-// the sender grabs shard batches and writes assignment frames, the receiver
-// collects the replies in FIFO order. Splitting the directions is what
-// makes pipelining deadlock-free — with both batch and reply frames larger
-// than a pipe buffer, a single goroutine writing batch k+1 while the worker
-// blocks writing reply k would wedge; here the receiver keeps draining. The
-// flights channel carries each in-flight batch from sender to receiver and
-// its capacity bounds the pipeline depth.
-func (c *coordinator) workerRun(w *worker, slot int, spec *qsim.PassSpec, pass, passSpan uint64, pm []byte, sched *passSched, results []qsim.ShardResult) {
-	bcast := trace.Begin(trace.KBroadcast, passSpan)
-	bcast.Worker = int32(w.id)
-	stop := c.guard(w)
-	err := w.send(pm)
-	stop()
-	bcast.End()
-	if err != nil {
-		w.kill()
-		sched.giveBack(slot, nil)
-		return
-	}
-	// A flight is one in-service batch; the send timestamp turns the
-	// receiver's FIFO drain into a per-batch round-trip latency measurement
-	// (queue wait included — a straggler backs its own pipeline up, which is
-	// exactly the signal the dump's outlier check keys on). The batch span
-	// covers the same interval, ended by the receiver when the reply lands.
-	type flight struct {
-		shards []int
-		sent   time.Time
-		span   trace.Span
-	}
-	flights := make(chan flight, pipelineDepth)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		failed := false
-		for f := range flights {
-			shards := f.shards
-			if failed {
-				xstats.queueDepth.Add(int64(-len(shards)))
-				sched.giveBack(slot, shards)
-				continue
-			}
-			if err := c.recvBatch(w, spec, pass, shards, results); err != nil {
-				fmt.Fprintf(os.Stderr, "dist: worker %d lost on pass %d (%v); re-dispatching %d shards\n", w.id, pass, err, len(shards))
-				w.kill()
-				failed = true
-				xstats.queueDepth.Add(int64(-len(shards)))
-				sched.giveBack(slot, shards)
-				continue
-			}
-			observeBatch(w.id, len(shards), time.Since(f.sent).Nanoseconds())
-			f.span.End()
-			w.inflight.Add(int32(-len(shards)))
-			xstats.queueDepth.Add(int64(-len(shards)))
-			sched.complete(len(shards))
-		}
-	}()
-	for {
-		shards := sched.grab(w, slot)
-		if shards == nil {
-			break
-		}
-		w.inflight.Add(int32(len(shards)))
-		xstats.queueDepth.Add(int64(len(shards)))
-		bsp := trace.Begin(trace.KBatch, passSpan)
-		bsp.Worker = int32(w.id)
-		if err := c.sendBatch(w, spec, pass, bsp.ID, shards); err != nil {
-			w.kill()
-			xstats.queueDepth.Add(int64(-len(shards)))
-			sched.giveBack(slot, shards)
-			break
-		}
-		flights <- flight{shards: shards, sent: time.Now(), span: bsp}
-	}
-	close(flights)
-	wg.Wait()
-}
-
-// sendBatch encodes the shards' input rows into the worker's frame buffer
-// and ships them as one fShardBatch frame. Row arrays alias the pass spec —
-// nothing is copied until the encoder serializes it.
-func (c *coordinator) sendBatch(w *worker, spec *qsim.PassSpec, pass, span uint64, shards []int) error {
+// exchange sends w one request carrying the pass header and the input rows
+// of shards, then reads and checks its reply. Row arrays alias the pass
+// spec — nothing is copied until the encoder serializes them. A failed
+// exchange kills w; RunPass re-deals its shards.
+func (c *coordinator) exchange(w *worker, spec *qsim.PassSpec, pass, traceCtx, passSpan uint64, shards []int, results []qsim.ShardResult) {
+	sp := trace.Begin(trace.KBatch, passSpan)
+	sp.Worker = int32(w.id)
 	nq := spec.NQ
 	sms := w.batch.Shards[:0]
 	for _, s := range shards {
@@ -656,20 +500,30 @@ func (c *coordinator) sendBatch(w *worker, spec *qsim.PassSpec, pass, span uint6
 		}
 		sms = append(sms, sm)
 	}
-	w.batch = shardBatch{Pass: pass, Span: span, Shards: sms}
+	w.batch = shardBatch{Pass: pass, Trace: traceCtx, Span: sp.ID,
+		Backward: spec.Backward, Active: spec.Active, Theta: spec.Theta, Shards: sms}
 	frame := w.out.encode(fShardBatch, &w.batch)
-	// The timeout covers the send too — a full pipe buffer against a wedged
-	// worker blocks the write exactly like a withheld reply blocks the read.
 	xstats.bytesOut.Add(int64(len(frame)))
-	defer c.guardN(w, len(shards))()
-	return w.send(frame)
+	start := time.Now()
+	stop := guard(w, len(shards))
+	err := w.send(frame)
+	if err == nil {
+		err = c.recvBatch(w, spec, pass, shards, results)
+	}
+	stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dist: worker %d lost on pass %d with %d shards: %v\n", w.id, pass, len(shards), err)
+		w.kill()
+		return
+	}
+	observeBatch(w.id, len(shards), time.Since(start).Nanoseconds())
+	sp.End()
 }
 
 // recvBatch reads one fResultBatch frame and validates and records each
-// entry against the batch it answers: same pass, same direction, shards in
-// assignment order, every array shaped exactly as the pass demands.
+// entry against the request it answers: same pass, same direction, shards
+// in request order, every array shaped exactly as the pass demands.
 func (c *coordinator) recvBatch(w *worker, spec *qsim.PassSpec, pass uint64, shards []int, results []qsim.ShardResult) error {
-	defer c.guardN(w, int(w.inflight.Load()))()
 	typ, body, err := readFrameInto(w.r, &w.rbuf)
 	if err != nil {
 		return err

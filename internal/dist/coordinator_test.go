@@ -42,31 +42,33 @@ func TestPoolSize(t *testing.T) {
 	}
 }
 
-// TestPassSchedOwnersAndOrphans deals ten shards over three slots whose
-// middle one has no live worker. Slots 0 and 2 take their own shards in
-// ascending order, half of what each can still take per batch; slot 1's
-// shards are orphans that a sender takes after its own; and a dead
-// worker's in-flight and unsent shards join the orphans while its sender
-// gets nothing more.
-func TestPassSchedOwnersAndOrphans(t *testing.T) {
-	s := newPassSched(10, []bool{true, false, true})
-	w0, w2 := &worker{}, &worker{}
-	grab := func(w *worker, slot int, want string) {
-		t.Helper()
-		if got := fmt.Sprint(s.grab(w, slot)); got != want {
-			t.Fatalf("slot %d grabbed %s, want %s", slot, got, want)
+// TestDealOwnersOrphansAndRounds pins the dealing rule: shard s goes to its
+// owner slot s mod P when that slot is live; the shards of slots with no
+// live worker go round-robin over the live slots in ascending shard order,
+// as does a dead worker's share in the next round; no live slot deals
+// nothing.
+func TestDealOwnersOrphansAndRounds(t *testing.T) {
+	cases := []struct {
+		name   string
+		shards []int
+		live   []bool
+		want   string
+	}{
+		{"one worker", []int{0, 1, 2}, []bool{true}, "[[0 1 2]]"},
+		{"owners", []int{0, 1, 2, 3, 4, 5, 6}, []bool{true, true, true}, "[[0 3 6] [1 4] [2 5]]"},
+		{"fewer shards than slots", []int{0, 1}, []bool{true, true, true, true}, "[[0] [1] [] []]"},
+		// Slot 1 has no live worker: its shards 1, 4, 7 are orphans.
+		{"orphans", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []bool{true, false, true},
+			"[[0 1 3 6 7 9] [] [2 4 5 8]]"},
+		{"orphans of four slots", []int{0, 1, 2, 3, 4, 5, 6, 7}, []bool{true, false, true, true},
+			"[[0 1 4] [] [2 5 6] [3 7]]"},
+		// The worker in slot 0 of the case above died with its shards.
+		{"second round", []int{0, 1, 4}, []bool{false, false, true, true}, "[[] [] [0 4] [1]]"},
+		{"no live slot", []int{0, 1}, []bool{false, false}, "[]"},
+	}
+	for _, c := range cases {
+		if got := fmt.Sprint(deal(c.shards, c.live)); got != c.want {
+			t.Errorf("%s: deal(%v, %v) = %s, want %s", c.name, c.shards, c.live, got, c.want)
 		}
 	}
-	grab(w0, 0, "[0 3 6]") // own 0 3 6 9, orphans 1 4 7: 7/2 = 3
-	grab(w2, 2, "[2 5 8]") // own 2 5 8, orphans: 6/2 = 3
-	grab(w2, 2, "[1]")     // orphans only: 3/2 = 1
-	w0.dead.Store(true)
-	s.giveBack(0, []int{0, 3, 6})
-	grab(w0, 0, "[]")
-	grab(w2, 2, "[6 3 0]") // orphans 4 7, unsent 9, in flight 0 3 6
-	grab(w2, 2, "[9]")
-	grab(w2, 2, "[4]")
-	grab(w2, 2, "[7]")
-	s.complete(10)
-	grab(w2, 2, "[]")
 }

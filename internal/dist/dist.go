@@ -7,12 +7,15 @@
 //
 // A session opens with one handshake carrying the ansatz circuit and the
 // compiled program's digest (workers recompile deterministically and must
-// agree); each pass then broadcasts the coefficient vector once and streams
-// shard assignments. Shard s has one owner worker, slot s mod the pool
-// size, for both halves of a training step: the owner keeps the states its
-// forward left and runs the backward on them. Every shard frame still
-// carries the shard's inputs, so a dead worker's shards re-dispatch to the
-// survivors, which recompute those states, and the pass finishes.
+// agree). Shard s has one owner worker, slot s mod the pool size, for both
+// halves of a training step, so each worker's share of a pass is known
+// before the pass starts: a pass is one exchange per worker, a request
+// carrying the pass header (direction, tangent channels, the coefficient
+// vector) and every shard the worker owns, answered by one result frame.
+// The owner keeps the states its forward left and runs the backward on
+// them. Every request still carries its shards' inputs, so a dead worker's
+// shards are dealt to the survivors in another round; they recompute those
+// states, and the pass finishes.
 //
 // Workers are local subprocesses that re-execute the coordinator's own
 // binary and speak frames over stdio: this package's init intercepts

@@ -51,3 +51,15 @@ func LiveWorkersForTest() int {
 	}
 	return n
 }
+
+// WorkerPIDsForTest lists the process ids of the pool's workers, dead ones
+// included.
+func WorkerPIDsForTest() []int {
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	var pids []int
+	for _, w := range coord.workers {
+		pids = append(pids, w.cmd.Process.Pid)
+	}
+	return pids
+}

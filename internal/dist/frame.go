@@ -33,9 +33,8 @@ const maxFrame = 1 << 30
 const (
 	fHello       byte = 1 // coordinator → worker: circuit, program digest
 	fHelloAck    byte = 2 // worker → coordinator: digest echo
-	fPass        byte = 3 // coordinator → worker: per-pass broadcast (theta, channels)
 	fError       byte = 6 // worker → coordinator: session error text
-	fShardBatch  byte = 7 // coordinator → worker: several shards' input rows
+	fShardBatch  byte = 7 // coordinator → worker: the pass header and a worker's shards
 	fResultBatch byte = 8 // worker → coordinator: the matching outputs, in order
 )
 
@@ -97,8 +96,8 @@ var emptyF64 = []float64{}
 // zero per-array allocations; the chunk doubles when a decode outgrows it,
 // converging on the session's working-set size. reset recycles the whole
 // arena at once — callers reset only at points where every array handed out
-// since the previous reset is provably dead (the worker resets per shard
-// batch, the coordinator per pass).
+// since the previous reset is provably dead (the worker resets per request,
+// the coordinator per pass).
 type f64Arena struct {
 	buf []float64
 	off int
@@ -389,52 +388,24 @@ type errorMsg struct{ Msg string }
 
 func (m *errorMsg) walk(w *wire) { w.str(&m.Msg) }
 
-// passMsg is the per-pass broadcast: the pass id every subsequent shard
-// batch references, the pass direction, the active tangent channels (one
-// mask byte) and the ansatz coefficient vector theta. A forward pass
-// supersedes the shard states the worker kept from the one before.
-// The trace-context fields piggyback on the broadcast: Trace is the
-// coordinator's trace context id (nonzero exactly when the pass is traced —
-// the worker gates its per-shard span recording on it, so a traced
-// coordinator traces its whole fleet regardless of worker environments), and
-// Span is the coordinator's pass-root span id, the parent under which the
-// worker's spans are stitched when no batch span applies. Both are zero on
-// untraced passes.
-type passMsg struct {
+// shardBatch is a worker's request for one pass: the pass header, then every
+// shard the worker owns, or, in a re-dispatch round, the shards dealt to it.
+// The header is the pass id, the direction, the active tangent channels
+// (one mask byte) and the ansatz coefficient vector theta; a new pass id on
+// a forward supersedes the shard states the worker kept from the pass
+// before. Trace is the coordinator's trace context id, nonzero exactly when
+// the pass is traced (the worker gates its per-shard span recording on it,
+// so a traced coordinator traces its whole fleet), and Span is the
+// exchange's batch-span id, the parent the worker's shard spans hang under.
+// Both are zero on untraced passes.
+type shardBatch struct {
 	Pass     uint64
 	Trace    uint64
 	Span     uint64
 	Backward bool
 	Active   [qsim.MaxTangents]bool
 	Theta    []float64
-}
-
-func (m *passMsg) walk(w *wire) {
-	u64(w, &m.Pass)
-	u64(w, &m.Trace)
-	u64(w, &m.Span)
-	w.bool(&m.Backward)
-	var mask byte
-	for k, on := range m.Active {
-		if on {
-			mask |= 1 << k
-		}
-	}
-	u8(w, &mask)
-	for k := range m.Active {
-		m.Active[k] = mask&(1<<k) != 0
-	}
-	w.f64s(&m.Theta)
-}
-
-// shardBatch assigns several shards of one pass. Span is the coordinator's
-// batch-span id (0 untraced): the parent the worker's per-shard spans hang
-// under, so a batch's shard spans stitch into the coordinator's tree at the
-// round trip that carried them.
-type shardBatch struct {
-	Pass   uint64
-	Span   uint64
-	Shards []shardMsg
+	Shards   []shardMsg
 }
 
 // shardMsg is one shard: its index, and its input rows (the worker is
@@ -461,7 +432,20 @@ const (
 //torq:hotpath
 func (m *shardBatch) walk(w *wire) {
 	u64(w, &m.Pass)
+	u64(w, &m.Trace)
 	u64(w, &m.Span)
+	w.bool(&m.Backward)
+	var mask byte
+	for k, on := range m.Active {
+		if on {
+			mask |= 1 << k
+		}
+	}
+	u8(w, &mask)
+	for k := range m.Active {
+		m.Active[k] = mask&(1<<k) != 0
+	}
+	w.f64s(&m.Theta)
 	walkSlice(w, &m.Shards, minShardSize, "shard", walkShard)
 }
 
@@ -478,8 +462,8 @@ func walkShard(w *wire, m *shardMsg) {
 	}
 }
 
-// resultBatch answers one shard batch, entry for entry. The span section
-// trails the entries: the worker's span records for the batch, empty on
+// resultBatch answers one request, entry for entry. The span section
+// trails the entries: the worker's span records for the request, empty on
 // untraced passes, so the layout is direction- and trace-independent.
 type resultBatch struct {
 	Pass     uint64

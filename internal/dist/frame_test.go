@@ -127,38 +127,32 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("helloAck round trip: err %v got %+v want %+v", err, gotA, am)
 		}
 
-		pm := passMsg{
+		rows := rng.Intn(30)
+		sb := shardBatch{
 			Pass: rng.Uint64(), Trace: rng.Uint64(), Span: rng.Uint64(),
 			Backward: rng.Intn(2) == 1, Theta: randFloats(rng, rng.Intn(40)),
+			Shards: []shardMsg{{
+				Shard:  rng.Uint32(),
+				Angles: randFloats(rng, rows), AngleTans: randOptTans(rng, rows),
+				GZTans: randOptTans(rng, rows),
+			}},
 		}
-		pm.Theta = append(pm.Theta, math.NaN(), math.Inf(1), 5e-324)
-		for k := range pm.Active {
-			pm.Active[k] = rng.Intn(2) == 1
+		sb.Theta = append(sb.Theta, math.NaN(), math.Inf(1), 5e-324)
+		for k := range sb.Active {
+			sb.Active[k] = rng.Intn(2) == 1
 		}
-		var gotP passMsg
-		if err := new(wire).decode(frameBody(encode(fPass, &pm)), &gotP); err != nil {
-			t.Fatalf("pass decode: %v", err)
-		}
-		// NaN breaks DeepEqual on purpose; compare bit patterns instead.
-		if gotP.Pass != pm.Pass || gotP.Backward != pm.Backward ||
-			gotP.Trace != pm.Trace || gotP.Span != pm.Span ||
-			gotP.Active != pm.Active || !bitsEqual(gotP.Theta, pm.Theta) {
-			t.Fatalf("pass round trip: got %+v want %+v", gotP, pm)
-		}
-
-		rows := rng.Intn(30)
-		sb := shardBatch{Pass: rng.Uint64(), Span: rng.Uint64(), Shards: []shardMsg{{
-			Shard:  rng.Uint32(),
-			Angles: randFloats(rng, rows), AngleTans: randOptTans(rng, rows),
-			GZTans: randOptTans(rng, rows),
-		}}}
 		if rng.Intn(2) == 1 {
 			sb.Shards[0].GZ = randFloats(rng, rows)
 		}
 		var gotS shardBatch
 		err = new(wire).decode(frameBody(encode(fShardBatch, &sb)), &gotS)
-		if err != nil || !reflect.DeepEqual(gotS, sb) {
-			t.Fatalf("shard round trip: err %v\n got %+v\nwant %+v", err, gotS, sb)
+		// NaN breaks DeepEqual on purpose; compare theta's bit patterns.
+		if err != nil || !bitsEqual(gotS.Theta, sb.Theta) {
+			t.Fatalf("shard batch theta round trip: err %v\n got %v\nwant %v", err, gotS.Theta, sb.Theta)
+		}
+		gotS.Theta = sb.Theta
+		if !reflect.DeepEqual(gotS, sb) {
+			t.Fatalf("shard batch round trip:\n got %+v\nwant %+v", gotS, sb)
 		}
 
 		rb := resultBatch{Pass: rng.Uint64(), Backward: rng.Intn(2) == 1, Results: []resultMsg{{
@@ -194,8 +188,10 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		rows := rng.Intn(24)
 		nb := rng.Intn(5)
-		sb := shardBatch{Pass: rng.Uint64(), Span: rng.Uint64()}
-		rb := resultBatch{Pass: sb.Pass, Backward: rng.Intn(2) == 1}
+		sb := shardBatch{Pass: rng.Uint64(), Trace: rng.Uint64(), Span: rng.Uint64(),
+			Backward: rng.Intn(2) == 1, Active: [qsim.MaxTangents]bool{rng.Intn(2) == 1, false, true},
+			Theta: randFloats(rng, rng.Intn(30))}
+		rb := resultBatch{Pass: sb.Pass, Backward: sb.Backward}
 		for i := 0; i < nb; i++ {
 			sm := shardMsg{
 				Shard:  rng.Uint32(),
@@ -248,7 +244,8 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // whose empty entry and span lists are non-nil where a fresh decode's are
 // nil.
 func sameShards(a, b shardBatch) bool {
-	return a.Pass == b.Pass && a.Span == b.Span && len(a.Shards) == len(b.Shards) &&
+	return a.Pass == b.Pass && a.Trace == b.Trace && a.Span == b.Span && a.Backward == b.Backward &&
+		a.Active == b.Active && bitsEqual(a.Theta, b.Theta) && len(a.Shards) == len(b.Shards) &&
 		(len(a.Shards) == 0 || reflect.DeepEqual(a.Shards, b.Shards))
 }
 
@@ -259,12 +256,13 @@ func sameResults(a, b resultBatch) bool {
 }
 
 // steadyBatches is the fixture of the zero-allocation pin and the codec
-// benchmark: eight 64-row forward shards with two tangent channels and
-// upstream gradients, and their backward results with one span each.
+// benchmark: a request of eight 64-row forward shards with two tangent
+// channels and upstream gradients under a 12-parameter theta, and their
+// backward results with one span each.
 func steadyBatches() (shardBatch, resultBatch) {
 	rng := rand.New(rand.NewSource(8))
 	const rows = 64
-	sb := shardBatch{Pass: 3, Span: 7}
+	sb := shardBatch{Pass: 3, Span: 7, Active: [qsim.MaxTangents]bool{true, false, true}, Theta: randFloats(rng, 12)}
 	rb := resultBatch{Pass: 3, Backward: true}
 	for i := 0; i < 8; i++ {
 		sb.Shards = append(sb.Shards, shardMsg{
@@ -431,7 +429,8 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 
 	// Each claim follows the fields before it, cut from a real payload: a
 	// hello's name, qubits, layers, reupload and parameter count (30 bytes),
-	// a shard batch's pass, span, count and first shard id (24 bytes).
+	// a shard batch's header up to theta's count (26 bytes), to its shard
+	// count (30 bytes), and to its first shard id (38 bytes).
 	const huge = 1 << 28
 	claim := func(prefix []byte, counts ...uint32) []byte {
 		b := append([]byte(nil), prefix...)
@@ -441,7 +440,7 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 		return b
 	}
 	hello := frameBody(encode(fHello, &helloMsg{Name: "x", NumQubits: 1, Layers: 1}))[:30]
-	shard := frameBody(encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Shard: 7}}}))[:24]
+	shard := frameBody(encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Shard: 7}}}))
 	cases := []struct {
 		name string
 		body []byte
@@ -449,8 +448,9 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 	}{
 		{"hello gates", claim(hello, huge), &helloMsg{}},
 		{"hello layer starts", claim(hello, 0, huge), &helloMsg{}},
-		{"shard batch", claim(make([]byte, 16), huge), &shardBatch{}},
-		{"shard array", claim(shard, huge), &shardBatch{}},
+		{"theta", claim(shard[:26], huge), &shardBatch{}},
+		{"shard batch", claim(shard[:30], huge), &shardBatch{}},
+		{"shard array", claim(shard[:38], huge), &shardBatch{}},
 		{"result batch", claim(make([]byte, 9), huge), &resultBatch{}},
 		{"result spans", claim(make([]byte, 9), 0, huge), &resultBatch{}},
 	}
@@ -469,11 +469,8 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "refusing") || n >= limit {
 		t.Errorf("diagonal-heavy hello: err %v after allocating %d bytes", err, n)
 	}
-	wideHello, widePass, wideBatch := wideShard()
+	wideHello, wideBatch := wideShard()
 	if err := s.handle(fHello, wideHello); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.handle(fPass, widePass); err != nil {
 		t.Fatal(err)
 	}
 	n, err = allocated(func() error { return s.handle(fShardBatch, frameBody(wideBatch)) })
@@ -487,7 +484,7 @@ func TestOversizedClaimsRejectedCheaply(t *testing.T) {
 // all empty or absent. A minimum larger than that would reject valid frames.
 func TestCodecMinimumEntrySizes(t *testing.T) {
 	shards := len(frameBody(encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Shard: 1}, {Shard: 2}}})))
-	if want := 8 + 8 + 4 + 2*minShardSize; shards != want {
+	if want := 8 + 8 + 8 + 1 + 1 + 4 + 4 + 2*minShardSize; shards != want {
 		t.Errorf("two empty shard entries: body %d bytes, minShardSize implies %d", shards, want)
 	}
 	results := len(frameBody(encode(fResultBatch, &resultBatch{Pass: 1,
@@ -507,18 +504,13 @@ func TestCodecMinimumEntrySizes(t *testing.T) {
 // message keeps encode and decode in step, and this fixture keeps the
 // layout itself from moving unnoticed.
 func TestCodecGoldenBytes(t *testing.T) {
-	pass := passMsg{
-		Pass:     0x0102030405060708,
-		Trace:    0x2122232425262728,
-		Span:     0x3132333435363738,
-		Backward: true,
-		Active:   [qsim.MaxTangents]bool{true, false, true},
-		Theta:    []float64{1, -0.5},
-	}
-	batch := encode(fShardBatch, &shardBatch{Pass: 2, Span: 0x4142434445464748, Shards: []shardMsg{
-		{Shard: 1, Angles: []float64{0.25}},
-		{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
-	}})
+	batch := encode(fShardBatch, &shardBatch{
+		Pass: 2, Trace: 0x2122232425262728, Span: 0x4142434445464748,
+		Backward: true, Active: [qsim.MaxTangents]bool{true, false, true}, Theta: []float64{1, -0.5},
+		Shards: []shardMsg{
+			{Shard: 1, Angles: []float64{0.25}},
+			{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
+		}})
 	rbatch := encode(fResultBatch, &resultBatch{Pass: 2, Backward: true,
 		Results: []resultMsg{{Shard: 1, DAngles: []float64{0.25}, DTheta: []float64{1}}},
 		Spans: []trace.SpanRec{{ID: 0x5152535455565758, Parent: 0x6162636465666768,
@@ -528,14 +520,14 @@ func TestCodecGoldenBytes(t *testing.T) {
 		got  []byte
 		want string
 	}{
-		{"pass", frameBody(encode(fPass, &pass)),
-			"080706050403020128272625242322213837363534333231010502000000000000000000f03f000000000000e0bf"},
 		// The batch encoder emits a complete frame: u32 length (type byte +
-		// 78-byte payload = 0x4f) and the fShardBatch type lead the bytes; the
-		// batch-span id sits between the pass id and the entry count.
+		// 108-byte payload = 0x6d) and the fShardBatch type lead the bytes,
+		// then the pass header: pass id, trace context, batch-span id,
+		// direction, active mask and theta; then the entry count.
 		{"shardBatch", batch,
-			"4f00000007" +
-				"0200000000000000" + "4847464544434241" + "02000000" +
+			"6d00000007" +
+				"0200000000000000" + "2827262524232221" + "4847464544434241" + "01" + "05" +
+				"02000000000000000000f03f000000000000e0bf" + "02000000" +
 				"0100000001000000000000000000d03f00000000000000" +
 				"0300000001000000000000000000e83f000000010100000000000000000000c0000000"},
 		// The result batch carries the worker's span section after the entries:
@@ -626,10 +618,11 @@ func TestDigestMismatchRejected(t *testing.T) {
 }
 
 // TestUnknownFrameTypesRejected: a frame of a type the worker does not
-// serve — 0, the numbers 4 and 5 no message uses, 9, 255, and the types
-// only a worker sends — must draw an "unexpected frame type" error frame
-// from a handshaken worker, and the session must keep serving. So must a
-// shard under a pass whose theta does not match the circuit.
+// serve — 0, the numbers 3, 4 and 5 no message uses (3 was the retired
+// per-pass broadcast), 9, 255, and the types only a worker sends — must
+// draw an "unexpected frame type" error frame from a handshaken worker, and
+// the session must keep serving. So must a shard under a theta that does
+// not match the circuit.
 func TestUnknownFrameTypesRejected(t *testing.T) {
 	circ := qsim.NoEntanglement.Build(2, 1)
 	prog := qsim.CompileProgram(circ)
@@ -638,7 +631,7 @@ func TestUnknownFrameTypesRejected(t *testing.T) {
 	if typ, _ := exchange(frame(fHello, hello)); typ != fHelloAck {
 		t.Fatalf("worker replied frame type %d to a valid handshake, want fHelloAck", typ)
 	}
-	for _, unknown := range []byte{0, fHelloAck, 4, 5, fResultBatch, 9, 255} {
+	for _, unknown := range []byte{0, fHelloAck, 3, 4, 5, fResultBatch, 9, 255} {
 		typ, body := exchange(frame(unknown, []byte{1, 2, 3}))
 		if msg := errorText(body); typ != fError || !strings.Contains(msg, "unexpected frame type") {
 			t.Fatalf("type %d: reply type %d %q, want an unexpected-frame-type error", unknown, typ, msg)
@@ -647,9 +640,8 @@ func TestUnknownFrameTypesRejected(t *testing.T) {
 	if typ, _ := exchange(frame(fHello, hello)); typ != fHelloAck {
 		t.Fatalf("session stopped serving after unknown frames: reply type %d", typ)
 	}
-	pass := encode(fPass, &passMsg{Pass: 1, Theta: []float64{0.5}})
-	batch := encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Angles: make([]float64, circ.NumQubits)}}})
-	typ, body := exchange(append(pass, batch...))
+	batch := encode(fShardBatch, &shardBatch{Pass: 1, Theta: []float64{0.5}, Shards: []shardMsg{{Angles: make([]float64, circ.NumQubits)}}})
+	typ, body := exchange(batch)
 	if msg := errorText(body); typ != fError || !strings.Contains(msg, "theta") {
 		t.Fatalf("shard under a 1-value theta (circuit has %d parameters): reply type %d %q, want a theta error", circ.NumParams, typ, msg)
 	}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/ad"
 	"repro/internal/core"
@@ -36,9 +39,9 @@ func TestDistRedispatchOnWorkerDeath(t *testing.T) {
 		t.Fatalf("expected 2 live workers after the clean pass, have %d", live)
 	}
 
-	// Fresh pool with one sabotaged worker: it exits upon receiving its
-	// second shard assignment, mid-pass and before replying. The forward
-	// pass finishes on the survivor; the subsequent backward pass then
+	// Fresh pool with one sabotaged worker: it exits when it reaches the
+	// second shard of its request, mid-pass and before replying. The
+	// forward pass finishes on the survivor in a second round; the subsequent backward pass then
 	// respawns the replacement (with a clean environment), so the pool is
 	// whole again by the time runPass returns.
 	dist.Configure(dist.Options{Workers: 2})
@@ -52,6 +55,59 @@ func TestDistRedispatchOnWorkerDeath(t *testing.T) {
 	// And the healed pool keeps producing identical results.
 	got = runPass(qsim.EngineDist, circ, n, angles, tans, theta, gz, gztans)
 	comparePass(t, "after respawn", want, got)
+}
+
+// TestDistAllWorkersDeathFailsPass runs a forward pass on a pool of one
+// worker armed to die at its second shard. With no survivor to take its
+// shards, the pass must fail at once, long before the shard timeout, with
+// an error naming every shard as outstanding, and Shutdown must leave no
+// worker process behind.
+func TestDistAllWorkersDeathFailsPass(t *testing.T) {
+	defer dist.Shutdown()
+	rng := rand.New(rand.NewSource(556))
+	const n, nq = 96, 7
+	circ := qsim.StronglyEntangling.Build(nq, 2)
+	angles := randRows(rng, n*nq)
+	theta := randRows(rng, circ.NumParams)
+	runner, err := qsim.NewShardRunner(circ, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := runner.MaxShard([qsim.MaxTangents]bool{})
+	shards := (n + block - 1) / block
+	if shards < 2 {
+		t.Fatalf("test premise broken: %d samples make %d shard(s) of %d", n, shards, block)
+	}
+
+	dist.Configure(dist.Options{Workers: 1})
+	dist.SetTestSpawnEnv(dist.FailAfterEnv + "=1")
+	start := time.Now()
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		pqc := &qsim.PQC{Circ: circ, Eng: qsim.EngineDist}
+		pqc.Forward(qsim.NewWorkspace(n, nq), angles, nil, theta)
+		return "no panic"
+	}()
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("the pass took %v to fail, want well inside the 60 s shard timeout", elapsed)
+	}
+	if want := fmt.Sprintf("lost all workers with %d shards outstanding", shards); !strings.Contains(msg, want) {
+		t.Fatalf("pass ended with %q, want a failure naming %q", msg, want)
+	}
+	if live := dist.LiveWorkersForTest(); live != 0 {
+		t.Errorf("%d live workers after the only one died", live)
+	}
+	pids := dist.WorkerPIDsForTest()
+	dist.Shutdown()
+	for _, pid := range pids {
+		deadline := time.Now().Add(10 * time.Second)
+		for syscall.Kill(pid, 0) != syscall.ESRCH {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker process %d still exists after Shutdown", pid)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 }
 
 // TestDistSurvivesExternalKill kills a live worker's process outright (as a

@@ -37,53 +37,53 @@ func diagHeavyHello() []byte {
 	return frameBody(encode(fHello, &helloMsg{Name: "diag", NumQubits: 20, Layers: 1, NumParams: 64, Gates: gates}))
 }
 
-// wideShard is a valid 16-qubit handshake and forward pass, then one shard
-// of 64 samples (8 KB of angles). The coordinator partitions 16-qubit passes
-// into 1-sample shards; sizing a workspace for 64 would take 256 MB.
-func wideShard() (hello, pass, shard []byte) {
+// wideShard is a valid 16-qubit handshake, then a forward request of one
+// shard of 64 samples (8 KB of angles). The coordinator partitions 16-qubit
+// passes into 1-sample shards; sizing a workspace for 64 would take 256 MB.
+func wideShard() (hello, shard []byte) {
 	circ := qsim.NoEntanglement.Build(16, 1)
 	hello = helloFor(circ, qsim.CompileProgram(circ).Digest())
-	pass = frameBody(encode(fPass, &passMsg{Pass: 1, Theta: make([]float64, circ.NumParams)}))
-	shard = encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Angles: make([]float64, 64*16)}}})
-	return hello, pass, shard
+	shard = encode(fShardBatch, &shardBatch{Pass: 1, Theta: make([]float64, circ.NumParams),
+		Shards: []shardMsg{{Angles: make([]float64, 64*16)}}})
+	return hello, shard
 }
 
 // shortThetaSession is a valid StronglyEntangling 4-qubit/2-layer handshake,
-// a pass whose theta holds 1 value instead of 24, and one shard.
+// then a request of one shard whose theta holds 1 value instead of 24.
 func shortThetaSession() []byte {
 	circ := qsim.StronglyEntangling.Build(4, 2)
 	return slices.Concat(
 		frame(fHello, helloFor(circ, qsim.CompileProgram(circ).Digest())),
-		encode(fPass, &passMsg{Pass: 1, Theta: []float64{0.5}}),
-		encode(fShardBatch, &shardBatch{Pass: 1, Shards: []shardMsg{{Angles: make([]float64, 4)}}}))
+		encode(fShardBatch, &shardBatch{Pass: 1, Theta: []float64{0.5}, Shards: []shardMsg{{Angles: make([]float64, 4)}}}))
 }
 
 // FuzzServeConn feeds ServeConn arbitrary frame streams. It is seeded with
-// real sessions built from TestCodecGoldenBytes' pass and shard-batch
-// fixtures (a forward and a backward pass over a 1-qubit, 2-parameter
-// circuit) and the three streams that used to panic the worker or make it
-// allocate hundreds of megabytes. A session must end, with or without an
-// error, and never panic.
+// real sessions built by the encoder (a forward and a traced backward pass
+// over a 1-qubit, 2-parameter circuit, the backward request sent again as
+// a re-dispatch round) and the three streams
+// that used to panic the worker or make it allocate hundreds of megabytes.
+// A session must end, with or without an error, and never panic.
 func FuzzServeConn(f *testing.F) {
 	circ := qsim.NewCircuitFromSpec("fuzz", 1, 1,
 		[]qsim.Gate{{Kind: qsim.RY, Q: 0, C: -1, P: 0}, {Kind: qsim.RZ, Q: 0, C: -1, P: 1}}, 2, false, nil)
 	hello := helloFor(circ, qsim.CompileProgram(circ).Digest())
-	batch := encode(fShardBatch, &shardBatch{Pass: 2, Span: 0x4142434445464748, Shards: []shardMsg{
+	fwd := encode(fShardBatch, &shardBatch{Pass: 2, Theta: []float64{1, -0.5}, Shards: []shardMsg{
 		{Shard: 1, Angles: []float64{0.25}},
-		{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
+		{Shard: 3, Angles: []float64{0.75}},
 	}})
-	fwd := passMsg{Pass: 2, Theta: []float64{1, -0.5}}
-	bwd := passMsg{Pass: 3, Trace: 0x2122232425262728, Span: 0x3132333435363738, Backward: true, Theta: []float64{1, -0.5}}
-	bwdBatch := encode(fShardBatch, &shardBatch{Pass: 3, Shards: []shardMsg{
-		{Shard: 1, Angles: []float64{0.25}, GZ: []float64{1}},
-		{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
-	}})
-	fwdSession := slices.Concat(frame(fHello, hello), encode(fPass, &fwd), batch)
+	bwd := encode(fShardBatch, &shardBatch{
+		Pass: 3, Trace: 0x2122232425262728, Span: 0x4142434445464748,
+		Backward: true, Theta: []float64{1, -0.5},
+		Shards: []shardMsg{
+			{Shard: 1, Angles: []float64{0.25}, GZ: []float64{1}},
+			{Shard: 3, Angles: []float64{0.75}, GZ: []float64{-2}},
+		}})
+	fwdSession := slices.Concat(frame(fHello, hello), fwd)
 	f.Add(fwdSession)
-	f.Add(slices.Concat(fwdSession, encode(fPass, &bwd), bwdBatch))
+	f.Add(slices.Concat(fwdSession, bwd, bwd))
 	f.Add(frame(fHello, diagHeavyHello()))
-	wh, wp, ws := wideShard()
-	f.Add(slices.Concat(frame(fHello, wh), frame(fPass, wp), ws))
+	wh, ws := wideShard()
+	f.Add(slices.Concat(frame(fHello, wh), ws))
 	f.Add(shortThetaSession())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One legitimate sample at the worker's 24-qubit bound needs

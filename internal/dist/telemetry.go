@@ -9,7 +9,7 @@ import (
 // Transport telemetry. The coordinator holds its own mutex for the entire
 // duration of a pass, so the ftdc recorder can never sample through
 // coordinator state — every counter here lives outside it, updated with
-// plain atomics at the instrumentation points (one add per batch or per
+// plain atomics at the instrumentation points (one add per exchange or per
 // pass, never per amplitude) and snapshotted lock-free by Collect. The
 // torq-lint nolocktelemetry analyzer holds the sampling surface to that
 // claim: observeBatch, Collect, and ResetTelemetry are //torq:nolock, so
@@ -29,7 +29,6 @@ var xstats struct {
 	shardsDone, batches          atomic.Int64
 	redispatched                 atomic.Int64
 	affRouted, affMissed         atomic.Int64
-	queueDepth                   atomic.Int64 // gauge: shards sent, not yet answered
 	bytesOut, bytesIn            atomic.Int64
 	handshakes, workerKills      atomic.Int64
 	lat                          [LatencyBuckets]atomic.Int64
@@ -44,11 +43,11 @@ var latNames = func() (a [LatencyBuckets]string) {
 	return
 }()
 
-// workerStats accumulates one worker's per-shard service telemetry. Batch
-// round-trip latency is attributed evenly across the batch's shards; with
-// pipelining the measurement includes queue wait, which is exactly what a
-// straggler check wants — a slow worker backs its own queue up. Series
-// names are baked in at registration, the one place allowed to allocate.
+// workerStats accumulates one worker's per-shard service telemetry. An
+// exchange's round-trip latency is attributed evenly across its shards, so
+// a slow worker's mean shard latency stands out to the straggler check.
+// Series names are baked in at registration, the one place allowed to
+// allocate.
 type workerStats struct {
 	shards  atomic.Int64
 	latNS   atomic.Int64
@@ -93,8 +92,8 @@ func registerWorkerStats(id int) {
 	}
 }
 
-// observeBatch records one answered batch: n shards in latNS nanoseconds of
-// round-trip time, served by worker id.
+// observeBatch records one answered exchange: n shards in latNS nanoseconds
+// of round-trip time, served by worker id.
 //
 //torq:nolock
 func observeBatch(id, n int, latNS int64) {
@@ -150,7 +149,6 @@ func Collect(emit func(name string, value int64)) {
 	emit("dist.redispatched", xstats.redispatched.Load())
 	emit("dist.aff_routed", xstats.affRouted.Load())
 	emit("dist.aff_missed", xstats.affMissed.Load())
-	emit("dist.queue_depth", xstats.queueDepth.Load())
 	emit("dist.bytes_out", xstats.bytesOut.Load())
 	emit("dist.bytes_in", xstats.bytesIn.Load())
 	emit("dist.handshakes", xstats.handshakes.Load())
@@ -185,7 +183,6 @@ func ResetTelemetry() {
 	xstats.redispatched.Store(0)
 	xstats.affRouted.Store(0)
 	xstats.affMissed.Store(0)
-	xstats.queueDepth.Store(0)
 	xstats.bytesOut.Store(0)
 	xstats.bytesIn.Store(0)
 	xstats.handshakes.Store(0)

@@ -18,7 +18,7 @@ import (
 
 // TestDistTracedBitIdentical re-runs the bit-identity acceptance matrix of
 // TestDistBitIdenticalToSharded with span recording enabled on the
-// coordinator (which forces it on in every worker through the pass frame's
+// coordinator (which forces it on in every worker through the request's
 // trace context). The baselines are computed UNtraced, so the comparison
 // also proves tracing does not perturb the in-process engines.
 func TestDistTracedBitIdentical(t *testing.T) {
@@ -99,7 +99,7 @@ func TestDistTracedKillRecovery(t *testing.T) {
 
 // TestDistTracedSpanTree checks the observability payload itself: after a
 // traced dist pass, the coordinator's span ring must hold the stitched tree —
-// pass roots, compile, per-worker broadcasts, batch round trips, worker-side
+// pass roots, compile, one exchange span per worker and pass, worker-side
 // KShard spans (stamped with a coordinator-side worker id and parented under
 // a coordinator batch or pass span), and the ordered merges.
 func TestDistTracedSpanTree(t *testing.T) {
@@ -127,7 +127,7 @@ func TestDistTracedSpanTree(t *testing.T) {
 			t.Errorf("span %+v has a broken time range", s)
 		}
 	}
-	for _, k := range []trace.Kind{trace.KCompile, trace.KForward, trace.KBackward, trace.KBroadcast, trace.KBatch, trace.KShard, trace.KMerge} {
+	for _, k := range []trace.Kind{trace.KCompile, trace.KForward, trace.KBackward, trace.KBatch, trace.KShard, trace.KMerge} {
 		if count[k] == 0 {
 			t.Errorf("no %v span recorded (kinds seen: %v)", k, count)
 		}
@@ -154,9 +154,9 @@ func TestDistTracedSpanTree(t *testing.T) {
 			t.Errorf("KShard span %x parented under a %v span, want batch or pass root", s.ID, p.Kind)
 		}
 	}
-	// Batch and broadcast spans must hang off a pass root.
+	// Exchange spans must hang off a pass root.
 	for _, s := range spans {
-		if s.Kind != trace.KBatch && s.Kind != trace.KBroadcast {
+		if s.Kind != trace.KBatch {
 			continue
 		}
 		if p, ok := byID[s.Parent]; !ok || (p.Kind != trace.KForward && p.Kind != trace.KBackward) {

@@ -14,10 +14,10 @@ import (
 )
 
 // failAfterEnv is a test/chaos hook: when set to n > 0, the worker process
-// exits (code 3) upon receiving its (n+1)-th shard assignment — counted per
-// shard, not per frame, so a batched assignment dies mid-batch — before
-// replying; a deterministic stand-in for a worker dying mid-pass, used by
-// the coordinator's re-dispatch recovery tests.
+// exits (code 3) when it reaches its (n+1)-th shard — counted per shard, not
+// per request, so it dies mid-request — before replying; a deterministic
+// stand-in for a worker dying mid-pass, used by the coordinator's
+// re-dispatch recovery tests.
 const failAfterEnv = "TORQ_DIST_FAIL_AFTER_SHARDS"
 
 // requireCachedEnv is a test hook: when set, a backward shard that misses
@@ -38,10 +38,8 @@ type session struct {
 	r *bufio.Reader
 	w *bufio.Writer
 
-	runner   *qsim.ShardRunner
-	pass     passMsg
-	theta    []float64 // pass.Theta's storage: it outlives the arena
-	havePass bool
+	runner *qsim.ShardRunner
+	pass   uint64 // the last request's pass id
 
 	served        int
 	failAfter     int
@@ -49,9 +47,9 @@ type session struct {
 	stall         time.Duration
 
 	// Steady-state transport scratch: frames read into rbuf and encode
-	// through out, and decoded batch arrays borrow in's arena (reset per
-	// shard batch — safe because the runner copies every input it keeps),
-	// so serving a batch allocates nothing.
+	// through out, and decoded request arrays borrow in's arena (reset per
+	// request — safe because the runner copies every input it keeps), so
+	// serving a request allocates nothing.
 	rbuf    []byte
 	in, out wire
 	batch   shardBatch
@@ -98,18 +96,6 @@ func (s *session) handle(typ byte, body []byte) error {
 	switch typ {
 	case fHello:
 		return s.hello(body)
-	case fPass:
-		var pm passMsg
-		if err := s.in.decode(body, &pm); err != nil {
-			return err
-		}
-		s.theta = append(s.theta[:0], pm.Theta...)
-		pm.Theta = s.theta
-		s.pass, s.havePass = pm, true
-		if s.runner != nil && !pm.Backward {
-			s.runner.BeginForwardPass()
-		}
-		return nil
 	case fShardBatch:
 		return s.shardBatch(body)
 	case fError:
@@ -202,52 +188,54 @@ func (s *session) hello(body []byte) error {
 	if got := runner.Digest(); got != hm.Digest {
 		return fmt.Errorf("compiled program digest mismatch: worker %+v, coordinator %+v", got, hm.Digest)
 	}
-	s.runner, s.havePass = runner, false
+	s.runner = runner
 	return s.send(s.out.encode(fHelloAck, &helloAckMsg{Digest: hm.Digest}))
 }
 
-// shardBatch serves one fShardBatch frame: decode into session scratch, run
-// every shard through runShard, answer with one fResultBatch. The whole
-// exchange reuses session buffers and the arena (previous batch's decoded
+// shardBatch serves one request: decode into session scratch, run every
+// shard through runShard, answer with one fResultBatch. The whole exchange
+// reuses session buffers and the arena (the previous request's decoded
 // arrays are dead once its reply flushed), so the steady-state data path
-// allocates nothing. An error on any shard fails the
-// whole batch — the coordinator re-dispatches it as a unit.
+// allocates nothing. An error on any shard fails the whole request — the
+// coordinator re-dispatches it as a unit.
+//
+// A request whose pass id differs from the last one starts a new pass, and
+// a forward one supersedes the kept shard states. A request for the same
+// pass is a re-dispatch round, which keeps them: a kept state is used only
+// when its inputs match the shard's bit for bit.
 func (s *session) shardBatch(body []byte) error {
 	s.in.arena.reset()
-	if err := s.in.decode(body, &s.batch); err != nil {
+	b := &s.batch
+	if err := s.in.decode(body, b); err != nil {
 		return err
 	}
-	if len(s.batch.Shards) == 0 {
+	if len(b.Shards) == 0 {
 		return errors.New("empty shard batch")
 	}
-	if s.runner == nil || !s.havePass {
-		return errors.New("shard before handshake/pass broadcast")
+	if s.runner == nil {
+		return errors.New("shard before handshake")
 	}
-	if s.batch.Pass != s.pass.Pass {
-		return fmt.Errorf("shard batch for pass %d, current pass is %d", s.batch.Pass, s.pass.Pass)
+	if b.Pass != s.pass && !b.Backward {
+		s.runner.BeginForwardPass()
 	}
+	s.pass = b.Pass
 	// Per-shard spans, gated on the coordinator's trace context rather than
 	// this process's own TORQ_TRACE: a traced coordinator traces its whole
-	// fleet. Each span parents under the batch span that carried the shard
-	// (falling back to the pass-root span) and rides the reply's span
-	// section back for coordinator-side stitching.
-	traced := s.pass.Trace != 0
-	parent := s.batch.Span
-	if parent == 0 {
-		parent = s.pass.Span
-	}
+	// fleet. Each span parents under the exchange's batch span and rides the
+	// reply's span section back for coordinator-side stitching.
+	traced := b.Trace != 0
 	s.spans = s.spans[:0]
 	// Each entry is encoded right after its shard runs — the runner's
 	// result arrays alias workspace buffers the next shard will overwrite.
-	reply := resultBatch{Pass: s.pass.Pass, Backward: s.pass.Backward}
+	reply := resultBatch{Pass: b.Pass, Backward: b.Backward}
 	s.out.begin(fResultBatch)
-	reply.head(&s.out, len(s.batch.Shards))
-	for i := range s.batch.Shards {
-		sm := &s.batch.Shards[i]
+	reply.head(&s.out, len(b.Shards))
+	for i := range b.Shards {
+		sm := &b.Shards[i]
 		var rm resultMsg
 		var sp trace.Span
 		if traced {
-			sp = trace.BeginForced(trace.KShard, parent)
+			sp = trace.BeginForced(trace.KShard, b.Span)
 			sp.Shard = int32(sm.Shard)
 		}
 		if err := s.runShard(sm, &rm); err != nil {
@@ -272,16 +260,17 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 		time.Sleep(s.stall)
 	}
 	s.served++
+	b := &s.batch
 
 	nq := s.runner.Circuit().NumQubits
-	if np := s.runner.Circuit().NumParams; len(s.pass.Theta) != np {
-		return fmt.Errorf("pass theta has %d values, circuit has %d parameters", len(s.pass.Theta), np)
+	if np := s.runner.Circuit().NumParams; len(b.Theta) != np {
+		return fmt.Errorf("pass theta has %d values, circuit has %d parameters", len(b.Theta), np)
 	}
 	if nq <= 0 || len(sm.Angles)%nq != 0 || len(sm.Angles) == 0 {
 		return fmt.Errorf("shard angles length %d not a multiple of nq=%d", len(sm.Angles), nq)
 	}
 	n := len(sm.Angles) / nq
-	if max := s.runner.MaxShard(s.pass.Active); n > max {
+	if max := s.runner.MaxShard(b.Active); n > max {
 		return fmt.Errorf("shard of %d samples exceeds the %d-sample block", n, max)
 	}
 	// Every optional row array must match the shard's sample count (and the
@@ -300,13 +289,13 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 		return nil
 	}
 	for k := 0; k < qsim.MaxTangents; k++ {
-		if err := checkRows("angleTans", k, sm.AngleTans[k], s.pass.Active[k]); err != nil {
+		if err := checkRows("angleTans", k, sm.AngleTans[k], b.Active[k]); err != nil {
 			return err
 		}
-		if s.pass.Active[k] && sm.AngleTans[k] == nil {
+		if b.Active[k] && sm.AngleTans[k] == nil {
 			return fmt.Errorf("shard angleTans[%d] missing for active channel", k)
 		}
-		if err := checkRows("gzTans", k, sm.GZTans[k], s.pass.Active[k] && s.pass.Backward); err != nil {
+		if err := checkRows("gzTans", k, sm.GZTans[k], b.Active[k] && b.Backward); err != nil {
 			return err
 		}
 	}
@@ -315,14 +304,14 @@ func (s *session) runShard(sm *shardMsg, rm *resultMsg) error {
 	}
 	rm.Shard = sm.Shard
 	switch {
-	case s.pass.Backward:
+	case b.Backward:
 		var cached bool
-		rm.DAngles, rm.DAngleTans, rm.DTheta, rm.DiagT, cached = s.runner.BackwardShard(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta, sm.GZ, sm.GZTans)
+		rm.DAngles, rm.DAngleTans, rm.DTheta, rm.DiagT, cached = s.runner.BackwardShard(sm.Shard, n, b.Active, sm.Angles, sm.AngleTans, b.Theta, sm.GZ, sm.GZTans)
 		if s.requireCached && !cached {
 			return fmt.Errorf("backward shard %d missed the forward-state cache", sm.Shard)
 		}
 	default:
-		rm.Z, rm.ZTans = s.runner.ForwardShard(sm.Shard, n, s.pass.Active, sm.Angles, sm.AngleTans, s.pass.Theta)
+		rm.Z, rm.ZTans = s.runner.ForwardShard(sm.Shard, n, b.Active, sm.Angles, sm.AngleTans, b.Theta)
 	}
 	return nil
 }

@@ -2,7 +2,7 @@
 // low-overhead telemetry capture in the spirit of full-time diagnostic data
 // capture (FTDC) systems. A Recorder periodically snapshots registered
 // collectors — the par scheduler's steal/chunk/region counters, the dist
-// coordinator's per-worker latency and queue-depth series, the qsim engines'
+// coordinator's per-worker latency and liveness series, the qsim engines'
 // pass and epoch wall times — into a bounded in-memory ring of compact
 // binary chunks, dumpable on demand (SIGUSR1 or a -ftdc-dump flag) and
 // decodable offline by cmd/torq-ftdc.

@@ -244,9 +244,9 @@ type shardState struct {
 	out ShardResult
 }
 
-// NewShardRunner compiles circ at level 3 and prepares a per-shard-size
-// state cache. Before any table is allocated, it refuses a circuit whose
-// full-register diagonal tables would exceed maxTableBytes.
+// NewShardRunner compiles circ and prepares a per-shard-size state cache.
+// Before any table is allocated, it refuses a circuit whose full-register
+// diagonal tables would exceed maxTableBytes.
 func NewShardRunner(circ *Circuit, maxTableBytes int) (*ShardRunner, error) {
 	prog := fuseProgram(circ)
 	if n := prog.diagTableBytes(); n > maxTableBytes {

@@ -119,10 +119,6 @@ type Program struct {
 	readout basisWalk
 }
 
-// compileLevel is the fusion level CompileProgram implements: the only one.
-// contentHash still mixes it in, so digests stay what they were.
-const compileLevel = 3
-
 // CompileProgram lowers circ (and its embedding placement, honouring data
 // re-uploading) into a fused program: CNOTs tracked in the basis frame,
 // commutation-aware diagonal absorption and paired single-qubit runs.
@@ -170,9 +166,6 @@ func (p *Program) diagTableBytes() int {
 	}
 	return n
 }
-
-// Level reports the fusion level the program was compiled at: always 3.
-func (p *Program) Level() int { return compileLevel }
 
 // NumInstructions reports the executed instruction stream length (embedding
 // ops included) — the quantity gate fusion shrinks.
@@ -238,7 +231,6 @@ func (p *Program) contentHash() uint64 {
 		}
 	}
 	num := func(v int) { word(uint64(int64(v))) }
-	num(compileLevel)
 	num(p.circ.NumQubits)
 	num(len(p.ins))
 	for i := range p.ins {
@@ -246,11 +238,9 @@ func (p *Program) contentHash() uint64 {
 		byte1(byte(in.op))
 		num(in.q)
 		num(in.c)
-		num(0) // once a third qubit
 		num(in.slot)
 		num(in.dslot)
 		num(in.tslot)
-		byte1(0) // once a per-instruction adjoint flag; kept so digests stay comparable
 		num(len(in.gates))
 		for _, g := range in.gates {
 			byte1(byte(g.Kind))
@@ -266,29 +256,19 @@ func (p *Program) contentHash() uint64 {
 		for _, s := range in.signs {
 			byte1(byte(s))
 		}
-		word(0) // once a permutation table
-		num(0)  // and its cycle count
+		for _, v := range in.v {
+			num(v.r)
+			num(v.m)
+		}
+		for _, v := range in.fr {
+			num(v.r)
+			num(v.m)
+		}
 	}
-	// Only a program with CNOTs has frames other than the identity, so only
-	// its digest covers them and every other digest reads as before frames
-	// existed.
-	if len(p.cnots) > 0 {
-		num(len(p.cnots))
-		for _, g := range p.cnots {
-			num(g.Q)
-			num(g.C)
-		}
-		for i := range p.ins {
-			in := &p.ins[i]
-			for _, v := range in.v {
-				num(v.r)
-				num(v.m)
-			}
-			for _, v := range in.fr {
-				num(v.r)
-				num(v.m)
-			}
-		}
+	num(len(p.cnots))
+	for _, g := range p.cnots {
+		num(g.Q)
+		num(g.C)
 	}
 	// Coefficient probe at theta_i = sin(i+1): exercises every rotation's
 	// trigonometry and every fused block's matrix products.

@@ -1,6 +1,6 @@
 // Package trace is the span recorder behind the live observability plane:
 // a fixed ring of pre-sized span slots that records the per-pass tree —
-// compile → theta broadcast → per-batch send/recv → per-shard execute →
+// compile → per-worker request/reply exchange → per-shard execute →
 // merge — on the coordinator, inside worker processes, and across the two
 // (worker spans travel back inside dist result frames and are stitched
 // under their coordinator parents by span id).
@@ -42,33 +42,24 @@ import (
 type Kind uint8
 
 const (
-	KUnknown   Kind = iota
-	KCompile        // circuit → fused instruction stream compilation
-	KForward        // one forward pass, root of its tree
-	KBackward       // one backward pass, root of its tree
-	KBroadcast      // theta/pass broadcast to one worker
-	KBatch          // one shard batch's send→recv round trip
-	KShard          // one shard's execution on a worker
-	KMerge          // ordered merge of shard results into pass outputs
+	KUnknown  Kind = iota
+	KCompile       // circuit → fused instruction stream compilation
+	KForward       // one forward pass, root of its tree
+	KBackward      // one backward pass, root of its tree
+	_              // 4: the retired per-pass broadcast; span records keep their numbers
+	KBatch         // one worker's request→reply exchange in a pass
+	KShard         // one shard's execution on a worker
+	KMerge         // ordered merge of shard results into pass outputs
 )
+
+// kindNames names each kind; the retired 4 has no name.
+var kindNames = [...]string{KCompile: "compile", KForward: "forward", KBackward: "backward",
+	KBatch: "batch", KShard: "shard", KMerge: "merge"}
 
 // String names the kind for the /trace exposition (Chrome trace events).
 func (k Kind) String() string {
-	switch k {
-	case KCompile:
-		return "compile"
-	case KForward:
-		return "forward"
-	case KBackward:
-		return "backward"
-	case KBroadcast:
-		return "broadcast"
-	case KBatch:
-		return "batch"
-	case KShard:
-		return "shard"
-	case KMerge:
-		return "merge"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -148,7 +139,7 @@ func SetEnabled(on bool) { enabled.Store(on) }
 func Enabled() bool { return enabled.Load() }
 
 // ContextID is the process-unique trace context the coordinator stamps into
-// pass broadcasts: nonzero exactly when tracing is enabled, so a worker can
+// each worker request: nonzero exactly when tracing is enabled, so a worker can
 // gate per-shard recording on the coordinator's setting rather than its own
 // environment.
 //
@@ -179,7 +170,7 @@ func Begin(kind Kind, parent uint64) Span {
 
 // BeginForced starts a span regardless of the process-local gate — the
 // worker-side entry point, gated instead by the nonzero trace context the
-// coordinator sent in the pass broadcast.
+// coordinator sent in the worker's request.
 //
 //torq:nolock
 //torq:hotpath
@@ -188,7 +179,7 @@ func BeginForced(kind Kind, parent uint64) Span {
 }
 
 // BeginPass starts a pass-root span and publishes its id as the current
-// pass, parenting subsequent compile/broadcast/merge spans.
+// pass, parenting subsequent compile/exchange/merge spans.
 //
 //torq:nolock
 //torq:hotpath
